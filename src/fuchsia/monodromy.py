@@ -5,6 +5,11 @@ Dormand-Prince 5(4) pair on the matrix equation dY/ds = z'(s) A(z(s)) Y,
 parameterized by arc length.  Transfer matrices obey Y(end) = T Y(start),
 so the transfer of a concatenation gamma2 after gamma1 is T2 @ T1.
 
+The stage points of a step depend only on the arc length and the step
+size, so each attempted step evaluates A at all six of them in one call.
+Every pole loop is an approach, a circle, and the exact reverse of the
+approach; its transfer is T^-1 C T, so the approach is integrated once.
+
 ``verify_theorem`` compares the monodromy around each pole against the
 exponential generator exp(2 pi i B_j): eigenvalue multisets, Jordan block
 structures, and an explicit conjugator, with resonant poles reported but
@@ -43,26 +48,31 @@ from .system import TWO_PI_I, FuchsianSystem, is_non_resonant
 DEFAULT_INTEGRATION_TOL = 1e-9
 DEFAULT_VERIFY_TOL = 1e-7
 
-# Dormand-Prince 5(4) tableau.  The last stage row doubles as the 5th-order
+# Dormand-Prince 5(4) tableau.  Row i of _DP_A weighs the earlier stages
+# into the input of stage i + 1; the last row doubles as the 5th-order
 # weights (first-same-as-last), and _DP_ERR is the difference between the
 # 5th- and 4th-order weights.
-_DP_A = (
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+_DP_A = np.array(
+    [
+        [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
+        [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
+        [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
+        [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
+        [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
+    ]
 )
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
-_DP_ERR = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
+_DP_C = np.array([0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0])
+_DP_ERR = np.array(
+    [
+        71.0 / 57600.0,
+        0.0,
+        -71.0 / 16695.0,
+        71.0 / 1920.0,
+        -17253.0 / 339200.0,
+        22.0 / 525.0,
+        -1.0 / 40.0,
+    ]
 )
 
 _MIN_STEP_FRACTION = 1e-14
@@ -72,46 +82,44 @@ _SAFETY = 0.9
 
 
 def coefficient_function(system: FuchsianSystem):
-    """Vectorized evaluator z -> A(z) for the system's coefficient matrix."""
-    poles = np.array(system.poles, dtype=complex)
-    stack = np.stack(system.residues).astype(complex)
-
-    def rhs(z: complex) -> np.ndarray:
-        return np.tensordot(1.0 / (z - poles), stack, axes=1)
-
-    return rhs
+    """The system's vectorized evaluator: a point or array of points -> A(z)."""
+    return system.evaluate
 
 
-def _integrate_segment(rhs, segment, y: np.ndarray, rate: float):
+def _integrate_segment(evaluate, segment, y: np.ndarray, rate: float):
     """Advance y across one segment; returns (y, accumulated local error).
 
-    ``rate`` is the local error allowed per unit arc length, scaled by
-    max(1, |y|_F) at each step (mixed absolute/relative control).
+    ``evaluate`` maps an array of m points to the (m, n, n) stack of A at
+    them.  Each attempted step evaluates A at its six stage points in one
+    call; the stage inputs are products of tableau rows with the stacked
+    stages.  ``rate`` is the local error allowed per unit arc length, scaled
+    by max(1, |y|_F) at each step (mixed absolute/relative control).
     """
     length = segment.length
+    n = y.shape[0]
+    stages = np.empty((7, n, n), dtype=complex)
+    flat = stages.reshape(7, n * n)
+    z, v = segment.frame(np.zeros(1))
+    stages[0] = v[0] * (evaluate(z)[0] @ y)
+    h = min(length, 0.1 / (1.0 + float(np.linalg.norm(stages[0]))))
     s = 0.0
-    k = [None] * 7
-    k[0] = segment.velocity(0.0) * (rhs(segment.point(0.0)) @ y)
-    h = min(length, 0.1 / (1.0 + float(np.linalg.norm(k[0]))))
     accumulated = 0.0
     while s < length:
         h = min(h, length - s)
-        for i in range(1, 7):
-            incr = sum(_DP_A[i - 1][j] * k[j] for j in range(i) if _DP_A[i - 1][j] != 0.0)
-            yi = y + h * incr
-            si = s + _DP_C[i - 1] * h
-            if i == 6:
-                y5 = yi
-            k[i] = segment.velocity(si) * (rhs(segment.point(si)) @ yi)
-        err_matrix = h * sum(_DP_ERR[j] * k[j] for j in range(7) if _DP_ERR[j] != 0.0)
-        err = float(np.linalg.norm(err_matrix))
+        z, v = segment.frame(s + h * _DP_C)
+        slopes = evaluate(z) * v[:, None, None]
+        weights = h * _DP_A
+        for i in range(6):
+            y5 = y + (weights[i, : i + 1] @ flat[: i + 1]).reshape(n, n)
+            np.matmul(slopes[i], y5, out=stages[i + 1])
+        err = float(np.linalg.norm(h * (_DP_ERR @ flat)))
         if not math.isfinite(err) or not np.all(np.isfinite(y5.real)):
             raise NonFiniteError("continuation produced a non-finite solution value")
         allowed = rate * h * max(1.0, float(np.linalg.norm(y5)))
         if err <= allowed:
             s += h
             y = y5
-            k[0] = k[6]
+            stages[0] = stages[6]
             accumulated += err
         if err == 0.0:
             factor = _MAX_GROWTH
@@ -125,25 +133,46 @@ def _integrate_segment(rhs, segment, y: np.ndarray, rate: float):
     return y, accumulated
 
 
-def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEFAULT_INTEGRATION_TOL):
-    """Transfer matrix of dY/dz = rhs(z) Y along an arbitrary path.
+def _integrate(evaluate, segments, dimension: int, rate: float):
+    y = np.eye(dimension, dtype=complex)
+    accumulated = 0.0
+    for segment in segments:
+        y, err = _integrate_segment(evaluate, segment, y, rate)
+        accumulated += err
+    return y, accumulated
 
-    ``rhs`` is any callable z -> matrix; no pole bookkeeping happens here.
-    Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start)
-    and the estimate equal to ten times the accumulated local error.
-    """
+
+def _transfer(evaluate, path: ContinuationPath, dimension: int, tol: float):
+    """Transfer matrix and error estimate along ``path``; see ``continue_solution``."""
     if tol <= 0:
         raise ValidationError("integration tolerance must be positive")
     length = path.length
     if length == 0.0:
         return np.eye(dimension, dtype=complex), 0.0
     rate = tol / length
-    y = np.eye(dimension, dtype=complex)
-    accumulated = 0.0
-    for segment in path.segments:
-        y, err = _integrate_segment(rhs, segment, y, rate)
-        accumulated += err
-    return y, 10.0 * accumulated
+    segments = path.segments
+    half = len(segments) // 2
+    head, middle, tail = segments[:half], segments[half:half + 1], segments[half + 1:]
+    if head and tail == tuple(seg.reversed() for seg in reversed(head)):
+        approach, err_head = _integrate(evaluate, head, dimension, rate)
+        turn, err_middle = _integrate(evaluate, middle, dimension, rate)
+        return np.linalg.solve(approach, turn @ approach), 10.0 * (2.0 * err_head + err_middle)
+    y, err = _integrate(evaluate, segments, dimension, rate)
+    return y, 10.0 * err
+
+
+def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEFAULT_INTEGRATION_TOL):
+    """Transfer matrix of dY/dz = rhs(z) Y along an arbitrary path.
+
+    ``rhs`` is any callable z -> matrix; no pole bookkeeping happens here.
+    It is called point by point at every stage point, by the same kernel
+    and with the same estimate as ``continue_solution``.  Returns
+    ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start).
+    """
+    def evaluate(points):
+        return np.array([rhs(complex(z)) for z in points], dtype=complex)
+
+    return _transfer(evaluate, path, dimension, tol)
 
 
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
@@ -151,8 +180,11 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
 
     Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start).
     The integrator keeps the local error per unit arc length below
-    ``tol / path.length``; the returned estimate is ten times the
-    accumulated local error.  A zero-length path yields the identity with a
+    ``tol / path.length``, and the estimate is ten times the accumulated
+    local error.  A path whose tail is, segment by segment, the exact
+    reverse of its head around one middle segment (every pole loop) is
+    integrated as head T and middle C only, giving T^-1 C T with the head's
+    error counted twice.  A zero-length path yields the identity with a
     zero estimate exactly.  The path is audited against the system's poles
     before any integration happens.
     """
@@ -164,7 +196,7 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
                 f"path passes within {audited:.3e} of a pole, closer than its "
                 f"stated clearance {path.clearance:.3e}"
             )
-    return transfer_along(coefficient_function(system), path, system.dimension, tol)
+    return _transfer(coefficient_function(system), path, system.dimension, tol)
 
 
 @dataclass(frozen=True)

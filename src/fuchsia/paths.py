@@ -14,6 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import GeometryError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -56,6 +58,11 @@ class Line:
 
     def velocity(self, s: float) -> complex:
         return (self.end - self.start) / self.length
+
+    def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points start + s u and unit velocities u at an array of arc lengths."""
+        u = self.velocity(0.0)
+        return self.start + s * u, np.full(s.shape, u)
 
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
@@ -123,6 +130,12 @@ class Arc:
     def velocity(self, s: float) -> complex:
         sign = 1.0 if self.span > 0 else -1.0
         return 1j * sign * cmath.exp(1j * self.angle_at(s))
+
+    def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points center + r e^{i phi(s)} and unit velocities at an array of arc lengths."""
+        sign = 1.0 if self.span > 0 else -1.0
+        turn = np.exp(1j * self.angle_at(s))
+        return self.center + self.radius * turn, (1j * sign) * turn
 
     def reversed(self) -> "Arc":
         # A closed arc must keep its reported endpoint bitwise, so reverse

@@ -7,10 +7,10 @@ at each pole, integer-resonance detection, and the map from residues to the
 exponential generators exp(2 pi i B_j).
 """
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +51,25 @@ class FuchsianSystem:
         for a in self.poles:
             if z == a:
                 raise ValidationError(f"A(z) evaluated at the pole {a}")
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for a, b in zip(self.poles, self.residues):
-            out += b / (z - a)
-        return out
+        return self.evaluate(z)
+
+    @cached_property
+    def _partial_fractions(self) -> tuple[np.ndarray, np.ndarray]:
+        poles = np.array(self.poles, dtype=complex)
+        return poles, np.stack(self.residues).astype(complex).reshape(len(poles), -1)
+
+    def evaluate(self, z) -> np.ndarray:
+        """A(z) = sum_i B_i / (z - a_i) at a point or a 1-D array of points.
+
+        A point gives an (n, n) matrix; m points give an (m, n, n) stack from
+        one (m, P) @ (P, n^2) product over the stacked residues.  No pole
+        check: this is the continuation's hot path, and its paths are
+        audited against the poles beforehand.
+        """
+        poles, stacked = self._partial_fractions
+        z = np.asarray(z)
+        weights = 1.0 / (z[..., None] - poles)
+        return (weights @ stacked).reshape(z.shape + (self.dimension, self.dimension))
 
     def to_dict(self) -> dict:
         return {
@@ -244,7 +259,3 @@ def galois_generators(system: FuchsianSystem, resonance_tol: float = DEFAULT_RES
         )
     return [matrix_exp(TWO_PI_I * b) for b in system.residues]
 
-
-def pole_angle(a: complex, base: complex) -> float:
-    """Angle of a - base in (-pi, pi], used for loop ordering conventions."""
-    return cmath.phase(a - base)

@@ -11,7 +11,7 @@ from fuchsia.errors import (
     StepSizeUnderflowError,
     ValidationError,
 )
-from fuchsia.monodromy import continue_solution, transfer_along
+from fuchsia.monodromy import coefficient_function, continue_solution, transfer_along
 from fuchsia.paths import ContinuationPath, Line, build_loops, pole_loop
 from fuchsia.system import validate_system
 
@@ -122,3 +122,60 @@ def test_error_estimate_tracks_tolerance():
     assert abs(tight[0, 0] - expected) < 1e-10
     assert abs(loose[0, 0] - expected) < 1e-4
     assert est_tight >= 0.0 and np.isfinite(est_loose)
+
+
+def collinear_generic_system():
+    """Fixed non-commuting 2x2 system on the poles 0, 1, 2.
+
+    From the default base point the loop around pole 0 detours around
+    poles 1 and 2, so its approach holds lines and arcs.
+    """
+    b0 = np.array([[0.1 + 0.05j, 0.2], [-0.1j, -0.15]])
+    b1 = np.array([[-0.05, 0.1j], [0.15, 0.2 - 0.1j]])
+    return validate_system([0.0, 1.0, 2.0], [b0, b1, -(b0 + b1)])
+
+
+def test_loop_factorisation_matches_separate_legs():
+    """A loop equals T_back @ C @ T_a with each leg continued on its own,
+    and a path without the reversed tail is still continued straight."""
+    system = collinear_generic_system()
+    for loop in build_loops(system):
+        half = len(loop.segments) // 2
+        legs = [loop.segments[:half], loop.segments[half : half + 1], loop.segments[half + 1 :]]
+        t_a, circle, t_back = (
+            continue_solution(system, ContinuationPath(leg, clearance=loop.clearance), tol=1e-11)[0]
+            for leg in legs
+        )
+        whole, _ = continue_solution(system, loop, tol=1e-11)
+        assert np.linalg.norm(whole - t_back @ circle @ t_a) < 1e-9
+        open_path = ContinuationPath(loop.segments[: half + 1], clearance=loop.clearance)
+        straight, _ = continue_solution(system, open_path, tol=1e-11)
+        assert np.linalg.norm(straight - circle @ t_a) < 1e-9
+
+
+def test_evaluator_matches_pointwise_coefficient():
+    system = collinear_generic_system()
+    points = np.array([3.0, 0.5 + 0.5j, -1.0 - 2.0j, 1.5 - 0.01j, 2.0 + 1e-3j])
+    stack = coefficient_function(system)(points)
+    assert stack.shape == (len(points), 2, 2)
+    for z, a in zip(points, stack):
+        expected = system.coefficient(complex(z))
+        assert np.max(np.abs(a - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_realised_error_within_tolerance_and_estimate(tol, rng):
+    """On closed-form oracles the realised error stays below ``tol`` and
+    the reported estimate bounds it."""
+    cases = []
+    for b in (0.25, 0.1 + 0.2j):
+        system = scalar_two_pole(b)
+        loop = pole_loop(system.poles, 0, 3.0 + 0.0j)
+        cases.append((system, loop, np.array([[cmath.exp(2j * cmath.pi * b)]])))
+    system, expected = diagonal_system(rng, p=3, n=3)
+    cases.extend((system, loop, m) for loop, m in zip(build_loops(system), expected))
+    for system, loop, oracle in cases:
+        transfer, estimate = continue_solution(system, loop, tol=tol)
+        realised = float(np.linalg.norm(transfer - oracle))
+        assert realised <= tol
+        assert estimate >= realised
