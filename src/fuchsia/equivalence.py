@@ -359,9 +359,10 @@ def gauge_transform(matrix: RationalMatrix, basis_change: RationalMatrix) -> Rat
     """
     if basis_change.dimension != matrix.dimension:
         raise ValidationError("basis change dimension mismatch")
-    if not basis_change.is_invertible():
-        raise ValidationError("basis change must be invertible over the field")
-    inv = basis_change.inverse()
+    try:
+        inv = basis_change.inverse()
+    except ValidationError:
+        raise ValidationError("basis change must be invertible over the field") from None
     return inv @ (matrix @ basis_change - basis_change.derivative())
 
 

@@ -86,6 +86,12 @@ def coefficient_function(system: FuchsianSystem):
     return system.evaluate
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """|x|_F by the formula ``np.linalg.norm`` uses for a complex array."""
+    x = x.ravel()
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _integrate_segment(evaluate, segment, y: np.ndarray, rate: float):
     """Advance y across one segment; returns (y, accumulated local error).
 
@@ -101,7 +107,7 @@ def _integrate_segment(evaluate, segment, y: np.ndarray, rate: float):
     flat = stages.reshape(7, n * n)
     z, v = segment.frame(np.zeros(1))
     stages[0] = v[0] * (evaluate(z)[0] @ y)
-    h = min(length, 0.1 / (1.0 + float(np.linalg.norm(stages[0]))))
+    h = min(length, 0.1 / (1.0 + _frobenius(stages[0])))
     s = 0.0
     accumulated = 0.0
     while s < length:
@@ -112,10 +118,10 @@ def _integrate_segment(evaluate, segment, y: np.ndarray, rate: float):
         for i in range(6):
             y5 = y + (weights[i, : i + 1] @ flat[: i + 1]).reshape(n, n)
             np.matmul(slopes[i], y5, out=stages[i + 1])
-        err = float(np.linalg.norm(h * (_DP_ERR @ flat)))
+        err = _frobenius(h * (_DP_ERR @ flat))
         if not math.isfinite(err) or not np.all(np.isfinite(y5.real)):
             raise NonFiniteError("continuation produced a non-finite solution value")
-        allowed = rate * h * max(1.0, float(np.linalg.norm(y5)))
+        allowed = rate * h * max(1.0, _frobenius(y5))
         if err <= allowed:
             s += h
             y = y5

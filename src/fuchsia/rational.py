@@ -1,17 +1,21 @@
 """Exact rational-function arithmetic over the Gaussian rationals.
 
-``ComplexRational`` is a complex number with ``fractions.Fraction`` real and
-imaginary parts, ``Polynomial`` holds ascending coefficient tuples, and
-``RationalFunction`` keeps a fully reduced ratio with monic denominator so
-equality is structural.  A strict grammar parses expressions in ``z`` with
-``+ - * / ^``, parentheses, and literals like ``3/2``, ``i``, ``2i`` (so
-``2i/5`` reads as (2/5)i); the canonical printer emits one fixed form that
-reparses to an equal value bit for bit.  No floating point enters any
-arithmetic path; floats appear only in the explicit ``to_complex`` /
-``eval_complex`` conversions.
+``ComplexRational`` is a Gaussian rational (a + bi)/d held as three plain
+ints in lowest terms (d > 0, gcd(a, b, d) = 1); every operation builds its
+result from ints and reduces it with one gcd.  ``Polynomial`` holds
+ascending coefficient tuples, and ``RationalFunction`` keeps a fully
+reduced ratio with monic denominator so equality is structural.  A strict
+grammar parses expressions in ``z`` with ``+ - * / ^``, parentheses, and
+literals like ``3/2``, ``i``, ``2i`` (so ``2i/5`` reads as (2/5)i); the
+parser carries unreduced numerator/denominator pairs and reduces once per
+expression.  The canonical printer emits one fixed form that reparses to an
+equal value bit for bit.  No floating point enters any arithmetic path;
+floats appear only in the explicit ``to_complex`` / ``eval_complex``
+conversions.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ParseError, ValidationError
 
@@ -24,17 +28,55 @@ def _as_fraction(v) -> Fraction:
     raise ValidationError(f"expected an integer or Fraction, got {type(v).__name__}")
 
 
-class ComplexRational:
-    """Gaussian rational a + bi with exact Fraction components."""
+def _reduced(a: int, b: int, d: int) -> "ComplexRational":
+    """(a + bi)/d in lowest terms, for d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    c = object.__new__(ComplexRational)
+    _set_a(c, a)
+    _set_b(c, b)
+    _set_d(c, d)
+    return c
 
-    __slots__ = ("re", "im")
+
+def _power(base, n, one, what: str):
+    """base**n by repeated squaring, for a nonnegative integer n."""
+    if not isinstance(n, int) or n < 0:
+        raise ValidationError(f"{what} powers must be nonnegative integers")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+class ComplexRational:
+    """Gaussian rational (a + bi)/d with exact integer parts."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        re, im = _as_fraction(re), _as_fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        _set_a(self, re.numerator * (d // re.denominator))
+        _set_b(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def _coerce(v):
@@ -45,33 +87,35 @@ class ComplexRational:
         return None
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a) or bool(self._b)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self._d, other._d
+        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -83,24 +127,22 @@ class ComplexRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """(a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        denom = other.re * other.re + other.im * other.im
-        if denom == 0:
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        norm = a2 * a2 + b2 * b2
+        if norm == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / denom,
-            (self.im * other.re - self.re * other.im) / denom,
-        )
+        d2 = other._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -109,28 +151,24 @@ class ComplexRational:
         return other / self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError("ComplexRational powers must be nonnegative integers")
-        result = CR_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, CR_ONE, "ComplexRational")
 
     def conjugate(self):
-        return ComplexRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
         return format_complex_rational(self)
 
     def __repr__(self) -> str:
         return f"ComplexRational({self.re!r}, {self.im!r})"
+
+
+_set_a = ComplexRational._a.__set__
+_set_b = ComplexRational._b.__set__
+_set_d = ComplexRational._d.__set__
 
 
 CR_ZERO = ComplexRational(0)
@@ -249,16 +287,7 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError("polynomial powers must be nonnegative integers")
-        result = P_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, P_ONE, "polynomial")
 
     def derivative(self) -> "Polynomial":
         return Polynomial(
@@ -369,9 +398,11 @@ class RationalFunction:
             object.__setattr__(self, "num", P_ZERO)
             object.__setattr__(self, "den", P_ONE)
             return
-        g = polynomial_gcd(num, den)
-        num = num // g
-        den = den // g
+        if den.degree > 0:
+            g = polynomial_gcd(num, den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
         lead = den.coeffs[-1]
         num = Polynomial([c / lead for c in num.coeffs])
         den = Polynomial([c / lead for c in den.coeffs])
@@ -429,16 +460,7 @@ class RationalFunction:
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError("rational function powers must be nonnegative integers")
-        result = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, RF_ONE, "rational function")
 
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
@@ -562,65 +584,70 @@ class _Parser:
         self.advance()
 
     def parse(self) -> RationalFunction:
-        value = self.expr()
+        num, den = self.expr()
         kind, _, pos = self.peek()
         if kind != _TOK_END:
             raise ParseError("trailing input after expression", pos)
-        return value
+        return RationalFunction(num, den)
 
-    def expr(self) -> RationalFunction:
-        value = self.term()
+    # Below, values are unreduced (numerator, denominator) Polynomial pairs
+    # with a nonzero denominator; ``parse`` reduces once at the end.
+
+    def expr(self):
+        num, den = self.term()
         while True:
             kind, op, _ = self.peek()
             if kind == _TOK_OP and op in "+-":
                 self.advance()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
+                rnum, rden = self.term()
+                if op == "-":
+                    rnum = -rnum
+                num, den = num * rden + rnum * den, den * rden
             else:
-                return value
+                return num, den
 
-    def term(self) -> RationalFunction:
-        value = self.factor()
+    def term(self):
+        num, den = self.factor()
         while True:
             kind, op, pos = self.peek()
             if kind == _TOK_OP and op in "*/":
                 self.advance()
-                rhs = self.factor()
+                rnum, rden = self.factor()
                 if op == "*":
-                    value = value * rhs
+                    num, den = num * rnum, den * rden
                 else:
-                    if not rhs:
+                    if not rnum:
                         raise ParseError("division by zero", pos)
-                    value = value / rhs
+                    num, den = num * rden, den * rnum
             else:
-                return value
+                return num, den
 
-    def factor(self) -> RationalFunction:
+    def factor(self):
         kind, op, _ = self.peek()
         if kind == _TOK_OP and op in "+-":
             self.advance()
-            value = self.factor()
-            return -value if op == "-" else value
-        value = self.atom()
+            num, den = self.factor()
+            return (-num if op == "-" else num), den
+        num, den = self.atom()
         kind, op, pos = self.peek()
         if kind == _TOK_OP and op == "^":
             self.advance()
             kind, exp, pos = self.advance()
             if kind != _TOK_INT:
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            value = value**exp
-        return value
+            num, den = num**exp, den**exp
+        return num, den
 
-    def atom(self) -> RationalFunction:
+    def atom(self):
         kind, value, pos = self.advance()
         if kind == _TOK_INT:
-            return RationalFunction.constant(ComplexRational(value))
+            return Polynomial.constant(ComplexRational(value)), P_ONE
         if kind == _TOK_IMAG:
-            return RationalFunction.constant(ComplexRational(0, value))
+            return Polynomial.constant(ComplexRational(0, value)), P_ONE
         if kind == _TOK_I:
-            return RationalFunction.constant(CR_I)
+            return Polynomial.constant(CR_I), P_ONE
         if kind == _TOK_Z:
-            return RF_Z
+            return P_Z, P_ONE
         if kind == _TOK_OP and value == "(":
             inner = self.expr()
             self.expect_op(")")

@@ -192,7 +192,7 @@ class TestGaugeAction:
 
     def test_noninvertible_gauge_rejected(self):
         a = RationalMatrix.identity(2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="basis change must be invertible over the field"):
             gauge_transform(a, mat([["z", "z"], ["1", "1"]]))
 
     def test_module_basis_change_matches_gauge(self):

@@ -1,11 +1,12 @@
 """Exact rational-function arithmetic, canonical printing, and the parser."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 import pytest
 
+import fuchsia.rational as rational_module
 from conftest import SEED
 from fuchsia.errors import ParseError, ValidationError
 from fuchsia.rational import (
@@ -101,6 +102,64 @@ class TestComplexRational:
 
     def test_hash_consistent_with_eq(self):
         assert hash(ComplexRational(Fraction(2, 4))) == hash(ComplexRational(Fraction(1, 2)))
+
+    def test_matches_fraction_pair_reference(self, rng):
+        """2,000 random operations against (re, im) Fraction-pair arithmetic."""
+
+        def draw():
+            return (
+                Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 40))),
+                Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 40))),
+            )
+
+        def ref_mul(x, y):
+            return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+        def ref_pow(x, n):
+            out = (Fraction(1), Fraction(0))
+            for _ in range(n):
+                out = ref_mul(out, x)
+            return out
+
+        previous = draw()
+        for step in range(2000):
+            x = previous if step % 3 == 0 else draw()
+            y = draw()
+            a, b = ComplexRational(*x), ComplexRational(*y)
+            op = int(rng.integers(0, 8))
+            if op == 0:
+                got, ref = a + b, (x[0] + y[0], x[1] + y[1])
+            elif op == 1:
+                got, ref = a - b, (x[0] - y[0], x[1] - y[1])
+            elif op == 2:
+                got, ref = a * b, ref_mul(x, y)
+            elif op == 3:
+                norm = y[0] * y[0] + y[1] * y[1]
+                if not norm:
+                    with pytest.raises(ZeroDivisionError):
+                        a / b
+                    continue
+                got = a / b
+                ref = ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+            elif op == 4:
+                n = int(rng.integers(0, 5))
+                got, ref = a**n, ref_pow(x, n)
+            elif op == 5:
+                got, ref = -a, (-x[0], -x[1])
+            elif op == 6:
+                got, ref = a.conjugate(), (x[0], -x[1])
+            else:
+                got, ref = a + int(y[0].numerator), (x[0] + y[0].numerator, x[1])
+            assert (got.re, got.im) == ref
+            assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
+            assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
+            same = ComplexRational(*ref)
+            assert got == same and hash(got) == hash(same)
+            for name in ("re", "_a", "_d"):
+                with pytest.raises(AttributeError):
+                    setattr(got, name, 1)
+            if abs(got._d) < 10**12:
+                previous = ref
 
 
 class TestPolynomial:
@@ -311,3 +370,43 @@ class TestParser:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError):
             parse_rational_function("z^-1")
+
+    def test_binary_operations_match_term_by_term(self, rng):
+        for _ in range(40):
+            f, g = random_rf(rng), random_rf(rng)
+            assert parse_rational_function(f"({f}) + ({g})") == f + g
+            assert parse_rational_function(f"({f}) - ({g})") == f - g
+            assert parse_rational_function(f"({f}) * ({g})") == f * g
+            if g:
+                assert parse_rational_function(f"({f}) / ({g})") == f / g
+            assert parse_rational_function(f"({f})^3") == f**3
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("(z^2-1)/(z-1)", "z + 1"), ("(z-1)/(z-1) - 1", "0"), ("0^0", "1")],
+    )
+    def test_cancelling_expressions_reduce(self, text, expected):
+        f = parse_rational_function(text)
+        assert str(f) == expected
+        assert f.is_polynomial
+
+    @pytest.mark.parametrize("text", ["1/(z - z)", "1/0"])
+    def test_division_by_zero_position(self, text):
+        with pytest.raises(ParseError, match="division by zero") as info:
+            parse_rational_function(text)
+        assert info.value.position == 1
+
+    def test_one_gcd_per_expression(self, monkeypatch):
+        calls = []
+        original = rational_module.polynomial_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(rational_module, "polynomial_gcd", counting)
+        parse_rational_function("(-4-11i/2)*z^2 + (5/2-i)*z + (-1/2+1i/2)")
+        assert len(calls) == 0
+        f = parse_rational_function("(3/2 - i)*z/(z^2 - z) + (1/2)/(z^2 - z)")
+        assert len(calls) == 1
+        assert str(f) == "((3/2-i)*z + 1/2)/(z^2 - z)"
