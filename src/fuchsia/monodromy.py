@@ -307,7 +307,6 @@ def verify_theorem(
     system: FuchsianSystem,
     tol: float = DEFAULT_VERIFY_TOL,
     integration_tol: float = DEFAULT_INTEGRATION_TOL,
-    resonance_tol: float = 1e-8,
     base_point=None,
 ) -> TheoremReport:
     """Check that monodromy matches exp(2 pi i B_j) pole by pole.
@@ -319,7 +318,7 @@ def verify_theorem(
     residual relative to the matrix norms.
     """
     rep = monodromy(system, integration_tol, base_point)
-    resonance = is_non_resonant(system, resonance_tol)
+    resonance = is_non_resonant(system)
     verdicts = []
     for j in range(system.pole_count):
         generator = matrix_exp(TWO_PI_I * system.residues[j])

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, ValidationError
+from .system import DEFAULT_POLE_SEPARATION
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,15 +54,9 @@ class Line:
     def length(self) -> float:
         return abs(self.end - self.start)
 
-    def point(self, s: float) -> complex:
-        return self.start + (s / self.length) * (self.end - self.start)
-
-    def velocity(self, s: float) -> complex:
-        return (self.end - self.start) / self.length
-
     def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Points start + s u and unit velocities u at an array of arc lengths."""
-        u = self.velocity(0.0)
+        u = (self.end - self.start) / self.length
         return self.start + s * u, np.full(s.shape, u)
 
     def reversed(self) -> "Line":
@@ -123,13 +118,6 @@ class Arc:
     def angle_at(self, s: float) -> float:
         sign = 1.0 if self.span > 0 else -1.0
         return self.angle_start + sign * s / self.radius
-
-    def point(self, s: float) -> complex:
-        return arc_point(self.center, self.radius, self.angle_at(s))
-
-    def velocity(self, s: float) -> complex:
-        sign = 1.0 if self.span > 0 else -1.0
-        return 1j * sign * cmath.exp(1j * self.angle_at(s))
 
     def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Points center + r e^{i phi(s)} and unit velocities at an array of arc lengths."""
@@ -200,8 +188,8 @@ class ContinuationPath:
                 )
 
     @classmethod
-    def trivial(cls, point: complex, clearance: float = 1.0) -> "ContinuationPath":
-        return cls(segments=(), clearance=clearance, anchor=complex(point))
+    def trivial(cls, point: complex) -> "ContinuationPath":
+        return cls(segments=(), clearance=1.0, anchor=complex(point))
 
     @property
     def start(self) -> complex:
@@ -395,21 +383,6 @@ def _assemble_loop(z0, poles, j, radii, plan, rank, entry) -> ContinuationPath:
     return ContinuationPath(probe.segments, clearance=audited)
 
 
-def pole_loop(poles, index: int, base_point: complex) -> ContinuationPath:
-    """Counterclockwise loop around ``poles[index]`` based at ``base_point``.
-
-    Chord out (detouring other poles' exclusion disks), one full
-    counterclockwise circle, then the exact bitwise reverse of the approach,
-    so the loop winds once around its own pole and zero times around every
-    other.  The stored clearance is the audited minimum pole distance.
-    """
-    pole_list = [complex(a) for a in poles]
-    z0 = complex(base_point)
-    radii = loop_radii(pole_list, z0)
-    plan, rank, entries = _detour_plan(pole_list, z0, radii)
-    return _assemble_loop(z0, pole_list, index, radii, plan, rank, entries[index])
-
-
 def composition_order(poles, base_point: complex) -> list[int]:
     """Pole indices in the order their loops compose to the identity.
 
@@ -434,17 +407,19 @@ def build_loops(system, base_point=None) -> list[ContinuationPath]:
     """One loop per pole of ``system``, all based at the same point.
 
     The default base point is ``1 + max |a_i|`` on the real axis.  Each
-    returned path is a loop starting and ending at the base point with
-    winding number one around its own pole and zero around the others; the
-    whole family forms a non-crossing arrangement whose composition order
-    is ``composition_order``.
+    loop is a chord out (detouring other poles' exclusion disks), one full
+    counterclockwise circle, then the exact bitwise reverse of the chord,
+    so it winds once around its own pole and zero times around the others;
+    its stored clearance is the audited minimum pole distance.  The whole
+    family forms a non-crossing arrangement whose composition order is
+    ``composition_order``.
     """
     poles = [complex(a) for a in system.poles]
     z0 = default_base_point(poles) if base_point is None else complex(base_point)
     if not (math.isfinite(z0.real) and math.isfinite(z0.imag)):
         raise GeometryError("base point must be finite")
     for a in poles:
-        if abs(z0 - a) <= 1e-9:
+        if abs(z0 - a) <= DEFAULT_POLE_SEPARATION:
             raise GeometryError(f"base point {z0} coincides with the pole {a}")
     radii = loop_radii(poles, z0)
     plan, rank, entries = _detour_plan(poles, z0, radii)

@@ -440,12 +440,18 @@ class RationalFunction:
         )
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        # Negating the numerator keeps the form canonical: no gcd needed.
+        out = object.__new__(RationalFunction)
+        object.__setattr__(out, "num", -self.num)
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self + (-other)
+        return RationalFunction(
+            self.num * other.den - other.num * self.den, self.den * other.den
+        )
 
     def __mul__(self, other):
         if not isinstance(other, RationalFunction):

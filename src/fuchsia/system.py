@@ -80,13 +80,13 @@ class FuchsianSystem:
         }
 
     @staticmethod
-    def from_dict(data: dict, sum_tol: float = DEFAULT_RESIDUE_SUM_TOL) -> "FuchsianSystem":
+    def from_dict(data: dict) -> "FuchsianSystem":
         for key in ("dimension", "poles", "residues"):
             if key not in data:
                 raise ValidationError(f"system JSON is missing the '{key}' field")
         poles = [jsonio.pair_to_complex(p) for p in data["poles"]]
         residues = [jsonio.pairs_to_matrix(r) for r in data["residues"]]
-        system = validate_system(poles, residues, sum_tol=sum_tol)
+        system = validate_system(poles, residues)
         if int(data["dimension"]) != system.dimension:
             raise ValidationError(
                 f"declared dimension {data['dimension']} does not match "
@@ -95,34 +95,39 @@ class FuchsianSystem:
         return system
 
 
-def validate_system(
-    poles,
-    residues,
-    sum_tol: float = DEFAULT_RESIDUE_SUM_TOL,
-    separation_tol: float = DEFAULT_POLE_SEPARATION,
-) -> FuchsianSystem:
-    """Validate raw pole and residue data and build a ``FuchsianSystem``.
+def validate_poles(poles) -> list[complex]:
+    """Poles as complex numbers, checked as the poles of a Fuchsian system.
 
-    Rejects systems with fewer than two poles, duplicate (or nearly
-    coincident) poles, non-square or mismatched residues, non-finite
-    entries, and residue sums with norm above ``sum_tol``.
+    Rejects fewer than two poles, non-finite poles, and two poles within
+    ``DEFAULT_POLE_SEPARATION`` of each other.
     """
     pole_list = [complex(a) for a in poles]
     if len(pole_list) < 2:
         raise ValidationError("a Fuchsian system needs at least two poles")
-    if len(residues) != len(pole_list):
-        raise ValidationError(
-            f"{len(pole_list)} poles but {len(residues)} residue matrices"
-        )
     for a in pole_list:
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValidationError("poles must be finite complex numbers")
     for i in range(len(pole_list)):
         for j in range(i + 1, len(pole_list)):
-            if abs(pole_list[i] - pole_list[j]) <= separation_tol:
+            if abs(pole_list[i] - pole_list[j]) <= DEFAULT_POLE_SEPARATION:
                 raise ValidationError(
                     f"poles {i} and {j} coincide: {pole_list[i]} vs {pole_list[j]}"
                 )
+    return pole_list
+
+
+def validate_system(poles, residues) -> FuchsianSystem:
+    """Validate raw pole and residue data and build a ``FuchsianSystem``.
+
+    Checks the poles with ``validate_poles`` and rejects non-square or
+    mismatched residues, non-finite entries, and residue sums with norm
+    above ``DEFAULT_RESIDUE_SUM_TOL``.
+    """
+    pole_list = validate_poles(poles)
+    if len(residues) != len(pole_list):
+        raise ValidationError(
+            f"{len(pole_list)} poles but {len(residues)} residue matrices"
+        )
     mats = [as_square_matrix(b, f"residue {i}") for i, b in enumerate(residues)]
     dim = mats[0].shape[0]
     for i, b in enumerate(mats):
@@ -131,9 +136,10 @@ def validate_system(
                 f"residue {i} has dimension {b.shape[0]}, expected {dim}"
             )
     defect = float(np.linalg.norm(sum(mats), 2))
-    if defect > sum_tol:
+    if defect > DEFAULT_RESIDUE_SUM_TOL:
         raise ValidationError(
-            f"residues sum to a matrix of norm {defect:.3e} (limit {sum_tol:g}); "
+            f"residues sum to a matrix of norm {defect:.3e} "
+            f"(limit {DEFAULT_RESIDUE_SUM_TOL:g}); "
             "infinity would be an irregular point"
         )
     for b in mats:
@@ -168,17 +174,17 @@ class LeveltData:
     per_pole: tuple[tuple[LeveltExponent, ...], ...]
 
 
-def levelt_data(system: FuchsianSystem, tol: float = 1e-10) -> LeveltData:
+def levelt_data(system: FuchsianSystem) -> LeveltData:
     """Levelt local data at every pole of ``system``.
 
-    Eigenvalues of each residue are clustered at absolute distance ``tol``
+    Eigenvalues of each residue are clustered at absolute distance 1e-10
     and each is split as lambda = rho + phi with rho = floor(Re lambda).
     Exponents are ordered by (Re phi, Im phi, rho).
     """
     tables = []
     for b in system.residues:
         entries = []
-        for lam, mult in eigen_decompose(b, tol):
+        for lam, mult in eigen_decompose(b, 1e-10):
             rho = math.floor(lam.real)
             phi = lam - rho
             entries.append(
@@ -240,7 +246,7 @@ def system_is_non_resonant(system: FuchsianSystem, tol: float = DEFAULT_RESONANC
     return not any(entry.resonant for entry in is_non_resonant(system, tol))
 
 
-def galois_generators(system: FuchsianSystem, resonance_tol: float = DEFAULT_RESONANCE_TOL):
+def galois_generators(system: FuchsianSystem):
     """Generators exp(2 pi i B_j), one per pole.
 
     For a non-resonant system these generate the differential Galois group
@@ -248,7 +254,7 @@ def galois_generators(system: FuchsianSystem, resonance_tol: float = DEFAULT_RES
     yields the matrices but triggers a ``ResonanceWarning``, since the
     generation statement is only guaranteed under non-resonance.
     """
-    report = is_non_resonant(system, resonance_tol)
+    report = is_non_resonant(system)
     bad = [entry.pole_index for entry in report if entry.resonant]
     if bad:
         warnings.warn(

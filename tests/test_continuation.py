@@ -12,7 +12,7 @@ from fuchsia.errors import (
     ValidationError,
 )
 from fuchsia.monodromy import coefficient_function, continue_solution, transfer_along
-from fuchsia.paths import ContinuationPath, Line, build_loops, pole_loop
+from fuchsia.paths import ContinuationPath, Line, build_loops
 from fuchsia.system import validate_system
 
 
@@ -25,7 +25,7 @@ def scalar_two_pole(b: complex):
 @pytest.mark.parametrize("b", [0.25, -0.3, 0.1 + 0.2j, 0.5j])
 def test_scalar_loop_matches_exponential(b):
     system = scalar_two_pole(b)
-    loop = pole_loop(system.poles, 0, 3.0 + 0.0j)
+    loop = build_loops(system, 3.0 + 0.0j)[0]
     transfer, estimate = continue_solution(system, loop, tol=1e-11)
     expected = cmath.exp(2j * cmath.pi * b)
     assert abs(transfer[0, 0] - expected) < 1e-9
@@ -36,7 +36,7 @@ def test_scalar_loop_other_pole(rng):
     """A loop around the -b pole picks up the reciprocal factor."""
     b = 0.25 - 0.15j
     system = scalar_two_pole(b)
-    loop = pole_loop(system.poles, 1, 3.0 + 0.0j)
+    loop = build_loops(system, 3.0 + 0.0j)[1]
     transfer, _ = continue_solution(system, loop, tol=1e-11)
     expected = cmath.exp(-2j * cmath.pi * b)
     assert abs(transfer[0, 0] - expected) < 1e-9
@@ -52,7 +52,7 @@ def test_diagonal_system_loops_match_closed_form(rng):
 
 def test_reversed_path_gives_inverse(rng):
     system, _ = diagonal_system(rng, p=2, n=2)
-    loop = pole_loop(system.poles, 0, complex(3.5))
+    loop = build_loops(system, complex(3.5))[0]
     forward, _ = continue_solution(system, loop, tol=1e-11)
     backward, _ = continue_solution(system, loop.reversed(), tol=1e-11)
     assert np.linalg.norm(forward @ backward - np.eye(2)) < 1e-8
@@ -115,7 +115,7 @@ def test_error_estimate_tracks_tolerance():
     """Coarsening the tolerance by 1e4 must not shrink the actual error
     and the estimate stays a nonnegative finite number."""
     system = scalar_two_pole(0.25)
-    loop = pole_loop(system.poles, 0, 3.0 + 0.0j)
+    loop = build_loops(system, 3.0 + 0.0j)[0]
     expected = cmath.exp(2j * cmath.pi * 0.25)
     tight, est_tight = continue_solution(system, loop, tol=1e-12)
     loose, est_loose = continue_solution(system, loop, tol=1e-6)
@@ -170,7 +170,7 @@ def test_realised_error_within_tolerance_and_estimate(tol, rng):
     cases = []
     for b in (0.25, 0.1 + 0.2j):
         system = scalar_two_pole(b)
-        loop = pole_loop(system.poles, 0, 3.0 + 0.0j)
+        loop = build_loops(system, 3.0 + 0.0j)[0]
         cases.append((system, loop, np.array([[cmath.exp(2j * cmath.pi * b)]])))
     system, expected = diagonal_system(rng, p=3, n=3)
     cases.extend((system, loop, m) for loop, m in zip(build_loops(system), expected))

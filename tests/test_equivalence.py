@@ -20,7 +20,6 @@ from fuchsia.equivalence import (
     rational_matrix_from_dict,
     rational_matrix_from_strings,
     rational_matrix_to_dict,
-    scalar_fuchsian_companion_poles,
     scalar_solution_transfer,
 )
 from fuchsia.errors import ValidationError
@@ -134,13 +133,6 @@ class TestScalarEquation:
         assert np.array_equal(vec, np.array([1.0, 2.0j]))
         with pytest.raises(ValidationError):
             scalar_solution_transfer(eq, [1.0])
-
-    def test_companion_pole_locations(self):
-        eq = ScalarEquation((rf("1/(z^2-z)"), rf("2/(z-1)")))
-        poles = scalar_fuchsian_companion_poles(eq)
-        assert len(poles) == 2
-        assert min(abs(p - 0.0) for p in poles) < 1e-9
-        assert min(abs(p - 1.0) for p in poles) < 1e-9
 
 
 class TestModule:

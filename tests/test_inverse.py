@@ -8,7 +8,6 @@ import pytest
 from conftest import sample_poles
 from fuchsia.errors import ValidationError
 from fuchsia.inverse import (
-    DEFAULT_FORWARD_TOL,
     InverseProblemInstance,
     _forward,
     _jacobian,
@@ -19,7 +18,7 @@ from fuchsia.inverse import (
     solve,
     validate_instance,
 )
-from fuchsia.monodromy import monodromy
+from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, monodromy
 from fuchsia.paths import build_loops, default_base_point
 from fuchsia.system import TWO_PI_I, validate_system
 
@@ -62,6 +61,12 @@ class TestValidateInstance:
         targets = diagonal_targets([[0.1], [-0.1]])
         with pytest.raises(ValidationError, match="coincide"):
             validate_instance([0.0, 5e-10], targets)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+    def test_rejects_non_finite_pole(self, bad):
+        targets = diagonal_targets([[0.02], [-0.02]])
+        with pytest.raises(ValidationError, match="finite"):
+            validate_instance([0.0, bad], targets)
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValidationError):
@@ -200,11 +205,11 @@ class TestJacobian:
         x = _pack(seed, inst.dimension)
         count = len(poles)
 
-        exact = _jacobian(inst, loops, _unpack(x, count, inst.dimension), DEFAULT_FORWARD_TOL)
+        exact = _jacobian(inst, loops, _unpack(x, count, inst.dimension), DEFAULT_INTEGRATION_TOL)
 
         def residual(point):
             computed = _forward(
-                inst, loops, _unpack(point, count, inst.dimension), DEFAULT_FORWARD_TOL
+                inst, loops, _unpack(point, count, inst.dimension), DEFAULT_INTEGRATION_TOL
             )
             return _residual_vector(computed, inst.targets)
 

@@ -88,11 +88,6 @@ class TestPairs:
         with pytest.raises(ValidationError):
             pairs_to_matrix([[[1.0, 0.0], [2.0, 0.0]]])
 
-    def test_rectangular_allowed_when_requested(self):
-        rows = [[[1.0, 0.0], [2.0, 0.0]]]
-        m = pairs_to_matrix(rows, expect_square=False)
-        assert m.shape == (1, 2)
-
 
 class TestLoadJson:
     def test_loads_object(self, tmp_path):

@@ -18,7 +18,6 @@ from fuchsia.paths import (
     default_base_point,
     loop_radii,
     path_clearance_audit,
-    pole_loop,
 )
 from fuchsia.system import validate_system
 
@@ -33,9 +32,10 @@ def toy_system(poles):
 def test_line_basics():
     seg = Line(0.0, 3.0 + 4.0j)
     assert seg.length == 5.0
-    assert seg.point(0.0) == 0.0
-    assert seg.point(5.0) == 3.0 + 4.0j
-    assert abs(seg.velocity(1.0) - (0.6 + 0.8j)) < 1e-15
+    z, v = seg.frame(np.array([0.0, 5.0]))
+    assert z[0] == 0.0
+    assert z[1] == 3.0 + 4.0j
+    assert np.all(np.abs(v - (0.6 + 0.8j)) < 1e-15)
     assert seg.reversed().start == seg.end
 
 
@@ -54,7 +54,8 @@ def test_arc_point_is_shared_formula():
     center, radius, angle = 1.0 + 2.0j, 0.75, 0.3
     arc = Arc(center, radius, angle, angle + 1.0)
     assert arc.start == arc_point(center, radius, angle)
-    assert arc.point(0.0) == arc.start
+    z, _ = arc.frame(np.zeros(1))
+    assert abs(z[0] - arc.start) < 1e-15
 
 
 def test_closed_arc_end_is_start_bitwise():
@@ -136,7 +137,7 @@ def test_loop_radii_scale():
 
 def test_pole_loop_closed_and_clear():
     poles = [0.0 + 0j, 1.0 + 0j]
-    loop = pole_loop(poles, 0, 2.0 + 0j)
+    loop = build_loops(toy_system(poles), 2.0 + 0j)[0]
     assert loop.is_loop
     assert loop.start == 2.0 + 0j
     audited = path_clearance_audit(loop, poles)
@@ -147,7 +148,7 @@ def test_pole_loop_closed_and_clear():
 def test_pole_loop_winding_angles():
     """The loop's circle is a single ccw full turn around its own pole."""
     poles = [0.0 + 0j, 1.5 + 0j]
-    loop = pole_loop(poles, 0, 2.5 + 0j)
+    loop = build_loops(toy_system(poles), 2.5 + 0j)[0]
     circles = [
         s for s in loop.segments if isinstance(s, Arc) and getattr(s, "closed", False)
     ]
@@ -159,7 +160,7 @@ def test_pole_loop_winding_angles():
 def test_collinear_detours_cancel_winding():
     """Approach and return legs are exact mirror images around a blocker."""
     poles = [-1.0 + 0j, 0.0 + 0j, 1.0 + 0j]
-    loop = pole_loop(poles, 0, 2.0 + 0j)
+    loop = build_loops(toy_system(poles), 2.0 + 0j)[0]
     n = len(loop.segments)
     for k in range((n - 1) // 2):
         fore = loop.segments[k]

@@ -410,3 +410,13 @@ class TestParser:
         f = parse_rational_function("(3/2 - i)*z/(z^2 - z) + (1/2)/(z^2 - z)")
         assert len(calls) == 1
         assert str(f) == "((3/2-i)*z + 1/2)/(z^2 - z)"
+        a = parse_rational_function("1/(z^2 - z)")
+        b = parse_rational_function("(2 + i)/(z - 1)")
+        minus_a = parse_rational_function("-1/(z^2 - z)")
+        del calls[:]
+        negated = -a
+        assert len(calls) == 0
+        assert negated == minus_a
+        difference = a - b
+        assert len(calls) == 1
+        assert difference == a + (-b)
