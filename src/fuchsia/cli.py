@@ -32,7 +32,7 @@ from .inverse import (
     InverseProblemInstance,
     first_order_seed,
     solve,
-    validate_instance,
+    validate_instance,  # noqa: F401 - perfbench/spans.py traces this name here
 )
 from .monodromy import DEFAULT_INTEGRATION_TOL, DEFAULT_VERIFY_TOL, monodromy, verify_theorem
 from .system import (
@@ -249,18 +249,10 @@ def cmd_verify(args) -> CommandOutcome:
     return CommandOutcome(code, report, "\n".join(lines))
 
 
-def _load_instance(path: str, allow_far: bool) -> InverseProblemInstance:
-    data = jsonio.load_json(path)
-    if data.get("kind") == "monodromy" and "matrices" in data:
-        poles = [jsonio.pair_to_complex(p) for p in data["poles"]]
-        targets = [jsonio.pairs_to_matrix(m) for m in data["matrices"]]
-        base = jsonio.pair_to_complex(data["base_point"]) if "base_point" in data else None
-        return validate_instance(poles, targets, base_point=base, allow_far=allow_far)
-    return InverseProblemInstance.from_dict(data, allow_far=allow_far)
-
-
 def cmd_invert(args) -> CommandOutcome:
-    instance = _load_instance(args.instance, args.allow_far)
+    instance = InverseProblemInstance.from_dict(
+        jsonio.load_json(args.instance), allow_far=args.allow_far
+    )
     solution = solve(
         instance,
         tol=args.tol,

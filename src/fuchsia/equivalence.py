@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import ValidationError
 from .rational import (
-    CR_ONE,
     P_ONE,
+    P_ZERO,
     RF_ONE,
     RF_ZERO,
-    Polynomial,
     RationalFunction,
     parse_rational_function,
 )
@@ -98,29 +98,29 @@ class RationalMatrix:
         return RationalMatrix([[-cell for cell in row] for row in self.entries])
 
     def __matmul__(self, other):
+        """Product whose entries are each summed unreduced and reduced once."""
         if not isinstance(other, RationalMatrix) or other.dimension != self.dimension:
             return NotImplemented
-        n = self.dimension
+        columns = list(zip(*other.entries))
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = RF_ZERO
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            cells = []
+            for column in columns:
+                num, den = P_ZERO, P_ONE
+                for a, b in zip(row, column):
+                    if not (a and b):
+                        continue
+                    term_num, term_den = a.num * b.num, a.den * b.den
+                    if term_den == den:
+                        num = num + term_num
+                    else:
+                        num, den = num * term_den + term_num * den, den * term_den
+                cells.append(RationalFunction(num, den))
+            out.append(cells)
         return RationalMatrix(out)
-
-    def scale(self, factor: RationalFunction) -> "RationalMatrix":
-        return RationalMatrix([[cell * factor for cell in row] for row in self.entries])
 
     def derivative(self) -> "RationalMatrix":
         return RationalMatrix([[cell.derivative() for cell in row] for row in self.entries])
-
-    def transpose(self) -> "RationalMatrix":
-        n = self.dimension
-        return RationalMatrix([[self.entries[j][i] for j in range(n)] for i in range(n)])
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse by Gauss-Jordan elimination; raises if singular."""
@@ -149,34 +149,6 @@ class RationalMatrix:
                     work[r][j] = work[r][j] - factor * work[col][j]
                     aug[r][j] = aug[r][j] - factor * aug[col][j]
         return RationalMatrix(aug)
-
-    def determinant(self) -> RationalFunction:
-        n = self.dimension
-        work = [list(row) for row in self.entries]
-        det = RF_ONE
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return RF_ZERO
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                det = -det
-            pivot = work[col][col]
-            det = det * pivot
-            for r in range(col + 1, n):
-                if not work[r][col]:
-                    continue
-                factor = work[r][col] / pivot
-                for j in range(col, n):
-                    work[r][j] = work[r][j] - factor * work[col][j]
-        return det
-
-    def is_invertible(self) -> bool:
-        return bool(self.determinant())
 
     def eval_complex(self, z: complex) -> np.ndarray:
         n = self.dimension
@@ -223,14 +195,12 @@ class ScalarEquation:
 
     @staticmethod
     def from_dict(data: dict) -> "ScalarEquation":
-        for key in ("order", "coeffs"):
-            if key not in data:
-                raise ValidationError(f"scalar equation JSON is missing '{key}'")
-        coeffs = [parse_rational_function(text) for text in data["coeffs"]]
-        eq = ScalarEquation(tuple(coeffs))
-        if int(data["order"]) != eq.order:
+        order = jsonio.required_field(data, "order", int, "scalar equation")
+        coeffs = jsonio.required_field(data, "coeffs", list, "scalar equation")
+        eq = ScalarEquation(tuple(parse_rational_function(text) for text in coeffs))
+        if order != eq.order:
             raise ValidationError(
-                f"declared order {data['order']} does not match {eq.order} coefficients"
+                f"declared order {order} does not match {eq.order} coefficients"
             )
         return eq
 
@@ -264,23 +234,24 @@ class DifferentialModule:
 
     @staticmethod
     def from_dict(data: dict) -> "DifferentialModule":
-        for key in ("dimension", "action", "orientation"):
-            if key not in data:
-                raise ValidationError(f"module JSON is missing '{key}'")
-        if data["orientation"] != ORIENTATION_FLAT_SECTIONS:
+        dimension = jsonio.required_field(data, "dimension", int, "module")
+        action = jsonio.required_field(data, "action", list, "module")
+        orientation = jsonio.required_field(data, "orientation", str, "module")
+        if orientation != ORIENTATION_FLAT_SECTIONS:
             raise ValidationError(
-                f"unknown module orientation {data['orientation']!r}; "
+                f"unknown module orientation {orientation!r}; "
                 f"expected {ORIENTATION_FLAT_SECTIONS!r}"
             )
-        action = rational_matrix_from_strings(data["action"])
         return DifferentialModule(
-            dimension=int(data["dimension"]),
-            action=action,
-            orientation=data["orientation"],
+            dimension=dimension,
+            action=rational_matrix_from_strings(action),
+            orientation=orientation,
         )
 
 
 def rational_matrix_from_strings(rows) -> RationalMatrix:
+    if not all(isinstance(row, list) for row in rows):
+        raise ValidationError("matrix rows must be lists of expression strings")
     return RationalMatrix(
         [[parse_rational_function(cell) for cell in row] for row in rows]
     )
@@ -295,13 +266,11 @@ def rational_matrix_to_dict(matrix: RationalMatrix) -> dict:
 
 
 def rational_matrix_from_dict(data: dict) -> RationalMatrix:
-    for key in ("dimension", "entries"):
-        if key not in data:
-            raise ValidationError(f"matrix JSON is missing '{key}'")
-    matrix = rational_matrix_from_strings(data["entries"])
-    if int(data["dimension"]) != matrix.dimension:
+    dimension = jsonio.required_field(data, "dimension", int, "matrix")
+    matrix = rational_matrix_from_strings(jsonio.required_field(data, "entries", list, "matrix"))
+    if dimension != matrix.dimension:
         raise ValidationError(
-            f"declared dimension {data['dimension']} does not match "
+            f"declared dimension {dimension} does not match "
             f"entry shape {matrix.dimension}"
         )
     return matrix

@@ -48,15 +48,26 @@ class InverseProblemInstance:
 
     @staticmethod
     def from_dict(data: dict, allow_far: bool = False) -> "InverseProblemInstance":
-        for key in ("poles", "targets"):
-            if key not in data:
-                raise ValidationError(f"inverse instance JSON is missing '{key}'")
-        poles = [jsonio.pair_to_complex(p) for p in data["poles"]]
-        targets = [jsonio.pairs_to_matrix(m) for m in data["targets"]]
+        """Instance from an inverse-instance document or a monodromy report.
+
+        A monodromy report (``"kind": "monodromy"``) gives its ``matrices``
+        as the targets.
+        """
+        if data.get("kind") == "monodromy":
+            document, targets_key = "monodromy report", "matrices"
+        else:
+            document, targets_key = "inverse instance", "targets"
+        poles = jsonio.required_field(data, "poles", list, document)
+        targets = jsonio.required_field(data, targets_key, list, document)
         base = None
         if "base_point" in data:
             base = jsonio.pair_to_complex(data["base_point"])
-        return validate_instance(poles, targets, base_point=base, allow_far=allow_far)
+        return validate_instance(
+            [jsonio.pair_to_complex(p) for p in poles],
+            [jsonio.pairs_to_matrix(m) for m in targets],
+            base_point=base,
+            allow_far=allow_far,
+        )
 
 
 def validate_instance(poles, targets, base_point=None, allow_far: bool = False) -> InverseProblemInstance:
@@ -138,7 +149,7 @@ class InverseSolution:
     resonance: tuple[PoleResonance, ...]
 
 
-def _pack(residues, dim: int) -> np.ndarray:
+def _pack(residues) -> np.ndarray:
     parts = []
     for a in residues[:-1]:
         flat = np.asarray(a, dtype=complex).reshape(-1)
@@ -252,7 +263,7 @@ def solve(
     seed = first_order_seed(instance)
     loops = build_loops(validate_system(instance.poles, seed), instance.base_point)
 
-    x = _pack(seed, dim)
+    x = _pack(seed)
     computed = _forward(instance, loops, _unpack(x, count, dim), integration_tol)
     metric = _residual_metric(computed, instance.targets)
     residual = _residual_vector(computed, instance.targets)

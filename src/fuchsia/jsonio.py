@@ -41,9 +41,7 @@ def _emit(obj, parts: list[str]) -> None:
         parts.append(json.dumps(obj))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, bool):  # pragma: no cover - caught above
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         parts.append(_format_float(float(obj)))
@@ -111,6 +109,23 @@ def pairs_to_matrix(rows) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def required_field(data: dict, key: str, kind: type, document: str):
+    """``data[key]``, which must be present and of JSON type ``kind``.
+
+    ``kind`` is ``int``, ``str`` or ``list``; a JSON boolean is never
+    accepted.  Errors name the ``document`` kind and the field.
+    """
+    if key not in data:
+        raise ValidationError(f"{document} JSON is missing '{key}'")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(
+            f"{document} JSON field '{key}' must be {kind.__name__}, "
+            f"got {type(value).__name__}"
+        )
+    return value
 
 
 def load_json(path: str) -> dict:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     ClusterAmbiguityError,
@@ -56,6 +55,18 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2)) if m.size else 0.0
+
+
+def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of a minimum-cost matching on ``cost``.
+
+    ``scipy.optimize`` is imported here, not at module level: loading it
+    adds about 0.2 s to every import of the package, and only the
+    verification checks need it.
+    """
+    import scipy.optimize
+
+    return scipy.optimize.linear_sum_assignment(cost)
 
 
 def matrix_exp(m) -> np.ndarray:
@@ -162,7 +173,7 @@ class JordanStructure:
         for i, (lam, _) in enumerate(self.blocks):
             for j, (mu, _) in enumerate(other.blocks):
                 cost[i, j] = abs(lam - mu)
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        rows, cols = min_cost_assignment(cost)
         pairs = []
         for i, j in zip(rows, cols):
             if cost[i, j] > match_tol:

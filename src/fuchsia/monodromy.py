@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     NonFiniteError,
@@ -33,6 +32,7 @@ from .linalg import (
     eigen_decompose,
     jordan_structure,
     matrix_exp,
+    min_cost_assignment,
     similarity_transform,
 )
 from .paths import (
@@ -269,7 +269,7 @@ def _spectrum_distance(a: np.ndarray, b: np.ndarray, cluster_tol: float) -> floa
     for lam, mult in eigen_decompose(b, cluster_tol):
         right.extend([lam] * mult)
     cost = np.array([[abs(x - y) for y in right] for x in left])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    rows, cols = min_cost_assignment(cost)
     return float(cost[rows, cols].max())
 
 

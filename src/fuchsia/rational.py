@@ -416,10 +416,6 @@ class RationalFunction:
     def constant(c) -> "RationalFunction":
         return RationalFunction(Polynomial.constant(c))
 
-    @staticmethod
-    def from_int(n: int) -> "RationalFunction":
-        return RationalFunction.constant(ComplexRational(n))
-
     @property
     def is_polynomial(self) -> bool:
         return self.den == P_ONE

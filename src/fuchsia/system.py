@@ -81,15 +81,16 @@ class FuchsianSystem:
 
     @staticmethod
     def from_dict(data: dict) -> "FuchsianSystem":
-        for key in ("dimension", "poles", "residues"):
-            if key not in data:
-                raise ValidationError(f"system JSON is missing the '{key}' field")
-        poles = [jsonio.pair_to_complex(p) for p in data["poles"]]
-        residues = [jsonio.pairs_to_matrix(r) for r in data["residues"]]
-        system = validate_system(poles, residues)
-        if int(data["dimension"]) != system.dimension:
+        dimension = jsonio.required_field(data, "dimension", int, "system")
+        poles = jsonio.required_field(data, "poles", list, "system")
+        residues = jsonio.required_field(data, "residues", list, "system")
+        system = validate_system(
+            [jsonio.pair_to_complex(p) for p in poles],
+            [jsonio.pairs_to_matrix(r) for r in residues],
+        )
+        if dimension != system.dimension:
             raise ValidationError(
-                f"declared dimension {data['dimension']} does not match "
+                f"declared dimension {dimension} does not match "
                 f"residue shape {system.dimension}"
             )
         return system

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import fuchsia
 
 from fuchsia.cli import main, parse_complex_literal
 from fuchsia.errors import ValidationError
@@ -108,6 +113,35 @@ class TestCheck:
         assert capsys.readouterr().out == ""
         assert main(["galois", scalar_system_path, "--quiet"]) == 0
         assert capsys.readouterr().out == ""
+
+
+SMALL_SYSTEM = validate_system([0.0, 1.0], [np.array([[0.03]]), np.array([[-0.03]])]).to_dict()
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("check", {**SMALL_SYSTEM, "dimension": "x"}),
+        ("check", {**SMALL_SYSTEM, "poles": 5}),
+        ("invert", {"kind": "monodromy", "matrices": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}),
+    ],
+    ids=["string-dimension", "scalar-poles", "report-without-poles"],
+)
+def test_malformed_field_is_input_error(command, doc, tmp_path, capsys):
+    path = write_json(tmp_path / "doc.json", doc)
+    assert main([command, path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize costs every CLI process about 0.2 s; only verify needs it."""
+    probe = "import sys, fuchsia.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(fuchsia.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestGalois:

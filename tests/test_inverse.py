@@ -202,7 +202,7 @@ class TestJacobian:
         inst = validate_instance(poles, monodromy(system, tol=1e-10).matrices)
         seed = first_order_seed(inst)
         loops = build_loops(validate_system(poles, seed), inst.base_point)
-        x = _pack(seed, inst.dimension)
+        x = _pack(seed)
         count = len(poles)
 
         exact = _jacobian(inst, loops, _unpack(x, count, inst.dimension), DEFAULT_INTEGRATION_TOL)
