@@ -6,8 +6,10 @@ residue sum on the last one, and refine by damped Gauss-Newton on the map
 residues -> monodromy.  Monodromy is holomorphic in the residues, so the
 Jacobian is exact: the derivatives of the fundamental solution with respect
 to every free residue entry solve the variational equation, itself a
-Fuchsian system, continued once per loop alongside the solution.  Steps come
-from a least-squares solve and are halved until the residual decreases.
+Fuchsian system.  One continuation of it per loop gives M_j and the Jacobian
+at a Gauss-Newton point together; the derivatives ride at 2**-30 scale, so the
+step controller measures Y alone.  Steps come from a least-squares solve and
+are halved until the residual decreases.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from .errors import ValidationError
 # .monodromy is imported before .linalg on purpose: the other order made
 # `import fuchsia` about 40 ms slower with numpy 2.4.6 and scipy 1.17.1.
 from .monodromy import DEFAULT_INTEGRATION_TOL, continue_solution
-from .linalg import as_square_matrix
+from .linalg import as_square_matrix, check_tolerance
 from .paths import build_loops, composition_order, default_base_point
 from .system import TWO_PI_I, PoleResonance, is_non_resonant, validate_poles, validate_system
 from . import jsonio
@@ -149,58 +151,46 @@ class InverseSolution:
     resonance: tuple[PoleResonance, ...]
 
 
+def _real_stack(matrices) -> np.ndarray:
+    """Per matrix in turn, every real part and then every imaginary part."""
+    z = np.asarray(matrices, dtype=complex).reshape(len(matrices), 1, -1)
+    return np.concatenate([z.real, z.imag], axis=1).reshape(-1)
+
+
 def _pack(residues) -> np.ndarray:
-    parts = []
-    for a in residues[:-1]:
-        flat = np.asarray(a, dtype=complex).reshape(-1)
-        parts.append(flat.real)
-        parts.append(flat.imag)
-    return np.concatenate(parts)
+    return _real_stack(residues[:-1])
 
 
 def _unpack(x: np.ndarray, count: int, dim: int) -> list[np.ndarray]:
-    block = dim * dim
-    residues = []
-    for j in range(count - 1):
-        re = x[2 * j * block : (2 * j + 1) * block]
-        im = x[(2 * j + 1) * block : (2 * j + 2) * block]
-        residues.append((re + 1j * im).reshape(dim, dim))
+    halves = x.reshape(count - 1, 2, dim, dim)
+    residues = list(halves[:, 0] + 1j * halves[:, 1])
     residues.append(-sum(residues))
     return residues
 
 
-def _forward(instance: InverseProblemInstance, loops, residues, tol: float):
-    system = validate_system(instance.poles, residues)
-    out = []
-    for loop in loops:
-        m, _ = continue_solution(system, loop, tol)
-        out.append(m)
-    return out
-
-
 def _residual_vector(computed, targets) -> np.ndarray:
-    parts = []
-    for m, t in zip(computed, targets):
-        diff = (m - t).reshape(-1)
-        parts.append(diff.real)
-        parts.append(diff.imag)
-    return np.concatenate(parts)
+    return _real_stack([m - t for m, t in zip(computed, targets)])
 
 
 def _residual_metric(computed, targets) -> float:
     return max(float(np.linalg.norm(m - t)) for m, t in zip(computed, targets))
 
 
+# Small enough that the step controller's norms are, to rounding, those of Y;
+# a power of two, so dividing it out again is exact.
+_SENSITIVITY_SCALE = 2.0 ** -30
+
+
 def _variational_residues(residues) -> list[np.ndarray]:
-    """Residues of the system for Y stacked with its residue derivatives.
+    """Residues of the system for Y stacked with its scaled residue derivatives.
 
     For each free entry theta = B_k[p, q] with k before the last pole, the
     derivative S = dY/dtheta solves the variational equation
     S' = A S + E_pq (1/(z - a_k) - 1/(z - a_last)) Y, the last residue being
-    minus the sum of the others.  The block column [Y; S_1; ...; S_K] then
-    solves a Fuchsian system on the same poles whose residues are block lower
-    triangular: B_j on the diagonal and +-E_pq in the first block column.
-    They sum to zero, so the continuation engine integrates it as it is.
+    minus the sum of the others.  With c = ``_SENSITIVITY_SCALE``, the block
+    column [Y; c S_1; ...; c S_K] solves a Fuchsian system on the same poles
+    with block lower triangular residues: B_j on the diagonal and +-c E_pq
+    in the first block column.  They sum to zero, so it is integrated as is.
     """
     dim = residues[0].shape[0]
     last = len(residues) - 1
@@ -210,33 +200,33 @@ def _variational_residues(residues) -> list[np.ndarray]:
         k, entry = divmod(theta, dim * dim)
         p, q = divmod(entry, dim)
         row = (theta + 1) * dim + p
-        stacked[k][row, q] += 1.0
-        stacked[last][row, q] -= 1.0
+        stacked[k][row, q] += _SENSITIVITY_SCALE
+        stacked[last][row, q] -= _SENSITIVITY_SCALE
     return stacked
 
 
-def _jacobian(instance: InverseProblemInstance, loops, residues, tol: float) -> np.ndarray:
-    """Exact Jacobian of the stacked real residual with respect to ``_pack``.
+def _linearise(instance: InverseProblemInstance, loops, residues, tol: float):
+    """Monodromy matrices and the exact Jacobian of the stacked real residual.
 
-    One continuation of the variational system per loop yields dM_j/dtheta
-    for every free residue entry at once.  Monodromy is holomorphic in the
-    residues, so the column of Im theta is the real stacking of
-    1j * dM_j/dtheta next to the real stacking of dM_j/dtheta for Re theta.
+    One continuation of the variational system per loop yields M_j in its
+    leading block and dM_j/dtheta for every free residue entry below it.
+    Monodromy is holomorphic in the residues, so the column of Im theta is
+    the real stacking of 1j * dM_j/dtheta next to the real stacking of
+    dM_j/dtheta for Re theta.
     """
     dim = instance.dimension
     system = validate_system(instance.poles, _variational_residues(residues))
+    computed = []
     derivatives = []
     for loop in loops:
         transfer, _ = continue_solution(system, loop, tol)
-        derivatives.append(transfer[dim:, :dim].reshape(-1, dim * dim))
-    d = np.stack(derivatives, axis=1)  # d[theta, j] = dM_j/dtheta, flattened
-    free = len(residues) - 1
-    halves = [
-        np.concatenate([z.real, z.imag], axis=2).reshape(free, dim * dim, -1)
-        for z in (d, 1j * d)
-    ]
-    # _pack order: per free residue, every real part, then every imaginary part.
-    return np.stack(halves, axis=1).reshape(2 * d.shape[0], -1).T
+        computed.append(transfer[:dim, :dim])
+        derivatives.append(transfer[dim:, :dim].reshape(-1, dim, dim) / _SENSITIVITY_SCALE)
+    d = np.stack(derivatives, axis=1)  # d[theta, j] = dM_j/dtheta
+    columns = []
+    for block in np.split(d, len(residues) - 1):  # _pack order: real parts, then imaginary
+        columns += [_real_stack(factor * dm) for factor in (1.0, 1j) for dm in block]
+    return computed, np.stack(columns, axis=1)
 
 
 def solve(
@@ -249,50 +239,46 @@ def solve(
 
     Starts from the first-order seed and iterates damped Gauss-Newton on
     the stacked real residual until ``max_j |M_hat_j - M_j|_F <= tol`` or
-    ``max_iter`` iterations pass.  Each iteration takes the exact Jacobian
-    from one continuation of the variational system per loop, on the same
-    loops and at the same ``integration_tol`` as the residual.  Returns the
-    best iterate either way with ``converged`` reporting which case
-    occurred; the resonance status of the returned system is evaluated and
-    included.
+    ``max_iter`` iterations pass.  The seed and each line-search trial get
+    M_j and the exact Jacobian from one variational continuation per loop at
+    ``integration_tol``, and an accepted trial's Jacobian gives the next step.
+    Returns the best iterate either way with ``converged`` reporting which
+    case occurred; the resonance status of the returned system is evaluated
+    and included.
     """
-    if tol <= 0:
-        raise ValidationError("residual tolerance must be positive")
+    check_tolerance(tol, "residual tolerance")
+    if max_iter < 0:
+        raise ValidationError(f"iteration cap must be non-negative, got {max_iter}")
     dim = instance.dimension
     count = len(instance.poles)
     seed = first_order_seed(instance)
     loops = build_loops(validate_system(instance.poles, seed), instance.base_point)
 
     x = _pack(seed)
-    computed = _forward(instance, loops, _unpack(x, count, dim), integration_tol)
+    computed, jacobian = _linearise(instance, loops, _unpack(x, count, dim), integration_tol)
     metric = _residual_metric(computed, instance.targets)
     residual = _residual_vector(computed, instance.targets)
     iterations = 0
 
     while metric > tol and iterations < max_iter:
         iterations += 1
-        jacobian = _jacobian(instance, loops, _unpack(x, count, dim), integration_tol)
         step, *_ = np.linalg.lstsq(jacobian, -residual, rcond=None)
 
         base_norm = float(np.linalg.norm(residual))
         alpha = 1.0
-        improved = False
         while alpha > 1e-6:
             trial_x = x + alpha * step
-            trial_computed = _forward(
+            computed, trial_jacobian = _linearise(
                 instance, loops, _unpack(trial_x, count, dim), integration_tol
             )
-            trial_residual = _residual_vector(trial_computed, instance.targets)
+            trial_residual = _residual_vector(computed, instance.targets)
             if float(np.linalg.norm(trial_residual)) < base_norm:
-                x = trial_x
-                computed = trial_computed
-                residual = trial_residual
-                metric = _residual_metric(computed, instance.targets)
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
-            break
+        else:
+            break  # no trial decreased the residual: keep the current iterate
+        x, jacobian, residual = trial_x, trial_jacobian, trial_residual
+        metric = _residual_metric(computed, instance.targets)
 
     residues = _unpack(x, count, dim)
     resonance = is_non_resonant(validate_system(instance.poles, residues))

@@ -53,6 +53,12 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def check_tolerance(tol: float, name: str) -> None:
+    """Raise ``ValidationError`` naming ``name`` unless ``tol`` is positive and finite."""
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {tol!r}")
+
+
 def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
@@ -313,8 +319,7 @@ def jordan_structure(m, tol: float = DEFAULT_CLUSTER_TOL) -> JordanStructure:
     rank profile is not consistent with any block structure.
     """
     arr = as_square_matrix(m)
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    check_tolerance(tol, "clustering tolerance")
     n = arr.shape[0]
     scale = max(1.0, operator_norm(arr))
     rho0 = tol * scale

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
+    check_tolerance,
     eigen_decompose,
     jordan_structure,
     matrix_exp,
@@ -150,8 +151,7 @@ def _integrate(evaluate, segments, dimension: int, rate: float):
 
 def _transfer(evaluate, path: ContinuationPath, dimension: int, tol: float):
     """Transfer matrix and error estimate along ``path``; see ``continue_solution``."""
-    if tol <= 0:
-        raise ValidationError("integration tolerance must be positive")
+    check_tolerance(tol, "integration tolerance")
     length = path.length
     if length == 0.0:
         return np.eye(dimension, dtype=complex), 0.0
@@ -317,6 +317,7 @@ def verify_theorem(
     residual).  ``tol`` bounds the spectrum distance and the conjugator
     residual relative to the matrix norms.
     """
+    check_tolerance(tol, "verification tolerance")
     rep = monodromy(system, integration_tol, base_point)
     resonance = is_non_resonant(system)
     verdicts = []

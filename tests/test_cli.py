@@ -133,6 +133,36 @@ def test_malformed_field_is_input_error(command, doc, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("invert", ["--tol", "nan"]),
+        ("invert", ["--integration-tol", "nan"]),
+        ("invert", ["--max-iter", "-3"]),
+        ("monodromy", ["--tol", "nan"]),
+        ("monodromy", ["--tol", "inf"]),
+        ("verify", ["--tol", "nan"]),
+        ("verify", ["--tol", "-1"]),
+    ],
+    ids=[
+        "invert-tol-nan",
+        "invert-integration-tol-nan",
+        "invert-negative-max-iter",
+        "monodromy-tol-nan",
+        "monodromy-tol-inf",
+        "verify-tol-nan",
+        "verify-negative-tol",
+    ],
+)
+def test_invalid_tolerance_is_input_error(command, options, small_system_path, tmp_path, capsys):
+    path = small_system_path
+    if command == "invert":
+        path = str(tmp_path / "monodromy.json")
+        assert main(["--quiet", "monodromy", small_system_path, "--json", path]) == 0
+    assert main([command, path, *options]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """scipy.optimize costs every CLI process about 0.2 s; only verify needs it."""
     probe = "import sys, fuchsia.cli; print('scipy.optimize' in sys.modules)"

@@ -9,8 +9,7 @@ from conftest import sample_poles
 from fuchsia.errors import ValidationError
 from fuchsia.inverse import (
     InverseProblemInstance,
-    _forward,
-    _jacobian,
+    _linearise,
     _pack,
     _residual_vector,
     _unpack,
@@ -18,7 +17,7 @@ from fuchsia.inverse import (
     solve,
     validate_instance,
 )
-from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, monodromy
+from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, continue_solution, monodromy
 from fuchsia.paths import build_loops, default_base_point
 from fuchsia.system import TWO_PI_I, validate_system
 
@@ -189,28 +188,44 @@ class TestSolve:
 
 
 class TestJacobian:
-    def test_matches_central_differences(self):
-        """The variational Jacobian agrees with central differences entrywise.
+    """A fixed 3-pole 2x2 instance, linearised at the first-order seed."""
 
-        Fixed 3-pole 2x2 instance, differentiated at the first-order seed
-        (not at the solution), over all 16 real parameters.
-        """
-        poles = [0.0, 1.5, 0.4 + 1.1j]
+    POLES = [0.0, 1.5, 0.4 + 1.1j]
+
+    @pytest.fixture(scope="class")
+    def instance_at_seed(self):
         b0 = np.array([[0.03, -0.01 + 0.02j], [0.015j, -0.02]])
         b1 = np.array([[-0.01 + 0.01j, 0.025], [-0.02, 0.01 - 0.02j]])
-        system = validate_system(poles, [b0, b1, -(b0 + b1)])
-        inst = validate_instance(poles, monodromy(system, tol=1e-10).matrices)
+        system = validate_system(self.POLES, [b0, b1, -(b0 + b1)])
+        inst = validate_instance(self.POLES, monodromy(system, tol=1e-10).matrices)
         seed = first_order_seed(inst)
-        loops = build_loops(validate_system(poles, seed), inst.base_point)
-        x = _pack(seed)
-        count = len(poles)
+        loops = build_loops(validate_system(self.POLES, seed), inst.base_point)
+        return inst, loops, _pack(seed)
 
-        exact = _jacobian(inst, loops, _unpack(x, count, inst.dimension), DEFAULT_INTEGRATION_TOL)
+    @staticmethod
+    def plain_monodromy(inst, loops, residues):
+        """M_j from plain continuations of the system itself."""
+        system = validate_system(inst.poles, residues)
+        return [continue_solution(system, loop, DEFAULT_INTEGRATION_TOL)[0] for loop in loops]
+
+    def test_matrices_match_plain_continuation(self, instance_at_seed):
+        inst, loops, x = instance_at_seed
+        residues = _unpack(x, len(self.POLES), inst.dimension)
+        computed, _ = _linearise(inst, loops, residues, DEFAULT_INTEGRATION_TOL)
+        for m, plain in zip(computed, self.plain_monodromy(inst, loops, residues)):
+            assert np.linalg.norm(m - plain) <= 1e-12
+
+    def test_matches_central_differences(self, instance_at_seed):
+        """The variational Jacobian agrees with central differences entrywise.
+
+        Over all 16 real parameters, at the first-order seed (not at the solution).
+        """
+        inst, loops, x = instance_at_seed
+        count = len(self.POLES)
+        exact = _linearise(inst, loops, _unpack(x, count, inst.dimension), DEFAULT_INTEGRATION_TOL)[1]
 
         def residual(point):
-            computed = _forward(
-                inst, loops, _unpack(point, count, inst.dimension), DEFAULT_INTEGRATION_TOL
-            )
+            computed = self.plain_monodromy(inst, loops, _unpack(point, count, inst.dimension))
             return _residual_vector(computed, inst.targets)
 
         h = 1e-5
@@ -221,3 +236,17 @@ class TestJacobian:
         assert exact.shape == fd.shape == (24, 16)
         assert np.max(np.abs(fd)) > 1.0
         assert np.max(np.abs(exact - fd)) <= 1e-6
+
+    def test_one_loop_integration_per_pole_per_point(self, instance_at_seed, monkeypatch):
+        """The seed and each accepted trial continue every loop once, no more."""
+        inst, _, _ = instance_at_seed
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return continue_solution(*args)
+
+        monkeypatch.setattr("fuchsia.inverse.continue_solution", counting)
+        sol = solve(inst)
+        assert sol.converged
+        assert len(calls) == (sol.iterations + 1) * len(self.POLES)
