@@ -6,8 +6,10 @@ residue sum on the last one, and refine by damped Gauss-Newton on the map
 residues -> monodromy.  Monodromy is holomorphic in the residues, so the
 Jacobian is exact: the derivatives of the fundamental solution with respect
 to every free residue entry solve the variational equation, itself a
-Fuchsian system.  One continuation of it per loop gives M_j and the Jacobian
-at a Gauss-Newton point together; the derivatives ride at 2**-30 scale, so the
+Fuchsian system.  At a Gauss-Newton point, one continuation per loop of the
+first block column [I; 0] of its transfer gives M_j and the Jacobian
+together: the approach and the circle, each continued from that column,
+combine in n x n algebra.  The derivatives ride at 2**-30 scale, so the
 step controller measures Y alone.  Steps come from a least-squares solve and
 are halved until the residual decreases.
 """
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-# .monodromy is imported before .linalg on purpose: the other order made
-# `import fuchsia` about 40 ms slower with numpy 2.4.6 and scipy 1.17.1.
-from .monodromy import DEFAULT_INTEGRATION_TOL, continue_solution
 from .linalg import as_square_matrix, check_tolerance
+from .monodromy import DEFAULT_INTEGRATION_TOL, _continue_legs
+from .monodromy import continue_solution  # noqa: F401 - perfbench/spans.py traces this name here
 from .paths import build_loops, composition_order, default_base_point
 from .system import TWO_PI_I, PoleResonance, is_non_resonant, validate_poles, validate_system
 from . import jsonio
@@ -208,20 +209,26 @@ def _variational_residues(residues) -> list[np.ndarray]:
 def _linearise(instance: InverseProblemInstance, loops, residues, tol: float):
     """Monodromy matrices and the exact Jacobian of the stacked real residual.
 
-    One continuation of the variational system per loop yields M_j in its
-    leading block and dM_j/dtheta for every free residue entry below it.
+    The variational transfers have the block form [[T0, 0], [dT, I (x) T0]],
+    so only their first block column e = [I; 0] is continued: per loop, the
+    approach gives [T0; dT_k] and the circle [C0; dC_k], each from e.  Then
+    M_j = T0^-1 C0 T0 and dM_j/dtheta_k = T0^-1 (dC_k T0 + C0 dT_k - dT_k M_j).
     Monodromy is holomorphic in the residues, so the column of Im theta is
     the real stacking of 1j * dM_j/dtheta next to the real stacking of
     dM_j/dtheta for Re theta.
     """
     dim = instance.dimension
     system = validate_system(instance.poles, _variational_residues(residues))
+    start = np.eye(system.dimension, dim, dtype=complex)
     computed = []
     derivatives = []
     for loop in loops:
-        transfer, _ = continue_solution(system, loop, tol)
-        computed.append(transfer[:dim, :dim])
-        derivatives.append(transfer[dim:, :dim].reshape(-1, dim, dim) / _SENSITIVITY_SCALE)
+        (approach, turn), _ = _continue_legs(system, loop, start, tol)
+        t0, dt = approach[:dim], approach[dim:].reshape(-1, dim, dim)
+        c0, dc = turn[:dim], turn[dim:].reshape(-1, dim, dim)
+        m = np.linalg.solve(t0, c0 @ t0)
+        computed.append(m)
+        derivatives.append(np.linalg.solve(t0, dc @ t0 + c0 @ dt - dt @ m) / _SENSITIVITY_SCALE)
     d = np.stack(derivatives, axis=1)  # d[theta, j] = dM_j/dtheta
     columns = []
     for block in np.split(d, len(residues) - 1):  # _pack order: real parts, then imaginary
@@ -240,8 +247,9 @@ def solve(
     Starts from the first-order seed and iterates damped Gauss-Newton on
     the stacked real residual until ``max_j |M_hat_j - M_j|_F <= tol`` or
     ``max_iter`` iterations pass.  The seed and each line-search trial get
-    M_j and the exact Jacobian from one variational continuation per loop at
-    ``integration_tol``, and an accepted trial's Jacobian gives the next step.
+    M_j and the exact Jacobian from one continuation per loop, at
+    ``integration_tol``, of the first block column of the variational
+    system, and an accepted trial's Jacobian gives the next step.
     Returns the best iterate either way with ``converged`` reporting which
     case occurred; the resonance status of the returned system is evaluated
     and included.

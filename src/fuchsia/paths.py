@@ -115,14 +115,13 @@ class Arc:
             return self.start
         return arc_point(self.center, self.radius, self.angle_end)
 
-    def angle_at(self, s: float) -> float:
-        sign = 1.0 if self.span > 0 else -1.0
-        return self.angle_start + sign * s / self.radius
-
     def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points center + r e^{i phi(s)} and unit velocities at an array of arc lengths."""
+        """Points center + r e^{i phi(s)} and unit velocities at an array of arc lengths.
+
+        phi(s) = angle_start +- s / radius, the sign being that of the sweep.
+        """
         sign = 1.0 if self.span > 0 else -1.0
-        turn = np.exp(1j * self.angle_at(s))
+        turn = np.exp(1j * (self.angle_start + sign * s / self.radius))
         return self.center + self.radius * turn, (1j * sign) * turn
 
     def reversed(self) -> "Arc":
@@ -202,10 +201,6 @@ class ContinuationPath:
         if not self.segments:
             return self.anchor
         return self.segments[-1].end
-
-    @property
-    def is_loop(self) -> bool:
-        return self.start == self.end
 
     @property
     def length(self) -> float:

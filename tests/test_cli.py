@@ -174,6 +174,26 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert out.strip() == "False"
 
 
+def test_monodromy_and_invert_leave_scipy_unloaded(small_system_path, tmp_path):
+    """Loading scipy costs every CLI process about 0.3 s; monodromy and invert never need it."""
+    report = str(tmp_path / "monodromy.json")
+    probe = (
+        "import sys, fuchsia.cli\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        f"assert fuchsia.cli.main(['--quiet', 'monodromy', {small_system_path!r}, '--json', {report!r}]) == 0\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        f"assert fuchsia.cli.main(['--quiet', 'invert', {report!r}]) == 0\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "print(loaded)"
+    )
+    src = os.path.dirname(os.path.dirname(fuchsia.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[False, False, False]"
+
+
 class TestGalois:
     def test_generators_reported(self, scalar_system_path, tmp_path):
         report_path = tmp_path / "galois.json"

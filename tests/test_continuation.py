@@ -11,7 +11,7 @@ from fuchsia.errors import (
     StepSizeUnderflowError,
     ValidationError,
 )
-from fuchsia.monodromy import coefficient_function, continue_solution, transfer_along
+from fuchsia.monodromy import _continue_legs, coefficient_function, continue_solution, transfer_along
 from fuchsia.paths import ContinuationPath, Line, build_loops
 from fuchsia.system import validate_system
 
@@ -151,6 +151,24 @@ def test_loop_factorisation_matches_separate_legs():
         open_path = ContinuationPath(loop.segments[: half + 1], clearance=loop.clearance)
         straight, _ = continue_solution(system, open_path, tol=1e-11)
         assert np.linalg.norm(straight - circle @ t_a) < 1e-9
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_block_start_continues_to_transfer_times_start(columns):
+    """Continuing an (N, m) value gives each leg's transfer matrix times it,
+    on a loop with detours (two legs) and on its open half (one leg)."""
+    system = collinear_generic_system()
+    start = np.array([[1.0 + 0.5j, -0.25j, 2.0], [0.5, 1.0, -1.0 + 1.0j]])[:, :columns]
+    eye = np.eye(2, dtype=complex)
+    loop = build_loops(system)[0]
+    open_path = ContinuationPath(loop.segments[: len(loop.segments) // 2 + 1], clearance=loop.clearance)
+    for path, count in ((loop, 2), (open_path, 1)):
+        transfers, _ = _continue_legs(system, path, eye, 1e-11)
+        legs, _ = _continue_legs(system, path, start, 1e-11)
+        assert len(legs) == len(transfers) == count
+        for leg, transfer in zip(legs, transfers):
+            assert leg.shape == (2, columns)
+            assert np.linalg.norm(leg - transfer @ start) < 1e-9
 
 
 def test_evaluator_matches_pointwise_coefficient():

@@ -17,7 +17,7 @@ from fuchsia.inverse import (
     solve,
     validate_instance,
 )
-from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, continue_solution, monodromy
+from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, _continue_legs, continue_solution, monodromy
 from fuchsia.paths import build_loops, default_base_point
 from fuchsia.system import TWO_PI_I, validate_system
 
@@ -173,6 +173,22 @@ class TestSolve:
         for m, t in zip(rep.matrices, inst.targets):
             assert np.linalg.norm(m - t) < 1e-7
 
+    def test_recovers_four_pole_three_by_three_system(self):
+        """A generic 4-pole 3x3 round trip: 27 free residue entries, so N = 84 and 84x3 is continued."""
+        rng = np.random.default_rng(11)
+        poles = [cmath.rect(1.0, 0.3 + k * cmath.pi / 2) for k in range(4)]
+        poles = [complex(2.0 * a.real, 1.3 * a.imag) for a in poles]
+        free = []
+        for _ in range(3):
+            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            free.append(0.025 * b / np.linalg.norm(b))
+        system = validate_system(poles, free + [-sum(free)])
+        inst = validate_instance(poles, monodromy(system, tol=1e-10).matrices)
+        sol = solve(inst)
+        assert sol.converged
+        for recovered, truth in zip(sol.residues, system.residues):
+            assert np.max(np.abs(recovered - truth)) < 1e-6
+
     def test_unconverged_reported_honestly(self, rng):
         system, targets = near_identity_pair(rng)
         inst = validate_instance(system.poles, targets)
@@ -244,9 +260,9 @@ class TestJacobian:
 
         def counting(*args):
             calls.append(args)
-            return continue_solution(*args)
+            return _continue_legs(*args)
 
-        monkeypatch.setattr("fuchsia.inverse.continue_solution", counting)
+        monkeypatch.setattr("fuchsia.inverse._continue_legs", counting)
         sol = solve(inst)
         assert sol.converged
         assert len(calls) == (sol.iterations + 1) * len(self.POLES)

@@ -105,7 +105,6 @@ def test_trivial_path():
     path = ContinuationPath.trivial(2.5 + 1.0j)
     assert path.length == 0.0
     assert path.start == path.end == 2.5 + 1.0j
-    assert path.is_loop
 
 
 def test_empty_path_needs_anchor():
@@ -138,8 +137,7 @@ def test_loop_radii_scale():
 def test_pole_loop_closed_and_clear():
     poles = [0.0 + 0j, 1.0 + 0j]
     loop = build_loops(toy_system(poles), 2.0 + 0j)[0]
-    assert loop.is_loop
-    assert loop.start == 2.0 + 0j
+    assert loop.end == loop.start == 2.0 + 0j
     audited = path_clearance_audit(loop, poles)
     assert audited >= loop.clearance * (1.0 - 1e-12)
     assert audited > 0.0
