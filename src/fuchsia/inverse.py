@@ -9,9 +9,10 @@ to every free residue entry solve the variational equation, itself a
 Fuchsian system.  At a Gauss-Newton point, one continuation per loop of the
 first block column [I; 0] of its transfer gives M_j and the Jacobian
 together: the approach and the circle, each continued from that column,
-combine in n x n algebra.  The derivatives ride at 2**-30 scale, so the
-step controller measures Y alone.  Steps come from a least-squares solve and
-are halved until the residual decreases.
+combine in n x n algebra, and all loops of the point run in one batch.
+The derivatives ride at 2**-30 scale, so the step controller measures Y
+alone.  Steps come from a least-squares solve and are halved until the
+residual decreases.
 """
 
 from dataclasses import dataclass
@@ -210,9 +211,10 @@ def _linearise(instance: InverseProblemInstance, loops, residues, tol: float):
     """Monodromy matrices and the exact Jacobian of the stacked real residual.
 
     The variational transfers have the block form [[T0, 0], [dT, I (x) T0]],
-    so only their first block column e = [I; 0] is continued: per loop, the
-    approach gives [T0; dT_k] and the circle [C0; dC_k], each from e.  Then
-    M_j = T0^-1 C0 T0 and dM_j/dtheta_k = T0^-1 (dC_k T0 + C0 dT_k - dT_k M_j).
+    so only their first block column e = [I; 0] is continued, every loop in
+    one batch: per loop, the approach gives [T0; dT_k] and the circle
+    [C0; dC_k], each from e.  Then M_j = T0^-1 C0 T0 and
+    dM_j/dtheta_k = T0^-1 (dC_k T0 + C0 dT_k - dT_k M_j).
     Monodromy is holomorphic in the residues, so the column of Im theta is
     the real stacking of 1j * dM_j/dtheta next to the real stacking of
     dM_j/dtheta for Re theta.
@@ -222,8 +224,7 @@ def _linearise(instance: InverseProblemInstance, loops, residues, tol: float):
     start = np.eye(system.dimension, dim, dtype=complex)
     computed = []
     derivatives = []
-    for loop in loops:
-        (approach, turn), _ = _continue_legs(system, loop, start, tol)
+    for (approach, turn), _ in _continue_legs(system, loops, start, tol):
         t0, dt = approach[:dim], approach[dim:].reshape(-1, dim, dim)
         c0, dc = turn[:dim], turn[dim:].reshape(-1, dim, dim)
         m = np.linalg.solve(t0, c0 @ t0)

@@ -5,12 +5,14 @@ Dormand-Prince 5(4) pair on the matrix equation dY/ds = z'(s) A(z(s)) Y,
 parameterized by arc length.  Transfer matrices obey Y(end) = T Y(start),
 so the transfer of a concatenation gamma2 after gamma1 is T2 @ T1.
 
-The stage points of a step depend only on the arc length and the step
-size, so each attempted step evaluates A at all six of them in one call.
 Every pole loop is an approach, a circle, and the exact reverse of the
 approach; its transfer is T^-1 C T, so the approach is integrated once.
-The kernel continues any (N, m) value, not only the identity: the inverse
-solver continues just the first block column of its variational system.
+The approach and the circle are the loop's two legs, and every leg of
+every loop advances in one batched step loop: each leg keeps its own arc
+length, step size and error control, and each attempted step evaluates A
+at the six stage points of all active legs in one call.  The kernel
+continues any (N, m) value, not only the identity: the inverse solver
+continues just the first block column of its variational system.
 
 ``verify_theorem`` compares the monodromy around each pole against the
 exponential generator exp(2 pi i B_j): eigenvalue multisets, Jordan block
@@ -44,6 +46,7 @@ from .paths import (
     build_loops,
     composition_order,
     default_base_point,
+    frame,
     path_clearance_audit,
 )
 from .system import TWO_PI_I, FuchsianSystem, is_non_resonant
@@ -89,118 +92,172 @@ def coefficient_function(system: FuchsianSystem):
     return system.evaluate
 
 
-def _frobenius(x: np.ndarray) -> float:
-    """|x|_F by the formula ``np.linalg.norm`` uses for a complex array."""
-    x = x.ravel()
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+def _norms(x: np.ndarray) -> np.ndarray:
+    """|x[b]|_F for every b, from the real and imaginary parts side by side."""
+    parts = x.reshape(len(x), -1).view(float)
+    return np.sqrt(np.einsum("bi,bi->b", parts, parts))
 
 
-def _integrate_segment(evaluate, segment, y: np.ndarray, rate: float):
-    """Advance the (N, m) value y across one segment; returns (y, accumulated local error).
+def _integrate_legs(evaluate, legs, start: np.ndarray):
+    """Continue the (N, m) value ``start`` along every leg in one step loop.
 
-    ``evaluate`` maps an array of points to the (points, N, N) stack of A at
-    them.  Each attempted step evaluates A at its six stage points in one
-    call; the stage inputs are products of tableau rows with the stacked
-    stages, written into a trial buffer that becomes y when the step is
-    accepted.  ``rate`` is the local error allowed per unit arc length,
-    scaled by max(1, |y|_F) at each step (mixed absolute/relative control).
+    A leg is ``(segments, rate)``: a chain of segments and the local error
+    it allows per unit arc length, scaled by max(1, |y|_F) at each step
+    (mixed absolute/relative control).  Returns the (legs, N, m) values at
+    the legs' ends and each leg's accumulated local error.
+
+    Every leg keeps its own arc length, step size and segment, so it takes
+    the steps it would take alone; only the arithmetic is shared.  Each
+    attempted step of the B active legs evaluates A at their 6B stage
+    points in one ``evaluate`` call (points -> (points, N, N) stack of A).
+    A leg's y sits in front of its stages, so each stage input is one
+    batched product of a tableau row (1 for y, then h-scaled) with
+    [y, stages].  Legs starting a segment share one call for their first
+    stage, and a leg past its last segment leaves the batch.  A non-finite
+    value or a collapsing step on any leg fails the whole call.
     """
-    length = segment.length
-    stages = np.empty((7,) + y.shape, dtype=complex)
-    flat = stages.reshape(7, -1)
-    y = np.array(y, dtype=complex)  # a copy: the buffers are swapped below
-    trial = np.empty_like(y)
-    increment = np.empty_like(y)
-    combination = increment.reshape(-1)
-    earlier = [flat[: i + 1] for i in range(6)]  # the stages that feed stage i + 1
-    z, v = segment.frame(np.zeros(1))
-    stages[0] = v[0] * (evaluate(z)[0] @ y)
-    h = min(length, 0.1 / (1.0 + _frobenius(stages[0])))
-    s = 0.0
-    accumulated = 0.0
-    while s < length:
-        h = min(h, length - s)
-        z, v = segment.frame(s + h * _DP_C)
-        slopes = evaluate(z) * v[:, None, None]
-        weights = h * _DP_A
-        # np.dot: the products of @, bit for bit (the report digests agree), at less call overhead.
+    count = len(legs)
+    dimension = start.shape[0]
+    ends = np.empty((count,) + start.shape, dtype=complex)
+    errors = np.zeros(count)
+    chains = [segments for segments, _ in legs]
+    ids = np.arange(count)  # the leg each batch row advances
+    position = np.zeros(count, dtype=int)  # the row's segment within its leg
+    rate = np.array([r for _, r in legs], dtype=float)
+    coefficients = np.empty((count, 4), dtype=complex)
+    length = np.empty(count)
+    s = np.zeros(count)
+    h = np.empty(count)
+    accumulated = np.zeros(count)
+    stages = np.empty((count, 8) + start.shape, dtype=complex)  # y, then the 7 stages
+    stages[:, 0] = start
+    weights = np.ones((count, 6, 7), dtype=complex)  # column 0 weighs y
+    loading = ids  # the rows starting a segment
+    while ids.size:
+        if len(loading):
+            for row in loading:
+                segment = chains[ids[row]][position[row]]
+                coefficients[row] = segment.coefficients
+                length[row] = segment.length
+            s[loading] = 0.0
+            z, v = frame(coefficients[loading], np.zeros((loading.size, 1)))
+            first = v[:, :, None] * (evaluate(z.ravel()) @ stages[loading, 0])
+            stages[loading, 1] = first
+            h[loading] = np.minimum(length[loading], 0.1 / (1.0 + _norms(first)))
+        np.minimum(h, length - s, out=h)
+        z, v = frame(coefficients, s[:, None] + h[:, None] * _DP_C)
+        slopes = evaluate(z.ravel()).reshape(v.shape + (dimension, dimension)) * v[:, :, None, None]
+        np.multiply(h[:, None, None], _DP_A, out=weights[:, :, 1:])
+        flat = stages.reshape(len(ids), 8, -1)
+        shape = stages[:, 0].shape
         for i in range(6):
-            np.dot(weights[i, : i + 1], earlier[i], out=combination)
-            np.add(y, increment, out=trial)
-            np.matmul(slopes[i], trial, out=stages[i + 1])
-        err = _frobenius(h * np.dot(_DP_ERR, flat))
-        size = _frobenius(trial)
-        # A finite Frobenius norm means every entry is finite.
-        if not (math.isfinite(err) and math.isfinite(size)):
+            trial = (weights[:, i : i + 1, : i + 2] @ flat[:, : i + 2]).reshape(shape)
+            np.matmul(slopes[:, i], trial, out=stages[:, i + 2])
+        err = h * _norms(_DP_ERR @ flat[:, 1:])
+        size = _norms(trial)
+        # A finite Frobenius norm means every entry is finite, and so does a
+        # finite sum of norms.
+        if not math.isfinite(err.sum() + size.sum()):
             raise NonFiniteError("continuation produced a non-finite solution value")
-        allowed = rate * h * max(1.0, size)
-        if err <= allowed:
-            s += h
-            y, trial = trial, y
-            stages[0] = stages[6]
-            accumulated += err
-        if err == 0.0:
-            factor = _MAX_GROWTH
+        allowed = rate * h * np.maximum(1.0, size)
+        accept = err <= allowed
+        np.add(s, h, out=s, where=accept)
+        np.add(accumulated, err, out=accumulated, where=accept)
+        np.copyto(stages[:, 0], trial, where=accept[:, None, None])
+        np.copyto(stages[:, 1], stages[:, 7], where=accept[:, None, None])
+        # An error of exactly 0 reads as an infinite ratio: the step grows by _MAX_GROWTH.
+        ratio = np.divide(allowed, err, out=np.full(len(ids), np.inf), where=err > 0.0)
+        h *= np.minimum(_MAX_GROWTH, np.maximum(_MIN_SHRINK, _SAFETY * ratio**0.2))
+        ended = s >= length
+        small = h < _MIN_STEP_FRACTION * length
+        if small.any():
+            for row in np.flatnonzero(small & ~ended):
+                raise StepSizeUnderflowError(
+                    f"step size collapsed at arc length {s[row]:.6g} of {length[row]:.6g}"
+                )
+        if ended.any():
+            position += ended
+            done = ended & (position == [len(chains[leg]) for leg in ids])
+            ends[ids[done]] = stages[done, 0]
+            errors[ids[done]] = accumulated[done]
+            keep = ~done
+            ids, position, rate, coefficients, length, s, h, accumulated, stages, weights = (
+                a[keep] for a in (ids, position, rate, coefficients, length, s, h, accumulated, stages, weights)
+            )
+            loading = np.flatnonzero(ended[keep])
         else:
-            factor = min(_MAX_GROWTH, max(_MIN_SHRINK, _SAFETY * (allowed / err) ** 0.2))
-        h *= factor
-        if s < length and h < _MIN_STEP_FRACTION * length:
-            raise StepSizeUnderflowError(
-                f"step size collapsed at arc length {s:.6g} of {length:.6g}"
-            )
-    return y, accumulated
+            loading = ()
+    return ends, errors
 
 
-def _integrate(evaluate, segments, y: np.ndarray, rate: float):
-    accumulated = 0.0
-    for segment in segments:
-        y, err = _integrate_segment(evaluate, segment, y, rate)
-        accumulated += err
-    return y, accumulated
+def _loop_transfer(legs) -> np.ndarray:
+    """The transfer from ``_continue_legs``'s legs from the identity: T^-1 C T for a loop."""
+    if len(legs) == 2:
+        approach, turn = legs
+        return np.linalg.solve(approach, turn @ approach)
+    return legs[0]
 
 
-def _continue_legs(system: FuchsianSystem, path: ContinuationPath, start: np.ndarray, tol: float):
-    """Continue the (N, m) value ``start`` along ``path``; returns ``(legs, error_estimate)``.
+def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float):
+    """Continue the (N, m) value ``start`` along every path in one batch.
 
-    The path is audited against the system's poles first.  A path whose tail
-    is, segment by segment, the exact reverse of its head around one middle
-    segment (every pole loop) gives two legs, each continued from ``start``:
-    T @ start along the head and C @ start around the middle, with the
-    head's error counted twice.  Any other path gives the one leg Y @ start,
-    and a zero-length path gives ``(start,)`` with a zero estimate exactly.
+    Returns one ``(legs, error_estimate)`` per path.  Every path is audited
+    against the system's poles first.  A path whose tail is, segment by
+    segment, the exact reverse of its head around one middle segment (every
+    pole loop) gives two legs, each continued from ``start``: T @ start
+    along the head and C @ start around the middle, with the head's error
+    counted twice.  Any other path gives the one leg Y @ start, and a
+    zero-length path gives ``(start,)`` with a zero estimate exactly.  Each
+    leg allows ``tol / path.length`` of local error per unit arc length,
+    the estimate is ten times its accumulated local error, and all legs of
+    all paths advance in one ``_integrate_legs`` step loop.
     """
-    length = path.length
-    if length > 0.0:
-        audited = path_clearance_audit(path, system.poles)
-        if audited < path.clearance * (1.0 - 1e-9):
-            raise ValidationError(
-                f"path passes within {audited:.3e} of a pole, closer than its "
-                f"stated clearance {path.clearance:.3e}"
-            )
+    for path in paths:
+        if path.length > 0.0:
+            audited = path_clearance_audit(path, system.poles)
+            if audited < path.clearance * (1.0 - 1e-9):
+                raise ValidationError(
+                    f"path passes within {audited:.3e} of a pole, closer than its "
+                    f"stated clearance {path.clearance:.3e}"
+                )
     evaluate = coefficient_function(system)
     check_tolerance(tol, "integration tolerance")
-    if length == 0.0:
-        return (start,), 0.0
-    rate = tol / length
-    segments = path.segments
-    half = len(segments) // 2
-    head, middle, tail = segments[:half], segments[half:half + 1], segments[half + 1:]
-    if head and tail == tuple(seg.reversed() for seg in reversed(head)):
-        approach, err_head = _integrate(evaluate, head, start, rate)
-        turn, err_middle = _integrate(evaluate, middle, start, rate)
-        return (approach, turn), 10.0 * (2.0 * err_head + err_middle)
-    y, err = _integrate(evaluate, segments, start, rate)
-    return (y,), 10.0 * err
+    legs = []
+    plans = []  # per path: its first leg, and each of its legs' weight in the estimate
+    for path in paths:
+        length = path.length
+        segments = path.segments
+        half = len(segments) // 2
+        head, middle, tail = segments[:half], segments[half:half + 1], segments[half + 1:]
+        if length == 0.0:
+            plans.append((len(legs), ()))
+        elif head and tail == tuple(seg.reversed() for seg in reversed(head)):
+            plans.append((len(legs), (2.0, 1.0)))
+            legs += [(head, tol / length), (middle, tol / length)]
+        else:
+            plans.append((len(legs), (1.0,)))
+            legs.append((segments, tol / length))
+    ends, errors = _integrate_legs(evaluate, legs, start)
+    results = []
+    for first, weights in plans:
+        if not weights:
+            results.append(((start,), 0.0))
+            continue
+        last = first + len(weights)
+        estimate = 10.0 * sum(w * float(e) for w, e in zip(weights, errors[first:last]))
+        results.append((tuple(ends[first:last]), estimate))
+    return results
 
 
 def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEFAULT_INTEGRATION_TOL):
     """Transfer matrix of dY/dz = rhs(z) Y along an arbitrary path.
 
     ``rhs`` is any callable z -> matrix; no pole bookkeeping happens here.
-    It is called point by point at every stage point, by the same kernel
-    as ``continue_solution``, over every segment of the path in turn.
-    Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start),
-    the estimate being ten times the accumulated local error.
+    It is called point by point at every stage point, by the same step
+    loop as ``continue_solution``, with the path as one leg integrated
+    straight through, segment by segment.  Returns
+    ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start), the
+    estimate being ten times the accumulated local error.
     """
     def evaluate(points):
         return np.array([rhs(complex(z)) for z in points], dtype=complex)
@@ -209,27 +266,24 @@ def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEF
     eye = np.eye(dimension, dtype=complex)
     if path.length == 0.0:
         return eye, 0.0
-    y, err = _integrate(evaluate, path.segments, eye, tol / path.length)
-    return y, 10.0 * err
+    ends, errors = _integrate_legs(evaluate, [(path.segments, tol / path.length)], eye)
+    return ends[0], 10.0 * float(errors[0])
 
 
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
     """Transfer matrix of analytic continuation along ``path``.
 
     Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start).
-    The integrator keeps the local error per unit arc length below
-    ``tol / path.length``, and the estimate is ten times the accumulated
-    local error.  A pole loop is integrated as head T and middle C only,
-    each from the identity, giving T^-1 C T with the head's error counted
-    twice.  A zero-length path yields the identity with a zero estimate
-    exactly.  The path is audited against the system's poles before any
-    integration happens.
+    The path is a batch of one for ``_continue_legs``: it is audited
+    against the system's poles before any integration, the integrator keeps
+    the local error per unit arc length below ``tol / path.length``, and
+    the estimate is ten times the accumulated local error.  A pole loop is
+    integrated as head T and middle C only, each from the identity, giving
+    T^-1 C T with the head's error counted twice.  A zero-length path
+    yields the identity with a zero estimate exactly.
     """
-    legs, err = _continue_legs(system, path, np.eye(system.dimension, dtype=complex), tol)
-    if len(legs) == 2:
-        approach, turn = legs
-        return np.linalg.solve(approach, turn @ approach), err
-    return legs[0], err
+    [(legs, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
+    return _loop_transfer(legs), err
 
 
 @dataclass(frozen=True)
@@ -263,12 +317,9 @@ def monodromy(
     """Monodromy representation of ``system`` from one loop per pole."""
     z0 = default_base_point(system.poles) if base_point is None else complex(base_point)
     loops = build_loops(system, z0)
-    matrices = []
-    estimates = []
-    for loop in loops:
-        m, err = continue_solution(system, loop, tol)
-        matrices.append(m)
-        estimates.append(err)
+    results = _continue_legs(system, loops, np.eye(system.dimension, dtype=complex), tol)
+    matrices = [_loop_transfer(legs) for legs, _ in results]
+    estimates = [err for _, err in results]
     order = composition_order(system.poles, z0)
     product = np.eye(system.dimension, dtype=complex)
     for index in order:

@@ -54,10 +54,10 @@ class Line:
     def length(self) -> float:
         return abs(self.end - self.start)
 
-    def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points start + s u and unit velocities u at an array of arc lengths."""
-        u = (self.end - self.start) / self.length
-        return self.start + s * u, np.full(s.shape, u)
+    @property
+    def coefficients(self) -> tuple[complex, ...]:
+        """This line's row for ``frame``: origin start, unit velocity, no spoke."""
+        return (self.start, (self.end - self.start) / self.length, 0.0, 0.0)
 
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
@@ -115,14 +115,14 @@ class Arc:
             return self.start
         return arc_point(self.center, self.radius, self.angle_end)
 
-    def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points center + r e^{i phi(s)} and unit velocities at an array of arc lengths.
-
-        phi(s) = angle_start +- s / radius, the sign being that of the sweep.
-        """
+    @property
+    def coefficients(self) -> tuple[complex, ...]:
+        """This arc's row for ``frame``: origin center, no velocity, the spoke
+        from the center to ``start`` (center + spoke is ``start`` bit for
+        bit), and a turn of +-1 / radius, the sign being that of the sweep."""
+        spoke = arc_point(0.0, self.radius, self.angle_start)
         sign = 1.0 if self.span > 0 else -1.0
-        turn = np.exp(1j * (self.angle_start + sign * s / self.radius))
-        return self.center + self.radius * turn, (1j * sign) * turn
+        return (self.center, 0.0, spoke, sign / self.radius)
 
     def reversed(self) -> "Arc":
         # A closed arc must keep its reported endpoint bitwise, so reverse
@@ -157,6 +157,20 @@ class Arc:
 
 
 Segment = Line | Arc
+
+
+def frame(coefficients: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and unit velocities of a batch of segments at arc lengths.
+
+    Row b of the (B, 4) array ``coefficients`` is a segment's
+    ``(origin, velocity, spoke, turn)``, as its ``coefficients`` give them,
+    and ``s`` is (B, k) arc lengths along it.  The point is
+    origin + s velocity + spoke e^{i turn s} and the unit velocity its
+    derivative: a line has no spoke and no turn, an arc no velocity.
+    """
+    origin, velocity, spoke, turn = coefficients.T[:, :, None]
+    rotated = spoke * np.exp(1j * turn.real * s)
+    return origin + s * velocity + rotated, velocity + 1j * turn * rotated
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Analytic continuation: transfer matrices against closed-form oracles."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,15 @@ from fuchsia.errors import (
     StepSizeUnderflowError,
     ValidationError,
 )
-from fuchsia.monodromy import _continue_legs, coefficient_function, continue_solution, transfer_along
-from fuchsia.paths import ContinuationPath, Line, build_loops
+from fuchsia.monodromy import (
+    _continue_legs,
+    _integrate_legs,
+    coefficient_function,
+    continue_solution,
+    monodromy,
+    transfer_along,
+)
+from fuchsia.paths import Arc, ContinuationPath, Line, build_loops
 from fuchsia.system import validate_system
 
 
@@ -163,12 +171,87 @@ def test_block_start_continues_to_transfer_times_start(columns):
     loop = build_loops(system)[0]
     open_path = ContinuationPath(loop.segments[: len(loop.segments) // 2 + 1], clearance=loop.clearance)
     for path, count in ((loop, 2), (open_path, 1)):
-        transfers, _ = _continue_legs(system, path, eye, 1e-11)
-        legs, _ = _continue_legs(system, path, start, 1e-11)
+        [(transfers, _)] = _continue_legs(system, (path,), eye, 1e-11)
+        [(legs, _)] = _continue_legs(system, (path,), start, 1e-11)
         assert len(legs) == len(transfers) == count
         for leg, transfer in zip(legs, transfers):
             assert leg.shape == (2, columns)
             assert np.linalg.norm(leg - transfer @ start) < 1e-9
+
+
+def five_pole_generic_system():
+    """Fixed non-commuting 2x2 system on 0, 1, 2, 3 and 1.5 + 1.5i.
+
+    From the default base point the loops' approaches hold 7, 5, 3, 1 and
+    1 segments (lines and partial detour arcs), each around a full circle.
+    """
+    residues = [
+        np.array([[0.1 + 0.05j, 0.2], [-0.1j, -0.15]]),
+        np.array([[-0.05, 0.1j], [0.15, 0.2 - 0.1j]]),
+        np.array([[0.12, -0.08], [0.05j, 0.02]]),
+        np.array([[-0.1j, 0.05], [0.1, 0.07 + 0.03j]]),
+    ]
+    residues.append(-sum(residues))
+    return validate_system([0.0, 1.0, 2.0, 3.0, 1.5 + 1.5j], residues)
+
+
+@pytest.mark.parametrize("columns", [2, 3])
+def test_batch_equals_each_path_alone(columns):
+    """Every leg continued in one batch equals the same leg continued alone.
+
+    The batch holds the five loops (legs of 1-7 segments: lines, partial
+    arcs and full circles, each path at its own rate) and a short line that
+    finishes long before the others; the start is the identity or a 2x3
+    block.
+    """
+    system = five_pole_generic_system()
+    loops = build_loops(system)
+    assert sorted(len(loop.segments) // 2 for loop in loops) == [1, 1, 3, 5, 7]
+    assert {type(seg) for loop in loops for seg in loop.segments} == {Line, Arc}
+    short = ContinuationPath((Line(5.0 + 0.0j, 5.0 + 0.1j),), clearance=1.0)
+    paths = loops + [short]
+    block = np.array([[1.0 + 0.5j, -0.25j, 2.0], [0.5, 1.0, -1.0 + 1.0j]])
+    start = np.eye(2, dtype=complex) if columns == 2 else block
+    batch = _continue_legs(system, paths, start, 1e-9)
+    assert [len(legs) for legs, _ in batch] == [2] * len(loops) + [1]
+    for path, (legs, estimate) in zip(paths, batch):
+        [(alone, alone_estimate)] = _continue_legs(system, (path,), start, 1e-9)
+        for leg, reference in zip(legs, alone, strict=True):
+            assert leg.shape == (2, columns)
+            assert np.max(np.abs(leg - reference)) <= 1e-10
+        assert estimate == pytest.approx(alone_estimate, rel=1e-6)
+
+
+def stub_legs():
+    """Two one-line legs for the kernel: a calm one near 0, and one on Re z > 10."""
+    calm = (Line(0.0, 1.0),)
+    far = (Line(20.0 + 0.0j, 20.0 + 1.0j),)
+    return [(calm, 1e-9), (far, 1e-9)]
+
+
+def test_non_finite_on_one_leg_fails_the_batch():
+    def evaluate(points):
+        a = np.full((len(points), 1, 1), 0.1 + 0.0j)
+        a[points.real > 10.0] = complex("nan")
+        return a
+
+    with pytest.raises(NonFiniteError):
+        _integrate_legs(evaluate, stub_legs(), np.eye(1, dtype=complex))
+
+
+def test_step_collapse_on_one_leg_names_its_arc_length():
+    """The far leg turns stiff halfway along; the error names where."""
+    def evaluate(points):
+        a = np.full((len(points), 1, 1), 0.1 + 0.0j)
+        a[(points.real > 10.0) & (points.imag > 0.5)] = 1e16
+        return a
+
+    with pytest.raises(StepSizeUnderflowError) as caught:
+        _integrate_legs(evaluate, stub_legs(), np.eye(1, dtype=complex))
+    found = re.search(r"arc length (\S+) of (\S+)$", str(caught.value))
+    assert found is not None
+    assert 0.49 < float(found[1]) <= 0.5
+    assert float(found[2]) == 1.0
 
 
 def test_evaluator_matches_pointwise_coefficient():
@@ -184,16 +267,22 @@ def test_evaluator_matches_pointwise_coefficient():
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 def test_realised_error_within_tolerance_and_estimate(tol, rng):
     """On closed-form oracles the realised error stays below ``tol`` and
-    the reported estimate bounds it."""
+    the reported estimate bounds it, loop by loop through
+    ``continue_solution`` and for all loops in one batch through
+    ``monodromy``."""
     cases = []
     for b in (0.25, 0.1 + 0.2j):
         system = scalar_two_pole(b)
-        loop = build_loops(system, 3.0 + 0.0j)[0]
-        cases.append((system, loop, np.array([[cmath.exp(2j * cmath.pi * b)]])))
+        oracles = [np.array([[cmath.exp(2j * cmath.pi * b)]]), np.array([[cmath.exp(-2j * cmath.pi * b)]])]
+        cases.append((system, build_loops(system, 3.0 + 0.0j), oracles, 3.0 + 0.0j))
     system, expected = diagonal_system(rng, p=3, n=3)
-    cases.extend((system, loop, m) for loop, m in zip(build_loops(system), expected))
-    for system, loop, oracle in cases:
-        transfer, estimate = continue_solution(system, loop, tol=tol)
-        realised = float(np.linalg.norm(transfer - oracle))
-        assert realised <= tol
-        assert estimate >= realised
+    cases.append((system, build_loops(system), expected, None))
+    for system, loops, oracles, base_point in cases:
+        singly = [continue_solution(system, loop, tol=tol) for loop in loops]
+        rep = monodromy(system, tol, base_point)
+        batched = zip(rep.matrices, rep.error_estimates)
+        for oracle, (transfer, estimate), (matrix, batch_estimate) in zip(oracles, singly, batched, strict=True):
+            for m, e in ((transfer, estimate), (matrix, batch_estimate)):
+                realised = float(np.linalg.norm(m - oracle))
+                assert realised <= tol
+                assert e >= realised

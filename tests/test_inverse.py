@@ -256,13 +256,13 @@ class TestJacobian:
     def test_one_loop_integration_per_pole_per_point(self, instance_at_seed, monkeypatch):
         """The seed and each accepted trial continue every loop once, no more."""
         inst, _, _ = instance_at_seed
-        calls = []
+        paths = []
 
-        def counting(*args):
-            calls.append(args)
-            return _continue_legs(*args)
+        def counting(system, loops, start, tol):
+            paths.extend(loops)
+            return _continue_legs(system, loops, start, tol)
 
         monkeypatch.setattr("fuchsia.inverse._continue_legs", counting)
         sol = solve(inst)
         assert sol.converged
-        assert len(calls) == (sol.iterations + 1) * len(self.POLES)
+        assert len(paths) == (sol.iterations + 1) * len(self.POLES)

@@ -16,6 +16,7 @@ from fuchsia.paths import (
     build_loops,
     composition_order,
     default_base_point,
+    frame,
     loop_radii,
     path_clearance_audit,
 )
@@ -32,7 +33,8 @@ def toy_system(poles):
 def test_line_basics():
     seg = Line(0.0, 3.0 + 4.0j)
     assert seg.length == 5.0
-    z, v = seg.frame(np.array([0.0, 5.0]))
+    z, v = frame(np.array([seg.coefficients]), np.array([[0.0, 5.0]]))
+    z, v = z[0], v[0]
     assert z[0] == 0.0
     assert z[1] == 3.0 + 4.0j
     assert np.all(np.abs(v - (0.6 + 0.8j)) < 1e-15)
@@ -54,8 +56,8 @@ def test_arc_point_is_shared_formula():
     center, radius, angle = 1.0 + 2.0j, 0.75, 0.3
     arc = Arc(center, radius, angle, angle + 1.0)
     assert arc.start == arc_point(center, radius, angle)
-    z, _ = arc.frame(np.zeros(1))
-    assert abs(z[0] - arc.start) < 1e-15
+    z, _ = frame(np.array([arc.coefficients]), np.zeros((1, 1)))
+    assert abs(z[0, 0] - arc.start) < 1e-15
 
 
 def test_closed_arc_end_is_start_bitwise():
