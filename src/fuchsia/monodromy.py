@@ -146,7 +146,10 @@ def _integrate_legs(evaluate, legs, start: np.ndarray):
             h[loading] = np.minimum(length[loading], 0.1 / (1.0 + _norms(first)))
         np.minimum(h, length - s, out=h)
         z, v = frame(coefficients, s[:, None] + h[:, None] * _DP_C)
-        slopes = evaluate(z.ravel()).reshape(v.shape + (dimension, dimension)) * v[:, :, None, None]
+        # Scaled in place: a second (6B, N, N) array per step made malloc
+        # return and refault its heap pages, a varying number of times a run.
+        slopes = evaluate(z.ravel()).reshape(v.shape + (dimension, dimension))
+        slopes *= v[:, :, None, None]
         np.multiply(h[:, None, None], _DP_A, out=weights[:, :, 1:])
         flat = stages.reshape(len(ids), 8, -1)
         shape = stages[:, 0].shape
