@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_square_matrix, check_tolerance
-from .monodromy import DEFAULT_INTEGRATION_TOL, _continue_legs
+from .monodromy import DEFAULT_INTEGRATION_TOL, _continue_legs, _product_defect
 from .monodromy import continue_solution  # noqa: F401 - perfbench/spans.py traces this name here
 from .paths import build_loops, composition_order, default_base_point
 from .system import TWO_PI_I, PoleResonance, is_non_resonant, validate_poles, validate_system
@@ -104,10 +104,7 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
         mats.append(arr)
     z0 = default_base_point(pole_list) if base_point is None else complex(base_point)
     order = composition_order(pole_list, z0)
-    product = np.eye(dim, dtype=complex)
-    for index in order:
-        product = mats[index] @ product
-    defect = float(np.linalg.norm(product - np.eye(dim)))
+    defect = _product_defect(mats, order)
     if defect > DEFAULT_PRODUCT_TOL:
         raise ValidationError(
             f"targets do not compose to the identity: defect {defect:.3e} "

@@ -134,8 +134,8 @@ def eigen_decompose(m, tol: float = DEFAULT_CLUSTER_TOL) -> list[tuple[complex, 
     Multiplicities always sum to the dimension.
     """
     arr = as_square_matrix(m)
-    if tol < 0:
-        raise ValidationError("tol must be nonnegative")
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be nonnegative and finite, got {tol!r}")
     w = list(_eigenvalues(arr))
     out = []
     for group in _chain_groups(w, tol):
@@ -409,13 +409,17 @@ def similarity_transform(a, b, tol: float = 1e-7):
     b = as_square_matrix(b, "b")
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    n = a.shape[0]
     ja = jordan_structure(a)
     jb = jordan_structure(b)
     pairs = ja.match_blocks(jb, max(2.0 * max(ja.tolerance, jb.tolerance), tol))
     if pairs is None:
         return None
+    return _conjugator(a, b, ja, jb, pairs, tol)
 
+
+def _conjugator(a: np.ndarray, b: np.ndarray, ja: JordanStructure, jb: JordanStructure, pairs, tol: float):
+    """The search of ``similarity_transform``, given both Jordan structures and their block matching."""
+    n = a.shape[0]
     dim = _commutant_dimension(ja, jb, pairs)
     eye = np.eye(n)
     sylvester = np.kron(a.T, eye) - np.kron(eye, b)

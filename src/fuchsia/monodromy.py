@@ -15,9 +15,9 @@ continues any (N, m) value, not only the identity: the inverse solver
 continues just the first block column of its variational system.
 
 ``verify_theorem`` compares the monodromy around each pole against the
-exponential generator exp(2 pi i B_j): eigenvalue multisets, Jordan block
-structures, and an explicit conjugator, with resonant poles reported but
-excluded from the hypothesis.
+exponential generator exp(2 pi i B_j) from one Jordan analysis of each:
+spectra, block structures, and an explicit conjugator, with resonant poles
+reported but excluded from the hypothesis.
 """
 
 import math
@@ -32,13 +32,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    DEFAULT_CLUSTER_TOL,
+    _conjugator,
     check_tolerance,
-    eigen_decompose,
+    eigen_decompose,  # noqa: F401 - perfbench/spans.py traces this name here
     jordan_structure,
     matrix_exp,
     min_cost_assignment,
-    similarity_transform,
+    similarity_transform,  # noqa: F401 - perfbench/spans.py traces this name here
 )
 from .paths import (
     LOOP_CONVENTION,
@@ -289,6 +289,15 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     return _loop_transfer(legs), err
 
 
+def _product_defect(matrices, order) -> float:
+    """|M[order[-1]] ... M[order[0]] - I|_F, the loop product with the first loop rightmost."""
+    eye = np.eye(matrices[0].shape[0])
+    product = eye
+    for index in order:
+        product = matrices[index] @ product
+    return float(np.linalg.norm(product - eye))
+
+
 @dataclass(frozen=True)
 class MonodromyRepresentation:
     """Monodromy matrices, their loops, and the composition bookkeeping.
@@ -324,10 +333,7 @@ def monodromy(
     matrices = [_loop_transfer(legs) for legs, _ in results]
     estimates = [err for _, err in results]
     order = composition_order(system.poles, z0)
-    product = np.eye(system.dimension, dtype=complex)
-    for index in order:
-        product = matrices[index] @ product
-    defect = float(np.linalg.norm(product - np.eye(system.dimension)))
+    defect = _product_defect(matrices, order)
     for m in matrices:
         m.flags.writeable = False
     return MonodromyRepresentation(
@@ -341,14 +347,10 @@ def monodromy(
     )
 
 
-def _spectrum_distance(a: np.ndarray, b: np.ndarray, cluster_tol: float) -> float:
-    """Largest matched eigenvalue distance between the spectra of a and b."""
-    left = []
-    for lam, mult in eigen_decompose(a, cluster_tol):
-        left.extend([lam] * mult)
-    right = []
-    for lam, mult in eigen_decompose(b, cluster_tol):
-        right.extend([lam] * mult)
+def _spectrum_distance(ja, jb) -> float:
+    """Largest matched distance of the cluster means, by multiplicity: stable for defective blocks."""
+    left = [lam for lam, sizes in ja.blocks for _ in range(sum(sizes))]
+    right = [lam for lam, sizes in jb.blocks for _ in range(sum(sizes))]
     cost = np.array([[abs(x - y) for y in right] for x in left])
     rows, cols = min_cost_assignment(cost)
     return float(cost[rows, cols].max())
@@ -392,11 +394,12 @@ def verify_theorem(
 ) -> TheoremReport:
     """Check that monodromy matches exp(2 pi i B_j) pole by pole.
 
-    For each pole the report records whether the eigenvalue multisets agree
-    within ``tol``, whether the Jordan structures agree, and an explicit
-    conjugator taking the generator to the monodromy matrix (with its
-    residual).  ``tol`` bounds the spectrum distance and the conjugator
-    residual relative to the matrix norms.
+    The generator and the monodromy matrix get one ``jordan_structure``
+    each, and all three checks read those two: the spectra, compared as the
+    Jordan cluster means with multiplicity, agree within ``tol``; the block
+    structures match; and an explicit conjugator takes the generator to the
+    monodromy matrix, with its residual.  ``tol`` bounds the spectrum
+    distance and the conjugator residual relative to the matrix norms.
     """
     check_tolerance(tol, "verification tolerance")
     rep = monodromy(system, integration_tol, base_point)
@@ -405,24 +408,20 @@ def verify_theorem(
     for j in range(system.pole_count):
         generator = matrix_exp(TWO_PI_I * system.residues[j])
         observed = rep.matrices[j]
-        sdist = _spectrum_distance(generator, observed, DEFAULT_CLUSTER_TOL)
+        jg = jordan_structure(generator)
+        jm = jordan_structure(observed)
+        sdist = _spectrum_distance(jg, jm)
         spectrum_ok = sdist <= tol
-        jg = jordan_structure(generator, DEFAULT_CLUSTER_TOL)
-        jm = jordan_structure(observed, DEFAULT_CLUSTER_TOL)
-        structure_ok = jg.same_structure(jm, max(tol, 2.0 * max(jg.tolerance, jm.tolerance)))
-        conjugator = None
-        residual = None
-        conj_ok = False
+        pairs = jg.match_blocks(jm, max(tol, 2.0 * max(jg.tolerance, jm.tolerance)))
+        structure_ok = pairs is not None
+        conjugator = residual = None
         if structure_ok:
             try:
-                found = similarity_transform(generator, observed, tol)
+                found = _conjugator(generator, observed, jg, jm, pairs, tol)
+                conjugator, residual = found.matrix, found.residual
             except SimilaritySearchError:
-                found = None
-            if found is not None:
-                conjugator = found.matrix
-                residual = found.residual
-                conj_ok = True
-        ok = spectrum_ok and structure_ok and conj_ok
+                pass
+        ok = spectrum_ok and structure_ok and conjugator is not None
         verdicts.append(
             PoleVerdict(
                 pole_index=j,

@@ -54,7 +54,12 @@ def diagonal_system(rng, p, n):
 
 
 def generic_system(rng, p=2, n=3, bound=0.4):
-    """Non-commuting, non-resonant random fixture with |B_j| <= bound."""
+    """Non-commuting, non-resonant random fixture with |B_j| <= bound.
+
+    Needs at least 3 poles: with 2, B2 = -B1 commutes with B1.
+    """
+    if n < 3:
+        raise ValueError(f"generic_system needs at least 3 poles, got {n}")
     poles = sample_poles(rng, n)
     while True:
         mats = [
@@ -66,7 +71,7 @@ def generic_system(rng, p=2, n=3, bound=0.4):
         if np.linalg.norm(last, 2) > bound:
             continue
         residues = mats + [last]
-        if n >= 2 and p >= 2:
+        if p >= 2:
             commutator = residues[0] @ residues[1] - residues[1] @ residues[0]
             if np.linalg.norm(commutator) < 1e-3:
                 continue
@@ -81,6 +86,17 @@ def generic_system(rng, p=2, n=3, bound=0.4):
                         separated = False
         if separated:
             return validate_system(poles, residues)
+
+
+def jordan_block_system():
+    """Non-resonant 3-pole system whose residue at 0 is a 2x2 Jordan block.
+
+    The single eigenvalues of exp(2 pi i B1) and of its monodromy scatter
+    like the square root of the rounding error; their mean does not.
+    """
+    b1 = np.array([[0.2, 0.1], [0.0, 0.2]], dtype=complex)
+    b2 = np.array([[-0.1, 0.05], [0.03, 0.15]], dtype=complex)
+    return validate_system([0.0, 1.0, 1j], [b1, b2, -b1 - b2])
 
 
 def random_conjugator(rng, n, cond_limit=100.0):

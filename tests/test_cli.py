@@ -10,6 +10,7 @@ import pytest
 
 import fuchsia
 
+from conftest import jordan_block_system
 from fuchsia.cli import main, parse_complex_literal
 from fuchsia.errors import ValidationError
 from fuchsia.jsonio import canonical_json
@@ -263,6 +264,10 @@ class TestVerify:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["overall"] is True
         assert all(v["ok"] for v in report["per_pole"])
+
+    def test_defective_residue_verifies(self, tmp_path):
+        path = write_json(tmp_path / "jordan.json", jordan_block_system().to_dict())
+        assert main(["--quiet", "verify", path]) == 0
 
     def test_impossible_tolerance_fails_with_exit_3(self, scalar_system_path, capsys):
         code = main(["verify", scalar_system_path, "--tol", "1e-18"])

@@ -44,6 +44,16 @@ def test_eigen_decompose_clusters_near_duplicates():
     assert abs(got[0][0] - (1.0 + 1.5e-11)) < 1e-12
 
 
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+def test_eigen_decompose_rejects_bad_tol(tol):
+    with pytest.raises(ValidationError):
+        eigen_decompose(np.eye(2), tol)
+
+
+def test_eigen_decompose_zero_tol_clusters_exact_ties():
+    assert eigen_decompose(np.diag([1.0, 1.0, 2.0]), 0.0) == [(1.0 + 0j, 2), (2.0 + 0j, 1)]
+
+
 def test_eigen_decompose_rejects_nonsquare():
     with pytest.raises(ValidationError):
         eigen_decompose(np.ones((2, 3)))

@@ -1,10 +1,12 @@
 """Monodromy representation and the generator-vs-monodromy theorem check."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import diagonal_system, generic_system
+from conftest import diagonal_system, generic_system, jordan_block_system
 from fuchsia.linalg import matrix_exp
 from fuchsia.monodromy import continue_solution, monodromy, verify_theorem
 from fuchsia.paths import LOOP_CONVENTION
@@ -119,6 +121,46 @@ def test_resonant_pole_reported_but_excluded():
     assert report.overall == all(
         v.ok for v in report.verdicts if v.non_resonant
     )
+
+
+def test_verify_theorem_defective_residue():
+    """A 2x2 Jordan block residue verifies: its spectrum is the cluster mean, not single eigenvalues."""
+    report = verify_theorem(jordan_block_system())
+    assert report.overall and report.all_non_resonant
+    for v in report.verdicts:
+        assert v.ok and v.structure_match
+        assert v.spectrum_distance <= 1e-9
+
+
+def test_verify_analyses_each_matrix_once(monkeypatch):
+    """Per pole: one Jordan analysis of each matrix, one block match, no separate eigenvalue clustering."""
+    # The package attribute ``fuchsia.monodromy`` is a function, so the modules come from importlib.
+    linalg = importlib.import_module("fuchsia.linalg")
+    mono = importlib.import_module("fuchsia.monodromy")
+    calls = []
+
+    def counting(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append((owner, attr))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in (
+        (linalg, "jordan_structure"),
+        (mono, "jordan_structure"),
+        (mono, "eigen_decompose"),
+        (linalg.JordanStructure, "match_blocks"),
+    ):
+        counting(owner, attr)
+    system = jordan_block_system()
+    verify_theorem(system)
+    poles = system.pole_count
+    assert sum(attr == "jordan_structure" for _, attr in calls) == 2 * poles
+    assert calls.count((mono, "eigen_decompose")) == 0
+    assert calls.count((linalg.JordanStructure, "match_blocks")) == poles
 
 
 def test_verify_tolerance_gates_verdict(rng):

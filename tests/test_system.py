@@ -145,6 +145,11 @@ def test_system_is_non_resonant_flag():
     assert not system_is_non_resonant(two_pole_system(np.diag([0.5, 1.5])))
 
 
+def test_resonance_rejects_nan_tolerance():
+    with pytest.raises(ValidationError):
+        is_non_resonant(two_pole_system(np.diag([0.5, 1.5])), tol=float("nan"))
+
+
 def test_resonance_tolerance_window():
     system = two_pole_system(np.diag([0.0, 1.0 + 5e-9]))
     assert not system_is_non_resonant(system, tol=1e-8)
