@@ -76,7 +76,6 @@ from .system import (
     galois_generators,
     is_non_resonant,
     levelt_data,
-    system_is_non_resonant,
     validate_system,
 )
 
@@ -135,7 +134,6 @@ __all__ = [
     "scalar_solution_transfer",
     "similarity_transform",
     "solve_inverse",
-    "system_is_non_resonant",
     "transfer_along",
     "validate_instance",
     "validate_system",

@@ -69,10 +69,6 @@ class RationalMatrix:
             [[RF_ONE if i == j else RF_ZERO for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zero(n: int) -> "RationalMatrix":
-        return RationalMatrix([[RF_ZERO] * n for _ in range(n)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented

@@ -126,7 +126,7 @@ def _chain_groups(values: list[complex], radius: float) -> list[list[int]]:
     return out
 
 
-def eigen_decompose(m, tol: float = DEFAULT_CLUSTER_TOL) -> list[tuple[complex, int]]:
+def eigen_decompose(m, tol: float) -> list[tuple[complex, int]]:
     """Eigenvalues of ``m`` clustered at absolute distance ``tol``.
 
     Returns ``(eigenvalue, multiplicity)`` pairs where each eigenvalue is the
@@ -162,16 +162,16 @@ class JordanStructure:
     def dimension(self) -> int:
         return sum(sum(sizes) for _, sizes in self.blocks)
 
-    def match_blocks(self, other: "JordanStructure", match_tol: float | None = None):
+    def match_blocks(self, other: "JordanStructure", tol: float):
         """Pair up eigenvalue clusters with ``other``.
 
-        Returns a list of index pairs ``(i, j)`` such that eigenvalues match
-        within ``match_tol`` and size tuples agree, or ``None`` when no such
-        pairing exists.  The default ``match_tol`` is twice the larger of the
-        two stored clustering radii.
+        Returns a list of index pairs ``(i, j)`` such that size tuples agree
+        and eigenvalues match within ``max(tol, 2 * max(self.tolerance,
+        other.tolerance))``, or ``None`` when no such pairing exists.  This
+        is the one structure-match rule: a cluster pair always matches
+        within twice the larger of the two stored clustering radii.
         """
-        if match_tol is None:
-            match_tol = 2.0 * max(self.tolerance, other.tolerance)
+        match_tol = max(tol, 2.0 * max(self.tolerance, other.tolerance))
         if len(self.blocks) != len(other.blocks) or self.dimension != other.dimension:
             return None
         k = len(self.blocks)
@@ -188,9 +188,6 @@ class JordanStructure:
                 return None
             pairs.append((int(i), int(j)))
         return pairs
-
-    def same_structure(self, other: "JordanStructure", match_tol: float | None = None) -> bool:
-        return self.match_blocks(other, match_tol) is not None
 
 
 def _schur_restrict(m: np.ndarray, lam: complex, other_reps: list[complex], mu: int):
@@ -306,22 +303,22 @@ def _validate_cluster(
     return sizes
 
 
-def jordan_structure(m, tol: float = DEFAULT_CLUSTER_TOL) -> JordanStructure:
+def jordan_structure(m) -> JordanStructure:
     """Numerical Jordan block structure of a square complex matrix.
 
-    Eigenvalues are chained into clusters at radius ``tol * max(1, norm)``,
-    then a merge ladder joins groups whose scatter is consistent with
-    defective blocks (noise amplifies like its k-th root through a block of
-    size k).  Per-cluster block sizes come from nullity sequences of the
-    cluster's Schur-restricted block with singular values thresholded
-    relative to the expected noise at each power.
+    Eigenvalues are chained into clusters at radius
+    ``DEFAULT_CLUSTER_TOL * max(1, norm)``, then a merge ladder joins groups
+    whose scatter is consistent with defective blocks (noise amplifies like
+    its k-th root through a block of size k).  Per-cluster block sizes come
+    from nullity sequences of the cluster's Schur-restricted block with
+    singular values thresholded relative to the expected noise at each power.
 
     Raises ``ClusterAmbiguityError`` when two final clusters sit closer than
     twice the base clustering radius, and ``NumericsError`` when a cluster's
     rank profile is not consistent with any block structure.
     """
     arr = as_square_matrix(m)
-    check_tolerance(tol, "clustering tolerance")
+    tol = DEFAULT_CLUSTER_TOL
     n = arr.shape[0]
     scale = max(1.0, operator_norm(arr))
     rho0 = tol * scale
@@ -393,17 +390,16 @@ def _commutant_dimension(ja: JordanStructure, jb: JordanStructure, pairs) -> int
     return dim
 
 
-def similarity_transform(a, b, tol: float = 1e-7):
+def similarity_transform(a, b):
     """Search for s with ``s @ a = b @ s`` and ``s`` invertible.
 
-    Returns ``None`` when the two Jordan structures at the default
-    clustering radius differ (no conjugator exists), otherwise a
-    ``SimilarityResult`` whose residual satisfies
-    ``|s a - b s|_F <= tol * (|a| + |b|)``.  The intertwiner space is taken
-    from the trailing right singular vectors of the Sylvester operator and
-    searched over a fixed deterministic family of combinations; failure to
-    find a well-conditioned certified candidate raises
-    ``SimilaritySearchError``.
+    Returns ``None`` when the two Jordan structures do not match (no
+    conjugator exists), otherwise a ``SimilarityResult`` whose residual
+    satisfies ``|s a - b s|_F <= DEFAULT_CLUSTER_TOL * (|a| + |b|)``.  The
+    intertwiner space is taken from the trailing right singular vectors of
+    the Sylvester operator and searched over a fixed deterministic family of
+    combinations; failure to find a well-conditioned certified candidate
+    raises ``SimilaritySearchError``.
     """
     a = as_square_matrix(a, "a")
     b = as_square_matrix(b, "b")
@@ -411,10 +407,10 @@ def similarity_transform(a, b, tol: float = 1e-7):
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
     ja = jordan_structure(a)
     jb = jordan_structure(b)
-    pairs = ja.match_blocks(jb, max(2.0 * max(ja.tolerance, jb.tolerance), tol))
+    pairs = ja.match_blocks(jb, DEFAULT_CLUSTER_TOL)
     if pairs is None:
         return None
-    return _conjugator(a, b, ja, jb, pairs, tol)
+    return _conjugator(a, b, ja, jb, pairs, DEFAULT_CLUSTER_TOL)
 
 
 def _conjugator(a: np.ndarray, b: np.ndarray, ja: JordanStructure, jb: JordanStructure, pairs, tol: float):

@@ -209,20 +209,18 @@ def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float)
     segment, the exact reverse of its head around one middle segment (every
     pole loop) gives two legs, each continued from ``start``: T @ start
     along the head and C @ start around the middle, with the head's error
-    counted twice.  Any other path gives the one leg Y @ start, and a
-    zero-length path gives ``(start,)`` with a zero estimate exactly.  Each
-    leg allows ``tol / path.length`` of local error per unit arc length,
+    counted twice.  Any other path gives the one leg Y @ start.  Each leg
+    allows ``tol / path.length`` of local error per unit arc length,
     the estimate is ten times its accumulated local error, and all legs of
     all paths advance in one ``_integrate_legs`` step loop.
     """
     for path in paths:
-        if path.length > 0.0:
-            audited = path_clearance_audit(path, system.poles)
-            if audited < path.clearance * (1.0 - 1e-9):
-                raise ValidationError(
-                    f"path passes within {audited:.3e} of a pole, closer than its "
-                    f"stated clearance {path.clearance:.3e}"
-                )
+        audited = path_clearance_audit(path, system.poles)
+        if audited < path.clearance * (1.0 - 1e-9):
+            raise ValidationError(
+                f"path passes within {audited:.3e} of a pole, closer than its "
+                f"stated clearance {path.clearance:.3e}"
+            )
     evaluate = coefficient_function(system)
     check_tolerance(tol, "integration tolerance")
     legs = []
@@ -232,9 +230,7 @@ def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float)
         segments = path.segments
         half = len(segments) // 2
         head, middle, tail = segments[:half], segments[half:half + 1], segments[half + 1:]
-        if length == 0.0:
-            plans.append((len(legs), ()))
-        elif head and tail == tuple(seg.reversed() for seg in reversed(head)):
+        if head and tail == tuple(seg.reversed() for seg in reversed(head)):
             plans.append((len(legs), (2.0, 1.0)))
             legs += [(head, tol / length), (middle, tol / length)]
         else:
@@ -243,9 +239,6 @@ def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float)
     ends, errors = _integrate_legs(evaluate, legs, start)
     results = []
     for first, weights in plans:
-        if not weights:
-            results.append(((start,), 0.0))
-            continue
         last = first + len(weights)
         estimate = 10.0 * sum(w * float(e) for w, e in zip(weights, errors[first:last]))
         results.append((tuple(ends[first:last]), estimate))
@@ -267,8 +260,6 @@ def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEF
 
     check_tolerance(tol, "integration tolerance")
     eye = np.eye(dimension, dtype=complex)
-    if path.length == 0.0:
-        return eye, 0.0
     ends, errors = _integrate_legs(evaluate, [(path.segments, tol / path.length)], eye)
     return ends[0], 10.0 * float(errors[0])
 
@@ -282,8 +273,7 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     the local error per unit arc length below ``tol / path.length``, and
     the estimate is ten times the accumulated local error.  A pole loop is
     integrated as head T and middle C only, each from the identity, giving
-    T^-1 C T with the head's error counted twice.  A zero-length path
-    yields the identity with a zero estimate exactly.
+    T^-1 C T with the head's error counted twice.
     """
     [(legs, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
     return _loop_transfer(legs), err

@@ -175,22 +175,19 @@ def frame(coefficients: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class ContinuationPath:
-    """Contiguous chain of segments with a claimed pole clearance.
+    """Contiguous chain of at least one segment with a claimed pole clearance.
 
     Construction demands bitwise endpoint contiguity; the ``clearance``
     field records the distance every segment is claimed to keep from every
     pole, which ``path_clearance_audit`` can verify against a pole set.
-    A path may also be trivial (no segments, zero length) at an ``anchor``
-    point; continuation along it is the identity by definition.
     """
 
     segments: tuple[Segment, ...]
     clearance: float
-    anchor: complex | None = field(default=None)
 
     def __post_init__(self):
-        if not self.segments and self.anchor is None:
-            raise ValidationError("a path needs at least one segment or an anchor point")
+        if not self.segments:
+            raise ValidationError("a path needs at least one segment")
         if not (self.clearance > 0.0 and math.isfinite(self.clearance)):
             raise ValidationError("path clearance must be positive")
         for i in range(len(self.segments) - 1):
@@ -200,20 +197,12 @@ class ContinuationPath:
                     f"{self.segments[i].end!r} vs {self.segments[i + 1].start!r}"
                 )
 
-    @classmethod
-    def trivial(cls, point: complex) -> "ContinuationPath":
-        return cls(segments=(), clearance=1.0, anchor=complex(point))
-
     @property
     def start(self) -> complex:
-        if not self.segments:
-            return self.anchor
         return self.segments[0].start
 
     @property
     def end(self) -> complex:
-        if not self.segments:
-            return self.anchor
         return self.segments[-1].end
 
     @property
@@ -221,15 +210,12 @@ class ContinuationPath:
         return sum(seg.length for seg in self.segments)
 
     def min_distance_to(self, w: complex) -> float:
-        if not self.segments:
-            return abs(self.anchor - w)
         return min(seg.min_distance_to(w) for seg in self.segments)
 
     def reversed(self) -> "ContinuationPath":
         return ContinuationPath(
             tuple(seg.reversed() for seg in reversed(self.segments)),
             clearance=self.clearance,
-            anchor=self.anchor,
         )
 
 
@@ -336,10 +322,11 @@ def _approach_segments(z0, poles, j, radii, plan, rank, entry):
         detour_radius = (
             EXCLUSION_FACTOR * radii[q] * (1.0 + NEST_STEP * rank[(j, q)])
         )
+        # _detour_plan lists q only when the chord comes within
+        # EXCLUSION_FACTOR * radii[q] <= detour_radius of it, so the chord's
+        # line always cuts the detour circle.
         rel = (poles[q] - z0) * u.conjugate()
         t_foot, h = rel.real, rel.imag
-        if detour_radius <= abs(h):
-            continue
         half = math.sqrt(detour_radius * detour_radius - h * h)
         t_enter, t_exit = t_foot - half, t_foot + half
         if t_enter <= 0.0 or t_exit >= length:
@@ -412,19 +399,18 @@ def composition_order(poles, base_point: complex) -> list[int]:
     return [i for _, _, i in keyed]
 
 
-def build_loops(system, base_point=None) -> list[ContinuationPath]:
-    """One loop per pole of ``system``, all based at the same point.
+def build_loops(system, base_point) -> list[ContinuationPath]:
+    """One loop per pole of ``system``, all based at ``base_point``.
 
-    The default base point is ``1 + max |a_i|`` on the real axis.  Each
-    loop is a chord out (detouring other poles' exclusion disks), one full
-    counterclockwise circle, then the exact bitwise reverse of the chord,
-    so it winds once around its own pole and zero times around the others;
-    its stored clearance is the audited minimum pole distance.  The whole
-    family forms a non-crossing arrangement whose composition order is
+    Each loop is a chord out (detouring other poles' exclusion disks), one
+    full counterclockwise circle, then the exact bitwise reverse of the
+    chord, so it winds once around its own pole and zero times around the
+    others; its stored clearance is the audited minimum pole distance.  The
+    whole family forms a non-crossing arrangement whose composition order is
     ``composition_order``.
     """
     poles = [complex(a) for a in system.poles]
-    z0 = default_base_point(poles) if base_point is None else complex(base_point)
+    z0 = complex(base_point)
     if not (math.isfinite(z0.real) and math.isfinite(z0.imag)):
         raise GeometryError("base point must be finite")
     for a in poles:

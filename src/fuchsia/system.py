@@ -46,13 +46,6 @@ class FuchsianSystem:
     def pole_count(self) -> int:
         return len(self.poles)
 
-    def coefficient(self, z: complex) -> np.ndarray:
-        """Coefficient matrix A(z); raises at a pole."""
-        for a in self.poles:
-            if z == a:
-                raise ValidationError(f"A(z) evaluated at the pole {a}")
-        return self.evaluate(z)
-
     @cached_property
     def _partial_fractions(self) -> tuple[np.ndarray, np.ndarray]:
         poles = np.array(self.poles, dtype=complex)
@@ -212,16 +205,17 @@ class PoleResonance:
     witnesses: tuple[tuple[complex, complex, int], ...]
 
 
-def is_non_resonant(system: FuchsianSystem, tol: float = DEFAULT_RESONANCE_TOL):
+def is_non_resonant(system: FuchsianSystem):
     """Per-pole resonance report.
 
     A pole is resonant when two eigenvalues of its residue differ by a
-    nonzero integer within ``tol``.  Returns a list of ``PoleResonance``
-    records; the system is non-resonant when none of them is resonant.
+    nonzero integer within ``DEFAULT_RESONANCE_TOL``.  Returns a list of
+    ``PoleResonance`` records; the system is non-resonant when none of them
+    is resonant.
     """
     report = []
     for j, b in enumerate(system.residues):
-        eigs = eigen_decompose(b, tol)
+        eigs = eigen_decompose(b, DEFAULT_RESONANCE_TOL)
         witnesses = []
         for i in range(len(eigs)):
             for k in range(len(eigs)):
@@ -231,7 +225,7 @@ def is_non_resonant(system: FuchsianSystem, tol: float = DEFAULT_RESONANCE_TOL):
                 nearest = round(diff.real)
                 if nearest == 0:
                     continue
-                if abs(diff - nearest) <= tol:
+                if abs(diff - nearest) <= DEFAULT_RESONANCE_TOL:
                     witnesses.append((eigs[i][0], eigs[k][0], int(nearest)))
         report.append(
             PoleResonance(
@@ -241,10 +235,6 @@ def is_non_resonant(system: FuchsianSystem, tol: float = DEFAULT_RESONANCE_TOL):
             )
         )
     return report
-
-
-def system_is_non_resonant(system: FuchsianSystem, tol: float = DEFAULT_RESONANCE_TOL) -> bool:
-    return not any(entry.resonant for entry in is_non_resonant(system, tol))
 
 
 def galois_generators(system: FuchsianSystem):

@@ -20,7 +20,7 @@ from fuchsia.monodromy import (
     monodromy,
     transfer_along,
 )
-from fuchsia.paths import Arc, ContinuationPath, Line, build_loops
+from fuchsia.paths import Arc, ContinuationPath, Line, build_loops, default_base_point
 from fuchsia.system import validate_system
 
 
@@ -52,7 +52,7 @@ def test_scalar_loop_other_pole(rng):
 
 def test_diagonal_system_loops_match_closed_form(rng):
     system, expected = diagonal_system(rng, p=3, n=3)
-    loops = build_loops(system)
+    loops = build_loops(system, default_base_point(system.poles))
     for j, loop in enumerate(loops):
         transfer, _ = continue_solution(system, loop, tol=1e-11)
         assert np.linalg.norm(transfer - expected[j]) < 1e-8
@@ -79,14 +79,6 @@ def test_open_path_endpoints_compose(rng):
     t2, _ = continue_solution(system, leg2, tol=1e-11)
     t12, _ = continue_solution(system, both, tol=1e-11)
     assert np.linalg.norm(t2 @ t1 - t12) < 1e-8
-
-
-def test_trivial_path_is_exact_identity():
-    system = scalar_two_pole(0.3)
-    path = ContinuationPath.trivial(5.0 + 0.0j)
-    transfer, estimate = continue_solution(system, path)
-    assert np.array_equal(transfer, np.eye(1, dtype=complex))
-    assert estimate == 0.0
 
 
 def test_clearance_audit_rejects_overstated_path():
@@ -147,7 +139,7 @@ def test_loop_factorisation_matches_separate_legs():
     """A loop equals T_back @ C @ T_a with each leg continued on its own,
     and a path without the reversed tail is still continued straight."""
     system = collinear_generic_system()
-    for loop in build_loops(system):
+    for loop in build_loops(system, default_base_point(system.poles)):
         half = len(loop.segments) // 2
         legs = [loop.segments[:half], loop.segments[half : half + 1], loop.segments[half + 1 :]]
         t_a, circle, t_back = (
@@ -168,7 +160,7 @@ def test_block_start_continues_to_transfer_times_start(columns):
     system = collinear_generic_system()
     start = np.array([[1.0 + 0.5j, -0.25j, 2.0], [0.5, 1.0, -1.0 + 1.0j]])[:, :columns]
     eye = np.eye(2, dtype=complex)
-    loop = build_loops(system)[0]
+    loop = build_loops(system, default_base_point(system.poles))[0]
     open_path = ContinuationPath(loop.segments[: len(loop.segments) // 2 + 1], clearance=loop.clearance)
     for path, count in ((loop, 2), (open_path, 1)):
         [(transfers, _)] = _continue_legs(system, (path,), eye, 1e-11)
@@ -205,7 +197,7 @@ def test_batch_equals_each_path_alone(columns):
     block.
     """
     system = five_pole_generic_system()
-    loops = build_loops(system)
+    loops = build_loops(system, default_base_point(system.poles))
     assert sorted(len(loop.segments) // 2 for loop in loops) == [1, 1, 3, 5, 7]
     assert {type(seg) for loop in loops for seg in loop.segments} == {Line, Arc}
     short = ContinuationPath((Line(5.0 + 0.0j, 5.0 + 0.1j),), clearance=1.0)
@@ -260,7 +252,7 @@ def test_evaluator_matches_pointwise_coefficient():
     stack = coefficient_function(system)(points)
     assert stack.shape == (len(points), 2, 2)
     for z, a in zip(points, stack):
-        expected = system.coefficient(complex(z))
+        expected = sum(b / (z - p) for p, b in zip(system.poles, system.residues))
         assert np.max(np.abs(a - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
 
@@ -276,7 +268,7 @@ def test_realised_error_within_tolerance_and_estimate(tol, rng):
         oracles = [np.array([[cmath.exp(2j * cmath.pi * b)]]), np.array([[cmath.exp(-2j * cmath.pi * b)]])]
         cases.append((system, build_loops(system, 3.0 + 0.0j), oracles, 3.0 + 0.0j))
     system, expected = diagonal_system(rng, p=3, n=3)
-    cases.append((system, build_loops(system), expected, None))
+    cases.append((system, build_loops(system, default_base_point(system.poles)), expected, None))
     for system, loops, oracles, base_point in cases:
         singly = [continue_solution(system, loop, tol=tol) for loop in loops]
         rep = monodromy(system, tol, base_point)

@@ -48,7 +48,7 @@ def mat(rows):
 class TestRationalMatrix:
     def test_identity_and_zero(self):
         eye = RationalMatrix.identity(2)
-        zero = RationalMatrix.zero(2)
+        zero = RationalMatrix([[RF_ZERO, RF_ZERO], [RF_ZERO, RF_ZERO]])
         assert eye @ eye == eye
         assert eye + zero == eye
         assert eye - eye == zero

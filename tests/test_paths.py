@@ -8,6 +8,7 @@ import pytest
 
 from conftest import SEED, sample_poles
 from fuchsia.errors import GeometryError, ValidationError
+from fuchsia.monodromy import monodromy
 from fuchsia.paths import (
     Arc,
     ContinuationPath,
@@ -103,14 +104,8 @@ def test_path_requires_contiguity():
         ContinuationPath((a, b), clearance=0.1)
 
 
-def test_trivial_path():
-    path = ContinuationPath.trivial(2.5 + 1.0j)
-    assert path.length == 0.0
-    assert path.start == path.end == 2.5 + 1.0j
-
-
 def test_empty_path_needs_anchor():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="at least one segment"):
         ContinuationPath((), clearance=1.0)
 
 
@@ -176,9 +171,9 @@ def test_build_loops_base_on_pole_rejected():
 
 
 def test_build_loops_default_base():
-    system = toy_system([0.0, 1.0])
-    loops = build_loops(system)
-    assert all(loop.start == 2.0 + 0j for loop in loops)
+    rep = monodromy(toy_system([0.0, 1.0]))
+    assert rep.base_point == 2.0 + 0j
+    assert all(loop.start == 2.0 + 0j for loop in rep.loops)
 
 
 def test_too_crowded_raises():
