@@ -8,6 +8,7 @@ equal inputs always produce byte-identical reports.  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import sys
 import warnings
 from dataclasses import dataclass
@@ -426,9 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: parsing leaves no state in it,
+    and each ``cmd_*`` looks up the functions it calls when it runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         outcome = args.func(args)
     except ValidationError as exc:

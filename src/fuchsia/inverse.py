@@ -210,7 +210,11 @@ def _linearise(instance: InverseProblemInstance, loops, residues, tol: float):
     The variational transfers have the block form [[T0, 0], [dT, I (x) T0]],
     so only their first block column e = [I; 0] is continued, every loop in
     one batch: per loop, the approach gives [T0; dT_k] and the circle
-    [C0; dC_k], each from e.  Then M_j = T0^-1 C0 T0 and
+    [C0; dC_k].  ``_continue_legs`` continues e along each piece of each
+    leg (no piece longer than its distance to the nearest pole) and
+    composes the pieces in the same block form, [T2 T1; dT2 T1 +
+    (I (x) T2) dT1], so n columns are continued throughout.  Then
+    M_j = T0^-1 C0 T0 and
     dM_j/dtheta_k = T0^-1 (dC_k T0 + C0 dT_k - dT_k M_j).
     Monodromy is holomorphic in the residues, so the column of Im theta is
     the real stacking of 1j * dM_j/dtheta next to the real stacking of

@@ -7,12 +7,18 @@ so the transfer of a concatenation gamma2 after gamma1 is T2 @ T1.
 
 Every pole loop is an approach, a circle, and the exact reverse of the
 approach; its transfer is T^-1 C T, so the approach is integrated once.
-The approach and the circle are the loop's two legs, and every leg of
-every loop advances in one batched step loop: each leg keeps its own arc
-length, step size and error control, and each attempted step evaluates A
-at the six stage points of all active legs in one call.  The kernel
-continues any (N, m) value, not only the identity: the inverse solver
-continues just the first block column of its variational system.
+The approach and the circle are the loop's two legs.  Every segment of a
+leg is halved until no piece is longer than its distance to the nearest
+pole (``paths.pieces``: a circle becomes 8 arcs, an approach line pieces
+that shrink toward the pole), and every piece of every leg of every loop
+is one row of a batched step loop.  The rows start together, each keeps
+its own arc length, step size and error control, and each attempted step
+evaluates A at the six stage points of all active rows in one call.  The
+system is linear, so a leg's transfer is the product of its pieces'
+transfers.  Each piece continues the first block column [I_m; 0] and the
+pieces compose in that form, [T2 T1; S2 T1 + (I (x) T2) S1]: with m = N
+that is the plain product, and the inverse solver continues just the
+first block column of its variational system.
 
 ``verify_theorem`` compares the monodromy around each pole against the
 exponential generator exp(2 pi i B_j) from one Jordan analysis of each:
@@ -48,6 +54,7 @@ from .paths import (
     default_base_point,
     frame,
     path_clearance_audit,
+    pieces,
 )
 from .system import TWO_PI_I, FuchsianSystem, is_non_resonant
 
@@ -98,56 +105,45 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bi,bi->b", parts, parts))
 
 
-def _integrate_legs(evaluate, legs, start: np.ndarray):
-    """Continue the (N, m) value ``start`` along every leg in one step loop.
+def _integrate_legs(evaluate, rows, start: np.ndarray):
+    """Continue the (N, m) value ``start`` along every row in one step loop.
 
-    A leg is ``(segments, rate)``: a chain of segments and the local error
-    it allows per unit arc length, scaled by max(1, |y|_F) at each step
-    (mixed absolute/relative control).  Returns the (legs, N, m) values at
-    the legs' ends and each leg's accumulated local error.
+    A row is ``(segment, rate)``: one segment and the local error it allows
+    per unit arc length, scaled by max(1, |y|_F) at each step (mixed
+    absolute/relative control).  Returns the (rows, N, m) values at the
+    rows' ends and each row's accumulated local error.
 
-    Every leg keeps its own arc length, step size and segment, so it takes
-    the steps it would take alone; only the arithmetic is shared.  Each
-    attempted step of the B active legs evaluates A at their 6B stage
-    points in one ``evaluate`` call (points -> (points, N, N) stack of A).
-    A leg's y sits in front of its stages, so each stage input is one
+    Every row keeps its own arc length, step size and error sum, so it
+    takes the steps it would take alone; only the arithmetic is shared.
+    All rows start together, with one ``evaluate`` call for their first
+    stage, and each attempted step of the B active rows evaluates A at
+    their 6B stage points in one call (points -> (points, N, N) stack of
+    A).  A row's y sits in front of its stages, so each stage input is one
     batched product of a tableau row (1 for y, then h-scaled) with
-    [y, stages].  Legs starting a segment share one call for their first
-    stage, and a leg past its last segment leaves the batch.  A non-finite
-    value or a collapsing step on any leg fails the whole call.
+    [y, stages].  A finished row leaves the batch.  A non-finite value or a
+    collapsing step on any row fails the whole call.
     """
-    count = len(legs)
+    count = len(rows)
     dimension = start.shape[0]
     ends = np.empty((count,) + start.shape, dtype=complex)
     errors = np.zeros(count)
-    chains = [segments for segments, _ in legs]
-    ids = np.arange(count)  # the leg each batch row advances
-    position = np.zeros(count, dtype=int)  # the row's segment within its leg
-    rate = np.array([r for _, r in legs], dtype=float)
-    coefficients = np.empty((count, 4), dtype=complex)
-    length = np.empty(count)
+    ids = np.arange(count)  # the row each batch entry advances
+    rate = np.array([r for _, r in rows], dtype=float)
+    coefficients = np.array([segment.coefficients for segment, _ in rows], dtype=complex)
+    length = np.array([segment.length for segment, _ in rows])
     s = np.zeros(count)
-    h = np.empty(count)
     accumulated = np.zeros(count)
     stages = np.empty((count, 8) + start.shape, dtype=complex)  # y, then the 7 stages
     stages[:, 0] = start
     weights = np.ones((count, 6, 7), dtype=complex)  # column 0 weighs y
-    loading = ids  # the rows starting a segment
+    z, v = frame(coefficients, s[:, None])
+    stages[:, 1] = v[:, :, None] * (evaluate(z.ravel()) @ start)
+    h = np.minimum(length, 0.1 / (1.0 + _norms(stages[:, 1])))
     while ids.size:
-        if len(loading):
-            for row in loading:
-                segment = chains[ids[row]][position[row]]
-                coefficients[row] = segment.coefficients
-                length[row] = segment.length
-            s[loading] = 0.0
-            z, v = frame(coefficients[loading], np.zeros((loading.size, 1)))
-            first = v[:, :, None] * (evaluate(z.ravel()) @ stages[loading, 0])
-            stages[loading, 1] = first
-            h[loading] = np.minimum(length[loading], 0.1 / (1.0 + _norms(first)))
         np.minimum(h, length - s, out=h)
         z, v = frame(coefficients, s[:, None] + h[:, None] * _DP_C)
-        # Scaled in place: a second (6B, N, N) array per step made malloc
-        # return and refault its heap pages, a varying number of times a run.
+        # Scaled in place, and dropped before the next call: a second
+        # (6B, N, N) array made malloc return and refault its heap pages.
         slopes = evaluate(z.ravel()).reshape(v.shape + (dimension, dimension))
         slopes *= v[:, :, None, None]
         np.multiply(h[:, None, None], _DP_A, out=weights[:, :, 1:])
@@ -156,6 +152,7 @@ def _integrate_legs(evaluate, legs, start: np.ndarray):
         for i in range(6):
             trial = (weights[:, i : i + 1, : i + 2] @ flat[:, : i + 2]).reshape(shape)
             np.matmul(slopes[:, i], trial, out=stages[:, i + 2])
+        del slopes
         err = h * _norms(_DP_ERR @ flat[:, 1:])
         size = _norms(trial)
         # A finite Frobenius norm means every entry is finite, and so does a
@@ -179,18 +176,31 @@ def _integrate_legs(evaluate, legs, start: np.ndarray):
                     f"step size collapsed at arc length {s[row]:.6g} of {length[row]:.6g}"
                 )
         if ended.any():
-            position += ended
-            done = ended & (position == [len(chains[leg]) for leg in ids])
-            ends[ids[done]] = stages[done, 0]
-            errors[ids[done]] = accumulated[done]
-            keep = ~done
-            ids, position, rate, coefficients, length, s, h, accumulated, stages, weights = (
-                a[keep] for a in (ids, position, rate, coefficients, length, s, h, accumulated, stages, weights)
+            ends[ids[ended]] = stages[ended, 0]
+            errors[ids[ended]] = accumulated[ended]
+            keep = ~ended
+            ids, rate, coefficients, length, s, h, accumulated, stages, weights = (
+                a[keep] for a in (ids, rate, coefficients, length, s, h, accumulated, stages, weights)
             )
-            loading = np.flatnonzero(ended[keep])
-        else:
-            loading = ()
     return ends, errors
+
+
+def _compose(columns: np.ndarray) -> np.ndarray:
+    """First block column of the transfer Phi_k ... Phi_1 from those of its factors.
+
+    ``columns`` holds each factor's (N, m) first block column [T; S], Phi_1
+    first: T is its top m x m block and S the rest, read as m x m blocks.
+    For transfers of the form [[T, 0], [S, I (x) T]], which is every
+    transfer when m = N and every variational transfer of ``inverse``,
+    Phi2 Phi1 has the first block column [T2 T1; S2 T1 + (I (x) T2) S1].
+    """
+    m = columns.shape[2]
+    t, s = columns[0, :m], columns[0, m:].reshape(-1, m, m)
+    for column in columns[1:]:
+        t2, s2 = column[:m], column[m:].reshape(-1, m, m)
+        s = s2 @ t + t2 @ s
+        t = t2 @ t
+    return np.concatenate([t, s.reshape(-1, m)])
 
 
 def _loop_transfer(legs) -> np.ndarray:
@@ -202,17 +212,24 @@ def _loop_transfer(legs) -> np.ndarray:
 
 
 def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float):
-    """Continue the (N, m) value ``start`` along every path in one batch.
+    """Continue the first block column ``start`` = [I_m; 0] along every path in one batch.
 
     Returns one ``(legs, error_estimate)`` per path.  Every path is audited
     against the system's poles first.  A path whose tail is, segment by
     segment, the exact reverse of its head around one middle segment (every
-    pole loop) gives two legs, each continued from ``start``: T @ start
-    along the head and C @ start around the middle, with the head's error
-    counted twice.  Any other path gives the one leg Y @ start.  Each leg
-    allows ``tol / path.length`` of local error per unit arc length,
-    the estimate is ten times its accumulated local error, and all legs of
-    all paths advance in one ``_integrate_legs`` step loop.
+    pole loop) gives two legs: T @ start along the head and C @ start
+    around the middle, with the head's error counted twice.  Any other path
+    gives the one leg Y @ start.
+
+    Every segment of every leg is split by ``paths.pieces`` until no piece
+    is longer than its distance to the nearest pole, and every piece is a
+    row of one ``_integrate_legs`` batch, continued from ``start`` at its
+    path's rate ``tol / path.length``.  A leg's value is its pieces' first
+    block columns composed in order by ``_compose``, and its error the sum
+    of its pieces' local errors; the estimate is ten times the weighted sum
+    over the legs.  The composition holds for a system whose transfer that
+    column determines: every system when m = N, and the variational systems
+    of ``inverse``.  The package passes no other start.
     """
     for path in paths:
         audited = path_clearance_audit(path, system.poles)
@@ -223,25 +240,30 @@ def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float)
             )
     evaluate = coefficient_function(system)
     check_tolerance(tol, "integration tolerance")
-    legs = []
+    rows = []
+    chains = []  # per leg: its rows
     plans = []  # per path: its first leg, and each of its legs' weight in the estimate
     for path in paths:
-        length = path.length
+        rate = tol / path.length
         segments = path.segments
         half = len(segments) // 2
         head, middle, tail = segments[:half], segments[half:half + 1], segments[half + 1:]
         if head and tail == tuple(seg.reversed() for seg in reversed(head)):
-            plans.append((len(legs), (2.0, 1.0)))
-            legs += [(head, tol / length), (middle, tol / length)]
+            plans.append((len(chains), (2.0, 1.0)))
+            legs = (head, middle)
         else:
-            plans.append((len(legs), (1.0,)))
-            legs.append((segments, tol / length))
-    ends, errors = _integrate_legs(evaluate, legs, start)
+            plans.append((len(chains), (1.0,)))
+            legs = (segments,)
+        for leg in legs:
+            first = len(rows)
+            rows += [(piece, rate) for segment in leg for piece in pieces(segment, system.poles)]
+            chains.append(slice(first, len(rows)))
+    ends, errors = _integrate_legs(evaluate, rows, start)
+    values = [_compose(ends[chain]) for chain in chains]
     results = []
     for first, weights in plans:
-        last = first + len(weights)
-        estimate = 10.0 * sum(w * float(e) for w, e in zip(weights, errors[first:last]))
-        results.append((tuple(ends[first:last]), estimate))
+        estimate = 10.0 * sum(w * float(errors[chain].sum()) for w, chain in zip(weights, chains[first:]))
+        results.append((tuple(values[first:first + len(weights)]), estimate))
     return results
 
 
@@ -250,18 +272,21 @@ def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEF
 
     ``rhs`` is any callable z -> matrix; no pole bookkeeping happens here.
     It is called point by point at every stage point, by the same step
-    loop as ``continue_solution``, with the path as one leg integrated
-    straight through, segment by segment.  Returns
-    ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start), the
-    estimate being ten times the accumulated local error.
+    loop as ``continue_solution``.  With no poles to measure against, no
+    segment is split: each segment of the path is one row from the
+    identity, the rows advance side by side at the rate
+    ``tol / path.length``, and the transfer is the product of theirs.
+    Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start),
+    the estimate being ten times the accumulated local error.
     """
     def evaluate(points):
         return np.array([rhs(complex(z)) for z in points], dtype=complex)
 
     check_tolerance(tol, "integration tolerance")
     eye = np.eye(dimension, dtype=complex)
-    ends, errors = _integrate_legs(evaluate, [(path.segments, tol / path.length)], eye)
-    return ends[0], 10.0 * float(errors[0])
+    rate = tol / path.length
+    ends, errors = _integrate_legs(evaluate, [(segment, rate) for segment in path.segments], eye)
+    return _compose(ends), 10.0 * float(errors.sum())
 
 
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
@@ -272,8 +297,10 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     against the system's poles before any integration, the integrator keeps
     the local error per unit arc length below ``tol / path.length``, and
     the estimate is ten times the accumulated local error.  A pole loop is
-    integrated as head T and middle C only, each from the identity, giving
-    T^-1 C T with the head's error counted twice.
+    integrated as head T and middle C only, each the product of its
+    pieces' transfers (no piece longer than its distance to the nearest
+    pole, all continued side by side from the identity), giving T^-1 C T
+    with the head's error counted twice.
     """
     [(legs, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
     return _loop_transfer(legs), err

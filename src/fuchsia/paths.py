@@ -62,6 +62,11 @@ class Line:
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
 
+    def halves(self) -> tuple["Line", "Line"]:
+        """The two lines that meet at the midpoint."""
+        middle = (self.start + self.end) / 2.0
+        return Line(self.start, middle), Line(middle, self.end)
+
     def min_distance_to(self, w: complex) -> float:
         d = self.end - self.start
         length = abs(d)
@@ -139,6 +144,14 @@ class Arc:
             )
         return Arc(self.center, self.radius, self.angle_end, self.angle_start)
 
+    def halves(self) -> tuple["Arc", "Arc"]:
+        """The two arcs that meet at the middle angle; neither is closed."""
+        middle = (self.angle_start + self.angle_end) / 2.0
+        return (
+            Arc(self.center, self.radius, self.angle_start, middle),
+            Arc(self.center, self.radius, middle, self.angle_end),
+        )
+
     def min_distance_to(self, w: complex) -> float:
         rel = w - self.center
         dist = abs(rel)
@@ -157,6 +170,27 @@ class Arc:
 
 
 Segment = Line | Arc
+
+
+def pieces(segment: Segment, poles) -> list[Segment]:
+    """``segment`` halved until no piece is longer than its distance to the nearest pole.
+
+    Each halving splits a line at its midpoint and an arc at its middle
+    angle, and a piece short enough stays whole, so the pieces run end to
+    end along the segment.  A full circle around its own pole becomes 8
+    arcs of pi/4, and a line ending near a pole becomes pieces that shrink
+    geometrically toward it.  With no poles the segment stays whole.  The
+    segment must keep a positive distance from every pole.
+    """
+    distance = min((segment.min_distance_to(a) for a in poles), default=math.inf)
+    if segment.length <= distance:
+        return [segment]
+    # A half lies on the segment, so it is at least as far from every pole.
+    return [
+        piece
+        for half in segment.halves()
+        for piece in ([half] if half.length <= distance else pieces(half, poles))
+    ]
 
 
 def frame(coefficients: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -115,6 +115,20 @@ class TestCheck:
         assert main(["galois", scalar_system_path, "--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_calls_in_a_row_share_no_state(self, scalar_system_path, tmp_path, capsys):
+        """The parser is built once per process: neither an exit code nor
+        --quiet, before or after the subcommand, carries over to the next call."""
+        missing = str(tmp_path / "missing.json")
+        for quiet_first, quiet_after in (([], ["--quiet"]), (["--quiet"], []), ([], [])):
+            assert main(quiet_first + ["check", missing] + quiet_after) == 2
+            assert capsys.readouterr().out == ""
+            assert main(["galois", scalar_system_path]) == 0
+            assert "exp(2 pi i B" in capsys.readouterr().out
+            assert main(["check", scalar_system_path] + quiet_after) == 0
+            assert (capsys.readouterr().out == "") == bool(quiet_after)
+            assert main(quiet_first + ["galois", scalar_system_path]) == 0
+            assert (capsys.readouterr().out == "") == bool(quiet_first)
+
 
 SMALL_SYSTEM = validate_system([0.0, 1.0], [np.array([[0.03]]), np.array([[-0.03]])]).to_dict()
 

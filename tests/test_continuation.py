@@ -1,6 +1,7 @@
 """Analytic continuation: transfer matrices against closed-form oracles."""
 
 import cmath
+import importlib
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from fuchsia.errors import (
     StepSizeUnderflowError,
     ValidationError,
 )
+from fuchsia.inverse import _SENSITIVITY_SCALE, _variational_residues
 from fuchsia.monodromy import (
     _continue_legs,
     _integrate_legs,
@@ -155,34 +157,50 @@ def test_loop_factorisation_matches_separate_legs():
 
 @pytest.mark.parametrize("columns", [1, 3])
 def test_block_start_continues_to_transfer_times_start(columns):
-    """Continuing an (N, m) value gives each leg's transfer matrix times it,
-    on a loop with detours (two legs) and on its open half (one leg)."""
-    system = collinear_generic_system()
-    start = np.array([[1.0 + 0.5j, -0.25j, 2.0], [0.5, 1.0, -1.0 + 1.0j]])[:, :columns]
-    eye = np.eye(2, dtype=complex)
-    loop = build_loops(system, default_base_point(system.poles))[0]
+    """The start [I_m; 0] continues to the first block column of each leg's
+    transfer, on the variational system of an m x m system on the poles 0
+    and 1 from the base point 2: on the loop around 0, which detours around
+    1 (two legs), and on its open half (one leg).  The sensitivity blocks
+    ride at ``_SENSITIVITY_SCALE``, so they are also compared with that
+    scale divided out."""
+    rng = np.random.default_rng(columns)
+    b = 0.1 * (rng.standard_normal((columns, columns)) + 1j * rng.standard_normal((columns, columns)))
+    system = validate_system([0.0, 1.0], _variational_residues([b, -b]))
+    assert system.dimension == (columns * columns + 1) * columns
+    start = np.eye(system.dimension, columns, dtype=complex)
+    eye = np.eye(system.dimension, dtype=complex)
+    loop = build_loops(system, 2.0 + 0.0j)[0]
+    assert Arc in {type(seg) for seg in loop.segments[: len(loop.segments) // 2]}
     open_path = ContinuationPath(loop.segments[: len(loop.segments) // 2 + 1], clearance=loop.clearance)
     for path, count in ((loop, 2), (open_path, 1)):
         [(transfers, _)] = _continue_legs(system, (path,), eye, 1e-11)
         [(legs, _)] = _continue_legs(system, (path,), start, 1e-11)
         assert len(legs) == len(transfers) == count
         for leg, transfer in zip(legs, transfers):
-            assert leg.shape == (2, columns)
-            assert np.linalg.norm(leg - transfer @ start) < 1e-9
+            assert leg.shape == (system.dimension, columns)
+            assert np.linalg.norm(leg - transfer[:, :columns]) < 1e-9
+            sensitivities = (leg - transfer[:, :columns])[columns:] / _SENSITIVITY_SCALE
+            assert np.linalg.norm(sensitivities) < 1e-6
 
 
-def five_pole_generic_system():
-    """Fixed non-commuting 2x2 system on 0, 1, 2, 3 and 1.5 + 1.5i.
+def five_pole_generic_system(dimension=2):
+    """Fixed non-commuting system on 0, 1, 2, 3 and 1.5 + 1.5i.
 
-    From the default base point the loops' approaches hold 7, 5, 3, 1 and
-    1 segments (lines and partial detour arcs), each around a full circle.
+    The 2x2 residues are written out; the 3x3 ones are a seeded draw.  From
+    the default base point the loops' approaches hold 7, 5, 3, 1 and 1
+    segments (lines and partial detour arcs), each around a full circle.
     """
-    residues = [
-        np.array([[0.1 + 0.05j, 0.2], [-0.1j, -0.15]]),
-        np.array([[-0.05, 0.1j], [0.15, 0.2 - 0.1j]]),
-        np.array([[0.12, -0.08], [0.05j, 0.02]]),
-        np.array([[-0.1j, 0.05], [0.1, 0.07 + 0.03j]]),
-    ]
+    if dimension == 2:
+        residues = [
+            np.array([[0.1 + 0.05j, 0.2], [-0.1j, -0.15]]),
+            np.array([[-0.05, 0.1j], [0.15, 0.2 - 0.1j]]),
+            np.array([[0.12, -0.08], [0.05j, 0.02]]),
+            np.array([[-0.1j, 0.05], [0.1, 0.07 + 0.03j]]),
+        ]
+    else:
+        rng = np.random.default_rng(dimension)
+        shape = (4, dimension, dimension)
+        residues = list(0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
     residues.append(-sum(residues))
     return validate_system([0.0, 1.0, 2.0, 3.0, 1.5 + 1.5j], residues)
 
@@ -192,33 +210,52 @@ def test_batch_equals_each_path_alone(columns):
     """Every leg continued in one batch equals the same leg continued alone.
 
     The batch holds the five loops (legs of 1-7 segments: lines, partial
-    arcs and full circles, each path at its own rate) and a short line that
-    finishes long before the others; the start is the identity or a 2x3
-    block.
+    arcs and full circles, each path at its own rate, split into pieces)
+    and a short line that finishes long before the others; the start is
+    the identity of the 2x2 or the 3x3 system.
     """
-    system = five_pole_generic_system()
+    system = five_pole_generic_system(columns)
     loops = build_loops(system, default_base_point(system.poles))
     assert sorted(len(loop.segments) // 2 for loop in loops) == [1, 1, 3, 5, 7]
     assert {type(seg) for loop in loops for seg in loop.segments} == {Line, Arc}
     short = ContinuationPath((Line(5.0 + 0.0j, 5.0 + 0.1j),), clearance=1.0)
     paths = loops + [short]
-    block = np.array([[1.0 + 0.5j, -0.25j, 2.0], [0.5, 1.0, -1.0 + 1.0j]])
-    start = np.eye(2, dtype=complex) if columns == 2 else block
+    start = np.eye(columns, dtype=complex)
     batch = _continue_legs(system, paths, start, 1e-9)
     assert [len(legs) for legs, _ in batch] == [2] * len(loops) + [1]
     for path, (legs, estimate) in zip(paths, batch):
         [(alone, alone_estimate)] = _continue_legs(system, (path,), start, 1e-9)
         for leg, reference in zip(legs, alone, strict=True):
-            assert leg.shape == (2, columns)
+            assert leg.shape == (columns, columns)
             assert np.max(np.abs(leg - reference)) <= 1e-10
         assert estimate == pytest.approx(alone_estimate, rel=1e-6)
 
 
+def test_monodromy_evaluator_calls(monkeypatch):
+    """All pieces of all loops advance side by side: monodromy of the
+    five-pole system makes few batched evaluator calls (359 when each loop
+    leg ran whole)."""
+    calls = []
+
+    def counting(system):
+        evaluate = coefficient_function(system)
+
+        def counted(points):
+            calls.append(len(points))
+            return evaluate(points)
+
+        return counted
+
+    # The package attribute ``fuchsia.monodromy`` is a function, so the module comes from importlib.
+    monkeypatch.setattr(importlib.import_module("fuchsia.monodromy"), "coefficient_function", counting)
+    rep = monodromy(five_pole_generic_system())
+    assert rep.product_defect <= 1e-9
+    assert 0 < len(calls) <= 60
+
+
 def stub_legs():
-    """Two one-line legs for the kernel: a calm one near 0, and one on Re z > 10."""
-    calm = (Line(0.0, 1.0),)
-    far = (Line(20.0 + 0.0j, 20.0 + 1.0j),)
-    return [(calm, 1e-9), (far, 1e-9)]
+    """Two one-line rows for the kernel: a calm one near 0, and one on Re z > 10."""
+    return [(Line(0.0, 1.0), 1e-9), (Line(20.0 + 0.0j, 20.0 + 1.0j), 1e-9)]
 
 
 def test_non_finite_on_one_leg_fails_the_batch():

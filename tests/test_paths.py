@@ -20,6 +20,7 @@ from fuchsia.paths import (
     frame,
     loop_radii,
     path_clearance_audit,
+    pieces,
 )
 from fuchsia.system import validate_system
 
@@ -227,3 +228,50 @@ def test_loops_stay_outside_foreign_circles():
                 if q == j:
                     continue
                 assert loop.min_distance_to(a) > radii[q]
+
+
+def piece_layouts():
+    """Loops of a collinear row (approaches with detour arcs) and a random disk."""
+    rng = np.random.default_rng(SEED)
+    for poles in ([-1.0 + 0j, 0.0 + 0j, 1.0 + 0j], sample_poles(rng, 5)):
+        yield poles, build_loops(toy_system(poles), default_base_point(poles))
+
+
+def test_pieces_are_no_longer_than_their_pole_distance():
+    count = 0
+    for poles, loops in piece_layouts():
+        for segment in (seg for loop in loops for seg in loop.segments):
+            for piece in pieces(segment, poles):
+                assert piece.length <= min(piece.min_distance_to(a) for a in poles)
+                count += 1
+    assert count > 100
+
+
+def test_pieces_join_end_to_end():
+    """Each piece starts where the one before ends; the last ends where the
+    segment does (a full circle only to rounding, at angle_start + 2 pi)."""
+    for poles, loops in piece_layouts():
+        for segment in (seg for loop in loops for seg in loop.segments):
+            split = pieces(segment, poles)
+            assert split[0].start == segment.start
+            for before, after in zip(split, split[1:]):
+                assert before.end == after.start
+            assert abs(split[-1].end - segment.end) <= 1e-12
+            assert math.fsum(piece.length for piece in split) == pytest.approx(segment.length, abs=1e-12)
+
+
+def test_full_circle_splits_into_eight_arcs():
+    circle = Arc(0.0 + 0j, 0.4, math.pi, 3.0 * math.pi, closed=True)
+    split = pieces(circle, [0.0 + 0j, 1.0 + 0j])
+    assert len(split) == 8
+    assert all(piece.span == pytest.approx(math.pi / 4.0) for piece in split)
+
+
+def test_pieces_without_poles_keep_the_segment():
+    segment = Line(0.0 + 0j, 100.0 + 0j)
+    assert pieces(segment, []) == [segment]
+
+
+def test_approach_pieces_shrink_toward_the_pole():
+    split = pieces(Line(3.0 + 0j, 0.4 + 0j), [0.0 + 0j])
+    assert [piece.length for piece in split] == pytest.approx([1.3, 0.65, 0.325, 0.325])
