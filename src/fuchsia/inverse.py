@@ -10,6 +10,7 @@ Fuchsian system.  At a Gauss-Newton point, one continuation per loop of the
 first block column [I; 0] of its transfer gives M_j and the Jacobian
 together: the approach and the circle, each continued from that column,
 combine in n x n algebra, and all loops of the point run in one batch.
+The loops are cut into pieces once per solve.
 The derivatives ride at 2**-30 scale, so the step controller measures Y
 alone.  Steps come from a least-squares solve and are halved until the
 residual decreases.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_square_matrix, check_tolerance
-from .monodromy import DEFAULT_INTEGRATION_TOL, _continue_legs, _product_defect
+from .monodromy import DEFAULT_INTEGRATION_TOL, _continue_cut, _cut_paths, _product_defect
 from .monodromy import continue_solution  # noqa: F401 - perfbench/spans.py traces this name here
 from .paths import build_loops, composition_order, default_base_point
 from .system import TWO_PI_I, PoleResonance, is_non_resonant, validate_poles, validate_system
@@ -204,15 +205,17 @@ def _variational_residues(residues) -> list[np.ndarray]:
     return stacked
 
 
-def _linearise(instance: InverseProblemInstance, loops, residues, tol: float):
+def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     """Monodromy matrices and the exact Jacobian of the stacked real residual.
 
     The variational transfers have the block form [[T0, 0], [dT, I (x) T0]],
     so only their first block column e = [I; 0] is continued, every loop in
     one batch: per loop, the approach gives [T0; dT_k] and the circle
-    [C0; dC_k].  ``_continue_legs`` continues e along each piece of each
-    leg (no piece longer than its distance to the nearest pole) and
-    composes the pieces in the same block form, [T2 T1; dT2 T1 +
+    [C0; dC_k].  ``cut`` is the loops as ``monodromy._cut_paths`` cuts
+    them against the instance's poles, and ``_continue_cut`` continues e
+    along each piece of each leg, every piece within an equal share of
+    ``tol`` (so each loop's estimate is at most 10 tol max(1, |Y|_F)),
+    and composes the pieces in the same block form, [T2 T1; dT2 T1 +
     (I (x) T2) dT1], so n columns are continued throughout.  Then
     M_j = T0^-1 C0 T0 and
     dM_j/dtheta_k = T0^-1 (dC_k T0 + C0 dT_k - dT_k M_j).
@@ -225,7 +228,7 @@ def _linearise(instance: InverseProblemInstance, loops, residues, tol: float):
     start = np.eye(system.dimension, dim, dtype=complex)
     computed = []
     derivatives = []
-    for (approach, turn), _ in _continue_legs(system, loops, start, tol):
+    for (approach, turn), _ in _continue_cut(system, cut, start, tol):
         t0, dt = approach[:dim], approach[dim:].reshape(-1, dim, dim)
         c0, dc = turn[:dim], turn[dim:].reshape(-1, dim, dim)
         m = np.linalg.solve(t0, c0 @ t0)
@@ -248,10 +251,11 @@ def solve(
 
     Starts from the first-order seed and iterates damped Gauss-Newton on
     the stacked real residual until ``max_j |M_hat_j - M_j|_F <= tol`` or
-    ``max_iter`` iterations pass.  The seed and each line-search trial get
-    M_j and the exact Jacobian from one continuation per loop, at
-    ``integration_tol``, of the first block column of the variational
-    system, and an accepted trial's Jacobian gives the next step.
+    ``max_iter`` iterations pass.  The loops are built and cut into pieces
+    once.  The seed and each line-search trial get M_j and the exact
+    Jacobian from one continuation per loop, at ``integration_tol``, of the
+    first block column of the variational system, and an accepted trial's
+    Jacobian gives the next step.
     Returns the best iterate either way with ``converged`` reporting which
     case occurred; the resonance status of the returned system is evaluated
     and included.
@@ -262,10 +266,10 @@ def solve(
     dim = instance.dimension
     count = len(instance.poles)
     seed = first_order_seed(instance)
-    loops = build_loops(validate_system(instance.poles, seed), instance.base_point)
+    cut = _cut_paths(instance.poles, build_loops(validate_system(instance.poles, seed), instance.base_point))
 
     x = _pack(seed)
-    computed, jacobian = _linearise(instance, loops, _unpack(x, count, dim), integration_tol)
+    computed, jacobian = _linearise(instance, cut, _unpack(x, count, dim), integration_tol)
     metric = _residual_metric(computed, instance.targets)
     residual = _residual_vector(computed, instance.targets)
     iterations = 0
@@ -279,7 +283,7 @@ def solve(
         while alpha > 1e-6:
             trial_x = x + alpha * step
             computed, trial_jacobian = _linearise(
-                instance, loops, _unpack(trial_x, count, dim), integration_tol
+                instance, cut, _unpack(trial_x, count, dim), integration_tol
             )
             trial_residual = _residual_vector(computed, instance.targets)
             if float(np.linalg.norm(trial_residual)) < base_norm:

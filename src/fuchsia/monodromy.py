@@ -13,9 +13,13 @@ pole (``paths.pieces``: a circle becomes 8 arcs, an approach line pieces
 that shrink toward the pole), and every piece of every leg of every loop
 is one row of a batched step loop.  The rows start together, each keeps
 its own arc length, step size and error control, and each attempted step
-evaluates A at the six stage points of all active rows in one call.  The
-system is linear, so a leg's transfer is the product of its pieces'
-transfers.  Each piece continues the first block column [I_m; 0] and the
+evaluates A at the six stage points of all active rows in one call.  A
+loop of K pieces, its head's pieces counted twice, gives every piece an
+equal share tol / K of local error, so the rows take about the same
+number of steps, and the estimate, ten times the head's error twice plus
+the middle's, stays at most 10 tol max(1, |Y|_F).  The system is
+linear, so a leg's transfer is the product of its pieces' transfers.
+Each piece continues the first block column [I_m; 0] and the
 pieces compose in that form, [T2 T1; S2 T1 + (I (x) T2) S1]: with m = N
 that is the plain product, and the inverse solver continues just the
 first block column of its variational system.
@@ -110,8 +114,10 @@ def _integrate_legs(evaluate, rows, start: np.ndarray):
 
     A row is ``(segment, rate)``: one segment and the local error it allows
     per unit arc length, scaled by max(1, |y|_F) at each step (mixed
-    absolute/relative control).  Returns the (rows, N, m) values at the
-    rows' ends and each row's accumulated local error.
+    absolute/relative control).  ``_rows`` sets the rate to a row's share
+    of the tolerance over its length, so a row's accumulated error stays
+    within its share times max(1, |y|_F).  Returns the (rows, N, m)
+    values at the rows' ends and each row's accumulated local error.
 
     Every row keeps its own arc length, step size and error sum, so it
     takes the steps it would take alone; only the arithmetic is shared.
@@ -211,60 +217,85 @@ def _loop_transfer(legs) -> np.ndarray:
     return legs[0]
 
 
-def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float):
-    """Continue the first block column ``start`` = [I_m; 0] along every path in one batch.
+def _rows(segments, budget: float):
+    """One kernel row per segment, each allowed ``budget`` of local error over its whole length."""
+    return [(segment, budget / segment.length) for segment in segments]
 
-    Returns one ``(legs, error_estimate)`` per path.  Every path is audited
-    against the system's poles first.  A path whose tail is, segment by
-    segment, the exact reverse of its head around one middle segment (every
-    pole loop) gives two legs: T @ start along the head and C @ start
-    around the middle, with the head's error counted twice.  Any other path
-    gives the one leg Y @ start.
 
-    Every segment of every leg is split by ``paths.pieces`` until no piece
-    is longer than its distance to the nearest pole, and every piece is a
-    row of one ``_integrate_legs`` batch, continued from ``start`` at its
-    path's rate ``tol / path.length``.  A leg's value is its pieces' first
-    block columns composed in order by ``_compose``, and its error the sum
-    of its pieces' local errors; the estimate is ten times the weighted sum
-    over the legs.  The composition holds for a system whose transfer that
-    column determines: every system when m = N, and the variational systems
-    of ``inverse``.  The package passes no other start.
+def _cut_paths(poles, paths):
+    """Audit every path against ``poles`` and cut it into legs of pieces.
+
+    Returns one ``(legs, weights)`` per path: each leg a tuple of pieces,
+    and each leg's weight in the path's error estimate.  A path whose tail
+    is, segment by segment, the exact reverse of its head around one
+    middle segment (every pole loop) gives two legs, the head and the
+    middle, weighted 2 and 1: the head's error counts twice.  Any other
+    path gives the one leg of all its segments, weighted 1.  Every segment
+    is split by ``paths.pieces`` until no piece is longer than its
+    distance to the nearest pole.  The cut depends on the poles alone, so
+    the systems of one Gauss-Newton solve share it.
     """
+    cut = []
     for path in paths:
-        audited = path_clearance_audit(path, system.poles)
+        audited = path_clearance_audit(path, poles)
         if audited < path.clearance * (1.0 - 1e-9):
             raise ValidationError(
                 f"path passes within {audited:.3e} of a pole, closer than its "
                 f"stated clearance {path.clearance:.3e}"
             )
-    evaluate = coefficient_function(system)
-    check_tolerance(tol, "integration tolerance")
-    rows = []
-    chains = []  # per leg: its rows
-    plans = []  # per path: its first leg, and each of its legs' weight in the estimate
-    for path in paths:
-        rate = tol / path.length
         segments = path.segments
         half = len(segments) // 2
         head, middle, tail = segments[:half], segments[half:half + 1], segments[half + 1:]
         if head and tail == tuple(seg.reversed() for seg in reversed(head)):
-            plans.append((len(chains), (2.0, 1.0)))
-            legs = (head, middle)
+            legs, weights = (head, middle), (2.0, 1.0)
         else:
-            plans.append((len(chains), (1.0,)))
-            legs = (segments,)
+            legs, weights = (segments,), (1.0,)
+        cut.append((tuple(tuple(p for seg in leg for p in pieces(seg, poles)) for leg in legs), weights))
+    return tuple(cut)
+
+
+def _continue_cut(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
+    """Continue the first block column ``start`` = [I_m; 0] along every leg of a cut in one batch.
+
+    Returns one ``(legs, error_estimate)`` per path of ``_cut_paths``: for
+    a loop T @ start along the head and C @ start around the middle, for
+    any other path Y @ start.  Every piece is a row of one
+    ``_integrate_legs`` batch, continued from ``start``.  A path of K
+    weighted pieces (K = 2 head pieces + middle pieces for a loop, the
+    piece count otherwise) gives each piece an equal share ``tol / K`` of
+    local error over its length, so every row takes about the same number
+    of steps whatever the scale of its piece.  A leg's value is its
+    pieces' first block columns composed in order by ``_compose``, and its
+    error the sum of its pieces' local errors; the estimate is ten times
+    the weighted sum over the legs, so it is at most
+    10 tol max(1, |y|_F) over the path's steps.  The composition holds for
+    a system whose transfer that column determines: every system when
+    m = N, and the variational systems of ``inverse``.  The package passes
+    no other start.
+    """
+    check_tolerance(tol, "integration tolerance")
+    rows = []
+    plans = []  # per path: each leg's rows, and the legs' weights
+    for legs, weights in cut:
+        budget = tol / sum(w * len(leg) for w, leg in zip(weights, legs))
+        chains = []
         for leg in legs:
-            first = len(rows)
-            rows += [(piece, rate) for segment in leg for piece in pieces(segment, system.poles)]
-            chains.append(slice(first, len(rows)))
-    ends, errors = _integrate_legs(evaluate, rows, start)
-    values = [_compose(ends[chain]) for chain in chains]
-    results = []
-    for first, weights in plans:
-        estimate = 10.0 * sum(w * float(errors[chain].sum()) for w, chain in zip(weights, chains[first:]))
-        results.append((tuple(values[first:first + len(weights)]), estimate))
-    return results
+            chains.append(slice(len(rows), len(rows) + len(leg)))
+            rows += _rows(leg, budget)
+        plans.append((chains, weights))
+    ends, errors = _integrate_legs(coefficient_function(system), rows, start)
+    return [
+        (
+            tuple(_compose(ends[chain]) for chain in chains),
+            10.0 * sum(w * float(errors[chain].sum()) for w, chain in zip(weights, chains)),
+        )
+        for chains, weights in plans
+    ]
+
+
+def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float):
+    """``_continue_cut`` of ``paths`` cut against the system's poles."""
+    return _continue_cut(system, _cut_paths(system.poles, paths), start, tol)
 
 
 def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEFAULT_INTEGRATION_TOL):
@@ -274,18 +305,18 @@ def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEF
     It is called point by point at every stage point, by the same step
     loop as ``continue_solution``.  With no poles to measure against, no
     segment is split: each segment of the path is one row from the
-    identity, the rows advance side by side at the rate
-    ``tol / path.length``, and the transfer is the product of theirs.
-    Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start),
-    the estimate being ten times the accumulated local error.
+    identity with an equal share ``tol / len(path.segments)`` of local
+    error, the rows advance side by side, and the transfer is the product
+    of theirs.  Returns ``(transfer, error_estimate)`` with
+    Y(end) = transfer @ Y(start), the estimate being ten times the
+    accumulated local error, at most 10 tol max(1, |Y|_F).
     """
     def evaluate(points):
         return np.array([rhs(complex(z)) for z in points], dtype=complex)
 
     check_tolerance(tol, "integration tolerance")
     eye = np.eye(dimension, dtype=complex)
-    rate = tol / path.length
-    ends, errors = _integrate_legs(evaluate, [(segment, rate) for segment in path.segments], eye)
+    ends, errors = _integrate_legs(evaluate, _rows(path.segments, tol / len(path.segments)), eye)
     return _compose(ends), 10.0 * float(errors.sum())
 
 
@@ -294,13 +325,14 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
 
     Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start).
     The path is a batch of one for ``_continue_legs``: it is audited
-    against the system's poles before any integration, the integrator keeps
-    the local error per unit arc length below ``tol / path.length``, and
-    the estimate is ten times the accumulated local error.  A pole loop is
-    integrated as head T and middle C only, each the product of its
-    pieces' transfers (no piece longer than its distance to the nearest
-    pole, all continued side by side from the identity), giving T^-1 C T
-    with the head's error counted twice.
+    against the system's poles before any integration and cut into pieces
+    (no piece longer than its distance to the nearest pole), all continued
+    side by side from the identity.  A pole loop is integrated as head T
+    and middle C only, each the product of its pieces' transfers, giving
+    T^-1 C T with the head's error counted twice.  Each of the path's K
+    pieces (the head's counted twice) keeps its local error within an
+    equal share tol / K, and the estimate, ten times the accumulated local
+    error, is at most 10 tol max(1, |Y|_F).
     """
     [(legs, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
     return _loop_transfer(legs), err

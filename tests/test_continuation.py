@@ -2,12 +2,13 @@
 
 import cmath
 import importlib
+import math
 import re
 
 import numpy as np
 import pytest
 
-from conftest import diagonal_system
+from conftest import clustered_pair_system, diagonal_system
 from fuchsia.errors import (
     NonFiniteError,
     StepSizeUnderflowError,
@@ -232,25 +233,38 @@ def test_batch_equals_each_path_alone(columns):
 
 
 def test_monodromy_evaluator_calls(monkeypatch):
-    """All pieces of all loops advance side by side: monodromy of the
-    five-pole system makes few batched evaluator calls (359 when each loop
-    leg ran whole)."""
+    """All pieces of all loops advance side by side, each within an equal
+    share of the tolerance, so the rows finish together: monodromy makes
+    few batched evaluator calls.  The five-pole system takes 40 (359 when
+    each loop leg ran whole).  The clustered pair takes 43 at 1e-9 and 127
+    at 1e-11; with a budget per unit arc length its small circles took
+    187 at 1e-9 and never finished at 1e-11.  The count raises once it
+    passes the cap, so a regression fails at once instead of hanging."""
     calls = []
+    cap = 0
 
     def counting(system):
         evaluate = coefficient_function(system)
 
         def counted(points):
             calls.append(len(points))
+            if len(calls) > cap:
+                raise AssertionError(f"more than {cap} evaluator calls")
             return evaluate(points)
 
         return counted
 
     # The package attribute ``fuchsia.monodromy`` is a function, so the module comes from importlib.
     monkeypatch.setattr(importlib.import_module("fuchsia.monodromy"), "coefficient_function", counting)
-    rep = monodromy(five_pole_generic_system())
-    assert rep.product_defect <= 1e-9
-    assert 0 < len(calls) <= 60
+    for system, tol, cap in (
+        (five_pole_generic_system(), 1e-9, 60),
+        (clustered_pair_system(), 1e-9, 60),
+        (clustered_pair_system(), 1e-11, 200),
+    ):
+        calls.clear()
+        rep = monodromy(system, tol)
+        assert rep.product_defect <= 1e-9
+        assert len(calls) > 0
 
 
 def stub_legs():
@@ -293,20 +307,26 @@ def test_evaluator_matches_pointwise_coefficient():
         assert np.max(np.abs(a - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11])
 def test_realised_error_within_tolerance_and_estimate(tol, rng):
     """On closed-form oracles the realised error stays below ``tol`` and
     the reported estimate bounds it, loop by loop through
     ``continue_solution`` and for all loops in one batch through
-    ``monodromy``."""
+    ``monodromy``.  On a 2x2 diagonal system with two poles 1e-3 apart,
+    whose small circles once took the whole batch's steps, the estimate
+    also stays within 20 tol."""
     cases = []
     for b in (0.25, 0.1 + 0.2j):
         system = scalar_two_pole(b)
         oracles = [np.array([[cmath.exp(2j * cmath.pi * b)]]), np.array([[cmath.exp(-2j * cmath.pi * b)]])]
-        cases.append((system, build_loops(system, 3.0 + 0.0j), oracles, 3.0 + 0.0j))
+        cases.append((system, build_loops(system, 3.0 + 0.0j), oracles, 3.0 + 0.0j, math.inf))
     system, expected = diagonal_system(rng, p=3, n=3)
-    cases.append((system, build_loops(system, default_base_point(system.poles)), expected, None))
-    for system, loops, oracles, base_point in cases:
+    cases.append((system, build_loops(system, default_base_point(system.poles)), expected, None, math.inf))
+    entries = np.array([[0.2, -0.15], [-0.3, 0.1], [0.1, 0.05]])
+    system = validate_system([-1.0, 0.6, 0.6 + 1e-3j], [np.diag(e.astype(complex)) for e in entries])
+    expected = [np.diag(np.exp(2j * np.pi * e)) for e in entries]
+    cases.append((system, build_loops(system, default_base_point(system.poles)), expected, None, 20.0 * tol))
+    for system, loops, oracles, base_point, estimate_cap in cases:
         singly = [continue_solution(system, loop, tol=tol) for loop in loops]
         rep = monodromy(system, tol, base_point)
         batched = zip(rep.matrices, rep.error_estimates)
@@ -314,4 +334,4 @@ def test_realised_error_within_tolerance_and_estimate(tol, rng):
             for m, e in ((transfer, estimate), (matrix, batch_estimate)):
                 realised = float(np.linalg.norm(m - oracle))
                 assert realised <= tol
-                assert e >= realised
+                assert realised <= e <= estimate_cap

@@ -17,7 +17,7 @@ from fuchsia.inverse import (
     solve,
     validate_instance,
 )
-from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, _continue_legs, continue_solution, monodromy
+from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, _continue_cut, _cut_paths, continue_solution, monodromy
 from fuchsia.paths import build_loops, default_base_point
 from fuchsia.system import TWO_PI_I, validate_system
 
@@ -216,7 +216,7 @@ class TestJacobian:
         inst = validate_instance(self.POLES, monodromy(system, tol=1e-10).matrices)
         seed = first_order_seed(inst)
         loops = build_loops(validate_system(self.POLES, seed), inst.base_point)
-        return inst, loops, _pack(seed)
+        return inst, loops, _cut_paths(inst.poles, loops), _pack(seed)
 
     @staticmethod
     def plain_monodromy(inst, loops, residues):
@@ -225,9 +225,9 @@ class TestJacobian:
         return [continue_solution(system, loop, DEFAULT_INTEGRATION_TOL)[0] for loop in loops]
 
     def test_matrices_match_plain_continuation(self, instance_at_seed):
-        inst, loops, x = instance_at_seed
+        inst, loops, cut, x = instance_at_seed
         residues = _unpack(x, len(self.POLES), inst.dimension)
-        computed, _ = _linearise(inst, loops, residues, DEFAULT_INTEGRATION_TOL)
+        computed, _ = _linearise(inst, cut, residues, DEFAULT_INTEGRATION_TOL)
         for m, plain in zip(computed, self.plain_monodromy(inst, loops, residues)):
             assert np.linalg.norm(m - plain) <= 1e-12
 
@@ -236,9 +236,9 @@ class TestJacobian:
 
         Over all 16 real parameters, at the first-order seed (not at the solution).
         """
-        inst, loops, x = instance_at_seed
+        inst, loops, cut, x = instance_at_seed
         count = len(self.POLES)
-        exact = _linearise(inst, loops, _unpack(x, count, inst.dimension), DEFAULT_INTEGRATION_TOL)[1]
+        exact = _linearise(inst, cut, _unpack(x, count, inst.dimension), DEFAULT_INTEGRATION_TOL)[1]
 
         def residual(point):
             computed = self.plain_monodromy(inst, loops, _unpack(point, count, inst.dimension))
@@ -254,15 +254,23 @@ class TestJacobian:
         assert np.max(np.abs(exact - fd)) <= 1e-6
 
     def test_one_loop_integration_per_pole_per_point(self, instance_at_seed, monkeypatch):
-        """The seed and each accepted trial continue every loop once, no more."""
-        inst, _, _ = instance_at_seed
+        """The seed and each accepted trial continue every loop once, no
+        more, and the loops are cut into pieces once per solve."""
+        inst = instance_at_seed[0]
         paths = []
+        cuts = []
 
-        def counting(system, loops, start, tol):
-            paths.extend(loops)
-            return _continue_legs(system, loops, start, tol)
+        def counting(system, cut, start, tol):
+            paths.extend(cut)
+            return _continue_cut(system, cut, start, tol)
 
-        monkeypatch.setattr("fuchsia.inverse._continue_legs", counting)
+        def cutting(poles, loops):
+            cuts.append(loops)
+            return _cut_paths(poles, loops)
+
+        monkeypatch.setattr("fuchsia.inverse._continue_cut", counting)
+        monkeypatch.setattr("fuchsia.inverse._cut_paths", cutting)
         sol = solve(inst)
         assert sol.converged
         assert len(paths) == (sol.iterations + 1) * len(self.POLES)
+        assert len(cuts) == 1

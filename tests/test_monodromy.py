@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import diagonal_system, generic_system, jordan_block_system
+from conftest import clustered_pair_system, diagonal_system, generic_system, jordan_block_system
 from fuchsia.linalg import matrix_exp
 from fuchsia.monodromy import continue_solution, monodromy, verify_theorem
 from fuchsia.paths import LOOP_CONVENTION
-from fuchsia.system import TWO_PI_I, FuchsianSystem, validate_system
+from fuchsia.system import TWO_PI_I, validate_system
 
 
 def spectra_match(a, b, tol):
@@ -176,73 +176,9 @@ def test_verify_clustered_pair_keeps_step_control():
     It is a system of the benchmark's clustered class.  Loops that shrink
     the circles beside such a pair far enough leave the step controller's
     error estimate at the rounding floor of the stage points, where the
-    step shrinks without end (``StepSizeUnderflowError``).  The literals
-    are the system's exact doubles, as (re, im) pairs.
+    step shrinks without end (``StepSizeUnderflowError``).
     """
-    system = FuchsianSystem.from_dict(
-        {
-            "dimension": 2,
-            "poles": [
-                [-0.29865535461696124, 0.10492401761712422],
-                [1.4013859723488085, -0.2565571137683835],
-                [-1.6058736511743832, 0.3356612702885564],
-                [1.1872655242078913, 1.5749017278798827],
-                [-1.6052743629921977, 0.3348607369196749],
-            ],
-            "residues": [
-                [
-                    [
-                        [0.05976791597193347, 0.009653445858743344],
-                        [-0.04019696508351556, -0.1062961574564279],
-                    ],
-                    [
-                        [0.0457967864613521, 0.05065778085181608],
-                        [0.14547417588923503, 0.023800076806425072],
-                    ],
-                ],
-                [
-                    [
-                        [0.003634128319630249, 0.06057413248180077],
-                        [0.020475046709928273, 0.05557895102560086],
-                    ],
-                    [
-                        [-0.09113872440936109, 0.11274035316275352],
-                        [-0.11690281860202527, -0.029519318777158545],
-                    ],
-                ],
-                [
-                    [
-                        [-0.12408070857397911, -0.11858000318024123],
-                        [0.04156208414007195, -0.0676233918174089],
-                    ],
-                    [
-                        [0.0026523383579638636, -0.032131650964050094],
-                        [0.01223118070823049, -0.10252732273281474],
-                    ],
-                ],
-                [
-                    [
-                        [0.1258794058618231, -0.09520555422137782],
-                        [0.03774211565172441, -0.017545978144700346],
-                    ],
-                    [
-                        [0.10264589167013186, 0.018327983049927336],
-                        [-0.08839454006811924, 0.07078813537659777],
-                    ],
-                ],
-                [
-                    [
-                        [-0.06520074157940772, 0.14355797906107493],
-                        [-0.05958228141820908, 0.13588657639293628],
-                    ],
-                    [
-                        [-0.05995629208008673, -0.14959446610044683],
-                        [0.04759200207267899, 0.03745842932695044],
-                    ],
-                ],
-            ],
-        }
-    )
+    system = clustered_pair_system()
     report = verify_theorem(system)
     assert report.overall
     assert report.representation.product_defect <= 1e-6
