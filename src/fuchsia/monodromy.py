@@ -13,7 +13,11 @@ pole (``paths.pieces``: a circle becomes 8 arcs, an approach line pieces
 that shrink toward the pole), and every piece of every leg of every loop
 is one row of a batched step loop.  The rows start together, each keeps
 its own arc length, step size and error control, and each attempted step
-evaluates A at the six stage points of all active rows in one call.  A
+asks the system's field for the six stage points of all active rows in
+one call.  The field gives the partial-fraction weights w = 1/(z - a_p)
+and the residues B_p, A(z) = sum_p w_p B_p, and A itself is never formed:
+the batch is stored as columns side by side, and a stage slope applies
+the residues once to the state scaled by each row's weights.  A
 loop of K pieces, its head's pieces counted twice, gives every piece an
 equal share tol / K of local error, so the rows take about the same
 number of steps, and the estimate, ten times the head's error twice plus
@@ -65,18 +69,18 @@ from .system import TWO_PI_I, FuchsianSystem, is_non_resonant
 DEFAULT_INTEGRATION_TOL = 1e-9
 DEFAULT_VERIFY_TOL = 1e-7
 
-# Dormand-Prince 5(4) tableau.  Row i of _DP_A weighs the earlier stages
-# into the input of stage i + 1; the last row doubles as the 5th-order
-# weights (first-same-as-last), and _DP_ERR is the difference between the
-# 5th- and 4th-order weights.
-_DP_A = np.array(
+# Dormand-Prince 5(4) tableau.  Row i of _DP_STAGE weighs y (column 0)
+# and the earlier h-scaled slopes into the input of stage i + 1; the last
+# row doubles as the 5th-order solution (first-same-as-last), and _DP_ERR
+# is the difference between the 5th- and 4th-order weights.
+_DP_STAGE = np.array(
     [
-        [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
-        [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
-        [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
-        [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
-        [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
+        [1.0, 1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
+        [1.0, 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
+        [1.0, 9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
+        [1.0, 35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
     ]
 )
 _DP_C = np.array([0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0])
@@ -99,17 +103,33 @@ _SAFETY = 0.9
 
 
 def coefficient_function(system: FuchsianSystem):
-    """The system's vectorized evaluator: a point or array of points -> A(z)."""
-    return system.evaluate
+    """The system's field: points -> (weights (M, P), residues (P, N, N)).
+
+    A(z_i) = sum_p weights[i, p] residues[p], with the partial-fraction
+    weights 1 / (z_i - a_p) and the residues B_p of ``partial_fractions``.
+    """
+    return system.partial_fractions
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """|x[b]|_F for every b, from the real and imaginary parts side by side."""
-    parts = x.reshape(len(x), -1).view(float)
-    return np.sqrt(np.einsum("bi,bi->b", parts, parts))
+def _norms(parts: np.ndarray, count: int) -> np.ndarray:
+    """|x_k[..., b]|_F for every b < count, from the float views of the complex x_k as rows of ``parts``."""
+    parts = parts.reshape(len(parts), -1, 2 * count)
+    return np.sqrt(np.einsum("kib,kib->kb", parts, parts).reshape(len(parts), count, 2).sum(axis=2))
 
 
-def _integrate_legs(evaluate, rows, start: np.ndarray):
+def _apply_residues(operator, scale, value, buffer, out):
+    """Write sum_p R_p (scale_p * value) into ``out``, (N, m, B) like ``value``.
+
+    ``operator`` is [R_1 ... R_P] as one (N, P N) matrix and ``scale``
+    (P, 1, 1, B), one factor per residue and row.  The scaled copies fill
+    ``buffer`` (P, N, m, B), and one (N, P N) @ (P N, m B) product sums
+    them.
+    """
+    np.multiply(scale, value, out=buffer)
+    np.matmul(operator, buffer.reshape(operator.shape[1], -1), out=out.reshape(len(out), -1))
+
+
+def _integrate_legs(field, rows, start: np.ndarray):
     """Continue the (N, m) value ``start`` along every row in one step loop.
 
     A row is ``(segment, rate)``: one segment and the local error it allows
@@ -121,46 +141,56 @@ def _integrate_legs(evaluate, rows, start: np.ndarray):
 
     Every row keeps its own arc length, step size and error sum, so it
     takes the steps it would take alone; only the arithmetic is shared.
-    All rows start together, with one ``evaluate`` call for their first
-    stage, and each attempted step of the B active rows evaluates A at
-    their 6B stage points in one call (points -> (points, N, N) stack of
-    A).  A row's y sits in front of its stages, so each stage input is one
-    batched product of a tableau row (1 for y, then h-scaled) with
-    [y, stages].  A finished row leaves the batch.  A non-finite value or a
-    collapsing step on any row fails the whole call.
+    ``field`` maps M points to ``(weights (M, P), residues (P, N, N))``
+    with A(z_i) = sum_p weights[i, p] residues[p]; A itself is never
+    formed.  All rows start together, with one ``field`` call for their
+    first stage, and each attempted step of the B active rows makes one
+    call on their 6B stage points.  The batch is stored column-wise, rows
+    on the last axis: y and the seven h-scaled slopes K = h z' A y are
+    ``stages`` (8, N, m, B).  A stage input is one real product of the
+    tableau row [1, a_i] with the float view of [y, K_1 ...], and its slope
+    one ``_apply_residues`` of the input scaled by each row's h z' w_p, so
+    a step's temporaries grow with P N m B, not with B N^2.  The last slope
+    of an accepted step is the next step's first (first-same-as-last),
+    rescaled to the new step size.  A finished row leaves the batch.  A non-finite value or a collapsing
+    step on any row fails the whole call.
     """
     count = len(rows)
-    dimension = start.shape[0]
     ends = np.empty((count,) + start.shape, dtype=complex)
     errors = np.zeros(count)
-    ids = np.arange(count)  # the row each batch entry advances
+    ids = np.arange(count)  # the row each batch column advances
     rate = np.array([r for _, r in rows], dtype=float)
     coefficients = np.array([segment.coefficients for segment, _ in rows], dtype=complex)
     length = np.array([segment.length for segment, _ in rows])
     s = np.zeros(count)
     accumulated = np.zeros(count)
-    stages = np.empty((count, 8) + start.shape, dtype=complex)  # y, then the 7 stages
-    stages[:, 0] = start
-    weights = np.ones((count, 6, 7), dtype=complex)  # column 0 weighs y
+    stages = np.empty((8,) + start.shape + (count,), dtype=complex)  # y, then the 7 slopes
+    stages[0] = start[:, :, None]
+    flat = stages.reshape(8, -1).view(float)
+    work = np.empty((2, flat.shape[1]))  # the error combination, then each stage input
     z, v = frame(coefficients, s[:, None])
-    stages[:, 1] = v[:, :, None] * (evaluate(z.ravel()) @ start)
-    h = np.minimum(length, 0.1 / (1.0 + _norms(stages[:, 1])))
+    weights, residues = field(z.ravel())
+    buffer = np.empty(residues.shape[:1] + stages.shape[1:], dtype=complex)
+    operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
+    _apply_residues(operator, (v * weights).T[:, None, None, :], stages[0], buffer, stages[1])
+    h = np.minimum(length, 0.1 / (1.0 + _norms(flat[1:2], count)[0]))
+    stages[1] *= h
     while ids.size:
-        np.minimum(h, length - s, out=h)
+        batch = len(ids)
         z, v = frame(coefficients, s[:, None] + h[:, None] * _DP_C)
-        # Scaled in place, and dropped before the next call: a second
-        # (6B, N, N) array made malloc return and refault its heap pages.
-        slopes = evaluate(z.ravel()).reshape(v.shape + (dimension, dimension))
-        slopes *= v[:, :, None, None]
-        np.multiply(h[:, None, None], _DP_A, out=weights[:, :, 1:])
-        flat = stages.reshape(len(ids), 8, -1)
-        shape = stages[:, 0].shape
+        weights, residues = field(z.ravel())
+        operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
+        if buffer.shape != residues.shape[:1] + stages.shape[1:]:
+            buffer = np.empty(residues.shape[:1] + stages.shape[1:], dtype=complex)
+        # (6, P, 1, 1, B): h z' w_p for every stage, residue and row.
+        scales = ((h[:, None] * v)[:, :, None] * weights.reshape(batch, 6, -1)).transpose(1, 2, 0)
+        scales = scales[:, :, None, None, :]
+        trial = work[1].view(complex).reshape(stages.shape[1:])
         for i in range(6):
-            trial = (weights[:, i : i + 1, : i + 2] @ flat[:, : i + 2]).reshape(shape)
-            np.matmul(slopes[:, i], trial, out=stages[:, i + 2])
-        del slopes
-        err = h * _norms(_DP_ERR @ flat[:, 1:])
-        size = _norms(trial)
+            np.dot(_DP_STAGE[i, : i + 2], flat[: i + 2], out=work[1])
+            _apply_residues(operator, scales[i], trial, buffer, stages[i + 2])
+        np.dot(_DP_ERR, flat[1:], out=work[0])
+        err, size = _norms(work, batch)
         # A finite Frobenius norm means every entry is finite, and so does a
         # finite sum of norms.
         if not math.isfinite(err.sum() + size.sum()):
@@ -169,25 +199,32 @@ def _integrate_legs(evaluate, rows, start: np.ndarray):
         accept = err <= allowed
         np.add(s, h, out=s, where=accept)
         np.add(accumulated, err, out=accumulated, where=accept)
-        np.copyto(stages[:, 0], trial, where=accept[:, None, None])
-        np.copyto(stages[:, 1], stages[:, 7], where=accept[:, None, None])
+        np.copyto(stages[0], trial, where=accept)
+        np.copyto(stages[1], stages[7], where=accept)
         # An error of exactly 0 reads as an infinite ratio: the step grows by _MAX_GROWTH.
-        ratio = np.divide(allowed, err, out=np.full(len(ids), np.inf), where=err > 0.0)
-        h *= np.minimum(_MAX_GROWTH, np.maximum(_MIN_SHRINK, _SAFETY * ratio**0.2))
+        ratio = np.divide(allowed, err, out=np.full(batch, np.inf), where=err > 0.0)
+        grown = h * np.minimum(_MAX_GROWTH, np.maximum(_MIN_SHRINK, _SAFETY * ratio**0.2))
         ended = s >= length
-        small = h < _MIN_STEP_FRACTION * length
+        small = grown < _MIN_STEP_FRACTION * length
         if small.any():
             for row in np.flatnonzero(small & ~ended):
                 raise StepSizeUnderflowError(
                     f"step size collapsed at arc length {s[row]:.6g} of {length[row]:.6g}"
                 )
+        np.minimum(grown, length - s, out=grown)
+        stages[1] *= grown / h
+        h = grown
         if ended.any():
-            ends[ids[ended]] = stages[ended, 0]
+            ends[ids[ended]] = stages[0][..., ended].transpose(2, 0, 1)
             errors[ids[ended]] = accumulated[ended]
             keep = ~ended
-            ids, rate, coefficients, length, s, h, accumulated, stages, weights = (
-                a[keep] for a in (ids, rate, coefficients, length, s, h, accumulated, stages, weights)
+            ids, rate, coefficients, length, s, h, accumulated = (
+                a[keep] for a in (ids, rate, coefficients, length, s, h, accumulated)
             )
+            # C-contiguous, unlike stages[..., keep]: the slopes are written through reshaped views.
+            stages = np.compress(keep, stages, axis=-1)
+            flat = stages.reshape(8, -1).view(float)
+            work = np.empty((2, flat.shape[1]))
     return ends, errors
 
 
@@ -303,20 +340,22 @@ def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEF
 
     ``rhs`` is any callable z -> matrix; no pole bookkeeping happens here.
     It is called point by point at every stage point, by the same step
-    loop as ``continue_solution``.  With no poles to measure against, no
-    segment is split: each segment of the path is one row from the
-    identity with an equal share ``tol / len(path.segments)`` of local
-    error, the rows advance side by side, and the transfer is the product
-    of theirs.  Returns ``(transfer, error_estimate)`` with
+    loop as ``continue_solution``, as a field whose weights are the
+    identity and whose residues are the pointwise matrices rhs(z_i), so
+    a step's work grows with the square of the path's segment count.
+    With no poles to measure against, no segment is split: each segment
+    of the path is one row from the identity with an equal share
+    ``tol / len(path.segments)`` of local error, the rows advance side by
+    side, and the transfer is the product of theirs.  Returns ``(transfer, error_estimate)`` with
     Y(end) = transfer @ Y(start), the estimate being ten times the
     accumulated local error, at most 10 tol max(1, |Y|_F).
     """
-    def evaluate(points):
-        return np.array([rhs(complex(z)) for z in points], dtype=complex)
+    def field(points):
+        return np.eye(len(points)), np.array([rhs(complex(z)) for z in points], dtype=complex)
 
     check_tolerance(tol, "integration tolerance")
     eye = np.eye(dimension, dtype=complex)
-    ends, errors = _integrate_legs(evaluate, _rows(path.segments, tol / len(path.segments)), eye)
+    ends, errors = _integrate_legs(field, _rows(path.segments, tol / len(path.segments)), eye)
     return _compose(ends), 10.0 * float(errors.sum())
 
 

@@ -49,20 +49,31 @@ class FuchsianSystem:
     @cached_property
     def _partial_fractions(self) -> tuple[np.ndarray, np.ndarray]:
         poles = np.array(self.poles, dtype=complex)
-        return poles, np.stack(self.residues).astype(complex).reshape(len(poles), -1)
+        # Stored (n, P, n), so the continuation reads [B_1 ... B_P] as one
+        # n x Pn matrix without a copy.
+        stacked = np.stack(self.residues, axis=1).astype(complex)
+        stacked.flags.writeable = False
+        return poles, stacked.transpose(1, 0, 2)
+
+    def partial_fractions(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Weights w and residues R with A(z_i) = sum_p w[i, p] R_p.
+
+        At a point or an array of points z, w = 1 / (z - a_p) has one more
+        axis than z, over the P poles, and R is the (P, n, n) stack of the
+        residues B_p.  No pole check: this is the continuation's hot path,
+        and its paths are audited against the poles beforehand.
+        """
+        poles, residues = self._partial_fractions
+        return 1.0 / (np.asarray(z)[..., None] - poles), residues
 
     def evaluate(self, z) -> np.ndarray:
         """A(z) = sum_i B_i / (z - a_i) at a point or a 1-D array of points.
 
-        A point gives an (n, n) matrix; m points give an (m, n, n) stack from
-        one (m, P) @ (P, n^2) product over the stacked residues.  No pole
-        check: this is the continuation's hot path, and its paths are
-        audited against the poles beforehand.
+        A point gives an (n, n) matrix and m points an (m, n, n) stack,
+        weights @ residues from ``partial_fractions``.
         """
-        poles, stacked = self._partial_fractions
-        z = np.asarray(z)
-        weights = 1.0 / (z[..., None] - poles)
-        return (weights @ stacked).reshape(z.shape + (self.dimension, self.dimension))
+        weights, residues = self.partial_fractions(z)
+        return np.tensordot(weights, residues, axes=1)
 
     def to_dict(self) -> dict:
         return {

@@ -272,25 +272,25 @@ def stub_legs():
     return [(Line(0.0, 1.0), 1e-9), (Line(20.0 + 0.0j, 20.0 + 1.0j), 1e-9)]
 
 
-def test_non_finite_on_one_leg_fails_the_batch():
-    def evaluate(points):
-        a = np.full((len(points), 1, 1), 0.1 + 0.0j)
-        a[points.real > 10.0] = complex("nan")
-        return a
+def stub_field(weight):
+    """A 1x1 field with the one residue 0.1 and ``weight(points)`` as its weights."""
+    def field(points):
+        return weight(points).astype(complex)[:, None], np.array([[[0.1]]], dtype=complex)
 
+    return field
+
+
+def test_non_finite_on_one_leg_fails_the_batch():
+    field = stub_field(lambda points: np.where(points.real > 10.0, complex("nan"), 1.0))
     with pytest.raises(NonFiniteError):
-        _integrate_legs(evaluate, stub_legs(), np.eye(1, dtype=complex))
+        _integrate_legs(field, stub_legs(), np.eye(1, dtype=complex))
 
 
 def test_step_collapse_on_one_leg_names_its_arc_length():
     """The far leg turns stiff halfway along; the error names where."""
-    def evaluate(points):
-        a = np.full((len(points), 1, 1), 0.1 + 0.0j)
-        a[(points.real > 10.0) & (points.imag > 0.5)] = 1e16
-        return a
-
+    field = stub_field(lambda points: np.where((points.real > 10.0) & (points.imag > 0.5), 1e17, 1.0))
     with pytest.raises(StepSizeUnderflowError) as caught:
-        _integrate_legs(evaluate, stub_legs(), np.eye(1, dtype=complex))
+        _integrate_legs(field, stub_legs(), np.eye(1, dtype=complex))
     found = re.search(r"arc length (\S+) of (\S+)$", str(caught.value))
     assert found is not None
     assert 0.49 < float(found[1]) <= 0.5
@@ -298,13 +298,31 @@ def test_step_collapse_on_one_leg_names_its_arc_length():
 
 
 def test_evaluator_matches_pointwise_coefficient():
+    """The field's weights @ residues is A(z), and so is ``evaluate``."""
     system = collinear_generic_system()
     points = np.array([3.0, 0.5 + 0.5j, -1.0 - 2.0j, 1.5 - 0.01j, 2.0 + 1e-3j])
-    stack = coefficient_function(system)(points)
-    assert stack.shape == (len(points), 2, 2)
-    for z, a in zip(points, stack):
+    weights, residues = coefficient_function(system)(points)
+    assert weights.shape == (len(points), system.pole_count)
+    assert residues.shape == (system.pole_count, 2, 2)
+    stack = np.einsum("ip,pjk->ijk", weights, residues)
+    for z, a, evaluated in zip(points, stack, system.evaluate(points)):
         expected = sum(b / (z - p) for p, b in zip(system.poles, system.residues))
-        assert np.max(np.abs(a - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+        scale = max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(a - expected)) <= 1e-14 * scale
+        assert np.max(np.abs(evaluated - expected)) <= 1e-14 * scale
+
+
+def test_both_field_forms_give_the_same_transfer():
+    """``transfer_along`` of the pointwise A(z) (identity weights, one
+    residue per point) agrees with ``continue_solution`` (partial-fraction
+    weights, the path cut into pieces) on an open path."""
+    system = collinear_generic_system()
+    corner = 0.5 + 1.5j
+    path = ContinuationPath((Line(3.0 + 1.0j, corner), Line(corner, -1.5 - 0.5j)), clearance=0.5)
+    tol = 1e-11
+    pointwise, _ = transfer_along(system.evaluate, path, system.dimension, tol)
+    partial, _ = continue_solution(system, path, tol)
+    assert np.max(np.abs(pointwise - partial)) <= 1e-9
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11])
