@@ -26,7 +26,6 @@ from .errors import (
     NumericsError,
     ParseError,
     SimilaritySearchError,
-    StepSizeUnderflowError,
     ValidationError,
 )
 from .inverse import (
@@ -110,7 +109,6 @@ __all__ = [
     "ScalarEquation",
     "SimilarityResult",
     "SimilaritySearchError",
-    "StepSizeUnderflowError",
     "TheoremReport",
     "ValidationError",
     "build_loops",

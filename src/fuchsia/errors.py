@@ -55,9 +55,5 @@ class SimilaritySearchError(NumericsError):
     """Jordan structures agree but no well-conditioned conjugator was found."""
 
 
-class StepSizeUnderflowError(NumericsError):
-    """Adaptive step size collapsed, typically near a clearance violation."""
-
-
 class NonFiniteError(NumericsError):
     """A computation produced NaN or infinity."""

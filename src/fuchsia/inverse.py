@@ -10,10 +10,10 @@ Fuchsian system.  At a Gauss-Newton point, one continuation per loop of the
 first block column [I; 0] of its transfer gives M_j and the Jacobian
 together: the approach and the circle, each continued from that column,
 combine in n x n algebra, and all loops of the point run in one batch.
-The loops are cut into pieces once per solve.
-The derivatives ride at 2**-30 scale, so the step controller measures Y
-alone.  Steps come from a least-squares solve and are halved until the
-residual decreases.
+The loops are cut into hops once per solve.
+The derivatives ride at 2**-30 scale, so they barely move the norms that
+set each loop's term count.  Steps come from a least-squares solve and
+are halved until the residual decreases.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from .linalg import as_square_matrix, check_tolerance
 from .monodromy import DEFAULT_INTEGRATION_TOL, _continue_cut, _cut_paths, _product_defect
 from .monodromy import continue_solution  # noqa: F401 - perfbench/spans.py traces this name here
 from .paths import build_loops, composition_order, default_base_point
-from .system import TWO_PI_I, PoleResonance, is_non_resonant, validate_poles, validate_system
+from .system import TWO_PI_I, FuchsianSystem, PoleResonance, is_non_resonant, validate_poles, validate_system
 from . import jsonio
 
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -162,8 +162,8 @@ def _pack(residues) -> np.ndarray:
 
 
 def _unpack(x: np.ndarray, count: int, dim: int) -> list[np.ndarray]:
-    halves = x.reshape(count - 1, 2, dim, dim)
-    residues = list(halves[:, 0] + 1j * halves[:, 1])
+    parts = x.reshape(count - 1, 2, dim, dim)
+    residues = list(parts[:, 0] + 1j * parts[:, 1])
     residues.append(-sum(residues))
     return residues
 
@@ -176,7 +176,7 @@ def _residual_metric(computed, targets) -> float:
     return max(float(np.linalg.norm(m - t)) for m, t in zip(computed, targets))
 
 
-# Small enough that the step controller's norms are, to rounding, those of Y;
+# Small enough that the continuation's norms are, to rounding, those of Y;
 # a power of two, so dividing it out again is exact.
 _SENSITIVITY_SCALE = 2.0 ** -30
 
@@ -212,11 +212,12 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     so only their first block column e = [I; 0] is continued, every loop in
     one batch: per loop, the approach gives [T0; dT_k] and the circle
     [C0; dC_k].  ``cut`` is the loops as ``monodromy._cut_paths`` cuts
-    them against the instance's poles, and ``_continue_cut`` continues e
-    along each piece of each leg, every piece within an equal share of
-    ``tol`` (so each loop's estimate is at most 10 tol max(1, |Y|_F)),
-    and composes the pieces in the same block form, [T2 T1; dT2 T1 +
-    (I (x) T2) dT1], so n columns are continued throughout.  Then
+    them into hops against the instance's poles, and ``_continue_cut``
+    continues e along each hop of each leg, each loop taking the terms its
+    composed bound at ``tol`` needs, and composes the hops in the same
+    block form, [T2 T1; dT2 T1 + (I (x) T2) dT1], so n columns are
+    continued throughout.  The variational system is built directly, not
+    through ``validate_system``: the solver made its residues.  Then
     M_j = T0^-1 C0 T0 and
     dM_j/dtheta_k = T0^-1 (dC_k T0 + C0 dT_k - dT_k M_j).
     Monodromy is holomorphic in the residues, so the column of Im theta is
@@ -224,7 +225,9 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     dM_j/dtheta for Re theta.
     """
     dim = instance.dimension
-    system = validate_system(instance.poles, _variational_residues(residues))
+    stacked = _variational_residues(residues)
+    defect = float(np.linalg.norm(sum(residues), 2))
+    system = FuchsianSystem(instance.poles, tuple(stacked), len(stacked[0]), defect)
     start = np.eye(system.dimension, dim, dtype=complex)
     computed = []
     derivatives = []
@@ -251,7 +254,7 @@ def solve(
 
     Starts from the first-order seed and iterates damped Gauss-Newton on
     the stacked real residual until ``max_j |M_hat_j - M_j|_F <= tol`` or
-    ``max_iter`` iterations pass.  The loops are built and cut into pieces
+    ``max_iter`` iterations pass.  The loops are built and cut into hops
     once.  The seed and each line-search trial get M_j and the exact
     Jacobian from one continuation per loop, at ``integration_tol``, of the
     first block column of the variational system, and an accepted trial's

@@ -1,32 +1,22 @@
 """Monodromy by analytic continuation and the generator-comparison report.
 
-The fundamental solution is continued along paths with an adaptive embedded
-Dormand-Prince 5(4) pair on the matrix equation dY/ds = z'(s) A(z(s)) Y,
-parameterized by arc length.  Transfer matrices obey Y(end) = T Y(start),
-so the transfer of a concatenation gamma2 after gamma1 is T2 @ T1.
-
-Every pole loop is an approach, a circle, and the exact reverse of the
-approach; its transfer is T^-1 C T, so the approach is integrated once.
-The approach and the circle are the loop's two legs.  Every segment of a
-leg is halved until no piece is longer than its distance to the nearest
-pole (``paths.pieces``: a circle becomes 8 arcs, an approach line pieces
-that shrink toward the pole), and every piece of every leg of every loop
-is one row of a batched step loop.  The rows start together, each keeps
-its own arc length, step size and error control, and each attempted step
-asks the system's field for the six stage points of all active rows in
-one call.  The field gives the partial-fraction weights w = 1/(z - a_p)
-and the residues B_p, A(z) = sum_p w_p B_p, and A itself is never formed:
-the batch is stored as columns side by side, and a stage slope applies
-the residues once to the state scaled by each row's weights.  A
-loop of K pieces, its head's pieces counted twice, gives every piece an
-equal share tol / K of local error, so the rows take about the same
-number of steps, and the estimate, ten times the head's error twice plus
-the middle's, stays at most 10 tol max(1, |Y|_F).  The system is
-linear, so a leg's transfer is the product of its pieces' transfers.
-Each piece continues the first block column [I_m; 0] and the
-pieces compose in that form, [T2 T1; S2 T1 + (I (x) T2) S1]: with m = N
-that is the plain product, and the inverse solver continues just the
-first block column of its variational system.
+The fundamental solution of dY/dz = A(z) Y, A(z) = sum_p B_p / (z - a_p),
+is continued along paths by Taylor hops (the holonomic-function method of
+Chudnovsky & Chudnovsky and of van der Hoeven, in partial-fraction form).
+Transfer matrices obey Y(end) = T Y(start), so the transfer of gamma2
+after gamma1 is T2 @ T1.  A pole loop is an approach, a circle and the
+exact reverse of the approach, so its transfer is T^-1 C T and its two
+legs are the approach and the circle.  ``paths.hops`` cuts every leg into
+hops z -> z + h with |h| at most half the distance from z to every pole,
+so every g_p = h / (z - a_p) has |g_p| <= 1/2, and all hops of all loops
+are the columns of one batch.  A hop sums the Taylor series of
+Y(z + h u) at u = 1 by a recurrence with one product with the residues
+per term, and a scalar majorant of its terms bounds what the terms left
+out can add: each path takes the terms its composed bound needs, with no
+step size and no controller, and reports that bound.  Each hop continues
+the first block column [I_m; 0], and the hops compose in that form,
+[T2 T1; S2 T1 + (I (x) T2) S1]: with m = N that is the plain product, and
+the inverse solver continues just n columns of its variational system.
 
 ``verify_theorem`` compares the monodromy around each pole against the
 exponential generator exp(2 pi i B_j) from one Jordan analysis of each:
@@ -34,15 +24,15 @@ spectra, block structures, and an explicit conjugator, with resonant poles
 reported but excluded from the hypothesis.
 """
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from .errors import (
     NonFiniteError,
     SimilaritySearchError,
-    StepSizeUnderflowError,
     ValidationError,
 )
 from .linalg import (
@@ -60,46 +50,14 @@ from .paths import (
     build_loops,
     composition_order,
     default_base_point,
-    frame,
+    hops,
     path_clearance_audit,
-    pieces,
 )
+from .rational import ComplexRational, polynomial_gcd
 from .system import TWO_PI_I, FuchsianSystem, is_non_resonant
 
 DEFAULT_INTEGRATION_TOL = 1e-9
 DEFAULT_VERIFY_TOL = 1e-7
-
-# Dormand-Prince 5(4) tableau.  Row i of _DP_STAGE weighs y (column 0)
-# and the earlier h-scaled slopes into the input of stage i + 1; the last
-# row doubles as the 5th-order solution (first-same-as-last), and _DP_ERR
-# is the difference between the 5th- and 4th-order weights.
-_DP_STAGE = np.array(
-    [
-        [1.0, 1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, 3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
-        [1.0, 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
-        [1.0, 9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
-        [1.0, 35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
-    ]
-)
-_DP_C = np.array([0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0])
-_DP_ERR = np.array(
-    [
-        71.0 / 57600.0,
-        0.0,
-        -71.0 / 16695.0,
-        71.0 / 1920.0,
-        -17253.0 / 339200.0,
-        22.0 / 525.0,
-        -1.0 / 40.0,
-    ]
-)
-
-_MIN_STEP_FRACTION = 1e-14
-_MAX_GROWTH = 5.0
-_MIN_SHRINK = 0.2
-_SAFETY = 0.9
 
 
 def coefficient_function(system: FuchsianSystem):
@@ -111,139 +69,176 @@ def coefficient_function(system: FuchsianSystem):
     return system.partial_fractions
 
 
-def _norms(parts: np.ndarray, count: int) -> np.ndarray:
-    """|x_k[..., b]|_F for every b < count, from the float views of the complex x_k as rows of ``parts``."""
-    parts = parts.reshape(len(parts), -1, 2 * count)
-    return np.sqrt(np.einsum("kib,kib->kb", parts, parts).reshape(len(parts), count, 2).sum(axis=2))
+def _apply_residues(operator, stack, out):
+    """Write sum_p R_p stack[p] into ``out``, (N, m, B).
 
-
-def _apply_residues(operator, scale, value, buffer, out):
-    """Write sum_p R_p (scale_p * value) into ``out``, (N, m, B) like ``value``.
-
-    ``operator`` is [R_1 ... R_P] as one (N, P N) matrix and ``scale``
-    (P, 1, 1, B), one factor per residue and row.  The scaled copies fill
-    ``buffer`` (P, N, m, B), and one (N, P N) @ (P N, m B) product sums
-    them.
+    ``operator`` is [R_1 ... R_P] as one (N, P N) matrix and ``stack``
+    (P, N, m, B), so the sum is one (N, P N) @ (P N, m B) product.
     """
-    np.multiply(scale, value, out=buffer)
-    np.matmul(operator, buffer.reshape(operator.shape[1], -1), out=out.reshape(len(out), -1))
+    np.matmul(operator, stack.reshape(operator.shape[1], -1), out=out.reshape(len(out), -1))
 
 
-def _integrate_legs(field, rows, start: np.ndarray):
-    """Continue the (N, m) value ``start`` along every row in one step loop.
+def _hop_bounds(tail, deviation, majorant, head, owner, count):
+    """Composed truncation bound of each group of hops in ``owner``.
 
-    A row is ``(segment, rate)``: one segment and the local error it allows
-    per unit arc length, scaled by max(1, |y|_F) at each step (mixed
-    absolute/relative control).  ``_rows`` sets the rate to a row's share
-    of the tolerance over its length, so a row's accumulated error stays
-    within its share times max(1, |y|_F).  Returns the (rows, N, m)
-    values at the rows' ends and each row's accumulated local error.
-
-    Every row keeps its own arc length, step size and error sum, so it
-    takes the steps it would take alone; only the arithmetic is shared.
-    ``field`` maps M points to ``(weights (M, P), residues (P, N, N))``
-    with A(z_i) = sum_p weights[i, p] residues[p]; A itself is never
-    formed.  All rows start together, with one ``field`` call for their
-    first stage, and each attempted step of the B active rows makes one
-    call on their 6B stage points.  The batch is stored column-wise, rows
-    on the last axis: y and the seven h-scaled slopes K = h z' A y are
-    ``stages`` (8, N, m, B).  A stage input is one real product of the
-    tableau row [1, a_i] with the float view of [y, K_1 ...], and its slope
-    one ``_apply_residues`` of the input scaled by each row's h z' w_p, so
-    a step's temporaries grow with P N m B, not with B N^2.  The last slope
-    of an accepted step is the next step's first (first-same-as-last),
-    rescaled to the new step size.  A finished row leaves the batch.  A non-finite value or a collapsing
-    step on any row fails the whole call.
+    A hop's exact and computed transfers lie within ``deviation`` d_i of
+    the identity and within ``tail`` tau_i of each other, so both have norm
+    at most n_i = 1 + d_i, and their inverses at most n'_i = 1 / (1 - d_i),
+    or the hop's ``majorant`` when d_i >= 1.  The error of a product is the
+    sum of each factor's error between the factors after and before it, so
+    a group is off by at most prod_j n_j sum_i tau_i / n_i; a ``head`` hop,
+    which a loop T^-1 C T also runs backward (off by n'^2 tau), adds the
+    factor n'_i and the term n'_i tau_i.
     """
-    count = len(rows)
-    ends = np.empty((count,) + start.shape, dtype=complex)
-    errors = np.zeros(count)
-    ids = np.arange(count)  # the row each batch column advances
-    rate = np.array([r for _, r in rows], dtype=float)
-    coefficients = np.array([segment.coefficients for segment, _ in rows], dtype=complex)
-    length = np.array([segment.length for segment, _ in rows])
-    s = np.zeros(count)
-    accumulated = np.zeros(count)
-    stages = np.empty((8,) + start.shape + (count,), dtype=complex)  # y, then the 7 slopes
-    stages[0] = start[:, :, None]
-    flat = stages.reshape(8, -1).view(float)
-    work = np.empty((2, flat.shape[1]))  # the error combination, then each stage input
-    z, v = frame(coefficients, s[:, None])
-    weights, residues = field(z.ravel())
-    buffer = np.empty(residues.shape[:1] + stages.shape[1:], dtype=complex)
-    operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
-    _apply_residues(operator, (v * weights).T[:, None, None, :], stages[0], buffer, stages[1])
-    h = np.minimum(length, 0.1 / (1.0 + _norms(flat[1:2], count)[0]))
-    stages[1] *= h
-    while ids.size:
-        batch = len(ids)
-        z, v = frame(coefficients, s[:, None] + h[:, None] * _DP_C)
-        weights, residues = field(z.ravel())
-        operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
-        if buffer.shape != residues.shape[:1] + stages.shape[1:]:
-            buffer = np.empty(residues.shape[:1] + stages.shape[1:], dtype=complex)
-        # (6, P, 1, 1, B): h z' w_p for every stage, residue and row.
-        scales = ((h[:, None] * v)[:, :, None] * weights.reshape(batch, 6, -1)).transpose(1, 2, 0)
-        scales = scales[:, :, None, None, :]
-        trial = work[1].view(complex).reshape(stages.shape[1:])
-        for i in range(6):
-            np.dot(_DP_STAGE[i, : i + 2], flat[: i + 2], out=work[1])
-            _apply_residues(operator, scales[i], trial, buffer, stages[i + 2])
-        np.dot(_DP_ERR, flat[1:], out=work[0])
-        err, size = _norms(work, batch)
-        # A finite Frobenius norm means every entry is finite, and so does a
-        # finite sum of norms.
-        if not math.isfinite(err.sum() + size.sum()):
-            raise NonFiniteError("continuation produced a non-finite solution value")
-        allowed = rate * h * np.maximum(1.0, size)
-        accept = err <= allowed
-        np.add(s, h, out=s, where=accept)
-        np.add(accumulated, err, out=accumulated, where=accept)
-        np.copyto(stages[0], trial, where=accept)
-        np.copyto(stages[1], stages[7], where=accept)
-        # An error of exactly 0 reads as an infinite ratio: the step grows by _MAX_GROWTH.
-        ratio = np.divide(allowed, err, out=np.full(batch, np.inf), where=err > 0.0)
-        grown = h * np.minimum(_MAX_GROWTH, np.maximum(_MIN_SHRINK, _SAFETY * ratio**0.2))
-        ended = s >= length
-        small = grown < _MIN_STEP_FRACTION * length
-        if small.any():
-            for row in np.flatnonzero(small & ~ended):
-                raise StepSizeUnderflowError(
-                    f"step size collapsed at arc length {s[row]:.6g} of {length[row]:.6g}"
-                )
-        np.minimum(grown, length - s, out=grown)
-        stages[1] *= grown / h
-        h = grown
-        if ended.any():
-            ends[ids[ended]] = stages[0][..., ended].transpose(2, 0, 1)
-            errors[ids[ended]] = accumulated[ended]
-            keep = ~ended
-            ids, rate, coefficients, length, s, h, accumulated = (
-                a[keep] for a in (ids, rate, coefficients, length, s, h, accumulated)
-            )
-            # C-contiguous, unlike stages[..., keep]: the slopes are written through reshaped views.
-            stages = np.compress(keep, stages, axis=-1)
-            flat = stages.reshape(8, -1).view(float)
-            work = np.empty((2, flat.shape[1]))
-    return ends, errors
+    near = 1.0 + deviation
+    inverse = np.divide(1.0, 1.0 - deviation, out=majorant.copy(), where=deviation < 1.0)
+    scale = np.bincount(owner, np.log(near) + head * np.log(inverse), count)
+    return np.exp(scale) * np.bincount(owner, tail / near + head * tail * inverse, count)
 
 
-def _compose(columns: np.ndarray) -> np.ndarray:
-    """First block column of the transfer Phi_k ... Phi_1 from those of its factors.
+def _compose(columns: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """First block columns of the products of the factors of each run.
 
-    ``columns`` holds each factor's (N, m) first block column [T; S], Phi_1
-    first: T is its top m x m block and S the rest, read as m x m blocks.
-    For transfers of the form [[T, 0], [S, I (x) T]], which is every
-    transfer when m = N and every variational transfer of ``inverse``,
-    Phi2 Phi1 has the first block column [T2 T1; S2 T1 + (I (x) T2) S1].
+    ``columns`` (H, N, m) holds each factor's first block column [T; S],
+    T its top m x m block and S the rest as m x m blocks, and ``runs`` (H,)
+    the sorted run of each factor, first factor first.  For transfers
+    [[T, 0], [S, I (x) T]] (every transfer when m = N, every variational
+    transfer of ``inverse``) Phi2 Phi1 has the column
+    [T2 T1; S2 T1 + (I (x) T2) S1].  Neighbours are multiplied pairwise,
+    all runs at once, until each run is one factor: (runs, N, m).
     """
     m = columns.shape[2]
-    t, s = columns[0, :m], columns[0, m:].reshape(-1, m, m)
-    for column in columns[1:]:
-        t2, s2 = column[:m], column[m:].reshape(-1, m, m)
-        s = s2 @ t + t2 @ s
-        t = t2 @ t
-    return np.concatenate([t, s.reshape(-1, m)])
+    t, s = columns[:, :m], columns[:, m:].reshape(len(columns), -1, m, m)
+    while True:
+        position = np.arange(len(runs)) - np.searchsorted(runs, runs)
+        if not position.any():
+            return np.concatenate([t, s.reshape(len(t), -1, m)], axis=1)
+        first = np.flatnonzero(position % 2 == 0)
+        pair = first + 1 < len(runs)
+        pair[pair] = runs[first[pair] + 1] == runs[first[pair]]
+        lo = first[pair]
+        t_lo, s_lo, t_hi, s_hi = t[lo], s[lo], t[lo + 1], s[lo + 1]
+        t, s, runs = t[first], s[first], runs[first]
+        s[pair] = s_hi @ t_lo[:, None] + t_hi[:, None] @ s_lo
+        t[pair] = t_hi @ t_lo
+
+
+def _integrate_legs(field, cut, start: np.ndarray, tol: float):
+    """Continue the (N, m) value ``start`` along every leg of ``cut``, one hop per batch column.
+
+    ``field`` maps the B hop starts, in one call, to ``(weights (B, P),
+    residues (P, N, N))`` with A(z_i) = sum_p weights[i, p] residues[p].
+    Hop z -> z + h has g_p = h weights_p, and from y_0 = start,
+    U_{p,-1} = 0, m_0 = |start|_2, M_{p,-1} = 0 and b_p = |B_p|_2 it runs
+        U_{p,k} = g_p (y_k - U_{p,k-1}),  y_{k+1} = sum_p B_p U_{p,k} / (k + 1),
+        M_{p,k} = |g_p| (m_k + M_{p,k-1}),  m_{k+1} = sum_p b_p M_{p,k} / (k + 1),
+    and sums Y(z + h) = sum_k y_k; the y_k are the (N, m, B) columns and
+    each term is one ``_apply_residues``.  The majorant bounds
+    |y_k|_2 <= m_k, and m_{k+1} <= G (k + S) / (k + 1) m_k, the coefficient
+    ratio of the single factor (1 - G u)^-S with G = max_p |g_p| and
+    S = sum_p b_p, so the terms after the k-th add at most
+    tau = m_k r / (1 - r), r = G max(1, (k + S) / (k + 1)).  After a
+    term at which a path's summed tails times the ratio its last check
+    found meet ``tol``, its composed bound (``_hop_bounds``, with the
+    deviations |sum - start|_F + tau) is checked, and once that meets
+    ``tol`` the path leaves the batch: the term count depends on the path
+    alone, so a path gets the same values in any batch.  A non-finite
+    majorant, value or bound raises ``NonFiniteError``.
+
+    Returns one ``(legs, error_estimate)`` per path, each leg its hops'
+    values composed by ``_compose``.  The estimate is the composed bound,
+    for a loop at most cond(T) E_C + |T^-1| (|C| + E_C + |M| + E) E_T with
+    E_T, E_C the legs' bounds, E the loop's and M = T^-1 C T, plus
+    eps H max(1, |Y|_2) for rounding (a model), H being the path's hop
+    count.  Norms are of the top m x m blocks: for m = N the transfers,
+    for the variational systems of ``inverse`` those of the system itself.
+    """
+    legs = [leg for path in cut for leg in path]
+    leg_of = np.repeat(np.arange(len(legs)), [len(leg) - 1 for leg in legs])
+    owner = np.repeat(np.arange(len(cut)), [len(path) for path in cut])[leg_of]
+    heads = np.array([len(path) == 2 and i == 0 for path in cut for i in range(len(path))])[leg_of]
+    weights, residues = field(np.concatenate([leg[:-1] for leg in legs]))
+    g = np.concatenate([np.diff(leg) for leg in legs]) * weights.T  # (P, B)
+    size = np.abs(g)
+    norms = np.linalg.norm(residues, 2, axis=(1, 2))
+    total = float(norms.sum())
+    with np.errstate(over="ignore"):
+        majorants = np.exp(-(norms @ np.log1p(-size)))  # prod_p (1 - |g_p|)^-b_p bounds |Phi^-1|
+    count = len(leg_of)
+    m = start.shape[1]
+    operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
+    values = np.empty((count,) + start.shape, dtype=complex)
+    tails = np.empty(count)
+    deviations = np.empty(count)
+    # The active hops: their ids, paths, flags and majorant data, and their state on the last axis.
+    ids, path_of, head, majorant, reach = np.arange(count), owner, heads, majorants, size.max(axis=0)
+    term = np.repeat(start[:, :, None], count, axis=2)  # y_k
+    sums = term.copy()
+    stack = np.zeros((len(g),) + term.shape, dtype=complex)  # U_{p,k}
+    bound = np.full(count, float(np.linalg.norm(start, 2)))  # m_k
+    partial = np.zeros_like(size)  # M_{p,k}
+    factor = np.ones(len(cut))
+    k = 0
+    while ids.size:
+        partial = size * (bound + partial)
+        bound = norms @ partial / (k + 1)
+        if not np.isfinite(bound).all():
+            raise NonFiniteError("continuation majorant overflowed: the residues are too large")
+        np.subtract(term, stack, out=stack)
+        stack *= g[:, None, None, :]
+        _apply_residues(operator, stack, term)
+        k += 1
+        term /= k
+        sums += term
+        ratio = reach * max(1.0, (k + total) / (k + 1))
+        tau = np.divide(bound * ratio, 1.0 - ratio, out=np.full(len(ids), np.inf), where=ratio < 1.0)
+        # A path's composed bound is its summed tails times a factor of at
+        # least 1 that barely moves from term to term: the last one seen.
+        summed = np.bincount(path_of, tau, len(cut))
+        checked = (summed * factor <= tol) & (np.bincount(path_of, minlength=len(cut)) > 0)
+        if not checked[path_of].any():
+            continue
+        near = np.linalg.norm(sums - start[:, :, None], axis=(0, 1)) + tau
+        composed = _hop_bounds(tau, near, majorant, head, path_of, len(cut))
+        if not np.isfinite(composed[checked]).all():
+            raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
+        np.divide(composed, summed, out=factor, where=checked & (summed > 0.0))
+        done = (checked & (composed <= tol))[path_of]
+        if not done.any():
+            continue
+        if not np.isfinite(sums[..., done]).all():
+            raise NonFiniteError("continuation produced a non-finite solution value")
+        values[ids[done]] = sums[..., done].transpose(2, 0, 1)
+        tails[ids[done]] = tau[done]
+        deviations[ids[done]] = near[done]
+        keep = ~done
+        ids, path_of, head, majorant, reach, bound = (a[keep] for a in (ids, path_of, head, majorant, reach, bound))
+        # C-contiguous, unlike a[..., keep]: the terms are written through reshaped views.
+        g, size, partial, term, sums, stack = (
+            np.compress(keep, a, axis=-1) for a in (g, size, partial, term, sums, stack)
+        )
+    composed = _compose(values, leg_of)
+    estimates = _hop_bounds(tails, deviations, majorants, heads, owner, len(cut))
+    sizes = np.linalg.norm(composed[:, :m], 2, axis=(1, 2))
+    starts = np.cumsum([0] + [len(path) for path in cut[:-1]])
+    is_loop = np.array([len(path) == 2 for path in cut])
+    loops = starts[is_loop]
+    if loops.size:
+        leg_bounds = _hop_bounds(tails, deviations, majorants, 0.0, leg_of, len(legs))
+        approach, turn = composed[loops, :m], composed[loops + 1, :m]
+        e_t, e_c = leg_bounds[loops], leg_bounds[loops + 1]
+        product = estimates[is_loop]
+        singular = np.linalg.svd(approach, compute_uv=False)
+        loop_size = np.linalg.norm(np.linalg.solve(approach, turn @ approach), 2, axis=(1, 2))
+        turn_size = np.linalg.norm(turn, 2, axis=(1, 2))
+        conditioned = (singular[:, 0] * e_c + e_t * (turn_size + e_c + loop_size + product)) / singular[:, -1]
+        estimates[is_loop] = np.minimum(product, conditioned)
+        sizes[loops] = loop_size
+    estimates += np.finfo(float).eps * np.bincount(owner, minlength=len(cut)) * np.maximum(1.0, sizes[starts])
+    return [
+        (tuple(composed[first:first + len(path)]), float(estimate))
+        for first, path, estimate in zip(starts, cut, estimates)
+    ]
 
 
 def _loop_transfer(legs) -> np.ndarray:
@@ -254,25 +249,18 @@ def _loop_transfer(legs) -> np.ndarray:
     return legs[0]
 
 
-def _rows(segments, budget: float):
-    """One kernel row per segment, each allowed ``budget`` of local error over its whole length."""
-    return [(segment, budget / segment.length) for segment in segments]
-
-
 def _cut_paths(poles, paths):
-    """Audit every path against ``poles`` and cut it into legs of pieces.
+    """Audit every path against ``poles`` and cut its legs into hops.
 
-    Returns one ``(legs, weights)`` per path: each leg a tuple of pieces,
-    and each leg's weight in the path's error estimate.  A path whose tail
-    is, segment by segment, the exact reverse of its head around one
-    middle segment (every pole loop) gives two legs, the head and the
-    middle, weighted 2 and 1: the head's error counts twice.  Any other
-    path gives the one leg of all its segments, weighted 1.  Every segment
-    is split by ``paths.pieces`` until no piece is longer than its
-    distance to the nearest pole.  The cut depends on the poles alone, so
-    the systems of one Gauss-Newton solve share it.
+    Returns one tuple of legs per path, each leg the (H + 1,) points of its
+    H hops from ``paths.hops``, which cuts all legs of all paths in one
+    bisection.  A path whose tail is, segment by segment, the exact
+    reverse of its head around one middle segment (every pole loop) gives
+    two legs, the head and the middle, and its transfer is T^-1 C T.  Any
+    other path gives the one leg of all its segments.  The cut depends on
+    the poles alone, so the systems of one Gauss-Newton solve share it.
     """
-    cut = []
+    chains = []
     for path in paths:
         audited = path_clearance_audit(path, poles)
         if audited < path.clearance * (1.0 - 1e-9):
@@ -284,11 +272,11 @@ def _cut_paths(poles, paths):
         half = len(segments) // 2
         head, middle, tail = segments[:half], segments[half:half + 1], segments[half + 1:]
         if head and tail == tuple(seg.reversed() for seg in reversed(head)):
-            legs, weights = (head, middle), (2.0, 1.0)
+            chains.append((head, middle))
         else:
-            legs, weights = (segments,), (1.0,)
-        cut.append((tuple(tuple(p for seg in leg for p in pieces(seg, poles)) for leg in legs), weights))
-    return tuple(cut)
+            chains.append((segments,))
+    points = iter(hops([leg for legs in chains for leg in legs], poles))
+    return tuple(tuple(next(points) for _ in legs) for legs in chains)
 
 
 def _continue_cut(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
@@ -296,38 +284,18 @@ def _continue_cut(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
 
     Returns one ``(legs, error_estimate)`` per path of ``_cut_paths``: for
     a loop T @ start along the head and C @ start around the middle, for
-    any other path Y @ start.  Every piece is a row of one
-    ``_integrate_legs`` batch, continued from ``start``.  A path of K
-    weighted pieces (K = 2 head pieces + middle pieces for a loop, the
-    piece count otherwise) gives each piece an equal share ``tol / K`` of
-    local error over its length, so every row takes about the same number
-    of steps whatever the scale of its piece.  A leg's value is its
-    pieces' first block columns composed in order by ``_compose``, and its
-    error the sum of its pieces' local errors; the estimate is ten times
-    the weighted sum over the legs, so it is at most
-    10 tol max(1, |y|_F) over the path's steps.  The composition holds for
-    a system whose transfer that column determines: every system when
-    m = N, and the variational systems of ``inverse``.  The package passes
-    no other start.
+    any other path Y @ start.  Every hop is a column of one
+    ``_integrate_legs`` batch.  Stopping rule: a path stops after the first
+    term at which its composed truncation bound is at most ``tol``: each
+    hop's majorant tail times the norms, from the computed values, of the
+    hops after and before it, with a loop's head counted forward and
+    backward.  The estimate is that bound, or for a loop the smaller bound
+    through cond(T), plus a rounding term.  The composition holds for
+    every system when m = N and for the variational systems of
+    ``inverse``; the package passes no other start.
     """
     check_tolerance(tol, "integration tolerance")
-    rows = []
-    plans = []  # per path: each leg's rows, and the legs' weights
-    for legs, weights in cut:
-        budget = tol / sum(w * len(leg) for w, leg in zip(weights, legs))
-        chains = []
-        for leg in legs:
-            chains.append(slice(len(rows), len(rows) + len(leg)))
-            rows += _rows(leg, budget)
-        plans.append((chains, weights))
-    ends, errors = _integrate_legs(coefficient_function(system), rows, start)
-    return [
-        (
-            tuple(_compose(ends[chain]) for chain in chains),
-            10.0 * sum(w * float(errors[chain].sum()) for w, chain in zip(weights, chains)),
-        )
-        for chains, weights in plans
-    ]
+    return _integrate_legs(coefficient_function(system), cut, start, tol)
 
 
 def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float):
@@ -335,43 +303,75 @@ def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float)
     return _continue_cut(system, _cut_paths(system.poles, paths), start, tol)
 
 
-def transfer_along(rhs, path: ContinuationPath, dimension: int, tol: float = DEFAULT_INTEGRATION_TOL):
-    """Transfer matrix of dY/dz = rhs(z) Y along an arbitrary path.
+def transfer_along(matrix, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
+    """Transfer matrix of dY/dz = A(z) Y along ``path`` for a ``RationalMatrix`` A.
 
-    ``rhs`` is any callable z -> matrix; no pole bookkeeping happens here.
-    It is called point by point at every stage point, by the same step
-    loop as ``continue_solution``, as a field whose weights are the
-    identity and whose residues are the pointwise matrices rhs(z_i), so
-    a step's work grows with the square of the path's segment count.
-    With no poles to measure against, no segment is split: each segment
-    of the path is one row from the identity with an equal share
-    ``tol / len(path.segments)`` of local error, the rows advance side by
-    side, and the transfer is the product of theirs.  Returns ``(transfer, error_estimate)`` with
-    Y(end) = transfer @ Y(start), the estimate being ten times the
-    accumulated local error, at most 10 tol max(1, |Y|_F).
+    A is written once as P(z) / q(z), q the monic lcm of the entries'
+    denominators, and the path is cut by ``paths.hops`` against the roots
+    of q (no clearance audit).  At each hop z -> z + h, P and q are shifted
+    exactly to the double z by ``Polynomial.translate``; with P_j and q_j
+    the shifted terms times h^j, Y(z + h u) = sum_k y_k u^k solves
+    q Y' = h P Y term by term:
+        (k + 1) q_0 y_{k+1} = h sum_j P_j y_{k-j} - sum_{j>=1} (k + 1 - j) q_j y_{k+1-j}.
+    Stopping rule: a hop stops after two consecutive terms whose largest
+    entries are at most tol / H times max(1, the sum's largest entry), H
+    the hop count; the hop ratio 1/2 makes the terms shrink about
+    geometrically.  Returns ``(transfer, error_estimate)`` with
+    Y(end) = transfer @ Y(start), the estimate being the sum of every
+    hop's last two terms' largest entries: a heuristic, not a bound.
     """
-    def field(points):
-        return np.eye(len(points)), np.array([rhs(complex(z)) for z in points], dtype=complex)
-
     check_tolerance(tol, "integration tolerance")
-    eye = np.eye(dimension, dtype=complex)
-    ends, errors = _integrate_legs(field, _rows(path.segments, tol / len(path.segments)), eye)
-    return _compose(ends), 10.0 * float(errors.sum())
+    cells = [cell for row in matrix.entries for cell in row]
+    q = reduce(lambda a, b: a * b // polynomial_gcd(a, b), (cell.den for cell in cells))
+    numerators = [cell.num * (q // cell.den) for cell in cells]
+    roots = np.roots([c.to_complex() for c in reversed(q.coeffs)]) if q.degree else []
+    [points] = hops([path.segments], roots)
+    n = matrix.dimension
+    budget = tol / (len(points) - 1)
+    transfer = np.eye(n, dtype=complex)
+    estimate = 0.0
+    for z, h in zip(points[:-1], np.diff(points)):
+        den = _shifted([q], z, h, 0)[:, 0]
+        num = _shifted(numerators, z, h, 1).reshape(-1, n, n)
+        terms = [np.eye(n, dtype=complex)]
+        total = terms[0].copy()
+        while True:
+            k = len(terms) - 1
+            acc = sum((num[j] @ terms[k - j] for j in range(min(k + 1, len(num)))), np.zeros((n, n), complex))
+            for j in range(1, min(k + 2, len(den))):
+                acc -= (k + 1 - j) * den[j] * terms[k + 1 - j]
+            terms.append(acc / ((k + 1) * den[0]))
+            total += terms[-1]
+            if not np.isfinite(total).all():
+                raise NonFiniteError("continuation produced a non-finite solution value")
+            last = [float(np.abs(t).max()) for t in terms[-2:]]
+            if max(last) <= budget * max(1.0, float(np.abs(total).max())):
+                break
+        estimate += sum(last)
+        transfer = total @ transfer
+    if not np.isfinite(transfer).all():
+        raise NonFiniteError("continuation produced a non-finite solution value")
+    return transfer, estimate
+
+
+def _shifted(polynomials, z: complex, h: complex, power: int) -> np.ndarray:
+    """(degree + 1, count): the j-th terms of the polynomials shifted exactly to the double z, times h^(j + power)."""
+    center = ComplexRational(Fraction(z.real), Fraction(z.imag))
+    terms = [p.translate(center).coeffs for p in polynomials]
+    out = np.zeros((max(map(len, terms)), len(terms)), dtype=complex)
+    for i, column in enumerate(terms):
+        out[: len(column), i] = [c.to_complex() for c in column]
+    return out * h ** np.arange(power, power + len(out))[:, None]
 
 
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
     """Transfer matrix of analytic continuation along ``path``.
 
     Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start).
-    The path is a batch of one for ``_continue_legs``: it is audited
-    against the system's poles before any integration and cut into pieces
-    (no piece longer than its distance to the nearest pole), all continued
-    side by side from the identity.  A pole loop is integrated as head T
-    and middle C only, each the product of its pieces' transfers, giving
-    T^-1 C T with the head's error counted twice.  Each of the path's K
-    pieces (the head's counted twice) keeps its local error within an
-    equal share tol / K, and the estimate, ten times the accumulated local
-    error, is at most 10 tol max(1, |Y|_F).
+    The path is audited against the system's poles and cut into hops, a
+    pole loop continued as head T and middle C only, giving T^-1 C T; the
+    hops take terms until the path's composed truncation bound is at most
+    ``tol``, and the estimate bounds the realised error (``_continue_cut``).
     """
     [(legs, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
     return _loop_transfer(legs), err

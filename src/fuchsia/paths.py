@@ -54,18 +54,8 @@ class Line:
     def length(self) -> float:
         return abs(self.end - self.start)
 
-    @property
-    def coefficients(self) -> tuple[complex, ...]:
-        """This line's row for ``frame``: origin start, unit velocity, no spoke."""
-        return (self.start, (self.end - self.start) / self.length, 0.0, 0.0)
-
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
-
-    def halves(self) -> tuple["Line", "Line"]:
-        """The two lines that meet at the midpoint."""
-        middle = (self.start + self.end) / 2.0
-        return Line(self.start, middle), Line(middle, self.end)
 
     def min_distance_to(self, w: complex) -> float:
         d = self.end - self.start
@@ -120,15 +110,6 @@ class Arc:
             return self.start
         return arc_point(self.center, self.radius, self.angle_end)
 
-    @property
-    def coefficients(self) -> tuple[complex, ...]:
-        """This arc's row for ``frame``: origin center, no velocity, the spoke
-        from the center to ``start`` (center + spoke is ``start`` bit for
-        bit), and a turn of +-1 / radius, the sign being that of the sweep."""
-        spoke = arc_point(0.0, self.radius, self.angle_start)
-        sign = 1.0 if self.span > 0 else -1.0
-        return (self.center, 0.0, spoke, sign / self.radius)
-
     def reversed(self) -> "Arc":
         # A closed arc must keep its reported endpoint bitwise, so reverse
         # it by flipping the sweep direction around the same anchor angle;
@@ -143,14 +124,6 @@ class Arc:
                 closed=True,
             )
         return Arc(self.center, self.radius, self.angle_end, self.angle_start)
-
-    def halves(self) -> tuple["Arc", "Arc"]:
-        """The two arcs that meet at the middle angle; neither is closed."""
-        middle = (self.angle_start + self.angle_end) / 2.0
-        return (
-            Arc(self.center, self.radius, self.angle_start, middle),
-            Arc(self.center, self.radius, middle, self.angle_end),
-        )
 
     def min_distance_to(self, w: complex) -> float:
         rel = w - self.center
@@ -172,39 +145,60 @@ class Arc:
 Segment = Line | Arc
 
 
-def pieces(segment: Segment, poles) -> list[Segment]:
-    """``segment`` halved until no piece is longer than its distance to the nearest pole.
+# Every hop of a continuation is at most HOP_RATIO times as long as the
+# distance from its start to the nearest pole.
+HOP_RATIO = 0.5
 
-    Each halving splits a line at its midpoint and an arc at its middle
-    angle, and a piece short enough stays whole, so the pieces run end to
-    end along the segment.  A full circle around its own pole becomes 8
-    arcs of pi/4, and a line ending near a pole becomes pieces that shrink
-    geometrically toward it.  With no poles the segment stays whole.  The
-    segment must keep a positive distance from every pole.
+
+def hops(legs, poles) -> list[np.ndarray]:
+    """The hop points of every leg, each leg a chain of segments, from one bisection.
+
+    A leg's points z_0 ... z_H run along its segments, and hop i goes from
+    z_i to z_{i+1}.  Every segment is halved, a line at its midpoint and an
+    arc at its middle angle, while a piece is longer than ``HOP_RATIO``
+    times the distance from its start to the nearest pole; each level of
+    halving is one numpy pass over the pieces of all legs.  So every hop
+    z -> z + h has |h| <= |z - a| / 2 for every pole a, and the piece it
+    stands for lies in the pole-free disk around z of half the distance to
+    the nearest pole, so the chord gives the piece's transfer.  A full circle
+    around its own pole becomes 16 arcs, and a line ending near a pole
+    becomes hops that shrink geometrically toward it.  A segment's first
+    and last points are its own ``start`` and ``end``, so joins are exact
+    and a closed circle's last hop ends at its start bit for bit.  With no
+    poles every segment is one hop.
     """
-    distance = min((segment.min_distance_to(a) for a in poles), default=math.inf)
-    if segment.length <= distance:
-        return [segment]
-    # A half lies on the segment, so it is at least as far from every pole.
-    return [
-        piece
-        for half in segment.halves()
-        for piece in ([half] if half.length <= distance else pieces(half, poles))
-    ]
-
-
-def frame(coefficients: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points and unit velocities of a batch of segments at arc lengths.
-
-    Row b of the (B, 4) array ``coefficients`` is a segment's
-    ``(origin, velocity, spoke, turn)``, as its ``coefficients`` give them,
-    and ``s`` is (B, k) arc lengths along it.  The point is
-    origin + s velocity + spoke e^{i turn s} and the unit velocity its
-    derivative: a line has no spoke and no turn, an arc no velocity.
-    """
-    origin, velocity, spoke, turn = coefficients.T[:, :, None]
-    rotated = spoke * np.exp(1j * turn.real * s)
-    return origin + s * velocity + rotated, velocity + 1j * turn * rotated
+    segments = [seg for leg in legs for seg in leg]
+    lines = [isinstance(seg, Line) for seg in segments]
+    # A point at parameter t in [0, 1] is base + t step + radius e^{i (angle + t span)}.
+    base = np.array([seg.start if line else seg.center for seg, line in zip(segments, lines)])
+    step = np.array([seg.end - seg.start if line else 0.0 for seg, line in zip(segments, lines)])
+    radius, angle, span = np.array(
+        [(0.0, 0.0, 0.0) if line else (seg.radius, seg.angle_start, seg.span) for seg, line in zip(segments, lines)]
+    ).T
+    length = np.array([seg.length for seg in segments])
+    poles = np.asarray(poles, dtype=complex)
+    owner = np.repeat(np.arange(len(segments)), 2)
+    t = np.tile([0.0, 1.0], len(segments))
+    while True:
+        z = base[owner] + t * step[owner] + radius[owner] * np.exp(1j * (angle[owner] + t * span[owner]))
+        if not poles.size:
+            break
+        distance = np.abs(z[:-1, None] - poles).min(axis=1)
+        long = (owner[1:] == owner[:-1]) & ((t[1:] - t[:-1]) * length[owner[:-1]] > HOP_RATIO * distance)
+        if not long.any():
+            break
+        at = np.flatnonzero(long) + 1
+        owner = np.insert(owner, at, owner[at])
+        t = np.insert(t, at, (t[at - 1] + t[at]) / 2.0)
+    first = t == 0.0
+    last = t == 1.0
+    z[first] = [segments[i].start for i in owner[first]]
+    z[last] = [segments[i].end for i in owner[last]]
+    # Each segment after the first of its leg starts where the one before ends.
+    leading = np.cumsum([0] + [len(leg) for leg in legs[:-1]])
+    keep = ~first | np.isin(owner, leading)
+    counts = np.add.reduceat(keep.astype(int), np.searchsorted(owner, leading))
+    return np.split(z[keep], np.cumsum(counts)[:-1])
 
 
 @dataclass(frozen=True)
@@ -296,7 +290,7 @@ def loop_radii(poles, z0: complex) -> list[float]:
     return radii
 
 
-def _chord_frame(z0: complex, entry: complex):
+def _chord_direction(z0: complex, entry: complex):
     d = entry - z0
     length = abs(d)
     if length == 0.0:
@@ -322,7 +316,7 @@ def _detour_plan(poles, z0: complex, radii: list[float]):
     plan: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     detourers: dict[tuple[int, int], list[int]] = {}
     for j in range(n):
-        u, length = _chord_frame(z0, entries[j])
+        u, length = _chord_direction(z0, entries[j])
         for q in range(n):
             if q == j:
                 continue
@@ -350,7 +344,7 @@ def _detour_plan(poles, z0: complex, radii: list[float]):
 
 def _approach_segments(z0, poles, j, radii, plan, rank, entry):
     """Segments from z0 to the loop entry, respecting the detour plan."""
-    u, length = _chord_frame(z0, entry)
+    u, length = _chord_direction(z0, entry)
     events = []
     for q, side in plan[j]:
         detour_radius = (

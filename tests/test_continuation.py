@@ -3,20 +3,19 @@
 import cmath
 import importlib
 import math
-import re
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import clustered_pair_system, diagonal_system
-from fuchsia.errors import (
-    NonFiniteError,
-    StepSizeUnderflowError,
-    ValidationError,
-)
+from fuchsia.equivalence import RationalMatrix
+from fuchsia.errors import NonFiniteError, ValidationError
 from fuchsia.inverse import _SENSITIVITY_SCALE, _variational_residues
 from fuchsia.monodromy import (
     _continue_legs,
+    _cut_paths,
     _integrate_legs,
     coefficient_function,
     continue_solution,
@@ -24,6 +23,7 @@ from fuchsia.monodromy import (
     transfer_along,
 )
 from fuchsia.paths import Arc, ContinuationPath, Line, build_loops, default_base_point
+from fuchsia.rational import ComplexRational, Polynomial, RationalFunction
 from fuchsia.system import validate_system
 
 
@@ -101,17 +101,30 @@ def test_tolerance_must_be_positive():
 
 
 def test_non_finite_rhs_detected():
-    rhs = lambda z: np.array([[complex("nan")]])  # noqa: E731
-    path = ContinuationPath((Line(0.0, 1.0),), clearance=1.0)
+    """A term that overflows fails at once: A = 10^300 / z from 1 to 2."""
+    big = RationalFunction(Polynomial([10**300]), Polynomial([0, 1]))
+    path = ContinuationPath((Line(1.0, 2.0),), clearance=0.5)
     with pytest.raises(NonFiniteError):
-        transfer_along(rhs, path, 1)
+        transfer_along(RationalMatrix([[big]]), path)
 
 
-def test_step_size_underflow_on_stiff_rhs():
-    rhs = lambda z: np.array([[1e16 + 0.0j]])  # noqa: E731
-    path = ContinuationPath((Line(0.0, 1.0),), clearance=1.0)
-    with pytest.raises(StepSizeUnderflowError):
-        transfer_along(rhs, path, 1)
+def test_overflowing_majorant_fails_at_once():
+    """Residues of norm 1e16 overflow the hops' majorant within a few
+    dozen terms: the call raises at once instead of running on."""
+    system = validate_system([0.0, 1.0], [np.array([[1e16 + 0j]]), np.array([[-1e16 + 0j]])])
+    loop = build_loops(system, 3.0 + 0.0j)[0]
+    began = time.perf_counter()
+    with pytest.raises(NonFiniteError):
+        continue_solution(system, loop)
+    assert time.perf_counter() - began < 1.0
+
+
+def test_zero_residues_give_the_identity():
+    """With every residue zero every hop's majorant tail is 0 after one
+    term, so each loop stops there, with the identity."""
+    system = validate_system([0.0, 1.0, 2.0j], [np.zeros((2, 2))] * 3)
+    for matrix in monodromy(system).matrices:
+        assert np.array_equal(matrix, np.eye(2))
 
 
 def test_error_estimate_tracks_tolerance():
@@ -233,43 +246,48 @@ def test_batch_equals_each_path_alone(columns):
 
 
 def test_monodromy_evaluator_calls(monkeypatch):
-    """All pieces of all loops advance side by side, each within an equal
-    share of the tolerance, so the rows finish together: monodromy makes
-    few batched evaluator calls.  The five-pole system takes 40 (359 when
-    each loop leg ran whole).  The clustered pair takes 43 at 1e-9 and 127
-    at 1e-11; with a budget per unit arc length its small circles took
-    187 at 1e-9 and never finished at 1e-11.  The count raises once it
-    passes the cap, so a regression fails at once instead of hanging."""
+    """All hops of all loops are the columns of one batch, so monodromy
+    asks the field once, for every hop start together.  The clustered pair
+    returns down to tol 1e-14, every loop matrix within 1e-10 of its 1e-12
+    value.  The count raises once it passes one call, so a kernel that
+    calls the field per step fails at once instead of running on."""
     calls = []
-    cap = 0
 
     def counting(system):
         evaluate = coefficient_function(system)
 
         def counted(points):
             calls.append(len(points))
-            if len(calls) > cap:
-                raise AssertionError(f"more than {cap} evaluator calls")
+            if len(calls) > 1:
+                raise AssertionError("more than one evaluator call")
             return evaluate(points)
 
         return counted
 
     # The package attribute ``fuchsia.monodromy`` is a function, so the module comes from importlib.
     monkeypatch.setattr(importlib.import_module("fuchsia.monodromy"), "coefficient_function", counting)
-    for system, tol, cap in (
-        (five_pole_generic_system(), 1e-9, 60),
-        (clustered_pair_system(), 1e-9, 60),
-        (clustered_pair_system(), 1e-11, 200),
+    matrices = {}
+    for name, system, tol in (
+        ("five", five_pole_generic_system(), 1e-9),
+        ("clustered", clustered_pair_system(), 1e-9),
+        ("clustered", clustered_pair_system(), 1e-11),
+        ("clustered", clustered_pair_system(), 1e-12),
+        ("clustered", clustered_pair_system(), 1e-13),
+        ("clustered", clustered_pair_system(), 1e-14),
     ):
         calls.clear()
         rep = monodromy(system, tol)
         assert rep.product_defect <= 1e-9
-        assert len(calls) > 0
+        assert len(calls) == 1
+        matrices[name, tol] = np.array(rep.matrices)
+    for tol in (1e-13, 1e-14):
+        assert np.max(np.abs(matrices["clustered", tol] - matrices["clustered", 1e-12])) <= 1e-10
 
 
-def stub_legs():
-    """Two one-line rows for the kernel: a calm one near 0, and one on Re z > 10."""
-    return [(Line(0.0, 1.0), 1e-9), (Line(20.0 + 0.0j, 20.0 + 1.0j), 1e-9)]
+def stub_cut():
+    """Two one-line paths cut against a pole at -1: a calm one near 0, and one on Re z > 10."""
+    paths = [ContinuationPath((Line(0.0, 1.0),), 0.5), ContinuationPath((Line(20.0 + 0.0j, 20.0 + 1.0j),), 0.5)]
+    return _cut_paths([-1.0 + 0j], paths)
 
 
 def stub_field(weight):
@@ -283,18 +301,7 @@ def stub_field(weight):
 def test_non_finite_on_one_leg_fails_the_batch():
     field = stub_field(lambda points: np.where(points.real > 10.0, complex("nan"), 1.0))
     with pytest.raises(NonFiniteError):
-        _integrate_legs(field, stub_legs(), np.eye(1, dtype=complex))
-
-
-def test_step_collapse_on_one_leg_names_its_arc_length():
-    """The far leg turns stiff halfway along; the error names where."""
-    field = stub_field(lambda points: np.where((points.real > 10.0) & (points.imag > 0.5), 1e17, 1.0))
-    with pytest.raises(StepSizeUnderflowError) as caught:
-        _integrate_legs(field, stub_legs(), np.eye(1, dtype=complex))
-    found = re.search(r"arc length (\S+) of (\S+)$", str(caught.value))
-    assert found is not None
-    assert 0.49 < float(found[1]) <= 0.5
-    assert float(found[2]) == 1.0
+        _integrate_legs(field, stub_cut(), np.eye(1, dtype=complex), 1e-9)
 
 
 def test_evaluator_matches_pointwise_coefficient():
@@ -312,20 +319,38 @@ def test_evaluator_matches_pointwise_coefficient():
         assert np.max(np.abs(evaluated - expected)) <= 1e-14 * scale
 
 
+def rational_matrix(system):
+    """A(z) = sum_p B_p / (z - a_p) as a ``RationalMatrix``, every double taken exactly."""
+    def exact(z):
+        return ComplexRational(Fraction(z.real), Fraction(z.imag))
+
+    def entry(i, j):
+        return sum(
+            (
+                RationalFunction(Polynomial([exact(complex(b[i, j]))]), Polynomial([-exact(complex(a)), 1]))
+                for a, b in zip(system.poles, system.residues)
+            ),
+            RationalFunction(Polynomial([])),
+        )
+
+    n = system.dimension
+    return RationalMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
 def test_both_field_forms_give_the_same_transfer():
-    """``transfer_along`` of the pointwise A(z) (identity weights, one
-    residue per point) agrees with ``continue_solution`` (partial-fraction
-    weights, the path cut into pieces) on an open path."""
+    """``transfer_along`` of A(z) as a ``RationalMatrix`` (the general
+    recurrence on P / q, shifted exactly to each hop) agrees with
+    ``continue_solution`` (the partial-fraction recurrence) on an open path."""
     system = collinear_generic_system()
     corner = 0.5 + 1.5j
     path = ContinuationPath((Line(3.0 + 1.0j, corner), Line(corner, -1.5 - 0.5j)), clearance=0.5)
     tol = 1e-11
-    pointwise, _ = transfer_along(system.evaluate, path, system.dimension, tol)
+    general, _ = transfer_along(rational_matrix(system), path, tol)
     partial, _ = continue_solution(system, path, tol)
-    assert np.max(np.abs(pointwise - partial)) <= 1e-9
+    assert np.max(np.abs(general - partial)) <= 1e-9
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
 def test_realised_error_within_tolerance_and_estimate(tol, rng):
     """On closed-form oracles the realised error stays below ``tol`` and
     the reported estimate bounds it, loop by loop through

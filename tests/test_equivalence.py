@@ -247,8 +247,8 @@ class TestGaugeAction:
         b = mat([["1", "z"], ["0", "1"]])
         gauged = gauge_transform(a, b)
         path = ContinuationPath((Line(1.0 + 0j, 1.5 + 0.25j),), clearance=0.5)
-        t_a, _ = transfer_along(lambda z: a.eval_complex(z), path, 2, tol=1e-12)
-        t_g, _ = transfer_along(lambda z: gauged.eval_complex(z), path, 2, tol=1e-12)
+        t_a, _ = transfer_along(a, path, tol=1e-12)
+        t_g, _ = transfer_along(gauged, path, tol=1e-12)
         b_start = b.eval_complex(path.start)
         b_end = b.eval_complex(path.end)
         lhs = t_g
@@ -291,14 +291,12 @@ class TestDualRoute:
         h = 0.25
         by_series = series_transfer(coeff_mats, h, order)
         path = ContinuationPath((Line(1.0 + 0j, 1.0 + h),), clearance=0.5)
-        by_integration, _ = transfer_along(
-            lambda z: a.eval_complex(z), path, 2, tol=1e-13
-        )
+        by_integration, _ = transfer_along(a, path, tol=1e-13)
         assert np.linalg.norm(by_series - by_integration) < 1e-10
 
     def test_closed_form_anchor(self):
         """y' = y/z has solution y = z, so the 1x1 transfer from 1 to 2 is 2."""
         a = mat([["1/z"]])
         path = ContinuationPath((Line(1.0 + 0j, 2.0 + 0j),), clearance=0.5)
-        t, _ = transfer_along(lambda z: a.eval_complex(z), path, 1, tol=1e-12)
+        t, _ = transfer_along(a, path, tol=1e-12)
         assert abs(t[0, 0] - 2.0) < 1e-9

@@ -173,10 +173,10 @@ def test_verify_tolerance_gates_verdict(rng):
 def test_verify_clustered_pair_keeps_step_control():
     """A generic 2x2 system whose poles 2 and 4 sit 1e-3 apart verifies.
 
-    It is a system of the benchmark's clustered class.  Loops that shrink
-    the circles beside such a pair far enough leave the step controller's
-    error estimate at the rounding floor of the stage points, where the
-    step shrinks without end (``StepSizeUnderflowError``).
+    It is a system of the benchmark's clustered class, whose loop circles
+    beside the pair are over 1000 times smaller than the others; a hop's term
+    count depends only on its length against its pole distance, whatever
+    the circle's size.
     """
     system = clustered_pair_system()
     report = verify_theorem(system)

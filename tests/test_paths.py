@@ -17,10 +17,9 @@ from fuchsia.paths import (
     build_loops,
     composition_order,
     default_base_point,
-    frame,
+    hops,
     loop_radii,
     path_clearance_audit,
-    pieces,
 )
 from fuchsia.system import validate_system
 
@@ -35,11 +34,10 @@ def toy_system(poles):
 def test_line_basics():
     seg = Line(0.0, 3.0 + 4.0j)
     assert seg.length == 5.0
-    z, v = frame(np.array([seg.coefficients]), np.array([[0.0, 5.0]]))
-    z, v = z[0], v[0]
+    [z] = hops([(seg,)], [10.0 + 0j])
     assert z[0] == 0.0
-    assert z[1] == 3.0 + 4.0j
-    assert np.all(np.abs(v - (0.6 + 0.8j)) < 1e-15)
+    assert z[-1] == 3.0 + 4.0j
+    assert np.all(np.abs(np.diff(z) / np.abs(np.diff(z)) - (0.6 + 0.8j)) < 1e-15)
     assert seg.reversed().start == seg.end
 
 
@@ -58,8 +56,10 @@ def test_arc_point_is_shared_formula():
     center, radius, angle = 1.0 + 2.0j, 0.75, 0.3
     arc = Arc(center, radius, angle, angle + 1.0)
     assert arc.start == arc_point(center, radius, angle)
-    z, _ = frame(np.array([arc.coefficients]), np.zeros((1, 1)))
-    assert abs(z[0, 0] - arc.start) < 1e-15
+    [z] = hops([(arc,)], [center])
+    assert z[0] == arc.start
+    assert z[-1] == arc.end == arc_point(center, radius, angle + 1.0)
+    assert np.all(np.abs(np.abs(z - center) - radius) < 1e-15)
 
 
 def test_closed_arc_end_is_start_bitwise():
@@ -238,40 +238,52 @@ def piece_layouts():
 
 
 def test_pieces_are_no_longer_than_their_pole_distance():
+    """Every hop is at most half as long as its start's distance to the
+    nearest pole, and its piece of the segment no longer than that."""
     count = 0
     for poles, loops in piece_layouts():
-        for segment in (seg for loop in loops for seg in loop.segments):
-            for piece in pieces(segment, poles):
-                assert piece.length <= min(piece.min_distance_to(a) for a in poles)
-                count += 1
+        legs = [(seg,) for loop in loops for seg in loop.segments]
+        for (segment,), points in zip(legs, hops(legs, poles)):
+            distance = np.abs(points[:-1, None] - np.array(poles)).min(axis=1)
+            assert np.all(np.abs(np.diff(points)) <= 0.5 * distance)
+            # A piece's length is the segment's length over a power of two.
+            assert np.all(np.abs(np.diff(points)) <= segment.length)
+            count += len(points) - 1
     assert count > 100
 
 
 def test_pieces_join_end_to_end():
-    """Each piece starts where the one before ends; the last ends where the
-    segment does (a full circle only to rounding, at angle_start + 2 pi)."""
+    """A leg's hops run from its first segment's start through every join,
+    exactly, to its last segment's end; a closed circle ends at its start
+    bit for bit."""
     for poles, loops in piece_layouts():
-        for segment in (seg for loop in loops for seg in loop.segments):
-            split = pieces(segment, poles)
-            assert split[0].start == segment.start
-            for before, after in zip(split, split[1:]):
-                assert before.end == after.start
-            assert abs(split[-1].end - segment.end) <= 1e-12
-            assert math.fsum(piece.length for piece in split) == pytest.approx(segment.length, abs=1e-12)
+        legs = [loop.segments for loop in loops]
+        for leg, points in zip(legs, hops(legs, poles)):
+            assert points[0] == leg[0].start
+            assert points[-1] == leg[-1].end
+            for segment in leg[1:]:
+                assert segment.start in points
+            assert np.all(np.diff(points) != 0.0)
+    circle = Arc(0.0 + 0j, 0.4, 0.3, 0.3 + 2.0 * math.pi, closed=True)
+    [points] = hops([(circle,)], [0.0 + 0j])
+    assert points[-1] == points[0] == circle.start
 
 
-def test_full_circle_splits_into_eight_arcs():
+def test_full_circle_splits_into_sixteen_arcs():
     circle = Arc(0.0 + 0j, 0.4, math.pi, 3.0 * math.pi, closed=True)
-    split = pieces(circle, [0.0 + 0j, 1.0 + 0j])
-    assert len(split) == 8
-    assert all(piece.span == pytest.approx(math.pi / 4.0) for piece in split)
+    [points] = hops([(circle,)], [0.0 + 0j, 1.0 + 0j])
+    assert len(points) == 17
+    steps = np.angle(np.diff(points) / (points[:-1] - circle.center))
+    assert np.all(np.abs(np.abs(np.diff(points)) - 2.0 * 0.4 * math.sin(math.pi / 16.0)) < 1e-15)
+    assert np.all(steps > 0.0)
 
 
 def test_pieces_without_poles_keep_the_segment():
     segment = Line(0.0 + 0j, 100.0 + 0j)
-    assert pieces(segment, []) == [segment]
+    [points] = hops([(segment,)], [])
+    assert list(points) == [segment.start, segment.end]
 
 
 def test_approach_pieces_shrink_toward_the_pole():
-    split = pieces(Line(3.0 + 0j, 0.4 + 0j), [0.0 + 0j])
-    assert [piece.length for piece in split] == pytest.approx([1.3, 0.65, 0.325, 0.325])
+    [points] = hops([(Line(3.0 + 0j, 0.4 + 0j),)], [0.0 + 0j])
+    assert list(-np.diff(points).real) == pytest.approx([1.3, 0.65, 0.325, 0.325])
