@@ -8,15 +8,13 @@ after gamma1 is T2 @ T1.  A pole loop is an approach, a circle and the
 exact reverse of the approach, so its transfer is T^-1 C T and its two
 legs are the approach and the circle.  ``paths.hops`` cuts every leg into
 hops z -> z + h with |h| at most half the distance from z to every pole,
-so every g_p = h / (z - a_p) has |g_p| <= 1/2, and all hops of all loops
-are the columns of one batch.  A hop sums the Taylor series of
-Y(z + h u) at u = 1 by a recurrence with one product with the residues
-per term, and a scalar majorant of its terms bounds what the terms left
-out can add: each path takes the terms its composed bound needs, with no
-step size and no controller, and reports that bound.  Each hop continues
-the first block column [I_m; 0], and the hops compose in that form,
-[T2 T1; S2 T1 + (I (x) T2) S1]: with m = N that is the plain product, and
-the inverse solver continues just n columns of its variational system.
+and all hops of all loops are the columns of one batch.  A hop sums its
+Taylor series by a recurrence with one product with the residues per
+term; a scalar majorant bounds what the terms left out can add, so each
+path takes the terms its composed bound needs, with no step size and no
+controller.  Hops continue the first block column [I_m; 0] and compose in
+that form (``_compose``), so the inverse solver continues just n columns
+of its variational system.
 
 ``verify_theorem`` compares the monodromy around each pole against the
 exponential generator exp(2 pi i B_j) from one Jordan analysis of each:
@@ -27,6 +25,7 @@ reported but excluded from the hypothesis.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import zip_longest
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .linalg import (
     similarity_transform,  # noqa: F401 - perfbench/spans.py traces this name here
 )
 from .paths import (
+    HOP_RATIO,
     LOOP_CONVENTION,
     ContinuationPath,
     build_loops,
@@ -137,21 +137,22 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
     |y_k|_2 <= m_k, and m_{k+1} <= G (k + S) / (k + 1) m_k, the coefficient
     ratio of the single factor (1 - G u)^-S with G = max_p |g_p| and
     S = sum_p b_p, so the terms after the k-th add at most
-    tau = m_k r / (1 - r), r = G max(1, (k + S) / (k + 1)).  After a
-    term at which a path's summed tails times the ratio its last check
-    found meet ``tol``, its composed bound (``_hop_bounds``, with the
-    deviations |sum - start|_F + tau) is checked, and once that meets
-    ``tol`` the path leaves the batch: the term count depends on the path
-    alone, so a path gets the same values in any batch.  A non-finite
-    majorant, value or bound raises ``NonFiniteError``.
+    tau = m_k r / (1 - r), r = G max(1, (k + S) / (k + 1)).  After each
+    term a path's composed bound (``_hop_bounds``, with the deviations
+    |sum - start|_F + tau) is checked, skipped while the path's summed
+    tails, which it is never below, exceed ``tol``; once it meets ``tol``
+    the path leaves the batch.  The term count depends on the path alone,
+    so a path gets the same values in any batch.  A non-finite majorant,
+    value or bound raises ``NonFiniteError``.
 
     Returns one ``(legs, error_estimate)`` per path, each leg its hops'
     values composed by ``_compose``.  The estimate is the composed bound,
     for a loop at most cond(T) E_C + |T^-1| (|C| + E_C + |M| + E) E_T with
-    E_T, E_C the legs' bounds, E the loop's and M = T^-1 C T, plus
-    eps H max(1, |Y|_2) for rounding (a model), H being the path's hop
-    count.  Norms are of the top m x m blocks: for m = N the transfers,
-    for the variational systems of ``inverse`` those of the system itself.
+    E_T, E_C the legs' bounds, E the loop's and M = T^-1 C T, plus a
+    rounding model eps W max(1, |Y|_2), W the sum over hops (a head hop
+    twice) of sum_k m_k, which bounds the magnitudes a hop adds up however
+    they cancel.  Norms are of the top m x m blocks: for m = N the
+    transfers, for ``inverse``'s variational systems the system's own.
     """
     legs = [leg for path in cut for leg in path]
     leg_of = np.repeat(np.arange(len(legs)), [len(leg) - 1 for leg in legs])
@@ -170,6 +171,7 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
     values = np.empty((count,) + start.shape, dtype=complex)
     tails = np.empty(count)
     deviations = np.empty(count)
+    masses = np.full(count, float(np.linalg.norm(start, 2)))  # sum_k m_k
     # The active hops: their ids, paths, flags and majorant data, and their state on the last axis.
     ids, path_of, head, majorant, reach = np.arange(count), owner, heads, majorants, size.max(axis=0)
     term = np.repeat(start[:, :, None], count, axis=2)  # y_k
@@ -177,7 +179,6 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
     stack = np.zeros((len(g),) + term.shape, dtype=complex)  # U_{p,k}
     bound = np.full(count, float(np.linalg.norm(start, 2)))  # m_k
     partial = np.zeros_like(size)  # M_{p,k}
-    factor = np.ones(len(cut))
     k = 0
     while ids.size:
         partial = size * (bound + partial)
@@ -190,19 +191,17 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
         k += 1
         term /= k
         sums += term
+        masses[ids] += bound
         ratio = reach * max(1.0, (k + total) / (k + 1))
         tau = np.divide(bound * ratio, 1.0 - ratio, out=np.full(len(ids), np.inf), where=ratio < 1.0)
-        # A path's composed bound is its summed tails times a factor of at
-        # least 1 that barely moves from term to term: the last one seen.
-        summed = np.bincount(path_of, tau, len(cut))
-        checked = (summed * factor <= tol) & (np.bincount(path_of, minlength=len(cut)) > 0)
+        # Every norm in a composed bound is at least 1, so it is at least the path's summed tails.
+        checked = np.bincount(path_of, tau, len(cut)) <= tol
         if not checked[path_of].any():
             continue
         near = np.linalg.norm(sums - start[:, :, None], axis=(0, 1)) + tau
         composed = _hop_bounds(tau, near, majorant, head, path_of, len(cut))
         if not np.isfinite(composed[checked]).all():
             raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
-        np.divide(composed, summed, out=factor, where=checked & (summed > 0.0))
         done = (checked & (composed <= tol))[path_of]
         if not done.any():
             continue
@@ -234,7 +233,8 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
         conditioned = (singular[:, 0] * e_c + e_t * (turn_size + e_c + loop_size + product)) / singular[:, -1]
         estimates[is_loop] = np.minimum(product, conditioned)
         sizes[loops] = loop_size
-    estimates += np.finfo(float).eps * np.bincount(owner, minlength=len(cut)) * np.maximum(1.0, sizes[starts])
+    rounding = np.bincount(owner, masses * (1.0 + heads), len(cut))
+    estimates += np.finfo(float).eps * rounding * np.maximum(1.0, sizes[starts])
     return [
         (tuple(composed[first:first + len(path)]), float(estimate))
         for first, path, estimate in zip(starts, cut, estimates)
@@ -290,7 +290,7 @@ def _continue_cut(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     hop's majorant tail times the norms, from the computed values, of the
     hops after and before it, with a loop's head counted forward and
     backward.  The estimate is that bound, or for a loop the smaller bound
-    through cond(T), plus a rounding term.  The composition holds for
+    through cond(T), plus a rounding model.  The composition holds for
     every system when m = N and for the variational systems of
     ``inverse``; the package passes no other start.
     """
@@ -306,19 +306,20 @@ def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float)
 def transfer_along(matrix, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
     """Transfer matrix of dY/dz = A(z) Y along ``path`` for a ``RationalMatrix`` A.
 
-    A is written once as P(z) / q(z), q the monic lcm of the entries'
-    denominators, and the path is cut by ``paths.hops`` against the roots
-    of q (no clearance audit).  At each hop z -> z + h, P and q are shifted
-    exactly to the double z by ``Polynomial.translate``; with P_j and q_j
-    the shifted terms times h^j, Y(z + h u) = sum_k y_k u^k solves
-    q Y' = h P Y term by term:
-        (k + 1) q_0 y_{k+1} = h sum_j P_j y_{k-j} - sum_{j>=1} (k + 1 - j) q_j y_{k+1-j}.
-    Stopping rule: a hop stops after two consecutive terms whose largest
+    A is written once as P / q, q the monic lcm of the entries'
+    denominators, and ``paths.hops`` cuts the path against the roots of q
+    (no clearance audit).  Each hop is walked along its chord in steps
+    z -> z + h: P and q are shifted exactly to the double z by
+    ``Polynomial.translate``, and h is halved while |h| sum_j |P_j|_2 |h|^j
+    > HOP_RATIO |q_0|, so h P / q(z) stays small on the step however large
+    A is.  With P_j, q_j the shifted terms times h^j, Y(z + h u) = sum_k
+    y_k u^k solves q Y' = h P Y term by term:
+        (k + 1) q_0 y_{k+1} = sum_j (h P_j - (k - j) q_{j+1}) y_{k-j}.
+    Stopping rule: a step stops after two consecutive terms whose largest
     entries are at most tol / H times max(1, the sum's largest entry), H
-    the hop count; the hop ratio 1/2 makes the terms shrink about
-    geometrically.  Returns ``(transfer, error_estimate)`` with
-    Y(end) = transfer @ Y(start), the estimate being the sum of every
-    hop's last two terms' largest entries: a heuristic, not a bound.
+    the step count.  Returns ``(transfer, error_estimate)``, the estimate
+    the sum of every step's last two terms' largest entries: a heuristic,
+    not a bound.  A step too short to move z raises ``NonFiniteError``.
     """
     check_tolerance(tol, "integration tolerance")
     cells = [cell for row in matrix.entries for cell in row]
@@ -327,20 +328,32 @@ def transfer_along(matrix, path: ContinuationPath, tol: float = DEFAULT_INTEGRAT
     roots = np.roots([c.to_complex() for c in reversed(q.coeffs)]) if q.degree else []
     [points] = hops([path.segments], roots)
     n = matrix.dimension
-    budget = tol / (len(points) - 1)
+    steps = []
+    for z, end in zip(points[:-1], points[1:]):
+        while z != end:
+            center = ComplexRational(Fraction(z.real), Fraction(z.imag))
+            columns = [[c.to_complex() for c in p.translate(center).coeffs] for p in [q] + numerators]
+            shifted = np.array(list(zip_longest(*columns, fillvalue=0j)))
+            den, num = shifted[:, 0], shifted[:, 1:].reshape(-1, n, n)
+            sizes = np.linalg.norm(num, 2, axis=(1, 2))
+            h = end - z
+            while abs(h) * (sizes @ abs(h) ** np.arange(len(sizes))) > HOP_RATIO * abs(den[0]):
+                h /= 2.0
+            if z + h == z:
+                raise NonFiniteError("continuation cannot resolve the field: A is too large for a step to move")
+            powers = h ** np.arange(len(den))
+            steps.append((den[0], num * (h * powers[:, None, None]), np.append(den[1:] * powers[1:], 0.0)))
+            z = end if h == end - z else z + h
+    budget = tol / len(steps)
     transfer = np.eye(n, dtype=complex)
     estimate = 0.0
-    for z, h in zip(points[:-1], np.diff(points)):
-        den = _shifted([q], z, h, 0)[:, 0]
-        num = _shifted(numerators, z, h, 1).reshape(-1, n, n)
+    for lead, num, rest in steps:
         terms = [np.eye(n, dtype=complex)]
         total = terms[0].copy()
         while True:
             k = len(terms) - 1
-            acc = sum((num[j] @ terms[k - j] for j in range(min(k + 1, len(num)))), np.zeros((n, n), complex))
-            for j in range(1, min(k + 2, len(den))):
-                acc -= (k + 1 - j) * den[j] * terms[k + 1 - j]
-            terms.append(acc / ((k + 1) * den[0]))
+            acc = sum(num[j] @ terms[k - j] - (k - j) * rest[j] * terms[k - j] for j in range(min(k + 1, len(num))))
+            terms.append(acc / ((k + 1) * lead))
             total += terms[-1]
             if not np.isfinite(total).all():
                 raise NonFiniteError("continuation produced a non-finite solution value")
@@ -354,16 +367,6 @@ def transfer_along(matrix, path: ContinuationPath, tol: float = DEFAULT_INTEGRAT
     return transfer, estimate
 
 
-def _shifted(polynomials, z: complex, h: complex, power: int) -> np.ndarray:
-    """(degree + 1, count): the j-th terms of the polynomials shifted exactly to the double z, times h^(j + power)."""
-    center = ComplexRational(Fraction(z.real), Fraction(z.imag))
-    terms = [p.translate(center).coeffs for p in polynomials]
-    out = np.zeros((max(map(len, terms)), len(terms)), dtype=complex)
-    for i, column in enumerate(terms):
-        out[: len(column), i] = [c.to_complex() for c in column]
-    return out * h ** np.arange(power, power + len(out))[:, None]
-
-
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
     """Transfer matrix of analytic continuation along ``path``.
 
@@ -371,7 +374,8 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     The path is audited against the system's poles and cut into hops, a
     pole loop continued as head T and middle C only, giving T^-1 C T; the
     hops take terms until the path's composed truncation bound is at most
-    ``tol``, and the estimate bounds the realised error (``_continue_cut``).
+    ``tol``, and the estimate is that bound plus a rounding model
+    (``_continue_cut``).
     """
     [(legs, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
     return _loop_transfer(legs), err

@@ -165,7 +165,8 @@ def hops(legs, poles) -> list[np.ndarray]:
     becomes hops that shrink geometrically toward it.  A segment's first
     and last points are its own ``start`` and ``end``, so joins are exact
     and a closed circle's last hop ends at its start bit for bit.  With no
-    poles every segment is one hop.
+    poles every segment is one hop; a pole on a leg, or within rounding of
+    it, raises ``ValidationError`` once a piece can no longer be halved.
     """
     segments = [seg for leg in legs for seg in leg]
     lines = [isinstance(seg, Line) for seg in segments]
@@ -188,8 +189,11 @@ def hops(legs, poles) -> list[np.ndarray]:
         if not long.any():
             break
         at = np.flatnonzero(long) + 1
+        middle = (t[at - 1] + t[at]) / 2.0
+        if ((middle <= t[at - 1]) | (middle >= t[at])).any():
+            raise ValidationError("a leg passes through a pole: its hops cannot be halved any further")
         owner = np.insert(owner, at, owner[at])
-        t = np.insert(t, at, (t[at - 1] + t[at]) / 2.0)
+        t = np.insert(t, at, middle)
     first = t == 0.0
     last = t == 1.0
     z[first] = [segments[i].start for i in owner[first]]

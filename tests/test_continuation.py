@@ -101,11 +101,38 @@ def test_tolerance_must_be_positive():
 
 
 def test_non_finite_rhs_detected():
-    """A term that overflows fails at once: A = 10^300 / z from 1 to 2."""
+    """A field too large for floating point fails at once: A = 10^300 / z
+    from 1 to 2, whose hops would have to be too short to move z."""
     big = RationalFunction(Polynomial([10**300]), Polynomial([0, 1]))
     path = ContinuationPath((Line(1.0, 2.0),), clearance=0.5)
     with pytest.raises(NonFiniteError):
         transfer_along(RationalMatrix([[big]]), path)
+
+
+@pytest.mark.parametrize(
+    "numerator, end, exact",
+    [([-1], 40.0, math.exp(-40.0)), ([0, 1], 6.0, math.exp(18.0))],
+)
+def test_transfer_along_shortens_hops_for_a_large_field(numerator, end, exact):
+    """With no poles ``paths.hops`` leaves a line as one hop; ``transfer_along``
+    halves it until h |A| is small, so y' = -y over [0, 40] (one hop's terms
+    would reach 40^40 / 40!) and y' = z y over [0, 6] come out to ``tol``
+    relative to the exact exp(-40) and exp(18)."""
+    field = RationalFunction(Polynomial(numerator), Polynomial([1]))
+    path = ContinuationPath((Line(0.0 + 0j, end + 0j),), clearance=1.0)
+    tol = 1e-9
+    transfer, estimate = transfer_along(RationalMatrix([[field]]), path, tol)
+    assert abs(transfer[0, 0] - exact) <= tol * exact
+    assert estimate <= tol
+
+
+def test_transfer_along_through_a_pole_raises():
+    """A path through a root of the denominator raises once its hops
+    cannot be halved any further, instead of halving them without end."""
+    field = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
+    path = ContinuationPath((Line(-1.0 + 0j, 1.0 + 0j),), clearance=0.5)
+    with pytest.raises(ValidationError, match="passes through a pole"):
+        transfer_along(RationalMatrix([[field]]), path)
 
 
 def test_overflowing_majorant_fails_at_once():

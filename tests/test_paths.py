@@ -287,3 +287,12 @@ def test_pieces_without_poles_keep_the_segment():
 def test_approach_pieces_shrink_toward_the_pole():
     [points] = hops([(Line(3.0 + 0j, 0.4 + 0j),)], [0.0 + 0j])
     assert list(-np.diff(points).real) == pytest.approx([1.3, 0.65, 0.325, 0.325])
+
+
+@pytest.mark.parametrize("pole", [0.0 + 0j, 1e-300j])
+def test_hops_reject_a_leg_through_a_pole(pole):
+    """A pole on a leg, or within rounding of it, leaves a piece too long
+    however far it is halved: the bisection raises once the piece's
+    parameter interval cannot be split, instead of running on."""
+    with pytest.raises(ValidationError, match="passes through a pole"):
+        hops([(Line(-1.0 + 0j, 1.0 + 0j),)], [pole])
