@@ -24,7 +24,7 @@ from .errors import ValidationError
 from .linalg import as_square_matrix, check_tolerance
 from .monodromy import DEFAULT_INTEGRATION_TOL, _continue_cut, _cut_paths, _product_defect
 from .monodromy import continue_solution  # noqa: F401 - perfbench/spans.py traces this name here
-from .paths import build_loops, composition_order, default_base_point
+from .paths import LOOP_CONVENTION, build_loops, composition_order, default_base_point
 from .system import TWO_PI_I, FuchsianSystem, PoleResonance, is_non_resonant, validate_poles, validate_system
 from . import jsonio
 
@@ -56,7 +56,8 @@ class InverseProblemInstance:
         """Instance from an inverse-instance document or a monodromy report.
 
         A monodromy report (``"kind": "monodromy"``) gives its ``matrices``
-        as the targets.
+        as the targets, and its ``convention`` must be ``LOOP_CONVENTION``:
+        the matrices of other loops compose in another order.
         """
         if data.get("kind") == "monodromy":
             document, targets_key = "monodromy report", "matrices"
@@ -64,6 +65,13 @@ class InverseProblemInstance:
             document, targets_key = "inverse instance", "targets"
         poles = jsonio.required_field(data, "poles", list, document)
         targets = jsonio.required_field(data, targets_key, list, document)
+        if targets_key == "matrices":
+            convention = jsonio.required_field(data, "convention", str, document)
+            if convention != LOOP_CONVENTION:
+                raise ValidationError(
+                    f"monodromy report has loop convention {convention!r}, "
+                    f"but this version's loops follow {LOOP_CONVENTION!r}"
+                )
         base = None
         if "base_point" in data:
             base = jsonio.pair_to_complex(data["base_point"])

@@ -1,13 +1,15 @@
 """Continuation paths: unit-speed lines and circular arcs with exact joins.
 
-Loops around poles are built as chord-out, full counterclockwise circle,
-chord-back trips from a common base point.  When the chord to one pole would
-pass too close to another, the chord detours around the interfering pole
-along an arc on a fixed side of travel; the return leg is the exact bitwise
-reverse of the approach, so detours contribute zero winding around every
-pole.  Adjacent segments share endpoint values bit for bit: each segment is
-constructed from the previous segment's computed endpoint, and a closed arc
-reports its start value as its end.
+Loops around poles hang on a comb.  Every pole has a tooth along one
+direction d to a line L beyond all poles, and the base point joins L along
+d as well.  A pole's loop runs from the base point onto L, along L to its
+tooth, down the tooth, once counterclockwise around a small circle, and
+back along the exact bitwise reverse of the way in.  Parallel teeth never
+cross, so the loops need no detours, and their order along L is the order
+in which they compose to the identity.  Adjacent segments share endpoint
+values bit for bit: each segment is constructed from the previous
+segment's computed endpoint, and a closed arc reports its start value as
+its end.
 """
 
 import cmath
@@ -23,7 +25,7 @@ TWO_PI = 2.0 * math.pi
 
 # Loop and composition conventions baked into this module; reports carry the
 # tag so downstream consumers can check compatibility.
-LOOP_CONVENTION = "ccw-circle/reversed-approach/order-angle-asc-near-first/v2"
+LOOP_CONVENTION = "ccw-circle/reversed-approach/comb-order-foot-desc/v3"
 
 
 def arc_point(center: complex, radius: float, angle: float) -> complex:
@@ -261,154 +263,53 @@ def default_base_point(poles) -> complex:
     return complex(1.0 + max(abs(a) for a in poles), 0.0)
 
 
-# Loop sizing.  Each loop circle has radius RADIUS_FACTOR times the distance
-# to the nearest pole or base point; corridors to other poles must keep out
-# of the exclusion disk of EXCLUSION_FACTOR times a pole's circle radius,
-# detouring along its boundary.  Corridors sharing a detour pole nest at
-# radii spaced by NEST_STEP so the planar arrangement stays non-crossing,
-# which is what makes the composition order below correct.  These constants
-# satisfy EXCLUSION_FACTOR * (1 + MAX_NEST_RANK * NEST_STEP) * RADIUS_FACTOR
-# < 1/2, so detour bulges around distinct poles can never intersect.
+# Comb loops.  The teeth run parallel to one direction d, the best of
+# COMB_ANGLES evenly spaced candidates, up to the line L that lies
+# COMB_OFFSET beyond the farthest pole along d.  A pole's circle has radius
+# RADIUS_FACTOR times its distance to the nearest other pole or the base
+# point, and at most 1 / TOOTH_FACTOR times the distance at which any tooth
+# passes beside it.
+COMB_ANGLES = 180
+COMB_OFFSET = 1.0
 RADIUS_FACTOR = 0.4
-EXCLUSION_FACTOR = 1.08
-NEST_STEP = 0.05
-MAX_NEST_RANK = 2
+TOOTH_FACTOR = 2.16
 
 
-def loop_radii(poles, z0: complex) -> list[float]:
-    """Circle radius for each pole's loop: scaled nearest-feature distance."""
-    radii = []
-    for j, a in enumerate(poles):
-        nearest = min(
-            (abs(a - p) for i, p in enumerate(poles) if i != j),
-            default=math.inf,
-        )
-        limit = min(nearest, abs(z0 - a))
-        r = RADIUS_FACTOR * limit
-        if not (r > 0.0 and math.isfinite(r)):
-            raise GeometryError(
-                f"cannot size a loop around pole {a}: another pole or the "
-                "base point coincides with it"
-            )
-        radii.append(r)
-    return radii
+def _comb(poles, z0: complex):
+    """The comb's direction d, the loop radii and the feet of the poles and z0.
 
-
-def _chord_direction(z0: complex, entry: complex):
-    d = entry - z0
-    length = abs(d)
-    if length == 0.0:
-        raise GeometryError("base point coincides with a loop entry point")
-    return d / length, length
-
-
-def _detour_plan(poles, z0: complex, radii: list[float]):
-    """For each corridor, which poles it must detour and on which side.
-
-    Returns ``plan[j] = list of (q, side)`` and the nesting rank table
-    ``rank[(j, q)]``.  A corridor detours pole q when its straight chord
-    would enter q's exclusion disk; the side is the side of the chord the
-    pole is avoided on (+1 means the counterclockwise side of travel), with
-    exact hits resolved to +1 so collinear corridors nest consistently by
-    destination distance.
+    P is the poles and then z0.  A pole a_k is ahead of a point p of P when
+    Re((a_k - p) conj d) > 0, and a tooth from p along d then passes it at
+    |Im((a_k - p) conj d)|.  The score of d is the smallest such distance
+    over all pairs, each divided by a_k's distance to the nearest other
+    point of P; d is the best of ``COMB_ANGLES`` candidates, scored in one
+    numpy pass.  L is {Re(z conj d) = h}, ``COMB_OFFSET`` beyond the
+    farthest pole, and the feet are the points of P moved along d onto L.
+    Raises ``GeometryError`` when z0 is not finite or lies on a pole, or
+    when every candidate lines up a pole ahead of a point exactly.
     """
-    n = len(poles)
-    entries = []
-    for j, a in enumerate(poles):
-        theta = cmath.phase(z0 - a)
-        entries.append(arc_point(a, radii[j], theta))
-    plan: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    detourers: dict[tuple[int, int], list[int]] = {}
-    for j in range(n):
-        u, length = _chord_direction(z0, entries[j])
-        for q in range(n):
-            if q == j:
-                continue
-            exclusion = EXCLUSION_FACTOR * radii[q]
-            rel = (poles[q] - z0) * u.conjugate()
-            t_near = min(max(rel.real, 0.0), length)
-            seg_dist = abs(poles[q] - (z0 + t_near * u))
-            if seg_dist >= exclusion:
-                continue
-            side = 1 if rel.imag <= 0.0 else -1
-            plan[j].append((q, side))
-            detourers.setdefault((q, side), []).append(j)
-    rank: dict[tuple[int, int], int] = {}
-    for (q, _side), members in detourers.items():
-        members.sort(key=lambda j: (abs(poles[j] - z0), j))
-        for position, j in enumerate(members):
-            if position > MAX_NEST_RANK:
-                raise GeometryError(
-                    f"more than {MAX_NEST_RANK + 1} corridors need to detour "
-                    f"around pole {poles[q]}; configuration too crowded"
-                )
-            rank[(j, q)] = position
-    return plan, rank, entries
-
-
-def _approach_segments(z0, poles, j, radii, plan, rank, entry):
-    """Segments from z0 to the loop entry, respecting the detour plan."""
-    u, length = _chord_direction(z0, entry)
-    events = []
-    for q, side in plan[j]:
-        detour_radius = (
-            EXCLUSION_FACTOR * radii[q] * (1.0 + NEST_STEP * rank[(j, q)])
-        )
-        # _detour_plan lists q only when the chord comes within
-        # EXCLUSION_FACTOR * radii[q] <= detour_radius of it, so the chord's
-        # line always cuts the detour circle.
-        rel = (poles[q] - z0) * u.conjugate()
-        t_foot, h = rel.real, rel.imag
-        half = math.sqrt(detour_radius * detour_radius - h * h)
-        t_enter, t_exit = t_foot - half, t_foot + half
-        if t_enter <= 0.0 or t_exit >= length:
-            raise GeometryError(
-                f"detour around pole {poles[q]} reaches a chord endpoint; "
-                "configuration too crowded for this base point"
-            )
-        events.append((t_enter, t_exit, detour_radius, q, side))
-    events.sort()
-    for k in range(len(events) - 1):
-        if events[k][1] >= events[k + 1][0]:
-            raise GeometryError(
-                f"detours around poles {poles[events[k][3]]} and "
-                f"{poles[events[k + 1][3]]} overlap on one chord"
-            )
-
-    segments: list[Segment] = []
-    cursor = z0
-    for t_enter, t_exit, detour_radius, q, side in events:
-        pole = poles[q]
-        chi_in = cmath.phase(z0 + t_enter * u - pole)
-        chi_out = cmath.phase(z0 + t_exit * u - pole)
-        q_in = arc_point(pole, detour_radius, chi_in)
-        if cursor != q_in:
-            segments.append(Line(cursor, q_in))
-        # Route the arc through the point on the chosen side of the chord.
-        normal_angle = cmath.phase(1j * side * u)
-        ccw_span = (chi_out - chi_in) % TWO_PI
-        side_offset = (normal_angle - chi_in) % TWO_PI
-        if side_offset <= ccw_span:
-            arc = Arc(pole, detour_radius, chi_in, chi_in + ccw_span)
-        else:
-            arc = Arc(pole, detour_radius, chi_in, chi_in - (TWO_PI - ccw_span))
-        segments.append(arc)
-        cursor = arc.end
-    if cursor != entry:
-        segments.append(Line(cursor, entry))
-    return segments
-
-
-def _assemble_loop(z0, poles, j, radii, plan, rank, entry) -> ContinuationPath:
-    theta = cmath.phase(z0 - poles[j])
-    approach = _approach_segments(z0, poles, j, radii, plan, rank, entry)
-    circle = Arc(poles[j], radii[j], theta, theta + TWO_PI, closed=True)
-    back = [seg.reversed() for seg in reversed(approach)]
-    probe = ContinuationPath(tuple(approach + [circle] + back), clearance=radii[j])
-    audited = path_clearance_audit(probe, poles)
-    if not audited > 0.0:
-        raise GeometryError(f"loop around pole {poles[j]} touches a pole")
-    return ContinuationPath(probe.segments, clearance=audited)
+    if not (math.isfinite(z0.real) and math.isfinite(z0.imag)):
+        raise GeometryError("base point must be finite")
+    poles = np.asarray(poles, dtype=complex)
+    points = np.append(poles, z0)
+    on_pole = np.abs(poles - z0) <= DEFAULT_POLE_SEPARATION
+    if on_pole.any():
+        raise GeometryError(f"base point {z0} coincides with the pole {poles[on_pole][0]}")
+    gaps = np.abs(poles[:, None] - points)
+    np.fill_diagonal(gaps, np.inf)
+    nearest = gaps.min(axis=1)
+    angles = TWO_PI * np.arange(COMB_ANGLES) / COMB_ANGLES
+    rel = (poles[:, None] - points) * np.exp(-1j * angles)[:, None, None]
+    beside = np.where(rel.real > 0.0, np.abs(rel.imag), np.inf).min(axis=2)
+    score = (beside / nearest).min(axis=1)
+    best = int(np.argmax(score))
+    if not score[best] > 0.0:
+        raise GeometryError("every comb direction runs a tooth through a pole")
+    d = cmath.rect(1.0, float(angles[best]))
+    along = (points * d.conjugate()).real
+    h = float(along[:-1].max()) + COMB_OFFSET
+    radii = np.minimum(RADIUS_FACTOR * nearest, beside[best] / TOOTH_FACTOR)
+    return d, radii, points + (h - along) * d
 
 
 def composition_order(poles, base_point: complex) -> list[int]:
@@ -416,41 +317,42 @@ def composition_order(poles, base_point: complex) -> list[int]:
 
     Traversing the loops in the returned order (first entry first) gives a
     contractible composite, so the monodromy product with the first loop as
-    the rightmost factor is the identity.  Because the loop corridors form
-    a non-crossing planar arrangement, the order is the counterclockwise
-    cyclic order of corridor germs at the base point: angle of (pole -
-    base) ascending in (-pi, pi], nearer poles first among exact angular
-    ties (collinear corridors nest with farther destinations detouring on
-    the counterclockwise side).  Pinned by product-identity tests.
+    the rightmost factor is the identity.  The loops of ``build_loops``
+    leave the line L of the comb at their feet f_j, so they leave the
+    foot f0 of the base point in the counterclockwise order of their feet
+    along L: Im((f_j - f0) conj d) descending.  The comb keeps those
+    values distinct.  Pinned by product-identity tests.
     """
-    z0 = complex(base_point)
-    keyed = []
-    for i, a in enumerate(poles):
-        keyed.append((cmath.phase(a - z0), abs(a - z0), i))
-    keyed.sort()
-    return [i for _, _, i in keyed]
+    d, _, feet = _comb(poles, complex(base_point))
+    position = ((feet[:-1] - feet[-1]) * d.conjugate()).imag
+    return np.argsort(-position, kind="stable").tolist()
 
 
 def build_loops(system, base_point) -> list[ContinuationPath]:
     """One loop per pole of ``system``, all based at ``base_point``.
 
-    Each loop is a chord out (detouring other poles' exclusion disks), one
-    full counterclockwise circle, then the exact bitwise reverse of the
-    chord, so it winds once around its own pole and zero times around the
-    others; its stored clearance is the audited minimum pole distance.  The
-    whole family forms a non-crossing arrangement whose composition order is
-    ``composition_order``.
+    The loop of pole a_j is lines z0 -> f0 -> f_j -> a_j + r_j d (zero-length
+    ones skipped), one full counterclockwise circle of radius r_j, then
+    the exact bitwise reverse of the lines, so it winds once around its own
+    pole and zero times around the others.  d, the feet f and the radii r
+    are the comb of ``_comb``: the teeth f_j -> a_j are parallel, so no two
+    loops cross, and ``composition_order`` reads their order off L.  Every
+    loop's stated clearance is min(``COMB_OFFSET``, min_k r_k): L lies
+    ``COMB_OFFSET`` from every pole, a tooth passes a pole k ahead of it at
+    ``TOOTH_FACTOR`` r_k or more and one behind it at 1.5 r_k or more, and
+    a circle keeps 1.5 r_k from every other pole k.
     """
     poles = [complex(a) for a in system.poles]
     z0 = complex(base_point)
-    if not (math.isfinite(z0.real) and math.isfinite(z0.imag)):
-        raise GeometryError("base point must be finite")
-    for a in poles:
-        if abs(z0 - a) <= DEFAULT_POLE_SEPARATION:
-            raise GeometryError(f"base point {z0} coincides with the pole {a}")
-    radii = loop_radii(poles, z0)
-    plan, rank, entries = _detour_plan(poles, z0, radii)
-    return [
-        _assemble_loop(z0, poles, j, radii, plan, rank, entries[j])
-        for j in range(len(poles))
-    ]
+    d, radii, feet = _comb(poles, z0)
+    clearance = min(COMB_OFFSET, float(radii.min()))
+    angle = cmath.phase(d)
+    *feet, base_foot = feet.tolist()
+    loops = []
+    for a, r, foot in zip(poles, radii.tolist(), feet):
+        circle = Arc(a, r, angle, angle + TWO_PI, closed=True)
+        corners = [z0, base_foot, foot, circle.start]
+        head = [Line(p, q) for p, q in zip(corners, corners[1:]) if p != q]
+        segments = head + [circle] + [seg.reversed() for seg in reversed(head)]
+        loops.append(ContinuationPath(tuple(segments), clearance=clearance))
+    return loops

@@ -14,6 +14,7 @@ from conftest import jordan_block_system
 from fuchsia.cli import main, parse_complex_literal
 from fuchsia.errors import ValidationError
 from fuchsia.jsonio import canonical_json
+from fuchsia.paths import LOOP_CONVENTION
 from fuchsia.rational import parse_rational_function
 from fuchsia.system import validate_system
 
@@ -328,6 +329,20 @@ class TestInvert:
         out = capsys.readouterr().out
         assert code == 3
         assert "NOT converged" in out
+
+    def test_report_of_another_loop_convention_is_input_error(self, small_system_path, tmp_path, capsys):
+        """A report whose loops follow another convention composes in another
+        order, so invert refuses it up front and names both conventions."""
+        rep_path = tmp_path / "monodromy.json"
+        assert main(["--quiet", "monodromy", small_system_path, "--json", str(rep_path)]) == 0
+        report = json.loads(rep_path.read_text(encoding="utf-8"))
+        assert report["convention"] == LOOP_CONVENTION
+        report["convention"] = "ccw-circle/reversed-approach/order-angle-asc-near-first/v2"
+        code = main(["invert", write_json(tmp_path / "stale.json", report)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert report["convention"] in err
+        assert LOOP_CONVENTION in err
 
     def test_far_targets_rejected_without_flag(self, scalar_system_path, tmp_path, capsys):
         rep_path = tmp_path / "monodromy.json"

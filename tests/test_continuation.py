@@ -170,8 +170,9 @@ def test_error_estimate_tracks_tolerance():
 def collinear_generic_system():
     """Fixed non-commuting 2x2 system on the poles 0, 1, 2.
 
-    From the default base point the loop around pole 0 detours around
-    poles 1 and 2, so its approach holds lines and arcs.
+    From the default base point, in line with the poles, each loop's
+    approach holds three lines: onto the comb's line, along it, and down
+    the tooth.
     """
     b0 = np.array([[0.1 + 0.05j, 0.2], [-0.1j, -0.15]])
     b1 = np.array([[-0.05, 0.1j], [0.15, 0.2 - 0.1j]])
@@ -200,8 +201,9 @@ def test_loop_factorisation_matches_separate_legs():
 def test_block_start_continues_to_transfer_times_start(columns):
     """The start [I_m; 0] continues to the first block column of each leg's
     transfer, on the variational system of an m x m system on the poles 0
-    and 1 from the base point 2: on the loop around 0, which detours around
-    1 (two legs), and on its open half (one leg).  The sensitivity blocks
+    and 1 from the base point 2: on the loop around 0, whose approach is
+    three lines of the comb (two legs: approach and circle), and on its
+    open half (one leg).  The sensitivity blocks
     ride at ``_SENSITIVITY_SCALE``, so they are also compared with that
     scale divided out."""
     rng = np.random.default_rng(columns)
@@ -211,7 +213,7 @@ def test_block_start_continues_to_transfer_times_start(columns):
     start = np.eye(system.dimension, columns, dtype=complex)
     eye = np.eye(system.dimension, dtype=complex)
     loop = build_loops(system, 2.0 + 0.0j)[0]
-    assert Arc in {type(seg) for seg in loop.segments[: len(loop.segments) // 2]}
+    assert [type(seg) for seg in loop.segments[: len(loop.segments) // 2]] == [Line] * 3
     open_path = ContinuationPath(loop.segments[: len(loop.segments) // 2 + 1], clearance=loop.clearance)
     for path, count in ((loop, 2), (open_path, 1)):
         [(transfers, _)] = _continue_legs(system, (path,), eye, 1e-11)
@@ -228,8 +230,8 @@ def five_pole_generic_system(dimension=2):
     """Fixed non-commuting system on 0, 1, 2, 3 and 1.5 + 1.5i.
 
     The 2x2 residues are written out; the 3x3 ones are a seeded draw.  From
-    the default base point the loops' approaches hold 7, 5, 3, 1 and 1
-    segments (lines and partial detour arcs), each around a full circle.
+    the default base point each loop's approach holds the three lines of
+    the comb, each around a full circle.
     """
     if dimension == 2:
         residues = [
@@ -250,14 +252,14 @@ def five_pole_generic_system(dimension=2):
 def test_batch_equals_each_path_alone(columns):
     """Every leg continued in one batch equals the same leg continued alone.
 
-    The batch holds the five loops (legs of 1-7 segments: lines, partial
-    arcs and full circles, each path at its own rate, split into pieces)
+    The batch holds the five loops (approaches of three lines and full
+    circles, each path at its own rate, split into hops)
     and a short line that finishes long before the others; the start is
     the identity of the 2x2 or the 3x3 system.
     """
     system = five_pole_generic_system(columns)
     loops = build_loops(system, default_base_point(system.poles))
-    assert sorted(len(loop.segments) // 2 for loop in loops) == [1, 1, 3, 5, 7]
+    assert [len(loop.segments) // 2 for loop in loops] == [3] * 5
     assert {type(seg) for loop in loops for seg in loop.segments} == {Line, Arc}
     short = ContinuationPath((Line(5.0 + 0.0j, 5.0 + 0.1j),), clearance=1.0)
     paths = loops + [short]

@@ -10,6 +10,9 @@ from conftest import SEED, sample_poles
 from fuchsia.errors import GeometryError, ValidationError
 from fuchsia.monodromy import monodromy
 from fuchsia.paths import (
+    COMB_OFFSET,
+    RADIUS_FACTOR,
+    TOOTH_FACTOR,
     Arc,
     ContinuationPath,
     Line,
@@ -18,7 +21,6 @@ from fuchsia.paths import (
     composition_order,
     default_base_point,
     hops,
-    loop_radii,
     path_clearance_audit,
 )
 from fuchsia.system import validate_system
@@ -29,6 +31,27 @@ def toy_system(poles):
     b = np.array([[0.1]], dtype=complex)
     residues = [b] * (n - 1) + [-(n - 1) * b]
     return validate_system(poles, residues)
+
+
+def generic_2x2_system(poles, seed=SEED):
+    """Generic 2x2 residues summing to zero, the largest of 2-norm 0.2."""
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(len(poles), 2, 2)) + 1j * rng.normal(size=(len(poles), 2, 2))
+    mats -= mats.mean(axis=0)
+    mats *= 0.2 / np.linalg.norm(mats, 2, axis=(1, 2)).max()
+    return validate_system(poles, list(mats))
+
+
+def comb_parts(loop):
+    """The comb direction d, the foot of the base point and the foot of the
+    loop's pole, read off a loop's lines z0 -> f0 -> f_j -> tooth end."""
+    half = len(loop.segments) // 2
+    head, circle = loop.segments[:half], loop.segments[half]
+    return cmath.rect(1.0, circle.angle_start), head[0].end, head[-1].start
+
+
+def circle_radii(loops):
+    return [loop.segments[len(loop.segments) // 2].radius for loop in loops]
 
 
 def test_line_basics():
@@ -127,9 +150,23 @@ def test_default_base_point():
 
 
 def test_loop_radii_scale():
+    """A circle's radius is RADIUS_FACTOR times its pole's distance to the
+    nearest other pole or base point, unless a tooth passes closer than
+    TOOTH_FACTOR times that: then the tooth sets it."""
     poles = [0.0 + 0j, 1.0 + 0j]
-    radii = loop_radii(poles, 3.0 + 0j)
-    assert radii == [0.4, 0.4]
+    assert circle_radii(build_loops(toy_system(poles), 3.0 + 0j)) == [0.4, 0.4]
+    poles = [cmath.exp(2j * math.pi * k / 16) for k in range(16)]
+    z0 = default_base_point(poles)
+    loops = build_loops(toy_system(poles), z0)
+    d = comb_parts(loops[0])[0]
+    nearest = abs(poles[1] - poles[0])
+    expected = []
+    for a in poles:
+        rel = [(a - p) * d.conjugate() for p in poles + [z0]]
+        beside = min((abs(w.imag) for w in rel if w.real > 0.0), default=math.inf)
+        expected.append(min(RADIUS_FACTOR * nearest, beside / TOOTH_FACTOR))
+    assert circle_radii(loops) == pytest.approx(expected, rel=1e-12)
+    assert min(expected) < 0.5 * RADIUS_FACTOR * nearest
 
 
 def test_pole_loop_closed_and_clear():
@@ -153,16 +190,24 @@ def test_pole_loop_winding_angles():
     assert circles[0].span == pytest.approx(2.0 * math.pi)
 
 
-def test_collinear_detours_cancel_winding():
-    """Approach and return legs are exact mirror images around a blocker."""
+def test_collinear_loops_retrace_their_approach():
+    """On a row with the base point in line, every loop is lines out to the
+    tooth, one circle, and the exact mirror of the lines back, with the
+    tooth parallel to the comb direction: no detour arcs."""
     poles = [-1.0 + 0j, 0.0 + 0j, 1.0 + 0j]
-    loop = build_loops(toy_system(poles), 2.0 + 0j)[0]
-    n = len(loop.segments)
-    for k in range((n - 1) // 2):
-        fore = loop.segments[k]
-        aft = loop.segments[n - 1 - k]
-        assert fore.start == aft.end
-        assert fore.end == aft.start
+    for loop in build_loops(toy_system(poles), 2.0 + 0j):
+        n = len(loop.segments)
+        assert n == 7
+        for k in range(n // 2):
+            fore = loop.segments[k]
+            aft = loop.segments[n - 1 - k]
+            assert isinstance(fore, Line)
+            assert fore.start == aft.end
+            assert fore.end == aft.start
+        d, _, foot = comb_parts(loop)
+        tooth = loop.segments[n // 2 - 1]
+        assert tooth.end == loop.segments[n // 2].start
+        assert abs(((tooth.end - foot) * d.conjugate()).imag) < 1e-15
 
 
 def test_build_loops_base_on_pole_rejected():
@@ -177,11 +222,25 @@ def test_build_loops_default_base():
     assert all(loop.start == 2.0 + 0j for loop in rep.loops)
 
 
-def test_too_crowded_raises():
+def test_crowded_row_composes_to_identity():
+    """Six collinear poles with the base point in line, a layout that once
+    needed more nested detours than allowed, compose to the identity."""
     poles = [complex(x) for x in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0)]
-    system = toy_system(poles)
-    with pytest.raises(GeometryError):
-        build_loops(system, base_point=4.0 + 0j)
+    rep = monodromy(generic_2x2_system(poles), base_point=4.0 + 0j)
+    assert rep.product_defect <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "poles",
+    [[cmath.exp(2j * math.pi * k / n) for k in range(n)] for n in (4, 6, 8, 10, 16)]
+    + [[complex(k - (n - 1) / 2) for k in range(n)] for n in (5, 6, 10, 20)],
+    ids=[f"circle-{n}" for n in (4, 6, 8, 10, 16)] + [f"row-{n}" for n in (5, 6, 10, 20)],
+)
+def test_symmetric_layouts_compose_to_identity(poles):
+    """Unit circles and real rows, where the base point lines up with poles,
+    give generic residues a product defect at the integration tolerance."""
+    rep = monodromy(generic_2x2_system(poles))
+    assert rep.product_defect <= 1e-9
 
 
 def test_composition_order_is_permutation(rng):
@@ -193,17 +252,25 @@ def test_composition_order_is_permutation(rng):
         assert sorted(order) == list(range(n))
 
 
-def test_composition_order_angle_ascending():
+def test_composition_order_descends_along_the_line():
+    """The order is the loops' feet on the comb's line, from the far side of
+    d (counterclockwise) down: Im((f_j - f0) conj d) descending."""
     poles = [0.0 + 0j, 1.0 + 0.8j, -0.5 - 0.9j]
     z0 = default_base_point(poles)
+    loops = build_loops(toy_system(poles), z0)
+    positions = []
+    for loop in loops:
+        d, base_foot, foot = comb_parts(loop)
+        positions.append(((foot - base_foot) * d.conjugate()).imag)
     order = composition_order(poles, z0)
-    angles = [cmath.phase(poles[i] - z0) for i in order]
-    assert angles == sorted(angles)
+    assert [positions[i] for i in order] == sorted(positions, reverse=True)
+    assert len(set(positions)) == len(poles)
 
 
-def test_composition_order_collinear_near_first():
+def test_composition_order_collinear_row():
+    """A row's teeth run across it, so its order is the row's own order."""
     poles = [-1.0 + 0j, 0.0 + 0j, 1.0 + 0j]
-    assert composition_order(poles, 2.0 + 0j) == [2, 1, 0]
+    assert composition_order(poles, 2.0 + 0j) == [0, 1, 2]
 
 
 def test_composition_order_deterministic(rng):
@@ -213,25 +280,28 @@ def test_composition_order_deterministic(rng):
 
 
 def test_loops_stay_outside_foreign_circles():
-    """Corridors never enter another loop's circle, so loops are unlinked."""
+    """Every loop keeps 1.5 r_q from every other pole q, or COMB_OFFSET
+    where that is less, so it never enters another loop's circle, and it
+    keeps its stated clearance from every pole."""
     layouts = [
         [-1.0 + 0j, 0.0 + 0j, 1.0 + 0j],
         [0.0 + 0j, 1.2 + 0.5j, -0.8 + 0.7j, 0.3 - 1.1j],
         [0.5j, -0.5j, 1.5j],
+        [cmath.exp(2j * math.pi * k / 6) for k in range(6)],
     ]
     for poles in layouts:
-        z0 = default_base_point(poles)
-        radii = loop_radii(poles, z0)
-        loops = build_loops(toy_system(poles), z0)
+        loops = build_loops(toy_system(poles), default_base_point(poles))
+        radii = circle_radii(loops)
         for j, loop in enumerate(loops):
+            assert path_clearance_audit(loop, poles) >= loop.clearance * (1.0 - 1e-12)
             for q, a in enumerate(poles):
                 if q == j:
                     continue
-                assert loop.min_distance_to(a) > radii[q]
+                assert loop.min_distance_to(a) >= min(1.5 * radii[q], COMB_OFFSET) * (1.0 - 1e-12)
 
 
 def piece_layouts():
-    """Loops of a collinear row (approaches with detour arcs) and a random disk."""
+    """Loops of a collinear row and of a random disk."""
     rng = np.random.default_rng(SEED)
     for poles in ([-1.0 + 0j, 0.0 + 0j, 1.0 + 0j], sample_poles(rng, 5)):
         yield poles, build_loops(toy_system(poles), default_base_point(poles))

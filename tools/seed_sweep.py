@@ -11,8 +11,11 @@ every op's exit code, input class, first error line and check verdict,
 each seed's ``correct`` flag (no failure outside the known-defect classes),
 and the loop matrices of every report.  ``--compare`` prints the failed ops
 that differ between two sweeps, the seeds whose ``correct`` differs, and
-the largest entrywise gap between their loop matrices.  A change to
-continuation or geometry should leave the failed ops equal, op for op.
+the largest gaps between their loop matrices: entrywise, entrywise over the
+commuting classes, and between matched eigenvalues.  A change to
+continuation or geometry should leave the failed ops equal, op for op; a
+change of loop convention conjugates the generic matrices, so there only
+the spectra and the commuting classes' entries should stay put.
 """
 
 import argparse
@@ -84,6 +87,8 @@ def correct(records) -> dict:
 
 def compare(left, right) -> int:
     """Print the differences between two sweeps; nonzero when failed ops differ."""
+    from fuchsia.linalg import min_cost_assignment
+
     def failed(records):
         return {(r["seed"], r["unit"]): (r["class"], r["exit"], r["error"]) for r in records if not r["ok"]}
 
@@ -96,17 +101,26 @@ def compare(left, right) -> int:
     for label, flags in (("left", flags_a), ("right", flags_b)):
         print(f"correct false ({label}):", sorted(seed for seed, ok in flags.items() if not ok))
     matrices = {(r["seed"], r["unit"]): r["matrices"] for r in right if r["matrices"]}
-    gap, where, count = 0.0, None, 0
+    # Per gap kind: (largest gap, where).
+    gaps = {"entrywise": (0.0, None), "commuting entrywise": (0.0, None), "eigenvalue": (0.0, None)}
+    count = 0
     for r in left:
         other = matrices.get((r["seed"], r["unit"]))
         if not (r["matrices"] and other):
             continue
+        where = (r["seed"], r["unit"], r["class"])
         for x, y in zip(r["matrices"], other, strict=True):
-            difference = float(np.max(np.abs(np.array(x) - np.array(y))))
+            x, y = (np.array(m) @ [1.0, 1j] for m in (x, y))
+            cost = np.abs(np.linalg.eigvals(x)[:, None] - np.linalg.eigvals(y))
+            found = {"entrywise": float(np.max(np.abs(x - y))), "eigenvalue": float(cost[min_cost_assignment(cost)].max())}
+            if "/commuting/" in r["class"]:
+                found["commuting entrywise"] = found["entrywise"]
             count += 1
-            if difference > gap:
-                gap, where = difference, (r["seed"], r["unit"], r["class"])
-    print(f"largest gap over {count} loop matrices: {gap:.3e} at {where}")
+            for kind, gap in found.items():
+                if gap > gaps[kind][0]:
+                    gaps[kind] = (gap, where)
+    for kind, (gap, where) in gaps.items():
+        print(f"largest {kind} gap over {count} loop matrices: {gap:.3e} at {where}")
     return 1 if differing else 0
 
 
