@@ -48,12 +48,26 @@ _EXPLAIN_FACTOR = 10.0
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and return ``m`` as a square complex ndarray (a copy)."""
+    stack, single = _square_stack(m, name)
+    if not single:
+        raise ValidationError(f"{name} must be square and non-empty, got shape {stack.shape}")
+    return stack[0]
+
+
+def _square_stack(m, name: str) -> tuple[np.ndarray, bool]:
+    """``m`` as a validated (k, n, n) complex stack (a copy), and whether it was one 2-D matrix.
+
+    A 2-D ``m`` is a stack of one, so the stacked functions of this module
+    have one code path and unwrap only their result.
+    """
     arr = np.array(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+    single = arr.ndim == 2
+    stack = arr[None] if single else arr
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
         raise ValidationError(f"{name} must be square and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.all(np.isfinite(stack.real)) or not np.all(np.isfinite(stack.imag)):
         raise ValidationError(f"{name} contains non-finite entries")
-    return arr
+    return stack, single
 
 
 def check_tolerance(tol: float, name: str) -> None:
@@ -74,24 +88,28 @@ def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential of a square complex matrix.
+    """Matrix exponential of a square complex matrix, or of each matrix of a (k, n, n) stack.
 
-    Uses scaling-and-squaring with Pade approximants.  The zero matrix maps
-    to the identity exactly; a non-finite result raises
-    ``MatrixExpOverflowError``.
+    Uses scaling-and-squaring with Pade approximants, one scipy call for
+    the whole stack.  The zero matrix maps to the identity exactly; a
+    non-finite result raises ``MatrixExpOverflowError`` naming the first
+    matrix that overflowed.
     """
     import scipy.linalg
 
-    arr = as_square_matrix(m)
+    stack, single = _square_stack(m, "matrix")
     # Overflow is detected on the result, so silence the intermediate
     # floating-point warnings the computation emits on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(arr)
-    if not np.all(np.isfinite(result.real)) or not np.all(np.isfinite(result.imag)):
+        result = scipy.linalg.expm(stack)
+    finite = np.isfinite(result).all(axis=(1, 2))
+    if not finite.all():
+        index = int(np.argmin(finite))
         raise MatrixExpOverflowError(
-            f"matrix exponential overflowed (input norm {operator_norm(arr):.3e})"
+            f"matrix exponential of matrix {index} overflowed "
+            f"(input norm {operator_norm(stack[index]):.3e})"
         )
-    return result
+    return result[0] if single else result
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -126,24 +144,31 @@ def _chain_groups(values: list[complex], radius: float) -> list[list[int]]:
     return out
 
 
-def eigen_decompose(m, tol: float) -> list[tuple[complex, int]]:
+def _mean(values) -> complex:
+    """The mean of a cluster; a cluster of one is its own mean."""
+    return complex(values[0]) if len(values) == 1 else complex(np.mean(values))
+
+
+def eigen_decompose(m, tol: float):
     """Eigenvalues of ``m`` clustered at absolute distance ``tol``.
 
     Returns ``(eigenvalue, multiplicity)`` pairs where each eigenvalue is the
     mean of its cluster, ordered lexicographically by (real, imaginary).
-    Multiplicities always sum to the dimension.
+    Multiplicities always sum to the dimension.  A (k, n, n) stack gets one
+    ``eigvals`` call and a list of k such lists.
     """
-    arr = as_square_matrix(m)
+    stack, single = _square_stack(m, "matrix")
     if not 0.0 <= tol < np.inf:
         raise ValidationError(f"tol must be nonnegative and finite, got {tol!r}")
-    w = list(_eigenvalues(arr))
-    out = []
-    for group in _chain_groups(w, tol):
-        members = [w[i] for i in group]
-        rep = complex(np.mean(members))
-        out.append((rep, len(members)))
-    out.sort(key=lambda p: (p[0].real, p[0].imag))
-    return out
+    tables = []
+    for w in _eigenvalues(stack).tolist():
+        out = []
+        for group in _chain_groups(w, tol):
+            members = [w[i] for i in group]
+            out.append((_mean(members), len(members)))
+        out.sort(key=lambda p: (p[0].real, p[0].imag))
+        tables.append(out)
+    return tables[0] if single else tables
 
 
 @dataclass(frozen=True)
@@ -151,12 +176,14 @@ class JordanStructure:
     """Jordan block structure: ``blocks[i] = (eigenvalue, sizes)``.
 
     ``sizes`` is a descending tuple of block sizes for that eigenvalue.
-    Entries are ordered lexicographically by (real, imaginary) part and the
-    ``tolerance`` field records the absolute clustering radius that was used.
+    Entries are ordered lexicographically by (real, imaginary) part, the
+    ``tolerance`` field records the absolute clustering radius that was
+    used, and ``norm`` the operator 2-norm of the analysed matrix.
     """
 
     blocks: tuple[tuple[complex, tuple[int, ...]], ...]
     tolerance: float
+    norm: float
 
     @property
     def dimension(self) -> int:
@@ -303,8 +330,8 @@ def _validate_cluster(
     return sizes
 
 
-def jordan_structure(m) -> JordanStructure:
-    """Numerical Jordan block structure of a square complex matrix.
+def jordan_structure(m):
+    """Numerical Jordan block structure of a square complex matrix, or of each matrix of a stack.
 
     Eigenvalues are chained into clusters at radius
     ``DEFAULT_CLUSTER_TOL * max(1, norm)``, then a merge ladder joins groups
@@ -313,16 +340,29 @@ def jordan_structure(m) -> JordanStructure:
     from nullity sequences of the cluster's Schur-restricted block with
     singular values thresholded relative to the expected noise at each power.
 
+    A (k, n, n) stack gets one validation, one ``norm`` and one ``eigvals``
+    call, whose values are bit for bit those of the matrices one by one, and
+    a tuple of k structures; a 2-D matrix is a stack of one and gets its
+    structure.  The clustering and the merge ladder run per matrix.
+
     Raises ``ClusterAmbiguityError`` when two final clusters sit closer than
     twice the base clustering radius, and ``NumericsError`` when a cluster's
     rank profile is not consistent with any block structure.
     """
-    arr = as_square_matrix(m)
+    stack, single = _square_stack(m, "matrix")
+    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    structures = tuple(
+        _jordan(arr, norm, w) for arr, norm, w in zip(stack, norms.tolist(), _eigenvalues(stack).tolist())
+    )
+    return structures[0] if single else structures
+
+
+def _jordan(arr: np.ndarray, norm: float, w: list) -> JordanStructure:
+    """The structure of ``jordan_structure`` for one matrix, its 2-norm and its eigenvalues."""
     tol = DEFAULT_CLUSTER_TOL
     n = arr.shape[0]
-    scale = max(1.0, operator_norm(arr))
+    scale = max(1.0, norm)
     rho0 = tol * scale
-    w = list(_eigenvalues(arr))
 
     clusters = [[w[i] for i in group] for group in _chain_groups(w, rho0)]
 
@@ -331,7 +371,7 @@ def jordan_structure(m) -> JordanStructure:
         changed = True
         while changed and len(clusters) > 1:
             changed = False
-            reps = [complex(np.mean(c)) for c in clusters]
+            reps = [_mean(c) for c in clusters]
             for group in _chain_groups(reps, radius):
                 if len(group) < 2:
                     continue
@@ -346,7 +386,7 @@ def jordan_structure(m) -> JordanStructure:
                     changed = True
                     break
 
-    reps = [complex(np.mean(c)) for c in clusters]
+    reps = [_mean(c) for c in clusters]
     order = sorted(range(len(clusters)), key=lambda i: (reps[i].real, reps[i].imag))
     clusters = [clusters[i] for i in order]
     reps = [reps[i] for i in order]
@@ -369,7 +409,7 @@ def jordan_structure(m) -> JordanStructure:
                 f"consistent with any Jordan structure at tolerance {tol:g}"
             )
         blocks.append((reps[i], sizes))
-    return JordanStructure(blocks=tuple(blocks), tolerance=rho0)
+    return JordanStructure(blocks=tuple(blocks), tolerance=rho0, norm=norm)
 
 
 @dataclass(frozen=True)
@@ -398,58 +438,81 @@ def similarity_transform(a, b):
     satisfies ``|s a - b s|_F <= DEFAULT_CLUSTER_TOL * (|a| + |b|)``.  The
     intertwiner space is taken from the trailing right singular vectors of
     the Sylvester operator and searched over a fixed deterministic family of
-    combinations; failure to find a well-conditioned certified candidate
-    raises ``SimilaritySearchError``.
+    combinations (``_conjugators`` on the one pair); failure to find a
+    well-conditioned certified candidate raises ``SimilaritySearchError``.
     """
     a = as_square_matrix(a, "a")
     b = as_square_matrix(b, "b")
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ja = jordan_structure(a)
-    jb = jordan_structure(b)
+    ja, jb = jordan_structure(np.stack([a, b]))
     pairs = ja.match_blocks(jb, DEFAULT_CLUSTER_TOL)
     if pairs is None:
         return None
-    return _conjugator(a, b, ja, jb, pairs, DEFAULT_CLUSTER_TOL)
+    [found] = _conjugators(a[None], b[None], [(ja, jb, pairs)], DEFAULT_CLUSTER_TOL)
+    if isinstance(found, SimilaritySearchError):
+        raise found
+    return found
 
 
-def _conjugator(a: np.ndarray, b: np.ndarray, ja: JordanStructure, jb: JordanStructure, pairs, tol: float):
-    """The search of ``similarity_transform``, given both Jordan structures and their block matching."""
-    n = a.shape[0]
-    dim = _commutant_dimension(ja, jb, pairs)
+def _conjugators(a: np.ndarray, b: np.ndarray, matches, tol: float) -> list:
+    """The search of ``similarity_transform`` for k pairs of (n, n) matrices at once.
+
+    ``a`` and ``b`` are (k, n, n) stacks and ``matches`` holds each pair's
+    two Jordan structures and their block matching.  Returns one entry per
+    pair: a ``SimilarityResult``, or the ``SimilaritySearchError`` its
+    search met.  Every pair's Sylvester operator kron(a^T, I) - kron(I, b)
+    is built by broadcasting and all get one full ``svd``; the intertwiners
+    are the trailing right singular vectors, as many as the commutant
+    dimension.  The candidates are those vectors and five weighted sums of
+    them, reshaped in F order, and all candidates of all pairs get one
+    ``svd``; a pair keeps its first candidate whose ratio of extreme
+    singular values is strictly the largest, normalised in Frobenius norm.
+    Its residual |s a - b s|_F must be at most ``tol`` (|a|_2 + |b|_2), with
+    the norms that the structures recorded, and the conditions come from
+    one ``svd`` of the chosen conjugators.  The batched LAPACK calls give,
+    bit for bit, what they give on each matrix alone.
+    """
+    k, n = a.shape[:2]
     eye = np.eye(n)
-    sylvester = np.kron(a.T, eye) - np.kron(eye, b)
-    _, _, vh = np.linalg.svd(sylvester)
-    basis = vh[n * n - dim:].conj()
-
-    candidates = [basis[i] for i in range(dim)]
-    for t in (1.0, -1.0, 2.0, 0.5, 1.0 + 0.5j):
-        weights = np.array([t**k for k in range(dim)], dtype=complex)
-        candidates.append(weights @ basis)
-
-    best = None
-    best_ratio = -1.0
-    for vec in candidates:
-        s = np.reshape(vec, (n, n), order="F")
-        sv = np.linalg.svd(s, compute_uv=False)
-        if sv[0] == 0.0:
+    # Entry (i n + p, j n + q) is a[j, i] I[p, q] - I[i, j] b[p, q], as np.kron multiplies it.
+    at = a.transpose(0, 2, 1)
+    sylvester = at[:, :, None, :, None] * eye[:, None, :] - eye[:, None, :, None] * b[:, None, :, None, :]
+    _, _, vh = np.linalg.svd(sylvester.reshape(k, n * n, n * n))
+    groups = []
+    for (ja, jb, pairs), v in zip(matches, vh):
+        dim = _commutant_dimension(ja, jb, pairs)
+        basis = v[n * n - dim:].conj()
+        weights = np.array([[t**i for i in range(dim)] for t in (1.0, -1.0, 2.0, 0.5, 1.0 + 0.5j)], complex)
+        # One (1, dim) @ (dim, n^2) product per weight vector, as a vector @ matrix product rounds.
+        groups.append(np.concatenate([basis, (weights[:, None, :] @ basis)[:, 0]]))
+    candidates = np.concatenate(groups)
+    sv = np.linalg.svd(candidates.reshape(-1, n, n).transpose(0, 2, 1), compute_uv=False)
+    ratios = np.divide(sv[:, -1], sv[:, 0], out=np.full(len(sv), -1.0), where=sv[:, 0] != 0.0)
+    found = [None] * k
+    chosen = []  # (pair, conjugator, residual) of every pair whose conjugator is certified
+    first = 0
+    for index, ((ja, jb, _), x, y, group) in enumerate(zip(matches, a, b, groups)):
+        best = first + int(np.argmax(ratios[first:first + len(group)]))
+        first += len(group)
+        if ratios[best] < 1e-12:
+            found[index] = SimilaritySearchError(
+                "matching Jordan structures but every candidate conjugator was "
+                f"numerically singular (best ratio {ratios[best]:.3e})"
+            )
             continue
-        ratio = float(sv[-1] / sv[0])
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best = s
-    if best is None or best_ratio < 1e-12:
-        raise SimilaritySearchError(
-            "matching Jordan structures but every candidate conjugator was "
-            f"numerically singular (best ratio {best_ratio:.3e})"
-        )
-    s = best / np.linalg.norm(best)
-    residual = float(np.linalg.norm(s @ a - b @ s))
-    bound = tol * (operator_norm(a) + operator_norm(b))
-    if residual > bound:
-        raise SimilaritySearchError(
-            f"conjugator residual {residual:.3e} exceeds certified bound {bound:.3e}"
-        )
-    sv = np.linalg.svd(s, compute_uv=False)
-    condition = float(sv[0] / sv[-1])
-    return SimilarityResult(matrix=s, residual=residual, condition=condition)
+        s = np.reshape(candidates[best], (n, n), order="F")
+        s = s / np.linalg.norm(s)
+        residual = float(np.linalg.norm(s @ x - y @ s))
+        bound = tol * (ja.norm + jb.norm)
+        if residual > bound:
+            found[index] = SimilaritySearchError(
+                f"conjugator residual {residual:.3e} exceeds certified bound {bound:.3e}"
+            )
+            continue
+        chosen.append((index, s, residual))
+    if chosen:
+        singular = np.linalg.svd(np.stack([s for _, s, _ in chosen]), compute_uv=False)
+        for (index, s, residual), values in zip(chosen, singular):
+            found[index] = SimilarityResult(matrix=s, residual=residual, condition=float(values[0] / values[-1]))
+    return found

@@ -31,11 +31,11 @@ import numpy as np
 
 from .errors import (
     NonFiniteError,
-    SimilaritySearchError,
     ValidationError,
 )
 from .linalg import (
-    _conjugator,
+    SimilarityResult,
+    _conjugators,
     check_tolerance,
     eigen_decompose,  # noqa: F401 - perfbench/spans.py traces this name here
     jordan_structure,
@@ -51,7 +51,8 @@ from .paths import (
     composition_order,
     default_base_point,
     hops,
-    path_clearance_audit,
+    path_clearance_audit,  # noqa: F401 - perfbench/spans.py traces this name here
+    segment_distances,
 )
 from .rational import ComplexRational, polynomial_gcd
 from .system import TWO_PI_I, FuchsianSystem, is_non_resonant
@@ -252,20 +253,24 @@ def _loop_transfer(legs) -> np.ndarray:
 def _cut_paths(poles, paths):
     """Audit every path against ``poles`` and cut its legs into hops.
 
-    Returns one tuple of legs per path, each leg the (H + 1,) points of its
-    H hops from ``paths.hops``, which cuts all legs of all paths in one
-    bisection.  A path whose tail is, segment by segment, the exact
-    reverse of its head around one middle segment (every pole loop) gives
-    two legs, the head and the middle, and its transfer is T^-1 C T.  Any
-    other path gives the one leg of all its segments.  The cut depends on
-    the poles alone, so the systems of one Gauss-Newton solve share it.
+    The audit is one ``paths.segment_distances`` pass over every segment of
+    every path and every pole; a path that comes closer to a pole than its
+    stated clearance raises ``ValidationError``.  Returns one tuple of legs
+    per path, each leg the (H + 1,) points of its H hops from
+    ``paths.hops``, which cuts all legs of all paths in one bisection.  A
+    path whose tail is, segment by segment, the exact reverse of its head
+    around one middle segment (every pole loop) gives two legs, the head
+    and the middle, and its transfer is T^-1 C T.  Any other path gives
+    the one leg of all its segments.  The cut depends on the poles alone,
+    so the systems of one Gauss-Newton solve share it.
     """
+    distances = segment_distances([seg for path in paths for seg in path.segments], poles).min(axis=1)
+    audited = np.minimum.reduceat(distances, np.cumsum([0] + [len(path.segments) for path in paths[:-1]]))
     chains = []
-    for path in paths:
-        audited = path_clearance_audit(path, poles)
-        if audited < path.clearance * (1.0 - 1e-9):
+    for path, distance in zip(paths, audited.tolist()):
+        if distance < path.clearance * (1.0 - 1e-9):
             raise ValidationError(
-                f"path passes within {audited:.3e} of a pole, closer than its "
+                f"path passes within {distance:.3e} of a pole, closer than its "
                 f"stated clearance {path.clearance:.3e}"
             )
         segments = path.segments
@@ -486,34 +491,38 @@ def verify_theorem(
 ) -> TheoremReport:
     """Check that monodromy matches exp(2 pi i B_j) pole by pole.
 
-    The generator and the monodromy matrix get one ``jordan_structure``
-    each, and all three checks read those two: the spectra, compared as the
-    Jordan cluster means with multiplicity, agree within ``tol``; the block
-    structures match; and an explicit conjugator takes the generator to the
-    monodromy matrix, with its residual.  ``tol`` bounds the spectrum
-    distance and the conjugator residual relative to the matrix norms.
+    The generators come from one stacked ``matrix_exp``, and the Jordan
+    structures of the generators and the monodromy matrices, interleaved
+    pole by pole, from one stacked ``jordan_structure``, so each matrix is
+    analysed once.  All three checks read those structures: the spectra,
+    compared as the Jordan cluster means with multiplicity, agree within
+    ``tol``; the block structures match; and an explicit conjugator takes
+    the generator to the monodromy matrix, with its residual, from one
+    search over every matched pole (``linalg._conjugators``).  ``tol``
+    bounds the spectrum distance and the conjugator residual relative to
+    the matrix norms.
     """
     check_tolerance(tol, "verification tolerance")
     rep = monodromy(system, integration_tol, base_point)
     resonance = is_non_resonant(system)
+    generators = matrix_exp(TWO_PI_I * np.array(system.residues))
+    observed = np.array(rep.matrices)
+    # Interleaved g_0, m_0, g_1, m_1, ..., so an analysis that raises does so at the first pole that cannot be analysed.
+    structures = jordan_structure(np.stack([generators, observed], axis=1).reshape(-1, *observed.shape[1:]))
+    matches = [
+        (jg, jm, jg.match_blocks(jm, max(tol, 2.0 * max(jg.tolerance, jm.tolerance))))
+        for jg, jm in zip(structures[0::2], structures[1::2])
+    ]
+    matched = [j for j, (_, _, pairs) in enumerate(matches) if pairs is not None]
+    found = _conjugators(generators[matched], observed[matched], [matches[j] for j in matched], tol) if matched else ()
+    conjugators = {j: result for j, result in zip(matched, found) if isinstance(result, SimilarityResult)}
     verdicts = []
-    for j in range(system.pole_count):
-        generator = matrix_exp(TWO_PI_I * system.residues[j])
-        observed = rep.matrices[j]
-        jg = jordan_structure(generator)
-        jm = jordan_structure(observed)
+    for j, (jg, jm, pairs) in enumerate(matches):
         sdist = _spectrum_distance(jg, jm)
         spectrum_ok = sdist <= tol
-        pairs = jg.match_blocks(jm, max(tol, 2.0 * max(jg.tolerance, jm.tolerance)))
         structure_ok = pairs is not None
-        conjugator = residual = None
-        if structure_ok:
-            try:
-                found = _conjugator(generator, observed, jg, jm, pairs, tol)
-                conjugator, residual = found.matrix, found.residual
-            except SimilaritySearchError:
-                pass
-        ok = spectrum_ok and structure_ok and conjugator is not None
+        result = conjugators.get(j)
+        ok = spectrum_ok and structure_ok and result is not None
         verdicts.append(
             PoleVerdict(
                 pole_index=j,
@@ -521,8 +530,8 @@ def verify_theorem(
                 spectrum_match=spectrum_ok,
                 spectrum_distance=sdist,
                 structure_match=structure_ok,
-                conjugator=conjugator,
-                conjugator_residual=residual,
+                conjugator=None if result is None else result.matrix,
+                conjugator_residual=None if result is None else result.residual,
                 monodromy_error=rep.error_estimates[j],
                 ok=ok,
             )

@@ -60,12 +60,7 @@ class Line:
         return Line(self.end, self.start)
 
     def min_distance_to(self, w: complex) -> float:
-        d = self.end - self.start
-        length = abs(d)
-        u = d / length
-        rel = (w - self.start) * u.conjugate()
-        t = min(max(rel.real, 0.0), length)
-        return abs(w - (self.start + t * u))
+        return float(segment_distances([self], [w])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -128,23 +123,42 @@ class Arc:
         return Arc(self.center, self.radius, self.angle_end, self.angle_start)
 
     def min_distance_to(self, w: complex) -> float:
-        rel = w - self.center
-        dist = abs(rel)
-        if dist == 0.0:
-            return self.radius
-        phi = cmath.phase(rel)
-        span = self.span
-        lo = min(self.angle_start, self.angle_end)
-        width = abs(span)
-        offset = (phi - lo) % TWO_PI
-        if offset <= width:
-            return abs(dist - self.radius)
-        d_start = abs(w - arc_point(self.center, self.radius, self.angle_start))
-        d_end = abs(w - arc_point(self.center, self.radius, self.angle_end))
-        return min(d_start, d_end)
+        return float(segment_distances([self], [w])[0, 0])
 
 
 Segment = Line | Arc
+
+
+def segment_distances(segments, points) -> np.ndarray:
+    """(S, K) distances from each of S segments to each of K points, in one numpy pass.
+
+    A line is measured to the point's projection clamped onto it.  An arc is
+    measured to its circle, |dist - r|, when the point's direction from the
+    centre lies within the sweep (for a full circle, always), and otherwise
+    to the nearer endpoint; a point at the centre is r away.
+    """
+    w = np.asarray(points, dtype=complex)
+    line = np.array([isinstance(seg, Line) for seg in segments])
+    out = np.empty((len(segments), w.size))
+    if line.any():
+        ends = np.array([(seg.start, seg.end) for seg, is_line in zip(segments, line) if is_line])
+        p, d = ends[:, :1], ends[:, 1:] - ends[:, :1]
+        length = np.abs(d)
+        u = d / length
+        t = np.clip(((w - p) * u.conj()).real, 0.0, length)
+        out[line] = np.abs(w - (p + t * u))
+    if not line.all():
+        arcs = [seg for seg, is_line in zip(segments, line) if not is_line]
+        center, start, end = np.array([(arc.center, arc.start, arc.end) for arc in arcs]).T[..., None]
+        sweep = np.array([(arc.radius, min(arc.angle_start, arc.angle_end), abs(arc.span)) for arc in arcs])
+        radius, lo, width = sweep.T[..., None]
+        closed = np.array([[arc.closed] for arc in arcs])
+        rel = w - center
+        dist = np.abs(rel)
+        inside = closed | (np.mod(np.angle(rel) - lo, TWO_PI) <= width)
+        nearest = np.minimum(np.abs(w - start), np.abs(w - end))
+        out[~line] = np.where(dist == 0.0, radius, np.where(inside, np.abs(dist - radius), nearest))
+    return out
 
 
 # Every hop of a continuation is at most HOP_RATIO times as long as the
@@ -244,7 +258,7 @@ class ContinuationPath:
         return sum(seg.length for seg in self.segments)
 
     def min_distance_to(self, w: complex) -> float:
-        return min(seg.min_distance_to(w) for seg in self.segments)
+        return float(segment_distances(self.segments, [w]).min())
 
     def reversed(self) -> "ContinuationPath":
         return ContinuationPath(
@@ -255,7 +269,7 @@ class ContinuationPath:
 
 def path_clearance_audit(path: ContinuationPath, poles) -> float:
     """Recompute the minimum distance from any path segment to any pole."""
-    return min(path.min_distance_to(a) for a in poles)
+    return float(segment_distances(path.segments, poles).min())
 
 
 def default_base_point(poles) -> complex:

@@ -187,9 +187,9 @@ def levelt_data(system: FuchsianSystem) -> LeveltData:
     Exponents are ordered by (Re phi, Im phi, rho).
     """
     tables = []
-    for b in system.residues:
+    for clusters in eigen_decompose(np.array(system.residues), 1e-10):
         entries = []
-        for lam, mult in eigen_decompose(b, 1e-10):
+        for lam, mult in clusters:
             rho = math.floor(lam.real)
             phi = lam - rho
             entries.append(
@@ -225,8 +225,7 @@ def is_non_resonant(system: FuchsianSystem):
     is resonant.
     """
     report = []
-    for j, b in enumerate(system.residues):
-        eigs = eigen_decompose(b, DEFAULT_RESONANCE_TOL)
+    for j, eigs in enumerate(eigen_decompose(np.array(system.residues), DEFAULT_RESONANCE_TOL)):
         witnesses = []
         for i in range(len(eigs)):
             for k in range(len(eigs)):
@@ -265,5 +264,5 @@ def galois_generators(system: FuchsianSystem):
             ResonanceWarning,
             stacklevel=2,
         )
-    return [matrix_exp(TWO_PI_I * b) for b in system.residues]
+    return list(matrix_exp(TWO_PI_I * np.array(system.residues)))
 

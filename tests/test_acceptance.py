@@ -325,9 +325,9 @@ _STRUCTURE_TEMPLATES = [
 ]
 
 
-def test_jordan_structure_robustness_50_cases():
+def _robustness_cases():
+    """The 50 (matrix, blocks) cases: 5 rounds of the 10 templates, conjugated and perturbed by 1e-12."""
     rng = np.random.default_rng([SEED, 6])
-    cases = 0
     for round_index in range(5):
         for template in _STRUCTURE_TEMPLATES:
             pool = list(_EIGENVALUE_POOL)
@@ -340,11 +340,25 @@ def test_jordan_structure_robustness_50_cases():
                 rng.uniform(-1, 1, size=(dim, dim))
                 + 1j * rng.uniform(-1, 1, size=(dim, dim))
             )
-            m = s @ j @ np.linalg.inv(s) + noise
-            observed = jordan_structure(m)
-            assert_jordan_structure(observed, blocks)
-            cases += 1
+            yield s @ j @ np.linalg.inv(s) + noise, blocks
+
+
+def test_jordan_structure_robustness_50_cases():
+    cases = 0
+    for m, blocks in _robustness_cases():
+        observed = jordan_structure(m)
+        assert_jordan_structure(observed, blocks)
+        cases += 1
     assert cases == 50
+
+
+def test_stacked_jordan_structure_matches_single_calls_on_the_50_cases():
+    by_dimension = {}
+    for m, _ in _robustness_cases():
+        by_dimension.setdefault(m.shape[0], []).append(m)
+    assert sum(len(stack) for stack in by_dimension.values()) == 50
+    for stack in by_dimension.values():
+        assert jordan_structure(np.array(stack)) == tuple(jordan_structure(m) for m in stack)
 
 
 def test_non_resonance_classifier_pairs():

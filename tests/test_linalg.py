@@ -12,11 +12,14 @@ from conftest import (
 from fuchsia.errors import (
     ClusterAmbiguityError,
     MatrixExpOverflowError,
+    SimilaritySearchError,
     ValidationError,
 )
 from fuchsia.linalg import (
     DEFAULT_CLUSTER_TOL,
     JordanStructure,
+    SimilarityResult,
+    _conjugators,
     eigen_decompose,
     jordan_structure,
     matrix_exp,
@@ -187,5 +190,109 @@ def test_similarity_transform_deterministic():
 
 
 def test_jordan_structure_block_dimension_property():
-    got = JordanStructure(blocks=((0.0 + 0j, (2, 1)), (1.0 + 0j, (1,))), tolerance=1e-7)
+    got = JordanStructure(blocks=((0.0 + 0j, (2, 1)), (1.0 + 0j, (1,))), tolerance=1e-7, norm=1.0)
     assert got.dimension == 4
+
+
+def _fixture_matrices(n):
+    """The n x n matrices of this file's Jordan, exponential and similarity tests."""
+    rng = np.random.default_rng(SEED + 1)
+    fixtures = [
+        np.diag([0.0, 1.0, 3.5 + 0.5j]),
+        jordan_matrix([(1.5, (3,))]),
+        jordan_matrix([(0.5, (2, 1))]),
+        jordan_matrix([(0.0, (3,)), (2.0, (1,))]) + 1e-12 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))),
+        50.0 * jordan_matrix([(1.0, (2,)), (-1.0, (1,))]),
+        np.diag([0.0, 5.0]),
+        jordan_matrix([(0.25, (2,))]),
+        jordan_matrix([(0.0, (2,)), (1.0, (1,))]),
+        jordan_matrix([(0.0, (1, 1)), (1.0, (1,))]),
+    ]
+    rng = np.random.default_rng(SEED + 2)
+    blocks = [(-1.0, (2,)), (1.0 + 1.0j, (2, 1)), (3.0, (1,))]
+    s = random_conjugator(rng, 6)
+    fixtures.append(s @ jordan_matrix(blocks) @ np.linalg.inv(s) + 1e-12 * rng.normal(size=(6, 6)))
+    for seed in (SEED + 3, SEED + 5):
+        rng = np.random.default_rng(seed)
+        fixtures.append(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return [np.asarray(m, dtype=complex) for m in fixtures if m.shape == (n, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_stacked_jordan_structure_equals_single_calls(n):
+    stack = _fixture_matrices(n)
+    assert stack
+    assert jordan_structure(np.array(stack)) == tuple(jordan_structure(m) for m in stack)
+    assert eigen_decompose(np.array(stack), 1e-10) == [eigen_decompose(m, 1e-10) for m in stack]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_matrix_exp_equals_single_calls_bitwise(n):
+    rng = np.random.default_rng(SEED + 6)
+    stack = [m / (1.0 + np.linalg.norm(m)) for m in _fixture_matrices(n)]
+    stack.append(0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
+    stacked = matrix_exp(2j * np.pi * np.array(stack))
+    for got, m in zip(stacked, stack, strict=True):
+        assert got.tobytes() == matrix_exp(2j * np.pi * m).tobytes()
+
+
+def test_stacked_matrix_exp_names_the_overflowing_matrix():
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[1, 0, 0] = 1e6
+    with pytest.raises(MatrixExpOverflowError, match="matrix 1 "):
+        matrix_exp(stack)
+
+
+def _loop_conjugator(a, b, ja, jb, pairs, tol):
+    """Reference for ``_conjugators``: one pair, ``np.kron`` and one ``svd`` per candidate."""
+    n = a.shape[0]
+    dim = sum(min(si, sj) for i, j in pairs for si in ja.blocks[i][1] for sj in jb.blocks[j][1])
+    eye = np.eye(n)
+    _, _, vh = np.linalg.svd(np.kron(a.T, eye) - np.kron(eye, b))
+    basis = vh[n * n - dim:].conj()
+    candidates = [basis[i] for i in range(dim)]
+    for t in (1.0, -1.0, 2.0, 0.5, 1.0 + 0.5j):
+        candidates.append(np.array([t**k for k in range(dim)], dtype=complex) @ basis)
+    best, best_ratio = None, -1.0
+    for vec in candidates:
+        s = np.reshape(vec, (n, n), order="F")
+        sv = np.linalg.svd(s, compute_uv=False)
+        if sv[0] != 0.0 and float(sv[-1] / sv[0]) > best_ratio:
+            best, best_ratio = s, float(sv[-1] / sv[0])
+    if best is None or best_ratio < 1e-12:
+        return None
+    s = best / np.linalg.norm(best)
+    residual = float(np.linalg.norm(s @ a - b @ s))
+    if residual > tol * (operator_norm(a) + operator_norm(b)):
+        return None
+    sv = np.linalg.svd(s, compute_uv=False)
+    return SimilarityResult(matrix=s, residual=residual, condition=float(sv[0] / sv[-1]))
+
+
+def test_stacked_conjugator_search_equals_single_pairs_bitwise():
+    """Pair by pair, the stacked search equals ``similarity_transform`` and the one-pair loop, bit for bit."""
+    rng = np.random.default_rng(SEED + 7)
+    a, b = [], []
+    for m in _fixture_matrices(3) + [jordan_matrix([(0.25, (2,)), (0.5, (1,))])]:
+        s0 = random_conjugator(rng, 3, cond_limit=20.0)
+        a.append(m)
+        b.append(s0 @ m @ np.linalg.inv(s0))
+    a, b = np.array(a), np.array(b)
+    structures = jordan_structure(np.concatenate([a, b]))
+    halves = zip(structures[: len(a)], structures[len(a):])
+    matches = [(ja, jb, ja.match_blocks(jb, DEFAULT_CLUSTER_TOL)) for ja, jb in halves]
+    assert all(pairs is not None for _, _, pairs in matches)
+    found = _conjugators(a, b, matches, DEFAULT_CLUSTER_TOL)
+    assert len(found) == len(a)
+    for got, x, y, match in zip(found, a, b, matches, strict=True):
+        reference = _loop_conjugator(x, y, *match, DEFAULT_CLUSTER_TOL)
+        try:
+            single = similarity_transform(x, y)
+        except SimilaritySearchError as exc:
+            assert isinstance(got, SimilaritySearchError) and str(got) == str(exc)
+            assert reference is None
+            continue
+        for other in (single, reference):
+            assert got.matrix.tobytes() == other.matrix.tobytes()
+            assert (got.residual, got.condition) == (other.residual, other.condition)
+    assert sum(isinstance(got, SimilarityResult) for got in found) >= 4

@@ -133,7 +133,7 @@ def test_verify_theorem_defective_residue():
 
 
 def test_verify_analyses_each_matrix_once(monkeypatch):
-    """Per pole: one Jordan analysis of each matrix, one block match, no separate eigenvalue clustering."""
+    """One stacked Jordan analysis of all 2P matrices, one stacked exponential, one block match per pole."""
     # The package attribute ``fuchsia.monodromy`` is a function, so the modules come from importlib.
     linalg = importlib.import_module("fuchsia.linalg")
     mono = importlib.import_module("fuchsia.monodromy")
@@ -143,7 +143,7 @@ def test_verify_analyses_each_matrix_once(monkeypatch):
         original = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
-            calls.append((owner, attr))
+            calls.append((owner, attr, np.shape(args[0]) if attr != "match_blocks" else None))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, wrapper)
@@ -151,16 +151,18 @@ def test_verify_analyses_each_matrix_once(monkeypatch):
     for owner, attr in (
         (linalg, "jordan_structure"),
         (mono, "jordan_structure"),
+        (mono, "matrix_exp"),
         (mono, "eigen_decompose"),
         (linalg.JordanStructure, "match_blocks"),
     ):
         counting(owner, attr)
     system = jordan_block_system()
     verify_theorem(system)
-    poles = system.pole_count
-    assert sum(attr == "jordan_structure" for _, attr in calls) == 2 * poles
-    assert calls.count((mono, "eigen_decompose")) == 0
-    assert calls.count((linalg.JordanStructure, "match_blocks")) == poles
+    poles, n = system.pole_count, system.dimension
+    assert [(owner, shape) for owner, attr, shape in calls if attr == "jordan_structure"] == [(mono, (2 * poles, n, n))]
+    assert [shape for _, attr, shape in calls if attr == "matrix_exp"] == [(poles, n, n)]
+    assert not [call for call in calls if call[1] == "eigen_decompose"]
+    assert sum(attr == "match_blocks" for _, attr, _ in calls) == poles
 
 
 def test_verify_tolerance_gates_verdict(rng):

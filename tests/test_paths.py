@@ -22,6 +22,7 @@ from fuchsia.paths import (
     default_base_point,
     hops,
     path_clearance_audit,
+    segment_distances,
 )
 from fuchsia.system import validate_system
 
@@ -112,6 +113,53 @@ def test_arc_min_distance_inside_and_outside_window():
     assert arc.min_distance_to(2.0) == pytest.approx(1.0)
     assert arc.min_distance_to(0.5) == pytest.approx(0.5)
     assert arc.min_distance_to(-2.0) == pytest.approx(abs(-2.0 - arc.end))
+
+
+def test_segment_distances_covers_every_segment_and_point_at_once():
+    """Lines clamp the projection; a full circle is |dist - r| in every direction, its centre r away."""
+    angle = 0.3
+    circle = Arc(1.0 + 1.0j, 0.5, angle, angle + 2.0 * math.pi, closed=True)
+    quarter = Arc(0.0, 1.0, 0.0, math.pi / 2)
+    line = Line(0.0, 2.0)
+    points = [1.0 + 1.0j, 1.0 + 1.0j + 2.0 * cmath.exp(1j * (angle - 1e-12)), -1.0, 1.0 + 3.0j]
+    got = segment_distances([line, circle, quarter], points)
+    assert got.shape == (3, 4)
+    assert got[1, 0] == 0.5
+    assert got[1, 1] == pytest.approx(1.5, rel=1e-14)
+    assert got[0].tolist() == pytest.approx([1.0, abs(points[1] - 2.0), 1.0, 3.0])
+    assert got[2].tolist() == pytest.approx([abs(w) - 1.0 for w in points[:2]] + [abs(-1.0 - 1j), abs(points[3]) - 1.0])
+    for segment, row in zip([line, circle, quarter], got):
+        assert [segment.min_distance_to(w) for w in points] == row.tolist()
+
+
+def _loop_distance(seg, w):
+    """Reference for ``segment_distances``: one segment and one point in scalar arithmetic."""
+    if isinstance(seg, Line):
+        u = (seg.end - seg.start) / seg.length
+        t = min(max(((w - seg.start) * u.conjugate()).real, 0.0), seg.length)
+        return abs(w - (seg.start + t * u))
+    dist = abs(w - seg.center)
+    if dist == 0.0:
+        return seg.radius
+    offset = (cmath.phase(w - seg.center) - min(seg.angle_start, seg.angle_end)) % (2 * math.pi)
+    if seg.closed or offset <= abs(seg.span):
+        return abs(dist - seg.radius)
+    return min(abs(w - seg.start), abs(w - seg.end))
+
+
+def test_segment_distances_match_the_scalar_loop():
+    rng = np.random.default_rng(SEED + 8)
+    segments = [Line(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))) for _ in range(20)]
+    for _ in range(20):
+        start, span, closed = rng.uniform(-4.0, 4.0), rng.uniform(-6.0, 6.0), rng.random() < 0.3
+        span = 2.0 * math.pi if closed else span
+        segments.append(Arc(complex(*rng.normal(size=2)), rng.uniform(0.1, 2.0), start, start + span, closed=closed))
+    points = [complex(*p) for p in 2.0 * rng.normal(size=(30, 2))] + [segments[-1].center]
+    got = segment_distances(segments, points)
+    for seg, row in zip(segments, got):
+        expected = np.array([_loop_distance(seg, w) for w in points])
+        # The two sum in different orders: allow a few ulps of the largest magnitude involved.
+        assert np.all(np.abs(row - expected) <= 8 * np.finfo(float).eps * (1.0 + np.abs(points) + 4.0))
 
 
 def test_arc_reversed_preserves_endpoints():

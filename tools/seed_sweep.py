@@ -9,17 +9,20 @@ A sweep makes one pass of the benchmark's verify-mixed pool
 (``perfbench/workloads.py``, imported as it is) for each seed, and writes
 every op's exit code, input class, first error line and check verdict,
 each seed's ``correct`` flag (no failure outside the known-defect classes),
-and the loop matrices of every report.  ``--compare`` prints the failed ops
-that differ between two sweeps, the seeds whose ``correct`` differs, and
-the largest gaps between their loop matrices: entrywise, entrywise over the
+the SHA-256 of every report's bytes, and the loop matrices of every report.
+``--compare`` prints the failed ops that differ between two sweeps, the
+seeds whose ``correct`` differs, how many ops' report bytes differ, and the
+largest gaps between their loop matrices: entrywise, entrywise over the
 commuting classes, and between matched eigenvalues.  A change to
 continuation or geometry should leave the failed ops equal, op for op; a
 change of loop convention conjugates the generic matrices, so there only
-the spectra and the commuting classes' entries should stay put.
+the spectra and the commuting classes' entries should stay put.  A change
+that claims the same answers should leave every report's bytes equal.
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -71,6 +74,7 @@ def sweep(seeds) -> list:
                         "error": error,
                         "ok": ok,
                         "known_defect": bool(unit.truth["known_defect"]),
+                        "sha256": hashlib.sha256(report).hexdigest() if report else None,
                         "matrices": json.loads(report)["monodromy"]["matrices"] if report else None,
                     }
                 )
@@ -97,6 +101,12 @@ def compare(left, right) -> int:
     for key in differing:
         print(f"seed {key[0]} unit {key[1]}: {a.get(key)} -> {b.get(key)}")
     print(f"failed ops: {len(a)} -> {len(b)}, {len(differing)} differ")
+    if all("sha256" in r for r in left + right):
+        digests = {(r["seed"], r["unit"]): r["sha256"] for r in right}
+        changed = sum(r["sha256"] != digests.get((r["seed"], r["unit"])) for r in left)
+        print(f"report bytes: {changed} of {len(left)} ops differ")
+    else:
+        print("report bytes: not compared, a sweep file has no digests")
     flags_a, flags_b = correct(left), correct(right)
     for label, flags in (("left", flags_a), ("right", flags_b)):
         print(f"correct false ({label}):", sorted(seed for seed, ok in flags.items() if not ok))
