@@ -277,7 +277,7 @@ def solve(
     dim = instance.dimension
     count = len(instance.poles)
     seed = first_order_seed(instance)
-    cut = _cut_paths(instance.poles, build_loops(validate_system(instance.poles, seed), instance.base_point))
+    cut = _cut_paths(instance.poles, build_loops(instance.poles, instance.base_point))
 
     x = _pack(seed)
     computed, jacobian = _linearise(instance, cut, _unpack(x, count, dim), integration_tol)

@@ -464,7 +464,7 @@ def _conjugators(a: np.ndarray, b: np.ndarray, matches, tol: float) -> list:
     search met.  Every pair's Sylvester operator kron(a^T, I) - kron(I, b)
     is built by broadcasting and all get one full ``svd``; the intertwiners
     are the trailing right singular vectors, as many as the commutant
-    dimension.  The candidates are those vectors and five weighted sums of
+    dimension.  The candidates are those vectors and seven weighted sums of
     them, reshaped in F order, and all candidates of all pairs get one
     ``svd``; a pair keeps its first candidate whose ratio of extreme
     singular values is strictly the largest, normalised in Frobenius norm.
@@ -483,7 +483,10 @@ def _conjugators(a: np.ndarray, b: np.ndarray, matches, tol: float) -> list:
     for (ja, jb, pairs), v in zip(matches, vh):
         dim = _commutant_dimension(ja, jb, pairs)
         basis = v[n * n - dim:].conj()
-        weights = np.array([[t**i for i in range(dim)] for t in (1.0, -1.0, 2.0, 0.5, 1.0 + 0.5j)], complex)
+        # Every sum with geometric weights t^i is singular when the basis repeats one column
+        # pattern, as for a diagonal a with a repeated eigenvalue; t^(i^2) weights are not.
+        weights = [[t**i for i in range(dim)] for t in (1.0, -1.0, 2.0, 0.5, 1.0 + 0.5j)]
+        weights = np.array(weights + [[t ** (i * i) for i in range(dim)] for t in (2.0, 1.0 + 0.5j)], complex)
         # One (1, dim) @ (dim, n^2) product per weight vector, as a vector @ matrix product rounds.
         groups.append(np.concatenate([basis, (weights[:, None, :] @ basis)[:, 0]]))
     candidates = np.concatenate(groups)

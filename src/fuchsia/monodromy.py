@@ -164,8 +164,6 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
     size = np.abs(g)
     norms = np.linalg.norm(residues, 2, axis=(1, 2))
     total = float(norms.sum())
-    with np.errstate(over="ignore"):
-        majorants = np.exp(-(norms @ np.log1p(-size)))  # prod_p (1 - |g_p|)^-b_p bounds |Phi^-1|
     count = len(leg_of)
     m = start.shape[1]
     operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
@@ -173,50 +171,53 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
     tails = np.empty(count)
     deviations = np.empty(count)
     masses = np.full(count, float(np.linalg.norm(start, 2)))  # sum_k m_k
-    # The active hops: their ids, paths, flags and majorant data, and their state on the last axis.
-    ids, path_of, head, majorant, reach = np.arange(count), owner, heads, majorants, size.max(axis=0)
     term = np.repeat(start[:, :, None], count, axis=2)  # y_k
     sums = term.copy()
     stack = np.zeros((len(g),) + term.shape, dtype=complex)  # U_{p,k}
     bound = np.full(count, float(np.linalg.norm(start, 2)))  # m_k
     partial = np.zeros_like(size)  # M_{p,k}
     k = 0
-    while ids.size:
-        partial = size * (bound + partial)
-        bound = norms @ partial / (k + 1)
-        if not np.isfinite(bound).all():
-            raise NonFiniteError("continuation majorant overflowed: the residues are too large")
-        np.subtract(term, stack, out=stack)
-        stack *= g[:, None, None, :]
-        _apply_residues(operator, stack, term)
-        k += 1
-        term /= k
-        sums += term
-        masses[ids] += bound
-        ratio = reach * max(1.0, (k + total) / (k + 1))
-        tau = np.divide(bound * ratio, 1.0 - ratio, out=np.full(len(ids), np.inf), where=ratio < 1.0)
-        # Every norm in a composed bound is at least 1, so it is at least the path's summed tails.
-        checked = np.bincount(path_of, tau, len(cut)) <= tol
-        if not checked[path_of].any():
-            continue
-        near = np.linalg.norm(sums - start[:, :, None], axis=(0, 1)) + tau
-        composed = _hop_bounds(tau, near, majorant, head, path_of, len(cut))
-        if not np.isfinite(composed[checked]).all():
-            raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
-        done = (checked & (composed <= tol))[path_of]
-        if not done.any():
-            continue
-        if not np.isfinite(sums[..., done]).all():
-            raise NonFiniteError("continuation produced a non-finite solution value")
-        values[ids[done]] = sums[..., done].transpose(2, 0, 1)
-        tails[ids[done]] = tau[done]
-        deviations[ids[done]] = near[done]
-        keep = ~done
-        ids, path_of, head, majorant, reach, bound = (a[keep] for a in (ids, path_of, head, majorant, reach, bound))
-        # C-contiguous, unlike a[..., keep]: the terms are written through reshaped views.
-        g, size, partial, term, sums, stack = (
-            np.compress(keep, a, axis=-1) for a in (g, size, partial, term, sums, stack)
-        )
+    # Overflows are left as inf here; the isfinite checks below raise NonFiniteError on them.
+    with np.errstate(over="ignore"):
+        majorants = np.exp(-(norms @ np.log1p(-size)))  # prod_p (1 - |g_p|)^-b_p bounds |Phi^-1|
+        # The active hops: their ids, paths, flags and majorant data, and their state on the last axis.
+        ids, path_of, head, majorant, reach = np.arange(count), owner, heads, majorants, size.max(axis=0)
+        while ids.size:
+            partial = size * (bound + partial)
+            bound = norms @ partial / (k + 1)
+            if not np.isfinite(bound).all():
+                raise NonFiniteError("continuation majorant overflowed: the residues are too large")
+            np.subtract(term, stack, out=stack)
+            stack *= g[:, None, None, :]
+            _apply_residues(operator, stack, term)
+            k += 1
+            term /= k
+            sums += term
+            masses[ids] += bound
+            ratio = reach * max(1.0, (k + total) / (k + 1))
+            tau = np.divide(bound * ratio, 1.0 - ratio, out=np.full(len(ids), np.inf), where=ratio < 1.0)
+            # Every norm in a composed bound is at least 1, so it is at least the path's summed tails.
+            checked = np.bincount(path_of, tau, len(cut)) <= tol
+            if not checked[path_of].any():
+                continue
+            near = np.linalg.norm(sums - start[:, :, None], axis=(0, 1)) + tau
+            composed = _hop_bounds(tau, near, majorant, head, path_of, len(cut))
+            if not np.isfinite(composed[checked]).all():
+                raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
+            done = (checked & (composed <= tol))[path_of]
+            if not done.any():
+                continue
+            if not np.isfinite(sums[..., done]).all():
+                raise NonFiniteError("continuation produced a non-finite solution value")
+            values[ids[done]] = sums[..., done].transpose(2, 0, 1)
+            tails[ids[done]] = tau[done]
+            deviations[ids[done]] = near[done]
+            keep = ~done
+            ids, path_of, head, majorant, reach, bound = (a[keep] for a in (ids, path_of, head, majorant, reach, bound))
+            # C-contiguous, unlike a[..., keep]: the terms are written through reshaped views.
+            g, size, partial, term, sums, stack = (
+                np.compress(keep, a, axis=-1) for a in (g, size, partial, term, sums, stack)
+            )
     composed = _compose(values, leg_of)
     estimates = _hop_bounds(tails, deviations, majorants, heads, owner, len(cut))
     sizes = np.linalg.norm(composed[:, :m], 2, axis=(1, 2))
@@ -255,7 +256,7 @@ def _cut_paths(poles, paths):
 
     The audit is one ``paths.segment_distances`` pass over every segment of
     every path and every pole; a path that comes closer to a pole than its
-    stated clearance raises ``ValidationError``.  Returns one tuple of legs
+    stated clearance, or whose distance is NaN, raises ``ValidationError``.  Returns one tuple of legs
     per path, each leg the (H + 1,) points of its H hops from
     ``paths.hops``, which cuts all legs of all paths in one bisection.  A
     path whose tail is, segment by segment, the exact reverse of its head
@@ -268,7 +269,7 @@ def _cut_paths(poles, paths):
     audited = np.minimum.reduceat(distances, np.cumsum([0] + [len(path.segments) for path in paths[:-1]]))
     chains = []
     for path, distance in zip(paths, audited.tolist()):
-        if distance < path.clearance * (1.0 - 1e-9):
+        if not distance >= path.clearance * (1.0 - 1e-9):
             raise ValidationError(
                 f"path passes within {distance:.3e} of a pole, closer than its "
                 f"stated clearance {path.clearance:.3e}"
@@ -425,7 +426,7 @@ def monodromy(
 ) -> MonodromyRepresentation:
     """Monodromy representation of ``system`` from one loop per pole."""
     z0 = default_base_point(system.poles) if base_point is None else complex(base_point)
-    loops = build_loops(system, z0)
+    loops = build_loops(system.poles, z0)
     results = _continue_legs(system, loops, np.eye(system.dimension, dtype=complex), tol)
     matrices = [_loop_transfer(legs) for legs, _ in results]
     estimates = [err for _, err in results]

@@ -1,4 +1,4 @@
-"""Continuation paths: unit-speed lines and circular arcs with exact joins.
+"""Continuation paths: unit-speed lines and full circles with exact joins.
 
 Loops around poles hang on a comb.  Every pole has a tooth along one
 direction d to a line L beyond all poles, and the base point joins L along
@@ -8,13 +8,13 @@ back along the exact bitwise reverse of the way in.  Parallel teeth never
 cross, so the loops need no detours, and their order along L is the order
 in which they compose to the identity.  Adjacent segments share endpoint
 values bit for bit: each segment is constructed from the previous
-segment's computed endpoint, and a closed arc reports its start value as
-its end.
+segment's computed endpoint, and a circle reports its start value as its
+end.
 """
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,6 @@ TWO_PI = 2.0 * math.pi
 LOOP_CONVENTION = "ccw-circle/reversed-approach/comb-order-foot-desc/v3"
 
 
-def arc_point(center: complex, radius: float, angle: float) -> complex:
-    """The single shared formula for points on circles.
-
-    Every construction site uses this helper so that two segments meeting on
-    a circle agree on the junction bit for bit.
-    """
-    return center + radius * complex(math.cos(angle), math.sin(angle))
-
-
 @dataclass(frozen=True)
 class Line:
     """Straight segment from ``start`` to ``end``, parameterized by arc length."""
@@ -47,9 +38,7 @@ class Line:
     def __post_init__(self):
         if self.start == self.end:
             raise ValidationError("zero-length line segment")
-        if not all(
-            math.isfinite(v) for v in (self.start.real, self.start.imag, self.end.real, self.end.imag)
-        ):
+        if not (cmath.isfinite(self.start) and cmath.isfinite(self.end)):
             raise ValidationError("line endpoints must be finite")
 
     @property
@@ -59,35 +48,28 @@ class Line:
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
 
-    def min_distance_to(self, w: complex) -> float:
-        return float(segment_distances([self], [w])[0, 0])
-
 
 @dataclass(frozen=True)
 class Arc:
-    """Circular arc, counterclockwise when angle_end > angle_start.
+    """One full turn of a circle, counterclockwise when angle_end > angle_start.
 
-    ``closed`` marks a full circle: its reported endpoint is then the exact
-    start value, which keeps loop contiguity bitwise even though
-    cos(a + 2 pi) differs from cos(a) in the last bits.
+    The turn starts and ends at the point of ``angle_start``, and its end is
+    that exact start value, which keeps loop contiguity bitwise even though
+    cos(a + 2 pi) differs from cos(a) in the last bits.  The angles are kept
+    as given: ``paths.hops`` spaces its points by angle_end - angle_start.
     """
 
     center: complex
     radius: float
     angle_start: float
     angle_end: float
-    closed: bool = field(default=False)
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValidationError(f"arc radius must be positive and finite, got {self.radius}")
-        span = self.angle_end - self.angle_start
-        if span == 0.0 or not math.isfinite(span):
-            raise ValidationError("arc must sweep a nonzero finite angle")
-        if abs(span) > TWO_PI * (1.0 + 1e-9):
-            raise ValidationError("arc sweeps more than a full turn")
-        if self.closed and abs(abs(span) - TWO_PI) > 1e-9:
-            raise ValidationError("closed arc must sweep a full turn")
+        if not (cmath.isfinite(self.center) and self.radius > 0.0 and math.isfinite(self.radius)):
+            raise ValidationError(f"arc centre {self.center} must be finite, radius {self.radius} positive and finite")
+        # Written so that a NaN or infinite angle, whose span is NaN or infinite, fails it too.
+        if not abs(abs(self.span) - TWO_PI) <= 1e-9:
+            raise ValidationError("an arc must sweep one full turn between finite angles")
 
     @property
     def span(self) -> float:
@@ -99,31 +81,17 @@ class Arc:
 
     @property
     def start(self) -> complex:
-        return arc_point(self.center, self.radius, self.angle_start)
+        return self.center + self.radius * complex(math.cos(self.angle_start), math.sin(self.angle_start))
 
     @property
     def end(self) -> complex:
-        if self.closed:
-            return self.start
-        return arc_point(self.center, self.radius, self.angle_end)
+        return self.start
 
     def reversed(self) -> "Arc":
-        # A closed arc must keep its reported endpoint bitwise, so reverse
-        # it by flipping the sweep direction around the same anchor angle;
-        # swapping the angles would re-anchor at angle_end, whose cos/sin
-        # differ from angle_start's in the last bits.
-        if self.closed:
-            return Arc(
-                self.center,
-                self.radius,
-                self.angle_start,
-                self.angle_start - self.span,
-                closed=True,
-            )
-        return Arc(self.center, self.radius, self.angle_end, self.angle_start)
-
-    def min_distance_to(self, w: complex) -> float:
-        return float(segment_distances([self], [w])[0, 0])
+        # Flip the sweep around the same anchor angle: swapping the angles
+        # would re-anchor at angle_end, whose cos/sin differ from
+        # angle_start's in the last bits.
+        return Arc(self.center, self.radius, self.angle_start, self.angle_start - self.span)
 
 
 Segment = Line | Arc
@@ -132,10 +100,8 @@ Segment = Line | Arc
 def segment_distances(segments, points) -> np.ndarray:
     """(S, K) distances from each of S segments to each of K points, in one numpy pass.
 
-    A line is measured to the point's projection clamped onto it.  An arc is
-    measured to its circle, |dist - r|, when the point's direction from the
-    centre lies within the sweep (for a full circle, always), and otherwise
-    to the nearer endpoint; a point at the centre is r away.
+    A line is measured to the point's projection clamped onto it, a circle
+    as |(|w - c| - r)|, so its centre is r away.
     """
     w = np.asarray(points, dtype=complex)
     line = np.array([isinstance(seg, Line) for seg in segments])
@@ -148,16 +114,8 @@ def segment_distances(segments, points) -> np.ndarray:
         t = np.clip(((w - p) * u.conj()).real, 0.0, length)
         out[line] = np.abs(w - (p + t * u))
     if not line.all():
-        arcs = [seg for seg, is_line in zip(segments, line) if not is_line]
-        center, start, end = np.array([(arc.center, arc.start, arc.end) for arc in arcs]).T[..., None]
-        sweep = np.array([(arc.radius, min(arc.angle_start, arc.angle_end), abs(arc.span)) for arc in arcs])
-        radius, lo, width = sweep.T[..., None]
-        closed = np.array([[arc.closed] for arc in arcs])
-        rel = w - center
-        dist = np.abs(rel)
-        inside = closed | (np.mod(np.angle(rel) - lo, TWO_PI) <= width)
-        nearest = np.minimum(np.abs(w - start), np.abs(w - end))
-        out[~line] = np.where(dist == 0.0, radius, np.where(inside, np.abs(dist - radius), nearest))
+        center, radius = np.array([(seg.center, seg.radius) for seg, is_line in zip(segments, line) if not is_line]).T
+        out[~line] = np.abs(np.abs(w - center[:, None]) - radius.real[:, None])
     return out
 
 
@@ -180,7 +138,7 @@ def hops(legs, poles) -> list[np.ndarray]:
     around its own pole becomes 16 arcs, and a line ending near a pole
     becomes hops that shrink geometrically toward it.  A segment's first
     and last points are its own ``start`` and ``end``, so joins are exact
-    and a closed circle's last hop ends at its start bit for bit.  With no
+    and a circle's last hop ends at its start bit for bit.  With no
     poles every segment is one hop; a pole on a leg, or within rounding of
     it, raises ``ValidationError`` once a piece can no longer be halved.
     """
@@ -256,9 +214,6 @@ class ContinuationPath:
     @property
     def length(self) -> float:
         return sum(seg.length for seg in self.segments)
-
-    def min_distance_to(self, w: complex) -> float:
-        return float(segment_distances(self.segments, [w]).min())
 
     def reversed(self) -> "ContinuationPath":
         return ContinuationPath(
@@ -342,8 +297,8 @@ def composition_order(poles, base_point: complex) -> list[int]:
     return np.argsort(-position, kind="stable").tolist()
 
 
-def build_loops(system, base_point) -> list[ContinuationPath]:
-    """One loop per pole of ``system``, all based at ``base_point``.
+def build_loops(poles, base_point) -> list[ContinuationPath]:
+    """One loop per pole in ``poles``, all based at ``base_point``.
 
     The loop of pole a_j is lines z0 -> f0 -> f_j -> a_j + r_j d (zero-length
     ones skipped), one full counterclockwise circle of radius r_j, then
@@ -356,7 +311,7 @@ def build_loops(system, base_point) -> list[ContinuationPath]:
     ``TOOTH_FACTOR`` r_k or more and one behind it at 1.5 r_k or more, and
     a circle keeps 1.5 r_k from every other pole k.
     """
-    poles = [complex(a) for a in system.poles]
+    poles = [complex(a) for a in poles]
     z0 = complex(base_point)
     d, radii, feet = _comb(poles, z0)
     clearance = min(COMB_OFFSET, float(radii.min()))
@@ -364,7 +319,7 @@ def build_loops(system, base_point) -> list[ContinuationPath]:
     *feet, base_foot = feet.tolist()
     loops = []
     for a, r, foot in zip(poles, radii.tolist(), feet):
-        circle = Arc(a, r, angle, angle + TWO_PI, closed=True)
+        circle = Arc(a, r, angle, angle + TWO_PI)
         corners = [z0, base_foot, foot, circle.start]
         head = [Line(p, q) for p, q in zip(corners, corners[1:]) if p != q]
         segments = head + [circle] + [seg.reversed() for seg in reversed(head)]

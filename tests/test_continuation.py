@@ -36,7 +36,7 @@ def scalar_two_pole(b: complex):
 @pytest.mark.parametrize("b", [0.25, -0.3, 0.1 + 0.2j, 0.5j])
 def test_scalar_loop_matches_exponential(b):
     system = scalar_two_pole(b)
-    loop = build_loops(system, 3.0 + 0.0j)[0]
+    loop = build_loops(system.poles, 3.0 + 0.0j)[0]
     transfer, estimate = continue_solution(system, loop, tol=1e-11)
     expected = cmath.exp(2j * cmath.pi * b)
     assert abs(transfer[0, 0] - expected) < 1e-9
@@ -47,7 +47,7 @@ def test_scalar_loop_other_pole(rng):
     """A loop around the -b pole picks up the reciprocal factor."""
     b = 0.25 - 0.15j
     system = scalar_two_pole(b)
-    loop = build_loops(system, 3.0 + 0.0j)[1]
+    loop = build_loops(system.poles, 3.0 + 0.0j)[1]
     transfer, _ = continue_solution(system, loop, tol=1e-11)
     expected = cmath.exp(-2j * cmath.pi * b)
     assert abs(transfer[0, 0] - expected) < 1e-9
@@ -55,7 +55,7 @@ def test_scalar_loop_other_pole(rng):
 
 def test_diagonal_system_loops_match_closed_form(rng):
     system, expected = diagonal_system(rng, p=3, n=3)
-    loops = build_loops(system, default_base_point(system.poles))
+    loops = build_loops(system.poles, default_base_point(system.poles))
     for j, loop in enumerate(loops):
         transfer, _ = continue_solution(system, loop, tol=1e-11)
         assert np.linalg.norm(transfer - expected[j]) < 1e-8
@@ -63,7 +63,7 @@ def test_diagonal_system_loops_match_closed_form(rng):
 
 def test_reversed_path_gives_inverse(rng):
     system, _ = diagonal_system(rng, p=2, n=2)
-    loop = build_loops(system, complex(3.5))[0]
+    loop = build_loops(system.poles, complex(3.5))[0]
     forward, _ = continue_solution(system, loop, tol=1e-11)
     backward, _ = continue_solution(system, loop.reversed(), tol=1e-11)
     assert np.linalg.norm(forward @ backward - np.eye(2)) < 1e-8
@@ -88,6 +88,15 @@ def test_clearance_audit_rejects_overstated_path():
     system = scalar_two_pole(0.3)
     path = ContinuationPath((Line(2.0 + 0.0j, 0.001 + 0.01j),), clearance=1.0)
     with pytest.raises(ValidationError, match="clearance"):
+        continue_solution(system, path)
+
+
+def test_clearance_audit_rejects_a_nan_distance():
+    """A line too long for its direction to be computed is NaN from every
+    pole: the audit rejects it instead of passing it to the kernel."""
+    system = scalar_two_pole(0.3)
+    path = ContinuationPath((Line(-1e308 + 1j, 1e308 + 1j),), clearance=1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="within nan"):
         continue_solution(system, path)
 
 
@@ -135,11 +144,13 @@ def test_transfer_along_through_a_pole_raises():
         transfer_along(RationalMatrix([[field]]), path)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_majorant_fails_at_once():
     """Residues of norm 1e16 overflow the hops' majorant within a few
-    dozen terms: the call raises at once instead of running on."""
+    dozen terms: the call raises at once instead of running on, and
+    the overflow shows as the error alone, with no numpy warning."""
     system = validate_system([0.0, 1.0], [np.array([[1e16 + 0j]]), np.array([[-1e16 + 0j]])])
-    loop = build_loops(system, 3.0 + 0.0j)[0]
+    loop = build_loops(system.poles, 3.0 + 0.0j)[0]
     began = time.perf_counter()
     with pytest.raises(NonFiniteError):
         continue_solution(system, loop)
@@ -158,7 +169,7 @@ def test_error_estimate_tracks_tolerance():
     """Coarsening the tolerance by 1e4 must not shrink the actual error
     and the estimate stays a nonnegative finite number."""
     system = scalar_two_pole(0.25)
-    loop = build_loops(system, 3.0 + 0.0j)[0]
+    loop = build_loops(system.poles, 3.0 + 0.0j)[0]
     expected = cmath.exp(2j * cmath.pi * 0.25)
     tight, est_tight = continue_solution(system, loop, tol=1e-12)
     loose, est_loose = continue_solution(system, loop, tol=1e-6)
@@ -183,7 +194,7 @@ def test_loop_factorisation_matches_separate_legs():
     """A loop equals T_back @ C @ T_a with each leg continued on its own,
     and a path without the reversed tail is still continued straight."""
     system = collinear_generic_system()
-    for loop in build_loops(system, default_base_point(system.poles)):
+    for loop in build_loops(system.poles, default_base_point(system.poles)):
         half = len(loop.segments) // 2
         legs = [loop.segments[:half], loop.segments[half : half + 1], loop.segments[half + 1 :]]
         t_a, circle, t_back = (
@@ -212,7 +223,7 @@ def test_block_start_continues_to_transfer_times_start(columns):
     assert system.dimension == (columns * columns + 1) * columns
     start = np.eye(system.dimension, columns, dtype=complex)
     eye = np.eye(system.dimension, dtype=complex)
-    loop = build_loops(system, 2.0 + 0.0j)[0]
+    loop = build_loops(system.poles, 2.0 + 0.0j)[0]
     assert [type(seg) for seg in loop.segments[: len(loop.segments) // 2]] == [Line] * 3
     open_path = ContinuationPath(loop.segments[: len(loop.segments) // 2 + 1], clearance=loop.clearance)
     for path, count in ((loop, 2), (open_path, 1)):
@@ -258,7 +269,7 @@ def test_batch_equals_each_path_alone(columns):
     the identity of the 2x2 or the 3x3 system.
     """
     system = five_pole_generic_system(columns)
-    loops = build_loops(system, default_base_point(system.poles))
+    loops = build_loops(system.poles, default_base_point(system.poles))
     assert [len(loop.segments) // 2 for loop in loops] == [3] * 5
     assert {type(seg) for loop in loops for seg in loop.segments} == {Line, Arc}
     short = ContinuationPath((Line(5.0 + 0.0j, 5.0 + 0.1j),), clearance=1.0)
@@ -391,13 +402,13 @@ def test_realised_error_within_tolerance_and_estimate(tol, rng):
     for b in (0.25, 0.1 + 0.2j):
         system = scalar_two_pole(b)
         oracles = [np.array([[cmath.exp(2j * cmath.pi * b)]]), np.array([[cmath.exp(-2j * cmath.pi * b)]])]
-        cases.append((system, build_loops(system, 3.0 + 0.0j), oracles, 3.0 + 0.0j, math.inf))
+        cases.append((system, build_loops(system.poles, 3.0 + 0.0j), oracles, 3.0 + 0.0j, math.inf))
     system, expected = diagonal_system(rng, p=3, n=3)
-    cases.append((system, build_loops(system, default_base_point(system.poles)), expected, None, math.inf))
+    cases.append((system, build_loops(system.poles, default_base_point(system.poles)), expected, None, math.inf))
     entries = np.array([[0.2, -0.15], [-0.3, 0.1], [0.1, 0.05]])
     system = validate_system([-1.0, 0.6, 0.6 + 1e-3j], [np.diag(e.astype(complex)) for e in entries])
     expected = [np.diag(np.exp(2j * np.pi * e)) for e in entries]
-    cases.append((system, build_loops(system, default_base_point(system.poles)), expected, None, 20.0 * tol))
+    cases.append((system, build_loops(system.poles, default_base_point(system.poles)), expected, None, 20.0 * tol))
     for system, loops, oracles, base_point, estimate_cap in cases:
         singly = [continue_solution(system, loop, tol=tol) for loop in loops]
         rep = monodromy(system, tol, base_point)

@@ -217,7 +217,7 @@ def test_linearise_memory_grows_with_columns_not_squares():
     system = four_pole_three_by_three_system()
     inst = validate_instance(system.poles, monodromy(system, tol=1e-10).matrices)
     seed = first_order_seed(inst)
-    cut = _cut_paths(inst.poles, build_loops(validate_system(inst.poles, seed), inst.base_point))
+    cut = _cut_paths(inst.poles, build_loops(inst.poles, inst.base_point))
     tracemalloc.start()
     try:
         _linearise(inst, cut, list(seed), DEFAULT_INTEGRATION_TOL)
@@ -239,7 +239,7 @@ class TestJacobian:
         system = validate_system(self.POLES, [b0, b1, -(b0 + b1)])
         inst = validate_instance(self.POLES, monodromy(system, tol=1e-10).matrices)
         seed = first_order_seed(inst)
-        loops = build_loops(validate_system(self.POLES, seed), inst.base_point)
+        loops = build_loops(inst.poles, inst.base_point)
         return inst, loops, _cut_paths(inst.poles, loops), _pack(seed)
 
     @staticmethod

@@ -12,7 +12,6 @@ from conftest import (
 from fuchsia.errors import (
     ClusterAmbiguityError,
     MatrixExpOverflowError,
-    SimilaritySearchError,
     ValidationError,
 )
 from fuchsia.linalg import (
@@ -253,6 +252,8 @@ def _loop_conjugator(a, b, ja, jb, pairs, tol):
     candidates = [basis[i] for i in range(dim)]
     for t in (1.0, -1.0, 2.0, 0.5, 1.0 + 0.5j):
         candidates.append(np.array([t**k for k in range(dim)], dtype=complex) @ basis)
+    for t in (2.0, 1.0 + 0.5j):
+        candidates.append(np.array([t ** (k * k) for k in range(dim)], dtype=complex) @ basis)
     best, best_ratio = None, -1.0
     for vec in candidates:
         s = np.reshape(vec, (n, n), order="F")
@@ -285,14 +286,21 @@ def test_stacked_conjugator_search_equals_single_pairs_bitwise():
     found = _conjugators(a, b, matches, DEFAULT_CLUSTER_TOL)
     assert len(found) == len(a)
     for got, x, y, match in zip(found, a, b, matches, strict=True):
-        reference = _loop_conjugator(x, y, *match, DEFAULT_CLUSTER_TOL)
-        try:
-            single = similarity_transform(x, y)
-        except SimilaritySearchError as exc:
-            assert isinstance(got, SimilaritySearchError) and str(got) == str(exc)
-            assert reference is None
-            continue
-        for other in (single, reference):
+        # Every pair is found, diag(0, 0, 1) with its repeated eigenvalue too.
+        assert isinstance(got, SimilarityResult)
+        for other in (similarity_transform(x, y), _loop_conjugator(x, y, *match, DEFAULT_CLUSTER_TOL)):
             assert got.matrix.tobytes() == other.matrix.tobytes()
             assert (got.residual, got.condition) == (other.residual, other.condition)
-    assert sum(isinstance(got, SimilarityResult) for got in found) >= 4
+
+
+def test_similarity_transform_diagonal_with_a_repeated_eigenvalue():
+    """For a = diag(0.3, 0.3, 1) the Sylvester null space comes out column
+    by column, so every sum of it with geometric weights t^i is singular;
+    the t^(i^2) sums are not, and all 100 random conjugates are found."""
+    rng = np.random.default_rng(SEED + 8)
+    a = np.diag([0.3, 0.3, 1.0]).astype(complex)
+    for _ in range(100):
+        s0 = random_conjugator(rng, 3, cond_limit=20.0)
+        b = s0 @ a @ np.linalg.inv(s0)
+        found = similarity_transform(a, b)
+        assert np.linalg.norm(found.matrix @ a - b @ found.matrix) < 1e-8

@@ -15,8 +15,8 @@ from fuchsia.paths import (
     TOOTH_FACTOR,
     Arc,
     ContinuationPath,
+    TWO_PI,
     Line,
-    arc_point,
     build_loops,
     composition_order,
     default_base_point,
@@ -25,13 +25,6 @@ from fuchsia.paths import (
     segment_distances,
 )
 from fuchsia.system import validate_system
-
-
-def toy_system(poles):
-    n = len(poles)
-    b = np.array([[0.1]], dtype=complex)
-    residues = [b] * (n - 1) + [-(n - 1) * b]
-    return validate_system(poles, residues)
 
 
 def generic_2x2_system(poles, seed=SEED):
@@ -71,65 +64,86 @@ def test_line_rejects_zero_length():
 
 
 def test_line_min_distance_interior_and_endpoint():
-    seg = Line(0.0, 2.0)
-    assert seg.min_distance_to(1.0 + 1.0j) == pytest.approx(1.0)
-    assert seg.min_distance_to(-3.0) == pytest.approx(3.0)
+    [[inside, beyond]] = segment_distances([Line(0.0, 2.0)], [1.0 + 1.0j, -3.0])
+    assert inside == pytest.approx(1.0)
+    assert beyond == pytest.approx(3.0)
 
 
 def test_arc_point_is_shared_formula():
+    """``Arc.start`` is the one formula for the anchor of a circle: hops
+    start and end there, and every hop point lies on the circle."""
     center, radius, angle = 1.0 + 2.0j, 0.75, 0.3
-    arc = Arc(center, radius, angle, angle + 1.0)
-    assert arc.start == arc_point(center, radius, angle)
+    arc = Arc(center, radius, angle, angle + TWO_PI)
+    assert arc.start == center + radius * complex(math.cos(angle), math.sin(angle))
     [z] = hops([(arc,)], [center])
-    assert z[0] == arc.start
-    assert z[-1] == arc.end == arc_point(center, radius, angle + 1.0)
+    assert z[0] == z[-1] == arc.start == arc.end
     assert np.all(np.abs(np.abs(z - center) - radius) < 1e-15)
 
 
 def test_closed_arc_end_is_start_bitwise():
-    arc = Arc(0.0, 1.0, 0.7, 0.7 + 2.0 * math.pi, closed=True)
+    """A circle's end is its start bit for bit, though the point at
+    angle_start + 2 pi differs from it in the last bits."""
+    arc = Arc(0.0, 1.0, 0.3, 0.3 + TWO_PI)
     assert arc.end == arc.start
-    # An open full-turn arc only promises closeness, not bitwise identity.
-    open_arc = Arc(0.0, 1.0, 0.7, 0.7 + 2.0 * math.pi)
-    assert abs(open_arc.end - open_arc.start) < 1e-14
+    assert arc.center + complex(math.cos(arc.angle_end), math.sin(arc.angle_end)) != arc.start
 
 
 def test_closed_arc_reversal_keeps_anchor_and_flips_sweep():
-    arc = Arc(0.5j, 2.0, 0.7, 0.7 + 2.0 * math.pi, closed=True)
+    arc = Arc(0.5j, 2.0, 0.7, 0.7 + TWO_PI)
     rev = arc.reversed()
-    assert rev.closed
+    assert rev.angle_start == arc.angle_start
     assert rev.start == arc.start
     assert rev.end == arc.end
     assert rev.span == -arc.span
 
 
 def test_arc_rejects_overlong_span():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="one full turn"):
         Arc(0.0, 1.0, 0.0, 7.0)
 
 
-def test_arc_min_distance_inside_and_outside_window():
-    arc = Arc(0.0, 1.0, 0.0, math.pi / 2)
-    assert arc.min_distance_to(2.0) == pytest.approx(1.0)
-    assert arc.min_distance_to(0.5) == pytest.approx(0.5)
-    assert arc.min_distance_to(-2.0) == pytest.approx(abs(-2.0 - arc.end))
+@pytest.mark.parametrize("span", [math.pi / 2, -1.0, 0.0, TWO_PI * (1.0 + 1e-8)])
+def test_arc_rejects_a_partial_turn(span):
+    with pytest.raises(ValidationError, match="one full turn"):
+        Arc(0.0, 1.0, 0.3, 0.3 + span)
+
+
+@pytest.mark.parametrize(
+    "center, start, end",
+    [
+        (complex(math.nan), 0.0, TWO_PI),
+        (complex(0.0, math.inf), 0.0, TWO_PI),
+        (0.0, math.nan, TWO_PI),
+        (0.0, 1.0, math.inf),
+    ],
+)
+def test_arc_rejects_a_non_finite_centre_or_angle(center, start, end):
+    with pytest.raises(ValidationError, match="finite"):
+        Arc(center, 1.0, start, end)
+
+
+def test_circle_distance_inside_outside_and_at_centre():
+    """A circle is |(|w - c| - r)| from w in every direction, r from its centre."""
+    circle = Arc(1.0j, 1.0, 2.0, 2.0 + TWO_PI)
+    got = segment_distances([circle], [3.0j, 1.5j, 1.0 + 2.0j, 1.0j])
+    assert got.tolist() == [[1.0, 0.5, pytest.approx(math.sqrt(2.0) - 1.0), 1.0]]
 
 
 def test_segment_distances_covers_every_segment_and_point_at_once():
-    """Lines clamp the projection; a full circle is |dist - r| in every direction, its centre r away."""
+    """Lines clamp the projection; a circle is |dist - r| in every direction, its centre r away."""
     angle = 0.3
-    circle = Arc(1.0 + 1.0j, 0.5, angle, angle + 2.0 * math.pi, closed=True)
-    quarter = Arc(0.0, 1.0, 0.0, math.pi / 2)
+    circle = Arc(1.0 + 1.0j, 0.5, angle, angle + TWO_PI)
+    clockwise = Arc(0.0, 1.0, 0.0, -TWO_PI)
     line = Line(0.0, 2.0)
     points = [1.0 + 1.0j, 1.0 + 1.0j + 2.0 * cmath.exp(1j * (angle - 1e-12)), -1.0, 1.0 + 3.0j]
-    got = segment_distances([line, circle, quarter], points)
+    got = segment_distances([line, circle, clockwise], points)
     assert got.shape == (3, 4)
     assert got[1, 0] == 0.5
     assert got[1, 1] == pytest.approx(1.5, rel=1e-14)
     assert got[0].tolist() == pytest.approx([1.0, abs(points[1] - 2.0), 1.0, 3.0])
-    assert got[2].tolist() == pytest.approx([abs(w) - 1.0 for w in points[:2]] + [abs(-1.0 - 1j), abs(points[3]) - 1.0])
-    for segment, row in zip([line, circle, quarter], got):
-        assert [segment.min_distance_to(w) for w in points] == row.tolist()
+    assert got[2].tolist() == pytest.approx([abs(abs(w) - 1.0) for w in points])
+    for segment, row in zip([line, circle, clockwise], got):
+        assert segment_distances([segment], points)[0].tolist() == row.tolist()
 
 
 def _loop_distance(seg, w):
@@ -138,22 +152,15 @@ def _loop_distance(seg, w):
         u = (seg.end - seg.start) / seg.length
         t = min(max(((w - seg.start) * u.conjugate()).real, 0.0), seg.length)
         return abs(w - (seg.start + t * u))
-    dist = abs(w - seg.center)
-    if dist == 0.0:
-        return seg.radius
-    offset = (cmath.phase(w - seg.center) - min(seg.angle_start, seg.angle_end)) % (2 * math.pi)
-    if seg.closed or offset <= abs(seg.span):
-        return abs(dist - seg.radius)
-    return min(abs(w - seg.start), abs(w - seg.end))
+    return abs(abs(w - seg.center) - seg.radius)
 
 
 def test_segment_distances_match_the_scalar_loop():
     rng = np.random.default_rng(SEED + 8)
     segments = [Line(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))) for _ in range(20)]
     for _ in range(20):
-        start, span, closed = rng.uniform(-4.0, 4.0), rng.uniform(-6.0, 6.0), rng.random() < 0.3
-        span = 2.0 * math.pi if closed else span
-        segments.append(Arc(complex(*rng.normal(size=2)), rng.uniform(0.1, 2.0), start, start + span, closed=closed))
+        start, sign = rng.uniform(-4.0, 4.0), rng.choice([-1.0, 1.0])
+        segments.append(Arc(complex(*rng.normal(size=2)), rng.uniform(0.1, 2.0), start, start + sign * TWO_PI))
     points = [complex(*p) for p in 2.0 * rng.normal(size=(30, 2))] + [segments[-1].center]
     got = segment_distances(segments, points)
     for seg, row in zip(segments, got):
@@ -163,10 +170,14 @@ def test_segment_distances_match_the_scalar_loop():
 
 
 def test_arc_reversed_preserves_endpoints():
-    arc = Arc(1.0j, 0.5, 0.2, 1.9)
+    """A clockwise circle reverses to a counterclockwise one and back, on
+    the same endpoints."""
+    arc = Arc(1.0j, 0.5, 0.2, 0.2 - TWO_PI)
     rev = arc.reversed()
+    assert rev.span > 0.0
     assert rev.start == arc.end
     assert rev.end == arc.start
+    assert rev.reversed() == arc
 
 
 def test_path_requires_contiguity():
@@ -183,7 +194,7 @@ def test_empty_path_needs_anchor():
 
 def test_path_reversal_round_trip():
     a = Line(0.0, 1.0)
-    b = Arc(2.0, 1.0, math.pi, 0.5)
+    b = Arc(2.0, 1.0, math.pi, math.pi + TWO_PI)
     path = ContinuationPath((a, Line(a.end, b.start), b), clearance=0.05)
     back = path.reversed()
     assert back.start == path.end
@@ -202,10 +213,10 @@ def test_loop_radii_scale():
     nearest other pole or base point, unless a tooth passes closer than
     TOOTH_FACTOR times that: then the tooth sets it."""
     poles = [0.0 + 0j, 1.0 + 0j]
-    assert circle_radii(build_loops(toy_system(poles), 3.0 + 0j)) == [0.4, 0.4]
+    assert circle_radii(build_loops(poles, 3.0 + 0j)) == [0.4, 0.4]
     poles = [cmath.exp(2j * math.pi * k / 16) for k in range(16)]
     z0 = default_base_point(poles)
-    loops = build_loops(toy_system(poles), z0)
+    loops = build_loops(poles, z0)
     d = comb_parts(loops[0])[0]
     nearest = abs(poles[1] - poles[0])
     expected = []
@@ -219,7 +230,7 @@ def test_loop_radii_scale():
 
 def test_pole_loop_closed_and_clear():
     poles = [0.0 + 0j, 1.0 + 0j]
-    loop = build_loops(toy_system(poles), 2.0 + 0j)[0]
+    loop = build_loops(poles, 2.0 + 0j)[0]
     assert loop.end == loop.start == 2.0 + 0j
     audited = path_clearance_audit(loop, poles)
     assert audited >= loop.clearance * (1.0 - 1e-12)
@@ -229,10 +240,8 @@ def test_pole_loop_closed_and_clear():
 def test_pole_loop_winding_angles():
     """The loop's circle is a single ccw full turn around its own pole."""
     poles = [0.0 + 0j, 1.5 + 0j]
-    loop = build_loops(toy_system(poles), 2.5 + 0j)[0]
-    circles = [
-        s for s in loop.segments if isinstance(s, Arc) and getattr(s, "closed", False)
-    ]
+    loop = build_loops(poles, 2.5 + 0j)[0]
+    circles = [s for s in loop.segments if isinstance(s, Arc)]
     assert len(circles) == 1
     assert circles[0].center == poles[0]
     assert circles[0].span == pytest.approx(2.0 * math.pi)
@@ -243,7 +252,7 @@ def test_collinear_loops_retrace_their_approach():
     tooth, one circle, and the exact mirror of the lines back, with the
     tooth parallel to the comb direction: no detour arcs."""
     poles = [-1.0 + 0j, 0.0 + 0j, 1.0 + 0j]
-    for loop in build_loops(toy_system(poles), 2.0 + 0j):
+    for loop in build_loops(poles, 2.0 + 0j):
         n = len(loop.segments)
         assert n == 7
         for k in range(n // 2):
@@ -259,13 +268,12 @@ def test_collinear_loops_retrace_their_approach():
 
 
 def test_build_loops_base_on_pole_rejected():
-    system = toy_system([0.0, 1.0])
     with pytest.raises(GeometryError):
-        build_loops(system, base_point=1.0 + 0j)
+        build_loops([0.0, 1.0], base_point=1.0 + 0j)
 
 
 def test_build_loops_default_base():
-    rep = monodromy(toy_system([0.0, 1.0]))
+    rep = monodromy(generic_2x2_system([0.0, 1.0]))
     assert rep.base_point == 2.0 + 0j
     assert all(loop.start == 2.0 + 0j for loop in rep.loops)
 
@@ -305,7 +313,7 @@ def test_composition_order_descends_along_the_line():
     d (counterclockwise) down: Im((f_j - f0) conj d) descending."""
     poles = [0.0 + 0j, 1.0 + 0.8j, -0.5 - 0.9j]
     z0 = default_base_point(poles)
-    loops = build_loops(toy_system(poles), z0)
+    loops = build_loops(poles, z0)
     positions = []
     for loop in loops:
         d, base_foot, foot = comb_parts(loop)
@@ -338,21 +346,21 @@ def test_loops_stay_outside_foreign_circles():
         [cmath.exp(2j * math.pi * k / 6) for k in range(6)],
     ]
     for poles in layouts:
-        loops = build_loops(toy_system(poles), default_base_point(poles))
+        loops = build_loops(poles, default_base_point(poles))
         radii = circle_radii(loops)
         for j, loop in enumerate(loops):
             assert path_clearance_audit(loop, poles) >= loop.clearance * (1.0 - 1e-12)
             for q, a in enumerate(poles):
                 if q == j:
                     continue
-                assert loop.min_distance_to(a) >= min(1.5 * radii[q], COMB_OFFSET) * (1.0 - 1e-12)
+                assert segment_distances(loop.segments, [a]).min() >= min(1.5 * radii[q], COMB_OFFSET) * (1.0 - 1e-12)
 
 
 def piece_layouts():
     """Loops of a collinear row and of a random disk."""
     rng = np.random.default_rng(SEED)
     for poles in ([-1.0 + 0j, 0.0 + 0j, 1.0 + 0j], sample_poles(rng, 5)):
-        yield poles, build_loops(toy_system(poles), default_base_point(poles))
+        yield poles, build_loops(poles, default_base_point(poles))
 
 
 def test_pieces_are_no_longer_than_their_pole_distance():
@@ -372,7 +380,7 @@ def test_pieces_are_no_longer_than_their_pole_distance():
 
 def test_pieces_join_end_to_end():
     """A leg's hops run from its first segment's start through every join,
-    exactly, to its last segment's end; a closed circle ends at its start
+    exactly, to its last segment's end; a circle ends at its start
     bit for bit."""
     for poles, loops in piece_layouts():
         legs = [loop.segments for loop in loops]
@@ -382,13 +390,13 @@ def test_pieces_join_end_to_end():
             for segment in leg[1:]:
                 assert segment.start in points
             assert np.all(np.diff(points) != 0.0)
-    circle = Arc(0.0 + 0j, 0.4, 0.3, 0.3 + 2.0 * math.pi, closed=True)
+    circle = Arc(0.0 + 0j, 0.4, 0.3, 0.3 + TWO_PI)
     [points] = hops([(circle,)], [0.0 + 0j])
     assert points[-1] == points[0] == circle.start
 
 
 def test_full_circle_splits_into_sixteen_arcs():
-    circle = Arc(0.0 + 0j, 0.4, math.pi, 3.0 * math.pi, closed=True)
+    circle = Arc(0.0 + 0j, 0.4, math.pi, 3.0 * math.pi)
     [points] = hops([(circle,)], [0.0 + 0j, 1.0 + 0j])
     assert len(points) == 17
     steps = np.angle(np.diff(points) / (points[:-1] - circle.center))
