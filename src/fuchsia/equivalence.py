@@ -98,53 +98,49 @@ class RationalMatrix:
         if not isinstance(other, RationalMatrix) or other.dimension != self.dimension:
             return NotImplemented
         columns = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            cells = []
-            for column in columns:
-                num, den = P_ZERO, P_ONE
-                for a, b in zip(row, column):
-                    if not (a and b):
-                        continue
-                    term_num, term_den = a.num * b.num, a.den * b.den
-                    if term_den == den:
-                        num = num + term_num
-                    else:
-                        num, den = num * term_den + term_num * den, den * term_den
-                cells.append(RationalFunction(num, den))
-            out.append(cells)
-        return RationalMatrix(out)
+        return RationalMatrix(
+            [[_reduced_sum(_product_terms(row, column)) for column in columns] for row in self.entries]
+        )
 
     def derivative(self) -> "RationalMatrix":
         return RationalMatrix([[cell.derivative() for cell in row] for row in self.entries])
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination; raises if singular."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination; raises if singular.
+
+        Row i is cleared of denominators by s_i, the product of its distinct
+        denominators, giving a polynomial matrix P = diag(s) M.  Bareiss's
+        elimination of [P | I] divides each update exactly by the previous
+        pivot, so every entry stays a polynomial, and ends at [d I | R] with
+        P^-1 = R / d.  Each entry of M^-1 = P^-1 diag(s) is reduced once.
+        """
         n = self.dimension
-        work = [list(row) for row in self.entries]
-        aug = [[RF_ONE if i == j else RF_ZERO for j in range(n)] for i in range(n)]
+        scales = []
+        work = []
+        for i, row in enumerate(self.entries):
+            scale, seen = P_ONE, []
+            for cell in row:
+                if cell.den not in seen:
+                    seen.append(cell.den)
+                    scale = scale * cell.den
+            scales.append(scale)
+            cleared = [cell.num * (scale // cell.den) for cell in row]
+            work.append(cleared + [P_ONE if i == j else P_ZERO for j in range(n)])
+        previous = P_ONE
         for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col]:
-                    pivot_row = r
-                    break
+            pivot_row = next((r for r in range(col, n) if work[r][col]), None)
             if pivot_row is None:
                 raise ValidationError("matrix is singular over the rational function field")
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
             pivot = work[col][col]
-            for j in range(n):
-                work[col][j] = work[col][j] / pivot
-                aug[col][j] = aug[col][j] / pivot
             for r in range(n):
-                if r == col or not work[r][col]:
-                    continue
                 factor = work[r][col]
-                for j in range(n):
-                    work[r][j] = work[r][j] - factor * work[col][j]
-                    aug[r][j] = aug[r][j] - factor * aug[col][j]
-        return RationalMatrix(aug)
+                if r != col:
+                    work[r] = [(pivot * x - factor * y) // previous for x, y in zip(work[r], work[col])]
+            previous = pivot
+        return RationalMatrix(
+            [[RationalFunction(work[i][n + j] * scales[j], previous) for j in range(n)] for i in range(n)]
+        )
 
     def eval_complex(self, z: complex) -> np.ndarray:
         n = self.dimension
@@ -328,7 +324,42 @@ def gauge_transform(matrix: RationalMatrix, basis_change: RationalMatrix) -> Rat
         inv = basis_change.inverse()
     except ValidationError:
         raise ValidationError("basis change must be invertible over the field") from None
-    return inv @ (matrix @ basis_change - basis_change.derivative())
+    columns = list(zip(*basis_change.entries))
+    # Each entry of A B - B' is summed unreduced and reduced once; -b' is
+    # (n d' - n' d) / d^2 for b = n / d.
+    shifted = [
+        [
+            _reduced_sum(
+                _product_terms(row, column)
+                + [(b.num * b.den.derivative() - b.num.derivative() * b.den, b.den * b.den)]
+            )
+            for column, b in zip(columns, b_row)
+        ]
+        for row, b_row in zip(matrix.entries, basis_change.entries)
+    ]
+    return inv @ RationalMatrix(shifted)
+
+
+def _product_terms(row, column) -> list:
+    """Unreduced (numerator, denominator) pairs of the nonzero products a b."""
+    return [(a.num * b.num, a.den * b.den) for a, b in zip(row, column) if a and b]
+
+
+def _reduced_sum(terms) -> RationalFunction:
+    """Sum of (numerator, denominator) pairs, kept unreduced and reduced once.
+
+    A term over the running denominator adds to the numerator, any other
+    nonzero term is cross-multiplied.
+    """
+    num, den = P_ZERO, P_ONE
+    for term_num, term_den in terms:
+        if not term_num:
+            continue
+        if term_den == den:
+            num = num + term_num
+        else:
+            num, den = num * term_den + term_num * den, den * term_den
+    return RationalFunction(num, den)
 
 
 def scalar_solution_transfer(equation: ScalarEquation, samples) -> np.ndarray:

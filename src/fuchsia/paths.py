@@ -38,8 +38,10 @@ class Line:
     def __post_init__(self):
         if self.start == self.end:
             raise ValidationError("zero-length line segment")
-        if not (cmath.isfinite(self.start) and cmath.isfinite(self.end)):
-            raise ValidationError("line endpoints must be finite")
+        # A finite difference needs finite endpoints, and it also rules out
+        # endpoints like -1e308 and 1e308, whose difference overflows.
+        if not cmath.isfinite(self.end - self.start):
+            raise ValidationError("line endpoints and their difference must be finite")
 
     @property
     def length(self) -> float:

@@ -2,16 +2,21 @@
 
 ``ComplexRational`` is a Gaussian rational (a + bi)/d held as three plain
 ints in lowest terms (d > 0, gcd(a, b, d) = 1); every operation builds its
-result from ints and reduces it with one gcd.  ``Polynomial`` holds
-ascending coefficient tuples, and ``RationalFunction`` keeps a fully
+result from ints and reduces it with one gcd.  ``Polynomial`` holds the same
+form for a whole polynomial: integer vectors of real and imaginary parts
+over one positive denominator, content and primitive part as in von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 6, so its arithmetic runs
+on ints with one gcd per result; ``ComplexRational`` stays the scalar type
+at the API (``coeffs``, ``evaluate``).  ``RationalFunction`` keeps a fully
 reduced ratio with monic denominator so equality is structural.  A strict
 grammar parses expressions in ``z`` with ``+ - * / ^``, parentheses, and
 literals like ``3/2``, ``i``, ``2i`` (so ``2i/5`` reads as (2/5)i); the
-parser carries unreduced numerator/denominator pairs and reduces once per
-expression.  The canonical printer emits one fixed form that reparses to an
-equal value bit for bit.  No floating point enters any arithmetic path;
-floats appear only in the explicit ``to_complex`` / ``eval_complex``
-conversions.
+parser carries unreduced numerator/denominator pairs, divides by a constant
+as a multiplication, adds over an equal denominator without
+cross-multiplying, and reduces once per expression.  The canonical printer
+emits one fixed form that reparses to an equal value bit for bit.  No
+floating point enters any arithmetic path; floats appear only in the
+explicit ``to_complex`` / ``eval_complex`` conversions.
 """
 
 from fractions import Fraction
@@ -50,8 +55,9 @@ def _power(base, n, one, what: str):
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 
@@ -185,18 +191,27 @@ def _imag_str(q: Fraction) -> str:
 
 def format_complex_rational(c: ComplexRational) -> str:
     """Canonical text for a Gaussian rational; mixed values are parenthesized."""
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        return _imag_str(c.im) if c.im > 0 else "-" + _imag_str(-c.im)
-    sign = "+" if c.im > 0 else "-"
-    return f"({c.re}{sign}{_imag_str(abs(c.im))})"
+    re, im = c.re, c.im
+    if not im:
+        return str(re)
+    if not re:
+        return _imag_str(im) if im > 0 else "-" + _imag_str(-im)
+    sign = "+" if im > 0 else "-"
+    return f"({re}{sign}{_imag_str(abs(im))})"
 
 
 class Polynomial:
-    """Polynomial in z with ComplexRational coefficients, ascending order."""
+    """Polynomial in z with Gaussian-rational coefficients, ascending order.
 
-    __slots__ = ("coeffs",)
+    Held as integer tuples ``_re`` and ``_im`` (one entry per power of z)
+    over one positive integer ``_den``: coefficient k is
+    (_re[k] + i _im[k]) / _den.  The form is canonical, so equality is
+    structural: trimmed (no trailing (0, 0) pair), _den > 0 and
+    gcd(_re, _im, _den) = 1; zero is ((), (), 1).  Arithmetic runs on the
+    integers and reduces once per result (``_fill``).
+    """
+
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, coeffs=()):
         cleaned = []
@@ -205,9 +220,8 @@ class Polynomial:
             if coerced is None:
                 raise ValidationError(f"bad polynomial coefficient {c!r}")
             cleaned.append(coerced)
-        while cleaned and not cleaned[-1]:
-            cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        den = lcm(*(c._d for c in cleaned))
+        _fill(self, [c._a * (den // c._d) for c in cleaned], [c._b * (den // c._d) for c in cleaned], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -217,68 +231,113 @@ class Polynomial:
         return Polynomial((c,))
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced ``ComplexRational``s, ascending."""
+        return tuple(_reduced(a, b, self._den) for a, b in zip(self._re, self._im))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._re) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._re)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._re == other._re and self._im == other._im
+
+    def _combine(self, other, sign: int) -> "Polynomial":
+        """self + sign * other over lcm(den1, den2)."""
+        den = lcm(self._den, other._den)
+        s1, s2 = den // self._den, sign * (den // other._den)
+        pad = [0] * (len(other._re) - len(self._re))
+        re = [a * s1 for a in self._re] + pad
+        im = [b * s1 for b in self._im] + pad
+        for k, (a, b) in enumerate(zip(other._re, other._im)):
+            re[k] += a * s2
+            im[k] += b * s2
+        return _poly(re, im, den)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [
-                (self.coeffs[k] if k < len(self.coeffs) else CR_ZERO)
-                + (other.coeffs[k] if k < len(other.coeffs) else CR_ZERO)
-                for k in range(n)
-            ]
-        )
+        return self._combine(other, 1)
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _poly([-a for a in self._re], [-b for b in self._im], self._den)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _times(self, x: int, y: int, e: int) -> "Polynomial":
+        """self * (x + yi)/e in one pass."""
+        if x == e and not y:
+            return self
+        re, im = _scaled(self._re, self._im, x, y)
+        return _poly(re, im, self._den * e)
+
+    def _lead_inverse(self) -> tuple[int, int, int]:
+        """(x, y, e) with (x + yi)/e = 1 / (leading coefficient)."""
+        a, b = self._re[-1], self._im[-1]
+        return self._den * a, -self._den * b, a * a + b * b
 
     def __mul__(self, other):
         if isinstance(other, ComplexRational):
-            return Polynomial([c * other for c in self.coeffs])
+            return self._times(other._a, other._b, other._d)
         if not isinstance(other, Polynomial):
             return NotImplemented
+        if len(other._re) == 1:
+            return self._times(other._re[0], other._im[0], other._den)
+        if len(self._re) == 1:
+            return other._times(self._re[0], self._im[0], self._den)
         if not self or not other:
             return P_ZERO
-        out = [CR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
+        re = [0] * (len(self._re) + len(other._re) - 1)
+        im = re[:]
+        for i, (a, b) in enumerate(zip(self._re, self._im)):
+            for j, (c, d) in enumerate(zip(other._re, other._im), i):
+                re[j] += a * c - b * d
+                im[j] += a * d + b * c
+        return _poly(re, im, self._den * other._den)
 
     def __divmod__(self, other):
+        """Long division on the integer lists, the one division loop.
+
+        The divisor's monic form M = (V + i W)/e has V[-1] = e and W[-1] = 0,
+        so each quotient step is R <- e R - t z^k (V + i W) over den e, with
+        t the top of R, and the quotient so far is scaled by e with it; when
+        M has integer coefficients (e = 1) nothing grows.  The quotient by
+        M times 1 / lead(other) is the quotient by ``other``.
+        """
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        if len(rem) < len(div):
-            return P_ZERO, self
-        quot = [CR_ZERO] * (len(rem) - len(div) + 1)
-        lead = div[-1]
-        for k in range(len(quot) - 1, -1, -1):
-            q = rem[k + len(div) - 1] / lead
-            quot[k] = q
-            if q:
-                for j in range(len(div)):
-                    rem[k + j] = rem[k + j] - q * div[j]
-        return Polynomial(quot), Polynomial(rem[: len(div) - 1])
+        monic = other.monic()
+        vr, vi, e = monic._re, monic._im, monic._den
+        n = len(vr) - 1
+        rr, ri, den = list(self._re), list(self._im), self._den
+        steps = max(len(rr) - n, 0)
+        qr, qi = [0] * steps, [0] * steps
+        for k in range(steps - 1, -1, -1):
+            tr, ti = rr.pop(), ri.pop()
+            qr[k], qi[k] = tr, ti
+            if e != 1:
+                rr = [a * e for a in rr]
+                ri = [b * e for b in ri]
+                qr[k:] = [a * e for a in qr[k:]]
+                qi[k:] = [b * e for b in qi[k:]]
+                den *= e
+            if tr or ti:
+                for j in range(n):
+                    rr[k + j] -= tr * vr[j] - ti * vi[j]
+                    ri[k + j] -= tr * vi[j] + ti * vr[j]
+        x, y, f = other._lead_inverse()
+        qr, qi = _scaled(qr, qi, x, y)
+        return _poly(qr, qi, den * f), _poly(rr, ri, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -290,34 +349,46 @@ class Polynomial:
         return _power(self, n, P_ONE, "polynomial")
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(
-            [self.coeffs[k] * ComplexRational(k) for k in range(1, len(self.coeffs))]
-        )
+        re = [k * a for k, a in enumerate(self._re)]
+        im = [k * b for k, b in enumerate(self._im)]
+        return _poly(re[1:], im[1:], self._den)
 
     def monic(self) -> "Polynomial":
         if not self:
             raise ValidationError("the zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        return Polynomial([c / lead for c in self.coeffs])
+        return self._times(*self._lead_inverse())
 
     def translate(self, c: ComplexRational) -> "Polynomial":
-        """Exact composition P(z + c) via Horner in the shifted variable."""
-        result = P_ZERO
-        shift = Polynomial((c, CR_ONE))
-        for coeff in reversed(self.coeffs):
-            result = result * shift + Polynomial.constant(coeff)
-        return result
+        """Exact composition P(z + c) by Horner's rule on integers.
+
+        With c = (x + yi)/d and p_k the numerators, s <- s d and then
+        T <- T (d z + x + yi) + p_k s run from the top coefficient down,
+        from T = 0 and s = 1, and P(z + c) = T / (den s).
+        """
+        x, y, d = c._a, c._b, c._d
+        re, im, scale = [0], [0], 1
+        for a, b in zip(reversed(self._re), reversed(self._im)):
+            scale *= d
+            xr, xi = _scaled(re, im, x, y)
+            re = [a * scale + xr[0]] + [s + d * t for s, t in zip(xr[1:], re)] + [d * re[-1]]
+            im = [b * scale + xi[0]] + [s + d * t for s, t in zip(xi[1:], im)] + [d * im[-1]]
+        return _poly(re, im, self._den * scale)
 
     def evaluate(self, point: ComplexRational) -> ComplexRational:
-        result = CR_ZERO
-        for coeff in reversed(self.coeffs):
-            result = result * point + coeff
-        return result
+        """Exact value by the same Horner's rule as ``translate``, reduced once."""
+        x, y, d = point._a, point._b, point._d
+        tr = ti = 0
+        scale = 1
+        for a, b in zip(reversed(self._re), reversed(self._im)):
+            scale *= d
+            tr, ti = tr * x - ti * y + a * scale, tr * y + ti * x + b * scale
+        return _reduced(tr, ti, self._den * scale)
 
     def eval_complex(self, z: complex) -> complex:
         result = 0j
-        for coeff in reversed(self.coeffs):
-            result = result * z + coeff.to_complex()
+        den = self._den
+        for a, b in zip(reversed(self._re), reversed(self._im)):
+            result = result * z + complex(a / den, b / den)
         return result
 
     def __str__(self) -> str:
@@ -327,9 +398,43 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-P_ZERO = Polynomial(())
-P_ONE = Polynomial((CR_ONE,))
-P_Z = Polynomial((CR_ZERO, CR_ONE))
+_set_re = Polynomial._re.__set__
+_set_im = Polynomial._im.__set__
+_set_den = Polynomial._den.__set__
+
+
+def _scaled(re, im, x: int, y: int) -> tuple[list, list]:
+    """Numerators of (re + i im)(x + yi), entry by entry."""
+    return [a * x - b * y for a, b in zip(re, im)], [a * y + b * x for a, b in zip(re, im)]
+
+
+def _fill(p: Polynomial, re, im, den: int) -> Polynomial:
+    """Store (re + i im)/den in canonical form in ``p``: the one normaliser.
+
+    Trims trailing (0, 0) pairs and divides by gcd(den, re, im), one
+    multi-argument gcd; ``den`` must be positive.
+    """
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    if n < len(re):
+        re, im = re[:n], im[:n]
+    g = gcd(den, *re, *im)
+    if g != 1:
+        re, im, den = [a // g for a in re], [b // g for b in im], den // g
+    _set_re(p, tuple(re))
+    _set_im(p, tuple(im))
+    _set_den(p, den)
+    return p
+
+
+def _poly(re, im, den: int) -> Polynomial:
+    return _fill(object.__new__(Polynomial), re, im, den)
+
+
+P_ZERO = _poly((), (), 1)
+P_ONE = _poly((1,), (0,), 1)
+P_Z = _poly((0, 1), (0, 0), 1)
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -343,15 +448,16 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def _term_str(c: ComplexRational, k: int) -> tuple[str, str]:
     """One monomial as (sign, body); mixed coefficients carry sign inside."""
-    if not c.im:
-        sign = "-" if c.re < 0 else "+"
-        mag = abs(c.re)
+    re, im = c.re, c.im
+    if not im:
+        sign = "-" if re < 0 else "+"
+        mag = abs(re)
         if k == 0:
             return sign, str(mag)
         coeff = "" if mag == 1 else f"{mag}*"
-    elif not c.re:
-        sign = "-" if c.im < 0 else "+"
-        mag = _imag_str(abs(c.im))
+    elif not re:
+        sign = "-" if im < 0 else "+"
+        mag = _imag_str(abs(im))
         if k == 0:
             return sign, mag
         coeff = f"{mag}*"
@@ -367,9 +473,10 @@ def _term_str(c: ComplexRational, k: int) -> tuple[str, str]:
 def format_polynomial(p: Polynomial) -> str:
     if not p:
         return "0"
+    coeffs = p.coeffs
     parts = []
     for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+        c = coeffs[k]
         if not c:
             continue
         sign, body = _term_str(c, k)
@@ -403,9 +510,9 @@ class RationalFunction:
             if g.degree > 0:
                 num = num // g
                 den = den // g
-        lead = den.coeffs[-1]
-        num = Polynomial([c / lead for c in num.coeffs])
-        den = Polynomial([c / lead for c in den.coeffs])
+        inverse = den._lead_inverse()
+        num = num._times(*inverse)
+        den = den._times(*inverse)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -604,7 +711,10 @@ class _Parser:
                 rnum, rden = self.term()
                 if op == "-":
                     rnum = -rnum
-                num, den = num * rden + rnum * den, den * rden
+                if rden == den:
+                    num = num + rnum
+                else:
+                    num, den = num * rden + rnum * den, den * rden
             else:
                 return num, den
 
@@ -620,7 +730,10 @@ class _Parser:
                 else:
                     if not rnum:
                         raise ParseError("division by zero", pos)
-                    num, den = num * rden, den * rnum
+                    if rnum.degree:
+                        num, den = num * rden, den * rnum
+                    else:  # a / (c / q) = a q (1 / c)
+                        num = (num * rden)._times(*rnum._lead_inverse())
             else:
                 return num, den
 
@@ -643,11 +756,11 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.advance()
         if kind == _TOK_INT:
-            return Polynomial.constant(ComplexRational(value)), P_ONE
+            return _poly((value,), (0,), 1), P_ONE
         if kind == _TOK_IMAG:
-            return Polynomial.constant(ComplexRational(0, value)), P_ONE
+            return _poly((0,), (value,), 1), P_ONE
         if kind == _TOK_I:
-            return Polynomial.constant(CR_I), P_ONE
+            return _poly((0,), (1,), 1), P_ONE
         if kind == _TOK_Z:
             return P_Z, P_ONE
         if kind == _TOK_OP and value == "(":

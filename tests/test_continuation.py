@@ -92,10 +92,11 @@ def test_clearance_audit_rejects_overstated_path():
 
 
 def test_clearance_audit_rejects_a_nan_distance():
-    """A line too long for its direction to be computed is NaN from every
-    pole: the audit rejects it instead of passing it to the kernel."""
-    system = scalar_two_pole(0.3)
-    path = ContinuationPath((Line(-1e308 + 1j, 1e308 + 1j),), clearance=1.0)
+    """A line whose projection onto a far pole overflows to inf - inf is NaN
+    from that pole: the audit rejects it instead of passing it to the kernel."""
+    residues = [np.array([[0.3]], dtype=complex), np.array([[-0.3]], dtype=complex)]
+    system = validate_system([0.0, complex(1e308, -1e308)], residues)
+    path = ContinuationPath((Line(complex(-1e308, 1e308), complex(-7e307, 1.4e308)),), clearance=1.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="within nan"):
         continue_solution(system, path)
 

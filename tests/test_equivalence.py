@@ -124,6 +124,30 @@ class TestRationalMatrix:
             ]
         )
 
+    def test_one_gcd_per_inverse_and_gauge_entry(self, monkeypatch):
+        """The elimination reduces only the entries of the inverse, and the
+        gauge action each entry of A B - B' and of B^-1 (A B - B') once."""
+        calls = []
+        original = rational_module.polynomial_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        a = mat([["1/z", "1/(z-1)"], ["z", "2i/3"]])
+        b = mat([["z", "1/(z-1)"], ["1", "z + 1/z"]])
+        n = b.dimension
+        monkeypatch.setattr(rational_module, "polynomial_gcd", counting)
+        inv = b.inverse()
+        assert len(calls) == n**2
+        del calls[:]
+        transformed = gauge_transform(a, b)
+        assert len(calls) <= 3 * n**2
+        monkeypatch.undo()
+        assert b @ inv == RationalMatrix.identity(n)
+        assert inv @ b == RationalMatrix.identity(n)
+        assert transformed == inv @ (a @ b - b.derivative())
+
     def test_dict_round_trip(self):
         a = mat([["z", "1/(z-1)"], ["-2i/3", "0"]])
         again = rational_matrix_from_dict(rational_matrix_to_dict(a))

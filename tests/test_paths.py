@@ -63,6 +63,17 @@ def test_line_rejects_zero_length():
         Line(1.0 + 1.0j, 1.0 + 1.0j)
 
 
+@pytest.mark.parametrize(
+    "start, end",
+    [(-1e308 + 1j, 1e308 + 1j), (complex(math.nan), 1.0), (0.0, complex(0.0, math.inf))],
+)
+def test_line_rejects_a_non_finite_endpoint_or_difference(start, end):
+    """Finite endpoints whose difference overflows are an input error too:
+    such a line would reach ``paths.hops`` as one hop of length inf."""
+    with pytest.raises(ValidationError, match="finite"):
+        Line(start, end)
+
+
 def test_line_min_distance_interior_and_endpoint():
     [[inside, beyond]] = segment_distances([Line(0.0, 2.0)], [1.0 + 1.0j, -3.0])
     assert inside == pytest.approx(1.0)

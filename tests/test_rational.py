@@ -51,6 +51,60 @@ def random_rf(rng):
             return RationalFunction(num, den)
 
 
+class ListPolynomial:
+    """Per-coefficient list-of-``ComplexRational`` arithmetic, the reference
+    for the integer-vector ``Polynomial``; lists are ascending and trimmed."""
+
+    @staticmethod
+    def trim(cs):
+        cs = list(cs)
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    @classmethod
+    def add(cls, p, q):
+        n = max(len(p), len(q))
+        return cls.trim((p[k] if k < len(p) else CR_ZERO) + (q[k] if k < len(q) else CR_ZERO) for k in range(n))
+
+    @classmethod
+    def scale(cls, p, c):
+        return cls.trim(a * c for a in p)
+
+    @classmethod
+    def mul(cls, p, q):
+        if not p or not q:
+            return []
+        out = [CR_ZERO] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] = out[i + j] + a * b
+        return cls.trim(out)
+
+    @classmethod
+    def divmod(cls, p, q):
+        rem, quot = list(p), [CR_ZERO] * max(len(p) - len(q) + 1, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            t = rem[k + len(q) - 1] / q[-1]
+            quot[k] = t
+            for j, b in enumerate(q):
+                rem[k + j] = rem[k + j] - t * b
+        return cls.trim(quot), cls.trim(rem[: len(q) - 1])
+
+    @classmethod
+    def translate(cls, p, c):
+        out = []
+        for a in reversed(p):
+            out = cls.add(cls.mul(out, [c, CR_ONE]), [a])
+        return out
+
+    @classmethod
+    def gcd(cls, p, q):
+        while q:
+            p, q = q, cls.divmod(p, q)[1]
+        return cls.scale(p, CR_ONE / p[-1]) if p else []
+
+
 class TestComplexRational:
     def test_construction_and_rejection(self):
         c = ComplexRational(1, Fraction(2, 3))
@@ -219,6 +273,77 @@ class TestPolynomial:
             x = random_cr(rng)
             assert p.translate(c).evaluate(x) == p.evaluate(x + c)
 
+    def test_matches_coefficient_list_reference(self, rng):
+        """2,000 seeded operations against per-coefficient reference lists,
+        with ints up to 10**300 and negative Fractions among the coefficients;
+        every result is canonical and immutable."""
+        ref = ListPolynomial
+
+        def draw_part():
+            kind = int(rng.integers(0, 6))
+            if kind == 0:
+                return 0
+            if kind == 1:
+                return int(rng.integers(-(10**6), 10**6)) * 10 ** int(rng.integers(0, 295))
+            return Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 25)))
+
+        def draw():
+            if rng.random() < 0.05:
+                return []
+            cs = [ComplexRational(draw_part(), draw_part()) for _ in range(int(rng.integers(1, 5)))]
+            cs[-1] = cs[-1] or CR_ONE
+            return cs
+
+        def check(got, expected):
+            assert got.coeffs == tuple(expected)
+            assert got == Polynomial(expected)
+            assert got._den > 0 and len(got._re) == len(got._im)
+            assert gcd(*got._re, *got._im, got._den) == 1
+            assert not got._re or got._re[-1] or got._im[-1]
+            assert got or (got._re, got._im, got._den) == ((), (), 1)
+            for name in ("_re", "_im", "_den", "coeffs"):
+                with pytest.raises(AttributeError):
+                    setattr(got, name, 1)
+
+        previous = draw()
+        for step in range(2000):
+            x = previous if step % 3 == 0 else draw()
+            y = draw()
+            p, q = Polynomial(x), Polynomial(y)
+            check(p, x)
+            op = int(rng.integers(0, 9))
+            if op == 0:
+                got, expected = p + q, ref.add(x, y)
+            elif op == 1:
+                got, expected = p - q, ref.add(x, ref.scale(y, ComplexRational(-1)))
+            elif op == 2:
+                got, expected = p * q, ref.mul(x, y)
+            elif op == 3:
+                c = ComplexRational(draw_part(), draw_part())
+                got, expected = p * c, ref.scale(x, c)
+            elif op == 4:
+                if not y:
+                    with pytest.raises(ZeroDivisionError):
+                        divmod(p, q)
+                    continue
+                quot, got = divmod(p, q)
+                ref_quot, expected = ref.divmod(x, y)
+                check(quot, ref_quot)
+            elif op == 5:
+                got, expected = p.derivative(), ref.trim(a * ComplexRational(k) for k, a in enumerate(x))[1:]
+            elif op == 6:
+                if not x:
+                    continue
+                got, expected = p.monic(), ref.scale(x, CR_ONE / x[-1])
+            elif op == 7:
+                c = ComplexRational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))), int(rng.integers(-3, 4)))
+                got, expected = p.translate(c), ref.translate(x, c)
+            else:
+                got, expected = polynomial_gcd(p, q), ref.gcd(x, y)
+            check(got, expected)
+            if got._den < 10**40 and got.degree < 5:
+                previous = expected
+
     def test_monic_normalizes_leading_coefficient(self):
         p = Polynomial([1, 0, ComplexRational(0, 2)])
         assert p.monic().coeffs[-1] == CR_ONE
@@ -327,6 +452,9 @@ class TestParser:
             ("z/2 + z/2", RF_Z),
             ("2*z^3 - z + 1/2", RationalFunction(Polynomial([cr(1, 2), cr(-1), 0, cr(2)]))),
             ("  z ", RF_Z),
+            ("(1/2)/(3/z)", RationalFunction(Polynomial([0, cr(1, 6)]))),
+            ("-(2i/3)/(z - 1)", RationalFunction(Polynomial([cr(0, 1, -2, 3)]), P_Z - P_ONE)),
+            ("(z + 1)/(-2i/5)", RationalFunction(Polynomial([cr(0, 1, 5, 2), cr(0, 1, 5, 2)]))),
         ],
     )
     def test_specific_expressions(self, text, expected):

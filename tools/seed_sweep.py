@@ -1,19 +1,21 @@
-"""Sweep the verify-mixed pool over many seeds, and compare two sweeps.
+"""Sweep the verify-mixed and exact-gauge pools over many seeds, and compare two sweeps.
 
 Run from the root of a checkout (the package is imported from ``src/``):
 
     python3 tools/seed_sweep.py --seeds 0-420 --out sweep.json
     python3 tools/seed_sweep.py --compare parent.json change.json
 
-A sweep makes one pass of the benchmark's verify-mixed pool
-(``perfbench/workloads.py``, imported as it is) for each seed, and writes
-every op's exit code, input class, first error line and check verdict,
-each seed's ``correct`` flag (no failure outside the known-defect classes),
-the SHA-256 of every report's bytes, and the loop matrices of every report.
-``--compare`` prints the failed ops that differ between two sweeps, the
-seeds whose ``correct`` differs, how many ops' report bytes differ, and the
-largest gaps between their loop matrices: entrywise, entrywise over the
-commuting classes, and between matched eigenvalues.  A change to
+A sweep makes one pass of the benchmark's verify-mixed and exact-gauge
+pools (``perfbench/workloads.py``, imported as it is) for each seed, and
+writes every op's exit code, input class, first error line, check verdict
+and the SHA-256 of its report's bytes; for verify-mixed also each seed's
+``correct`` flag (no failure outside the known-defect classes) and the loop
+matrices of every report.  ``--compare`` prints the failed verify-mixed ops
+that differ between two sweeps, the seeds whose ``correct`` differs, how
+many ops' report bytes differ, and the largest gaps between their loop
+matrices: entrywise, entrywise over the commuting classes, and between
+matched eigenvalues; then the exact-gauge ops whose exit code, error or
+verdict differ, and how many exact-gauge reports' bytes differ.  A change to
 continuation or geometry should leave the failed ops equal, op for op; a
 change of loop convention conjugates the generic matrices, so there only
 the spectra and the commuting classes' entries should stay put.  A change
@@ -43,30 +45,37 @@ def seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
-def sweep(seeds) -> list:
-    """One record per op of every seed's verify-mixed pool."""
-    import workloads
+def _run(argv, out):
+    """One in-process CLI op: (exit code, first error line, report bytes or None)."""
     from fuchsia import cli
+
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code, error = cli.main(argv), None
+        except Exception as exc:  # a raising op is a failed op
+            code, error = -1, f"{type(exc).__name__}: {exc}"
+    report = None
+    if os.path.exists(out):
+        with open(out, "rb") as fh:
+            report = fh.read()
+    return code, error or (stderr.getvalue().strip().splitlines() or [None])[0], report
+
+
+def sweep(seeds) -> list:
+    """One record per op of every seed's verify-mixed and exact-gauge pools."""
+    import workloads
 
     records = []
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
             for index, unit in enumerate(workloads.verify_units(seed, workdir)):
                 [argv], [out] = unit.argvs, unit.outputs
-                stderr = io.StringIO()
-                with contextlib.redirect_stderr(stderr):
-                    try:
-                        code, error = cli.main(argv), None
-                    except Exception as exc:  # a raising op is a failed op
-                        code, error = -1, f"{type(exc).__name__}: {exc}"
-                report = None
-                if os.path.exists(out):
-                    with open(out, "rb") as fh:
-                        report = fh.read()
-                error = error or (stderr.getvalue().strip().splitlines() or [None])[0]
+                code, error, report = _run(argv, out)
                 [ok] = workloads.check_verify(unit, [workloads.OpResult(code, 0.0, report, error)])
                 records.append(
                     {
+                        "workload": "verify-mixed",
                         "seed": seed,
                         "unit": index,
                         "class": unit.label,
@@ -78,6 +87,23 @@ def sweep(seeds) -> list:
                         "matrices": json.loads(report)["monodromy"]["matrices"] if report else None,
                     }
                 )
+            for index, unit in enumerate(workloads.gauge_units(seed, workdir)):
+                runs = [_run(argv, out) for argv, out in zip(unit.argvs, unit.outputs)]
+                verdicts = workloads.check_gauge(unit, [workloads.OpResult(code, 0.0, report, error) for code, error, report in runs])
+                for op, ((code, error, report), ok) in enumerate(zip(runs, verdicts)):
+                    records.append(
+                        {
+                            "workload": "exact-gauge",
+                            "seed": seed,
+                            "unit": index,
+                            "op": op,
+                            "class": unit.label,
+                            "exit": code,
+                            "error": error,
+                            "ok": ok,
+                            "sha256": hashlib.sha256(report).hexdigest() if report else None,
+                        }
+                    )
         print(f"seed {seed}: {sum(not r['ok'] for r in records if r['seed'] == seed)} failed", file=sys.stderr)
     return records
 
@@ -89,10 +115,17 @@ def correct(records) -> dict:
     return flags
 
 
+def _gauge_records(records) -> dict:
+    return {(r["seed"], r["unit"], r["op"]): r for r in records if r.get("workload") == "exact-gauge"}
+
+
 def compare(left, right) -> int:
     """Print the differences between two sweeps; nonzero when failed ops differ."""
     from fuchsia.linalg import min_cost_assignment
 
+    gauge_left, gauge_right = _gauge_records(left), _gauge_records(right)
+    # Sweeps written before exact-gauge was swept hold verify-mixed records only.
+    left, right = ([r for r in records if r.get("workload", "verify-mixed") == "verify-mixed"] for records in (left, right))
     def failed(records):
         return {(r["seed"], r["unit"]): (r["class"], r["exit"], r["error"]) for r in records if not r["ok"]}
 
@@ -131,7 +164,25 @@ def compare(left, right) -> int:
                     gaps[kind] = (gap, where)
     for kind, (gap, where) in gaps.items():
         print(f"largest {kind} gap over {count} loop matrices: {gap:.3e} at {where}")
-    return 1 if differing else 0
+    if not (gauge_left and gauge_right):
+        print("exact-gauge: not compared, a sweep file has no exact-gauge records")
+        return 1 if differing else 0
+    def outcome(record):
+        return record and (record["exit"], record["error"], record["ok"])
+
+    gauge_differing = sorted(
+        key for key in gauge_left.keys() | gauge_right.keys() if outcome(gauge_left.get(key)) != outcome(gauge_right.get(key))
+    )
+    for key in gauge_differing:
+        print(f"exact-gauge seed {key[0]} unit {key[1]} op {key[2]}: {gauge_left.get(key)} -> {gauge_right.get(key)}")
+    print(
+        "exact-gauge failed ops: "
+        f"{sum(not r['ok'] for r in gauge_left.values())} -> {sum(not r['ok'] for r in gauge_right.values())}, "
+        f"{len(gauge_differing)} differ"
+    )
+    changed = sum(key not in gauge_right or r["sha256"] != gauge_right[key]["sha256"] for key, r in gauge_left.items())
+    print(f"exact-gauge report bytes: {changed} of {len(gauge_left)} ops differ")
+    return 1 if differing or gauge_differing else 0
 
 
 def main(argv=None) -> int:
