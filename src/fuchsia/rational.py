@@ -306,11 +306,10 @@ class Polynomial:
     def __divmod__(self, other):
         """Long division on the integer lists, the one division loop.
 
-        The divisor's monic form M = (V + i W)/e has V[-1] = e and W[-1] = 0,
-        so each quotient step is R <- e R - t z^k (V + i W) over den e, with
-        t the top of R, and the quotient so far is scaled by e with it; when
-        M has integer coefficients (e = 1) nothing grows.  The quotient by
-        M times 1 / lead(other) is the quotient by ``other``.
+        With other's monic form M = (V + i W)/e (so V[-1] = e, W[-1] = 0) a
+        quotient step is R <- e R - t z^k (V + i W) over den e, t the top of
+        R, with the quotient so far scaled by e too; nothing grows when e = 1.
+        The quotient by M times 1 / lead(other) is the quotient by ``other``.
         """
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -375,14 +374,8 @@ class Polynomial:
         return _poly(re, im, self._den * scale)
 
     def evaluate(self, point: ComplexRational) -> ComplexRational:
-        """Exact value by the same Horner's rule as ``translate``, reduced once."""
-        x, y, d = point._a, point._b, point._d
-        tr = ti = 0
-        scale = 1
-        for a, b in zip(reversed(self._re), reversed(self._im)):
-            scale *= d
-            tr, ti = tr * x - ti * y + a * scale, tr * y + ti * x + b * scale
-        return _reduced(tr, ti, self._den * scale)
+        """Exact value P(point): the constant coefficient of P(z + point)."""
+        return self.translate(point).coeffs[0] if self else CR_ZERO
 
     def eval_complex(self, z: complex) -> complex:
         result = 0j
