@@ -89,7 +89,8 @@ def sweep(seeds) -> list:
                 )
             for index, unit in enumerate(workloads.gauge_units(seed, workdir)):
                 runs = [_run(argv, out) for argv, out in zip(unit.argvs, unit.outputs)]
-                verdicts = workloads.check_gauge(unit, [workloads.OpResult(code, 0.0, report, error) for code, error, report in runs])
+                results = [workloads.OpResult(code, 0.0, report, error) for code, error, report in runs]
+                verdicts = workloads.check_gauge(unit, results)
                 for op, ((code, error, report), ok) in enumerate(zip(runs, verdicts)):
                     records.append(
                         {
@@ -115,17 +116,39 @@ def correct(records) -> dict:
     return flags
 
 
-def _gauge_records(records) -> dict:
-    return {(r["seed"], r["unit"], r["op"]): r for r in records if r.get("workload") == "exact-gauge"}
+def compare_gauge(left, right) -> int:
+    """Print the exact-gauge ops whose outcome differs between two sweeps and
+    how many exact-gauge reports' bytes differ; return the number of ops
+    whose outcome differs."""
+
+    def ops(records):
+        return {(r["seed"], r["unit"], r["op"]): r for r in records if r.get("workload") == "exact-gauge"}
+
+    def outcome(record):
+        return record and (record["exit"], record["error"], record["ok"])
+
+    a, b = ops(left), ops(right)
+    if not (a and b):
+        print("exact-gauge: not compared, a sweep file has no exact-gauge records")
+        return 0
+    differing = sorted(key for key in a.keys() | b.keys() if outcome(a.get(key)) != outcome(b.get(key)))
+    for key in differing:
+        print(f"exact-gauge seed {key[0]} unit {key[1]} op {key[2]}: {outcome(a.get(key))} -> {outcome(b.get(key))}")
+    failed_a, failed_b = (sum(not r["ok"] for r in records.values()) for records in (a, b))
+    print(f"exact-gauge failed ops: {failed_a} -> {failed_b}, {len(differing)} differ")
+    changed = sum(key not in b or r["sha256"] != b[key]["sha256"] for key, r in a.items())
+    print(f"exact-gauge report bytes: {changed} of {len(a)} ops differ")
+    return len(differing)
 
 
 def compare(left, right) -> int:
     """Print the differences between two sweeps; nonzero when failed ops differ."""
     from fuchsia.linalg import min_cost_assignment
 
-    gauge_left, gauge_right = _gauge_records(left), _gauge_records(right)
+    both = (left, right)
     # Sweeps written before exact-gauge was swept hold verify-mixed records only.
     left, right = ([r for r in records if r.get("workload", "verify-mixed") == "verify-mixed"] for records in (left, right))
+
     def failed(records):
         return {(r["seed"], r["unit"]): (r["class"], r["exit"], r["error"]) for r in records if not r["ok"]}
 
@@ -164,24 +187,7 @@ def compare(left, right) -> int:
                     gaps[kind] = (gap, where)
     for kind, (gap, where) in gaps.items():
         print(f"largest {kind} gap over {count} loop matrices: {gap:.3e} at {where}")
-    if not (gauge_left and gauge_right):
-        print("exact-gauge: not compared, a sweep file has no exact-gauge records")
-        return 1 if differing else 0
-    def outcome(record):
-        return record and (record["exit"], record["error"], record["ok"])
-
-    gauge_differing = sorted(
-        key for key in gauge_left.keys() | gauge_right.keys() if outcome(gauge_left.get(key)) != outcome(gauge_right.get(key))
-    )
-    for key in gauge_differing:
-        print(f"exact-gauge seed {key[0]} unit {key[1]} op {key[2]}: {gauge_left.get(key)} -> {gauge_right.get(key)}")
-    print(
-        "exact-gauge failed ops: "
-        f"{sum(not r['ok'] for r in gauge_left.values())} -> {sum(not r['ok'] for r in gauge_right.values())}, "
-        f"{len(gauge_differing)} differ"
-    )
-    changed = sum(key not in gauge_right or r["sha256"] != gauge_right[key]["sha256"] for key, r in gauge_left.items())
-    print(f"exact-gauge report bytes: {changed} of {len(gauge_left)} ops differ")
+    gauge_differing = compare_gauge(*both)
     return 1 if differing or gauge_differing else 0
 
 
