@@ -293,8 +293,6 @@ class Polynomial:
             return self._times(other._re[0], other._im[0], other._den)
         if len(self._re) == 1:
             return other._times(self._re[0], self._im[0], self._den)
-        if not self or not other:
-            return P_ZERO
         re = [0] * (len(self._re) + len(other._re) - 1)
         im = re[:]
         for i, (a, b) in enumerate(zip(self._re, self._im)):
