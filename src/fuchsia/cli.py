@@ -51,11 +51,12 @@ EXIT_NUMERIC = 3
 
 @dataclass
 class CommandOutcome:
-    """What a subcommand produced: exit code, report dict, human text."""
+    """What a subcommand produced: exit code, report dict, human text; a
+    ``human`` of None is the report's canonical JSON, serialized once."""
 
     exit_code: int
     report: dict | None
-    human: str
+    human: str | None
 
 
 def _fmt_complex(z: complex) -> str:
@@ -332,9 +333,7 @@ def cmd_convert(args) -> CommandOutcome:
         basis = rational_matrix_from_dict(jsonio.load_json(args.basis))
     if args.basis and key != (MODULE_SCHEMA, "matrix"):
         raise ValidationError("--basis only applies when converting a module to a matrix")
-    result = _CONVERTERS[key](doc, basis)
-    human = jsonio.canonical_json(result)
-    return CommandOutcome(EXIT_OK, result, human)
+    return CommandOutcome(EXIT_OK, _CONVERTERS[key](doc, basis), None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,11 +446,13 @@ def main(argv=None) -> int:
     except FuchsiaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if not args.quiet and outcome.human:
-        print(outcome.human)
+    text = jsonio.canonical_json(outcome.report) if args.json or outcome.human is None else None
+    human = text if outcome.human is None else outcome.human
+    if not args.quiet and human:
+        print(human)
     if args.json and outcome.report is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.canonical_json(outcome.report) + "\n")
+            fh.write(text + "\n")
     return outcome.exit_code
 
 

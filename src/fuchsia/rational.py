@@ -5,15 +5,18 @@ ints in lowest terms (d > 0, gcd(a, b, d) = 1); every operation builds its
 result from ints and reduces it with one gcd.  ``Polynomial`` holds the same
 form for a whole polynomial: integer vectors of real and imaginary parts
 over one positive denominator, content and primitive part as in von zur
-Gathen & Gerhard, *Modern Computer Algebra*, ch. 6, so its arithmetic runs
-on ints with one gcd per result; ``ComplexRational`` stays the scalar type
-at the API (``coeffs``, ``evaluate``).  ``RationalFunction`` keeps a fully
-reduced ratio with monic denominator so equality is structural.  A strict
-grammar parses expressions in ``z`` with ``+ - * / ^``, parentheses, and
-literals like ``3/2``, ``i``, ``2i`` (so ``2i/5`` reads as (2/5)i); the
-parser carries unreduced numerator/denominator pairs, divides by a constant
-as a multiplication, adds over an equal denominator without
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 6.  Its arithmetic is an
+integer kernel (sum, convolution, scalar product, the one long-division
+loop) on plain lists followed by one gcd per kept result; ``%`` reduces
+only the remainder.  ``ComplexRational`` stays the scalar type at the API
+(``coeffs``, ``evaluate``).  ``RationalFunction`` keeps a fully reduced
+ratio with monic denominator so equality is structural.  A strict grammar
+parses expressions in ``z`` with ``+ - * / ^``, parentheses, and literals
+like ``3/2``, ``i``, ``2i`` (so ``2i/5`` reads as (2/5)i); the parser runs
+the same kernels on unreduced integer vectors, folds constant divisors into
+one integer denominator, adds over an equal denominator without
 cross-multiplying, and reduces once per expression.  The canonical printer
+reads each coefficient off the integers with one gcd per nonzero part and
 emits one fixed form that reparses to an equal value bit for bit.  No
 floating point enters any arithmetic path; floats appear only in the
 explicit ``to_complex`` / ``eval_complex`` conversions.
@@ -47,17 +50,17 @@ def _reduced(a: int, b: int, d: int) -> "ComplexRational":
     return c
 
 
-def _power(base, n, one, what: str):
-    """base**n by repeated squaring, for a nonnegative integer n."""
+def _power(base, n, one, mul, what: str):
+    """base**n by repeated squaring with the product ``mul``, for an int n >= 0."""
     if not isinstance(n, int) or n < 0:
         raise ValidationError(f"{what} powers must be nonnegative integers")
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is one else mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return result
 
 
@@ -157,7 +160,7 @@ class ComplexRational:
         return other / self
 
     def __pow__(self, n: int):
-        return _power(self, n, CR_ONE, "ComplexRational")
+        return _power(self, n, CR_ONE, ComplexRational.__mul__, "ComplexRational")
 
     def conjugate(self):
         return _reduced(self._a, -self._b, self._d)
@@ -182,22 +185,31 @@ CR_ONE = ComplexRational(1)
 CR_I = ComplexRational(0, 1)
 
 
-def _imag_str(q: Fraction) -> str:
-    """Render the positive imaginary quantity q*i, e.g. 2/5 -> '2i/5'."""
-    if q.denominator == 1:
-        return "i" if q.numerator == 1 else f"{q.numerator}i"
-    return f"{q.numerator}i/{q.denominator}"
+def _ratio_str(n: int, d: int, unit: str) -> str:
+    """n/d for n >= 0, d > 0, in lowest terms by one gcd: '3/2', or with
+    ``unit`` 'i' the imaginary quantity, '2i/5', 'i', '1i/5'."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if d != 1:
+        return f"{n}{unit}/{d}"
+    return unit if n == 1 and unit else f"{n}{unit}"
+
+
+def _signed_str(a: int, b: int, d: int) -> tuple[str, str]:
+    """(a + bi)/d, d > 0, as (sign, body): a real or imaginary value signs
+    its magnitude, a mixed one is parenthesized with sign '+'."""
+    if not b:
+        return "-" if a < 0 else "+", _ratio_str(abs(a), d, "")
+    if not a:
+        return "-" if b < 0 else "+", _ratio_str(abs(b), d, "i")
+    re = ("-" if a < 0 else "") + _ratio_str(abs(a), d, "")
+    return "+", f"({re}{'-' if b < 0 else '+'}{_ratio_str(abs(b), d, 'i')})"
 
 
 def format_complex_rational(c: ComplexRational) -> str:
     """Canonical text for a Gaussian rational; mixed values are parenthesized."""
-    re, im = c.re, c.im
-    if not im:
-        return str(re)
-    if not re:
-        return _imag_str(im) if im > 0 else "-" + _imag_str(-im)
-    sign = "+" if im > 0 else "-"
-    return f"({re}{sign}{_imag_str(abs(im))})"
+    sign, body = _signed_str(c._a, c._b, c._d)
+    return body if sign == "+" else f"-{body}"
 
 
 class Polynomial:
@@ -247,22 +259,10 @@ class Polynomial:
             return NotImplemented
         return self._den == other._den and self._re == other._re and self._im == other._im
 
-    def _combine(self, other, sign: int) -> "Polynomial":
-        """self + sign * other over lcm(den1, den2)."""
-        den = lcm(self._den, other._den)
-        s1, s2 = den // self._den, sign * (den // other._den)
-        pad = [0] * (len(other._re) - len(self._re))
-        re = [a * s1 for a in self._re] + pad
-        im = [b * s1 for b in self._im] + pad
-        for k, (a, b) in enumerate(zip(other._re, other._im)):
-            re[k] += a * s2
-            im[k] += b * s2
-        return _poly(re, im, den)
-
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._combine(other, 1)
+        return _poly(*_sum(self._re, self._im, self._den, other._re, other._im, other._den, 1))
 
     def __neg__(self):
         return _poly([-a for a in self._re], [-b for b in self._im], self._den)
@@ -270,7 +270,7 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._combine(other, -1)
+        return _poly(*_sum(self._re, self._im, self._den, other._re, other._im, other._den, -1))
 
     def _times(self, x: int, y: int, e: int) -> "Polynomial":
         """self * (x + yi)/e in one pass."""
@@ -281,69 +281,69 @@ class Polynomial:
 
     def _lead_inverse(self) -> tuple[int, int, int]:
         """(x, y, e) with (x + yi)/e = 1 / (leading coefficient)."""
-        a, b = self._re[-1], self._im[-1]
-        return self._den * a, -self._den * b, a * a + b * b
+        return _inverse(self._re[-1], self._im[-1], self._den)
 
     def __mul__(self, other):
         if isinstance(other, ComplexRational):
             return self._times(other._a, other._b, other._d)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if len(other._re) == 1:
+        if len(other._re) == 1:  # a constant: one scalar pass, none for one
             return self._times(other._re[0], other._im[0], other._den)
         if len(self._re) == 1:
             return other._times(self._re[0], self._im[0], self._den)
-        re = [0] * (len(self._re) + len(other._re) - 1)
-        im = re[:]
-        for i, (a, b) in enumerate(zip(self._re, self._im)):
-            for j, (c, d) in enumerate(zip(other._re, other._im), i):
-                re[j] += a * c - b * d
-                im[j] += a * d + b * c
-        return _poly(re, im, self._den * other._den)
+        return _poly(*_product(self._re, self._im, other._re, other._im), self._den * other._den)
 
-    def __divmod__(self, other):
+    def _divide(self, other) -> tuple:
         """Long division on the integer lists, the one division loop.
 
         With other's monic form M = (V + i W)/e (so V[-1] = e, W[-1] = 0) a
-        quotient step is R <- e R - t z^k (V + i W) over den e, t the top of
-        R, with the quotient so far scaled by e too; nothing grows when e = 1.
-        The quotient by M times 1 / lead(other) is the quotient by ``other``.
+        step at power k is R <- e R - t z^k (V + i W) over den e, t the top
+        of R; nothing grows when e = 1.  The step's quotient term is
+        t e^(k+1) z^k over the final den, and the quotient by M times
+        1 / lead(other) is the quotient by ``other``.  Returns the quotient
+        and the remainder as unreduced (re, im, den) triples, for the caller
+        to reduce the ones it keeps.
         """
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        monic = other.monic()
+        x, y, f = other._lead_inverse()
+        monic = other._times(x, y, f)
         vr, vi, e = monic._re, monic._im, monic._den
         n = len(vr) - 1
         rr, ri, den = list(self._re), list(self._im), self._den
-        steps = max(len(rr) - n, 0)
-        qr, qi = [0] * steps, [0] * steps
-        for k in range(steps - 1, -1, -1):
+        qr, qi = [], []
+        for k in range(len(rr) - n - 1, -1, -1):
             tr, ti = rr.pop(), ri.pop()
-            qr[k], qi[k] = tr, ti
+            qr.append(tr * e ** (k + 1))
+            qi.append(ti * e ** (k + 1))
             if e != 1:
                 rr = [a * e for a in rr]
                 ri = [b * e for b in ri]
-                qr[k:] = [a * e for a in qr[k:]]
-                qi[k:] = [b * e for b in qi[k:]]
                 den *= e
             if tr or ti:
                 for j in range(n):
                     rr[k + j] -= tr * vr[j] - ti * vi[j]
                     ri[k + j] -= tr * vi[j] + ti * vr[j]
-        x, y, f = other._lead_inverse()
-        qr, qi = _scaled(qr, qi, x, y)
-        return _poly(qr, qi, den * f), _poly(rr, ri, den)
+        return (*_scaled(qr[::-1], qi[::-1], x, y), den * f), (rr, ri, den)
+
+    def __divmod__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return tuple(_poly(*part) for part in self._divide(other))
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return _poly(*self._divide(other)[0])
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return _poly(*self._divide(other)[1])
 
     def __pow__(self, n: int):
-        return _power(self, n, P_ONE, "polynomial")
+        return _power(self, n, P_ONE, Polynomial.__mul__, "polynomial")
 
     def derivative(self) -> "Polynomial":
         re = [k * a for k, a in enumerate(self._re)]
@@ -394,9 +394,60 @@ _set_im = Polynomial._im.__set__
 _set_den = Polynomial._den.__set__
 
 
+# Integer kernels: unreduced (re, im) Gaussian-integer numerator sequences.
+
+
 def _scaled(re, im, x: int, y: int) -> tuple[list, list]:
-    """Numerators of (re + i im)(x + yi), entry by entry."""
+    """Numerators of (re + i im)(x + yi), entry by entry; the inputs
+    themselves for x + yi = 1."""
+    if x == 1 and not y:
+        return re, im
     return [a * x - b * y for a, b in zip(re, im)], [a * y + b * x for a, b in zip(re, im)]
+
+
+def _product(re1, im1, re2, im2) -> tuple[list, list]:
+    """Numerators of (re1 + i im1)(re2 + i im2): a Gaussian-integer
+    convolution, or one scalar pass when a factor is a constant."""
+    if len(re2) == 1:
+        return _scaled(re1, im1, re2[0], im2[0])
+    if len(re1) == 1:
+        return _scaled(re2, im2, re1[0], im1[0])
+    re = [0] * (len(re1) + len(re2) - 1)
+    im = re[:]
+    for i, (a, b) in enumerate(zip(re1, im1)):
+        for j, (c, d) in enumerate(zip(re2, im2), i):
+            re[j] += a * c - b * d
+            im[j] += a * d + b * c
+    return re, im
+
+
+def _sum(re1, im1, d1: int, re2, im2, d2: int, sign: int) -> tuple[list, list, int]:
+    """(re1 + i im1)/d1 + sign (re2 + i im2)/d2 over lcm(d1, d2)."""
+    den = lcm(d1, d2)
+    s1, s2 = den // d1, sign * (den // d2)
+    pad = [0] * (len(re2) - len(re1))
+    re = [a * s1 for a in re1] + pad
+    im = [b * s1 for b in im1] + pad
+    for k, (a, b) in enumerate(zip(re2, im2)):
+        re[k] += a * s2
+        im[k] += b * s2
+    return re, im, den
+
+
+def _inverse(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """(x, y, e) with (x + yi)/e = d / (a + bi) and e > 0, for a + bi != 0:
+    d (a' - b'i) / (g (a'^2 + b'^2)) with g = gcd(a, b), a = g a', b = g b'."""
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    return d * a, -d * b, g * (a * a + b * b)
+
+
+def _trim(re, im) -> tuple:
+    """``re`` and ``im`` without their trailing (0, 0) pairs."""
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    return (re, im) if n == len(re) else (re[:n], im[:n])
 
 
 def _fill(p: Polynomial, re, im, den: int) -> Polynomial:
@@ -405,11 +456,7 @@ def _fill(p: Polynomial, re, im, den: int) -> Polynomial:
     Trims trailing (0, 0) pairs and divides by gcd(den, re, im), one
     multi-argument gcd; ``den`` must be positive.
     """
-    n = len(re)
-    while n and not re[n - 1] and not im[n - 1]:
-        n -= 1
-    if n < len(re):
-        re, im = re[:n], im[:n]
+    re, im = _trim(re, im)
     g = gcd(den, *re, *im)
     if g != 1:
         re, im, den = [a // g for a in re], [b // g for b in im], den // g
@@ -437,44 +484,22 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def _term_str(c: ComplexRational, k: int) -> tuple[str, str]:
-    """One monomial as (sign, body); mixed coefficients carry sign inside."""
-    re, im = c.re, c.im
-    if not im:
-        sign = "-" if re < 0 else "+"
-        mag = abs(re)
-        if k == 0:
-            return sign, str(mag)
-        coeff = "" if mag == 1 else f"{mag}*"
-    elif not re:
-        sign = "-" if im < 0 else "+"
-        mag = _imag_str(abs(im))
-        if k == 0:
-            return sign, mag
-        coeff = f"{mag}*"
-    else:
-        body = format_complex_rational(c)
-        if k == 0:
-            return "+", body
-        return "+", f"{body}*" + ("z" if k == 1 else f"z^{k}")
-    var = "z" if k == 1 else f"z^{k}"
-    return sign, f"{coeff}{var}"
-
-
 def format_polynomial(p: Polynomial) -> str:
+    """Canonical text from the integers, highest power first."""
     if not p:
         return "0"
-    coeffs = p.coeffs
     parts = []
     for k in range(p.degree, -1, -1):
-        c = coeffs[k]
-        if not c:
+        a, b = p._re[k], p._im[k]
+        if not a and not b:
             continue
-        sign, body = _term_str(c, k)
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
+        sign, body = _signed_str(a, b, p._den)
+        if k:
+            body = ("" if body == "1" else f"{body}*") + ("z" if k == 1 else f"z^{k}")
+        if parts:
             parts.append(f" {sign} {body}")
+        else:
+            parts.append(body if sign == "+" else f"-{body}")
     return "".join(parts)
 
 
@@ -560,7 +585,7 @@ class RationalFunction:
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int):
-        return _power(self, n, RF_ONE, "rational function")
+        return _power(self, n, RF_ONE, RationalFunction.__mul__, "rational function")
 
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
@@ -619,9 +644,6 @@ RF_Z = RationalFunction(P_Z)
 
 _TOK_INT = "int"
 _TOK_IMAG = "imag"
-_TOK_I = "i"
-_TOK_Z = "z"
-_TOK_OP = "op"
 _TOK_END = "end"
 
 
@@ -647,16 +669,8 @@ def _tokenize(text: str):
             else:
                 tokens.append((_TOK_INT, value, start))
             continue
-        if ch == "i":
-            tokens.append((_TOK_I, None, pos))
-            pos += 1
-            continue
-        if ch == "z":
-            tokens.append((_TOK_Z, None, pos))
-            pos += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((_TOK_OP, ch, pos))
+        if ch in "iz+-*/^()":
+            tokens.append((ch, ch, pos))
             pos += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", pos)
@@ -665,100 +679,108 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent; a token's kind is its character, except for integer
+    literals and the end."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, value, pos = self.peek()
-        if kind != _TOK_OP or value != symbol:
-            raise ParseError(f"expected {symbol!r}", pos)
-        self.advance()
-
     def parse(self) -> RationalFunction:
-        num, den = self.expr()
-        kind, _, pos = self.peek()
+        (re, im, den), q = self.expr()
+        kind, _, pos = self.tokens[self.index]
         if kind != _TOK_END:
             raise ParseError("trailing input after expression", pos)
-        return RationalFunction(num, den)
+        return RationalFunction(_poly(re, im, den), P_ONE if q is None else _poly(*q, 1))
 
-    # Below, values are unreduced (numerator, denominator) Polynomial pairs
-    # with a nonzero denominator; ``parse`` reduces once at the end.
+    # Below, a value is (numerator, denominator), unreduced: the numerator a
+    # triple (re, im, den) of Gaussian-integer lists over a positive int, the
+    # denominator None (one) or a non-constant (re, im) pair of Gaussian-
+    # integer lists, since a constant denominator folds into the numerator's
+    # den.  Values run on the integer kernels; ``parse`` reduces once.
 
     def expr(self):
-        num, den = self.term()
+        num, q = self.term()
         while True:
-            kind, op, _ = self.peek()
-            if kind == _TOK_OP and op in "+-":
-                self.advance()
-                rnum, rden = self.term()
-                if op == "-":
-                    rnum = -rnum
-                if rden == den:
-                    num = num + rnum
-                else:
-                    num, den = num * rden + rnum * den, den * rden
-            else:
-                return num, den
+            op = self.tokens[self.index][0]
+            if op != "+" and op != "-":
+                return num, q
+            self.index += 1
+            rnum, rq = self.term()
+            if rq != q:  # a false "not equal" costs only a cross-multiplication
+                num, rnum, q = _over(num, rq), _over(rnum, q), _den_product(q, rq)
+            num = _sum(*num, *rnum, 1 if op == "+" else -1)
 
     def term(self):
-        num, den = self.factor()
+        value = self.factor()
         while True:
-            kind, op, pos = self.peek()
-            if kind == _TOK_OP and op in "*/":
-                self.advance()
-                rnum, rden = self.factor()
-                if op == "*":
-                    num, den = num * rnum, den * rden
-                else:
-                    if not rnum:
-                        raise ParseError("division by zero", pos)
-                    if rnum.degree:
-                        num, den = num * rden, den * rnum
-                    else:  # a / (c / q) = a q (1 / c)
-                        num = (num * rden)._times(*rnum._lead_inverse())
+            op, _, pos = self.tokens[self.index]
+            if op != "*" and op != "/":
+                return value
+            self.index += 1
+            right = self.factor()
+            if op == "*":
+                value = _value_product(value, right)
+                continue
+            (num, q), ((re, im, d), rq) = value, right
+            re, im = _trim(re, im)
+            if not re:
+                raise ParseError("division by zero", pos)
+            if len(re) == 1:  # a / (c / rq) = a rq (1 / c)
+                x, y, e = _inverse(re[0], im[0], d)
             else:
-                return num, den
+                x, y, e = d, 0, 1
+                q = _den_product(q, (re, im))
+            num = _over(num, rq)
+            value = (*_scaled(num[0], num[1], x, y), num[2] * e), q
 
     def factor(self):
-        kind, op, _ = self.peek()
-        if kind == _TOK_OP and op in "+-":
-            self.advance()
-            num, den = self.factor()
-            return (-num if op == "-" else num), den
-        num, den = self.atom()
-        kind, op, pos = self.peek()
-        if kind == _TOK_OP and op == "^":
-            self.advance()
-            kind, exp, pos = self.advance()
+        kind, value, pos = self.tokens[self.index]
+        self.index += 1
+        if kind == "+" or kind == "-":
+            (re, im, den), q = self.factor()
+            return (*_scaled(re, im, 1 if kind == "+" else -1, 0), den), q
+        if kind == _TOK_INT:
+            value = ([value], [0], 1), None
+        elif kind == _TOK_IMAG:
+            value = ([0], [value], 1), None
+        elif kind == "i":
+            value = ([0], [1], 1), None
+        elif kind == "z":
+            value = ([0, 1], [0, 0], 1), None
+        elif kind == "(":
+            value = self.expr()
+            kind, _, pos = self.tokens[self.index]
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            self.index += 1
+        else:
+            raise ParseError(f"unexpected token {value!r}", pos)
+        if self.tokens[self.index][0] == "^":
+            kind, exp, pos = self.tokens[self.index + 1]
+            self.index += 2
             if kind != _TOK_INT:
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            num, den = num**exp, den**exp
-        return num, den
+            value = _power(value, exp, (([1], [0], 1), None), _value_product, "polynomial")
+        return value
 
-    def atom(self):
-        kind, value, pos = self.advance()
-        if kind == _TOK_INT:
-            return _poly((value,), (0,), 1), P_ONE
-        if kind == _TOK_IMAG:
-            return _poly((0,), (value,), 1), P_ONE
-        if kind == _TOK_I:
-            return _poly((0,), (1,), 1), P_ONE
-        if kind == _TOK_Z:
-            return P_Z, P_ONE
-        if kind == _TOK_OP and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected token {value!r}", pos)
+
+def _over(num, q):
+    """A parser numerator times a denominator vector ``q`` (None is one)."""
+    return num if q is None else (*_product(num[0], num[1], *q), num[2])
+
+
+def _den_product(q1, q2):
+    """The product of two parser denominators (None is one)."""
+    if q1 is None or q2 is None:
+        return q2 if q1 is None else q1
+    return _product(*q1, *q2)
+
+
+def _value_product(left, right):
+    """The product of two parser values."""
+    ((re1, im1, d1), q1), ((re2, im2, d2), q2) = left, right
+    return (*_product(re1, im1, re2, im2), d1 * d2), _den_product(q1, q2)
 
 
 def parse_rational_function(text: str) -> RationalFunction:

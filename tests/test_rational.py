@@ -216,6 +216,71 @@ class TestComplexRational:
                 previous = ref
 
 
+def reference_imag_str(q: Fraction) -> str:
+    if q.denominator == 1:
+        return "i" if q.numerator == 1 else f"{q.numerator}i"
+    return f"{q.numerator}i/{q.denominator}"
+
+
+def reference_complex_str(c: ComplexRational) -> str:
+    re, im = c.re, c.im
+    if not im:
+        return str(re)
+    if not re:
+        return reference_imag_str(im) if im > 0 else "-" + reference_imag_str(-im)
+    sign = "+" if im > 0 else "-"
+    return f"({re}{sign}{reference_imag_str(abs(im))})"
+
+
+def reference_term_str(c: ComplexRational, k: int) -> tuple[str, str]:
+    re, im = c.re, c.im
+    if not im:
+        sign = "-" if re < 0 else "+"
+        mag = abs(re)
+        if k == 0:
+            return sign, str(mag)
+        coeff = "" if mag == 1 else f"{mag}*"
+    elif not re:
+        sign = "-" if im < 0 else "+"
+        mag = reference_imag_str(abs(im))
+        if k == 0:
+            return sign, mag
+        coeff = f"{mag}*"
+    else:
+        body = reference_complex_str(c)
+        if k == 0:
+            return "+", body
+        return "+", f"{body}*" + ("z" if k == 1 else f"z^{k}")
+    var = "z" if k == 1 else f"z^{k}"
+    return sign, f"{coeff}{var}"
+
+
+def reference_format_polynomial(p: Polynomial) -> str:
+    """The Fraction-based printer that the integer printer replaced, kept as
+    its reference: one ``Fraction`` per part of every coefficient."""
+    if not p:
+        return "0"
+    coeffs = p.coeffs
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        sign, body = reference_term_str(c, k)
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts)
+
+
+def assert_canonical(p: Polynomial):
+    assert p._den > 0 and len(p._re) == len(p._im)
+    assert gcd(*p._re, *p._im, p._den) == 1
+    assert not p._re or p._re[-1] or p._im[-1]
+    assert p or (p._re, p._im, p._den) == ((), (), 1)
+
+
 class TestPolynomial:
     def test_trailing_zeros_trimmed(self):
         p = Polynomial([1, 2, 0, 0])
@@ -239,6 +304,9 @@ class TestPolynomial:
             quot, rem = divmod(p, q)
             assert quot * q + rem == p
             assert rem.degree < q.degree or not rem
+            assert p // q == quot and p % q == rem
+            for part in (quot, rem, p // q, p % q):
+                assert_canonical(part)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -343,6 +411,56 @@ class TestPolynomial:
             check(got, expected)
             if got._den < 10**40 and got.degree < 5:
                 previous = expected
+
+    def test_printer_matches_fraction_reference(self, rng):
+        """2,000 seeded polynomials print as the Fraction-based printer did
+        and reparse to themselves: real and imaginary parts of ±1, other
+        values over denominators, mixed coefficients, zero gaps, and ints up
+        to 10**300; every coefficient also prints as its reference."""
+
+        def draw_part():
+            kind = int(rng.integers(0, 6))
+            sign = int(rng.choice([-1, 1]))
+            if kind == 0:
+                return 0
+            if kind == 1:
+                return sign
+            if kind == 2:
+                return Fraction(sign, int(rng.integers(2, 9)))
+            if kind == 3:
+                return Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 25)))
+            big = int(rng.integers(1, 10**6)) * 10 ** int(rng.integers(0, 295))
+            return Fraction(sign * big, int(rng.integers(1, 10**6)) ** int(rng.integers(1, 4)))
+
+        def kind(c):
+            if not c.im:
+                return "real ±1" if abs(c.re) == 1 else "real"
+            if not c.re:
+                return "imaginary ±i" if abs(c.im) == 1 else "imaginary"
+            return "mixed"
+
+        terms, over_denominator, gaps, big = set(), set(), 0, 0
+        for _ in range(2000):
+            cs = [
+                CR_ZERO if rng.random() < 0.25 else ComplexRational(draw_part(), draw_part())
+                for _ in range(int(rng.integers(0, 7)))
+            ]
+            p = Polynomial(cs)
+            assert str(p) == reference_format_polynomial(p)
+            assert parse_rational_function(str(p)) == RationalFunction(p)
+            for k, c in enumerate(p.coeffs):
+                assert str(c) == reference_complex_str(c)
+                if not c:
+                    gaps += 1
+                    continue
+                terms.add((min(k, 2), kind(c)))
+                if c.re.denominator > 1 or c.im.denominator > 1:
+                    over_denominator.add(kind(c))
+                big += max(abs(c.re), abs(c.im)) > 10**200
+        kinds = {"real ±1", "real", "imaginary ±i", "imaginary", "mixed"}
+        assert terms == {(k, name) for k in range(3) for name in kinds}
+        assert over_denominator == {"real", "imaginary", "mixed"}
+        assert gaps and big
 
     def test_monic_normalizes_leading_coefficient(self):
         p = Polynomial([1, 0, ComplexRational(0, 2)])
@@ -455,10 +573,33 @@ class TestParser:
             ("(1/2)/(3/z)", RationalFunction(Polynomial([0, cr(1, 6)]))),
             ("-(2i/3)/(z - 1)", RationalFunction(Polynomial([cr(0, 1, -2, 3)]), P_Z - P_ONE)),
             ("(z + 1)/(-2i/5)", RationalFunction(Polynomial([cr(0, 1, 5, 2), cr(0, 1, 5, 2)]))),
+            ("1/(2*z - 2) + 1/(z - 1)", "(3/2)/(z - 1)"),
+            ("(1/(z - 1))^2 * (z - 1)", "(1)/(z - 1)"),
+            ("(2i/3)*z^2/(z^2 - z) - 1/3", "((-1/3+2i/3)*z + 1/3)/(z - 1)"),
+            ("((1+i)/2)^3", "(-1/4+1i/4)"),
+            ("1/(z/2 - 1/2)", "(2)/(z - 1)"),
         ],
     )
     def test_specific_expressions(self, text, expected):
-        assert parse_rational_function(text) == expected
+        """Expected values are rational functions, or the printed text."""
+        f = parse_rational_function(text)
+        assert (str(f) if isinstance(expected, str) else f) == expected
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("12.5", "decimal literals are not allowed; use fractions", 2),
+            ("3 $", "unexpected character '$'", 2),
+            ("(z", "expected ')'", 2),
+            ("z z", "trailing input after expression", 2),
+            ("2 ^ z", "exponent must be a nonnegative integer", 4),
+        ],
+    )
+    def test_errors_name_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_rational_function(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
 
     def test_imaginary_literal_binds_tighter_than_division(self):
         assert parse_rational_function("2i/5") == RationalFunction.constant(
