@@ -186,8 +186,7 @@ CR_I = ComplexRational(0, 1)
 
 
 def _ratio_str(n: int, d: int, unit: str) -> str:
-    """n/d for n >= 0, d > 0, in lowest terms by one gcd: '3/2', or with
-    ``unit`` 'i' the imaginary quantity, '2i/5', 'i', '1i/5'."""
+    """n/d, n >= 0 and d > 0, in lowest terms: '3/2'; with ``unit`` 'i', '2i/5', 'i', '1i/5'."""
     g = gcd(n, d)
     n, d = n // g, d // g
     if d != 1:
@@ -299,11 +298,10 @@ class Polynomial:
 
         With other's monic form M = (V + i W)/e (so V[-1] = e, W[-1] = 0) a
         step at power k is R <- e R - t z^k (V + i W) over den e, t the top
-        of R; nothing grows when e = 1.  The step's quotient term is
-        t e^(k+1) z^k over the final den, and the quotient by M times
-        1 / lead(other) is the quotient by ``other``.  Returns the quotient
-        and the remainder as unreduced (re, im, den) triples, for the caller
-        to reduce the ones it keeps.
+        of R; nothing grows when e = 1.  The quotient by M is the sum of
+        t e^(k+1) z^k over the final den, times 1 / lead(other) the quotient
+        by ``other``.  Returns a function that builds the quotient, and the
+        remainder, as unreduced (re, im, den): ``%`` never builds the former.
         """
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
@@ -312,11 +310,10 @@ class Polynomial:
         vr, vi, e = monic._re, monic._im, monic._den
         n = len(vr) - 1
         rr, ri, den = list(self._re), list(self._im), self._den
-        qr, qi = [], []
+        tops = []
         for k in range(len(rr) - n - 1, -1, -1):
             tr, ti = rr.pop(), ri.pop()
-            qr.append(tr * e ** (k + 1))
-            qi.append(ti * e ** (k + 1))
+            tops.append((tr, ti))
             if e != 1:
                 rr = [a * e for a in rr]
                 ri = [b * e for b in ri]
@@ -325,17 +322,25 @@ class Polynomial:
                 for j in range(n):
                     rr[k + j] -= tr * vr[j] - ti * vi[j]
                     ri[k + j] -= tr * vi[j] + ti * vr[j]
-        return (*_scaled(qr[::-1], qi[::-1], x, y), den * f), (rr, ri, den)
+        tops.reverse()
+
+        def quotient():
+            qr = [tr * e ** (k + 1) for k, (tr, _) in enumerate(tops)]
+            qi = [ti * e ** (k + 1) for k, (_, ti) in enumerate(tops)]
+            return (*_scaled(qr, qi, x, y), den * f)
+
+        return quotient, (rr, ri, den)
 
     def __divmod__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return tuple(_poly(*part) for part in self._divide(other))
+        quotient, remainder = self._divide(other)
+        return _poly(*quotient()), _poly(*remainder)
 
     def __floordiv__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return _poly(*self._divide(other)[0])
+        return _poly(*self._divide(other)[0]())
 
     def __mod__(self, other):
         if not isinstance(other, Polynomial):
@@ -757,10 +762,12 @@ class _Parser:
         else:
             raise ParseError(f"unexpected token {value!r}", pos)
         if self.tokens[self.index][0] == "^":
-            kind, exp, pos = self.tokens[self.index + 1]
+            atom, (kind, exp, pos) = kind, self.tokens[self.index + 1]
             self.index += 2
             if kind != _TOK_INT:
                 raise ParseError("exponent must be a nonnegative integer", pos)
+            if atom == "z":  # z^k is one monomial, no products
+                return ([0] * exp + [1], [0] * (exp + 1), 1), None
             value = _power(value, exp, (([1], [0], 1), None), _value_product, "polynomial")
         return value
 
