@@ -661,9 +661,9 @@ def _tokenize(text: str):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             if pos < n and text[pos] == ".":
                 raise ParseError("decimal literals are not allowed; use fractions", pos)

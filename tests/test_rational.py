@@ -593,6 +593,7 @@ class TestParser:
             ("(z", "expected ')'", 2),
             ("z z", "trailing input after expression", 2),
             ("2 ^ z", "exponent must be a nonnegative integer", 4),
+            ("z\u00b2", "unexpected character '\u00b2'", 1),
         ],
     )
     def test_errors_name_message_and_position(self, text, message, position):
