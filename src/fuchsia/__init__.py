@@ -48,7 +48,6 @@ from .monodromy import (
     TheoremReport,
     continue_solution,
     monodromy,
-    transfer_along,
     verify_theorem,
 )
 from .paths import (
@@ -132,7 +131,6 @@ __all__ = [
     "scalar_solution_transfer",
     "similarity_transform",
     "solve_inverse",
-    "transfer_along",
     "validate_instance",
     "validate_system",
     "verify_theorem",

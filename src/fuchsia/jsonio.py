@@ -79,7 +79,10 @@ def pair_to_complex(pair) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
     ):
         raise ValidationError(f"expected [re, im] pair, got {pair!r}")
-    z = complex(float(pair[0]), float(pair[1]))
+    try:
+        z = complex(float(pair[0]), float(pair[1]))
+    except OverflowError:
+        raise ValidationError("complex entries must be finite") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError("complex entries must be finite")
     return z

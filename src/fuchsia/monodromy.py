@@ -23,9 +23,6 @@ reported but excluded from the hypothesis.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
-from itertools import zip_longest
 
 import numpy as np
 
@@ -44,7 +41,6 @@ from .linalg import (
     similarity_transform,  # noqa: F401 - perfbench/spans.py traces this name here
 )
 from .paths import (
-    HOP_RATIO,
     LOOP_CONVENTION,
     ContinuationPath,
     build_loops,
@@ -54,7 +50,6 @@ from .paths import (
     path_clearance_audit,  # noqa: F401 - perfbench/spans.py traces this name here
     segment_distances,
 )
-from .rational import ComplexRational, polynomial_gcd
 from .system import TWO_PI_I, FuchsianSystem, is_non_resonant
 
 DEFAULT_INTEGRATION_TOL = 1e-9
@@ -307,70 +302,6 @@ def _continue_cut(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
 def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float):
     """``_continue_cut`` of ``paths`` cut against the system's poles."""
     return _continue_cut(system, _cut_paths(system.poles, paths), start, tol)
-
-
-def transfer_along(matrix, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
-    """Transfer matrix of dY/dz = A(z) Y along ``path`` for a ``RationalMatrix`` A.
-
-    A is written once as P / q, q the monic lcm of the entries'
-    denominators, and ``paths.hops`` cuts the path against the roots of q
-    (no clearance audit).  Each hop is walked along its chord in steps
-    z -> z + h: P and q are shifted exactly to the double z by
-    ``Polynomial.translate``, and h is halved while |h| sum_j |P_j|_2 |h|^j
-    > HOP_RATIO |q_0|, so h P / q(z) stays small on the step however large
-    A is.  With P_j, q_j the shifted terms times h^j, Y(z + h u) = sum_k
-    y_k u^k solves q Y' = h P Y term by term:
-        (k + 1) q_0 y_{k+1} = sum_j (h P_j - (k - j) q_{j+1}) y_{k-j}.
-    Stopping rule: a step stops after two consecutive terms whose largest
-    entries are at most tol / H times max(1, the sum's largest entry), H
-    the step count.  Returns ``(transfer, error_estimate)``, the estimate
-    the sum of every step's last two terms' largest entries: a heuristic,
-    not a bound.  A step too short to move z raises ``NonFiniteError``.
-    """
-    check_tolerance(tol, "integration tolerance")
-    cells = [cell for row in matrix.entries for cell in row]
-    q = reduce(lambda a, b: a * b // polynomial_gcd(a, b), (cell.den for cell in cells))
-    numerators = [cell.num * (q // cell.den) for cell in cells]
-    roots = np.roots([c.to_complex() for c in reversed(q.coeffs)]) if q.degree else []
-    [points] = hops([path.segments], roots)
-    n = matrix.dimension
-    steps = []
-    for z, end in zip(points[:-1], points[1:]):
-        while z != end:
-            center = ComplexRational(Fraction(z.real), Fraction(z.imag))
-            columns = [[c.to_complex() for c in p.translate(center).coeffs] for p in [q] + numerators]
-            shifted = np.array(list(zip_longest(*columns, fillvalue=0j)))
-            den, num = shifted[:, 0], shifted[:, 1:].reshape(-1, n, n)
-            sizes = np.linalg.norm(num, 2, axis=(1, 2))
-            h = end - z
-            while abs(h) * (sizes @ abs(h) ** np.arange(len(sizes))) > HOP_RATIO * abs(den[0]):
-                h /= 2.0
-            if z + h == z:
-                raise NonFiniteError("continuation cannot resolve the field: A is too large for a step to move")
-            powers = h ** np.arange(len(den))
-            steps.append((den[0], num * (h * powers[:, None, None]), np.append(den[1:] * powers[1:], 0.0)))
-            z = end if h == end - z else z + h
-    budget = tol / len(steps)
-    transfer = np.eye(n, dtype=complex)
-    estimate = 0.0
-    for lead, num, rest in steps:
-        terms = [np.eye(n, dtype=complex)]
-        total = terms[0].copy()
-        while True:
-            k = len(terms) - 1
-            acc = sum(num[j] @ terms[k - j] - (k - j) * rest[j] * terms[k - j] for j in range(min(k + 1, len(num))))
-            terms.append(acc / ((k + 1) * lead))
-            total += terms[-1]
-            if not np.isfinite(total).all():
-                raise NonFiniteError("continuation produced a non-finite solution value")
-            last = [float(np.abs(t).max()) for t in terms[-2:]]
-            if max(last) <= budget * max(1.0, float(np.abs(total).max())):
-                break
-        estimate += sum(last)
-        transfer = total @ transfer
-    if not np.isfinite(transfer).all():
-        raise NonFiniteError("continuation produced a non-finite solution value")
-    return transfer, estimate
 
 
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):

@@ -142,7 +142,8 @@ def hops(legs, poles) -> list[np.ndarray]:
     and last points are its own ``start`` and ``end``, so joins are exact
     and a circle's last hop ends at its start bit for bit.  With no
     poles every segment is one hop; a pole on a leg, or within rounding of
-    it, raises ``ValidationError`` once a piece can no longer be halved.
+    it for the leg's length, raises ``ValidationError`` once a piece can no
+    longer be halved.
     """
     segments = [seg for leg in legs for seg in leg]
     lines = [isinstance(seg, Line) for seg in segments]
@@ -167,7 +168,9 @@ def hops(legs, poles) -> list[np.ndarray]:
         at = np.flatnonzero(long) + 1
         middle = (t[at - 1] + t[at]) / 2.0
         if ((middle <= t[at - 1]) | (middle >= t[at])).any():
-            raise ValidationError("a leg passes through a pole: its hops cannot be halved any further")
+            raise ValidationError(
+                "a leg passes through a pole, or too close to one for its length: its hops cannot be halved any further"
+            )
         owner = np.insert(owner, at, owner[at])
         t = np.insert(t, at, middle)
     first = t == 0.0

@@ -178,6 +178,32 @@ def jordan_block_system():
     return validate_system([0.0, 1.0, 1j], [b1, b2, -b1 - b2])
 
 
+def reference_transfer(field, corners):
+    """Transfer of dY/dz = A(z) Y along the polyline through ``corners``, by
+    scipy's DOP853 (rtol 1e-13, atol 1e-15), ``field`` mapping z to A(z).
+
+    Each line z0 -> z0 + h is dY/dt = h A(z0 + t h) Y on t in [0, 1]: a
+    reference that shares no code with the package's continuation.
+    """
+    from scipy.integrate import solve_ivp
+
+    n = len(field(corners[0]))
+    y = np.eye(n, dtype=complex)
+    for z0, z1 in zip(corners[:-1], corners[1:]):
+        h = z1 - z0
+        solution = solve_ivp(
+            lambda t, v: (h * field(z0 + t * h) @ v.reshape(n, n)).ravel(),
+            (0.0, 1.0),
+            y.ravel(),
+            method="DOP853",
+            rtol=1e-13,
+            atol=1e-15,
+        )
+        assert solution.success, solution.message
+        y = solution.y[:, -1].reshape(n, n)
+    return y
+
+
 def random_conjugator(rng, n, cond_limit=100.0):
     """Random invertible matrix with condition number below the limit."""
     while True:

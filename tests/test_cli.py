@@ -149,6 +149,25 @@ def test_malformed_field_is_input_error(command, doc, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+IDENTITY_1X1 = [[[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("check", {**SMALL_SYSTEM, "poles": [[10**400, 0], [1.0, 0.0]]}),
+        ("invert", {"poles": [[0.0, 0.0], [1.0, 0.0]], "targets": [IDENTITY_1X1] * 2, "base_point": [10**400, 0]}),
+    ],
+    ids=["check-pole", "invert-base-point"],
+)
+def test_oversized_integer_is_input_error(command, doc, tmp_path, capsys):
+    """A JSON integer too large for a double is not a finite entry: exit 2, not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert "complex entries must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, options",
     [

@@ -4,13 +4,11 @@ import cmath
 import importlib
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import clustered_pair_system, diagonal_system
-from fuchsia.equivalence import RationalMatrix
+from conftest import clustered_pair_system, diagonal_system, reference_transfer
 from fuchsia.errors import NonFiniteError, ValidationError
 from fuchsia.inverse import _SENSITIVITY_SCALE, _variational_residues
 from fuchsia.monodromy import (
@@ -20,10 +18,8 @@ from fuchsia.monodromy import (
     coefficient_function,
     continue_solution,
     monodromy,
-    transfer_along,
 )
 from fuchsia.paths import Arc, ContinuationPath, Line, build_loops, default_base_point
-from fuchsia.rational import ComplexRational, Polynomial, RationalFunction
 from fuchsia.system import validate_system
 
 
@@ -108,41 +104,6 @@ def test_tolerance_must_be_positive():
         continue_solution(system, path, tol=0.0)
     with pytest.raises(ValidationError):
         continue_solution(system, path, tol=-1e-9)
-
-
-def test_non_finite_rhs_detected():
-    """A field too large for floating point fails at once: A = 10^300 / z
-    from 1 to 2, whose hops would have to be too short to move z."""
-    big = RationalFunction(Polynomial([10**300]), Polynomial([0, 1]))
-    path = ContinuationPath((Line(1.0, 2.0),), clearance=0.5)
-    with pytest.raises(NonFiniteError):
-        transfer_along(RationalMatrix([[big]]), path)
-
-
-@pytest.mark.parametrize(
-    "numerator, end, exact",
-    [([-1], 40.0, math.exp(-40.0)), ([0, 1], 6.0, math.exp(18.0))],
-)
-def test_transfer_along_shortens_hops_for_a_large_field(numerator, end, exact):
-    """With no poles ``paths.hops`` leaves a line as one hop; ``transfer_along``
-    halves it until h |A| is small, so y' = -y over [0, 40] (one hop's terms
-    would reach 40^40 / 40!) and y' = z y over [0, 6] come out to ``tol``
-    relative to the exact exp(-40) and exp(18)."""
-    field = RationalFunction(Polynomial(numerator), Polynomial([1]))
-    path = ContinuationPath((Line(0.0 + 0j, end + 0j),), clearance=1.0)
-    tol = 1e-9
-    transfer, estimate = transfer_along(RationalMatrix([[field]]), path, tol)
-    assert abs(transfer[0, 0] - exact) <= tol * exact
-    assert estimate <= tol
-
-
-def test_transfer_along_through_a_pole_raises():
-    """A path through a root of the denominator raises once its hops
-    cannot be halved any further, instead of halving them without end."""
-    field = RationalFunction(Polynomial([1]), Polynomial([0, 1]))
-    path = ContinuationPath((Line(-1.0 + 0j, 1.0 + 0j),), clearance=0.5)
-    with pytest.raises(ValidationError, match="passes through a pole"):
-        transfer_along(RationalMatrix([[field]]), path)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -360,35 +321,28 @@ def test_evaluator_matches_pointwise_coefficient():
         assert np.max(np.abs(evaluated - expected)) <= 1e-14 * scale
 
 
-def rational_matrix(system):
-    """A(z) = sum_p B_p / (z - a_p) as a ``RationalMatrix``, every double taken exactly."""
-    def exact(z):
-        return ComplexRational(Fraction(z.real), Fraction(z.imag))
-
-    def entry(i, j):
-        return sum(
-            (
-                RationalFunction(Polynomial([exact(complex(b[i, j]))]), Polynomial([-exact(complex(a)), 1]))
-                for a, b in zip(system.poles, system.residues)
-            ),
-            RationalFunction(Polynomial([])),
-        )
-
-    n = system.dimension
-    return RationalMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
-
-
-def test_both_field_forms_give_the_same_transfer():
-    """``transfer_along`` of A(z) as a ``RationalMatrix`` (the general
-    recurrence on P / q, shifted exactly to each hop) agrees with
-    ``continue_solution`` (the partial-fraction recurrence) on an open path."""
+def test_open_path_matches_a_reference_integrator():
+    """``continue_solution`` on an open two-line path agrees with scipy's
+    DOP853 on ``system.evaluate``, which shares no code with the hops."""
     system = collinear_generic_system()
     corner = 0.5 + 1.5j
     path = ContinuationPath((Line(3.0 + 1.0j, corner), Line(corner, -1.5 - 0.5j)), clearance=0.5)
-    tol = 1e-11
-    general, _ = transfer_along(rational_matrix(system), path, tol)
-    partial, _ = continue_solution(system, path, tol)
-    assert np.max(np.abs(general - partial)) <= 1e-9
+    transfer, _ = continue_solution(system, path, tol=1e-11)
+    reference = reference_transfer(system.evaluate, [3.0 + 1.0j, corner, -1.5 - 0.5j])
+    assert np.max(np.abs(transfer - reference)) <= 1e-9
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_open_line_matches_closed_form(tol):
+    """A one-leg path that is no loop: residues 1 at 0 and -1 at 10 have the
+    solution y = z / (z - 10), so the transfer from 1 to 2 is 9/4, and the
+    realised error stays below ``tol`` and below the reported estimate."""
+    system = validate_system([0.0, 10.0], [np.array([[1.0 + 0j]]), np.array([[-1.0 + 0j]])])
+    path = ContinuationPath((Line(1.0 + 0j, 2.0 + 0j),), clearance=1.0)
+    transfer, estimate = continue_solution(system, path, tol=tol)
+    realised = abs(transfer[0, 0] - 9.0 / 4.0)
+    assert realised <= tol
+    assert realised <= estimate
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])

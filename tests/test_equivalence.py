@@ -1,8 +1,9 @@
 """Exact representation conversions and the gauge action.
 
-The dual-route check at the bottom integrates the same system once by the
-adaptive continuation integrator and once by an exact-coefficient power
-series, two methods with no shared code path.
+The dual-route check at the bottom continues the same system once by a power
+series with exact Taylor coefficients (``RationalFunction.taylor``) and once
+by scipy's DOP853 on the floating-point values of A(z), two methods with no
+shared code path.
 """
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import fuchsia.rational as rational_module
+from conftest import reference_transfer
 from fuchsia.equivalence import (
     ORIENTATION_FLAT_SECTIONS,
     DifferentialModule,
@@ -26,8 +28,6 @@ from fuchsia.equivalence import (
     scalar_solution_transfer,
 )
 from fuchsia.errors import ValidationError
-from fuchsia.monodromy import transfer_along
-from fuchsia.paths import ContinuationPath, Line
 from fuchsia.rational import (
     CR_ONE,
     P_ONE,
@@ -270,11 +270,11 @@ class TestGaugeAction:
         a = mat([["0", "1"], ["1/(4*z^2)", "0"]])
         b = mat([["1", "z"], ["0", "1"]])
         gauged = gauge_transform(a, b)
-        path = ContinuationPath((Line(1.0 + 0j, 1.5 + 0.25j),), clearance=0.5)
-        t_a, _ = transfer_along(a, path, tol=1e-12)
-        t_g, _ = transfer_along(gauged, path, tol=1e-12)
-        b_start = b.eval_complex(path.start)
-        b_end = b.eval_complex(path.end)
+        h, order = 0.5 + 0.25j, 80
+        t_a = series_transfer(taylor_matrix_coefficients(a, CR_ONE, order), h, order)
+        t_g = series_transfer(taylor_matrix_coefficients(gauged, CR_ONE, order), h, order)
+        b_start = b.eval_complex(1.0)
+        b_end = b.eval_complex(1.0 + h)
         lhs = t_g
         rhs = np.linalg.solve(b_end, t_a @ b_start)
         assert np.linalg.norm(lhs - rhs) < 1e-9
@@ -314,13 +314,15 @@ class TestDualRoute:
         coeff_mats = taylor_matrix_coefficients(a, CR_ONE, order)
         h = 0.25
         by_series = series_transfer(coeff_mats, h, order)
-        path = ContinuationPath((Line(1.0 + 0j, 1.0 + h),), clearance=0.5)
-        by_integration, _ = transfer_along(a, path, tol=1e-13)
+        by_integration = reference_transfer(a.eval_complex, [1.0, 1.0 + h])
         assert np.linalg.norm(by_series - by_integration) < 1e-10
 
     def test_closed_form_anchor(self):
-        """y' = y/z has solution y = z, so the 1x1 transfer from 1 to 2 is 2."""
+        """y' = y/z has solution y = z, so the 1x1 transfer is 3/2 from 1 to
+        3/2 (the series) and 2 from 1 to 2 (the integrator)."""
         a = mat([["1/z"]])
-        path = ContinuationPath((Line(1.0 + 0j, 2.0 + 0j),), clearance=0.5)
-        t, _ = transfer_along(a, path, tol=1e-12)
-        assert abs(t[0, 0] - 2.0) < 1e-9
+        order = 40
+        by_series = series_transfer(taylor_matrix_coefficients(a, CR_ONE, order), 0.5, order)
+        assert abs(by_series[0, 0] - 1.5) < 1e-9
+        by_integration = reference_transfer(a.eval_complex, [1.0, 2.0])
+        assert abs(by_integration[0, 0] - 2.0) < 1e-9

@@ -7,6 +7,7 @@ import pytest
 import scipy.optimize
 
 from conftest import clustered_pair_system, diagonal_system, generic_system, jordan_block_system
+from fuchsia.errors import ValidationError
 from fuchsia.linalg import matrix_exp
 from fuchsia.monodromy import continue_solution, monodromy, verify_theorem
 from fuchsia.paths import LOOP_CONVENTION
@@ -184,3 +185,13 @@ def test_verify_clustered_pair_keeps_step_control():
     report = verify_theorem(system)
     assert report.overall
     assert report.representation.product_defect <= 1e-6
+
+
+def test_far_base_point_names_a_leg_too_long_for_its_pole_distance():
+    """From the base point 1e16 every leg keeps its clearance, but near the
+    poles 0 and 1 its hops are too short for floating point to place along a
+    leg that long: the error says so, not only that the leg crosses a pole."""
+    b = np.array([[0.2]], dtype=complex)
+    system = validate_system([0.0, 1.0], [b, -b])
+    with pytest.raises(ValidationError, match="passes through a pole, or too close to one for its length"):
+        monodromy(system, base_point=1e16)
