@@ -149,14 +149,11 @@ def test_malformed_field_is_input_error(command, doc, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-IDENTITY_1X1 = [[[1.0, 0.0]]]
-
-
 @pytest.mark.parametrize(
     "command, doc",
     [
         ("check", {**SMALL_SYSTEM, "poles": [[10**400, 0], [1.0, 0.0]]}),
-        ("invert", {"poles": [[0.0, 0.0], [1.0, 0.0]], "targets": [IDENTITY_1X1] * 2, "base_point": [10**400, 0]}),
+        ("invert", {"poles": [[0.0, 0.0], [1.0, 0.0]], "targets": [[[[1.0, 0.0]]]] * 2, "base_point": [10**400, 0]}),
     ],
     ids=["check-pole", "invert-base-point"],
 )
