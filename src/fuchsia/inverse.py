@@ -8,9 +8,9 @@ Jacobian is exact: the derivatives of the fundamental solution with respect
 to every free residue entry solve the variational equation, itself a
 Fuchsian system.  At a Gauss-Newton point, one continuation per loop of the
 first block column [I; 0] of its transfer gives M_j and the Jacobian
-together: the approach and the circle, each continued from that column,
-combine in n x n algebra, and all loops of the point run in one batch.
-The loops are cut into hops once per solve.
+together: the continuation returns that column of each loop's transfer,
+M_j on top of its scaled derivatives, and all loops of the point run in
+one batch.  The loops are cut into hops once per solve.
 The derivatives ride at 2**-30 scale, so they barely move the norms that
 set each loop's term count.  Steps come from a least-squares solve and
 are halved until the residual decreases.
@@ -124,7 +124,7 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
         if worst > DEFAULT_PROXIMITY_BOUND:
             raise ValidationError(
                 f"a target is {worst:.3e} from the identity (limit "
-                f"{DEFAULT_PROXIMITY_BOUND:g}); pass allow_far to attempt it anyway"
+                f"{DEFAULT_PROXIMITY_BOUND:g}); pass allow_far (--allow-far on the command line) to attempt it anyway"
             )
     return InverseProblemInstance(
         poles=tuple(pole_list),
@@ -218,16 +218,15 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
 
     The variational transfers have the block form [[T0, 0], [dT, I (x) T0]],
     so only their first block column e = [I; 0] is continued, every loop in
-    one batch: per loop, the approach gives [T0; dT_k] and the circle
-    [C0; dC_k].  ``cut`` is the loops as ``monodromy._cut_paths`` cuts
-    them into hops against the instance's poles, and ``_continue_cut``
-    continues e along each hop of each leg, each loop taking the terms its
-    composed bound at ``tol`` needs, and composes the hops in the same
-    block form, [T2 T1; dT2 T1 + (I (x) T2) dT1], so n columns are
-    continued throughout.  The variational system is built directly, not
-    through ``validate_system``: the solver made its residues.  Then
-    M_j = T0^-1 C0 T0 and
-    dM_j/dtheta_k = T0^-1 (dC_k T0 + C0 dT_k - dT_k M_j).
+    one batch.  ``cut`` is the loops as ``monodromy._cut_paths`` cuts them
+    into hops against the instance's poles, and ``_continue_cut`` continues
+    e along each hop of each leg, each loop taking the terms its composed
+    bound at ``tol`` needs, composes the hops in the same block form, so n
+    columns are continued throughout, and returns each loop's column
+    [M_j; c dM_j/dtheta_1; ...] of its transfer (the formula is in
+    ``monodromy._integrate_legs``), c = ``_SENSITIVITY_SCALE``.  The
+    variational system is built directly, not through ``validate_system``:
+    the solver made its residues.
     Monodromy is holomorphic in the residues, so the column of Im theta is
     the real stacking of 1j * dM_j/dtheta next to the real stacking of
     dM_j/dtheta for Re theta.
@@ -237,15 +236,11 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     defect = float(np.linalg.norm(sum(residues), 2))
     system = FuchsianSystem(instance.poles, tuple(stacked), len(stacked[0]), defect)
     start = np.eye(system.dimension, dim, dtype=complex)
-    computed = []
-    derivatives = []
-    for (approach, turn), _ in _continue_cut(system, cut, start, tol):
-        t0, dt = approach[:dim], approach[dim:].reshape(-1, dim, dim)
-        c0, dc = turn[:dim], turn[dim:].reshape(-1, dim, dim)
-        m = np.linalg.solve(t0, c0 @ t0)
-        computed.append(m)
-        derivatives.append(np.linalg.solve(t0, dc @ t0 + c0 @ dt - dt @ m) / _SENSITIVITY_SCALE)
-    d = np.stack(derivatives, axis=1)  # d[theta, j] = dM_j/dtheta
+    results = _continue_cut(system, cut, start, tol)
+    transfers = np.array([column for column, _ in results])  # (loops, N, dim)
+    computed = transfers[:, :dim]
+    # d[theta, j] = dM_j/dtheta
+    d = transfers[:, dim:].reshape(len(results), -1, dim, dim).transpose(1, 0, 2, 3) / _SENSITIVITY_SCALE
     columns = []
     for block in np.split(d, len(residues) - 1):  # _pack order: real parts, then imaginary
         columns += [_real_stack(factor * dm) for factor in (1.0, 1j) for dm in block]

@@ -14,7 +14,8 @@ term; a scalar majorant bounds what the terms left out can add, so each
 path takes the terms its composed bound needs, with no step size and no
 controller.  Hops continue the first block column [I_m; 0] and compose in
 that form (``_compose``), so the inverse solver continues just n columns
-of its variational system.
+of its variational system.  ``_integrate_legs`` alone turns a loop's two
+legs into the first block column of T^-1 C T, all loops in one solve.
 
 ``verify_theorem`` compares the monodromy around each pole against the
 exponential generator exp(2 pi i B_j) from one Jordan analysis of each:
@@ -141,14 +142,18 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
     so a path gets the same values in any batch.  A non-finite majorant,
     value or bound raises ``NonFiniteError``.
 
-    Returns one ``(legs, error_estimate)`` per path, each leg its hops'
-    values composed by ``_compose``.  The estimate is the composed bound,
-    for a loop at most cond(T) E_C + |T^-1| (|C| + E_C + |M| + E) E_T with
-    E_T, E_C the legs' bounds, E the loop's and M = T^-1 C T, plus a
-    rounding model eps W max(1, |Y|_2), W the sum over hops (a head hop
-    twice) of sum_k m_k, which bounds the magnitudes a hop adds up however
-    they cancel.  Norms are of the top m x m blocks: for m = N the
-    transfers, for ``inverse``'s variational systems the system's own.
+    Returns one ``(value, error_estimate)`` per path.  An open path's value
+    is its one leg, its hops' values composed by ``_compose``.  A loop's is
+    the first block column of T^-1 C T, from the composed approach [T; S_T]
+    and circle [C; S_C]: the top block M = T^-1 C T and, below it, the
+    blocks T^-1 (S_C T + C S_T - S_T M), all loops and blocks in one batched
+    solve (empty when m = N).  The estimate is the composed bound, for a
+    loop at most cond(T) E_C + |T^-1| (|C| + E_C + |M| + E) E_T with E_T,
+    E_C the legs' bounds and E the loop's, plus a rounding model eps W
+    max(1, |Y|_2), W the sum over hops (a head hop twice) of sum_k m_k,
+    which bounds the magnitudes a hop adds up however they cancel.  Norms
+    are of the top m x m blocks: for m = N the transfers, for ``inverse``'s
+    variational systems the system's own.
     """
     legs = [leg for path in cut for leg in path]
     leg_of = np.repeat(np.arange(len(legs)), [len(leg) - 1 for leg in legs])
@@ -215,35 +220,29 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
             )
     composed = _compose(values, leg_of)
     estimates = _hop_bounds(tails, deviations, majorants, heads, owner, len(cut))
-    sizes = np.linalg.norm(composed[:, :m], 2, axis=(1, 2))
     starts = np.cumsum([0] + [len(path) for path in cut[:-1]])
     is_loop = np.array([len(path) == 2 for path in cut])
     loops = starts[is_loop]
+    transfers = composed[starts]
+    sizes = np.linalg.norm(transfers[:, :m], 2, axis=(1, 2))
     if loops.size:
+        approach, turn = composed[loops], composed[loops + 1]
+        t, c = approach[:, :m], turn[:, :m]
+        s_t, s_c = (leg[:, m:].reshape(len(loops), -1, m, m) for leg in (approach, turn))
+        loop = np.linalg.solve(t, c @ t)
+        lower = np.linalg.solve(t[:, None], s_c @ t[:, None] + c[:, None] @ s_t - s_t @ loop[:, None])
+        transfers[is_loop] = np.concatenate([loop, lower.reshape(len(loops), -1, m)], axis=1)
+        sizes[is_loop] = np.linalg.norm(loop, 2, axis=(1, 2))
         leg_bounds = _hop_bounds(tails, deviations, majorants, 0.0, leg_of, len(legs))
-        approach, turn = composed[loops, :m], composed[loops + 1, :m]
         e_t, e_c = leg_bounds[loops], leg_bounds[loops + 1]
         product = estimates[is_loop]
-        singular = np.linalg.svd(approach, compute_uv=False)
-        loop_size = np.linalg.norm(np.linalg.solve(approach, turn @ approach), 2, axis=(1, 2))
-        turn_size = np.linalg.norm(turn, 2, axis=(1, 2))
-        conditioned = (singular[:, 0] * e_c + e_t * (turn_size + e_c + loop_size + product)) / singular[:, -1]
+        singular = np.linalg.svd(t, compute_uv=False)
+        turn_size = np.linalg.norm(c, 2, axis=(1, 2))
+        conditioned = (singular[:, 0] * e_c + e_t * (turn_size + e_c + sizes[is_loop] + product)) / singular[:, -1]
         estimates[is_loop] = np.minimum(product, conditioned)
-        sizes[loops] = loop_size
     rounding = np.bincount(owner, masses * (1.0 + heads), len(cut))
-    estimates += np.finfo(float).eps * rounding * np.maximum(1.0, sizes[starts])
-    return [
-        (tuple(composed[first:first + len(path)]), float(estimate))
-        for first, path, estimate in zip(starts, cut, estimates)
-    ]
-
-
-def _loop_transfer(legs) -> np.ndarray:
-    """The transfer from ``_continue_legs``'s legs from the identity: T^-1 C T for a loop."""
-    if len(legs) == 2:
-        approach, turn = legs
-        return np.linalg.solve(approach, turn @ approach)
-    return legs[0]
+    estimates += np.finfo(float).eps * rounding * np.maximum(1.0, sizes)
+    return list(zip(transfers, estimates.tolist()))
 
 
 def _cut_paths(poles, paths):
@@ -283,9 +282,10 @@ def _cut_paths(poles, paths):
 def _continue_cut(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     """Continue the first block column ``start`` = [I_m; 0] along every leg of a cut in one batch.
 
-    Returns one ``(legs, error_estimate)`` per path of ``_cut_paths``: for
-    a loop T @ start along the head and C @ start around the middle, for
-    any other path Y @ start.  Every hop is a column of one
+    Returns one ``(value, error_estimate)`` per path of ``_cut_paths``, the
+    value the path's transfer times ``start``: for a loop the first block
+    column of T^-1 C T, composed from the head's T @ start and the middle's
+    C @ start, for any other path Y @ start.  Every hop is a column of one
     ``_integrate_legs`` batch.  Stopping rule: a path stops after the first
     term at which its composed truncation bound is at most ``tol``: each
     hop's majorant tail times the norms, from the computed values, of the
@@ -314,8 +314,8 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     ``tol``, and the estimate is that bound plus a rounding model
     (``_continue_cut``).
     """
-    [(legs, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
-    return _loop_transfer(legs), err
+    [(transfer, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
+    return transfer, err
 
 
 def _product_defect(matrices, order) -> float:
@@ -359,7 +359,7 @@ def monodromy(
     z0 = default_base_point(system.poles) if base_point is None else complex(base_point)
     loops = build_loops(system.poles, z0)
     results = _continue_legs(system, loops, np.eye(system.dimension, dtype=complex), tol)
-    matrices = [_loop_transfer(legs) for legs, _ in results]
+    matrices = [transfer for transfer, _ in results]
     estimates = [err for _, err in results]
     order = composition_order(system.poles, z0)
     defect = _product_defect(matrices, order)

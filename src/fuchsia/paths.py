@@ -113,8 +113,10 @@ def segment_distances(segments, points) -> np.ndarray:
         p, d = ends[:, :1], ends[:, 1:] - ends[:, :1]
         length = np.abs(d)
         u = d / length
-        t = np.clip(((w - p) * u.conj()).real, 0.0, length)
-        out[line] = np.abs(w - (p + t * u))
+        # Projected from the nearer end: from the far end of a long line the projection cancels to its rounding.
+        t, back = ((w - p) * u.conj()).real, ((ends[:, 1:] - w) * u.conj()).real
+        near = np.where(t > back, ends[:, 1:] - np.clip(back, 0.0, length) * u, p + np.clip(t, 0.0, length) * u)
+        out[line] = np.abs(w - near)
     if not line.all():
         center, radius = np.array([(seg.center, seg.radius) for seg, is_line in zip(segments, line) if not is_line]).T
         out[~line] = np.abs(np.abs(w - center[:, None]) - radius.real[:, None])

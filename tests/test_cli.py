@@ -277,6 +277,17 @@ class TestMonodromy:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["base_point"] == [4.0, 1.0]
 
+    def test_far_base_point_fails_in_the_hops_not_the_audit(self, scalar_system_path, tmp_path, capsys):
+        """From the base point 1e100 the loops keep their clearance, and the
+        audit measures it so; the hops then name the legs too long for their
+        distance to a pole.  From 1e15 the monodromy is computed."""
+        assert main(["monodromy", scalar_system_path, "--base", "1e100"]) == 2
+        err = capsys.readouterr().err
+        assert "too close to one for its length" in err
+        assert "within" not in err
+        report_path = str(tmp_path / "m.json")
+        assert main(["--quiet", "monodromy", scalar_system_path, "--base", "1e15", "--json", report_path]) == 0
+
     def test_matrix_matches_exponential(self, scalar_system_path, tmp_path):
         report_path = tmp_path / "m.json"
         main(["--quiet", "monodromy", scalar_system_path, "--json", str(report_path)])
@@ -365,7 +376,9 @@ class TestInvert:
         main(["--quiet", "monodromy", scalar_system_path, "--json", str(rep_path)])
         code = main(["invert", str(rep_path)])
         assert code == 2
-        assert "allow_far" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "allow_far" in err
+        assert "--allow-far" in err
 
     def test_far_targets_accepted_with_flag(self, scalar_system_path, tmp_path):
         rep_path = tmp_path / "monodromy.json"

@@ -172,13 +172,14 @@ def test_loop_factorisation_matches_separate_legs():
 
 @pytest.mark.parametrize("columns", [1, 3])
 def test_block_start_continues_to_transfer_times_start(columns):
-    """The start [I_m; 0] continues to the first block column of each leg's
+    """The start [I_m; 0] continues to the first block column of each path's
     transfer, on the variational system of an m x m system on the poles 0
     and 1 from the base point 2: on the loop around 0, whose approach is
     three lines of the comb (two legs: approach and circle), and on its
-    open half (one leg).  The sensitivity blocks
-    ride at ``_SENSITIVITY_SCALE``, so they are also compared with that
-    scale divided out."""
+    open half (one leg).  On the loop the column's lower blocks come from
+    T^-1 (S_C T + C S_T - S_T M) and are checked against the full transfer
+    T^-1 C T.  The sensitivity blocks ride at ``_SENSITIVITY_SCALE``, so
+    they are also compared with that scale divided out."""
     rng = np.random.default_rng(columns)
     b = 0.1 * (rng.standard_normal((columns, columns)) + 1j * rng.standard_normal((columns, columns)))
     system = validate_system([0.0, 1.0], _variational_residues([b, -b]))
@@ -188,15 +189,14 @@ def test_block_start_continues_to_transfer_times_start(columns):
     loop = build_loops(system.poles, 2.0 + 0.0j)[0]
     assert [type(seg) for seg in loop.segments[: len(loop.segments) // 2]] == [Line] * 3
     open_path = ContinuationPath(loop.segments[: len(loop.segments) // 2 + 1], clearance=loop.clearance)
-    for path, count in ((loop, 2), (open_path, 1)):
-        [(transfers, _)] = _continue_legs(system, (path,), eye, 1e-11)
-        [(legs, _)] = _continue_legs(system, (path,), start, 1e-11)
-        assert len(legs) == len(transfers) == count
-        for leg, transfer in zip(legs, transfers):
-            assert leg.shape == (system.dimension, columns)
-            assert np.linalg.norm(leg - transfer[:, :columns]) < 1e-9
-            sensitivities = (leg - transfer[:, :columns])[columns:] / _SENSITIVITY_SCALE
-            assert np.linalg.norm(sensitivities) < 1e-6
+    assert [len(legs) for legs in _cut_paths(system.poles, (loop, open_path))] == [2, 1]
+    for path in (loop, open_path):
+        [(transfer, _)] = _continue_legs(system, (path,), eye, 1e-11)
+        [(column, _)] = _continue_legs(system, (path,), start, 1e-11)
+        assert column.shape == (system.dimension, columns)
+        assert np.linalg.norm(column - transfer[:, :columns]) < 1e-9
+        sensitivities = (column - transfer[:, :columns])[columns:] / _SENSITIVITY_SCALE
+        assert np.linalg.norm(sensitivities) < 1e-6
 
 
 def five_pole_generic_system(dimension=2):
@@ -223,7 +223,7 @@ def five_pole_generic_system(dimension=2):
 
 @pytest.mark.parametrize("columns", [2, 3])
 def test_batch_equals_each_path_alone(columns):
-    """Every leg continued in one batch equals the same leg continued alone.
+    """Every path continued in one batch has the transfer it has continued alone.
 
     The batch holds the five loops (approaches of three lines and full
     circles, each path at its own rate, split into hops)
@@ -237,13 +237,12 @@ def test_batch_equals_each_path_alone(columns):
     short = ContinuationPath((Line(5.0 + 0.0j, 5.0 + 0.1j),), clearance=1.0)
     paths = loops + [short]
     start = np.eye(columns, dtype=complex)
+    assert [len(legs) for legs in _cut_paths(system.poles, paths)] == [2] * len(loops) + [1]
     batch = _continue_legs(system, paths, start, 1e-9)
-    assert [len(legs) for legs, _ in batch] == [2] * len(loops) + [1]
-    for path, (legs, estimate) in zip(paths, batch):
+    for path, (transfer, estimate) in zip(paths, batch, strict=True):
         [(alone, alone_estimate)] = _continue_legs(system, (path,), start, 1e-9)
-        for leg, reference in zip(legs, alone, strict=True):
-            assert leg.shape == (columns, columns)
-            assert np.max(np.abs(leg - reference)) <= 1e-10
+        assert transfer.shape == (columns, columns)
+        assert np.max(np.abs(transfer - alone)) <= 1e-10
         assert estimate == pytest.approx(alone_estimate, rel=1e-6)
 
 

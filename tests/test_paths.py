@@ -80,6 +80,13 @@ def test_line_min_distance_interior_and_endpoint():
     assert beyond == pytest.approx(3.0)
 
 
+def test_long_line_is_measured_from_its_nearer_end():
+    """A line between 1e100 and 2 misses the pole 0 by 2, whichever way it
+    runs: projected from its far end, the distance cancels to the rounding
+    of the line's length and reads 0."""
+    assert segment_distances([Line(1e100, 2.0), Line(2.0, 1e100)], [0.0]).tolist() == [[2.0], [2.0]]
+
+
 def test_arc_point_is_shared_formula():
     """``Arc.start`` is the one formula for the anchor of a circle: hops
     start and end there, and every hop point lies on the circle."""

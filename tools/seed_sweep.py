@@ -1,25 +1,26 @@
-"""Sweep the verify-mixed and exact-gauge pools over many seeds, and compare two sweeps.
+"""Sweep the verify-mixed, exact-gauge and invert-near-identity pools over many seeds, and compare two sweeps.
 
 Run from the root of a checkout (the package is imported from ``src/``):
 
     python3 tools/seed_sweep.py --seeds 0-420 --out sweep.json
     python3 tools/seed_sweep.py --compare parent.json change.json
 
-A sweep makes one pass of the benchmark's verify-mixed and exact-gauge
-pools (``perfbench/workloads.py``, imported as it is) for each seed, and
-writes every op's exit code, input class, first error line, check verdict
-and the SHA-256 of its report's bytes; for verify-mixed also each seed's
-``correct`` flag (no failure outside the known-defect classes) and the loop
-matrices of every report.  ``--compare`` prints the failed verify-mixed ops
-that differ between two sweeps, the seeds whose ``correct`` differs, how
+A sweep makes one pass of the benchmark's verify-mixed, exact-gauge and
+invert-near-identity pools (``perfbench/workloads.py``, imported as it is)
+for each seed, and writes every op's exit code, input class, first error
+line, check verdict and the SHA-256 of its report's bytes; for verify-mixed
+also each seed's ``correct`` flag (every verify op passes its check) and the
+loop matrices of every report.  ``--compare`` prints the failed verify-mixed
+ops that differ between two sweeps, the seeds whose ``correct`` differs, how
 many ops' report bytes differ, and the largest gaps between their loop
 matrices: entrywise, entrywise over the commuting classes, and between
-matched eigenvalues; then the exact-gauge ops whose exit code, error or
-verdict differ, and how many exact-gauge reports' bytes differ.  A change to
-continuation or geometry should leave the failed ops equal, op for op; a
-change of loop convention conjugates the generic matrices, so there only
-the spectra and the commuting classes' entries should stay put.  A change
-that claims the same answers should leave every report's bytes equal.
+matched eigenvalues; then, for exact-gauge and for invert-near-identity, the
+ops whose exit code, error or verdict differ, and how many of their reports'
+bytes differ.  A change to continuation or geometry should leave the failed
+ops equal, op for op; a change of loop convention conjugates the generic
+matrices, so there only the spectra and the commuting classes' entries
+should stay put.  A change that claims the same answers should leave every
+report's bytes equal.
 """
 
 import argparse
@@ -63,7 +64,7 @@ def _run(argv, out):
 
 
 def sweep(seeds) -> list:
-    """One record per op of every seed's verify-mixed and exact-gauge pools."""
+    """One record per op of every seed's verify-mixed, exact-gauge and invert-near-identity pools."""
     import workloads
 
     records = []
@@ -82,7 +83,6 @@ def sweep(seeds) -> list:
                         "exit": code,
                         "error": error,
                         "ok": ok,
-                        "known_defect": bool(unit.truth["known_defect"]),
                         "sha256": hashlib.sha256(report).hexdigest() if report else None,
                         "matrices": json.loads(report)["monodromy"]["matrices"] if report else None,
                     }
@@ -105,6 +105,22 @@ def sweep(seeds) -> list:
                             "sha256": hashlib.sha256(report).hexdigest() if report else None,
                         }
                     )
+            for index, unit in enumerate(workloads.invert_units(seed, workdir)):
+                [argv], [out] = unit.argvs, unit.outputs
+                code, error, report = _run(argv, out)
+                [ok] = workloads.check_invert(unit, [workloads.OpResult(code, 0.0, report, error)])
+                records.append(
+                    {
+                        "workload": "invert-near-identity",
+                        "seed": seed,
+                        "unit": index,
+                        "class": unit.label,
+                        "exit": code,
+                        "error": error,
+                        "ok": ok,
+                        "sha256": hashlib.sha256(report).hexdigest() if report else None,
+                    }
+                )
         print(f"seed {seed}: {sum(not r['ok'] for r in records if r['seed'] == seed)} failed", file=sys.stderr)
     return records
 
@@ -112,32 +128,33 @@ def sweep(seeds) -> list:
 def correct(records) -> dict:
     flags = {}
     for r in records:
-        flags[r["seed"]] = flags.get(r["seed"], True) and (r["ok"] or r["known_defect"])
+        flags[r["seed"]] = flags.get(r["seed"], True) and r["ok"]
     return flags
 
 
-def compare_gauge(left, right) -> int:
-    """Print the exact-gauge ops whose outcome differs between two sweeps and
-    how many exact-gauge reports' bytes differ; return the number of ops
-    whose outcome differs."""
+def compare_ops(left, right, workload: str) -> int:
+    """Print the ``workload`` ops whose outcome differs between two sweeps and
+    how many of their reports' bytes differ; return the number of ops whose
+    outcome differs."""
 
     def ops(records):
-        return {(r["seed"], r["unit"], r["op"]): r for r in records if r.get("workload") == "exact-gauge"}
+        return {(r["seed"], r["unit"], r.get("op")): r for r in records if r.get("workload") == workload}
 
     def outcome(record):
         return record and (record["exit"], record["error"], record["ok"])
 
     a, b = ops(left), ops(right)
     if not (a and b):
-        print("exact-gauge: not compared, a sweep file has no exact-gauge records")
+        print(f"{workload}: not compared, a sweep file has no {workload} records")
         return 0
     differing = sorted(key for key in a.keys() | b.keys() if outcome(a.get(key)) != outcome(b.get(key)))
-    for key in differing:
-        print(f"exact-gauge seed {key[0]} unit {key[1]} op {key[2]}: {outcome(a.get(key))} -> {outcome(b.get(key))}")
+    for seed, unit, op in differing:
+        where = f"{workload} seed {seed} unit {unit}" + ("" if op is None else f" op {op}")
+        print(f"{where}: {outcome(a.get((seed, unit, op)))} -> {outcome(b.get((seed, unit, op)))}")
     failed_a, failed_b = (sum(not r["ok"] for r in records.values()) for records in (a, b))
-    print(f"exact-gauge failed ops: {failed_a} -> {failed_b}, {len(differing)} differ")
+    print(f"{workload} failed ops: {failed_a} -> {failed_b}, {len(differing)} differ")
     changed = sum(key not in b or r["sha256"] != b[key]["sha256"] for key, r in a.items())
-    print(f"exact-gauge report bytes: {changed} of {len(a)} ops differ")
+    print(f"{workload} report bytes: {changed} of {len(a)} ops differ")
     return len(differing)
 
 
@@ -187,8 +204,8 @@ def compare(left, right) -> int:
                     gaps[kind] = (gap, where)
     for kind, (gap, where) in gaps.items():
         print(f"largest {kind} gap over {count} loop matrices: {gap:.3e} at {where}")
-    gauge_differing = compare_gauge(*both)
-    return 1 if differing or gauge_differing else 0
+    others = [compare_ops(*both, workload) for workload in ("exact-gauge", "invert-near-identity")]
+    return 1 if differing or any(others) else 0
 
 
 def main(argv=None) -> int:
