@@ -307,12 +307,12 @@ def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float)
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
     """Transfer matrix of analytic continuation along ``path``.
 
-    Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start).
-    The path is audited against the system's poles and cut into hops, a
-    pole loop continued as head T and middle C only, giving T^-1 C T; the
-    hops take terms until the path's composed truncation bound is at most
-    ``tol``, and the estimate is that bound plus a rounding model
-    (``_continue_cut``).
+    Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start),
+    as the kernel returns it.  The path is audited against the system's
+    poles and cut into hops, a pole loop continued as head T and middle C
+    only, which the kernel solves into T^-1 C T; the hops take terms until
+    the path's composed truncation bound is at most ``tol``, and the
+    estimate is that bound plus a rounding model (``_continue_cut``).
     """
     [(transfer, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
     return transfer, err
