@@ -14,11 +14,13 @@ accepts a merge only when the merged cluster's rank profile is internally
 consistent and the observed scatter is explainable by the block sizes the
 profile claims.
 
-scipy is imported inside the functions that use it, not at module level:
-loading it adds about 0.3 s to every import of the package, and the
-``monodromy`` and ``invert`` commands never need it.
+The module needs numpy alone.  The matrix exponential, the minimum-cost
+assignment and the Schur restriction of a cluster are written here rather
+than taken from scipy, whose import would cost every ``verify`` and
+``galois`` process about 0.5 s and 40 MB.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,27 +83,99 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of a minimum-cost matching on ``cost``."""
-    import scipy.optimize
+    """Row and column indices of a minimum-cost matching on a square, finite ``cost``.
 
-    return scipy.optimize.linear_sum_assignment(cost)
+    A port of scipy's ``linear_sum_assignment`` for square costs, the
+    shortest augmenting path method of Crouse (IEEE TAES 52(4), 2016): one
+    augmenting path per row, dual potentials ``u`` and ``v``, the candidate
+    columns kept in scipy's order and its tie rule, which prefers a free
+    column among equally short paths.  So where several matchings are
+    optimal it picks the one scipy picks.
+    """
+    c = np.asarray(cost, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValidationError("cost matrix contains non-finite entries")
+    c = c.tolist()
+    k = len(c)
+    u, v = [0.0] * k, [0.0] * k
+    col4row, row4col, path = [-1] * k, [-1] * k, [-1] * k
+    for row in range(k):
+        # Shortest augmenting path from ``row`` to a free column (a sink).
+        spc = [math.inf] * k
+        rows_seen, cols_seen = [], []
+        remaining = list(range(k - 1, -1, -1))
+        i, sink, min_val = row, -1, 0.0
+        while sink == -1:
+            rows_seen.append(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + c[i][j] - u[i] - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[row] += min_val
+        for i in rows_seen:
+            if i != row:
+                u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        # Flip the path: every column on it takes the row it was reached from.
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    return np.arange(k), np.array(col4row)
 
 
 def matrix_exp(m) -> np.ndarray:
     """Matrix exponential of a square complex matrix, or of each matrix of a (k, n, n) stack.
 
-    Uses scaling-and-squaring with Pade approximants, one scipy call for
-    the whole stack.  The zero matrix maps to the identity exactly; a
-    non-finite result raises ``MatrixExpOverflowError`` naming the first
-    matrix that overflowed.
+    Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM J.
+    Matrix Anal. Appl. 26 (2005)): each matrix is scaled by 2^-s, with the
+    least s >= 0 that brings its 1-norm to theta_13 = 5.3719... or below,
+    the approximant is r = (V - U)^-1 (V + U) with U and V built from A^2,
+    A^4 and A^6, and r is squared s times.  The whole stack gets one
+    ``solve``, and each matrix is squared only its own s times, so a stack
+    gives, bit for bit, what its matrices give one by one.  The zero matrix
+    maps to the identity exactly; a non-finite result raises
+    ``MatrixExpOverflowError`` naming the first matrix that overflowed.
     """
-    import scipy.linalg
-
     stack, single = _square_stack(m, "matrix")
+    # Pade coefficients b_j = (26 - j)! 13! / (26! j! (13 - j)!), each correctly rounded; b_0 = 1
+    # makes V - U and V + U of the zero matrix the identity, so its exponential is I exactly.
+    f = math.factorial
+    b = [f(26 - j) * f(13) / (f(26) * f(j) * f(13 - j)) for j in range(14)]
+    norms = np.abs(stack).sum(axis=1).max(axis=1)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(np.ceil(np.log2(norms / 5.371920351148152)), 0.0).astype(int)
+    eye = np.eye(stack.shape[1])
     # Overflow is detected on the result, so silence the intermediate
     # floating-point warnings the computation emits on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(stack)
+        a = stack * np.ldexp(1.0, -s)[:, None, None]
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        result = np.linalg.solve(v - u, v + u)
+        for step in range(int(s.max())):
+            more = s > step
+            result[more] = result[more] @ result[more]
     finite = np.isfinite(result).all(axis=(1, 2))
     if not finite.all():
         index = int(np.argmin(finite))
@@ -218,29 +292,52 @@ class JordanStructure:
 
 
 def _schur_restrict(m: np.ndarray, lam: complex, other_reps: list[complex], mu: int):
-    """Leading mu x mu Schur block for the eigenvalue group nearest ``lam``.
+    """A matrix unitarily similar to the leading mu x mu block of a Schur form
+    of ``m`` whose leading eigenvalues are those nearer ``lam`` than every
+    one of ``other_reps``.
 
-    Returns ``None`` when the sorted Schur form does not isolate exactly
-    ``mu`` eigenvalues, which a caller treats as a failed grouping.
+    ``_weyr_profile`` reads only unitarily invariant quantities (a 2-norm and
+    the singular values of powers), so any such matrix serves; when mu is the
+    dimension, ``m`` itself.  Otherwise the cluster is deflated one
+    eigenvalue at a time: with Z an orthonormal basis of what is left (at
+    first the identity), take the selected eigenvalue w of Z^H m Z nearest
+    ``lam`` and its approximate eigenvector x, the right singular vector of
+    the least singular value of Z^H m Z - w I; keep Z x, and let Z be Z times
+    the last columns of a Householder reflector whose first column is along
+    x.  The kept vectors Q span the cluster's invariant subspace, and the
+    result is Q^H m Q.  Returns ``None`` when not exactly ``mu`` eigenvalues
+    of ``m`` are selected, which a caller treats as a failed grouping.
     """
-    import scipy.linalg
-
     n = m.shape[0]
     if mu == n:
-        t, _ = scipy.linalg.schur(m, output="complex")
-        return t
+        return m
+    others = np.array(other_reps)
 
-    def selector(w):
-        d = abs(w - lam)
-        return bool(all(d < abs(w - r) for r in other_reps))
+    def selected(w):
+        return w[(np.abs(w - lam)[:, None] < np.abs(w[:, None] - others)).all(axis=1)]
 
     try:
-        t, _, sdim = scipy.linalg.schur(m, output="complex", sort=selector)
-    except (scipy.linalg.LinAlgError, ValueError):
+        if len(selected(np.linalg.eigvals(m))) != mu:
+            return None
+        z = np.eye(n, dtype=complex)
+        kept = []
+        for _ in range(mu):
+            block = z.conj().T @ m @ z
+            w = selected(np.linalg.eigvals(block))
+            if not w.size:
+                return None
+            w = w[np.argmin(np.abs(w - lam))]
+            x = np.linalg.svd(block - w * np.eye(len(block)))[2][-1].conj()
+            kept.append(z @ x)
+            # I - 2 r r^H / |r|^2 maps x to a multiple of e_1, so its first column is along x.
+            r = x.copy()
+            r[0] += x[0] / abs(x[0]) if x[0] else 1.0
+            householder = np.eye(len(x)) - np.outer(r, r.conj()) * (2.0 / np.vdot(r, r).real)
+            z = z @ householder[:, 1:]
+    except np.linalg.LinAlgError:
         return None
-    if sdim != mu:
-        return None
-    return t[:mu, :mu]
+    q = np.array(kept).T
+    return q.conj().T @ m @ q
 
 
 def _weyr_profile(t11: np.ndarray, lam: complex, r_eff: float):

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import (
     SEED,
@@ -52,6 +53,7 @@ from fuchsia.equivalence import (
     matrix_from_module,
     module_from_matrix,
 )
+from fuchsia import linalg
 from fuchsia.inverse import first_order_seed, solve, validate_instance
 from fuchsia.linalg import jordan_structure
 from fuchsia.monodromy import monodromy, verify_theorem
@@ -359,6 +361,42 @@ def test_stacked_jordan_structure_matches_single_calls_on_the_50_cases():
     assert sum(len(stack) for stack in by_dimension.values()) == 50
     for stack in by_dimension.values():
         assert jordan_structure(np.array(stack)) == tuple(jordan_structure(m) for m in stack)
+
+
+def _scipy_schur_restrict(m, lam, other_reps, mu):
+    """The restriction as a sorted Schur form gives it: the reference for ``_schur_restrict``."""
+    if mu == m.shape[0]:
+        return scipy.linalg.schur(m, output="complex")[0]
+
+    def selector(w):
+        return all(abs(w - lam) < abs(w - r) for r in other_reps)
+
+    t, _, sdim = scipy.linalg.schur(m, output="complex", sort=selector)
+    return t[:mu, :mu] if sdim == mu else None
+
+
+def test_schur_restriction_weyr_profiles_match_scipy_on_the_50_cases(monkeypatch):
+    """Every cluster the 50 cases validate gets from ``_schur_restrict`` the
+    Weyr profile that scipy's sorted Schur form gives, and fails where it fails."""
+    calls = []
+    validate = linalg._validate_cluster
+
+    def recorded(m, members, other_reps, scale, rho0, tol, strict):
+        calls.append((m, members, other_reps, rho0))
+        return validate(m, members, other_reps, scale, rho0, tol, strict)
+
+    monkeypatch.setattr(linalg, "_validate_cluster", recorded)
+    for m, _ in _robustness_cases():
+        jordan_structure(m)
+    assert any(len(members) < m.shape[0] for m, members, _, _ in calls)
+    for m, members, other_reps, rho0 in calls:
+        mu, lam = len(members), complex(np.mean(members))
+        r_eff = max(max(abs(w - lam) for w in members), rho0)
+        got = linalg._schur_restrict(m, lam, other_reps, mu)
+        want = _scipy_schur_restrict(m, lam, other_reps, mu)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert linalg._weyr_profile(got, lam, r_eff)[0] == linalg._weyr_profile(want, lam, r_eff)[0]
 
 
 def test_non_resonance_classifier_pairs():

@@ -1,4 +1,4 @@
-"""The package's count of tunable knobs may only fall, and its numeric layer stands apart from its exact one."""
+"""The package's count of tunable knobs may only fall, its numeric layer stands apart from its exact one, and it needs numpy alone."""
 
 import ast
 import pathlib
@@ -92,6 +92,22 @@ def test_numeric_layer_does_not_import_the_exact_layer():
             reached |= new
             todo += new
         assert not reached & EXACT_MODULES, (start, sorted(reached))
+
+
+def test_package_does_not_import_scipy():
+    """No module imports scipy, at module level or inside a function: its
+    import would cost every ``verify`` and ``galois`` process about 0.5 s."""
+    found = []
+    for module, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(module, name) for name in names if name.split(".")[0] == "scipy"]
+    assert not found
 
 
 def test_defaulted_parameter_count_does_not_grow():

@@ -195,35 +195,41 @@ def test_invalid_tolerance_is_input_error(command, options, small_system_path, t
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    """scipy.optimize costs every CLI process about 0.2 s; only verify needs it."""
-    probe = "import sys, fuchsia.cli; print('scipy.optimize' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(fuchsia.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert out.strip() == "False"
+def test_cli_commands_leave_scipy_unloaded(small_system_path, tmp_path):
+    """Loading scipy costs a process about 0.5 s; the package runs on numpy alone.
 
-
-def test_monodromy_and_invert_leave_scipy_unloaded(small_system_path, tmp_path):
-    """Loading scipy costs every CLI process about 0.3 s; monodromy and invert never need it."""
+    The verify system has a double eigenvalue in a 3 x 3 matrix, so the
+    Jordan structures reach the Schur restriction of a cluster smaller than
+    the matrix; the probe counts those calls.
+    """
+    b = np.diag([0.2, 0.2, -0.1]).astype(complex)
+    c = np.diag([-0.35, -0.35, 0.3]).astype(complex)
+    clustered = write_json(tmp_path / "clustered.json", validate_system([0.0, 1.0, 1j], [b, c, -b - c]).to_dict())
     report = str(tmp_path / "monodromy.json")
     probe = (
-        "import sys, fuchsia.cli\n"
+        "import sys, fuchsia.cli, fuchsia.linalg\n"
+        "restrict, sizes = fuchsia.linalg._schur_restrict, []\n"
+        "def counted(m, lam, other_reps, mu):\n"
+        "    sizes.append((mu, m.shape[0]))\n"
+        "    return restrict(m, lam, other_reps, mu)\n"
+        "fuchsia.linalg._schur_restrict = counted\n"
         "loaded = ['scipy' in sys.modules]\n"
         f"assert fuchsia.cli.main(['--quiet', 'monodromy', {small_system_path!r}, '--json', {report!r}]) == 0\n"
         "loaded.append('scipy' in sys.modules)\n"
         f"assert fuchsia.cli.main(['--quiet', 'invert', {report!r}]) == 0\n"
         "loaded.append('scipy' in sys.modules)\n"
-        "print(loaded)"
+        f"assert fuchsia.cli.main(['--quiet', 'galois', {clustered!r}]) == 0\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        f"assert fuchsia.cli.main(['--quiet', 'verify', {clustered!r}]) == 0\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "print(loaded, any(mu < n for mu, n in sizes))"
     )
     src = os.path.dirname(os.path.dirname(fuchsia.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "[False, False, False]"
+    assert out.strip() == "[False, False, False, False, False] True"
 
 
 class TestGalois:

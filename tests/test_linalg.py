@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from conftest import (
     SEED,
@@ -22,6 +24,7 @@ from fuchsia.linalg import (
     eigen_decompose,
     jordan_structure,
     matrix_exp,
+    min_cost_assignment,
     operator_norm,
     similarity_transform,
 )
@@ -240,6 +243,44 @@ def test_stacked_matrix_exp_names_the_overflowing_matrix():
     stack[1, 0, 0] = 1e6
     with pytest.raises(MatrixExpOverflowError, match="matrix 1 "):
         matrix_exp(stack)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_matrix_exp_agrees_with_scipy_expm(n):
+    """On a stack whose 1-norms run from 1e-3 to 700, where exp of an
+    eigenvalue nears the largest float, ``matrix_exp`` agrees with scipy's
+    ``expm`` to 1e-13 relative up to 1-norm 10, and to 1e-14 times the
+    1-norm above it, as the exponential's relative condition number grows
+    like the norm.  One more matrix, shifted past the guard, overflows in
+    both, and ``matrix_exp`` names it.  The zero matrix maps to the identity
+    exactly."""
+    rng = np.random.default_rng([SEED, 31, n])
+    norms = np.geomspace(1e-3, 700.0, 12)
+    stack = rng.normal(size=(12, n, n)) + 1j * rng.normal(size=(12, n, n))
+    stack *= (norms / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+    assert np.array_equal(matrix_exp(np.zeros((n, n))), np.eye(n))
+    got, want = matrix_exp(stack), scipy.linalg.expm(stack)
+    for g, w, norm in zip(got, want, norms, strict=True):
+        assert np.abs(g - w).max() <= 1e-13 * max(1.0, norm / 10.0) * np.abs(w).max()
+    beyond = np.concatenate([stack, stack[-1:] + 1500.0 * np.eye(n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(scipy.linalg.expm(beyond[-1])).all()
+    with pytest.raises(MatrixExpOverflowError, match="matrix 12 "):
+        matrix_exp(beyond)
+
+
+def test_min_cost_assignment_equals_scipy():
+    """The port picks scipy's matching, also among the many optimal ones of tie-heavy integer costs."""
+    rng = np.random.default_rng([SEED, 31])
+    for k in range(1, 9):
+        for trial in range(150):
+            if trial % 3 == 0:
+                cost = rng.random((k, k))
+            else:
+                cost = rng.integers(0, 1 + trial % 3, size=(k, k)).astype(float)
+            rows, cols = min_cost_assignment(cost)
+            want_rows, want_cols = scipy.optimize.linear_sum_assignment(cost)
+            assert (rows.tolist(), cols.tolist()) == (want_rows.tolist(), want_cols.tolist()), cost
 
 
 def _loop_conjugator(a, b, ja, jb, pairs, tol):

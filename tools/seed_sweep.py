@@ -9,18 +9,22 @@ A sweep makes one pass of the benchmark's verify-mixed, exact-gauge and
 invert-near-identity pools (``perfbench/workloads.py``, imported as it is)
 for each seed, and writes every op's exit code, input class, first error
 line, check verdict and the SHA-256 of its report's bytes; for verify-mixed
-also each seed's ``correct`` flag (every verify op passes its check) and the
-loop matrices of every report.  ``--compare`` prints the failed verify-mixed
-ops that differ between two sweeps, the seeds whose ``correct`` differs, how
-many ops' report bytes differ, and the largest gaps between their loop
-matrices: entrywise, entrywise over the commuting classes, and between
-matched eigenvalues; then, for exact-gauge and for invert-near-identity, the
-ops whose exit code, error or verdict differ, and how many of their reports'
-bytes differ.  A change to continuation or geometry should leave the failed
+also each seed's ``correct`` flag (every verify op passes its check), the
+loop matrices of every report, its verdicts (``overall`` and, per pole,
+``spectrum_match``, ``structure_match``, ``ok`` and ``non_resonant``) and its
+largest ``conjugator_residual``.  ``--compare`` prints the failed
+verify-mixed ops that differ between two sweeps, the seeds whose ``correct``
+differs, how many ops' report bytes differ, the verify ops whose verdicts
+differ, the largest conjugator residual of each sweep, and the largest gaps
+between their loop matrices: entrywise, entrywise over the commuting
+classes, and between matched eigenvalues; then, for exact-gauge and for
+invert-near-identity, the ops whose exit code, error or verdict differ, and
+how many of their reports' bytes differ.  A change to continuation or geometry should leave the failed
 ops equal, op for op; a change of loop convention conjugates the generic
 matrices, so there only the spectra and the commuting classes' entries
 should stay put.  A change that claims the same answers should leave every
-report's bytes equal.
+report's bytes equal; one that moves only the last bits of the floats, such
+as a different matrix exponential, should leave every verdict equal.
 """
 
 import argparse
@@ -63,6 +67,18 @@ def _run(argv, out):
     return code, error or (stderr.getvalue().strip().splitlines() or [None])[0], report
 
 
+def verify_verdicts(report: dict) -> list:
+    """A verify report's verdicts: ``overall``, then per pole its four flags."""
+    flags = ("spectrum_match", "structure_match", "ok", "non_resonant")
+    return [report["overall"]] + [[pole[flag] for flag in flags] for pole in report["per_pole"]]
+
+
+def largest_residual(report: dict):
+    """The largest conjugator residual of a verify report, or None when no pole has one."""
+    residuals = [pole["conjugator_residual"] for pole in report["per_pole"]]
+    return max((r for r in residuals if r is not None), default=None)
+
+
 def sweep(seeds) -> list:
     """One record per op of every seed's verify-mixed, exact-gauge and invert-near-identity pools."""
     import workloads
@@ -74,6 +90,7 @@ def sweep(seeds) -> list:
                 [argv], [out] = unit.argvs, unit.outputs
                 code, error, report = _run(argv, out)
                 [ok] = workloads.check_verify(unit, [workloads.OpResult(code, 0.0, report, error)])
+                parsed = json.loads(report) if report else None
                 records.append(
                     {
                         "workload": "verify-mixed",
@@ -84,7 +101,9 @@ def sweep(seeds) -> list:
                         "error": error,
                         "ok": ok,
                         "sha256": hashlib.sha256(report).hexdigest() if report else None,
-                        "matrices": json.loads(report)["monodromy"]["matrices"] if report else None,
+                        "matrices": parsed["monodromy"]["matrices"] if parsed else None,
+                        "verdicts": verify_verdicts(parsed) if parsed else None,
+                        "conjugator_residual": largest_residual(parsed) if parsed else None,
                     }
                 )
             for index, unit in enumerate(workloads.gauge_units(seed, workdir)):
@@ -158,8 +177,27 @@ def compare_ops(left, right, workload: str) -> int:
     return len(differing)
 
 
+def compare_verdicts(left, right) -> int:
+    """Print the verify ops whose verdicts differ and each sweep's largest
+    conjugator residual; return the number of ops whose verdicts differ."""
+    if not all("verdicts" in r for r in left + right):
+        print("verdicts: not compared, a sweep file has no verdicts")
+        return 0
+    theirs = {(r["seed"], r["unit"]): r["verdicts"] for r in right}
+    differing = [r for r in left if r["verdicts"] != theirs.get((r["seed"], r["unit"]))]
+    for r in differing:
+        print(f"seed {r['seed']} unit {r['unit']} verdicts: {r['verdicts']} -> {theirs.get((r['seed'], r['unit']))}")
+    print(f"verdicts: {len(differing)} of {len(left)} ops differ")
+    for label, records in (("left", left), ("right", right)):
+        residuals = [(r["conjugator_residual"], r["seed"], r["unit"]) for r in records if r["conjugator_residual"] is not None]
+        if residuals:
+            residual, seed, unit = max(residuals)
+            print(f"largest conjugator residual ({label}): {residual:.3e} at seed {seed} unit {unit}")
+    return len(differing)
+
+
 def compare(left, right) -> int:
-    """Print the differences between two sweeps; nonzero when failed ops differ."""
+    """Print the differences between two sweeps; nonzero when failed ops or verdicts differ."""
     from fuchsia.linalg import min_cost_assignment
 
     both = (left, right)
@@ -180,6 +218,7 @@ def compare(left, right) -> int:
         print(f"report bytes: {changed} of {len(left)} ops differ")
     else:
         print("report bytes: not compared, a sweep file has no digests")
+    verdicts_differ = compare_verdicts(left, right)
     flags_a, flags_b = correct(left), correct(right)
     for label, flags in (("left", flags_a), ("right", flags_b)):
         print(f"correct false ({label}):", sorted(seed for seed, ok in flags.items() if not ok))
@@ -205,7 +244,7 @@ def compare(left, right) -> int:
     for kind, (gap, where) in gaps.items():
         print(f"largest {kind} gap over {count} loop matrices: {gap:.3e} at {where}")
     others = [compare_ops(*both, workload) for workload in ("exact-gauge", "invert-near-identity")]
-    return 1 if differing or any(others) else 0
+    return 1 if differing or verdicts_differ or any(others) else 0
 
 
 def main(argv=None) -> int:
