@@ -15,9 +15,10 @@ consistent and the observed scatter is explainable by the block sizes the
 profile claims.
 
 The module needs numpy alone.  The matrix exponential, the minimum-cost
-assignment and the Schur restriction of a cluster are written here rather
-than taken from scipy, whose import would cost every ``verify`` and
-``galois`` process about 0.5 s and 40 MB.
+assignment and the Schur restriction of a cluster are written here, so
+that no ``verify`` or ``galois`` process pays for importing a larger
+library: SciPy's linear algebra and optimisation modules took about 0.5 s
+and 40 MB to load.
 """
 
 import math
@@ -85,12 +86,12 @@ def operator_norm(m: np.ndarray) -> float:
 def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of a minimum-cost matching on a square, finite ``cost``.
 
-    A port of scipy's ``linear_sum_assignment`` for square costs, the
+    A port of SciPy's ``linear_sum_assignment`` for square costs, the
     shortest augmenting path method of Crouse (IEEE TAES 52(4), 2016): one
     augmenting path per row, dual potentials ``u`` and ``v``, the candidate
-    columns kept in scipy's order and its tie rule, which prefers a free
+    columns kept in SciPy's order and its tie rule, which prefers a free
     column among equally short paths.  So where several matchings are
-    optimal it picks the one scipy picks.
+    optimal it picks the one SciPy picks.
     """
     c = np.asarray(cost, dtype=float)
     if not np.isfinite(c).all():

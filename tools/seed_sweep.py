@@ -19,10 +19,10 @@ differ, the largest conjugator residual of each sweep, and the largest gaps
 between their loop matrices: entrywise, entrywise over the commuting
 classes, and between matched eigenvalues; then, for exact-gauge and for
 invert-near-identity, the ops whose exit code, error or verdict differ, and
-how many of their reports' bytes differ.  A change to continuation or geometry should leave the failed
-ops equal, op for op; a change of loop convention conjugates the generic
-matrices, so there only the spectra and the commuting classes' entries
-should stay put.  A change that claims the same answers should leave every
+how many of their reports' bytes differ.  A change to continuation or
+geometry should leave the failed ops equal, op for op; a change of loop
+convention conjugates the generic matrices, so there only the spectra and
+the commuting classes' entries should stay put.  A change that claims the same answers should leave every
 report's bytes equal; one that moves only the last bits of the floats, such
 as a different matrix exponential, should leave every verdict equal.
 """
