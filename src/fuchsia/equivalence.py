@@ -15,7 +15,7 @@ A basis change B (invertible over the field) acts on system matrices by the
 gauge formula B^{-1} A B - B^{-1} B', which is a right group action.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,12 +202,13 @@ class DifferentialModule:
     """Free module with derivation; columns of ``action`` give del(e_i).
 
     The ``orientation`` string pins the sign convention relating the action
-    to system matrices and is checked on round trips.
+    to system matrices.  Every module has it, and ``from_dict`` rejects any
+    other.
     """
 
     dimension: int
     action: RationalMatrix
-    orientation: str = field(default=ORIENTATION_FLAT_SECTIONS)
+    orientation = ORIENTATION_FLAT_SECTIONS
 
     def __post_init__(self):
         if self.action.dimension != self.dimension:
@@ -234,11 +235,7 @@ class DifferentialModule:
                 f"unknown module orientation {orientation!r}; "
                 f"expected {ORIENTATION_FLAT_SECTIONS!r}"
             )
-        return DifferentialModule(
-            dimension=dimension,
-            action=rational_matrix_from_strings(action),
-            orientation=orientation,
-        )
+        return DifferentialModule(dimension=dimension, action=rational_matrix_from_strings(action))
 
 
 def rational_matrix_from_strings(rows) -> RationalMatrix:
@@ -289,11 +286,7 @@ def module_from_matrix(matrix: RationalMatrix) -> DifferentialModule:
     Writing del(e_i) = sum_j D[j][i] e_j, horizontality of sum y_i e_i
     forces y' = -D y, so D = -matrix.
     """
-    return DifferentialModule(
-        dimension=matrix.dimension,
-        action=-matrix,
-        orientation=ORIENTATION_FLAT_SECTIONS,
-    )
+    return DifferentialModule(dimension=matrix.dimension, action=-matrix)
 
 
 def matrix_from_module(module: DifferentialModule, basis_change: RationalMatrix | None = None) -> RationalMatrix:
@@ -303,8 +296,6 @@ def matrix_from_module(module: DifferentialModule, basis_change: RationalMatrix 
     basis change B rewrites the system by the gauge action
     B^{-1} A B - B^{-1} B'.
     """
-    if module.orientation != ORIENTATION_FLAT_SECTIONS:
-        raise ValidationError(f"unknown module orientation {module.orientation!r}")
     base = -module.action
     if basis_change is None:
         return base

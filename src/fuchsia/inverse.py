@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_square_matrix, check_tolerance
-from .monodromy import DEFAULT_INTEGRATION_TOL, _continue_cut, _cut_paths, _product_defect
+from .monodromy import DEFAULT_INTEGRATION_TOL, _cut_paths, _integrate_legs, _product_defect
 from .monodromy import continue_solution  # noqa: F401 - perfbench/spans.py traces this name here
-from .paths import LOOP_CONVENTION, build_loops, composition_order, default_base_point
+from .paths import LOOP_CONVENTION, ContinuationPath, build_loops, composition_order, default_base_point
 from .system import TWO_PI_I, FuchsianSystem, PoleResonance, is_non_resonant, validate_poles, validate_system
 from . import jsonio
 
@@ -36,12 +36,14 @@ DEFAULT_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class InverseProblemInstance:
-    """Validated inverse-problem data: poles, targets, base point."""
+    """Validated inverse-problem data: poles, targets, base point, and the
+    loops whose composition order the targets were validated in."""
 
     poles: tuple[complex, ...]
     targets: tuple[np.ndarray, ...]
     base_point: complex
     dimension: int
+    loops: tuple[ContinuationPath, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +93,8 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
     the loop convention) within ``DEFAULT_PRODUCT_TOL``, and, unless
     ``allow_far``, every target within ``DEFAULT_PROXIMITY_BOUND`` of the
     identity in Frobenius norm, which is the regime where the first-order
-    seed is trustworthy.
+    seed is trustworthy.  The loops are built here, once, and the instance
+    carries them to ``solve``.
     """
     pole_list = validate_poles(poles)
     if len(targets) != len(pole_list):
@@ -112,7 +115,8 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
         arr.flags.writeable = False
         mats.append(arr)
     z0 = default_base_point(pole_list) if base_point is None else complex(base_point)
-    order = composition_order(pole_list, z0)
+    loops = build_loops(pole_list, z0)
+    order = composition_order(loops)
     defect = _product_defect(mats, order)
     if defect > DEFAULT_PRODUCT_TOL:
         raise ValidationError(
@@ -131,6 +135,7 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
         targets=tuple(mats),
         base_point=z0,
         dimension=dim,
+        loops=tuple(loops),
     )
 
 
@@ -219,12 +224,12 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     The variational transfers have the block form [[T0, 0], [dT, I (x) T0]],
     so only their first block column e = [I; 0] is continued, every loop in
     one batch.  ``cut`` is the loops as ``monodromy._cut_paths`` cuts them
-    into hops against the instance's poles, and ``_continue_cut`` continues
+    into hops against the instance's poles, and ``_integrate_legs`` continues
     e along each hop of each leg, each loop taking the terms its composed
     bound at ``tol`` needs, composes the hops in the same block form, so n
     columns are continued throughout, and returns each loop's column
-    [M_j; c dM_j/dtheta_1; ...] of its transfer (the formula is in
-    ``monodromy._integrate_legs``), c = ``_SENSITIVITY_SCALE``.  The
+    [M_j; c dM_j/dtheta_1; ...] of its transfer (its docstring has the
+    formula), c = ``_SENSITIVITY_SCALE``.  The
     variational system is built directly, not through ``validate_system``:
     the solver made its residues.
     Monodromy is holomorphic in the residues, so the column of Im theta is
@@ -236,7 +241,7 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     defect = float(np.linalg.norm(sum(residues), 2))
     system = FuchsianSystem(instance.poles, tuple(stacked), len(stacked[0]), defect)
     start = np.eye(system.dimension, dim, dtype=complex)
-    results = _continue_cut(system, cut, start, tol)
+    results = _integrate_legs(system, cut, start, tol)
     transfers = np.array([column for column, _ in results])  # (loops, N, dim)
     computed = transfers[:, :dim]
     # d[theta, j] = dM_j/dtheta
@@ -257,7 +262,7 @@ def solve(
 
     Starts from the first-order seed and iterates damped Gauss-Newton on
     the stacked real residual until ``max_j |M_hat_j - M_j|_F <= tol`` or
-    ``max_iter`` iterations pass.  The loops are built and cut into hops
+    ``max_iter`` iterations pass.  The instance's loops are cut into hops
     once.  The seed and each line-search trial get M_j and the exact
     Jacobian from one continuation per loop, at ``integration_tol``, of the
     first block column of the variational system, and an accepted trial's
@@ -267,12 +272,13 @@ def solve(
     and included.
     """
     check_tolerance(tol, "residual tolerance")
+    check_tolerance(integration_tol, "integration tolerance")
     if max_iter < 0:
         raise ValidationError(f"iteration cap must be non-negative, got {max_iter}")
     dim = instance.dimension
     count = len(instance.poles)
     seed = first_order_seed(instance)
-    cut = _cut_paths(instance.poles, build_loops(instance.poles, instance.base_point))
+    cut = _cut_paths(instance.poles, instance.loops)
 
     x = _pack(seed)
     computed, jacobian = _linearise(instance, cut, _unpack(x, count, dim), integration_tol)

@@ -292,18 +292,19 @@ class JordanStructure:
         return pairs
 
 
-def _schur_restrict(m: np.ndarray, lam: complex, other_reps: list[complex], mu: int):
+def _schur_restrict(m: np.ndarray, w: list[complex], lam: complex, other_reps: list[complex], mu: int):
     """A matrix unitarily similar to the leading mu x mu block of a Schur form
-    of ``m`` whose leading eigenvalues are those nearer ``lam`` than every
-    one of ``other_reps``.
+    of ``m``, whose eigenvalues are ``w``, with leading eigenvalues those
+    nearer ``lam`` than every one of ``other_reps``.
 
     ``_weyr_profile`` reads only unitarily invariant quantities (a 2-norm and
     the singular values of powers), so any such matrix serves; when mu is the
     dimension, ``m`` itself.  Otherwise the cluster is deflated one
     eigenvalue at a time: with Z an orthonormal basis of what is left (at
-    first the identity), take the selected eigenvalue w of Z^H m Z nearest
-    ``lam`` and its approximate eigenvector x, the right singular vector of
-    the least singular value of Z^H m Z - w I; keep Z x, and let Z be Z times
+    first the identity, so the block is ``m`` and its eigenvalues ``w``),
+    take the selected eigenvalue v of Z^H m Z nearest ``lam`` and its
+    approximate eigenvector x, the right singular vector of the least
+    singular value of Z^H m Z - v I; keep Z x, and let Z be Z times
     the last columns of a Householder reflector whose first column is along
     x.  The kept vectors Q span the cluster's invariant subspace, and the
     result is Q^H m Q.  Returns ``None`` when not exactly ``mu`` eigenvalues
@@ -314,21 +315,23 @@ def _schur_restrict(m: np.ndarray, lam: complex, other_reps: list[complex], mu: 
         return m
     others = np.array(other_reps)
 
-    def selected(w):
-        return w[(np.abs(w - lam)[:, None] < np.abs(w[:, None] - others)).all(axis=1)]
+    def selected(v):
+        return v[(np.abs(v - lam)[:, None] < np.abs(v[:, None] - others)).all(axis=1)]
 
+    values = selected(np.array(w))
+    if len(values) != mu:
+        return None
+    block, z = m, np.eye(n, dtype=complex)
+    kept = []
     try:
-        if len(selected(np.linalg.eigvals(m))) != mu:
-            return None
-        z = np.eye(n, dtype=complex)
-        kept = []
         for _ in range(mu):
-            block = z.conj().T @ m @ z
-            w = selected(np.linalg.eigvals(block))
-            if not w.size:
+            if kept:
+                block = z.conj().T @ m @ z
+                values = selected(np.linalg.eigvals(block))
+            if not values.size:
                 return None
-            w = w[np.argmin(np.abs(w - lam))]
-            x = np.linalg.svd(block - w * np.eye(len(block)))[2][-1].conj()
+            value = values[np.argmin(np.abs(values - lam))]
+            x = np.linalg.svd(block - value * np.eye(len(block)))[2][-1].conj()
             kept.append(z @ x)
             # I - 2 r r^H / |r|^2 maps x to a multiple of e_1, so its first column is along x.
             r = x.copy()
@@ -389,6 +392,7 @@ def _sizes_from_weyr(nullities: list[int], mu: int):
 
 def _validate_cluster(
     m: np.ndarray,
+    w: list[complex],
     members: list[complex],
     other_reps: list[complex],
     scale: float,
@@ -396,7 +400,7 @@ def _validate_cluster(
     tol: float,
     strict: bool,
 ):
-    """Check that ``members`` form a coherent eigenvalue cluster of ``m``.
+    """Check that ``members`` form a coherent eigenvalue cluster of ``m``, whose eigenvalues are ``w``.
 
     Returns the descending block-size tuple on success, None on failure.
     ``strict`` additionally demands clean singular-value gaps, which is how
@@ -406,7 +410,7 @@ def _validate_cluster(
     lam = complex(np.mean(members))
     offsets = sorted(abs(w - lam) for w in members)
     r_eff = max(offsets[-1], rho0)
-    t11 = _schur_restrict(m, lam, other_reps, mu)
+    t11 = _schur_restrict(m, w, lam, other_reps, mu)
     if t11 is None:
         return None
     nullities, min_gap = _weyr_profile(t11, lam, r_eff)
@@ -477,7 +481,7 @@ def _jordan(arr: np.ndarray, norm: float, w: list) -> JordanStructure:
                 for idx in group:
                     merged.extend(clusters[idx])
                 other_reps = [reps[i] for i in range(len(reps)) if i not in group]
-                sizes = _validate_cluster(arr, merged, other_reps, scale, rho0, tol, strict=True)
+                sizes = _validate_cluster(arr, w, merged, other_reps, scale, rho0, tol, strict=True)
                 if sizes is not None:
                     clusters = [c for i, c in enumerate(clusters) if i not in group]
                     clusters.append(merged)
@@ -500,7 +504,7 @@ def _jordan(arr: np.ndarray, norm: float, w: list) -> JordanStructure:
             blocks.append((reps[i], (1,)))
             continue
         other_reps = [r for k, r in enumerate(reps) if k != i]
-        sizes = _validate_cluster(arr, cluster, other_reps, scale, rho0, tol, strict=False)
+        sizes = _validate_cluster(arr, w, cluster, other_reps, scale, rho0, tol, strict=False)
         if sizes is None:
             raise NumericsError(
                 f"rank profile of eigenvalue cluster near {reps[i]} is not "

@@ -120,11 +120,13 @@ def _compose(columns: np.ndarray, runs: np.ndarray) -> np.ndarray:
         t[pair] = t_hi @ t_lo
 
 
-def _integrate_legs(field, cut, start: np.ndarray, tol: float):
+def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     """Continue the (N, m) value ``start`` along every leg of ``cut``, one hop per batch column.
 
-    ``field`` maps the B hop starts, in one call, to ``(weights (B, P),
-    residues (P, N, N))`` with A(z_i) = sum_p weights[i, p] residues[p].
+    ``cut`` is the legs of ``_cut_paths``.  The system's field
+    (``coefficient_function``) maps the B hop starts, in one call, to
+    ``(weights (B, P), residues (P, N, N))`` with
+    A(z_i) = sum_p weights[i, p] residues[p].
     Hop z -> z + h has g_p = h weights_p, and from y_0 = start,
     U_{p,-1} = 0, m_0 = |start|_2, M_{p,-1} = 0 and b_p = |B_p|_2 it runs
         U_{p,k} = g_p (y_k - U_{p,k-1}),  y_{k+1} = sum_p B_p U_{p,k} / (k + 1),
@@ -159,7 +161,7 @@ def _integrate_legs(field, cut, start: np.ndarray, tol: float):
     leg_of = np.repeat(np.arange(len(legs)), [len(leg) - 1 for leg in legs])
     owner = np.repeat(np.arange(len(cut)), [len(path) for path in cut])[leg_of]
     heads = np.array([len(path) == 2 and i == 0 for path in cut for i in range(len(path))])[leg_of]
-    weights, residues = field(np.concatenate([leg[:-1] for leg in legs]))
+    weights, residues = coefficient_function(system)(np.concatenate([leg[:-1] for leg in legs]))
     g = np.concatenate([np.diff(leg) for leg in legs]) * weights.T  # (P, B)
     size = np.abs(g)
     norms = np.linalg.norm(residues, 2, axis=(1, 2))
@@ -279,31 +281,6 @@ def _cut_paths(poles, paths):
     return tuple(tuple(next(points) for _ in legs) for legs in chains)
 
 
-def _continue_cut(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
-    """Continue the first block column ``start`` = [I_m; 0] along every leg of a cut in one batch.
-
-    Returns one ``(value, error_estimate)`` per path of ``_cut_paths``, the
-    value the path's transfer times ``start``: for a loop the first block
-    column of T^-1 C T, composed from the head's T @ start and the middle's
-    C @ start, for any other path Y @ start.  Every hop is a column of one
-    ``_integrate_legs`` batch.  Stopping rule: a path stops after the first
-    term at which its composed truncation bound is at most ``tol``: each
-    hop's majorant tail times the norms, from the computed values, of the
-    hops after and before it, with a loop's head counted forward and
-    backward.  The estimate is that bound, or for a loop the smaller bound
-    through cond(T), plus a rounding model.  The composition holds for
-    every system when m = N and for the variational systems of
-    ``inverse``; the package passes no other start.
-    """
-    check_tolerance(tol, "integration tolerance")
-    return _integrate_legs(coefficient_function(system), cut, start, tol)
-
-
-def _continue_legs(system: FuchsianSystem, paths, start: np.ndarray, tol: float):
-    """``_continue_cut`` of ``paths`` cut against the system's poles."""
-    return _continue_cut(system, _cut_paths(system.poles, paths), start, tol)
-
-
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
     """Transfer matrix of analytic continuation along ``path``.
 
@@ -312,9 +289,12 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     poles and cut into hops, a pole loop continued as head T and middle C
     only, which the kernel solves into T^-1 C T; the hops take terms until
     the path's composed truncation bound is at most ``tol``, and the
-    estimate is that bound plus a rounding model (``_continue_cut``).
+    estimate is that bound plus a rounding model (``_integrate_legs``).
     """
-    [(transfer, err)] = _continue_legs(system, (path,), np.eye(system.dimension, dtype=complex), tol)
+    check_tolerance(tol, "integration tolerance")
+    [(transfer, err)] = _integrate_legs(
+        system, _cut_paths(system.poles, (path,)), np.eye(system.dimension, dtype=complex), tol
+    )
     return transfer, err
 
 
@@ -334,7 +314,8 @@ class MonodromyRepresentation:
     ``composition`` lists pole indices in traversal order such that the
     product of the matrices, rightmost factor first, is the identity;
     ``product_defect`` reports how far that product actually is from the
-    identity in Frobenius norm (recorded, never enforced).
+    identity in Frobenius norm (recorded, never enforced).  ``convention``
+    is the loop convention of ``paths``, the same for every representation.
     """
 
     base_point: complex
@@ -343,7 +324,7 @@ class MonodromyRepresentation:
     loops: tuple[ContinuationPath, ...]
     composition: tuple[int, ...]
     product_defect: float
-    convention: str
+    convention = LOOP_CONVENTION
 
     @property
     def dimension(self) -> int:
@@ -355,13 +336,18 @@ def monodromy(
     tol: float = DEFAULT_INTEGRATION_TOL,
     base_point=None,
 ) -> MonodromyRepresentation:
-    """Monodromy representation of ``system`` from one loop per pole."""
+    """Monodromy representation of ``system`` from one loop per pole.
+
+    The loops are built, cut into hops and continued in one batch once, and
+    their composition order is read off them.
+    """
+    check_tolerance(tol, "integration tolerance")
     z0 = default_base_point(system.poles) if base_point is None else complex(base_point)
     loops = build_loops(system.poles, z0)
-    results = _continue_legs(system, loops, np.eye(system.dimension, dtype=complex), tol)
+    results = _integrate_legs(system, _cut_paths(system.poles, loops), np.eye(system.dimension, dtype=complex), tol)
     matrices = [transfer for transfer, _ in results]
     estimates = [err for _, err in results]
-    order = composition_order(system.poles, z0)
+    order = composition_order(loops)
     defect = _product_defect(matrices, order)
     for m in matrices:
         m.flags.writeable = False
@@ -372,7 +358,6 @@ def monodromy(
         loops=tuple(loops),
         composition=tuple(order),
         product_defect=defect,
-        convention=LOOP_CONVENTION,
     )
 
 
@@ -428,9 +413,10 @@ def verify_theorem(
     pole by pole, from one stacked ``jordan_structure``, so each matrix is
     analysed once.  All three checks read those structures: the spectra,
     compared as the Jordan cluster means with multiplicity, agree within
-    ``tol``; the block structures match; and an explicit conjugator takes
-    the generator to the monodromy matrix, with its residual, from one
-    search over every matched pole (``linalg._conjugators``).  ``tol``
+    ``tol``; the block structures match (``JordanStructure.match_blocks``);
+    and an explicit conjugator takes the generator to the monodromy matrix,
+    with its residual, from one search over every matched pole
+    (``linalg._conjugators``).  ``tol``
     bounds the spectrum distance and the conjugator residual relative to
     the matrix norms.
     """
@@ -441,10 +427,7 @@ def verify_theorem(
     observed = np.array(rep.matrices)
     # Interleaved g_0, m_0, g_1, m_1, ..., so an analysis that raises does so at the first pole that cannot be analysed.
     structures = jordan_structure(np.stack([generators, observed], axis=1).reshape(-1, *observed.shape[1:]))
-    matches = [
-        (jg, jm, jg.match_blocks(jm, max(tol, 2.0 * max(jg.tolerance, jm.tolerance))))
-        for jg, jm in zip(structures[0::2], structures[1::2])
-    ]
+    matches = [(jg, jm, jg.match_blocks(jm, tol)) for jg, jm in zip(structures[0::2], structures[1::2])]
     matched = [j for j, (_, _, pairs) in enumerate(matches) if pairs is not None]
     found = _conjugators(generators[matched], observed[matched], [matches[j] for j in matched], tol) if matched else ()
     conjugators = {j: result for j, result in zip(matched, found) if isinstance(result, SimilarityResult)}

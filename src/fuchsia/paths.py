@@ -288,19 +288,22 @@ def _comb(poles, z0: complex):
     return d, radii, points + (h - along) * d
 
 
-def composition_order(poles, base_point: complex) -> list[int]:
-    """Pole indices in the order their loops compose to the identity.
+def composition_order(loops) -> list[int]:
+    """Pole indices in the order the loops of ``build_loops`` compose to the identity.
 
     Traversing the loops in the returned order (first entry first) gives a
     contractible composite, so the monodromy product with the first loop as
-    the rightmost factor is the identity.  The loops of ``build_loops``
-    leave the line L of the comb at their feet f_j, so they leave the
-    foot f0 of the base point in the counterclockwise order of their feet
-    along L: Im((f_j - f0) conj d) descending.  The comb keeps those
-    values distinct.  Pinned by product-identity tests.
+    the rightmost factor is the identity.  The loops leave the line L of
+    the comb at their feet, so they leave the foot of the base point in
+    the counterclockwise order of their feet along L.  A foot is its pole
+    moved along the comb direction d, which leaves Im(. conj d) unchanged,
+    so the order is Im(a_j conj d) descending; every loop's middle segment
+    is its circle around a_j, anchored at the angle of d.  The comb keeps
+    those values distinct.  Pinned by product-identity tests.
     """
-    d, _, feet = _comb(poles, complex(base_point))
-    position = ((feet[:-1] - feet[-1]) * d.conjugate()).imag
+    circles = [loop.segments[len(loop.segments) // 2] for loop in loops]
+    d = cmath.rect(1.0, circles[0].angle_start)
+    position = (np.array([circle.center for circle in circles]) * d.conjugate()).imag
     return np.argsort(-position, kind="stable").tolist()
 
 

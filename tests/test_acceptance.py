@@ -57,7 +57,7 @@ from fuchsia import linalg
 from fuchsia.inverse import first_order_seed, solve, validate_instance
 from fuchsia.linalg import jordan_structure
 from fuchsia.monodromy import monodromy, verify_theorem
-from fuchsia.paths import composition_order, default_base_point
+from fuchsia.paths import build_loops, composition_order, default_base_point
 from fuchsia.rational import (
     CR_ONE,
     RF_ONE,
@@ -76,7 +76,7 @@ def reindex_by_traversal(system, companions=None):
     the two orders coincide without changing any individual matrix.
     """
     z0 = default_base_point(system.poles)
-    order = composition_order(system.poles, z0)
+    order = composition_order(build_loops(system.poles, z0))
     poles = [system.poles[i] for i in order]
     residues = [system.residues[i] for i in order]
     relabeled = validate_system(poles, residues)
@@ -381,18 +381,18 @@ def test_schur_restriction_weyr_profiles_match_scipy_on_the_50_cases(monkeypatch
     calls = []
     validate = linalg._validate_cluster
 
-    def recorded(m, members, other_reps, scale, rho0, tol, strict):
-        calls.append((m, members, other_reps, rho0))
-        return validate(m, members, other_reps, scale, rho0, tol, strict)
+    def recorded(m, w, members, other_reps, scale, rho0, tol, strict):
+        calls.append((m, w, members, other_reps, rho0))
+        return validate(m, w, members, other_reps, scale, rho0, tol, strict)
 
     monkeypatch.setattr(linalg, "_validate_cluster", recorded)
     for m, _ in _robustness_cases():
         jordan_structure(m)
-    assert any(len(members) < m.shape[0] for m, members, _, _ in calls)
-    for m, members, other_reps, rho0 in calls:
+    assert any(len(members) < m.shape[0] for m, _, members, _, _ in calls)
+    for m, w, members, other_reps, rho0 in calls:
         mu, lam = len(members), complex(np.mean(members))
         r_eff = max(max(abs(w - lam) for w in members), rho0)
-        got = linalg._schur_restrict(m, lam, other_reps, mu)
+        got = linalg._schur_restrict(m, w, lam, other_reps, mu)
         want = _scipy_schur_restrict(m, lam, other_reps, mu)
         assert (got is None) == (want is None)
         if got is not None:

@@ -7,7 +7,7 @@ import fuchsia
 
 # Defaulted parameters of public functions and methods, and defaulted fields
 # of dataclasses; lower it when a change removes one.
-MAX_DEFAULTED_PARAMETERS = 21
+MAX_DEFAULTED_PARAMETERS = 20
 
 # Module-level numeric constants; lower it when a change removes one.
 MAX_NUMERIC_CONSTANTS = 25

@@ -209,9 +209,9 @@ def test_cli_commands_leave_scipy_unloaded(small_system_path, tmp_path):
     probe = (
         "import sys, fuchsia.cli, fuchsia.linalg\n"
         "restrict, sizes = fuchsia.linalg._schur_restrict, []\n"
-        "def counted(m, lam, other_reps, mu):\n"
+        "def counted(m, w, lam, other_reps, mu):\n"
         "    sizes.append((mu, m.shape[0]))\n"
-        "    return restrict(m, lam, other_reps, mu)\n"
+        "    return restrict(m, w, lam, other_reps, mu)\n"
         "fuchsia.linalg._schur_restrict = counted\n"
         "loaded = ['scipy' in sys.modules]\n"
         f"assert fuchsia.cli.main(['--quiet', 'monodromy', {small_system_path!r}, '--json', {report!r}]) == 0\n"

@@ -12,7 +12,6 @@ from conftest import clustered_pair_system, diagonal_system, reference_transfer
 from fuchsia.errors import NonFiniteError, ValidationError
 from fuchsia.inverse import _SENSITIVITY_SCALE, _variational_residues
 from fuchsia.monodromy import (
-    _continue_legs,
     _cut_paths,
     _integrate_legs,
     coefficient_function,
@@ -21,6 +20,11 @@ from fuchsia.monodromy import (
 )
 from fuchsia.paths import Arc, ContinuationPath, Line, build_loops, default_base_point
 from fuchsia.system import validate_system
+
+
+def continue_paths(system, paths, start, tol):
+    """The kernel's value and estimate for each of ``paths``, cut against the system's poles."""
+    return _integrate_legs(system, _cut_paths(system.poles, paths), start, tol)
 
 
 def scalar_two_pole(b: complex):
@@ -191,8 +195,8 @@ def test_block_start_continues_to_transfer_times_start(columns):
     open_path = ContinuationPath(loop.segments[: len(loop.segments) // 2 + 1], clearance=loop.clearance)
     assert [len(legs) for legs in _cut_paths(system.poles, (loop, open_path))] == [2, 1]
     for path in (loop, open_path):
-        [(transfer, _)] = _continue_legs(system, (path,), eye, 1e-11)
-        [(column, _)] = _continue_legs(system, (path,), start, 1e-11)
+        [(transfer, _)] = continue_paths(system, (path,), eye, 1e-11)
+        [(column, _)] = continue_paths(system, (path,), start, 1e-11)
         assert column.shape == (system.dimension, columns)
         assert np.linalg.norm(column - transfer[:, :columns]) < 1e-9
         sensitivities = (column - transfer[:, :columns])[columns:] / _SENSITIVITY_SCALE
@@ -238,9 +242,9 @@ def test_batch_equals_each_path_alone(columns):
     paths = loops + [short]
     start = np.eye(columns, dtype=complex)
     assert [len(legs) for legs in _cut_paths(system.poles, paths)] == [2] * len(loops) + [1]
-    batch = _continue_legs(system, paths, start, 1e-9)
+    batch = continue_paths(system, paths, start, 1e-9)
     for path, (transfer, estimate) in zip(paths, batch, strict=True):
-        [(alone, alone_estimate)] = _continue_legs(system, (path,), start, 1e-9)
+        [(alone, alone_estimate)] = continue_paths(system, (path,), start, 1e-9)
         assert transfer.shape == (columns, columns)
         assert np.max(np.abs(transfer - alone)) <= 1e-10
         assert estimate == pytest.approx(alone_estimate, rel=1e-6)
@@ -299,10 +303,11 @@ def stub_field(weight):
     return field
 
 
-def test_non_finite_on_one_leg_fails_the_batch():
+def test_non_finite_on_one_leg_fails_the_batch(monkeypatch):
     field = stub_field(lambda points: np.where(points.real > 10.0, complex("nan"), 1.0))
+    monkeypatch.setattr(importlib.import_module("fuchsia.monodromy"), "coefficient_function", lambda system: field)
     with pytest.raises(NonFiniteError):
-        _integrate_legs(field, stub_cut(), np.eye(1, dtype=complex), 1e-9)
+        _integrate_legs(None, stub_cut(), np.eye(1, dtype=complex), 1e-9)
 
 
 def test_evaluator_matches_pointwise_coefficient():

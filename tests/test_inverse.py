@@ -18,8 +18,8 @@ from fuchsia.inverse import (
     solve,
     validate_instance,
 )
-from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, _continue_cut, _cut_paths, continue_solution, monodromy
-from fuchsia.paths import build_loops, default_base_point
+from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, _cut_paths, _integrate_legs, continue_solution, monodromy
+from fuchsia.paths import default_base_point
 from fuchsia.system import TWO_PI_I, validate_system
 
 
@@ -217,7 +217,7 @@ def test_linearise_memory_grows_with_columns_not_squares():
     system = four_pole_three_by_three_system()
     inst = validate_instance(system.poles, monodromy(system, tol=1e-10).matrices)
     seed = first_order_seed(inst)
-    cut = _cut_paths(inst.poles, build_loops(inst.poles, inst.base_point))
+    cut = _cut_paths(inst.poles, inst.loops)
     tracemalloc.start()
     try:
         _linearise(inst, cut, list(seed), DEFAULT_INTEGRATION_TOL)
@@ -239,8 +239,7 @@ class TestJacobian:
         system = validate_system(self.POLES, [b0, b1, -(b0 + b1)])
         inst = validate_instance(self.POLES, monodromy(system, tol=1e-10).matrices)
         seed = first_order_seed(inst)
-        loops = build_loops(inst.poles, inst.base_point)
-        return inst, loops, _cut_paths(inst.poles, loops), _pack(seed)
+        return inst, inst.loops, _cut_paths(inst.poles, inst.loops), _pack(seed)
 
     @staticmethod
     def plain_monodromy(inst, loops, residues):
@@ -286,13 +285,13 @@ class TestJacobian:
 
         def counting(system, cut, start, tol):
             paths.extend(cut)
-            return _continue_cut(system, cut, start, tol)
+            return _integrate_legs(system, cut, start, tol)
 
         def cutting(poles, loops):
             cuts.append(loops)
             return _cut_paths(poles, loops)
 
-        monkeypatch.setattr("fuchsia.inverse._continue_cut", counting)
+        monkeypatch.setattr("fuchsia.inverse._integrate_legs", counting)
         monkeypatch.setattr("fuchsia.inverse._cut_paths", cutting)
         sol = solve(inst)
         assert sol.converged

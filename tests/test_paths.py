@@ -1,14 +1,18 @@
 """Path geometry: segments, bitwise contiguity, loops, composition order."""
 
 import cmath
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from conftest import SEED, sample_poles
+from fuchsia import jsonio
+from fuchsia.cli import main
 from fuchsia.errors import GeometryError, ValidationError
-from fuchsia.monodromy import monodromy
+from fuchsia.inverse import solve, validate_instance
+from fuchsia.monodromy import monodromy, verify_theorem
 from fuchsia.paths import (
     COMB_OFFSET,
     RADIUS_FACTOR,
@@ -17,6 +21,7 @@ from fuchsia.paths import (
     ContinuationPath,
     TWO_PI,
     Line,
+    _comb,
     build_loops,
     composition_order,
     default_base_point,
@@ -322,7 +327,7 @@ def test_composition_order_is_permutation(rng):
         n = int(rng.integers(2, 6))
         poles = sample_poles(rng, n)
         z0 = default_base_point(poles)
-        order = composition_order(poles, z0)
+        order = composition_order(build_loops(poles, z0))
         assert sorted(order) == list(range(n))
 
 
@@ -336,21 +341,64 @@ def test_composition_order_descends_along_the_line():
     for loop in loops:
         d, base_foot, foot = comb_parts(loop)
         positions.append(((foot - base_foot) * d.conjugate()).imag)
-    order = composition_order(poles, z0)
+    order = composition_order(loops)
     assert [positions[i] for i in order] == sorted(positions, reverse=True)
     assert len(set(positions)) == len(poles)
+
+
+def test_composition_order_is_the_order_of_the_feet(rng):
+    """Read off the circles, the order is that of the comb's feet along its
+    line, Im((f_j - f0) conj d) descending, on random disks and on rows."""
+    for k in range(300):
+        n = int(rng.integers(2, 7))
+        poles = sample_poles(rng, n) if k % 3 else [complex(j, 0.0) * cmath.rect(1.0, rng.uniform(0, TWO_PI)) for j in range(n)]
+        z0 = default_base_point(poles) if k % 2 else complex(*rng.uniform(-4.0, 4.0, 2))
+        if min(abs(z0 - a) for a in poles) < 0.1:
+            continue
+        d, _, feet = _comb(poles, z0)
+        feet_order = np.argsort(-((feet[:-1] - feet[-1]) * d.conjugate()).imag, kind="stable").tolist()
+        assert composition_order(build_loops(poles, z0)) == feet_order
+
+
+def test_one_comb_per_call(monkeypatch, tmp_path):
+    """``monodromy``, ``verify_theorem``, an inverse instance with its solve
+    and a CLI ``invert`` op each build the comb once: the composition order
+    is read off the loops, and the instance carries its loops to the solver."""
+    paths = importlib.import_module("fuchsia.paths")
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _comb(*args)
+
+    monkeypatch.setattr(paths, "_comb", counting)
+    poles = [0.0, 1.5, 0.4 + 1.1j]
+    system = validate_system(poles, [0.1 * b for b in generic_2x2_system(poles).residues])
+    rep = monodromy(system)
+    system_path, report_path = tmp_path / "system.json", tmp_path / "m.json"
+    system_path.write_text(jsonio.canonical_json(system.to_dict()), encoding="utf-8")
+    assert main(["--quiet", "monodromy", str(system_path), "--json", str(report_path)]) == 0
+    for call in (
+        lambda: monodromy(system).product_defect < 1e-8,
+        lambda: verify_theorem(system).overall,
+        lambda: solve(validate_instance(poles, rep.matrices)).converged,
+        lambda: main(["--quiet", "invert", str(report_path)]) == 0,
+    ):
+        calls.clear()
+        assert call()
+        assert len(calls) == 1
 
 
 def test_composition_order_collinear_row():
     """A row's teeth run across it, so its order is the row's own order."""
     poles = [-1.0 + 0j, 0.0 + 0j, 1.0 + 0j]
-    assert composition_order(poles, 2.0 + 0j) == [0, 1, 2]
+    assert composition_order(build_loops(poles, 2.0 + 0j)) == [0, 1, 2]
 
 
 def test_composition_order_deterministic(rng):
     poles = sample_poles(rng, 4)
     z0 = default_base_point(poles)
-    assert composition_order(poles, z0) == composition_order(poles, z0)
+    assert composition_order(build_loops(poles, z0)) == composition_order(build_loops(poles, z0))
 
 
 def test_loops_stay_outside_foreign_circles():

@@ -8,7 +8,8 @@ Run from the root of a checkout (the package is imported from ``src/``):
 A sweep makes one pass of the benchmark's verify-mixed, exact-gauge and
 invert-near-identity pools (``perfbench/workloads.py``, imported as it is)
 for each seed, and writes every op's exit code, input class, first error
-line, check verdict and the SHA-256 of its report's bytes; for verify-mixed
+line, check verdict and the SHA-256 of its report's bytes; for
+invert-near-identity also the recovered residues; for verify-mixed
 also each seed's ``correct`` flag (every verify op passes its check), the
 loop matrices of every report, its verdicts (``overall`` and, per pole,
 ``spectrum_match``, ``structure_match``, ``ok`` and ``non_resonant``) and its
@@ -19,7 +20,8 @@ differ, the largest conjugator residual of each sweep, and the largest gaps
 between their loop matrices: entrywise, entrywise over the commuting
 classes, and between matched eigenvalues; then, for exact-gauge and for
 invert-near-identity, the ops whose exit code, error or verdict differ, and
-how many of their reports' bytes differ.  A change to continuation or
+how many of their reports' bytes differ, and for invert-near-identity the
+largest entrywise gap between the recovered residues.  A change to continuation or
 geometry should leave the failed ops equal, op for op; a change of loop
 convention conjugates the generic matrices, so there only the spectra and
 the commuting classes' entries should stay put.  A change that claims the same answers should leave every
@@ -138,6 +140,7 @@ def sweep(seeds) -> list:
                         "error": error,
                         "ok": ok,
                         "sha256": hashlib.sha256(report).hexdigest() if report else None,
+                        "residues": json.loads(report)["system"]["residues"] if report else None,
                     }
                 )
         print(f"seed {seed}: {sum(not r['ok'] for r in records if r['seed'] == seed)} failed", file=sys.stderr)
@@ -174,6 +177,10 @@ def compare_ops(left, right, workload: str) -> int:
     print(f"{workload} failed ops: {failed_a} -> {failed_b}, {len(differing)} differ")
     changed = sum(key not in b or r["sha256"] != b[key]["sha256"] for key, r in a.items())
     print(f"{workload} report bytes: {changed} of {len(a)} ops differ")
+    pairs = [(r["residues"], b[key]["residues"], key) for key, r in a.items() if r.get("residues") and b.get(key, {}).get("residues")]
+    if pairs:
+        gap, where = max((float(np.max(np.abs(np.array(x) - np.array(y)))), key) for x, y, key in pairs)
+        print(f"{workload} largest residue gap over {len(pairs)} ops: {gap:.3e} at seed {where[0]} unit {where[1]}")
     return len(differing)
 
 
