@@ -36,8 +36,7 @@ DEFAULT_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class InverseProblemInstance:
-    """Validated inverse-problem data: poles, targets, base point, and the
-    loops whose composition order the targets were validated in."""
+    """Validated inverse-problem data: poles, targets, base point, and the loops they compose in."""
 
     poles: tuple[complex, ...]
     targets: tuple[np.ndarray, ...]

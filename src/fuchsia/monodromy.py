@@ -336,11 +336,7 @@ def monodromy(
     tol: float = DEFAULT_INTEGRATION_TOL,
     base_point=None,
 ) -> MonodromyRepresentation:
-    """Monodromy representation of ``system`` from one loop per pole.
-
-    The loops are built, cut into hops and continued in one batch once, and
-    their composition order is read off them.
-    """
+    """Monodromy representation of ``system`` from one loop per pole, built, cut and continued once."""
     check_tolerance(tol, "integration tolerance")
     z0 = default_base_point(system.poles) if base_point is None else complex(base_point)
     loops = build_loops(system.poles, z0)

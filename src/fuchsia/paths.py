@@ -140,18 +140,20 @@ def hops(legs, poles) -> list[np.ndarray]:
     stands for lies in the pole-free disk around z of half the distance to
     the nearest pole, so the chord gives the piece's transfer.  A full circle
     around its own pole becomes 16 arcs, and a line ending near a pole
-    becomes hops that shrink geometrically toward it.  A segment's first
-    and last points are its own ``start`` and ``end``, so joins are exact
-    and a circle's last hop ends at its start bit for bit.  With no
-    poles every segment is one hop; a pole on a leg, or within rounding of
-    it for the leg's length, raises ``ValidationError`` once a piece can no
-    longer be halved.
+    becomes hops that shrink geometrically toward it.  A line's far half is
+    placed from its end, so a hop point resolves eps times its distance to
+    the nearer end.  A segment's first and last points are its own
+    ``start`` and ``end``, so joins are exact and a circle's last hop ends
+    at its start bit for bit.  With no poles every segment is one hop; a
+    pole on a leg, or within rounding of it for its distance to the nearer
+    end, raises ``ValidationError`` once a piece can no longer be halved.
     """
     segments = [seg for leg in legs for seg in leg]
     lines = [isinstance(seg, Line) for seg in segments]
-    # A point at parameter t in [0, 1] is base + t step + radius e^{i (angle + t span)}.
+    # A point at t in [0, 1] is base + t step + radius e^{i (angle + t span)}, or tip - u step for u = 1 - t < 1/2.
     base = np.array([seg.start if line else seg.center for seg, line in zip(segments, lines)])
-    step = np.array([seg.end - seg.start if line else 0.0 for seg, line in zip(segments, lines)])
+    tip = np.array([seg.end if line else seg.center for seg, line in zip(segments, lines)])
+    step = tip - base
     radius, angle, span = np.array(
         [(0.0, 0.0, 0.0) if line else (seg.radius, seg.angle_start, seg.span) for seg, line in zip(segments, lines)]
     ).T
@@ -159,24 +161,29 @@ def hops(legs, poles) -> list[np.ndarray]:
     poles = np.asarray(poles, dtype=complex)
     owner = np.repeat(np.arange(len(segments)), 2)
     t = np.tile([0.0, 1.0], len(segments))
+    u = 1.0 - t
     while True:
-        z = base[owner] + t * step[owner] + radius[owner] * np.exp(1j * (angle[owner] + t * span[owner]))
+        far = t > 0.5
+        along = np.where(far, tip[owner] - u * step[owner], base[owner] + t * step[owner])
+        z = along + radius[owner] * np.exp(1j * (angle[owner] + t * span[owner]))
         if not poles.size:
             break
-        distance = np.abs(z[:-1, None] - poles).min(axis=1)
-        long = (owner[1:] == owner[:-1]) & ((t[1:] - t[:-1]) * length[owner[:-1]] > HOP_RATIO * distance)
-        if not long.any():
-            break
-        at = np.flatnonzero(long) + 1
-        middle = (t[at - 1] + t[at]) / 2.0
-        if ((middle <= t[at - 1]) | (middle >= t[at])).any():
+        # A piece's width in the parameter of the end nearer its start; a halving that rounded onto an end left a 0.
+        width = np.where(far[:-1], u[:-1] - u[1:], t[1:] - t[:-1])
+        piece = owner[1:] == owner[:-1]
+        if (piece & (width <= 0.0)).any():
             raise ValidationError(
                 "a leg passes through a pole, or too close to one for its length: its hops cannot be halved any further"
             )
+        distance = np.abs(z[:-1, None] - poles).min(axis=1)
+        long = piece & (width * length[owner[:-1]] > HOP_RATIO * distance)
+        if not long.any():
+            break
+        at = np.flatnonzero(long) + 1
         owner = np.insert(owner, at, owner[at])
-        t = np.insert(t, at, middle)
+        t, u = np.insert(t, at, (t[at - 1] + t[at]) / 2.0), np.insert(u, at, (u[at - 1] + u[at]) / 2.0)
     first = t == 0.0
-    last = t == 1.0
+    last = u == 0.0
     z[first] = [segments[i].start for i in owner[first]]
     z[last] = [segments[i].end for i in owner[last]]
     # Each segment after the first of its leg starts where the one before ends.

@@ -283,16 +283,17 @@ class TestMonodromy:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["base_point"] == [4.0, 1.0]
 
-    def test_far_base_point_fails_in_the_hops_not_the_audit(self, scalar_system_path, tmp_path, capsys):
-        """From the base point 1e100 the loops keep their clearance, and the
-        audit measures it so; the hops then name the legs too long for their
-        distance to a pole.  From 1e15 the monodromy is computed."""
-        assert main(["monodromy", scalar_system_path, "--base", "1e100"]) == 2
-        err = capsys.readouterr().err
-        assert "too close to one for its length" in err
-        assert "within" not in err
-        report_path = str(tmp_path / "m.json")
-        assert main(["--quiet", "monodromy", scalar_system_path, "--base", "1e15", "--json", report_path]) == 0
+    @pytest.mark.parametrize("base", ["1e16", "1e100"])
+    def test_far_base_point_is_computed(self, scalar_system_path, tmp_path, base):
+        """From the base point 1e16 or 1e100 the loops keep their clearance,
+        and their hops near the poles are placed from the nearer end of each
+        leg, so the report holds the closed form exp(+-2 pi i 0.2)."""
+        report_path = tmp_path / "m.json"
+        assert main(["--quiet", "monodromy", scalar_system_path, "--base", base, "--json", str(report_path)]) == 0
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        matrices = [complex(*m[0][0]) for m in report["matrices"]]
+        assert np.max(np.abs(np.array(matrices) - np.exp(2j * np.pi * 0.2 * np.array([1.0, -1.0])))) <= 1e-14
+        assert report["product_defect"] <= 1e-14
 
     def test_matrix_matches_exponential(self, scalar_system_path, tmp_path):
         report_path = tmp_path / "m.json"

@@ -7,7 +7,6 @@ import pytest
 import scipy.optimize
 
 from conftest import clustered_pair_system, diagonal_system, generic_system, jordan_block_system
-from fuchsia.errors import ValidationError
 from fuchsia.linalg import matrix_exp
 from fuchsia.monodromy import continue_solution, monodromy, verify_theorem
 from fuchsia.paths import LOOP_CONVENTION
@@ -187,11 +186,15 @@ def test_verify_clustered_pair_keeps_step_control():
     assert report.representation.product_defect <= 1e-6
 
 
-def test_far_base_point_names_a_leg_too_long_for_its_pole_distance():
-    """From the base point 1e16 every leg keeps its clearance, but near the
-    poles 0 and 1 its hops are too short for floating point to place along a
-    leg that long: the error says so, not only that the leg crosses a pole."""
+@pytest.mark.parametrize("base", [1e16, 1e100])
+def test_far_base_point_places_hops_from_the_nearer_end(base):
+    """From a base point 1e16 or 1e100 away, a leg ends near the poles 0 and
+    1 in hops far shorter than eps times its length.  Each hop point is
+    placed from the leg's nearer end, so the loops are continued, and each
+    monodromy matrix is its closed form exp(+-2 pi i 0.2) to rounding."""
     b = np.array([[0.2]], dtype=complex)
     system = validate_system([0.0, 1.0], [b, -b])
-    with pytest.raises(ValidationError, match="passes through a pole, or too close to one for its length"):
-        monodromy(system, base_point=1e16)
+    rep = monodromy(system, base_point=base)
+    expected = np.exp(2j * np.pi * 0.2 * np.array([1.0, -1.0]))
+    assert np.max(np.abs(np.array(rep.matrices).reshape(2) - expected)) <= 1e-14
+    assert rep.product_defect <= 1e-14

@@ -351,7 +351,8 @@ def test_composition_order_is_the_order_of_the_feet(rng):
     line, Im((f_j - f0) conj d) descending, on random disks and on rows."""
     for k in range(300):
         n = int(rng.integers(2, 7))
-        poles = sample_poles(rng, n) if k % 3 else [complex(j, 0.0) * cmath.rect(1.0, rng.uniform(0, TWO_PI)) for j in range(n)]
+        turn = cmath.rect(1.0, rng.uniform(0.0, TWO_PI))
+        poles = sample_poles(rng, n) if k % 3 else [j * turn for j in range(n)]
         z0 = default_base_point(poles) if k % 2 else complex(*rng.uniform(-4.0, 4.0, 2))
         if min(abs(z0 - a) for a in poles) < 0.1:
             continue

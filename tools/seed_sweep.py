@@ -177,7 +177,11 @@ def compare_ops(left, right, workload: str) -> int:
     print(f"{workload} failed ops: {failed_a} -> {failed_b}, {len(differing)} differ")
     changed = sum(key not in b or r["sha256"] != b[key]["sha256"] for key, r in a.items())
     print(f"{workload} report bytes: {changed} of {len(a)} ops differ")
-    pairs = [(r["residues"], b[key]["residues"], key) for key, r in a.items() if r.get("residues") and b.get(key, {}).get("residues")]
+    pairs = [
+        (r["residues"], b[key]["residues"], key)
+        for key, r in a.items()
+        if r.get("residues") and b.get(key, {}).get("residues")
+    ]
     if pairs:
         gap, where = max((float(np.max(np.abs(np.array(x) - np.array(y)))), key) for x, y, key in pairs)
         print(f"{workload} largest residue gap over {len(pairs)} ops: {gap:.3e} at seed {where[0]} unit {where[1]}")
