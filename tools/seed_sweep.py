@@ -183,8 +183,9 @@ def compare_ops(left, right, workload: str) -> int:
         if r.get("residues") and b.get(key, {}).get("residues")
     ]
     if pairs:
-        gap, where = max((float(np.max(np.abs(np.array(x) - np.array(y)))), key) for x, y, key in pairs)
-        print(f"{workload} largest residue gap over {len(pairs)} ops: {gap:.3e} at seed {where[0]} unit {where[1]}")
+        gaps = [(float(np.max(np.abs(np.array(x) - np.array(y)))), key) for x, y, key in pairs]
+        gap, where = max(gaps, key=lambda found: found[0])
+        print(f"{workload} largest residue gap over {len(pairs)} ops: {gap:.3e}" + (f" at {where[:2]}" if gap else ""))
     return len(differing)
 
 
