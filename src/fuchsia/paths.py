@@ -322,7 +322,7 @@ def build_loops(poles, base_point) -> list[ContinuationPath]:
     the exact bitwise reverse of the lines, so it winds once around its own
     pole and zero times around the others.  d, the feet f and the radii r
     are the comb of ``_comb``: the teeth f_j -> a_j are parallel, so no two
-    loops cross, and ``composition_order`` reads their order off L.  Every
+    loops cross, and their order along L is ``composition_order``.  Every
     loop's stated clearance is min(``COMB_OFFSET``, min_k r_k): L lies
     ``COMB_OFFSET`` from every pole, a tooth passes a pole k ahead of it at
     ``TOOTH_FACTOR`` r_k or more and one behind it at 1.5 r_k or more, and
