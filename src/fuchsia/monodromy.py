@@ -226,21 +226,22 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     is_loop = np.array([len(path) == 2 for path in cut])
     loops = starts[is_loop]
     transfers = composed[starts]
-    sizes = np.linalg.norm(transfers[:, :m], 2, axis=(1, 2))
+    approach, turn = composed[loops], composed[loops + 1]
+    t, c = approach[:, :m], turn[:, :m]
     if loops.size:
-        approach, turn = composed[loops], composed[loops + 1]
-        t, c = approach[:, :m], turn[:, :m]
         s_t, s_c = (leg[:, m:].reshape(len(loops), -1, m, m) for leg in (approach, turn))
         loop = np.linalg.solve(t, c @ t)
         lower = np.linalg.solve(t[:, None], s_c @ t[:, None] + c[:, None] @ s_t - s_t @ loop[:, None])
         transfers[is_loop] = np.concatenate([loop, lower.reshape(len(loops), -1, m)], axis=1)
-        sizes[is_loop] = np.linalg.norm(loop, 2, axis=(1, 2))
+    # One SVD gives each path's |Y|_2, and for each loop cond(T)'s singular values and |C|_2.
+    singular = np.linalg.svd(np.concatenate([transfers[:, :m], t, c]), compute_uv=False)
+    sizes = singular[: len(cut), 0]
+    if loops.size:
+        singular, turn = np.split(singular[len(cut) :], 2)
         leg_bounds = _hop_bounds(tails, deviations, majorants, 0.0, leg_of, len(legs))
         e_t, e_c = leg_bounds[loops], leg_bounds[loops + 1]
         product = estimates[is_loop]
-        singular = np.linalg.svd(t, compute_uv=False)
-        turn_size = np.linalg.norm(c, 2, axis=(1, 2))
-        conditioned = (singular[:, 0] * e_c + e_t * (turn_size + e_c + sizes[is_loop] + product)) / singular[:, -1]
+        conditioned = (singular[:, 0] * e_c + e_t * (turn[:, 0] + e_c + sizes[is_loop] + product)) / singular[:, -1]
         estimates[is_loop] = np.minimum(product, conditioned)
     rounding = np.bincount(owner, masses * (1.0 + heads), len(cut))
     estimates += np.finfo(float).eps * rounding * np.maximum(1.0, sizes)
@@ -250,26 +251,22 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
 def _cut_paths(poles, paths):
     """Audit every path against ``poles`` and cut its legs into hops.
 
-    The audit is one ``paths.segment_distances`` pass over every segment of
-    every path and every pole; a path that comes closer to a pole than its
-    stated clearance, or whose distance is NaN, raises ``ValidationError``.  Returns one tuple of legs
-    per path, each leg the (H + 1,) points of its H hops from
-    ``paths.hops``, which cuts all legs of all paths in one bisection.  A
-    path whose tail is, segment by segment, the exact reverse of its head
+    A path whose tail is, segment by segment, the exact reverse of its head
     around one middle segment (every pole loop) gives two legs, the head
     and the middle, and its transfer is T^-1 C T.  Any other path gives
-    the one leg of all its segments.  The cut depends on the poles alone,
-    so the systems of one Gauss-Newton solve share it.
+    the one leg of all its segments.  The audit is one
+    ``paths.segment_distances`` pass over the segments of those legs and
+    every pole: a loop's tail is its head reversed bit for bit, and a line
+    is measured from its nearer end, so the tail is as far from the poles
+    as the head.  A path that comes closer to a pole than its stated
+    clearance, or whose distance is NaN, raises ``ValidationError``.
+    Returns one tuple of legs per path, each leg the (H + 1,) points of its
+    H hops from ``paths.hops``, which cuts all legs of all paths in one
+    bisection.  The cut depends on the poles alone, so the systems of one
+    Gauss-Newton solve share it.
     """
-    distances = segment_distances([seg for path in paths for seg in path.segments], poles).min(axis=1)
-    audited = np.minimum.reduceat(distances, np.cumsum([0] + [len(path.segments) for path in paths[:-1]]))
     chains = []
-    for path, distance in zip(paths, audited.tolist()):
-        if not distance >= path.clearance * (1.0 - 1e-9):
-            raise ValidationError(
-                f"path passes within {distance:.3e} of a pole, closer than its "
-                f"stated clearance {path.clearance:.3e}"
-            )
+    for path in paths:
         segments = path.segments
         half = len(segments) // 2
         head, middle, tail = segments[:half], segments[half:half + 1], segments[half + 1:]
@@ -277,7 +274,16 @@ def _cut_paths(poles, paths):
             chains.append((head, middle))
         else:
             chains.append((segments,))
-    points = iter(hops([leg for legs in chains for leg in legs], poles))
+    legs = [leg for legs in chains for leg in legs]
+    distances = segment_distances([seg for leg in legs for seg in leg], poles).min(axis=1)
+    audited = np.minimum.reduceat(distances, np.cumsum([0] + [sum(map(len, legs)) for legs in chains[:-1]]))
+    for path, distance in zip(paths, audited.tolist()):
+        if not distance >= path.clearance * (1.0 - 1e-9):
+            raise ValidationError(
+                f"path passes within {distance:.3e} of a pole, closer than its "
+                f"stated clearance {path.clearance:.3e}"
+            )
+    points = iter(hops(legs, poles))
     return tuple(tuple(next(points) for _ in legs) for legs in chains)
 
 

@@ -135,7 +135,9 @@ def hops(legs, poles) -> list[np.ndarray]:
     z_i to z_{i+1}.  Every segment is halved, a line at its midpoint and an
     arc at its middle angle, while a piece is longer than ``HOP_RATIO``
     times the distance from its start to the nearest pole; each level of
-    halving is one numpy pass over the pieces of all legs.  So every hop
+    halving is one numpy pass over the pieces of all legs, and it places
+    and measures only the midpoints it inserts, so every point is placed
+    once, by one formula, whichever level inserts it.  So every hop
     z -> z + h has |h| <= |z - a| / 2 for every pole a, and the piece it
     stands for lies in the pole-free disk around z of half the distance to
     the nearest pole, so the chord gives the piece's transfer.  A full circle
@@ -159,29 +161,40 @@ def hops(legs, poles) -> list[np.ndarray]:
     ).T
     length = np.array([seg.length for seg in segments])
     poles = np.asarray(poles, dtype=complex)
+
+    def place(owner, t, u):
+        """The points at t (u = 1 - t) of the segments ``owner``, and their distances to the nearest pole."""
+        along = np.where(t > 0.5, tip[owner] - u * step[owner], base[owner] + t * step[owner])
+        z = along + radius[owner] * np.exp(1j * (angle[owner] + t * span[owner]))
+        return z, np.abs(z[:, None] - poles).min(axis=1, initial=np.inf)
+
     owner = np.repeat(np.arange(len(segments)), 2)
     t = np.tile([0.0, 1.0], len(segments))
     u = 1.0 - t
-    while True:
-        far = t > 0.5
-        along = np.where(far, tip[owner] - u * step[owner], base[owner] + t * step[owner])
-        z = along + radius[owner] * np.exp(1j * (angle[owner] + t * span[owner]))
-        if not poles.size:
-            break
+    z, distance = place(owner, t, u)
+    while poles.size:
         # A piece's width in the parameter of the end nearer its start; a halving that rounded onto an end left a 0.
-        width = np.where(far[:-1], u[:-1] - u[1:], t[1:] - t[:-1])
+        width = np.where(t[:-1] > 0.5, u[:-1] - u[1:], t[1:] - t[:-1])
         piece = owner[1:] == owner[:-1]
         if (piece & (width <= 0.0)).any():
             raise ValidationError(
                 "a leg passes through a pole, or too close to one for its length: its hops cannot be halved any further"
             )
-        distance = np.abs(z[:-1, None] - poles).min(axis=1)
-        long = piece & (width * length[owner[:-1]] > HOP_RATIO * distance)
-        if not long.any():
+        at = np.flatnonzero(piece & (width * length[owner[:-1]] > HOP_RATIO * distance[:-1]))
+        if not at.size:
             break
-        at = np.flatnonzero(long) + 1
-        owner = np.insert(owner, at, owner[at])
-        t, u = np.insert(t, at, (t[at - 1] + t[at]) / 2.0), np.insert(u, at, (u[at - 1] + u[at]) / 2.0)
+        # Only the midpoints are new: each is placed once and lands after its piece's start.
+        mid_t, mid_u = (t[at] + t[at + 1]) / 2.0, (u[at] + u[at + 1]) / 2.0
+        mid = (owner[at], mid_t, mid_u) + place(owner[at], mid_t, mid_u)
+        slots = at + np.arange(1, at.size + 1)
+        old = np.ones(t.size + at.size, dtype=bool)
+        old[slots] = False
+        merged = []
+        for kept, added in zip((owner, t, u, z, distance), mid):
+            both = np.empty(old.size, dtype=kept.dtype)
+            both[old], both[slots] = kept, added
+            merged.append(both)
+        owner, t, u, z, distance = merged
     first = t == 0.0
     last = u == 0.0
     z[first] = [segments[i].start for i in owner[first]]

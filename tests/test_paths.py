@@ -15,6 +15,7 @@ from fuchsia.inverse import solve, validate_instance
 from fuchsia.monodromy import monodromy, verify_theorem
 from fuchsia.paths import (
     COMB_OFFSET,
+    HOP_RATIO,
     RADIUS_FACTOR,
     TOOTH_FACTOR,
     Arc,
@@ -489,3 +490,84 @@ def test_hops_reject_a_leg_through_a_pole(pole):
     parameter interval cannot be split, instead of running on."""
     with pytest.raises(ValidationError, match="passes through a pole"):
         hops([(Line(-1.0 + 0j, 1.0 + 0j),)], [pole])
+
+
+def full_bisection_hops(legs, poles):
+    """Reference for ``hops``: the same bisection, placing every point and
+    measuring its pole distance again at every level, with ``np.insert``."""
+    segments = [seg for leg in legs for seg in leg]
+    lines = [isinstance(seg, Line) for seg in segments]
+    base = np.array([seg.start if line else seg.center for seg, line in zip(segments, lines)])
+    tip = np.array([seg.end if line else seg.center for seg, line in zip(segments, lines)])
+    step = tip - base
+    radius, angle, span = np.array(
+        [(0.0, 0.0, 0.0) if line else (seg.radius, seg.angle_start, seg.span) for seg, line in zip(segments, lines)]
+    ).T
+    length = np.array([seg.length for seg in segments])
+    poles = np.asarray(poles, dtype=complex)
+    owner = np.repeat(np.arange(len(segments)), 2)
+    t = np.tile([0.0, 1.0], len(segments))
+    u = 1.0 - t
+    while True:
+        far = t > 0.5
+        along = np.where(far, tip[owner] - u * step[owner], base[owner] + t * step[owner])
+        z = along + radius[owner] * np.exp(1j * (angle[owner] + t * span[owner]))
+        if not poles.size:
+            break
+        width = np.where(far[:-1], u[:-1] - u[1:], t[1:] - t[:-1])
+        piece = owner[1:] == owner[:-1]
+        if (piece & (width <= 0.0)).any():
+            raise ValidationError("a leg passes through a pole")
+        distance = np.abs(z[:-1, None] - poles).min(axis=1)
+        long = piece & (width * length[owner[:-1]] > HOP_RATIO * distance)
+        if not long.any():
+            break
+        at = np.flatnonzero(long) + 1
+        owner = np.insert(owner, at, owner[at])
+        t, u = np.insert(t, at, (t[at - 1] + t[at]) / 2.0), np.insert(u, at, (u[at - 1] + u[at]) / 2.0)
+    first = t == 0.0
+    last = u == 0.0
+    z[first] = [segments[i].start for i in owner[first]]
+    z[last] = [segments[i].end for i in owner[last]]
+    leading = np.cumsum([0] + [len(leg) for leg in legs[:-1]])
+    keep = ~first | np.isin(owner, leading)
+    counts = np.add.reduceat(keep.astype(int), np.searchsorted(owner, leading))
+    return np.split(z[keep], np.cumsum(counts)[:-1])
+
+
+def test_hops_equal_the_full_bisection(rng):
+    """Placing only each level's midpoints gives the hop points of the full
+    bisection bit for bit: on the cut legs (approach, circle) and the whole
+    loops of disks, rows and circles of poles, from default and random base
+    points and from 1e16, 1e100 and 1e300, and on the same legs with no
+    poles."""
+    far = [1e16, 1e100, 1e300]
+    for k in range(300):
+        n = int(rng.integers(2, 6))
+        turn = cmath.rect(1.0, rng.uniform(0.0, TWO_PI))
+        layout = k % 3
+        if layout == 0:
+            poles = sample_poles(rng, n)
+        elif layout == 1:
+            poles = [j * turn for j in range(n)]
+        else:
+            poles = [turn * cmath.rect(1.0, TWO_PI * j / n) for j in range(n)]
+        if k % 100 < 3:
+            z0 = complex(far[k % 100])
+        elif k % 2:
+            z0 = default_base_point(poles)
+        else:
+            z0 = complex(*rng.uniform(-4.0, 4.0, 2))
+        if min(abs(z0 - a) for a in poles) < 0.1:
+            continue
+        legs = []
+        for loop in build_loops(poles, z0):
+            half = len(loop.segments) // 2
+            legs += [loop.segments[:half], loop.segments[half : half + 1]]
+            # A whole loop as one leg too, but not from a far base point, where the reference is slow.
+            legs += [] if abs(z0) > 1e3 else [loop.segments]
+        for pole_set in (poles, []):
+            got, want = hops(legs, pole_set), full_bisection_hops(legs, pole_set)
+            assert len(got) == len(want) == len(legs)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()

@@ -12,11 +12,15 @@ line, check verdict and the SHA-256 of its report's bytes; for
 invert-near-identity also the recovered residues; for verify-mixed
 also each seed's ``correct`` flag (every verify op passes its check), the
 loop matrices of every report, its verdicts (``overall`` and, per pole,
-``spectrum_match``, ``structure_match``, ``ok`` and ``non_resonant``) and its
-largest ``conjugator_residual``.  ``--compare`` prints the failed
+``spectrum_match``, ``structure_match``, ``ok`` and ``non_resonant``), its
+largest ``conjugator_residual`` and, for the commuting classes, its realised
+error: the largest |M - oracle|_F / tol over its loops, against the
+closed-form monodromy of ``unit.truth["oracle"]`` at the default integration
+tolerance.  ``--compare`` prints the failed
 verify-mixed ops that differ between two sweeps, the seeds whose ``correct``
 differs, how many ops' report bytes differ, the verify ops whose verdicts
-differ, the largest conjugator residual of each sweep, and the largest gaps
+differ, the largest conjugator residual and realised error of each sweep
+and where they occur, and the largest gaps
 between their loop matrices: entrywise, entrywise over the commuting
 classes, and between matched eigenvalues; then, for exact-gauge and for
 invert-near-identity, the ops whose exit code, error or verdict differ, and
@@ -81,6 +85,15 @@ def largest_residual(report: dict):
     return max((r for r in residuals if r is not None), default=None)
 
 
+def realised_error(report: dict, oracle):
+    """The largest |M - oracle|_F / tol over a verify report's loops, at the default integration tolerance."""
+    from fuchsia.jsonio import pairs_to_matrix
+    from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL
+
+    gaps = [np.linalg.norm(pairs_to_matrix(got) - want) for got, want in zip(report["monodromy"]["matrices"], oracle)]
+    return float(max(gaps)) / DEFAULT_INTEGRATION_TOL
+
+
 def sweep(seeds) -> list:
     """One record per op of every seed's verify-mixed, exact-gauge and invert-near-identity pools."""
     import workloads
@@ -106,6 +119,9 @@ def sweep(seeds) -> list:
                         "matrices": parsed["monodromy"]["matrices"] if parsed else None,
                         "verdicts": verify_verdicts(parsed) if parsed else None,
                         "conjugator_residual": largest_residual(parsed) if parsed else None,
+                        "realised_error": realised_error(parsed, unit.truth["oracle"])
+                        if parsed and unit.truth["oracle"]
+                        else None,
                     }
                 )
             for index, unit in enumerate(workloads.gauge_units(seed, workdir)):
@@ -191,7 +207,8 @@ def compare_ops(left, right, workload: str) -> int:
 
 def compare_verdicts(left, right) -> int:
     """Print the verify ops whose verdicts differ and each sweep's largest
-    conjugator residual; return the number of ops whose verdicts differ."""
+    conjugator residual and realised error; return the number of ops whose
+    verdicts differ."""
     if not all("verdicts" in r for r in left + right):
         print("verdicts: not compared, a sweep file has no verdicts")
         return 0
@@ -205,6 +222,10 @@ def compare_verdicts(left, right) -> int:
         if residuals:
             residual, seed, unit = max(residuals)
             print(f"largest conjugator residual ({label}): {residual:.3e} at seed {seed} unit {unit}")
+        errors = [(r["realised_error"], r["seed"], r["unit"], r["class"]) for r in records if r.get("realised_error") is not None]
+        if errors:
+            error, seed, unit, label_class = max(errors)
+            print(f"largest realised error / tol ({label}): {error:.3e} at seed {seed} unit {unit} ({label_class})")
     return len(differing)
 
 
