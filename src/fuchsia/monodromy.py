@@ -10,9 +10,11 @@ legs are the approach and the circle.  ``paths.hops`` cuts every leg into
 hops z -> z + h with |h| at most half the distance from z to every pole,
 and all hops of all loops are the columns of one batch.  A hop sums its
 Taylor series by a recurrence with one product with the residues per
-term; a scalar majorant bounds what the terms left out can add, so each
-path takes the terms its composed bound needs, with no step size and no
-controller.  Hops continue the first block column [I_m; 0] and compose in
+term; a scalar majorant bounds what the terms left out can add, and
+decides each path's term count before the matrix terms run: the stop term
+is the first whose composed bound, with each hop's deviation fixed once at
+the path's deviation point, is at most the tolerance.  There is no step
+size and no controller.  Hops continue the first block column [I_m; 0] and compose in
 that form (``_compose``), so the inverse solver continues just n columns
 of its variational system.  ``_integrate_legs`` alone turns a loop's two
 legs into the first block column of T^-1 C T, all loops in one solve.
@@ -75,6 +77,68 @@ def _apply_residues(operator, stack, out):
     np.matmul(operator, stack.reshape(operator.shape[1], -1), out=out.reshape(len(out), -1))
 
 
+def _taylor_term(operator, g, stack, term, sums, k):
+    """Advance the hops' recurrence in place to its k-th term y_k, and add it to ``sums``."""
+    np.subtract(term, stack, out=stack)
+    stack *= g[:, None, None, :]
+    _apply_residues(operator / k, stack, term)
+    sums += term
+
+
+def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, groups, tol):
+    """Each group's stop term, and each hop's tail and added majorant mass there, from the majorant alone.
+
+    The hops' majorant stands at term k with ``bound`` m_k, ``partial``
+    M_{p,k-1} and ``tail`` tau_i; ``groups`` is the first hop of each path,
+    whose bound is sum_i tau_i ``weight``_i.  Past a path's deviation point
+    r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k), so the path's bound
+    meets ``tol`` within log(tol / bound) / log(max_i r_i) terms; that many
+    run as one block (another follows should rounding leave a path open).
+    The stop term is the first from k on whose bound meets ``tol``; a
+    non-finite bound raises ``NonFiniteError``.  Returns the stop terms,
+    and per hop tau_i and m_{k+1} + ... + m_stop there.
+    """
+    stops = np.zeros(len(groups), dtype=int)
+    tails, masses, mass = np.empty(len(reach)), np.empty(len(reach)), np.zeros(len(reach))
+    group_of = np.repeat(np.arange(len(groups)), np.diff(groups, append=len(reach)))
+    while not stops.all():
+        open_ = stops == 0
+        composed = np.add.reduceat(tail * weight, groups)
+        if not np.isfinite(composed[open_]).all():
+            raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
+        pending = open_ & (composed > tol)
+        ratio = np.maximum.reduceat(reach, groups)[pending] * max(1.0, (k + total) / (k + 1))
+        span = int(np.ceil(np.max(np.log(tol / composed[pending]) / np.log(ratio), initial=0.0)))
+        history = np.zeros((span + 1, len(reach)))  # 0, m_{k+1} ... m_{k+span}
+        scaled = norms / np.arange(k, k + span + 1)[:, None]  # b_p / j for term j
+        for j in range(1, span + 1):
+            partial += bound
+            partial *= size
+            bound = np.dot(scaled[j], partial, out=history[j])
+        if not np.isfinite(history).all():
+            raise NonFiniteError("continuation majorant overflowed: the residues are too large")
+        terms = np.arange(k, k + span + 1)[:, None]
+        taus = history * reach / (np.minimum(1.0, (terms + 1) / (terms + total)) - reach)
+        taus[0] = tail
+        met = np.add.reduceat(taus * weight, groups, axis=1) <= tol
+        found = met.any(axis=0) & open_
+        row = met.argmax(axis=0)
+        stops[found] = k + row[found]
+        leaving = found[group_of]
+        at = row[group_of][leaving]
+        tails[leaving] = taus[at, leaving]
+        masses[leaving] = mass[leaving] + np.cumsum(history, axis=0)[at, leaving]
+        k, tail, mass = k + span, taus[-1], mass + history.sum(axis=0)
+    return stops, tails, masses
+
+
+def _hop_norms(deviation, majorant, head):
+    """Each hop's log factor and weight in a composed bound (``_hop_bounds``)."""
+    near = 1.0 + deviation
+    inverse = np.divide(1.0, 1.0 - deviation, out=majorant.copy(), where=deviation < 1.0)
+    return np.log(near) + head * np.log(inverse), 1.0 / near + head * inverse
+
+
 def _hop_bounds(tail, deviation, majorant, head, owner, count):
     """Composed truncation bound of each group of hops in ``owner``.
 
@@ -85,12 +149,12 @@ def _hop_bounds(tail, deviation, majorant, head, owner, count):
     sum of each factor's error between the factors after and before it, so
     a group is off by at most prod_j n_j sum_i tau_i / n_i; a ``head`` hop,
     which a loop T^-1 C T also runs backward (off by n'^2 tau), adds the
-    factor n'_i and the term n'_i tau_i.
+    factor n'_i and the term n'_i tau_i.  So the bound is
+    exp(sum_i log n_i + head_i log n'_i) sum_i tau_i w_i with the weights
+    w_i = 1 / n_i + head_i n'_i (``_hop_norms``).
     """
-    near = 1.0 + deviation
-    inverse = np.divide(1.0, 1.0 - deviation, out=majorant.copy(), where=deviation < 1.0)
-    scale = np.bincount(owner, np.log(near) + head * np.log(inverse), count)
-    return np.exp(scale) * np.bincount(owner, tail / near + head * tail * inverse, count)
+    scale, weight = _hop_norms(deviation, majorant, head)
+    return np.exp(np.bincount(owner, scale, count)) * np.bincount(owner, tail * weight, count)
 
 
 def _compose(columns: np.ndarray, runs: np.ndarray) -> np.ndarray:
@@ -136,20 +200,33 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     |y_k|_2 <= m_k, and m_{k+1} <= G (k + S) / (k + 1) m_k, the coefficient
     ratio of the single factor (1 - G u)^-S with G = max_p |g_p| and
     S = sum_p b_p, so the terms after the k-th add at most
-    tau = m_k r / (1 - r), r = G max(1, (k + S) / (k + 1)).  After each
-    term a path's composed bound (``_hop_bounds``, with the deviations
-    |sum - start|_F + tau) is checked, skipped while the path's summed
-    tails, which it is never below, exceed ``tol``; once it meets ``tol``
-    the path leaves the batch.  The term count depends on the path alone,
-    so a path gets the same values in any batch.  A non-finite majorant,
-    value or bound raises ``NonFiniteError``.
+    tau = m_k r / (1 - r), r = G max(1, (k + S) / (k + 1)).
+
+    Each path's term count is decided before its last matrix terms run.
+    (1) Matrix and majorant terms run together until every path has passed
+    its deviation point, the first term at which its summed tails are
+    below 1.  There each of its hops takes its deviation once,
+    d_i = |S_i - start|_F + tau_i: the partial sum S_i is within tau_i of
+    the hop's exact transfer and of every later partial sum, so the
+    composed bound of ``_hop_bounds`` with these d_i, F_p sum_i tau_i w_i
+    with F_p and w_i fixed (``_hop_norms``), holds at every later term.
+    (2) From there the majorant alone gives the path's stop term, the first
+    at which that bound is at most ``tol`` (``_stop_terms``); a path whose
+    stop term comes before every path's deviation point leaves there with
+    its values.  (3) The bare recurrence runs the other hops, sorted by
+    stop term so that the hops that leave are a slice, and each hop's
+    value and deviation |S_i - start|_F + tau_i are those of its stop term.
+    A path's term count depends on the path alone, so it gets the same
+    values in any batch.  A non-finite majorant or value, or a non-finite
+    bound at a deviation point, raises ``NonFiniteError``.
 
     Returns one ``(value, error_estimate)`` per path.  An open path's value
     is its one leg, its hops' values composed by ``_compose``.  A loop's is
     the first block column of T^-1 C T, from the composed approach [T; S_T]
     and circle [C; S_C]: the top block M = T^-1 C T and, below it, the
     blocks T^-1 (S_C T + C S_T - S_T M), all loops and blocks in one batched
-    solve (empty when m = N).  The estimate is the composed bound, for a
+    solve (empty when m = N).  The estimate is the composed bound of
+    ``_hop_bounds`` with each hop's tail and deviation at its stop term, for a
     loop at most cond(T) E_C + |T^-1| (|C| + E_C + |M| + E) E_T with E_T,
     E_C the legs' bounds and E the loop's, plus a rounding model eps W
     max(1, |Y|_2), W the sum over hops (a head hop twice) of sum_k m_k,
@@ -164,9 +241,10 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     weights, residues = coefficient_function(system)(np.concatenate([leg[:-1] for leg in legs]))
     g = np.concatenate([np.diff(leg) for leg in legs]) * weights.T  # (P, B)
     size = np.abs(g)
+    reach = size.max(axis=0)
     norms = np.linalg.norm(residues, 2, axis=(1, 2))
     total = float(norms.sum())
-    count = len(leg_of)
+    count, paths = len(leg_of), len(cut)
     m = start.shape[1]
     operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
     values = np.empty((count,) + start.shape, dtype=complex)
@@ -178,48 +256,61 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     stack = np.zeros((len(g),) + term.shape, dtype=complex)  # U_{p,k}
     bound = np.full(count, float(np.linalg.norm(start, 2)))  # m_k
     partial = np.zeros_like(size)  # M_{p,k}
+    stop = np.zeros(paths, dtype=int)  # the stop term, 0 until the deviation point
+
+    def leave(hops, front):
+        """Read off the values and deviations of ``hops``, whose sums are ``front`` (N, m, H)."""
+        values[hops] = front.transpose(2, 0, 1)
+        deviations[hops] = np.linalg.norm(front - start[:, :, None], axis=(0, 1)) + tails[hops]
+
     k = 0
-    # Overflows are left as inf here; the isfinite checks below raise NonFiniteError on them.
+    # Overflows are left as inf here; the isfinite checks raise NonFiniteError on them.
     with np.errstate(over="ignore"):
         majorants = np.exp(-(norms @ np.log1p(-size)))  # prod_p (1 - |g_p|)^-b_p bounds |Phi^-1|
-        # The active hops: their ids, paths, flags and majorant data, and their state on the last axis.
-        ids, path_of, head, majorant, reach = np.arange(count), owner, heads, majorants, size.max(axis=0)
-        while ids.size:
-            partial = size * (bound + partial)
-            bound = norms @ partial / (k + 1)
+        # Matrix and majorant terms together, until every path has passed its deviation point.
+        while not stop.all():
+            partial += bound
+            partial *= size
+            bound = (norms / (k + 1)) @ partial
             if not np.isfinite(bound).all():
                 raise NonFiniteError("continuation majorant overflowed: the residues are too large")
-            np.subtract(term, stack, out=stack)
-            stack *= g[:, None, None, :]
-            _apply_residues(operator, stack, term)
             k += 1
-            term /= k
-            sums += term
-            masses[ids] += bound
-            ratio = reach * max(1.0, (k + total) / (k + 1))
-            tau = np.divide(bound * ratio, 1.0 - ratio, out=np.full(len(ids), np.inf), where=ratio < 1.0)
-            # Every norm in a composed bound is at least 1, so it is at least the path's summed tails.
-            checked = np.bincount(path_of, tau, len(cut)) <= tol
-            if not checked[path_of].any():
-                continue
-            near = np.linalg.norm(sums - start[:, :, None], axis=(0, 1)) + tau
-            composed = _hop_bounds(tau, near, majorant, head, path_of, len(cut))
-            if not np.isfinite(composed[checked]).all():
-                raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
-            done = (checked & (composed <= tol))[path_of]
-            if not done.any():
-                continue
-            if not np.isfinite(sums[..., done]).all():
-                raise NonFiniteError("continuation produced a non-finite solution value")
-            values[ids[done]] = sums[..., done].transpose(2, 0, 1)
-            tails[ids[done]] = tau[done]
-            deviations[ids[done]] = near[done]
-            keep = ~done
-            ids, path_of, head, majorant, reach, bound = (a[keep] for a in (ids, path_of, head, majorant, reach, bound))
-            # C-contiguous, unlike a[..., keep]: the terms are written through reshaped views.
-            g, size, partial, term, sums, stack = (
-                np.compress(keep, a, axis=-1) for a in (g, size, partial, term, sums, stack)
-            )
+            gap = min(1.0, (k + 1) / (k + total)) - reach  # 1 / max(1, (k + S) / (k + 1)) - G: tau is inf unless > 0
+            tau = np.divide(bound * reach, gap, out=np.full(count, np.inf), where=gap > 0.0)
+            _taylor_term(operator, g, stack, term, sums, k)
+            np.add(masses, bound, out=masses, where=(stop == 0)[owner])
+            fresh = (stop == 0) & (np.bincount(owner, tau, paths) < 1.0)
+            if fresh.any():
+                hops = np.flatnonzero(fresh[owner])
+                path_of = owner[hops]
+                near = np.linalg.norm(sums[..., hops] - start[:, :, None], axis=(0, 1)) + tau[hops]
+                scale, weight = _hop_norms(near, majorants[hops], heads[hops])
+                weight *= np.exp(np.bincount(path_of, scale, paths))[path_of]  # F_p w_i
+                groups = np.flatnonzero(np.diff(path_of, prepend=-1))
+                majorant = size[:, hops], reach[hops], norms, total, k, bound[hops], partial[:, hops], tau[hops]
+                stop[path_of[groups]], tails[hops], mass = _stop_terms(*majorant, weight, groups, tol)
+                masses[hops] += mass
+            if (stop == k).any():
+                hops = np.flatnonzero((stop == k)[owner])
+                leave(hops, sums[..., hops])
+        # The bare recurrence, the open hops sorted by stop term, last first, so the hops that leave are a slice.
+        hops = np.flatnonzero((stop > k)[owner])
+        hops = hops[np.argsort(-stop[owner[hops]], kind="stable")]
+        ends = stop[owner[hops]]
+        # C-contiguous, unlike a[..., hops] and a[..., :first]: the terms are written through reshaped views.
+        g, term, sums, stack = (np.take(a, hops, axis=-1) for a in (g, term, sums, stack))
+        fronts = []
+        for end in sorted(set(ends.tolist())):
+            while k < end:
+                k += 1
+                _taylor_term(operator, g, stack, term, sums, k)
+            first = int(np.searchsorted(-ends, -end))
+            fronts.append(sums[..., first:])
+            g, term, sums, stack = (np.ascontiguousarray(a[..., :first]) for a in (g, term, sums, stack))
+        if fronts:
+            leave(hops, np.concatenate(fronts[::-1], axis=-1))
+        if not np.isfinite(values).all():
+            raise NonFiniteError("continuation produced a non-finite solution value")
     composed = _compose(values, leg_of)
     estimates = _hop_bounds(tails, deviations, majorants, heads, owner, len(cut))
     starts = np.cumsum([0] + [len(path) for path in cut[:-1]])
@@ -293,9 +384,11 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start),
     as the kernel returns it.  The path is audited against the system's
     poles and cut into hops, a pole loop continued as head T and middle C
-    only, which the kernel solves into T^-1 C T; the hops take terms until
-    the path's composed truncation bound is at most ``tol``, and the
-    estimate is that bound plus a rounding model (``_integrate_legs``).
+    only, which the kernel solves into T^-1 C T.  The hops take the terms
+    of the path's stop term, chosen from the majorant so that the composed
+    truncation bound, with deviations fixed at the path's deviation point,
+    is at most ``tol``; the estimate is the composed bound at the stop term
+    plus a rounding model (``_integrate_legs``).
     """
     check_tolerance(tol, "integration tolerance")
     [(transfer, err)] = _integrate_legs(

@@ -289,6 +289,38 @@ def test_monodromy_evaluator_calls(monkeypatch):
         assert np.max(np.abs(matrices["clustered", tol] - matrices["clustered", 1e-12])) <= 1e-10
 
 
+def test_composed_bound_is_not_checked_per_term(monkeypatch):
+    """Each path's stop term comes from the majorant, with the hops'
+    deviations fixed once, so ``_hop_bounds`` runs only for the reported
+    estimates: at most twice per ``monodromy``, however many terms the
+    hops take.  ``_apply_residues`` runs once per matrix term; taking the
+    deviations at each path's deviation point costs at most one term over
+    the 29, 42 and 52 of a composed bound checked after every term."""
+    module = importlib.import_module("fuchsia.monodromy")
+    calls = {"_hop_bounds": 0, "_apply_residues": 0}
+
+    def counting(name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(module, name, counting(name))
+    for system, tol, terms in (
+        (five_pole_generic_system(), 1e-9, 29),
+        (clustered_pair_system(), 1e-9, 42),
+        (clustered_pair_system(), 1e-12, 52),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        assert monodromy(system, tol).product_defect <= 1e-9
+        assert calls["_hop_bounds"] <= 2
+        assert terms <= calls["_apply_residues"] <= terms + 1
+
+
 def stub_cut():
     """Two one-line paths cut against a pole at -1: a calm one near 0, and one on Re z > 10."""
     paths = [ContinuationPath((Line(0.0, 1.0),), 0.5), ContinuationPath((Line(20.0 + 0.0j, 20.0 + 1.0j),), 0.5)]

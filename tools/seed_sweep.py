@@ -222,10 +222,11 @@ def compare_verdicts(left, right) -> int:
         if residuals:
             residual, seed, unit = max(residuals)
             print(f"largest conjugator residual ({label}): {residual:.3e} at seed {seed} unit {unit}")
-        errors = [(r["realised_error"], r["seed"], r["unit"], r["class"]) for r in records if r.get("realised_error") is not None]
+        errors = [(r.get("realised_error"), r["seed"], r["unit"], r["class"]) for r in records]
+        errors = [found for found in errors if found[0] is not None]
         if errors:
-            error, seed, unit, label_class = max(errors)
-            print(f"largest realised error / tol ({label}): {error:.3e} at seed {seed} unit {unit} ({label_class})")
+            error, seed, unit, kind = max(errors)
+            print(f"largest realised error / tol ({label}): {error:.3e} at seed {seed} unit {unit} ({kind})")
     return len(differing)
 
 
