@@ -14,9 +14,9 @@ term; a scalar majorant bounds what the terms left out can add, and
 decides each path's term count before the matrix terms run: the stop term
 is the first whose composed bound, with each hop's deviation fixed once at
 the path's deviation point, is at most the tolerance.  There is no step
-size and no controller.  Hops continue the first block column [I_m; 0] and compose in
-that form (``_compose``), so the inverse solver continues just n columns
-of its variational system.  ``_integrate_legs`` alone turns a loop's two
+size and no controller.  Hops continue the first block column [I_m; 0]
+and compose in that form (``_compose``), so the inverse solver continues
+just n columns of its variational system.  ``_integrate_legs`` alone turns a loop's two
 legs into the first block column of T^-1 C T, all loops in one solve.
 
 ``verify_theorem`` compares the monodromy around each pole against the
@@ -109,15 +109,15 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, grou
         pending = open_ & (composed > tol)
         ratio = np.maximum.reduceat(reach, groups)[pending] * max(1.0, (k + total) / (k + 1))
         span = int(np.ceil(np.max(np.log(tol / composed[pending]) / np.log(ratio), initial=0.0)))
+        terms = np.arange(k, k + span + 1)[:, None]
+        scaled = norms / terms  # b_p / j in the row of term j
         history = np.zeros((span + 1, len(reach)))  # 0, m_{k+1} ... m_{k+span}
-        scaled = norms / np.arange(k, k + span + 1)[:, None]  # b_p / j for term j
         for j in range(1, span + 1):
             partial += bound
             partial *= size
             bound = np.dot(scaled[j], partial, out=history[j])
         if not np.isfinite(history).all():
             raise NonFiniteError("continuation majorant overflowed: the residues are too large")
-        terms = np.arange(k, k + span + 1)[:, None]
         taus = history * reach / (np.minimum(1.0, (terms + 1) / (terms + total)) - reach)
         taus[0] = tail
         met = np.add.reduceat(taus * weight, groups, axis=1) <= tol
