@@ -16,12 +16,11 @@ loop matrices of every report, its verdicts (``overall`` and, per pole,
 largest ``conjugator_residual`` and, for the commuting classes, its realised
 error: the largest |M - oracle|_F / tol over its loops, against the
 closed-form monodromy of ``unit.truth["oracle"]`` at the default integration
-tolerance.  ``--compare`` prints the failed
-verify-mixed ops that differ between two sweeps, the seeds whose ``correct``
-differs, how many ops' report bytes differ, the verify ops whose verdicts
-differ, the largest conjugator residual and realised error of each sweep
-and where they occur, and the largest gaps
-between their loop matrices: entrywise, entrywise over the commuting
+tolerance.  ``--compare`` prints the failed verify-mixed ops that differ
+between two sweeps, the seeds whose ``correct`` differs, how many ops' report
+bytes differ, the verify ops whose verdicts differ, the largest conjugator
+residual and realised error of each sweep and where they occur, and the
+largest gaps between their loop matrices: entrywise, entrywise over the commuting
 classes, and between matched eigenvalues; then, for exact-gauge and for
 invert-near-identity, the ops whose exit code, error or verdict differ, and
 how many of their reports' bytes differ, and for invert-near-identity the
