@@ -8,6 +8,7 @@ as ``[re, im]`` pairs and matrices as row-major nested lists of pairs.
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -30,15 +31,34 @@ def _format_float(x: float) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Serialize ``obj`` (dict/list/str/float/int/bool/None) canonically."""
+    """Serialize ``obj`` (dict/list/str/float/int/bool/None) canonically.
+
+    One pass over ``obj``: ``_emit`` dispatches on the exact type of each
+    value, encodes strings and keys with ``json``'s own ASCII escaper (what
+    ``json.dumps(..., ensure_ascii=True)`` calls) and a list of plain floats,
+    such as a complex pair, with one join.  Subclasses, numpy scalars and
+    the values that raise take the ``isinstance`` branches.
+    """
     parts: list[str] = []
     _emit(obj, parts)
     return "".join(parts)
 
 
 def _emit(obj, parts: list[str]) -> None:
-    if obj is None or obj is True or obj is False:
-        parts.append(json.dumps(obj))
+    kind = type(obj)
+    if kind is float:
+        parts.append(_format_float(obj))
+    elif kind is list or kind is tuple:
+        _emit_items(obj, parts)
+    elif kind is dict:
+        _emit_fields(obj, parts)
+    elif kind is str:
+        parts.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        parts.append(str(obj))
+    elif obj is None or kind is bool:
+        parts.append("null" if obj is None else "true" if obj else "false")
+    # Subclasses and numpy scalars.
     elif isinstance(obj, str):
         parts.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, (int, np.integer)):
@@ -46,25 +66,36 @@ def _emit(obj, parts: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         parts.append(_format_float(float(obj)))
     elif isinstance(obj, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise ValidationError("JSON object keys must be strings")
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(key, ensure_ascii=True))
-            parts.append(": ")
-            _emit(obj[key], parts)
-        parts.append("}")
+        _emit_fields(obj, parts)
     elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _emit(item, parts)
-        parts.append("]")
+        _emit_items(obj, parts)
     else:
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _emit_items(obj, parts: list[str]) -> None:
+    if all(type(item) is float for item in obj):
+        parts.append("[" + ", ".join(map(_format_float, obj)) + "]")
+        return
+    parts.append("[")
+    for i, item in enumerate(obj):
+        if i:
+            parts.append(", ")
+        _emit(item, parts)
+    parts.append("]")
+
+
+def _emit_fields(obj, parts: list[str]) -> None:
+    parts.append("{")
+    for i, key in enumerate(sorted(obj)):
+        if not isinstance(key, str):
+            raise ValidationError("JSON object keys must be strings")
+        if i:
+            parts.append(", ")
+        parts.append(encode_basestring_ascii(key))
+        parts.append(": ")
+        _emit(obj[key], parts)
+    parts.append("}")
 
 
 def complex_to_pair(z: complex) -> list:
@@ -92,7 +123,7 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValidationError("expected a 2-d matrix")
-    return [[complex_to_pair(v) for v in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def pairs_to_matrix(rows) -> np.ndarray:

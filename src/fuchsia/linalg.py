@@ -21,6 +21,7 @@ library: SciPy's linear algebra and optimisation modules took about 0.5 s
 and 40 MB to load.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -460,11 +461,24 @@ def jordan_structure(m):
 
 
 def _jordan(arr: np.ndarray, norm: float, w: list) -> JordanStructure:
-    """The structure of ``jordan_structure`` for one matrix, its 2-norm and its eigenvalues."""
+    """The structure of ``jordan_structure`` for one matrix, its 2-norm and its eigenvalues.
+
+    The merge ladder's radius min(4 scale tol^(1/rung), 0.25 scale) grows
+    with the rung, and for n >= 2 it exceeds twice the base radius rho0.
+    So when no two eigenvalues lie within the last rung's radius (by the
+    ``<=`` of ``_chain_groups``), every cluster is single, no merge is
+    tried and no pair is ambiguous: the structure is the single blocks
+    sorted by (real, imag), returned without the clustering, the ladder or
+    the block loop, which would give exactly that.
+    """
     tol = DEFAULT_CLUSTER_TOL
     n = arr.shape[0]
     scale = max(1.0, norm)
     rho0 = tol * scale
+    widest = min(_CHAIN_FACTOR * scale * tol ** (1.0 / n), 0.25 * scale)
+    if all(abs(w[i] - w[j]) > widest for i in range(n) for j in range(i + 1, n)):
+        blocks = tuple((value, (1,)) for value in sorted(w, key=lambda v: (v.real, v.imag)))
+        return JordanStructure(blocks=blocks, tolerance=rho0, norm=norm)
 
     clusters = [[w[i] for i in group] for group in _chain_groups(w, rho0)]
 
@@ -557,6 +571,20 @@ def similarity_transform(a, b):
     return found
 
 
+@functools.cache
+def _candidate_weights(dim: int) -> np.ndarray:
+    """The seven weight vectors of ``_conjugators``'s candidate sums over a commutant of dimension ``dim``, read-only.
+
+    Every sum with geometric weights t^i is singular when the basis repeats
+    one column pattern, as for a diagonal a with a repeated eigenvalue;
+    t^(i^2) weights are not.
+    """
+    weights = [[t**i for i in range(dim)] for t in (1.0, -1.0, 2.0, 0.5, 1.0 + 0.5j)]
+    weights = np.array(weights + [[t ** (i * i) for i in range(dim)] for t in (2.0, 1.0 + 0.5j)], complex)
+    weights.flags.writeable = False
+    return weights
+
+
 def _conjugators(a: np.ndarray, b: np.ndarray, matches, tol: float) -> list:
     """The search of ``similarity_transform`` for k pairs of (n, n) matrices at once.
 
@@ -567,7 +595,8 @@ def _conjugators(a: np.ndarray, b: np.ndarray, matches, tol: float) -> list:
     is built by broadcasting and all get one full ``svd``; the intertwiners
     are the trailing right singular vectors, as many as the commutant
     dimension.  The candidates are those vectors and seven weighted sums of
-    them, reshaped in F order, and all candidates of all pairs get one
+    them (``_candidate_weights``, built once per dimension), reshaped in F
+    order, and all candidates of all pairs get one
     ``svd``; a pair keeps its first candidate whose ratio of extreme
     singular values is strictly the largest, normalised in Frobenius norm.
     Its residual |s a - b s|_F must be at most ``tol`` (|a|_2 + |b|_2), with
@@ -585,12 +614,8 @@ def _conjugators(a: np.ndarray, b: np.ndarray, matches, tol: float) -> list:
     for (ja, jb, pairs), v in zip(matches, vh):
         dim = _commutant_dimension(ja, jb, pairs)
         basis = v[n * n - dim:].conj()
-        # Every sum with geometric weights t^i is singular when the basis repeats one column
-        # pattern, as for a diagonal a with a repeated eigenvalue; t^(i^2) weights are not.
-        weights = [[t**i for i in range(dim)] for t in (1.0, -1.0, 2.0, 0.5, 1.0 + 0.5j)]
-        weights = np.array(weights + [[t ** (i * i) for i in range(dim)] for t in (2.0, 1.0 + 0.5j)], complex)
         # One (1, dim) @ (dim, n^2) product per weight vector, as a vector @ matrix product rounds.
-        groups.append(np.concatenate([basis, (weights[:, None, :] @ basis)[:, 0]]))
+        groups.append(np.concatenate([basis, (_candidate_weights(dim)[:, None, :] @ basis)[:, 0]]))
     candidates = np.concatenate(groups)
     sv = np.linalg.svd(candidates.reshape(-1, n, n).transpose(0, 2, 1), compute_uv=False)
     ratios = np.divide(sv[:, -1], sv[:, 0], out=np.full(len(sv), -1.0), where=sv[:, 0] != 0.0)

@@ -508,7 +508,10 @@ def verify_theorem(
     pole by pole, from one stacked ``jordan_structure``, so each matrix is
     analysed once.  All three checks read those structures: the spectra,
     compared as the Jordan cluster means with multiplicity, agree within
-    ``tol``; the block structures match (``JordanStructure.match_blocks``);
+    ``tol`` (when the structures match and every cluster is single, the
+    spectrum's assignment is the match's, so its distance is the largest
+    matched cost; otherwise ``_spectrum_distance`` assigns the means); the
+    block structures match (``JordanStructure.match_blocks``);
     and an explicit conjugator takes the generator to the monodromy matrix,
     with its residual, from one search over every matched pole
     (``linalg._conjugators``).  ``tol``
@@ -528,7 +531,11 @@ def verify_theorem(
     conjugators = {j: result for j, result in zip(matched, found) if isinstance(result, SimilarityResult)}
     verdicts = []
     for j, (jg, jm, pairs) in enumerate(matches):
-        sdist = _spectrum_distance(jg, jm)
+        if pairs is not None and all(sizes == (1,) for _, sizes in jg.blocks):
+            # Every cluster is single, so match_blocks assigned the spectrum's cost matrix already.
+            sdist = max(abs(jg.blocks[i][0] - jm.blocks[k][0]) for i, k in pairs)
+        else:
+            sdist = _spectrum_distance(jg, jm)
         spectrum_ok = sdist <= tol
         structure_ok = pairs is not None
         result = conjugators.get(j)

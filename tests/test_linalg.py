@@ -14,13 +14,19 @@ from conftest import (
 from fuchsia.errors import (
     ClusterAmbiguityError,
     MatrixExpOverflowError,
+    NumericsError,
     ValidationError,
 )
 from fuchsia.linalg import (
+    _CHAIN_FACTOR,
     DEFAULT_CLUSTER_TOL,
     JordanStructure,
     SimilarityResult,
+    _chain_groups,
     _conjugators,
+    _jordan,
+    _mean,
+    _validate_cluster,
     eigen_decompose,
     jordan_structure,
     matrix_exp,
@@ -345,3 +351,137 @@ def test_similarity_transform_diagonal_with_a_repeated_eigenvalue():
         b = s0 @ a @ np.linalg.inv(s0)
         found = similarity_transform(a, b)
         assert np.linalg.norm(found.matrix @ a - b @ found.matrix) < 1e-8
+
+
+def _ladder_jordan(arr, norm, w):
+    """``_jordan`` as it was before it returned all-single structures directly: the reference."""
+    tol = DEFAULT_CLUSTER_TOL
+    n = arr.shape[0]
+    scale = max(1.0, norm)
+    rho0 = tol * scale
+    clusters = [[w[i] for i in group] for group in _chain_groups(w, rho0)]
+    for rung in range(2, n + 1):
+        radius = min(_CHAIN_FACTOR * scale * tol ** (1.0 / rung), 0.25 * scale)
+        changed = True
+        while changed and len(clusters) > 1:
+            changed = False
+            reps = [_mean(c) for c in clusters]
+            for group in _chain_groups(reps, radius):
+                if len(group) < 2:
+                    continue
+                merged = []
+                for idx in group:
+                    merged.extend(clusters[idx])
+                other_reps = [reps[i] for i in range(len(reps)) if i not in group]
+                sizes = _validate_cluster(arr, w, merged, other_reps, scale, rho0, tol, strict=True)
+                if sizes is not None:
+                    clusters = [c for i, c in enumerate(clusters) if i not in group]
+                    clusters.append(merged)
+                    changed = True
+                    break
+    reps = [_mean(c) for c in clusters]
+    order = sorted(range(len(clusters)), key=lambda i: (reps[i].real, reps[i].imag))
+    clusters = [clusters[i] for i in order]
+    reps = [reps[i] for i in order]
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            if abs(reps[i] - reps[j]) <= 2.0 * rho0:
+                raise ClusterAmbiguityError(reps[i], reps[j], rho0)
+    blocks = []
+    for i, cluster in enumerate(clusters):
+        if len(cluster) == 1:
+            blocks.append((reps[i], (1,)))
+            continue
+        other_reps = [r for k, r in enumerate(reps) if k != i]
+        sizes = _validate_cluster(arr, w, cluster, other_reps, scale, rho0, tol, strict=False)
+        if sizes is None:
+            raise NumericsError(
+                f"rank profile of eigenvalue cluster near {reps[i]} is not "
+                f"consistent with any Jordan structure at tolerance {tol:g}"
+            )
+        blocks.append((reps[i], sizes))
+    return JordanStructure(blocks=tuple(blocks), tolerance=rho0, norm=norm)
+
+
+def _last_rung_radius(n, scale=1.0):
+    return min(_CHAIN_FACTOR * scale * DEFAULT_CLUSTER_TOL ** (1.0 / n), 0.25 * scale)
+
+
+def _jordan_reference_cases():
+    """About 500 matrices: random ones of n = 1-6, spectra with one pair at 0.5, 1 and 2 times the
+    last rung's radius (diagonal and conjugated), near-repeated eigenvalues, conjugated and
+    perturbed Jordan matrices, and the 50 cases of criterion 6."""
+    from test_acceptance import _robustness_cases
+
+    rng = np.random.default_rng(SEED + 9)
+    for n in range(1, 7):
+        for _ in range(20):
+            yield rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            yield 1e-3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    for n in range(2, 7):
+        radius = _last_rung_radius(n)
+        # The other eigenvalues sit on a circle of radius 0.8, at least 0.8 apart, so |d| <= 0.9 and scale = 1.
+        ring = [0.8 * np.exp(2j * np.pi * (k + 0.5) / 6) for k in range(n - 2)]
+        for gap in (0.5, 1.0, 2.0):
+            for _ in range(6):
+                centre = 0.05 * (rng.normal() + 1j * rng.normal())
+                turn = np.exp(2j * np.pi * rng.uniform())
+                d = np.array([centre, centre + gap * radius * turn] + ring)
+                yield np.diag(d)
+                yield np.diag(d[rng.permutation(n)])
+                s = random_conjugator(rng, n, cond_limit=10.0)
+                yield s @ np.diag(d) @ np.linalg.inv(s)
+    for n in range(2, 7):
+        for scale in (1e-9, 1e-7, 1e-5):
+            d = rng.normal(size=n) + 1j * rng.normal(size=n)
+            d[1] = d[0] + scale * (rng.normal() + 1j * rng.normal())
+            s = random_conjugator(rng, n, cond_limit=10.0)
+            yield np.diag(d)
+            yield s @ np.diag(d) @ np.linalg.inv(s)
+    templates = [[(0.5, (2,))], [(0.0, (2,)), (1.0, (1,))], [(1.0j, (3,))], [(0.3, (2, 1)), (-1.0, (1,))],
+                 [(0.0, (2,)), (2.0, (2,))], [(0.1, (3,)), (0.9, (1,)), (-0.9, (1,))], [(1.0, (4,)), (0.0, (2,))]]
+    for blocks in templates:
+        for noise in (0.0, 1e-12, 1e-9):
+            j = jordan_matrix(blocks)
+            n = j.shape[0]
+            s = random_conjugator(rng, n, cond_limit=20.0)
+            yield s @ j @ np.linalg.inv(s) + noise * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    for m, _ in _robustness_cases():
+        yield m
+    # Neither separable nor mergeable (test_jordan_structure_cluster_ambiguity), at a few couplings.
+    for coupling in (2e-6, 3e-6, 5e-6):
+        yield np.array([[0.0, coupling], [0.0, 1.9e-7]])
+
+
+def _bits(outcome):
+    """A structure as exact bits, or an exception as its type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    blocks = tuple((lam.real.hex(), lam.imag.hex(), sizes) for lam, sizes in outcome.blocks)
+    return blocks, outcome.tolerance.hex(), outcome.norm.hex()
+
+
+def test_jordan_equals_the_merge_ladder_reference_bitwise():
+    """``_jordan``'s all-single shortcut gives, bit for bit, what the clustering and the merge ladder give,
+    and raises where they raise, on about 600 matrices; ties at the last rung's radius take the ladder."""
+    seen = {"shortcut": 0, "ladder": 0, "tie": 0, "merged": 0, "raised": 0}
+    for m in _jordan_reference_cases():
+        m = np.asarray(m, dtype=complex)
+        norm = float(np.linalg.norm(m, 2))
+        w = np.linalg.eigvals(m).tolist()
+        outcomes = []
+        for analyse in (_jordan, _ladder_jordan):
+            try:
+                outcomes.append(_bits(analyse(m, norm, w)))
+            except (ClusterAmbiguityError, NumericsError) as exc:
+                outcomes.append(_bits(exc))
+        assert outcomes[0] == outcomes[1], m
+        n = len(w)
+        closest = min((abs(w[i] - w[j]) for i in range(n) for j in range(i + 1, n)), default=np.inf)
+        widest = _last_rung_radius(n, max(1.0, norm)) if n > 1 else 0.0
+        seen["shortcut" if closest > widest else "ladder"] += 1
+        seen["tie"] += closest == widest
+        seen["raised"] += isinstance(outcomes[0][0], str)
+        seen["merged"] += not isinstance(outcomes[0][0], str) and len(outcomes[0][0]) < n
+    assert sum(seen[k] for k in ("shortcut", "ladder")) >= 500
+    assert min(seen.values()) >= 2, seen

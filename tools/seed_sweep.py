@@ -9,7 +9,8 @@ A sweep makes one pass of the benchmark's verify-mixed, exact-gauge and
 invert-near-identity pools (``perfbench/workloads.py``, imported as it is)
 for each seed, and writes every op's exit code, input class, first error
 line, check verdict and the SHA-256 of its report's bytes; for
-invert-near-identity also the recovered residues; for verify-mixed
+invert-near-identity also the recovered residues, the Gauss-Newton
+``iterations`` and the ``final_residual``; for verify-mixed
 also each seed's ``correct`` flag (every verify op passes its check), the
 loop matrices of every report, its verdicts (``overall`` and, per pole,
 ``spectrum_match``, ``structure_match``, ``ok`` and ``non_resonant``), its
@@ -24,7 +25,9 @@ largest gaps between their loop matrices: entrywise, entrywise over the commutin
 classes, and between matched eigenvalues; then, for exact-gauge and for
 invert-near-identity, the ops whose exit code, error or verdict differ, and
 how many of their reports' bytes differ, and for invert-near-identity the
-largest entrywise gap between the recovered residues.  A change to continuation or
+largest entrywise gap between the recovered residues, the ops whose
+iteration counts differ and the largest relative change of the final
+residual.  A change to continuation or
 geometry should leave the failed ops equal, op for op; a change of loop
 convention conjugates the generic matrices, so there only the spectra and
 the commuting classes' entries should stay put.  A change that claims the same answers should leave every
@@ -155,11 +158,22 @@ def sweep(seeds) -> list:
                         "error": error,
                         "ok": ok,
                         "sha256": hashlib.sha256(report).hexdigest() if report else None,
-                        "residues": json.loads(report)["system"]["residues"] if report else None,
+                        **invert_fields(json.loads(report) if report else None),
                     }
                 )
         print(f"seed {seed}: {sum(not r['ok'] for r in records if r['seed'] == seed)} failed", file=sys.stderr)
     return records
+
+
+def invert_fields(report) -> dict:
+    """An invert report's recovered residues, Gauss-Newton iterations and final residual (None without a report)."""
+    if report is None:
+        return {"residues": None, "iterations": None, "final_residual": None}
+    return {
+        "residues": report["system"]["residues"],
+        "iterations": report["iterations"],
+        "final_residual": report["final_residual"],
+    }
 
 
 def correct(records) -> dict:
@@ -201,6 +215,20 @@ def compare_ops(left, right, workload: str) -> int:
         gaps = [(float(np.max(np.abs(np.array(x) - np.array(y)))), key) for x, y, key in pairs]
         gap, where = max(gaps, key=lambda found: found[0])
         print(f"{workload} largest residue gap over {len(pairs)} ops: {gap:.3e}" + (f" at {where[:2]}" if gap else ""))
+    solved = [(r, b[key], key) for key, r in a.items() if r.get("iterations") is not None and b.get(key, {}).get("iterations") is not None]
+    if solved:
+        steps = [(key, x["iterations"], y["iterations"]) for x, y, key in solved if x["iterations"] != y["iterations"]]
+        for (seed, unit, _), x, y in steps:
+            print(f"{workload} seed {seed} unit {unit} iterations: {x} -> {y}")
+        print(f"{workload} iterations: {len(steps)} of {len(solved)} ops differ")
+        changes = [
+            (abs(y["final_residual"] - x["final_residual"]) / x["final_residual"] if x["final_residual"] else 0.0, key)
+            for x, y, key in solved
+        ]
+        change, where = max(changes, key=lambda found: found[0])
+        print(f"{workload} largest relative final-residual change: {change:.3e}" + (f" at {where[:2]}" if change else ""))
+    elif pairs:
+        print(f"{workload} iterations: not compared, a sweep file has no iterations")
     return len(differing)
 
 
