@@ -85,21 +85,23 @@ def _taylor_term(operator, g, stack, term, sums, k):
     sums += term
 
 
-def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, groups, tol):
-    """Each group's stop term, and each hop's tail and added majorant mass there, from the majorant alone.
+def _stop_terms(size, reach, norms, total, k, bound, partial, tail, mass, weight, groups, tol):
+    """Each group's stop term, and each hop's tail and majorant mass there, from the majorant alone.
 
     The hops' majorant stands at term k with ``bound`` m_k, ``partial``
     M_{p,k-1} and ``tail`` tau_i; ``groups`` is the first hop of each path,
-    whose bound is sum_i tau_i ``weight``_i.  Past a path's deviation point
-    r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k), so the path's bound
-    meets ``tol`` within log(tol / bound) / log(max_i r_i) terms; that many
-    run as one block (another follows should rounding leave a path open).
-    The stop term is the first from k on whose bound meets ``tol``; a
-    non-finite bound raises ``NonFiniteError``.  Returns the stop terms,
-    and per hop tau_i and m_{k+1} + ... + m_stop there.
+    whose bound is sum_i tau_i ``weight``_i, and ``mass`` is each hop's
+    running sum of the m_j after its path's deviation point.  Past a path's
+    deviation point r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k), so
+    the path's bound meets ``tol`` within log(tol / bound) / log(max_i r_i)
+    terms; that many run as one block (another follows should rounding
+    leave a path open).  The stop term is the first from k on whose bound
+    meets ``tol``; a non-finite bound raises ``NonFiniteError``.  Returns
+    the stop terms, and per hop tau_i and the running sum continued to
+    m_stop there, mass + m_{k+1} + ... + m_stop, added in that order.
     """
     stops = np.zeros(len(groups), dtype=int)
-    tails, masses, mass = np.empty(len(reach)), np.empty(len(reach)), np.zeros(len(reach))
+    tails, masses = np.empty(len(reach)), np.empty(len(reach))
     group_of = np.repeat(np.arange(len(groups)), np.diff(groups, append=len(reach)))
     while not stops.all():
         open_ = stops == 0
@@ -111,7 +113,8 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, grou
         span = int(np.ceil(np.max(np.log(tol / composed[pending]) / np.log(ratio), initial=0.0)))
         terms = np.arange(k, k + span + 1)[:, None]
         scaled = norms / terms  # b_p / j in the row of term j
-        history = np.zeros((span + 1, len(reach)))  # 0, m_{k+1} ... m_{k+span}
+        history = np.empty((span + 1, len(reach)))  # mass, m_{k+1} ... m_{k+span}
+        history[0] = mass
         for j in range(1, span + 1):
             partial += bound
             partial *= size
@@ -126,9 +129,10 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, grou
         stops[found] = k + row[found]
         leaving = found[group_of]
         at = row[group_of][leaving]
+        running = np.cumsum(history, axis=0)
         tails[leaving] = taus[at, leaving]
-        masses[leaving] = mass[leaving] + np.cumsum(history, axis=0)[at, leaving]
-        k, tail, mass = k + span, taus[-1], mass + history.sum(axis=0)
+        masses[leaving] = running[at, leaving]
+        k, tail, mass = k + span, taus[-1], running[-1]
     return stops, tails, masses
 
 
@@ -209,13 +213,15 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     d_i = |S_i - start|_F + tau_i: the partial sum S_i is within tau_i of
     the hop's exact transfer and of every later partial sum, so the
     composed bound of ``_hop_bounds`` with these d_i, F_p sum_i tau_i w_i
-    with F_p and w_i fixed (``_hop_norms``), holds at every later term.
-    (2) From there the majorant alone gives the path's stop term, the first
-    at which that bound is at most ``tol`` (``_stop_terms``); a path whose
-    stop term comes before every path's deviation point leaves there with
-    its values.  (3) The bare recurrence runs the other hops, sorted by
-    stop term so that the hops that leave are a slice, and each hop's
-    value and deviation |S_i - start|_F + tau_i are those of its stop term.
+    with F_p and w_i fixed (``_hop_norms``), holds at every later term, and
+    the path leaves at the first term at which that bound is at most
+    ``tol``.  (2) From the last deviation point the majorant alone gives
+    the stop terms of the paths still open, in one ``_stop_terms`` call.
+    (3) The bare recurrence runs their hops, sorted by stop term so that
+    the hops that leave are a slice, and each hop's value and deviation
+    |S_i - start|_F + tau_i are those of its stop term.  A hop's majorant
+    mass is two running sums, of the m_k up to its path's deviation point
+    and of those after it, which ``_stop_terms`` continues.
     A path's term count depends on the path alone, so it gets the same
     values in any batch.  A non-finite majorant or value, or a non-finite
     bound at a deviation point, raises ``NonFiniteError``.
@@ -238,8 +244,11 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     leg_of = np.repeat(np.arange(len(legs)), [len(leg) - 1 for leg in legs])
     owner = np.repeat(np.arange(len(cut)), [len(path) for path in cut])[leg_of]
     heads = np.array([len(path) == 2 and i == 0 for path in cut for i in range(len(path))])[leg_of]
-    weights, residues = coefficient_function(system)(np.concatenate([leg[:-1] for leg in legs]))
-    g = np.concatenate([np.diff(leg) for leg in legs]) * weights.T  # (P, B)
+    points = np.concatenate(legs)
+    inner = np.ones(len(points), dtype=bool)  # every point but a leg's last starts a hop
+    inner[np.cumsum([len(leg) for leg in legs]) - 1] = False
+    weights, residues = coefficient_function(system)(points[inner])
+    g = (points[1:] - points[:-1])[inner[:-1]] * weights.T  # (P, B)
     size = np.abs(g)
     reach = size.max(axis=0)
     norms = np.linalg.norm(residues, 2, axis=(1, 2))
@@ -250,13 +259,16 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     values = np.empty((count,) + start.shape, dtype=complex)
     tails = np.empty(count)
     deviations = np.empty(count)
-    masses = np.full(count, float(np.linalg.norm(start, 2)))  # sum_k m_k
+    bound = np.full(count, float(np.linalg.norm(start, 2)))  # m_k
+    masses = bound.copy()  # sum_k m_k up to the path's deviation point
+    mass = np.zeros(count)  # the m_k after it, as one running sum
+    weight = np.empty(count)  # F_p w_i, fixed at the path's deviation point
     term = np.repeat(start[:, :, None], count, axis=2)  # y_k
     sums = term.copy()
     stack = np.zeros((len(g),) + term.shape, dtype=complex)  # U_{p,k}
-    bound = np.full(count, float(np.linalg.norm(start, 2)))  # m_k
     partial = np.zeros_like(size)  # M_{p,k}
-    stop = np.zeros(paths, dtype=int)  # the stop term, 0 until the deviation point
+    passed = np.zeros(paths, dtype=bool)  # past the deviation point
+    stop = np.zeros(paths, dtype=int)  # the stop term, 0 while the path is open
 
     def leave(hops, front):
         """Read off the values and deviations of ``hops``, whose sums are ``front`` (N, m, H)."""
@@ -268,7 +280,7 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     with np.errstate(over="ignore"):
         majorants = np.exp(-(norms @ np.log1p(-size)))  # prod_p (1 - |g_p|)^-b_p bounds |Phi^-1|
         # Matrix and majorant terms together, until every path has passed its deviation point.
-        while not stop.all():
+        while not passed.all():
             partial += bound
             partial *= size
             bound = (norms / (k + 1)) @ partial
@@ -278,21 +290,37 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
             gap = min(1.0, (k + 1) / (k + total)) - reach  # 1 / max(1, (k + S) / (k + 1)) - G: tau is inf unless > 0
             tau = np.divide(bound * reach, gap, out=np.full(count, np.inf), where=gap > 0.0)
             _taylor_term(operator, g, stack, term, sums, k)
-            np.add(masses, bound, out=masses, where=(stop == 0)[owner])
-            fresh = (stop == 0) & (np.bincount(owner, tau, paths) < 1.0)
+            np.add(masses, bound, out=masses, where=~passed[owner])
+            np.add(mass, bound, out=mass, where=(passed & (stop == 0))[owner])
+            fresh = ~passed & (np.bincount(owner, tau, paths) < 1.0)
             if fresh.any():
                 hops = np.flatnonzero(fresh[owner])
                 path_of = owner[hops]
                 near = np.linalg.norm(sums[..., hops] - start[:, :, None], axis=(0, 1)) + tau[hops]
-                scale, weight = _hop_norms(near, majorants[hops], heads[hops])
-                weight *= np.exp(np.bincount(path_of, scale, paths))[path_of]  # F_p w_i
+                scale, weight[hops] = _hop_norms(near, majorants[hops], heads[hops])
+                weight[hops] *= np.exp(np.bincount(path_of, scale, paths))[path_of]
+                passed |= fresh
+            # A path past its deviation point leaves at the first term whose fixed-weight bound meets tol.
+            hops = np.flatnonzero((passed & (stop == 0))[owner])
+            if hops.size:
+                path_of = owner[hops]
                 groups = np.flatnonzero(np.diff(path_of, prepend=-1))
-                majorant = size[:, hops], reach[hops], norms, total, k, bound[hops], partial[:, hops], tau[hops]
-                stop[path_of[groups]], tails[hops], mass = _stop_terms(*majorant, weight, groups, tol)
-                masses[hops] += mass
-            if (stop == k).any():
-                hops = np.flatnonzero((stop == k)[owner])
-                leave(hops, sums[..., hops])
+                composed = np.add.reduceat(tau[hops] * weight[hops], groups)
+                if not np.isfinite(composed).all():
+                    raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
+                if (composed <= tol).any():
+                    stop[path_of[groups][composed <= tol]] = k
+                    hops = np.flatnonzero((stop == k)[owner])
+                    tails[hops] = tau[hops]
+                    leave(hops, sums[..., hops])
+        # From the last deviation point, the majorant alone gives the open paths' stop terms.
+        hops = np.flatnonzero((stop == 0)[owner])
+        if hops.size:
+            path_of = owner[hops]
+            groups = np.flatnonzero(np.diff(path_of, prepend=-1))
+            majorant = size[:, hops], reach[hops], norms, total, k, bound[hops], partial[:, hops], tau[hops], mass[hops]
+            stop[path_of[groups]], tails[hops], mass[hops] = _stop_terms(*majorant, weight[hops], groups, tol)
+        masses += mass
         # The bare recurrence, the open hops sorted by stop term, last first, so the hops that leave are a slice.
         hops = np.flatnonzero((stop > k)[owner])
         hops = hops[np.argsort(-stop[owner[hops]], kind="stable")]

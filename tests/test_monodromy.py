@@ -186,6 +186,39 @@ def test_verify_clustered_pair_keeps_step_control():
     assert report.representation.product_defect <= 1e-6
 
 
+def test_verify_work_counts_on_the_clustered_pair(monkeypatch):
+    """One verify of the clustered pair at integration tolerance 1e-9 makes
+    one kernel call with one ``_stop_terms`` block search, at most 5
+    ``_chain_groups`` calls and 5 assignments.  Before the stop terms were
+    searched once per call, the all-single Jordan structures were returned
+    without the merge ladder and the spectrum distance was read off the
+    block match, the counts were 2 (one per deviation term), 25 and 10."""
+    linalg = importlib.import_module("fuchsia.linalg")
+    module = importlib.import_module("fuchsia.monodromy")
+    calls = dict.fromkeys(("_integrate_legs", "_stop_terms", "_chain_groups", "min_cost_assignment"), 0)
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(linalg, "_chain_groups", counting(linalg, "_chain_groups"))
+    assignment = counting(linalg, "min_cost_assignment")
+    monkeypatch.setattr(linalg, "min_cost_assignment", assignment)
+    monkeypatch.setattr(module, "min_cost_assignment", assignment)
+    for name in ("_integrate_legs", "_stop_terms"):
+        monkeypatch.setattr(module, name, counting(module, name))
+    assert verify_theorem(clustered_pair_system(), integration_tol=1e-9).overall
+    assert calls["_integrate_legs"] == 1
+    assert calls["_stop_terms"] == 1
+    assert calls["_chain_groups"] <= 5
+    assert calls["min_cost_assignment"] == 5
+
+
 @pytest.mark.parametrize("base", [1e16, 1e100])
 def test_far_base_point_places_hops_from_the_nearer_end(base):
     """From a base point 1e16 or 1e100 away, a leg ends near the poles 0 and
