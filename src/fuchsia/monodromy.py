@@ -165,26 +165,34 @@ def _compose(columns: np.ndarray, runs: np.ndarray) -> np.ndarray:
     """First block columns of the products of the factors of each run.
 
     ``columns`` (H, N, m) holds each factor's first block column [T; S],
-    T its top m x m block and S the rest as m x m blocks, and ``runs`` (H,)
-    the sorted run of each factor, first factor first.  For transfers
-    [[T, 0], [S, I (x) T]] (every transfer when m = N, every variational
-    transfer of ``inverse``) Phi2 Phi1 has the column
+    T its top m x m block and S the rest, K = N / m - 1 blocks of m x m,
+    and ``runs`` (H,) the sorted run of each factor, first factor first.
+    For transfers [[T, 0], [S, I (x) T]] (every transfer when m = N, every
+    variational transfer of ``inverse``) Phi2 Phi1 has the column
     [T2 T1; S2 T1 + (I (x) T2) S1].  Neighbours are multiplied pairwise,
-    all runs at once, until each run is one factor: (runs, N, m).
+    all runs at once, until each run is one factor: (runs, N, m).  Each
+    product is by whole blocks: S2 T1 is one (K m, m) @ (m, m) product,
+    and (I (x) T2) S1 one (m, m) @ (m, K m) product on S1's blocks laid
+    side by side.
     """
     m = columns.shape[2]
-    t, s = columns[:, :m], columns[:, m:].reshape(len(columns), -1, m, m)
+    blocks = (columns.shape[1] - m) // m
+    t, s = columns[:, :m], columns[:, m:]
     while True:
         position = np.arange(len(runs)) - np.searchsorted(runs, runs)
         if not position.any():
-            return np.concatenate([t, s.reshape(len(t), -1, m)], axis=1)
+            return np.concatenate([t, s], axis=1)
         first = np.flatnonzero(position % 2 == 0)
         pair = first + 1 < len(runs)
         pair[pair] = runs[first[pair] + 1] == runs[first[pair]]
         lo = first[pair]
         t_lo, s_lo, t_hi, s_hi = t[lo], s[lo], t[lo + 1], s[lo + 1]
         t, s, runs = t[first], s[first], runs[first]
-        s[pair] = s_hi @ t_lo[:, None] + t_hi[:, None] @ s_lo
+        if blocks:
+            # S1's blocks side by side, (m, K m), and back.
+            side = s_lo.reshape(len(lo), blocks, m, m).transpose(0, 2, 1, 3).reshape(len(lo), m, blocks * m)
+            lifted = (t_hi @ side).reshape(len(lo), m, blocks, m).transpose(0, 2, 1, 3).reshape(len(lo), blocks * m, m)
+            s[pair] = s_hi @ t_lo + lifted
         t[pair] = t_hi @ t_lo
 
 
