@@ -22,7 +22,7 @@ INVERSE_SCHEMA = "fuchsia-inverse/1"
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValidationError("non-finite float cannot be serialized")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         # Keep integral floats compact and sign-normalized (0.0 == -0.0).
         if x == 0.0:
             return "0.0"

@@ -277,19 +277,15 @@ class JordanStructure:
         match_tol = max(tol, 2.0 * max(self.tolerance, other.tolerance))
         if len(self.blocks) != len(other.blocks) or self.dimension != other.dimension:
             return None
-        k = len(self.blocks)
-        cost = np.zeros((k, k))
-        for i, (lam, _) in enumerate(self.blocks):
-            for j, (mu, _) in enumerate(other.blocks):
-                cost[i, j] = abs(lam - mu)
+        cost = [[abs(lam - mu) for mu, _ in other.blocks] for lam, _ in self.blocks]
         rows, cols = min_cost_assignment(cost)
         pairs = []
-        for i, j in zip(rows, cols):
-            if cost[i, j] > match_tol:
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if cost[i][j] > match_tol:
                 return None
             if self.blocks[i][1] != other.blocks[j][1]:
                 return None
-            pairs.append((int(i), int(j)))
+            pairs.append((i, j))
         return pairs
 
 
@@ -469,7 +465,9 @@ def _jordan(arr: np.ndarray, norm: float, w: list) -> JordanStructure:
     ``<=`` of ``_chain_groups``), every cluster is single, no merge is
     tried and no pair is ambiguous: the structure is the single blocks
     sorted by (real, imag), returned without the clustering, the ladder or
-    the block loop, which would give exactly that.
+    the block loop, which would give exactly that.  A merge's validation
+    reads only its members and the other clusters' means, so a merge that
+    failed is not validated again at a later rung with the same ones.
     """
     tol = DEFAULT_CLUSTER_TOL
     n = arr.shape[0]
@@ -482,6 +480,7 @@ def _jordan(arr: np.ndarray, norm: float, w: list) -> JordanStructure:
 
     clusters = [[w[i] for i in group] for group in _chain_groups(w, rho0)]
 
+    refused = set()  # (members, other means) of every merge whose validation failed
     for rung in range(2, n + 1):
         radius = min(_CHAIN_FACTOR * scale * tol ** (1.0 / rung), 0.25 * scale)
         changed = True
@@ -495,12 +494,17 @@ def _jordan(arr: np.ndarray, norm: float, w: list) -> JordanStructure:
                 for idx in group:
                     merged.extend(clusters[idx])
                 other_reps = [reps[i] for i in range(len(reps)) if i not in group]
+                tried = (tuple(merged), tuple(other_reps))
+                if tried in refused:
+                    continue
                 sizes = _validate_cluster(arr, w, merged, other_reps, scale, rho0, tol, strict=True)
-                if sizes is not None:
-                    clusters = [c for i, c in enumerate(clusters) if i not in group]
-                    clusters.append(merged)
-                    changed = True
-                    break
+                if sizes is None:
+                    refused.add(tried)
+                    continue
+                clusters = [c for i, c in enumerate(clusters) if i not in group]
+                clusters.append(merged)
+                changed = True
+                break
 
     reps = [_mean(c) for c in clusters]
     order = sorted(range(len(clusters)), key=lambda i: (reps[i].real, reps[i].imag))

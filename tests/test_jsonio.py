@@ -8,7 +8,6 @@ import pytest
 
 from fuchsia.errors import ValidationError
 from fuchsia.jsonio import (
-    _format_float,
     canonical_json,
     complex_to_pair,
     load_json,
@@ -62,6 +61,17 @@ class TestCanonicalJson:
             canonical_json({"x": object()})
 
 
+def _reference_float(x: float) -> str:
+    """The float rule of the reference encoder: 17 significant digits, integral floats below 1e16 compact."""
+    if not math.isfinite(x):
+        raise ValidationError("non-finite float cannot be serialized")
+    if x == int(x) and abs(x) < 1e16:
+        if x == 0.0:
+            return "0.0"
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
 def _isinstance_emit(obj, parts):
     """``canonical_json``'s encoder as it was before it dispatched on exact types: the reference."""
     if obj is None or obj is True or obj is False:
@@ -71,7 +81,7 @@ def _isinstance_emit(obj, parts):
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
+        parts.append(_reference_float(float(obj)))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, key in enumerate(sorted(obj)):
