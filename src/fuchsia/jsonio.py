@@ -33,11 +33,12 @@ def _format_float(x: float) -> str:
 def canonical_json(obj) -> str:
     """Serialize ``obj`` (dict/list/str/float/int/bool/None) canonically.
 
-    One pass over ``obj``: ``_emit`` dispatches on the exact type of each
-    value, encodes strings and keys with ``json``'s own ASCII escaper (what
-    ``json.dumps(..., ensure_ascii=True)`` calls) and a list of plain floats,
-    such as a complex pair, with one join.  Subclasses, numpy scalars and
-    the values that raise take the ``isinstance`` branches.
+    One pass over ``obj``: ``_emit`` takes floats, lists, tuples, dicts,
+    booleans and None by their exact type, and the rest (strings, integers,
+    subclasses, numpy scalars and the values that raise) by ``isinstance``.
+    Strings and keys go through ``json``'s own ASCII escaper (what
+    ``json.dumps(..., ensure_ascii=True)`` calls), and a list of plain
+    floats, such as a complex pair, is one join.
     """
     parts: list[str] = []
     _emit(obj, parts)
@@ -52,15 +53,11 @@ def _emit(obj, parts: list[str]) -> None:
         _emit_items(obj, parts)
     elif kind is dict:
         _emit_fields(obj, parts)
-    elif kind is str:
-        parts.append(encode_basestring_ascii(obj))
-    elif kind is int:
-        parts.append(str(obj))
     elif obj is None or kind is bool:
         parts.append("null" if obj is None else "true" if obj else "false")
-    # Subclasses and numpy scalars.
+    # Strings, integers, subclasses and numpy scalars.
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=True))
+        parts.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
