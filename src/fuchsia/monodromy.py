@@ -95,14 +95,16 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, mass, weight
     deviation point r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k), so
     the path's bound meets ``tol`` within log(tol / bound) / log(max_i r_i)
     terms; that many run as one block (another follows should rounding
-    leave a path open).  The stop term is the first from k on whose bound
-    meets ``tol``; a non-finite bound raises ``NonFiniteError``.  Returns
+    leave a path open).  The block is read one path at a time, so its
+    temporaries are one path wide, not as wide as every open hop.  The
+    stop term is the first from k on whose bound meets ``tol``; a
+    non-finite bound raises ``NonFiniteError``.  Returns
     the stop terms, and per hop tau_i and the running sum continued to
     m_stop there, mass + m_{k+1} + ... + m_stop, added in that order.
     """
     stops = np.zeros(len(groups), dtype=int)
     tails, masses = np.empty(len(reach)), np.empty(len(reach))
-    group_of = np.repeat(np.arange(len(groups)), np.diff(groups, append=len(reach)))
+    paths = [slice(lo, hi) for lo, hi in zip(groups.tolist(), groups[1:].tolist() + [len(reach)])]
     while not stops.all():
         open_ = stops == 0
         composed = np.add.reduceat(tail * weight, groups)
@@ -121,18 +123,22 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, mass, weight
             bound = np.dot(scaled[j], partial, out=history[j])
         if not np.isfinite(history).all():
             raise NonFiniteError("continuation majorant overflowed: the residues are too large")
-        taus = history * reach / (np.minimum(1.0, (terms + 1) / (terms + total)) - reach)
-        taus[0] = tail
-        met = np.add.reduceat(taus * weight, groups, axis=1) <= tol
-        found = met.any(axis=0) & open_
-        row = met.argmax(axis=0)
-        stops[found] = k + row[found]
-        leaving = found[group_of]
-        at = row[group_of][leaving]
-        running = np.cumsum(history, axis=0)
-        tails[leaving] = taus[at, leaving]
-        masses[leaving] = running[at, leaving]
-        k, tail, mass = k + span, taus[-1], running[-1]
+        limit = np.minimum(1.0, (terms + 1) / (terms + total))  # 1 / max(1, (j + S) / (j + 1))
+        tail, mass = tail.copy(), mass.copy()
+        for index in np.flatnonzero(open_).tolist():
+            hops = paths[index]
+            taus = history[:, hops] * reach[hops] / (limit - reach[hops])
+            taus[0] = tail[hops]
+            # reduceat adds a path's hops in order, as the first stretch does; sum would pair them.
+            met = np.add.reduceat(taus * weight[hops], [0], axis=1)[:, 0] <= tol
+            running = np.cumsum(history[:, hops], axis=0)
+            if met.any():
+                row = int(met.argmax())
+                stops[index] = k + row
+                tails[hops], masses[hops] = taus[row], running[row]
+            else:
+                tail[hops], mass[hops] = taus[-1], running[-1]
+        k += span
     return stops, tails, masses
 
 
