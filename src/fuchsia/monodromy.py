@@ -98,9 +98,9 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, mass, weight
     leave a path open).  The block is read one path at a time, so its
     temporaries are one path wide, not as wide as every open hop.  The
     stop term is the first from k on whose bound meets ``tol``; a
-    non-finite bound raises ``NonFiniteError``.  Returns
-    the stop terms, and per hop tau_i and the running sum continued to
-    m_stop there, mass + m_{k+1} + ... + m_stop, added in that order.
+    non-finite bound raises ``NonFiniteError``.  Returns the stop terms,
+    and per hop tau_i and the running sum continued to m_stop there,
+    mass + m_{k+1} + ... + m_stop, added in that order.
     """
     stops = np.zeros(len(groups), dtype=int)
     tails, masses = np.empty(len(reach)), np.empty(len(reach))
