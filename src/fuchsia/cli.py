@@ -42,6 +42,7 @@ from .system import (
     galois_generators,
     is_non_resonant,
     levelt_data,
+    validate_system,
 )
 
 EXIT_OK = 0
@@ -261,12 +262,7 @@ def cmd_invert(args) -> CommandOutcome:
         max_iter=args.max_iter,
         integration_tol=args.integration_tol,
     )
-    system_doc = {
-        "schema": jsonio.SYSTEM_SCHEMA,
-        "dimension": instance.dimension,
-        "poles": [jsonio.complex_to_pair(a) for a in instance.poles],
-        "residues": [jsonio.matrix_to_pairs(a) for a in solution.residues],
-    }
+    system_doc = validate_system(instance.poles, solution.residues).to_dict()
     seed = first_order_seed(instance)
     report = {
         "schema": jsonio.REPORT_SCHEMA,

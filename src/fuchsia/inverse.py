@@ -239,8 +239,7 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     stacked = _variational_residues(residues)
     defect = float(np.linalg.norm(sum(residues), 2))
     system = FuchsianSystem(instance.poles, tuple(stacked), len(stacked[0]), defect)
-    start = np.eye(system.dimension, dim, dtype=complex)
-    results = _integrate_legs(system, cut, start, tol)
+    results = _integrate_legs(system, cut, dim, tol)
     transfers = np.array([column for column, _ in results])  # (loops, N, dim)
     computed = transfers[:, :dim]
     # d[theta, j] = dM_j/dtheta
@@ -305,15 +304,10 @@ def solve(
         x, jacobian, residual = trial_x, trial_jacobian, trial_residual
         metric = _residual_metric(computed, instance.targets)
 
-    residues = _unpack(x, count, dim)
-    resonance = is_non_resonant(validate_system(instance.poles, residues))
-    frozen = []
-    for a in residues:
-        a = np.array(a, dtype=complex)
-        a.flags.writeable = False
-        frozen.append(a)
+    system = validate_system(instance.poles, _unpack(x, count, dim))
+    resonance = is_non_resonant(system)
     return InverseSolution(
-        residues=tuple(frozen),
+        residues=system.residues,
         final_residual=metric,
         iterations=iterations,
         converged=metric <= tol,

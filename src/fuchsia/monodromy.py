@@ -85,25 +85,22 @@ def _taylor_term(operator, g, stack, term, sums, k):
     sums += term
 
 
-def _stop_terms(size, reach, norms, total, k, bound, partial, tail, mass, weight, groups, tol):
-    """Each group's stop term, and each hop's tail and majorant mass there, from the majorant alone.
+def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, groups, tol):
+    """Each group's stop term, and each hop's tail there, from the majorant alone.
 
     The hops' majorant stands at term k with ``bound`` m_k, ``partial``
     M_{p,k-1} and ``tail`` tau_i; ``groups`` is the first hop of each path,
-    whose bound is sum_i tau_i ``weight``_i, and ``mass`` is each hop's
-    running sum of the m_j after its path's deviation point.  Past a path's
-    deviation point r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k), so
-    the path's bound meets ``tol`` within log(tol / bound) / log(max_i r_i)
-    terms; that many run as one block (another follows should rounding
-    leave a path open).  The block is read one path at a time, so its
-    temporaries are one path wide, not as wide as every open hop.  The
-    stop term is the first from k on whose bound meets ``tol``; a
-    non-finite bound raises ``NonFiniteError``.  Returns the stop terms,
-    and per hop tau_i and the running sum continued to m_stop there,
-    mass + m_{k+1} + ... + m_stop, added in that order.
+    whose bound is sum_i tau_i ``weight``_i.  Past a path's deviation point
+    r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k), so the path's bound
+    meets ``tol`` within log(tol / bound) / log(max_i r_i) terms; that many
+    run as one block (another follows should rounding leave a path open).
+    The block is read one path at a time, so its temporaries are one path
+    wide, not as wide as every open hop.  The stop term is the first from k
+    on whose bound meets ``tol``; a non-finite bound raises
+    ``NonFiniteError``.  Returns the stop terms and each hop's tau_i there.
     """
     stops = np.zeros(len(groups), dtype=int)
-    tails, masses = np.empty(len(reach)), np.empty(len(reach))
+    tails = np.empty(len(reach))
     paths = [slice(lo, hi) for lo, hi in zip(groups.tolist(), groups[1:].tolist() + [len(reach)])]
     while not stops.all():
         open_ = stops == 0
@@ -115,8 +112,8 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, mass, weight
         span = int(np.ceil(np.max(np.log(tol / composed[pending]) / np.log(ratio), initial=0.0)))
         terms = np.arange(k, k + span + 1)[:, None]
         scaled = norms / terms  # b_p / j in the row of term j
-        history = np.empty((span + 1, len(reach)))  # mass, m_{k+1} ... m_{k+span}
-        history[0] = mass
+        history = np.empty((span + 1, len(reach)))  # m_k ... m_{k+span}
+        history[0] = bound
         for j in range(1, span + 1):
             partial += bound
             partial *= size
@@ -124,22 +121,21 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, mass, weight
         if not np.isfinite(history).all():
             raise NonFiniteError("continuation majorant overflowed: the residues are too large")
         limit = np.minimum(1.0, (terms + 1) / (terms + total))  # 1 / max(1, (j + S) / (j + 1))
-        tail, mass = tail.copy(), mass.copy()
+        tail = tail.copy()
         for index in np.flatnonzero(open_).tolist():
             hops = paths[index]
             taus = history[:, hops] * reach[hops] / (limit - reach[hops])
             taus[0] = tail[hops]
             # reduceat adds a path's hops in order, as the first stretch does; sum would pair them.
             met = np.add.reduceat(taus * weight[hops], [0], axis=1)[:, 0] <= tol
-            running = np.cumsum(history[:, hops], axis=0)
             if met.any():
                 row = int(met.argmax())
                 stops[index] = k + row
-                tails[hops], masses[hops] = taus[row], running[row]
+                tails[hops] = taus[row]
             else:
-                tail[hops], mass[hops] = taus[-1], running[-1]
+                tail[hops] = taus[-1]
         k += span
-    return stops, tails, masses
+    return stops, tails
 
 
 def _hop_norms(deviation, majorant, head):
@@ -202,15 +198,17 @@ def _compose(columns: np.ndarray, runs: np.ndarray) -> np.ndarray:
         t[pair] = t_hi @ t_lo
 
 
-def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
-    """Continue the (N, m) value ``start`` along every leg of ``cut``, one hop per batch column.
+def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
+    """Continue the first block column [I_m; 0] along every leg of ``cut``, one hop per batch column.
 
     ``cut`` is the legs of ``_cut_paths``.  The system's field
     (``coefficient_function``) maps the B hop starts, in one call, to
     ``(weights (B, P), residues (P, N, N))`` with
     A(z_i) = sum_p weights[i, p] residues[p].
-    Hop z -> z + h has g_p = h weights_p, and from y_0 = start,
-    U_{p,-1} = 0, m_0 = |start|_2, M_{p,-1} = 0 and b_p = |B_p|_2 it runs
+    Hop z -> z + h has g_p = h weights_p, and from the start
+    y_0 = [I_m; 0], the first m columns of the N x N identity (N read from
+    the field's residues), U_{p,-1} = 0, m_0 = |y_0|_2 = 1, M_{p,-1} = 0 and
+    b_p = |B_p|_2 it runs
         U_{p,k} = g_p (y_k - U_{p,k-1}),  y_{k+1} = sum_p B_p U_{p,k} / (k + 1),
         M_{p,k} = |g_p| (m_k + M_{p,k-1}),  m_{k+1} = sum_p b_p M_{p,k} / (k + 1),
     and sums Y(z + h) = sum_k y_k; the y_k are the (N, m, B) columns and
@@ -233,12 +231,10 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     the stop terms of the paths still open, in one ``_stop_terms`` call.
     (3) The bare recurrence runs their hops, sorted by stop term so that
     the hops that leave are a slice, and each hop's value and deviation
-    |S_i - start|_F + tau_i are those of its stop term.  A hop's majorant
-    mass is two running sums, of the m_k up to its path's deviation point
-    and of those after it, which ``_stop_terms`` continues.
-    A path's term count depends on the path alone, so it gets the same
-    values in any batch.  A non-finite majorant or value, or a non-finite
-    bound at a deviation point, raises ``NonFiniteError``.
+    |S_i - start|_F + tau_i are those of its stop term.  A path's term
+    count depends on the path alone, so it gets the same values in any
+    batch.  A non-finite majorant or value, or a non-finite bound at a
+    deviation point, raises ``NonFiniteError``.
 
     Returns one ``(value, error_estimate)`` per path.  An open path's value
     is its one leg, its hops' values composed by ``_compose``.  A loop's is
@@ -249,8 +245,10 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     ``_hop_bounds`` with each hop's tail and deviation at its stop term, for a
     loop at most cond(T) E_C + |T^-1| (|C| + E_C + |M| + E) E_T with E_T,
     E_C the legs' bounds and E the loop's, plus a rounding model eps W
-    max(1, |Y|_2), W the sum over hops (a head hop twice) of sum_k m_k,
-    which bounds the magnitudes a hop adds up however they cancel.  Norms
+    max(1, |Y|_2), W the sum over hops (a head hop twice) of the majorant
+    product prod_p (1 - |g_p|)^-b_p.  That is the majorant function
+    m_0 prod_p (1 - |g_p| u)^-b_p at u = 1, the sum of all of the hop's
+    m_k, so it bounds the magnitudes a hop adds up however they cancel.  Norms
     are of the top m x m blocks: for m = N the transfers, for ``inverse``'s
     variational systems the system's own.
     """
@@ -268,14 +266,12 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     norms = np.linalg.norm(residues, 2, axis=(1, 2))
     total = float(norms.sum())
     count, paths = len(leg_of), len(cut)
-    m = start.shape[1]
+    start = np.eye(residues.shape[1], m, dtype=complex)
     operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
     values = np.empty((count,) + start.shape, dtype=complex)
     tails = np.empty(count)
     deviations = np.empty(count)
-    bound = np.full(count, float(np.linalg.norm(start, 2)))  # m_k
-    masses = bound.copy()  # sum_k m_k up to the path's deviation point
-    mass = np.zeros(count)  # the m_k after it, as one running sum
+    bound = np.ones(count)  # m_k
     weight = np.empty(count)  # F_p w_i, fixed at the path's deviation point
     term = np.repeat(start[:, :, None], count, axis=2)  # y_k
     sums = term.copy()
@@ -292,7 +288,7 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
     k = 0
     # Overflows are left as inf here; the isfinite checks raise NonFiniteError on them.
     with np.errstate(over="ignore"):
-        majorants = np.exp(-(norms @ np.log1p(-size)))  # prod_p (1 - |g_p|)^-b_p bounds |Phi^-1|
+        majorants = np.exp(-(norms @ np.log1p(-size)))  # prod_p (1 - |g_p|)^-b_p = sum_k m_k bounds |Phi^-1|
         # Matrix and majorant terms together, until every path has passed its deviation point.
         while not passed.all():
             partial += bound
@@ -304,8 +300,6 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
             gap = min(1.0, (k + 1) / (k + total)) - reach  # 1 / max(1, (k + S) / (k + 1)) - G: tau is inf unless > 0
             tau = np.divide(bound * reach, gap, out=np.full(count, np.inf), where=gap > 0.0)
             _taylor_term(operator, g, stack, term, sums, k)
-            np.add(masses, bound, out=masses, where=~passed[owner])
-            np.add(mass, bound, out=mass, where=(passed & (stop == 0))[owner])
             fresh = ~passed & (np.bincount(owner, tau, paths) < 1.0)
             if fresh.any():
                 hops = np.flatnonzero(fresh[owner])
@@ -332,9 +326,8 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
         if hops.size:
             path_of = owner[hops]
             groups = np.flatnonzero(np.diff(path_of, prepend=-1))
-            majorant = size[:, hops], reach[hops], norms, total, k, bound[hops], partial[:, hops], tau[hops], mass[hops]
-            stop[path_of[groups]], tails[hops], mass[hops] = _stop_terms(*majorant, weight[hops], groups, tol)
-        masses += mass
+            majorant = size[:, hops], reach[hops], norms, total, k, bound[hops], partial[:, hops], tau[hops]
+            stop[path_of[groups]], tails[hops] = _stop_terms(*majorant, weight[hops], groups, tol)
         # The bare recurrence, the open hops sorted by stop term, last first, so the hops that leave are a slice.
         hops = np.flatnonzero((stop > k)[owner])
         hops = hops[np.argsort(-stop[owner[hops]], kind="stable")]
@@ -376,7 +369,7 @@ def _integrate_legs(system: FuchsianSystem, cut, start: np.ndarray, tol: float):
         product = estimates[is_loop]
         conditioned = (singular[:, 0] * e_c + e_t * (turn[:, 0] + e_c + sizes[is_loop] + product)) / singular[:, -1]
         estimates[is_loop] = np.minimum(product, conditioned)
-    rounding = np.bincount(owner, masses * (1.0 + heads), len(cut))
+    rounding = np.bincount(owner, majorants * (1.0 + heads), len(cut))
     estimates += np.finfo(float).eps * rounding * np.maximum(1.0, sizes)
     return list(zip(transfers, estimates.tolist()))
 
@@ -433,9 +426,7 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     plus a rounding model (``_integrate_legs``).
     """
     check_tolerance(tol, "integration tolerance")
-    [(transfer, err)] = _integrate_legs(
-        system, _cut_paths(system.poles, (path,)), np.eye(system.dimension, dtype=complex), tol
-    )
+    [(transfer, err)] = _integrate_legs(system, _cut_paths(system.poles, (path,)), system.dimension, tol)
     return transfer, err
 
 
@@ -481,7 +472,7 @@ def monodromy(
     check_tolerance(tol, "integration tolerance")
     z0 = default_base_point(system.poles) if base_point is None else complex(base_point)
     loops = build_loops(system.poles, z0)
-    results = _integrate_legs(system, _cut_paths(system.poles, loops), np.eye(system.dimension, dtype=complex), tol)
+    results = _integrate_legs(system, _cut_paths(system.poles, loops), system.dimension, tol)
     matrices = [transfer for transfer, _ in results]
     estimates = [err for _, err in results]
     order = composition_order(loops)

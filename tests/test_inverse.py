@@ -283,9 +283,9 @@ class TestJacobian:
         paths = []
         cuts = []
 
-        def counting(system, cut, start, tol):
+        def counting(system, cut, m, tol):
             paths.extend(cut)
-            return _integrate_legs(system, cut, start, tol)
+            return _integrate_legs(system, cut, m, tol)
 
         def cutting(poles, loops):
             cuts.append(loops)

@@ -12,17 +12,21 @@ line, check verdict and the SHA-256 of its report's bytes; for
 invert-near-identity also the recovered residues, the Gauss-Newton
 ``iterations`` and the ``final_residual``; for verify-mixed
 also each seed's ``correct`` flag (every verify op passes its check), the
-loop matrices of every report, its verdicts (``overall`` and, per pole,
+loop matrices and ``error_estimates`` of every report, the SHA-256 of the
+rest of the report (without the estimates and each pole's
+``monodromy_error``, their copies), its verdicts (``overall`` and, per pole,
 ``spectrum_match``, ``structure_match``, ``ok`` and ``non_resonant``), its
 largest ``conjugator_residual`` and, for the commuting classes, its realised
 error: the largest |M - oracle|_F / tol over its loops, against the
 closed-form monodromy of ``unit.truth["oracle"]`` at the default integration
 tolerance.  ``--compare`` prints the failed verify-mixed ops that differ
 between two sweeps, the seeds whose ``correct`` differs, how many ops' report
-bytes differ, the verify ops whose verdicts differ, the largest conjugator
-residual and realised error of each sweep and where they occur, and the
-largest gaps between their loop matrices: entrywise, entrywise over the commuting
-classes, and between matched eigenvalues; then, for exact-gauge and for
+bytes differ and how many differ outside the error estimates, the verify
+ops whose verdicts differ, the largest conjugator residual and realised
+error of each sweep and where they occur, the largest relative change of
+an error estimate and where it occurs, and the largest gaps between their
+loop matrices: entrywise, entrywise over the commuting classes, and between
+matched eigenvalues; then, for exact-gauge and for
 invert-near-identity, the ops whose exit code, error or verdict differ, and
 how many of their reports' bytes differ, and for invert-near-identity the
 largest entrywise gap between the recovered residues, the ops whose
@@ -32,7 +36,9 @@ geometry should leave the failed ops equal, op for op; a change of loop
 convention conjugates the generic matrices, so there only the spectra and
 the commuting classes' entries should stay put.  A change that claims the same answers should leave every
 report's bytes equal; one that moves only the last bits of the floats, such
-as a different matrix exponential, should leave every verdict equal.
+as a different matrix exponential, should leave every verdict equal; one
+that moves only the estimates' last bits, such as a different rounding
+model, should leave the rest of every verify report equal.
 """
 
 import argparse
@@ -81,6 +87,13 @@ def verify_verdicts(report: dict) -> list:
     return [report["overall"]] + [[pole[flag] for flag in flags] for pole in report["per_pole"]]
 
 
+def rest_digest(report: dict) -> str:
+    """SHA-256 of a verify report without its error estimates and each pole's copy of its own, ``monodromy_error``."""
+    rest = dict(report, monodromy=dict(report["monodromy"], error_estimates=None))
+    rest["per_pole"] = [dict(pole, monodromy_error=None) for pole in report["per_pole"]]
+    return hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()
+
+
 def largest_residual(report: dict):
     """The largest conjugator residual of a verify report, or None when no pole has one."""
     residuals = [pole["conjugator_residual"] for pole in report["per_pole"]]
@@ -119,6 +132,8 @@ def sweep(seeds) -> list:
                         "ok": ok,
                         "sha256": hashlib.sha256(report).hexdigest() if report else None,
                         "matrices": parsed["monodromy"]["matrices"] if parsed else None,
+                        "error_estimates": parsed["monodromy"]["error_estimates"] if parsed else None,
+                        "rest_sha256": rest_digest(parsed) if parsed else None,
                         "verdicts": verify_verdicts(parsed) if parsed else None,
                         "conjugator_residual": largest_residual(parsed) if parsed else None,
                         "realised_error": realised_error(parsed, unit.truth["oracle"])
@@ -257,6 +272,30 @@ def compare_verdicts(left, right) -> int:
     return len(differing)
 
 
+def compare_estimates(left, right):
+    """Print how many verify reports differ outside their error estimates, and
+    the largest relative change of an estimate between two sweeps and where it occurs."""
+    if not all("error_estimates" in r for r in left + right):
+        print("error estimates: not compared, a sweep file has no estimates")
+        return
+    theirs = {(r["seed"], r["unit"]): r for r in right}
+    pairs = [(r, theirs[(r["seed"], r["unit"])]) for r in left if (r["seed"], r["unit"]) in theirs]
+    rest = sum(x["rest_sha256"] != y["rest_sha256"] for x, y in pairs)
+    print(f"report bytes outside the error estimates: {rest} of {len(left)} ops differ")
+    changes = [
+        (abs(b - a) / abs(a) if a else float(a != b), x["seed"], x["unit"], x["class"])
+        for x, y in pairs
+        if x["error_estimates"] and y["error_estimates"]
+        for a, b in zip(x["error_estimates"], y["error_estimates"], strict=True)
+    ]
+    if changes:
+        change, seed, unit, kind = max(changes)
+        print(
+            f"largest relative error-estimate change over {len(changes)} estimates: {change:.3e}"
+            + (f" at seed {seed} unit {unit} ({kind})" if change else "")
+        )
+
+
 def compare(left, right) -> int:
     """Print the differences between two sweeps; nonzero when failed ops or verdicts differ."""
     from fuchsia.linalg import min_cost_assignment
@@ -279,6 +318,7 @@ def compare(left, right) -> int:
         print(f"report bytes: {changed} of {len(left)} ops differ")
     else:
         print("report bytes: not compared, a sweep file has no digests")
+    compare_estimates(left, right)
     verdicts_differ = compare_verdicts(left, right)
     flags_a, flags_b = correct(left), correct(right)
     for label, flags in (("left", flags_a), ("right", flags_b)):
