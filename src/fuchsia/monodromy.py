@@ -11,10 +11,11 @@ hops z -> z + h with |h| at most half the distance from z to every pole,
 and all hops of all loops are the columns of one batch.  A hop sums its
 Taylor series by a recurrence with one product with the residues per
 term; a scalar majorant bounds what the terms left out can add, and
-decides each path's term count before the matrix terms run: the stop term
-is the first whose composed bound, with each hop's deviation fixed once at
-the path's deviation point, is at most the tolerance.  There is no step
-size and no controller.  Hops continue the first block column [I_m; 0]
+decides each path's term count before the last matrix terms run, in one
+search per call: the stop term is the first, from the batch's last
+deviation point on, whose composed bound, with each hop's deviation fixed
+once at the path's deviation point, is at most the tolerance.  There is
+no step size and no controller.  Hops continue the first block column [I_m; 0]
 and compose in that form (``_compose``), so the inverse solver continues
 just n columns of its variational system.  ``_integrate_legs`` alone turns a loop's two
 legs into the first block column of T^-1 C T, all loops in one solve.
@@ -88,12 +89,14 @@ def _taylor_term(operator, g, stack, term, sums, k):
 def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, groups, tol):
     """Each group's stop term, and each hop's tail there, from the majorant alone.
 
-    The hops' majorant stands at term k with ``bound`` m_k, ``partial``
-    M_{p,k-1} and ``tail`` tau_i; ``groups`` is the first hop of each path,
-    whose bound is sum_i tau_i ``weight``_i.  Past a path's deviation point
-    r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k), so the path's bound
-    meets ``tol`` within log(tol / bound) / log(max_i r_i) terms; that many
-    run as one block (another follows should rounding leave a path open).
+    ``_integrate_legs`` calls it once, for every path, at the batch's last
+    deviation point.  The hops' majorant stands at term k with ``bound``
+    m_k, ``partial`` M_{p,k-1} and ``tail`` tau_i; ``groups`` is the first
+    hop of each path, whose bound is sum_i tau_i ``weight``_i.  Past a
+    path's deviation point r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k),
+    so the path's bound meets ``tol`` within log(tol / bound) / log(max_i r_i)
+    terms; that many run as one block (another follows should rounding
+    leave a path open).
     The block is read one path at a time, so its temporaries are one path
     wide, not as wide as every open hop.  The stop term is the first from k
     on whose bound meets ``tol``; a non-finite bound raises
@@ -126,7 +129,7 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, grou
             hops = paths[index]
             taus = history[:, hops] * reach[hops] / (limit - reach[hops])
             taus[0] = tail[hops]
-            # reduceat adds a path's hops in order, as the first stretch does; sum would pair them.
+            # reduceat adds a path's hops in order, as ``composed`` does; sum would pair them.
             met = np.add.reduceat(taus * weight[hops], [0], axis=1)[:, 0] <= tol
             if met.any():
                 row = int(met.argmax())
@@ -218,22 +221,27 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
     S = sum_p b_p, so the terms after the k-th add at most
     tau = m_k r / (1 - r), r = G max(1, (k + S) / (k + 1)).
 
-    Each path's term count is decided before its last matrix terms run.
-    (1) Matrix and majorant terms run together until every path has passed
-    its deviation point, the first term at which its summed tails are
-    below 1.  There each of its hops takes its deviation once,
-    d_i = |S_i - start|_F + tau_i: the partial sum S_i is within tau_i of
-    the hop's exact transfer and of every later partial sum, so the
-    composed bound of ``_hop_bounds`` with these d_i, F_p sum_i tau_i w_i
-    with F_p and w_i fixed (``_hop_norms``), holds at every later term, and
-    the path leaves at the first term at which that bound is at most
-    ``tol``.  (2) From the last deviation point the majorant alone gives
-    the stop terms of the paths still open, in one ``_stop_terms`` call.
-    (3) The bare recurrence runs their hops, sorted by stop term so that
-    the hops that leave are a slice, and each hop's value and deviation
-    |S_i - start|_F + tau_i are those of its stop term.  A path's term
-    count depends on the path alone, so it gets the same values in any
-    batch.  A non-finite majorant or value, or a non-finite bound at a
+    Each path's term count is decided before its last matrix terms run,
+    in three steps.  (1) Deviation points: matrix and majorant terms run
+    together until every path has passed its deviation point, the first
+    term at which its summed tails are below 1.  There each of its hops
+    takes its deviation once, d_i = |S_i - start|_F + tau_i: the partial
+    sum S_i is within tau_i of the hop's exact transfer and of every later
+    partial sum, so the composed bound of ``_hop_bounds`` with these d_i,
+    F_p sum_i tau_i w_i with F_p and w_i fixed (``_hop_norms``), holds at
+    every later term.  (2) One stop search: from the batch's last deviation
+    point the majorant alone gives every path's stop term, the first term
+    from there on at which that bound is at most ``tol``, in one
+    ``_stop_terms`` call.  (3) Bare recurrence: it runs every hop, sorted
+    by stop term so that the hops that leave are a slice, and each hop's
+    value and deviation |S_i - start|_F + tau_i are those of its stop term.
+    So a path's term count depends on the path alone, and it gets the same
+    values in any batch, unless its bound meets ``tol`` before the batch's
+    last deviation point: then it runs on to that point, where its bound
+    still holds and is tighter.  Deviation points come within the first
+    few terms, long before an ordinary ``tol`` is met, so only a loose
+    ``tol``, or a short line batched with long loops, shows this.  A
+    non-finite majorant or value, or a non-finite bound at the last
     deviation point, raises ``NonFiniteError``.
 
     Returns one ``(value, error_estimate)`` per path.  An open path's value
@@ -268,9 +276,6 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
     count, paths = len(leg_of), len(cut)
     start = np.eye(residues.shape[1], m, dtype=complex)
     operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
-    values = np.empty((count,) + start.shape, dtype=complex)
-    tails = np.empty(count)
-    deviations = np.empty(count)
     bound = np.ones(count)  # m_k
     weight = np.empty(count)  # F_p w_i, fixed at the path's deviation point
     term = np.repeat(start[:, :, None], count, axis=2)  # y_k
@@ -278,13 +283,6 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
     stack = np.zeros((len(g),) + term.shape, dtype=complex)  # U_{p,k}
     partial = np.zeros_like(size)  # M_{p,k}
     passed = np.zeros(paths, dtype=bool)  # past the deviation point
-    stop = np.zeros(paths, dtype=int)  # the stop term, 0 while the path is open
-
-    def leave(hops, front):
-        """Read off the values and deviations of ``hops``, whose sums are ``front`` (N, m, H)."""
-        values[hops] = front.transpose(2, 0, 1)
-        deviations[hops] = np.linalg.norm(front - start[:, :, None], axis=(0, 1)) + tails[hops]
-
     k = 0
     # Overflows are left as inf here; the isfinite checks raise NonFiniteError on them.
     with np.errstate(over="ignore"):
@@ -308,29 +306,11 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
                 scale, weight[hops] = _hop_norms(near, majorants[hops], heads[hops])
                 weight[hops] *= np.exp(np.bincount(path_of, scale, paths))[path_of]
                 passed |= fresh
-            # A path past its deviation point leaves at the first term whose fixed-weight bound meets tol.
-            hops = np.flatnonzero((passed & (stop == 0))[owner])
-            if hops.size:
-                path_of = owner[hops]
-                groups = np.flatnonzero(np.diff(path_of, prepend=-1))
-                composed = np.add.reduceat(tau[hops] * weight[hops], groups)
-                if not np.isfinite(composed).all():
-                    raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
-                if (composed <= tol).any():
-                    stop[path_of[groups][composed <= tol]] = k
-                    hops = np.flatnonzero((stop == k)[owner])
-                    tails[hops] = tau[hops]
-                    leave(hops, sums[..., hops])
-        # From the last deviation point, the majorant alone gives the open paths' stop terms.
-        hops = np.flatnonzero((stop == 0)[owner])
-        if hops.size:
-            path_of = owner[hops]
-            groups = np.flatnonzero(np.diff(path_of, prepend=-1))
-            majorant = size[:, hops], reach[hops], norms, total, k, bound[hops], partial[:, hops], tau[hops]
-            stop[path_of[groups]], tails[hops] = _stop_terms(*majorant, weight[hops], groups, tol)
-        # The bare recurrence, the open hops sorted by stop term, last first, so the hops that leave are a slice.
-        hops = np.flatnonzero((stop > k)[owner])
-        hops = hops[np.argsort(-stop[owner[hops]], kind="stable")]
+        # From the last deviation point, the majorant alone gives every path's stop term.
+        groups = np.flatnonzero(np.diff(owner, prepend=-1))
+        stop, tails = _stop_terms(size, reach, norms, total, k, bound, partial, tau, weight, groups, tol)
+        # The bare recurrence, the hops sorted by stop term, last first, so the hops that leave are a slice.
+        hops = np.argsort(-stop[owner], kind="stable")
         ends = stop[owner[hops]]
         # C-contiguous, unlike a[..., hops] and a[..., :first]: the terms are written through reshaped views.
         g, term, sums, stack = (np.take(a, hops, axis=-1) for a in (g, term, sums, stack))
@@ -342,8 +322,11 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
             first = int(np.searchsorted(-ends, -end))
             fronts.append(sums[..., first:])
             g, term, sums, stack = (np.ascontiguousarray(a[..., :first]) for a in (g, term, sums, stack))
-        if fronts:
-            leave(hops, np.concatenate(fronts[::-1], axis=-1))
+        front = np.concatenate(fronts[::-1], axis=-1)
+        values = np.empty((count,) + start.shape, dtype=complex)
+        values[hops] = front.transpose(2, 0, 1)
+        deviations = np.empty(count)
+        deviations[hops] = np.linalg.norm(front - start[:, :, None], axis=(0, 1)) + tails[hops]
         if not np.isfinite(values).all():
             raise NonFiniteError("continuation produced a non-finite solution value")
     composed = _compose(values, leg_of)

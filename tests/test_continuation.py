@@ -132,6 +132,18 @@ def test_zero_residues_give_the_identity():
         assert np.array_equal(matrix, np.eye(2))
 
 
+@pytest.mark.parametrize("r", [5, 10, 20, 30, 50])
+def test_estimates_bound_the_error_on_large_residues(r):
+    """Scalar residues +r at 0 and -r at 1, so each loop's exact monodromy is
+    exp(2 pi i r_j).  From r of about 15 the hops' majorant products grow
+    and the estimates exceed ``tol``, but they stay bounds on the error:
+    at r = 50 the errors are about 0.3 and 0.8, the estimates 1e6 and more."""
+    system = validate_system([0.0, 1.0], [np.array([[r + 0j]]), np.array([[-r + 0j]])])
+    rep = monodromy(system, 1e-9)
+    for matrix, estimate, b in zip(rep.matrices, rep.error_estimates, (r, -r), strict=True):
+        assert abs(matrix[0, 0] - cmath.exp(2j * cmath.pi * b)) <= estimate
+
+
 def test_majorant_terms_sum_to_the_majorant_product():
     """The rounding model's W reads each hop's majorant product
     prod_p (1 - |g_p|)^-b_p as the sum of all of its majorant terms.  On
@@ -267,6 +279,43 @@ def test_batch_equals_each_path_alone(columns):
         assert transfer.shape == (columns, columns)
         assert np.max(np.abs(transfer - alone)) <= 1e-10
         assert estimate == pytest.approx(alone_estimate, rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-4])
+@pytest.mark.parametrize("columns", [2, 3])
+def test_path_that_meets_tol_early_runs_to_the_last_deviation_point(columns, tol):
+    """At a loose ``tol`` the short line's bound can meet ``tol`` before the
+    loops pass their deviation points; it then runs on with the batch, so
+    its estimate is no larger than alone.  Every path's realised error,
+    against the same batch at 1e-13, stays within its estimate and the
+    estimate within ``tol``; each loop keeps its value and estimate alone."""
+    system = five_pole_generic_system(columns)
+    loops = build_loops(system.poles, default_base_point(system.poles))
+    short = ContinuationPath((Line(5.0 + 0.0j, 5.0 + 0.1j),), clearance=1.0)
+    paths = loops + [short]
+    batch = continue_paths(system, paths, columns, tol)
+    reference = continue_paths(system, paths, columns, 1e-13)
+    for (transfer, estimate), (exact, _) in zip(batch, reference, strict=True):
+        assert np.linalg.norm(transfer - exact, 2) <= estimate <= tol
+    for path, (transfer, estimate) in zip(loops, batch):
+        [(alone, alone_estimate)] = continue_paths(system, (path,), columns, tol)
+        assert np.max(np.abs(transfer - alone)) <= 1e-10
+        assert estimate == pytest.approx(alone_estimate, rel=1e-6)
+    [(_, alone_estimate)] = continue_paths(system, (short,), columns, tol)
+    assert batch[-1][1] <= alone_estimate * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-1, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12])
+def test_monodromy_loops_equal_each_loop_alone(tol):
+    """The loops of one ``monodromy`` batch pass ``tol`` after their last
+    deviation point, so each has the matrix and estimate of
+    ``continue_solution`` on that loop alone, at loose and tight ``tol``."""
+    for system in (five_pole_generic_system(2), clustered_pair_system()):
+        rep = monodromy(system, tol)
+        for loop, matrix, estimate in zip(rep.loops, rep.matrices, rep.error_estimates, strict=True):
+            alone, alone_estimate = continue_solution(system, loop, tol)
+            assert np.max(np.abs(matrix - alone)) <= 1e-12
+            assert estimate == pytest.approx(alone_estimate, rel=1e-9)
 
 
 def test_monodromy_evaluator_calls(monkeypatch):

@@ -10,7 +10,10 @@ invert-near-identity pools (``perfbench/workloads.py``, imported as it is)
 for each seed, and writes every op's exit code, input class, first error
 line, check verdict and the SHA-256 of its report's bytes; for
 invert-near-identity also the recovered residues, the Gauss-Newton
-``iterations`` and the ``final_residual``; for verify-mixed
+``iterations`` and the ``final_residual``; for verify-mixed and
+invert-near-identity each op's work counts, its continuation kernel's
+``matrix_terms`` (calls of ``fuchsia.monodromy._taylor_term``) and
+``hop_terms`` (the hops those calls advance, summed); for verify-mixed
 also each seed's ``correct`` flag (every verify op passes its check), the
 loop matrices and ``error_estimates`` of every report, the SHA-256 of the
 rest of the report (without the estimates and each pole's
@@ -31,7 +34,9 @@ invert-near-identity, the ops whose exit code, error or verdict differ, and
 how many of their reports' bytes differ, and for invert-near-identity the
 largest entrywise gap between the recovered residues, the ops whose
 iteration counts differ and the largest relative change of the final
-residual.  A change to continuation or
+residual; and, for verify-mixed and invert-near-identity, the total
+matrix and hop terms of each sweep and the ops whose counts differ.  A
+change to continuation or
 geometry should leave the failed ops equal, op for op; a change of loop
 convention conjugates the generic matrices, so there only the spectra and
 the commuting classes' entries should stay put.  A change that claims the same answers should leave every
@@ -44,6 +49,7 @@ model, should leave the rest of every verify report equal.
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -79,6 +85,31 @@ def _run(argv, out):
         with open(out, "rb") as fh:
             report = fh.read()
     return code, error or (stderr.getvalue().strip().splitlines() or [None])[0], report
+
+
+@contextlib.contextmanager
+def term_counts():
+    """Count the continuation kernel's matrix terms and hop terms while the block runs.
+
+    ``fuchsia.monodromy._taylor_term`` advances one matrix term of a batch of
+    hops; it is wrapped for the block and restored after.  Yields the dict
+    ``{"matrix_terms": calls, "hop_terms": batch widths summed}``.
+    """
+    # The package attribute ``fuchsia.monodromy`` is a function, so the module comes from importlib.
+    module = importlib.import_module("fuchsia.monodromy")
+    original = module._taylor_term
+    counts = {"matrix_terms": 0, "hop_terms": 0}
+
+    def counted(operator, g, stack, term, sums, k):
+        counts["matrix_terms"] += 1
+        counts["hop_terms"] += g.shape[-1]
+        return original(operator, g, stack, term, sums, k)
+
+    module._taylor_term = counted
+    try:
+        yield counts
+    finally:
+        module._taylor_term = original
 
 
 def verify_verdicts(report: dict) -> list:
@@ -118,7 +149,8 @@ def sweep(seeds) -> list:
         with tempfile.TemporaryDirectory() as workdir:
             for index, unit in enumerate(workloads.verify_units(seed, workdir)):
                 [argv], [out] = unit.argvs, unit.outputs
-                code, error, report = _run(argv, out)
+                with term_counts() as terms:
+                    code, error, report = _run(argv, out)
                 [ok] = workloads.check_verify(unit, [workloads.OpResult(code, 0.0, report, error)])
                 parsed = json.loads(report) if report else None
                 records.append(
@@ -139,6 +171,7 @@ def sweep(seeds) -> list:
                         "realised_error": realised_error(parsed, unit.truth["oracle"])
                         if parsed and unit.truth["oracle"]
                         else None,
+                        **terms,
                     }
                 )
             for index, unit in enumerate(workloads.gauge_units(seed, workdir)):
@@ -161,7 +194,8 @@ def sweep(seeds) -> list:
                     )
             for index, unit in enumerate(workloads.invert_units(seed, workdir)):
                 [argv], [out] = unit.argvs, unit.outputs
-                code, error, report = _run(argv, out)
+                with term_counts() as terms:
+                    code, error, report = _run(argv, out)
                 [ok] = workloads.check_invert(unit, [workloads.OpResult(code, 0.0, report, error)])
                 records.append(
                     {
@@ -174,6 +208,7 @@ def sweep(seeds) -> list:
                         "ok": ok,
                         "sha256": hashlib.sha256(report).hexdigest() if report else None,
                         **invert_fields(json.loads(report) if report else None),
+                        **terms,
                     }
                 )
         print(f"seed {seed}: {sum(not r['ok'] for r in records if r['seed'] == seed)} failed", file=sys.stderr)
@@ -245,6 +280,24 @@ def compare_ops(left, right, workload: str) -> int:
     elif pairs:
         print(f"{workload} iterations: not compared, a sweep file has no iterations")
     return len(differing)
+
+
+def compare_terms(left, right, workload: str):
+    """Print each sweep's total matrix and hop terms on ``workload`` and the ops whose counts differ."""
+    a, b = (
+        {(r["seed"], r["unit"]): r for r in records if r.get("workload", "verify-mixed") == workload}
+        for records in (left, right)
+    )
+    if not (a and b) or not all("matrix_terms" in r for r in [*a.values(), *b.values()]):
+        print(f"{workload} terms: not compared, a sweep file has no term counts")
+        return
+    kinds = ("matrix_terms", "hop_terms")
+    differing = sorted(key for key in a.keys() & b.keys() if any(a[key][kind] != b[key][kind] for kind in kinds))
+    for seed, unit in differing:
+        x, y = a[seed, unit], b[seed, unit]
+        print(f"{workload} seed {seed} unit {unit} terms: " + ", ".join(f"{kind} {x[kind]} -> {y[kind]}" for kind in kinds))
+    totals = ", ".join(f"{kind} {sum(r[kind] for r in a.values())} -> {sum(r[kind] for r in b.values())}" for kind in kinds)
+    print(f"{workload} terms: {totals}; {len(differing)} of {len(a.keys() & b.keys())} ops differ")
 
 
 def compare_verdicts(left, right) -> int:
@@ -345,6 +398,8 @@ def compare(left, right) -> int:
     for kind, (gap, where) in gaps.items():
         print(f"largest {kind} gap over {count} loop matrices: {gap:.3e} at {where}")
     others = [compare_ops(*both, workload) for workload in ("exact-gauge", "invert-near-identity")]
+    for workload in ("verify-mixed", "invert-near-identity"):
+        compare_terms(*both, workload)
     return 1 if differing or verdicts_differ or any(others) else 0
 
 
