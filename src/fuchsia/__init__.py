@@ -32,6 +32,7 @@ from .inverse import (
     InverseProblemInstance,
     InverseSolution,
     first_order_seed,
+    second_order_seed,
     solve as solve_inverse,
     validate_instance,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "parse_rational_function",
     "path_clearance_audit",
     "scalar_solution_transfer",
+    "second_order_seed",
     "similarity_transform",
     "solve_inverse",
     "validate_instance",

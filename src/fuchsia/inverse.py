@@ -1,19 +1,24 @@
 """Desk-scale inverse monodromy: residues from target matrices.
 
 Given poles and target monodromy matrices near the identity, seed each
-residue with the first series term (M_j - I) / (2 pi i), enforce the zero
-residue sum on the last one, and refine by damped Gauss-Newton on the map
-residues -> monodromy.  Monodromy is holomorphic in the residues, so the
-Jacobian is exact: the derivatives of the fundamental solution with respect
-to every free residue entry solve the variational equation, itself a
-Fuchsian system.  At a Gauss-Newton point, one continuation per loop of the
-first block column [I; 0] of its transfer gives M_j and the Jacobian
-together: the continuation returns that column of each loop's transfer,
-M_j on top of its scaled derivatives, and all loops of the point run in
-one batch.  The loops are cut into hops once per solve.
-The derivatives ride at 2**-30 scale, so they barely move the norms that
-set each loop's term count.  Steps come from a least-squares solve and
-are halved until the residual decreases.
+residue with the first two series terms of the map monodromy -> residues
+(``second_order_seed``: the first term (M_j - I) / (2 pi i), and the second
+in closed form from the Magnus expansion and the loops' approaches),
+enforce the zero residue sum on the last one, and refine by damped
+Gauss-Newton on the map residues -> monodromy.  The seed's error is
+cubic in the targets' distance from the identity, so near-identity solves
+often need one iteration fewer than from the first term alone.
+Monodromy is holomorphic in the residues, so the Jacobian is exact: the
+derivatives of the fundamental solution with respect to every free
+residue entry solve the variational equation, itself a Fuchsian system.
+At a Gauss-Newton point, one continuation per loop of the first block
+column [I; 0] of its transfer gives M_j and the Jacobian together: the
+continuation returns that column of each loop's transfer, M_j on top of
+its scaled derivatives, and all loops of the point run in one batch.  The
+loops are cut into hops once per solve.  The derivatives ride at 2**-30
+scale, so they barely move the norms that set each loop's term count.
+Steps come from a least-squares solve and are halved until the residual
+decreases.
 """
 
 from dataclasses import dataclass
@@ -91,9 +96,9 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
     pole, targets multiplying to the identity (in the composition order of
     the loop convention) within ``DEFAULT_PRODUCT_TOL``, and, unless
     ``allow_far``, every target within ``DEFAULT_PROXIMITY_BOUND`` of the
-    identity in Frobenius norm, which is the regime where the first-order
-    seed is trustworthy.  The loops are built here, once, and the instance
-    carries them to ``solve``.
+    identity in Frobenius norm, which is the regime where the seeds, which
+    truncate a series in M_j - I, are trustworthy.  The loops are built
+    here, once, and the instance carries them to ``solve``.
     """
     pole_list = validate_poles(poles)
     if len(targets) != len(pole_list):
@@ -151,11 +156,63 @@ def first_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...]
     return tuple(seeds)
 
 
+def _approach_logs(instance: InverseProblemInstance) -> np.ndarray:
+    """(P, P) c_jk, the integral of dz / (z - a_k) along loop j's approach continued straight on to a_j.
+
+    The approach's lines and the continuation are straight pieces p -> q
+    clear of a_k, on each of which the integral is the principal
+    log((q - a_k) / (p - a_k)); all pieces of all pairs take one ``np.log``.
+    c_jj, whose last piece ends on a_j itself, is 0.
+    """
+    poles = np.array(instance.poles)
+    # Loop j's corners z0, ..., circle start, a_j: the starts of its lines and of its circle, the middle segment.
+    corners = [
+        [seg.start for seg in loop.segments[: len(loop.segments) // 2 + 1]] + [a]
+        for loop, a in zip(instance.loops, instance.poles)
+    ]
+    # A loop with fewer lines repeats z0, a piece of log 1 = 0.
+    width = max(len(c) for c in corners)
+    corners = np.array([[c[0]] * (width - len(c)) + c for c in corners])
+    rel = corners[:, None, :] - poles[None, :, None]  # (j, k, corner)
+    ratio = rel[:, :, 1:] / rel[:, :, :-1]
+    ratio[np.arange(len(poles)), np.arange(len(poles))] = 1.0
+    return np.log(ratio).sum(axis=2)
+
+
+def second_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...]:
+    """The first-order seed S corrected by the second-order terms of the map residues -> monodromy.
+
+    For j before the last pole, B_j = S_j - pi i S_j^2 - [S_j, W_j] with
+    W_j = sum_{k != j} c_jk S_k, c = ``_approach_logs(instance)``, and the
+    last residue is minus the sum of the others.  Loop j is an approach T,
+    a counterclockwise circle C of radius r_j from a_j + r_j e^{i theta_0},
+    and T backwards, so M_j = T^-1 C T, and to second order
+
+        log M_j = 2 pi i B_j + 2 pi i sum_k c_jk [B_j, B_k] + O(B^3).
+
+    Two terms make up c_jk: the circle's second Magnus term,
+    -2 pi i sum_k [B_j, B_k] log(1 + r_j e^{i theta_0} / (a_j - a_k)),
+    whose log is minus the integral from the circle's start on to a_j, and
+    the conjugation, T^-1 X T = X + [X, T - I] + O(B^3) with T - I the sum
+    of B_k times the integral along the approach.  With
+    log M = X - X^2 / 2 + O(X^3) and X = M - I = 2 pi i S_j, this seed's
+    error is cubic in the distance of the targets from the identity, where
+    the first-order seed's is quadratic.
+    """
+    first = np.array(first_order_seed(instance))
+    w = np.einsum("jk,kab->jab", _approach_logs(instance)[:-1], first)
+    s = first[:-1]
+    seeds = list(s - TWO_PI_I / 2 * (s @ s) - (s @ w - w @ s))
+    seeds.append(-sum(seeds))
+    return tuple(seeds)
+
+
 @dataclass(frozen=True)
 class InverseSolution:
-    """Result of the Gauss-Newton refinement."""
+    """Result of the Gauss-Newton refinement, with the seed it started from."""
 
     residues: tuple[np.ndarray, ...]
+    seed: tuple[np.ndarray, ...]
     final_residual: float
     iterations: int
     converged: bool
@@ -258,13 +315,14 @@ def solve(
 ) -> InverseSolution:
     """Recover residues whose monodromy matches the instance targets.
 
-    Starts from the first-order seed and iterates damped Gauss-Newton on
-    the stacked real residual until ``max_j |M_hat_j - M_j|_F <= tol`` or
-    ``max_iter`` iterations pass.  The instance's loops are cut into hops
-    once.  The seed and each line-search trial get M_j and the exact
-    Jacobian from one continuation per loop, at ``integration_tol``, of the
-    first block column of the variational system, and an accepted trial's
-    Jacobian gives the next step.
+    Starts from ``second_order_seed``, which the solution carries as
+    ``seed``, and iterates damped Gauss-Newton on the stacked real residual
+    until ``max_j |M_hat_j - M_j|_F <= tol`` or ``max_iter`` iterations
+    pass.  The instance's loops are cut into hops once.  The seed and each
+    line-search trial get M_j and the exact Jacobian from one continuation
+    per loop, at ``integration_tol``, of the first block column of the
+    variational system, and an accepted trial's Jacobian gives the next
+    step.
     Returns the best iterate either way with ``converged`` reporting which
     case occurred; the resonance status of the returned system is evaluated
     and included.
@@ -275,7 +333,7 @@ def solve(
         raise ValidationError(f"iteration cap must be non-negative, got {max_iter}")
     dim = instance.dimension
     count = len(instance.poles)
-    seed = first_order_seed(instance)
+    seed = second_order_seed(instance)
     cut = _cut_paths(instance.poles, instance.loops)
 
     x = _pack(seed)
@@ -308,6 +366,7 @@ def solve(
     resonance = is_non_resonant(system)
     return InverseSolution(
         residues=system.residues,
+        seed=seed,
         final_residual=metric,
         iterations=iterations,
         converged=metric <= tol,

@@ -2,9 +2,12 @@
 
 One seed is swept and compared with itself in subprocesses, as the tool is
 run from a checkout: every comparison reads "0 differ", and the verify and
-invert ops record nonzero continuation work counts.
+invert ops record nonzero continuation work counts.  Two hand-written
+sweep files check the invert summary of ``--compare``: ops per pair of
+iteration counts, each side's total, and single ops only where counts rose.
 """
 
+import json
 import re
 import subprocess
 import sys
@@ -34,3 +37,43 @@ def test_seed_sweep_compares_a_sweep_with_itself(tmp_path):
         counts = re.fullmatch(rf"{workload} terms: matrix_terms (\d+) -> \1, hop_terms (\d+) -> \2; 0 of \d+ ops differ", terms)
         assert counts, terms
         assert int(counts[1]) > 0 and int(counts[2]) > int(counts[1])
+
+
+def test_compare_counts_iteration_pairs_and_lists_only_rises(tmp_path):
+    """``--compare`` counts the invert ops of each ``left -> right`` pair of
+    iteration counts, totals each side, and names single ops only where
+    iterations or term counts rose."""
+
+    def record(unit, iterations, terms):
+        return {
+            "workload": "invert-near-identity",
+            "seed": 0,
+            "unit": unit,
+            "class": "near-identity/p3/n2",
+            "exit": 0,
+            "error": None,
+            "ok": True,
+            "sha256": f"{unit}-{iterations}",
+            "residues": [[[[0.0, 0.0]]]],
+            "iterations": iterations,
+            "final_residual": 1e-9,
+            "matrix_terms": terms,
+            "hop_terms": 10 * terms,
+        }
+
+    paths = []
+    for name, runs in (("left", [(3, 90), (3, 90), (2, 60)]), ("right", [(2, 60), (2, 60), (3, 90)])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps([record(unit, *run) for unit, run in enumerate(runs)]))
+    compared = run_sweep("--compare", *map(str, paths))
+    assert compared.returncode == 0, compared.stderr
+    lines = [line for line in compared.stdout.splitlines() if line.startswith("invert-near-identity")]
+    assert "invert-near-identity iterations 2 -> 3: 1 ops" in lines
+    assert "invert-near-identity iterations 3 -> 2: 2 ops" in lines
+    assert "invert-near-identity iteration total: 8 -> 7" in lines
+    assert "invert-near-identity iterations: 3 of 3 ops differ" in lines
+    assert [line for line in lines if "rose" in line] == ["invert-near-identity seed 0 unit 2 iterations rose: 2 -> 3"]
+    assert [line for line in lines if " unit " in line and "terms:" in line] == [
+        "invert-near-identity seed 0 unit 2 terms: matrix_terms 60 -> 90, hop_terms 600 -> 900"
+    ]
+    assert "invert-near-identity terms: matrix_terms 240 -> 210, hop_terms 2400 -> 2100; 3 of 3 ops differ" in lines

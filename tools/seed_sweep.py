@@ -32,10 +32,12 @@ loop matrices: entrywise, entrywise over the commuting classes, and between
 matched eigenvalues; then, for exact-gauge and for
 invert-near-identity, the ops whose exit code, error or verdict differ, and
 how many of their reports' bytes differ, and for invert-near-identity the
-largest entrywise gap between the recovered residues, the ops whose
-iteration counts differ and the largest relative change of the final
-residual; and, for verify-mixed and invert-near-identity, the total
-matrix and hop terms of each sweep and the ops whose counts differ.  A
+largest entrywise gap between the recovered residues, the number of ops
+for each pair of iteration counts (left -> right), each side's total
+iterations, the ops whose iterations rose and the largest relative change
+of the final residual; and, for verify-mixed and invert-near-identity, the
+total matrix and hop terms of each sweep, how many ops' counts differ and
+the ops whose counts rose.  A
 change to continuation or
 geometry should leave the failed ops equal, op for op; a change of loop
 convention conjugates the generic matrices, so there only the spectra and
@@ -55,6 +57,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -267,10 +270,16 @@ def compare_ops(left, right, workload: str) -> int:
         print(f"{workload} largest residue gap over {len(pairs)} ops: {gap:.3e}" + (f" at {where[:2]}" if gap else ""))
     solved = [(r, b[key], key) for key, r in a.items() if r.get("iterations") is not None and b.get(key, {}).get("iterations") is not None]
     if solved:
-        steps = [(key, x["iterations"], y["iterations"]) for x, y, key in solved if x["iterations"] != y["iterations"]]
-        for (seed, unit, _), x, y in steps:
-            print(f"{workload} seed {seed} unit {unit} iterations: {x} -> {y}")
-        print(f"{workload} iterations: {len(steps)} of {len(solved)} ops differ")
+        steps = Counter((x["iterations"], y["iterations"]) for x, y, _ in solved)
+        for (x, y), count in sorted(steps.items()):
+            print(f"{workload} iterations {x} -> {y}: {count} ops")
+        for x, y, (seed, unit, _) in solved:
+            if y["iterations"] > x["iterations"]:
+                print(f"{workload} seed {seed} unit {unit} iterations rose: {x['iterations']} -> {y['iterations']}")
+        before, after = (sum(r[side]["iterations"] for r in solved) for side in (0, 1))
+        print(f"{workload} iteration total: {before} -> {after}")
+        differing_steps = sum(count for (x, y), count in steps.items() if x != y)
+        print(f"{workload} iterations: {differing_steps} of {len(solved)} ops differ")
         changes = [
             (abs(y["final_residual"] - x["final_residual"]) / x["final_residual"] if x["final_residual"] else 0.0, key)
             for x, y, key in solved
@@ -283,7 +292,7 @@ def compare_ops(left, right, workload: str) -> int:
 
 
 def compare_terms(left, right, workload: str):
-    """Print each sweep's total matrix and hop terms on ``workload`` and the ops whose counts differ."""
+    """Print each sweep's total matrix and hop terms on ``workload``, how many ops' counts differ, and the ops whose counts rose."""
     a, b = (
         {(r["seed"], r["unit"]): r for r in records if r.get("workload", "verify-mixed") == workload}
         for records in (left, right)
@@ -295,7 +304,8 @@ def compare_terms(left, right, workload: str):
     differing = sorted(key for key in a.keys() & b.keys() if any(a[key][kind] != b[key][kind] for kind in kinds))
     for seed, unit in differing:
         x, y = a[seed, unit], b[seed, unit]
-        print(f"{workload} seed {seed} unit {unit} terms: " + ", ".join(f"{kind} {x[kind]} -> {y[kind]}" for kind in kinds))
+        if any(y[kind] > x[kind] for kind in kinds):
+            print(f"{workload} seed {seed} unit {unit} terms: " + ", ".join(f"{kind} {x[kind]} -> {y[kind]}" for kind in kinds))
     totals = ", ".join(f"{kind} {sum(r[kind] for r in a.values())} -> {sum(r[kind] for r in b.values())}" for kind in kinds)
     print(f"{workload} terms: {totals}; {len(differing)} of {len(a.keys() & b.keys())} ops differ")
 
