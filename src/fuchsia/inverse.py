@@ -15,10 +15,17 @@ At a Gauss-Newton point, one continuation per loop of the first block
 column [I; 0] of its transfer gives M_j and the Jacobian together: the
 continuation returns that column of each loop's transfer, M_j on top of
 its scaled derivatives, and all loops of the point run in one batch.  The
-loops are cut into hops once per solve.  The derivatives ride at 2**-30
-scale, so they barely move the norms that set each loop's term count.
-Steps come from a least-squares solve and are halved until the residual
-decreases.
+variational system is a structured field (``_VariationalField``): its
+residues are never built, and each Taylor term is one (n, P n) product
+with [B_1 ... B_P] plus the coupling rows.  The loops are cut into hops
+once per solve.  The derivatives ride at 2**-30 scale, so they barely
+move the norms that set each loop's term count.  Steps come from a
+least-squares solve and are halved until the residual decreases.  After
+a full step, the contraction it showed predicts the next one (the
+a-priori estimate of affine-covariant Newton methods, Deuflhard 2004,
+ch. 4): when it predicts that the next full step meets the tolerance,
+that trial is continued on the plain n x n system alone, and again with
+its Jacobian only if it misses, so the iterates are the same either way.
 """
 
 from dataclasses import dataclass
@@ -250,28 +257,60 @@ def _residual_metric(computed, targets) -> float:
 _SENSITIVITY_SCALE = 2.0 ** -30
 
 
-def _variational_residues(residues) -> list[np.ndarray]:
-    """Residues of the system for Y stacked with its scaled residue derivatives.
+class _VariationalField:
+    """Y stacked with its scaled residue derivatives at one point, as a field of ``_integrate_legs``.
 
     For each free entry theta = B_k[p, q] with k before the last pole, the
     derivative S = dY/dtheta solves the variational equation
     S' = A S + E_pq (1/(z - a_k) - 1/(z - a_last)) Y, the last residue being
     minus the sum of the others.  With c = ``_SENSITIVITY_SCALE``, the block
     column [Y; c S_1; ...; c S_K] solves a Fuchsian system on the same poles
-    with block lower triangular residues: B_j on the diagonal and +-c E_pq
-    in the first block column.  They sum to zero, so it is integrated as is.
+    with block lower triangular residues R_p: kron(I_{K+1}, B_p), plus
+    +-c E_pq in the first block column.  They sum to zero, so it is
+    integrated as is.  The R_p are never built.  The field's rows run
+    (row of an n x n block, block index), so kron(I_{K+1}, B_p) acts as
+    kron(B_p, I_{K+1}): ``apply`` is the point's own [B_1 ... B_P] product
+    (``FuchsianSystem.apply``) on the stack viewed as (P n, (K + 1) m B),
+    with no copy, plus one fancy-index add of c (X_k[q] - X_last[q]) / k
+    into the row (p, theta) of each theta.  Each coupling row holds one
+    entry, so the coupling of R_p has 2-norm c sqrt(the most entries in
+    one column of it), n for a free pole and (P - 1) n for the last, and
+    ``bounds`` is |B_p|_2 plus that: at least |R_p|_2.
     """
-    dim = residues[0].shape[0]
-    last = len(residues) - 1
-    params = last * dim * dim
-    stacked = [np.kron(np.eye(params + 1), b) for b in residues]
-    for theta in range(params):
-        k, entry = divmod(theta, dim * dim)
-        p, q = divmod(entry, dim)
-        row = (theta + 1) * dim + p
-        stacked[k][row, q] += _SENSITIVITY_SCALE
-        stacked[last][row, q] -= _SENSITIVITY_SCALE
-    return stacked
+
+    def __init__(self, system: FuchsianSystem):
+        n, count = system.dimension, system.pole_count
+        blocks = (count - 1) * n * n + 1
+        theta = np.arange(blocks - 1)
+        self._poles, entry = np.divmod(theta, n * n)
+        p, q = np.divmod(entry, n)
+        self._targets = p * blocks + theta + 1
+        self._sources = q * blocks
+        self._system = system
+        self.weights = system.weights
+        self.dimension = blocks * n
+        block, row = np.divmod(np.arange(self.dimension), n)
+        self.rows = row * blocks + block
+        entries = np.full(count, n)
+        entries[-1] *= count - 1
+        self.bounds = system.bounds + _SENSITIVITY_SCALE * np.sqrt(entries)
+
+    def apply(self, k: int, stack: np.ndarray, out: np.ndarray) -> None:
+        """Write sum_p R_p stack[p] / k into ``out``: the block product, then the coupling rows."""
+        self._system.apply(k, stack, out)
+        out[self._targets] += _SENSITIVITY_SCALE / k * (stack[self._poles, self._sources] - stack[-1, self._sources])
+
+
+def _point_system(instance: InverseProblemInstance, residues) -> FuchsianSystem:
+    """The system of a Gauss-Newton point, built directly, not through ``validate_system``: the solver made its residues."""
+    defect = float(np.linalg.norm(sum(residues), 2))
+    return FuchsianSystem(instance.poles, tuple(residues), instance.dimension, defect)
+
+
+def _monodromy_at(instance: InverseProblemInstance, cut, residues, tol: float) -> np.ndarray:
+    """M_j alone, from one continuation of the point's n x n system along ``cut``, every loop in one batch."""
+    results = _integrate_legs(_point_system(instance, residues), cut, instance.dimension, tol)
+    return np.array([value for value, _ in results])
 
 
 def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
@@ -281,30 +320,26 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     so only their first block column e = [I; 0] is continued, every loop in
     one batch.  ``cut`` is the loops as ``monodromy._cut_paths`` cuts them
     into hops against the instance's poles, and ``_integrate_legs`` continues
-    e along each hop of each leg, each loop taking the terms its composed
-    bound at ``tol`` needs, composes the hops in the same block form, so n
-    columns are continued throughout, and returns each loop's column
-    [M_j; c dM_j/dtheta_1; ...] of its transfer (its docstring has the
-    formula), c = ``_SENSITIVITY_SCALE``.  The
-    variational system is built directly, not through ``validate_system``:
-    the solver made its residues.
+    e along each hop of each leg of the ``_VariationalField`` of the point,
+    each loop taking the terms its composed bound at ``tol`` needs, composes
+    the hops in the same block form, so n columns are continued throughout,
+    and returns each loop's column [M_j; c dM_j/dtheta_1; ...] of its
+    transfer in block order (its docstring has the formula),
+    c = ``_SENSITIVITY_SCALE``.
     Monodromy is holomorphic in the residues, so the column of Im theta is
     the real stacking of 1j * dM_j/dtheta next to the real stacking of
-    dM_j/dtheta for Re theta.
+    dM_j/dtheta for Re theta: the Jacobian is one transpose of the real and
+    imaginary parts of every dM_j/dtheta, in ``_pack`` order.
     """
     dim = instance.dimension
-    stacked = _variational_residues(residues)
-    defect = float(np.linalg.norm(sum(residues), 2))
-    system = FuchsianSystem(instance.poles, tuple(stacked), len(stacked[0]), defect)
-    results = _integrate_legs(system, cut, dim, tol)
+    results = _integrate_legs(_VariationalField(_point_system(instance, residues)), cut, dim, tol)
     transfers = np.array([column for column, _ in results])  # (loops, N, dim)
     computed = transfers[:, :dim]
-    # d[theta, j] = dM_j/dtheta
-    d = transfers[:, dim:].reshape(len(results), -1, dim, dim).transpose(1, 0, 2, 3) / _SENSITIVITY_SCALE
-    columns = []
-    for block in np.split(d, len(residues) - 1):  # _pack order: real parts, then imaginary
-        columns += [_real_stack(factor * dm) for factor in (1.0, 1j) for dm in block]
-    return computed, np.stack(columns, axis=1)
+    # d[j, k, t, e] = entry e of dM_j/dtheta for the t-th entry theta of B_k
+    d = transfers[:, dim:].reshape(len(results), len(residues) - 1, dim * dim, dim * dim) / _SENSITIVITY_SCALE
+    # [part of the residual, factor of theta (1 or 1j), j, k, t, e]: Re and Im of factor * dM_j/dtheta
+    parts = np.array([[d.real, -d.imag], [d.imag, d.real]])
+    return computed, parts.transpose(2, 0, 5, 3, 1, 4).reshape(len(results) * 2 * dim * dim, -1)
 
 
 def solve(
@@ -322,7 +357,12 @@ def solve(
     line-search trial get M_j and the exact Jacobian from one continuation
     per loop, at ``integration_tol``, of the first block column of the
     variational system, and an accepted trial's Jacobian gives the next
-    step.
+    step.  The one exception is the full-step trial after an accepted full
+    step whose contraction C = r_k / r_{k-1}^2 (r the residual metric)
+    gives C r_k^2 <= ``tol``: it is continued on the plain n x n system
+    only, and ends the solve if it decreases the residual and meets
+    ``tol``; otherwise it is continued again with its Jacobian and the
+    line search goes on as usual.
     Returns the best iterate either way with ``converged`` reporting which
     case occurred; the resonance status of the returned system is evaluated
     and included.
@@ -341,6 +381,7 @@ def solve(
     metric = _residual_metric(computed, instance.targets)
     residual = _residual_vector(computed, instance.targets)
     iterations = 0
+    last = False  # the next full step is predicted to meet tol
 
     while metric > tol and iterations < max_iter:
         iterations += 1
@@ -350,9 +391,14 @@ def solve(
         alpha = 1.0
         while alpha > 1e-6:
             trial_x = x + alpha * step
-            computed, trial_jacobian = _linearise(
-                instance, cut, _unpack(trial_x, count, dim), integration_tol
-            )
+            trial = _unpack(trial_x, count, dim)
+            if last and alpha == 1.0:
+                computed = _monodromy_at(instance, cut, trial, integration_tol)
+                trial_residual = _residual_vector(computed, instance.targets)
+                if _residual_metric(computed, instance.targets) <= tol and float(np.linalg.norm(trial_residual)) < base_norm:
+                    trial_jacobian = None  # the solve ends here, so no step reads it
+                    break
+            computed, trial_jacobian = _linearise(instance, cut, trial, integration_tol)
             trial_residual = _residual_vector(computed, instance.targets)
             if float(np.linalg.norm(trial_residual)) < base_norm:
                 break
@@ -360,7 +406,9 @@ def solve(
         else:
             break  # no trial decreased the residual: keep the current iterate
         x, jacobian, residual = trial_x, trial_jacobian, trial_residual
-        metric = _residual_metric(computed, instance.targets)
+        previous, metric = metric, _residual_metric(computed, instance.targets)
+        # A full step contracted as C = metric / previous**2, so the next one should land near C metric**2.
+        last = alpha == 1.0 and metric / previous**2 * metric**2 <= tol
 
     system = validate_system(instance.poles, _unpack(x, count, dim))
     resonance = is_non_resonant(system)

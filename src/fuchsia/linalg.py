@@ -610,7 +610,7 @@ def _conjugators(a: np.ndarray, b: np.ndarray, matches, tol: float) -> list:
     """
     k, n = a.shape[:2]
     eye = np.eye(n)
-    # Entry (i n + p, j n + q) is a[j, i] I[p, q] - I[i, j] b[p, q], as np.kron multiplies it.
+    # Entry (i n + p, j n + q) is a[j, i] I[p, q] - I[i, j] b[p, q], the Kronecker product order.
     at = a.transpose(0, 2, 1)
     sylvester = at[:, :, None, :, None] * eye[:, None, :] - eye[:, None, :, None] * b[:, None, :, None, :]
     _, _, vh = np.linalg.svd(sylvester.reshape(k, n * n, n * n))

@@ -60,29 +60,21 @@ DEFAULT_INTEGRATION_TOL = 1e-9
 DEFAULT_VERIFY_TOL = 1e-7
 
 
-def coefficient_function(system: FuchsianSystem):
-    """The system's field: points -> (weights (M, P), residues (P, N, N)).
+def coefficient_function(field):
+    """The field's weights: points -> (M, P) partial-fraction weights.
 
-    A(z_i) = sum_p weights[i, p] residues[p], with the partial-fraction
-    weights 1 / (z_i - a_p) and the residues B_p of ``partial_fractions``.
+    A(z_i) = sum_p weights[i, p] R_p, with the weights 1 / (z_i - a_p) and
+    the residues R_p that the field's ``apply`` multiplies: for a
+    ``FuchsianSystem`` its ``weights`` and its residues B_p.
     """
-    return system.partial_fractions
+    return field.weights
 
 
-def _apply_residues(operator, stack, out):
-    """Write sum_p R_p stack[p] into ``out``, (N, m, B).
-
-    ``operator`` is [R_1 ... R_P] as one (N, P N) matrix and ``stack``
-    (P, N, m, B), so the sum is one (N, P N) @ (P N, m B) product.
-    """
-    np.matmul(operator, stack.reshape(operator.shape[1], -1), out=out.reshape(len(out), -1))
-
-
-def _taylor_term(operator, g, stack, term, sums, k):
+def _taylor_term(field, g, stack, term, sums, k):
     """Advance the hops' recurrence in place to its k-th term y_k, and add it to ``sums``."""
     np.subtract(term, stack, out=stack)
     stack *= g[:, None, None, :]
-    _apply_residues(operator / k, stack, term)
+    field.apply(k, stack, term)
     sums += term
 
 
@@ -201,21 +193,28 @@ def _compose(columns: np.ndarray, runs: np.ndarray) -> np.ndarray:
         t[pair] = t_hi @ t_lo
 
 
-def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
+def _integrate_legs(field, cut, m: int, tol: float):
     """Continue the first block column [I_m; 0] along every leg of ``cut``, one hop per batch column.
 
-    ``cut`` is the legs of ``_cut_paths``.  The system's field
-    (``coefficient_function``) maps the B hop starts, in one call, to
-    ``(weights (B, P), residues (P, N, N))`` with
-    A(z_i) = sum_p weights[i, p] residues[p].
-    Hop z -> z + h has g_p = h weights_p, and from the start
-    y_0 = [I_m; 0], the first m columns of the N x N identity (N read from
-    the field's residues), U_{p,-1} = 0, m_0 = |y_0|_2 = 1, M_{p,-1} = 0 and
-    b_p = |B_p|_2 it runs
-        U_{p,k} = g_p (y_k - U_{p,k-1}),  y_{k+1} = sum_p B_p U_{p,k} / (k + 1),
+    ``cut`` is the legs of ``_cut_paths``.  ``field`` is an N x N system
+    dY/dz = sum_p R_p / (z - a_p) Y, known only through what it supplies:
+    - ``weights``, through ``coefficient_function``, its one call here: the
+      B hop starts -> their (B, P) weights 1 / (z_i - a_p);
+    - ``apply(k, stack, out)``: writes sum_p R_p stack[p] / k into ``out``
+      (N, m, B), from ``stack`` (P, N, m, B), both C-contiguous;
+    - ``bounds``: (P,) norm bounds b_p >= |R_p|_2;
+    - ``dimension`` N and ``rows``, its row order: row ``rows[i]`` of its
+      columns is row i of the block order, whose first m rows are Y's.
+    A ``FuchsianSystem`` is one (R_p = B_p, b_p = |B_p|_2, rows in block
+    order), and so is ``inverse``'s variational field, whose R_p it never
+    builds.  Hop z -> z + h has g_p = h weights_p, and from the start
+    y_0 = [I_m; 0], the first m columns of the N x N identity in the
+    field's row order, U_{p,-1} = 0, m_0 = |y_0|_2 = 1 and M_{p,-1} = 0 it
+    runs
+        U_{p,k} = g_p (y_k - U_{p,k-1}),  y_{k+1} = sum_p R_p U_{p,k} / (k + 1),
         M_{p,k} = |g_p| (m_k + M_{p,k-1}),  m_{k+1} = sum_p b_p M_{p,k} / (k + 1),
     and sums Y(z + h) = sum_k y_k; the y_k are the (N, m, B) columns and
-    each term is one ``_apply_residues``.  The majorant bounds
+    each term is one ``apply``.  The majorant bounds
     |y_k|_2 <= m_k, and m_{k+1} <= G (k + S) / (k + 1) m_k, the coefficient
     ratio of the single factor (1 - G u)^-S with G = max_p |g_p| and
     S = sum_p b_p, so the terms after the k-th add at most
@@ -244,8 +243,11 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
     non-finite majorant or value, or a non-finite bound at the last
     deviation point, raises ``NonFiniteError``.
 
-    Returns one ``(value, error_estimate)`` per path.  An open path's value
-    is its one leg, its hops' values composed by ``_compose``.  A loop's is
+    Returns one ``(value, error_estimate)`` per path, in block order: the
+    hops' values are put back in it once, before ``_compose``, and the
+    Frobenius norms of whole columns taken before do not depend on the row
+    order.  An open path's value is its one leg, its hops' values composed
+    by ``_compose``.  A loop's is
     the first block column of T^-1 C T, from the composed approach [T; S_T]
     and circle [C; S_C]: the top block M = T^-1 C T and, below it, the
     blocks T^-1 (S_C T + C S_T - S_T M), all loops and blocks in one batched
@@ -258,7 +260,7 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
     m_0 prod_p (1 - |g_p| u)^-b_p at u = 1, the sum of all of the hop's
     m_k, so it bounds the magnitudes a hop adds up however they cancel.  Norms
     are of the top m x m blocks: for m = N the transfers, for ``inverse``'s
-    variational systems the system's own.
+    variational field the system's own.
     """
     legs = [leg for path in cut for leg in path]
     leg_of = np.repeat(np.arange(len(legs)), [len(leg) - 1 for leg in legs])
@@ -267,15 +269,15 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
     points = np.concatenate(legs)
     inner = np.ones(len(points), dtype=bool)  # every point but a leg's last starts a hop
     inner[np.cumsum([len(leg) for leg in legs]) - 1] = False
-    weights, residues = coefficient_function(system)(points[inner])
+    weights = coefficient_function(field)(points[inner])
     g = (points[1:] - points[:-1])[inner[:-1]] * weights.T  # (P, B)
     size = np.abs(g)
     reach = size.max(axis=0)
-    norms = np.linalg.norm(residues, 2, axis=(1, 2))
+    norms = field.bounds
     total = float(norms.sum())
     count, paths = len(leg_of), len(cut)
-    start = np.eye(residues.shape[1], m, dtype=complex)
-    operator = residues.transpose(1, 0, 2).reshape(len(start), -1)
+    start = np.zeros((field.dimension, m), dtype=complex)
+    start[field.rows] = np.eye(field.dimension, m)
     bound = np.ones(count)  # m_k
     weight = np.empty(count)  # F_p w_i, fixed at the path's deviation point
     term = np.repeat(start[:, :, None], count, axis=2)  # y_k
@@ -297,7 +299,7 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
             k += 1
             gap = min(1.0, (k + 1) / (k + total)) - reach  # 1 / max(1, (k + S) / (k + 1)) - G: tau is inf unless > 0
             tau = np.divide(bound * reach, gap, out=np.full(count, np.inf), where=gap > 0.0)
-            _taylor_term(operator, g, stack, term, sums, k)
+            _taylor_term(field, g, stack, term, sums, k)
             fresh = ~passed & (np.bincount(owner, tau, paths) < 1.0)
             if fresh.any():
                 hops = np.flatnonzero(fresh[owner])
@@ -318,7 +320,7 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
         for end in sorted(set(ends.tolist())):
             while k < end:
                 k += 1
-                _taylor_term(operator, g, stack, term, sums, k)
+                _taylor_term(field, g, stack, term, sums, k)
             first = int(np.searchsorted(-ends, -end))
             fronts.append(sums[..., first:])
             g, term, sums, stack = (np.ascontiguousarray(a[..., :first]) for a in (g, term, sums, stack))
@@ -329,7 +331,7 @@ def _integrate_legs(system: FuchsianSystem, cut, m: int, tol: float):
         deviations[hops] = np.linalg.norm(front - start[:, :, None], axis=(0, 1)) + tails[hops]
         if not np.isfinite(values).all():
             raise NonFiniteError("continuation produced a non-finite solution value")
-    composed = _compose(values, leg_of)
+    composed = _compose(values[:, field.rows], leg_of)
     estimates = _hop_bounds(tails, deviations, majorants, heads, owner, len(cut))
     starts = np.cumsum([0] + [len(path) for path in cut[:-1]])
     is_loop = np.array([len(path) == 2 for path in cut])

@@ -47,33 +47,51 @@ class FuchsianSystem:
         return len(self.poles)
 
     @cached_property
-    def _partial_fractions(self) -> tuple[np.ndarray, np.ndarray]:
+    def _partial_fractions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The poles, the (P, n, n) residues, and [B_1 ... B_P] as one (n, P n) matrix."""
         poles = np.array(self.poles, dtype=complex)
-        # Stored (n, P, n), so the continuation reads [B_1 ... B_P] as one
-        # n x Pn matrix without a copy.
+        # Stored (n, P, n), so the residues and [B_1 ... B_P] are both views.
         stacked = np.stack(self.residues, axis=1).astype(complex)
         stacked.flags.writeable = False
-        return poles, stacked.transpose(1, 0, 2)
+        return poles, stacked.transpose(1, 0, 2), stacked.reshape(self.dimension, -1)
 
-    def partial_fractions(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Weights w and residues R with A(z_i) = sum_p w[i, p] R_p.
+    def weights(self, z) -> np.ndarray:
+        """The partial-fraction weights w = 1 / (z - a_p), with A(z_i) = sum_p w[i, p] B_p.
 
-        At a point or an array of points z, w = 1 / (z - a_p) has one more
-        axis than z, over the P poles, and R is the (P, n, n) stack of the
-        residues B_p.  No pole check: this is the continuation's hot path,
-        and its paths are audited against the poles beforehand.
+        At a point or an array of points z, w has one more axis than z,
+        over the P poles.  No pole check: this is the continuation's hot
+        path, and its paths are audited against the poles beforehand.
         """
-        poles, residues = self._partial_fractions
-        return 1.0 / (np.asarray(z)[..., None] - poles), residues
+        return 1.0 / (np.asarray(z)[..., None] - self._partial_fractions[0])
 
     def evaluate(self, z) -> np.ndarray:
         """A(z) = sum_i B_i / (z - a_i) at a point or a 1-D array of points.
 
         A point gives an (n, n) matrix and m points an (m, n, n) stack,
-        weights @ residues from ``partial_fractions``.
+        ``weights`` @ the (P, n, n) stack of residues.
         """
-        weights, residues = self.partial_fractions(z)
-        return np.tensordot(weights, residues, axes=1)
+        return np.tensordot(self.weights(z), self._partial_fractions[1], axes=1)
+
+    # The system as a field of ``monodromy._integrate_legs``: besides
+    # ``weights`` and ``dimension``, its operator ``apply``, its norm bounds
+    # ``bounds`` and its row order ``rows``, the block order itself.
+    rows = slice(None)
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """(P,) |B_p|_2, the residues' spectral norms."""
+        return np.linalg.norm(self._partial_fractions[1], 2, axis=(1, 2))
+
+    def apply(self, k: int, stack: np.ndarray, out: np.ndarray) -> None:
+        """Write sum_p B_p stack[p] / k into ``out``, the k-th term of a Taylor recurrence.
+
+        ``stack`` is (P, R, ...) and ``out`` (R, ...) with R a multiple of
+        n whose rows run (row of an n x n block, anything else): the sum is
+        one (n, P n) @ (P n, rest) product of [B_1 ... B_P] / k with the
+        stack viewed as (P n, rest), and the stacks are not copied.
+        """
+        operator = self._partial_fractions[2]
+        np.matmul(operator / k, stack.reshape(operator.shape[1], -1), out=out.reshape(self.dimension, -1))
 
     def to_dict(self) -> dict:
         return {

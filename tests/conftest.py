@@ -204,6 +204,27 @@ def reference_transfer(field, corners):
     return y
 
 
+def dense_variational_residues(residues, scale):
+    """The residues of Y stacked with its ``scale``-scaled residue derivatives, built densely in block order.
+
+    For each free entry theta = B_k[p, q] (k before the last pole) the
+    block column [Y; scale S_1; ...] has residues kron(I_{K+1}, B_j) plus
+    +scale at row (theta + 1, p), column (0, q) of B_k's and -scale there
+    in the last pole's: the reference for ``inverse._VariationalField``.
+    """
+    dim = residues[0].shape[0]
+    last = len(residues) - 1
+    params = last * dim * dim
+    stacked = [np.kron(np.eye(params + 1), b) for b in residues]
+    for theta in range(params):
+        k, entry = divmod(theta, dim * dim)
+        p, q = divmod(entry, dim)
+        row = (theta + 1) * dim + p
+        stacked[k][row, q] += scale
+        stacked[last][row, q] -= scale
+    return stacked
+
+
 def random_conjugator(rng, n, cond_limit=100.0):
     """Random invertible matrix with condition number below the limit."""
     while True:

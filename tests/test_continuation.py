@@ -8,9 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import clustered_pair_system, diagonal_system, reference_transfer
+from conftest import clustered_pair_system, dense_variational_residues, diagonal_system, reference_transfer
 from fuchsia.errors import NonFiniteError, ValidationError
-from fuchsia.inverse import _SENSITIVITY_SCALE, _variational_residues
+from fuchsia.inverse import _SENSITIVITY_SCALE
 from fuchsia.monodromy import (
     _cut_paths,
     _integrate_legs,
@@ -19,7 +19,7 @@ from fuchsia.monodromy import (
     monodromy,
 )
 from fuchsia.paths import Arc, ContinuationPath, Line, build_loops, default_base_point
-from fuchsia.system import validate_system
+from fuchsia.system import FuchsianSystem, validate_system
 
 
 def continue_paths(system, paths, columns, tol):
@@ -220,7 +220,7 @@ def test_block_start_continues_to_transfer_times_start(columns):
     they are also compared with that scale divided out."""
     rng = np.random.default_rng(columns)
     b = 0.1 * (rng.standard_normal((columns, columns)) + 1j * rng.standard_normal((columns, columns)))
-    system = validate_system([0.0, 1.0], _variational_residues([b, -b]))
+    system = validate_system([0.0, 1.0], dense_variational_residues([b, -b], _SENSITIVITY_SCALE))
     assert system.dimension == (columns * columns + 1) * columns
     loop = build_loops(system.poles, 2.0 + 0.0j)[0]
     assert [type(seg) for seg in loop.segments[: len(loop.segments) // 2]] == [Line] * 3
@@ -361,11 +361,11 @@ def test_composed_bound_is_not_checked_per_term(monkeypatch):
     """Each path's stop term comes from the majorant, with the hops'
     deviations fixed once, so ``_hop_bounds`` runs only for the reported
     estimates: at most twice per ``monodromy``, however many terms the
-    hops take.  ``_apply_residues`` runs once per matrix term; taking the
+    hops take.  ``_taylor_term`` runs once per matrix term; taking the
     deviations at each path's deviation point costs at most one term over
     the 29, 42 and 52 of a composed bound checked after every term."""
     module = importlib.import_module("fuchsia.monodromy")
-    calls = {"_hop_bounds": 0, "_apply_residues": 0}
+    calls = {"_hop_bounds": 0, "_taylor_term": 0}
 
     def counting(name):
         original = getattr(module, name)
@@ -386,7 +386,7 @@ def test_composed_bound_is_not_checked_per_term(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert monodromy(system, tol).product_defect <= 1e-9
         assert calls["_hop_bounds"] <= 2
-        assert terms <= calls["_apply_residues"] <= terms + 1
+        assert terms <= calls["_taylor_term"] <= terms + 1
 
 
 def stub_cut():
@@ -395,29 +395,27 @@ def stub_cut():
     return _cut_paths([-1.0 + 0j], paths)
 
 
-def stub_field(weight):
-    """A 1x1 field with the one residue 0.1 and ``weight(points)`` as its weights."""
-    def field(points):
-        return weight(points).astype(complex)[:, None], np.array([[[0.1]]], dtype=complex)
-
-    return field
+def stub_field():
+    """A 1x1 field with the one residue 0.1 at the pole -1."""
+    return FuchsianSystem((-1.0 + 0j,), (np.array([[0.1 + 0j]]),), 1, 0.0)
 
 
 def test_non_finite_on_one_leg_fails_the_batch(monkeypatch):
-    field = stub_field(lambda points: np.where(points.real > 10.0, complex("nan"), 1.0))
-    monkeypatch.setattr(importlib.import_module("fuchsia.monodromy"), "coefficient_function", lambda system: field)
+    def weights(points):
+        return np.where(points.real > 10.0, complex("nan"), 1.0)[:, None]
+
+    monkeypatch.setattr(importlib.import_module("fuchsia.monodromy"), "coefficient_function", lambda field: weights)
     with pytest.raises(NonFiniteError):
-        _integrate_legs(None, stub_cut(), 1, 1e-9)
+        _integrate_legs(stub_field(), stub_cut(), 1, 1e-9)
 
 
 def test_evaluator_matches_pointwise_coefficient():
-    """The field's weights @ residues is A(z), and so is ``evaluate``."""
+    """The field's weights with its residues give A(z), and so does ``evaluate``."""
     system = collinear_generic_system()
     points = np.array([3.0, 0.5 + 0.5j, -1.0 - 2.0j, 1.5 - 0.01j, 2.0 + 1e-3j])
-    weights, residues = coefficient_function(system)(points)
+    weights = coefficient_function(system)(points)
     assert weights.shape == (len(points), system.pole_count)
-    assert residues.shape == (system.pole_count, 2, 2)
-    stack = np.einsum("ip,pjk->ijk", weights, residues)
+    stack = np.einsum("ip,pjk->ijk", weights, np.array(system.residues))
     for z, a, evaluated in zip(points, stack, system.evaluate(points)):
         expected = sum(b / (z - p) for p, b in zip(system.poles, system.residues))
         scale = max(1.0, np.max(np.abs(expected)))

@@ -7,16 +7,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import sample_poles
+from conftest import dense_variational_residues, sample_poles
 from fuchsia import cli, jsonio
 from fuchsia.errors import ValidationError
 from fuchsia.inverse import (
+    _SENSITIVITY_SCALE,
     InverseProblemInstance,
     _approach_logs,
     _linearise,
     _pack,
+    _point_system,
+    _real_stack,
     _residual_vector,
     _unpack,
+    _VariationalField,
     first_order_seed,
     second_order_seed,
     solve,
@@ -24,7 +28,7 @@ from fuchsia.inverse import (
 )
 from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, _cut_paths, _integrate_legs, continue_solution, monodromy
 from fuchsia.paths import default_base_point
-from fuchsia.system import TWO_PI_I, validate_system
+from fuchsia.system import TWO_PI_I, FuchsianSystem, validate_system
 
 
 def four_pole_three_by_three_system():
@@ -381,3 +385,78 @@ class TestJacobian:
         assert sol.converged
         assert len(paths) == (sol.iterations + 1) * len(self.POLES)
         assert len(cuts) == 1
+
+    def test_jacobian_is_the_real_stacking_of_each_derivative(self, instance_at_seed):
+        """The Jacobian, one transpose of the derivatives' real and imaginary
+        parts, equals bit for bit the column-by-column ``_real_stack`` of
+        dM_j/dtheta (Re theta) and 1j dM_j/dtheta (Im theta), in ``_pack`` order."""
+        inst, _, cut, x = instance_at_seed
+        residues = _unpack(x, len(self.POLES), inst.dimension)
+        _, jacobian = _linearise(inst, cut, residues, DEFAULT_INTEGRATION_TOL)
+        field = _VariationalField(_point_system(inst, residues))
+        results = _integrate_legs(field, cut, inst.dimension, DEFAULT_INTEGRATION_TOL)
+        lower = np.array([column for column, _ in results])[:, inst.dimension :]
+        d = lower.reshape(len(results), -1, inst.dimension, inst.dimension).transpose(1, 0, 2, 3) / _SENSITIVITY_SCALE
+        columns = []
+        for block in np.split(d, len(residues) - 1):
+            columns += [_real_stack(factor * dm) for factor in (1.0, 1j) for dm in block]
+        assert np.array_equal(jacobian, np.stack(columns, axis=1))
+
+    def test_last_point_is_continued_without_its_jacobian(self, instance_at_seed, monkeypatch):
+        """A 2-iteration solve continues the seed and the first iterate with
+        their Jacobians and its last point plainly, n x n: 2 variational and
+        1 plain continuation, told apart by m against the field's dimension.
+        When the plain trial is made to miss tol, the trial is continued
+        again with its Jacobian: one plain continuation more than a solve
+        without the prediction, and the same iterations and residues."""
+        inst = instance_at_seed[0]
+        counts = {"variational": 0, "plain": 0}
+        miss = False
+
+        def counting(field, cut, m, tol):
+            plain = field.dimension == m
+            counts["plain" if plain else "variational"] += 1
+            results = _integrate_legs(field, cut, m, tol)
+            if plain and miss:
+                # Off by 1e-6: the residual still falls, but tol 1e-8 is missed.
+                return [(value + 1e-6, err) for value, err in results]
+            return results
+
+        monkeypatch.setattr("fuchsia.inverse._integrate_legs", counting)
+        hit = solve(inst)
+        assert hit.converged and hit.iterations == 2
+        assert counts == {"variational": 2, "plain": 1}
+        counts.update(variational=0, plain=0)
+        miss = True
+        missed = solve(inst)
+        assert counts == {"variational": 3, "plain": 1}
+        assert missed.converged and missed.iterations == hit.iterations
+        assert all(np.array_equal(a, b) for a, b in zip(missed.residues, hit.residues))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("count", [2, 3, 4])
+@pytest.mark.parametrize("size", [0.1, 0.0])
+def test_structured_field_applies_the_dense_variational_residues(dim, count, size):
+    """On random stacks, the variational field's ``apply``, in its own row
+    order, equals sum_p R_p stack[p] / k with the dense block-order R_p,
+    kron(I_{K+1}, B_p) plus the coupling entries, within 1e-14 relative;
+    and each of its ``bounds`` is at least |R_p|_2.  With zero residues
+    the product is the coupling alone, 2**-30 the size of the rest."""
+    rng = np.random.default_rng(10 * dim + count)
+    free = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(count - 1)]
+    residues = [size * b for b in free] + [-size * sum(free)]
+    field = _VariationalField(FuchsianSystem(tuple(complex(p) for p in range(count)), tuple(residues), dim, 0.0))
+    dense = np.array(dense_variational_residues(residues, _SENSITIVITY_SCALE))
+    rows = dense.shape[1]
+    assert field.dimension == rows == ((count - 1) * dim * dim + 1) * dim
+    assert sorted(field.rows.tolist()) == list(range(rows))
+    assert np.all(field.bounds >= np.linalg.norm(dense, 2, axis=(1, 2)))
+    k = 3
+    stack = rng.normal(size=(count, rows, 2, 5)) + 1j * rng.normal(size=(count, rows, 2, 5))
+    expected = np.einsum("pij,pjab->iab", dense, stack) / k
+    interleaved = np.empty_like(stack)
+    interleaved[:, field.rows] = stack
+    out = np.empty(stack.shape[1:], dtype=complex)
+    field.apply(k, interleaved, out)
+    assert np.linalg.norm(out[field.rows] - expected) <= 1e-14 * np.linalg.norm(expected)

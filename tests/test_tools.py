@@ -1,10 +1,12 @@
-"""The same-answers check of continuation changes, ``tools/seed_sweep.py``, runs end to end.
+"""The same-answers check of continuation changes, ``tools/seed_sweep.py``, and the inverse scaling tool run end to end.
 
 One seed is swept and compared with itself in subprocesses, as the tool is
 run from a checkout: every comparison reads "0 differ", and the verify and
-invert ops record nonzero continuation work counts.  Two hand-written
-sweep files check the invert summary of ``--compare``: ops per pair of
-iteration counts, each side's total, and single ops only where counts rose.
+invert ops record nonzero continuation work counts, the invert ops also
+their variational and plain continuations.  Hand-written sweep files check
+the invert summaries of ``--compare``: ops per pair of iteration counts,
+each side's total, and single ops only where counts rose.
+``tools/inverse_scaling.py`` solves its N = 18 fixture.
 """
 
 import json
@@ -15,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP = ROOT / "tools" / "seed_sweep.py"
+SCALING = ROOT / "tools" / "inverse_scaling.py"
 
 
 def run_sweep(*args):
@@ -37,6 +40,9 @@ def test_seed_sweep_compares_a_sweep_with_itself(tmp_path):
         counts = re.fullmatch(rf"{workload} terms: matrix_terms (\d+) -> \1, hop_terms (\d+) -> \2; 0 of \d+ ops differ", terms)
         assert counts, terms
         assert int(counts[1]) > 0 and int(counts[2]) > int(counts[1])
+    [continued] = [line for line in lines if line.startswith("invert-near-identity continuations:")]
+    counts = re.fullmatch(r"invert-near-identity continuations: variational (\d+) -> \1, plain (\d+) -> \2; 0 of 4 ops differ", continued)
+    assert counts and int(counts[1]) > 0, continued
 
 
 def test_compare_counts_iteration_pairs_and_lists_only_rises(tmp_path):
@@ -77,3 +83,52 @@ def test_compare_counts_iteration_pairs_and_lists_only_rises(tmp_path):
         "invert-near-identity seed 0 unit 2 terms: matrix_terms 60 -> 90, hop_terms 600 -> 900"
     ]
     assert "invert-near-identity terms: matrix_terms 240 -> 210, hop_terms 2400 -> 2100; 3 of 3 ops differ" in lines
+
+
+def test_compare_totals_continuations_and_names_only_rises(tmp_path):
+    """``--compare`` totals each side's variational and plain continuations
+    and names an op only where its variational or its total count rose:
+    a plain continuation in place of a variational one is not named."""
+
+    def record(unit, variational, plain):
+        return {
+            "workload": "invert-near-identity",
+            "seed": 0,
+            "unit": unit,
+            "class": "near-identity/p3/n2",
+            "exit": 0,
+            "error": None,
+            "ok": True,
+            "sha256": f"{unit}",
+            "continuations": {"variational": variational, "plain": plain},
+        }
+
+    paths = []
+    for name, runs in (("left", [(3, 0), (3, 0), (2, 1), (2, 1)]), ("right", [(2, 1), (3, 0), (3, 1), (2, 2)])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps([record(unit, *run) for unit, run in enumerate(runs)]))
+    compared = run_sweep("--compare", *map(str, paths))
+    assert compared.returncode == 0, compared.stderr
+    lines = [line for line in compared.stdout.splitlines() if "continuations" in line]
+    assert lines == [
+        "invert-near-identity seed 0 unit 2 continuations rose: variational 2 -> 3, plain 1 -> 1",
+        "invert-near-identity seed 0 unit 3 continuations rose: variational 2 -> 2, plain 1 -> 2",
+        "invert-near-identity continuations: variational 10 -> 10, plain 2 -> 4; 3 of 4 ops differ",
+    ]
+
+
+def test_inverse_scaling_solves_the_smallest_fixture(tmp_path):
+    out = tmp_path / "scaling.json"
+    ran = subprocess.run(
+        [sys.executable, str(SCALING), "--sizes", "18", "--repeats", "1", "--out", str(out)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.startswith("N = 18 (3 poles, 2x2): solve ")
+    [result] = json.loads(out.read_text())
+    assert result["N"] == 18 and result["converged"]
+    assert result["iterations"] == 2
+    assert result["residue_error"] <= 1e-9

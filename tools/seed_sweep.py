@@ -13,7 +13,10 @@ invert-near-identity also the recovered residues, the Gauss-Newton
 ``iterations`` and the ``final_residual``; for verify-mixed and
 invert-near-identity each op's work counts, its continuation kernel's
 ``matrix_terms`` (calls of ``fuchsia.monodromy._taylor_term``) and
-``hop_terms`` (the hops those calls advance, summed); for verify-mixed
+``hop_terms`` (the hops those calls advance, summed); for
+invert-near-identity also its ``continuations``, the solver's calls of
+the kernel by kind: ``variational`` (M_j with the Jacobian) and ``plain``
+(M_j alone); for verify-mixed
 also each seed's ``correct`` flag (every verify op passes its check), the
 loop matrices and ``error_estimates`` of every report, the SHA-256 of the
 rest of the report (without the estimates and each pole's
@@ -37,7 +40,9 @@ for each pair of iteration counts (left -> right), each side's total
 iterations, the ops whose iterations rose and the largest relative change
 of the final residual; and, for verify-mixed and invert-near-identity, the
 total matrix and hop terms of each sweep, how many ops' counts differ and
-the ops whose counts rose.  A
+the ops whose counts rose; and for invert-near-identity each sweep's total
+variational and plain continuations, how many ops' counts differ and the
+ops whose variational or total count rose.  A
 change to continuation or
 geometry should leave the failed ops equal, op for op; a change of loop
 convention conjugates the generic matrices, so there only the spectra and
@@ -113,6 +118,30 @@ def term_counts():
         yield counts
     finally:
         module._taylor_term = original
+
+
+@contextlib.contextmanager
+def continuation_counts():
+    """Count the inverse solver's continuations while the block runs, by kind.
+
+    ``fuchsia.inverse._integrate_legs`` is wrapped for the block and
+    restored after.  A call that continues fewer columns than its field
+    has rows (m < N) continues a variational system, and one with m = N
+    the plain n x n system.  Yields ``{"variational": calls, "plain": calls}``.
+    """
+    module = importlib.import_module("fuchsia.inverse")
+    original = module._integrate_legs
+    counts = {"variational": 0, "plain": 0}
+
+    def counted(field, cut, m, tol):
+        counts["variational" if field.dimension > m else "plain"] += 1
+        return original(field, cut, m, tol)
+
+    module._integrate_legs = counted
+    try:
+        yield counts
+    finally:
+        module._integrate_legs = original
 
 
 def verify_verdicts(report: dict) -> list:
@@ -197,7 +226,7 @@ def sweep(seeds) -> list:
                     )
             for index, unit in enumerate(workloads.invert_units(seed, workdir)):
                 [argv], [out] = unit.argvs, unit.outputs
-                with term_counts() as terms:
+                with term_counts() as terms, continuation_counts() as continuations:
                     code, error, report = _run(argv, out)
                 [ok] = workloads.check_invert(unit, [workloads.OpResult(code, 0.0, report, error)])
                 records.append(
@@ -212,6 +241,7 @@ def sweep(seeds) -> list:
                         "sha256": hashlib.sha256(report).hexdigest() if report else None,
                         **invert_fields(json.loads(report) if report else None),
                         **terms,
+                        "continuations": continuations,
                     }
                 )
         print(f"seed {seed}: {sum(not r['ok'] for r in records if r['seed'] == seed)} failed", file=sys.stderr)
@@ -308,6 +338,30 @@ def compare_terms(left, right, workload: str):
             print(f"{workload} seed {seed} unit {unit} terms: " + ", ".join(f"{kind} {x[kind]} -> {y[kind]}" for kind in kinds))
     totals = ", ".join(f"{kind} {sum(r[kind] for r in a.values())} -> {sum(r[kind] for r in b.values())}" for kind in kinds)
     print(f"{workload} terms: {totals}; {len(differing)} of {len(a.keys() & b.keys())} ops differ")
+
+
+def compare_continuations(left, right, workload: str):
+    """Print each sweep's total variational and plain continuations on ``workload``,
+    how many ops' counts differ, and the ops whose variational count or
+    whose total count rose (a plain continuation that replaces a
+    variational one is not named)."""
+    a, b = (
+        {(r["seed"], r["unit"]): r["continuations"] for r in records if r.get("workload") == workload and "continuations" in r}
+        for records in (left, right)
+    )
+    if not (a and b):
+        print(f"{workload} continuations: not compared, a sweep file has no continuation counts")
+        return
+    kinds = ("variational", "plain")
+    both = sorted(a.keys() & b.keys())
+    for seed, unit in both:
+        x, y = a[seed, unit], b[seed, unit]
+        if y["variational"] > x["variational"] or sum(y.values()) > sum(x.values()):
+            changes = ", ".join(f"{kind} {x[kind]} -> {y[kind]}" for kind in kinds)
+            print(f"{workload} seed {seed} unit {unit} continuations rose: {changes}")
+    differing = sum(a[key] != b[key] for key in both)
+    totals = ", ".join(f"{kind} {sum(c[kind] for c in a.values())} -> {sum(c[kind] for c in b.values())}" for kind in kinds)
+    print(f"{workload} continuations: {totals}; {differing} of {len(both)} ops differ")
 
 
 def compare_verdicts(left, right) -> int:
@@ -410,6 +464,7 @@ def compare(left, right) -> int:
     others = [compare_ops(*both, workload) for workload in ("exact-gauge", "invert-near-identity")]
     for workload in ("verify-mixed", "invert-near-identity"):
         compare_terms(*both, workload)
+    compare_continuations(*both, "invert-near-identity")
     return 1 if differing or verdicts_differ or any(others) else 0
 
 
