@@ -83,46 +83,35 @@ def _load_system(path: str) -> FuchsianSystem:
     return FuchsianSystem.from_dict(jsonio.load_json(path))
 
 
+def _row(record, **rewritten) -> dict:
+    """A report row: the fields of the result ``record``, with the complex ones ``rewritten`` as JSON values."""
+    return {**vars(record), **rewritten}
+
+
 def _resonance_section(system: FuchsianSystem) -> tuple[list, bool]:
-    entries = []
-    clean = True
-    for record in is_non_resonant(system):
-        if record.resonant:
-            clean = False
-        entries.append(
-            {
-                "pole_index": record.pole_index,
-                "resonant": record.resonant,
-                "witnesses": [
-                    {
-                        "eigenvalue_a": jsonio.complex_to_pair(a),
-                        "eigenvalue_b": jsonio.complex_to_pair(b),
-                        "integer": k,
-                    }
-                    for a, b, k in record.witnesses
-                ],
-            }
+    records = is_non_resonant(system)
+    entries = [
+        _row(
+            record,
+            witnesses=[
+                {"eigenvalue_a": jsonio.complex_to_pair(a), "eigenvalue_b": jsonio.complex_to_pair(b), "integer": k}
+                for a, b, k in record.witnesses
+            ],
         )
-    return entries, clean
+        for record in records
+    ]
+    return entries, not any(record.resonant for record in records)
 
 
 def cmd_check(args) -> CommandOutcome:
     system = _load_system(args.system)
     levelt = levelt_data(system)
     resonance, clean = _resonance_section(system)
-    levelt_json = []
-    for table in levelt.per_pole:
-        levelt_json.append(
-            [
-                {
-                    "eigenvalue": jsonio.complex_to_pair(e.eigenvalue),
-                    "integer_part": e.integer_part,
-                    "fractional_part": jsonio.complex_to_pair(e.fractional_part),
-                    "multiplicity": e.multiplicity,
-                }
-                for e in table
-            ]
-        )
+    pair = jsonio.complex_to_pair
+    levelt_json = [
+        [_row(e, eigenvalue=pair(e.eigenvalue), fractional_part=pair(e.fractional_part)) for e in table]
+        for table in levelt.per_pole
+    ]
     report = {
         "schema": jsonio.REPORT_SCHEMA,
         "kind": "check",
@@ -210,21 +199,10 @@ def cmd_verify(args) -> CommandOutcome:
         integration_tol=args.integration_tol,
         base_point=base,
     )
-    per_pole = []
-    for v in result.verdicts:
-        per_pole.append(
-            {
-                "pole_index": v.pole_index,
-                "non_resonant": v.non_resonant,
-                "spectrum_match": v.spectrum_match,
-                "spectrum_distance": v.spectrum_distance,
-                "structure_match": v.structure_match,
-                "conjugator": None if v.conjugator is None else jsonio.matrix_to_pairs(v.conjugator),
-                "conjugator_residual": v.conjugator_residual,
-                "monodromy_error": v.monodromy_error,
-                "ok": v.ok,
-            }
-        )
+    per_pole = [
+        _row(v, conjugator=None if v.conjugator is None else jsonio.matrix_to_pairs(v.conjugator))
+        for v in result.verdicts
+    ]
     report = {
         "schema": jsonio.REPORT_SCHEMA,
         "kind": "verify",
@@ -323,11 +301,9 @@ def cmd_convert(args) -> CommandOutcome:
             f"conversion from {schema} to {args.to!r} is not supported "
             "(recovering a scalar equation needs a cyclic vector, which is out of scope)"
         )
-    basis = None
-    if args.basis:
-        basis = rational_matrix_from_dict(jsonio.load_json(args.basis))
     if args.basis and key != (MODULE_SCHEMA, "matrix"):
         raise ValidationError("--basis only applies when converting a module to a matrix")
+    basis = rational_matrix_from_dict(jsonio.load_json(args.basis)) if args.basis else None
     return CommandOutcome(EXIT_OK, _CONVERTERS[key](doc, basis), None)
 
 

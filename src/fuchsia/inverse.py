@@ -33,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_square_matrix, check_tolerance
+from .linalg import check_tolerance
 from .monodromy import DEFAULT_INTEGRATION_TOL, _cut_paths, _integrate_legs, _product_defect
 from .monodromy import continue_solution  # noqa: F401 - perfbench/spans.py traces this name here
-from .paths import LOOP_CONVENTION, ContinuationPath, build_loops, composition_order, default_base_point
-from .system import TWO_PI_I, FuchsianSystem, PoleResonance, is_non_resonant, validate_poles, validate_system
+from .paths import LOOP_CONVENTION, ContinuationPath, build_loops, composition_order, default_base_point, legs
+from .system import TWO_PI_I, FuchsianSystem, PoleResonance, _validate_pole_matrices, is_non_resonant, validate_system
 from . import jsonio
 
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -99,32 +99,22 @@ class InverseProblemInstance:
 def validate_instance(poles, targets, base_point=None, allow_far: bool = False) -> InverseProblemInstance:
     """Check an inverse-problem instance for solvability by this method.
 
-    Demands poles that pass ``validate_poles``, one invertible target per
-    pole, targets multiplying to the identity (in the composition order of
-    the loop convention) within ``DEFAULT_PRODUCT_TOL``, and, unless
-    ``allow_far``, every target within ``DEFAULT_PROXIMITY_BOUND`` of the
-    identity in Frobenius norm, which is the regime where the seeds, which
-    truncate a series in M_j - I, are trustworthy.  The loops are built
-    here, once, and the instance carries them to ``solve``.
+    Demands poles and one square target per pole, all of one size, as
+    ``system._validate_pole_matrices`` checks a system's residues, every
+    target invertible (checked after those), targets multiplying to the
+    identity (in the composition order of the loop convention) within
+    ``DEFAULT_PRODUCT_TOL``, and, unless ``allow_far``, every target within
+    ``DEFAULT_PROXIMITY_BOUND`` of the identity in Frobenius norm, which is
+    the regime where the seeds, which truncate a series in M_j - I, are
+    trustworthy.  The loops are built here, once, and the instance carries
+    them to ``solve``.
     """
-    pole_list = validate_poles(poles)
-    if len(targets) != len(pole_list):
-        raise ValidationError(
-            f"{len(pole_list)} poles but {len(targets)} target matrices"
-        )
-    mats = []
-    dim = None
-    for j, m in enumerate(targets):
-        arr = as_square_matrix(m, f"target {j}")
-        if dim is None:
-            dim = arr.shape[0]
-        elif arr.shape[0] != dim:
-            raise ValidationError(f"target {j} has dimension {arr.shape[0]}, expected {dim}")
+    pole_list, mats = _validate_pole_matrices(poles, targets, "target")
+    dim = mats[0].shape[0]
+    for j, arr in enumerate(mats):
         sv = np.linalg.svd(arr, compute_uv=False)
         if sv[-1] <= 1e-12 * max(1.0, sv[0]):
             raise ValidationError(f"target {j} is numerically singular")
-        arr.flags.writeable = False
-        mats.append(arr)
     z0 = default_base_point(pole_list) if base_point is None else complex(base_point)
     loops = build_loops(pole_list, z0)
     order = composition_order(loops)
@@ -166,16 +156,16 @@ def first_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...]
 def _approach_logs(instance: InverseProblemInstance) -> np.ndarray:
     """(P, P) c_jk, the integral of dz / (z - a_k) along loop j's approach continued straight on to a_j.
 
-    The approach's lines and the continuation are straight pieces p -> q
-    clear of a_k, on each of which the integral is the principal
-    log((q - a_k) / (p - a_k)); all pieces of all pairs take one ``np.log``.
-    c_jj, whose last piece ends on a_j itself, is 0.
+    The approach, the first of the loop's ``paths.legs``, and the
+    continuation are straight pieces p -> q clear of a_k, on each of which
+    the integral is the principal log((q - a_k) / (p - a_k)); all pieces of
+    all pairs take one ``np.log``.  c_jj, whose last piece ends on a_j, is 0.
     """
     poles = np.array(instance.poles)
-    # Loop j's corners z0, ..., circle start, a_j: the starts of its lines and of its circle, the middle segment.
+    # Loop j's corners z0, ..., circle start, a_j: the starts of its approach's lines and of its circle.
     corners = [
-        [seg.start for seg in loop.segments[: len(loop.segments) // 2 + 1]] + [a]
-        for loop, a in zip(instance.loops, instance.poles)
+        [seg.start for seg in approach + circle] + [a]
+        for (approach, circle), a in zip(map(legs, instance.loops), instance.poles)
     ]
     # A loop with fewer lines repeats z0, a piece of log 1 = 0.
     width = max(len(c) for c in corners)

@@ -51,6 +51,7 @@ from .paths import (
     composition_order,
     default_base_point,
     hops,
+    legs,
     path_clearance_audit,  # noqa: F401 - perfbench/spans.py traces this name here
     segment_distances,
 )
@@ -362,10 +363,9 @@ def _integrate_legs(field, cut, m: int, tol: float):
 def _cut_paths(poles, paths):
     """Audit every path against ``poles`` and cut its legs into hops.
 
-    A path whose tail is, segment by segment, the exact reverse of its head
-    around one middle segment (every pole loop) gives two legs, the head
-    and the middle, and its transfer is T^-1 C T.  Any other path gives
-    the one leg of all its segments.  The audit is one
+    A path's legs are those of ``paths.legs``: a pole loop gives its
+    approach and its circle, whose transfer is T^-1 C T, and any other
+    path the one leg of all its segments.  The audit is one
     ``paths.segment_distances`` pass over the segments of those legs and
     every pole: a loop's tail is its head reversed bit for bit, and a line
     is measured from its nearer end, so the tail is as far from the poles
@@ -376,26 +376,18 @@ def _cut_paths(poles, paths):
     bisection.  The cut depends on the poles alone, so the systems of one
     Gauss-Newton solve share it.
     """
-    chains = []
-    for path in paths:
-        segments = path.segments
-        half = len(segments) // 2
-        head, middle, tail = segments[:half], segments[half:half + 1], segments[half + 1:]
-        if head and tail == tuple(seg.reversed() for seg in reversed(head)):
-            chains.append((head, middle))
-        else:
-            chains.append((segments,))
-    legs = [leg for legs in chains for leg in legs]
-    distances = segment_distances([seg for leg in legs for seg in leg], poles).min(axis=1)
-    audited = np.minimum.reduceat(distances, np.cumsum([0] + [sum(map(len, legs)) for legs in chains[:-1]]))
+    chains = [legs(path) for path in paths]
+    every_leg = [leg for chain in chains for leg in chain]
+    distances = segment_distances([seg for leg in every_leg for seg in leg], poles).min(axis=1)
+    audited = np.minimum.reduceat(distances, np.cumsum([0] + [sum(map(len, chain)) for chain in chains[:-1]]))
     for path, distance in zip(paths, audited.tolist()):
         if not distance >= path.clearance * (1.0 - 1e-9):
             raise ValidationError(
                 f"path passes within {distance:.3e} of a pole, closer than its "
                 f"stated clearance {path.clearance:.3e}"
             )
-    points = iter(hops(legs, poles))
-    return tuple(tuple(next(points) for _ in legs) for legs in chains)
+    points = iter(hops(every_leg, poles))
+    return tuple(tuple(next(points) for _ in chain) for chain in chains)
 
 
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):

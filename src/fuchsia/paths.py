@@ -249,6 +249,22 @@ class ContinuationPath:
         )
 
 
+def legs(path: ContinuationPath) -> tuple[tuple[Segment, ...], ...]:
+    """The legs a path is continued along: (approach, (circle,)) for a loop, else (segments,).
+
+    A loop is a path whose tail is the exact bitwise reverse of its head,
+    segment by segment, around one middle segment, as every loop of
+    ``build_loops`` is; its transfer is T^-1 C T, T the head's and C the
+    middle's.  Any other path, even one ulp off a loop, is one leg.
+    """
+    segments = path.segments
+    half = len(segments) // 2
+    head, tail = segments[:half], segments[half + 1:]
+    if head and tail == tuple(seg.reversed() for seg in reversed(head)):
+        return head, segments[half:half + 1]
+    return (segments,)
+
+
 def path_clearance_audit(path: ContinuationPath, poles) -> float:
     """Recompute the minimum distance from any path segment to any pole."""
     return float(segment_distances(path.segments, poles).min())
@@ -317,11 +333,11 @@ def composition_order(loops) -> list[int]:
     the comb at their feet, so they leave the foot of the base point in
     the counterclockwise order of their feet along L.  A foot is its pole
     moved along the comb direction d, which leaves Im(. conj d) unchanged,
-    so the order is Im(a_j conj d) descending; every loop's middle segment
-    is its circle around a_j, anchored at the angle of d.  The comb keeps
-    those values distinct.  Pinned by product-identity tests.
+    so the order is Im(a_j conj d) descending; every loop's circle, its
+    second leg (``legs``), is around a_j, anchored at the angle of d.  The
+    comb keeps those values distinct.  Pinned by product-identity tests.
     """
-    circles = [loop.segments[len(loop.segments) // 2] for loop in loops]
+    circles = [circle for _, (circle,) in map(legs, loops)]
     d = cmath.rect(1.0, circles[0].angle_start)
     position = (np.array([circle.center for circle in circles]) * d.conjugate()).imag
     return np.argsort(-position, kind="stable").tolist()

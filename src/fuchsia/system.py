@@ -139,25 +139,33 @@ def validate_poles(poles) -> list[complex]:
     return pole_list
 
 
+def _validate_pole_matrices(poles, matrices, kind: str) -> tuple[list[complex], list[np.ndarray]]:
+    """The poles of ``validate_poles`` and a read-only square copy of each of ``matrices``, one per pole.
+
+    Rejects a count other than one matrix per pole, a matrix that is not
+    square or has non-finite entries, and matrices of different sizes.
+    ``kind`` names the matrices in the messages: "residue", "target".
+    """
+    pole_list = validate_poles(poles)
+    if len(matrices) != len(pole_list):
+        raise ValidationError(f"{len(pole_list)} poles but {len(matrices)} {kind} matrices")
+    mats = [as_square_matrix(m, f"{kind} {i}") for i, m in enumerate(matrices)]
+    dim = mats[0].shape[0]
+    for i, m in enumerate(mats):
+        if m.shape[0] != dim:
+            raise ValidationError(f"{kind} {i} has dimension {m.shape[0]}, expected {dim}")
+        m.flags.writeable = False
+    return pole_list, mats
+
+
 def validate_system(poles, residues) -> FuchsianSystem:
     """Validate raw pole and residue data and build a ``FuchsianSystem``.
 
-    Checks the poles with ``validate_poles`` and rejects non-square or
-    mismatched residues, non-finite entries, and residue sums with norm
+    Checks the poles and residues with ``_validate_pole_matrices``, shared
+    with ``inverse.validate_instance``, and rejects residue sums with norm
     above ``DEFAULT_RESIDUE_SUM_TOL``.
     """
-    pole_list = validate_poles(poles)
-    if len(residues) != len(pole_list):
-        raise ValidationError(
-            f"{len(pole_list)} poles but {len(residues)} residue matrices"
-        )
-    mats = [as_square_matrix(b, f"residue {i}") for i, b in enumerate(residues)]
-    dim = mats[0].shape[0]
-    for i, b in enumerate(mats):
-        if b.shape[0] != dim:
-            raise ValidationError(
-                f"residue {i} has dimension {b.shape[0]}, expected {dim}"
-            )
+    pole_list, mats = _validate_pole_matrices(poles, residues, "residue")
     defect = float(np.linalg.norm(sum(mats), 2))
     if defect > DEFAULT_RESIDUE_SUM_TOL:
         raise ValidationError(
@@ -165,12 +173,10 @@ def validate_system(poles, residues) -> FuchsianSystem:
             f"(limit {DEFAULT_RESIDUE_SUM_TOL:g}); "
             "infinity would be an irregular point"
         )
-    for b in mats:
-        b.flags.writeable = False
     return FuchsianSystem(
         poles=tuple(pole_list),
         residues=tuple(mats),
-        dimension=dim,
+        dimension=mats[0].shape[0],
         residue_sum_defect=defect,
     )
 

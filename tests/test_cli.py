@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ from conftest import jordan_block_system
 from fuchsia.cli import main, parse_complex_literal
 from fuchsia.errors import ValidationError
 from fuchsia.jsonio import canonical_json
+from fuchsia.monodromy import PoleVerdict, verify_theorem
 from fuchsia.paths import LOOP_CONVENTION
 from fuchsia.rational import parse_rational_function
-from fuchsia.system import validate_system
+from fuchsia.system import FuchsianSystem, LeveltExponent, PoleResonance, is_non_resonant, levelt_data, validate_system
 
 
 def write_json(path, doc):
@@ -230,6 +233,72 @@ def test_cli_commands_leave_scipy_unloaded(small_system_path, tmp_path):
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "[False, False, False, False, False] True"
+
+
+class TestReportRows:
+    """Each row of a report is its result record's fields, the complex values
+    as [re, im] pairs; on the resonant fixture, whose witness rows are not empty."""
+
+    @staticmethod
+    def pair(z):
+        return [z.real, z.imag]
+
+    @staticmethod
+    def report(command, path, tmp_path):
+        report_path = tmp_path / f"{command}.json"
+        main(["--quiet", command, path, "--json", str(report_path)])
+        system = FuchsianSystem.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return json.loads(report_path.read_text(encoding="utf-8")), system
+
+    def test_verify_rows_are_the_verdicts(self, resonant_system_path, tmp_path):
+        report, system = self.report("verify", resonant_system_path, tmp_path)
+        expected = [
+            {
+                "pole_index": v.pole_index,
+                "non_resonant": v.non_resonant,
+                "spectrum_match": v.spectrum_match,
+                "spectrum_distance": v.spectrum_distance,
+                "structure_match": v.structure_match,
+                "conjugator": None if v.conjugator is None else np.stack([v.conjugator.real, v.conjugator.imag], -1).tolist(),
+                "conjugator_residual": v.conjugator_residual,
+                "monodromy_error": v.monodromy_error,
+                "ok": v.ok,
+            }
+            for v in verify_theorem(system).verdicts
+        ]
+        assert report["per_pole"] == json.loads(canonical_json(expected))
+        assert all(row.keys() == {f.name for f in fields(PoleVerdict)} for row in report["per_pole"])
+
+    def test_check_rows_are_the_levelt_and_resonance_records(self, resonant_system_path, tmp_path):
+        report, system = self.report("check", resonant_system_path, tmp_path)
+        levelt = [
+            [
+                {
+                    "eigenvalue": self.pair(e.eigenvalue),
+                    "integer_part": e.integer_part,
+                    "fractional_part": self.pair(e.fractional_part),
+                    "multiplicity": e.multiplicity,
+                }
+                for e in table
+            ]
+            for table in levelt_data(system).per_pole
+        ]
+        resonance = [
+            {
+                "pole_index": r.pole_index,
+                "resonant": r.resonant,
+                "witnesses": [
+                    {"eigenvalue_a": self.pair(a), "eigenvalue_b": self.pair(b), "integer": k} for a, b, k in r.witnesses
+                ],
+            }
+            for r in is_non_resonant(system)
+        ]
+        assert any(row["witnesses"] for row in resonance)
+        assert report["levelt"] == json.loads(canonical_json(levelt))
+        assert report["resonance"] == json.loads(canonical_json(resonance))
+        names = {f.name for f in fields(LeveltExponent)}
+        assert all(row.keys() == names for table in report["levelt"] for row in table)
+        assert all(row.keys() == {f.name for f in fields(PoleResonance)} for row in report["resonance"])
 
 
 class TestGalois:
@@ -491,6 +560,12 @@ class TestConvert:
         )
         assert code == 2
         assert "--basis" in capsys.readouterr().err
+
+    def test_basis_is_refused_before_its_file_is_read(self, scalar_doc_path, tmp_path, capsys):
+        """A --basis for any conversion but module to matrix is refused as such, even when its file is missing."""
+        code = main(["convert", scalar_doc_path, "--to", "matrix", "--basis", str(tmp_path / "missing.json")])
+        assert code == 2
+        assert "--basis only applies when converting a module to a matrix" in capsys.readouterr().err
 
     def test_unknown_schema_rejected(self, tmp_path, capsys):
         path = write_json(tmp_path / "odd.json", {"schema": "something/9"})

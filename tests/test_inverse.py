@@ -111,6 +111,26 @@ class TestValidateInstance:
         with pytest.raises(ValidationError, match="singular"):
             validate_instance([0.0, 1.0], [singular, np.eye(2)])
 
+    @pytest.mark.parametrize(
+        "matrices, message",
+        [
+            ([np.eye(2)], r"^2 poles but 1 {kind} matrices$"),
+            ([np.ones((2, 3)), np.eye(2)], r"^{kind} 0 must be square and non-empty, got shape \(2, 3\)$"),
+            ([np.eye(2), np.eye(3)], r"^{kind} 1 has dimension 3, expected 2$"),
+        ],
+        ids=["count", "non-square", "size"],
+    )
+    def test_targets_are_checked_as_a_system_checks_its_residues(self, matrices, message):
+        with pytest.raises(ValidationError, match=message.format(kind="residue")):
+            validate_system([0.0, 1.0], matrices)
+        with pytest.raises(ValidationError, match=message.format(kind="target")):
+            validate_instance([0.0, 1.0], matrices)
+
+    def test_size_mismatch_is_reported_before_a_singular_target(self):
+        singular = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="target 1 has dimension 3"):
+            validate_instance([0.0, 1.0], [singular, np.eye(3)])
+
     def test_rejects_bad_product(self):
         targets = diagonal_targets([[0.1], [0.1]])
         with pytest.raises(ValidationError, match="identity"):

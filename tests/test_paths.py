@@ -27,6 +27,7 @@ from fuchsia.paths import (
     composition_order,
     default_base_point,
     hops,
+    legs,
     path_clearance_audit,
     segment_distances,
 )
@@ -289,6 +290,39 @@ def test_collinear_loops_retrace_their_approach():
         tooth = loop.segments[n // 2 - 1]
         assert tooth.end == loop.segments[n // 2].start
         assert abs(((tooth.end - foot) * d.conjugate()).imag) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "poles",
+    [
+        sample_poles(np.random.default_rng(SEED), 5),
+        [complex(x) for x in (-2.0, -1.0, 0.0, 1.0, 2.0)],
+        [cmath.exp(2j * math.pi * k / 6) for k in range(6)],
+    ],
+    ids=["disk", "row", "circle"],
+)
+def test_legs_of_a_loop_are_its_approach_and_circle(poles):
+    """Every loop's legs are its lines out from the base point and its
+    circle around its own pole; the rest of the loop is the lines reversed."""
+    z0 = default_base_point(poles)
+    for loop, a in zip(build_loops(poles, z0), poles):
+        approach, (circle,) = legs(loop)
+        assert approach and all(isinstance(seg, Line) for seg in approach)
+        assert approach[0].start == z0 and approach[-1].end == circle.start
+        assert isinstance(circle, Arc) and circle.center == a
+        assert loop.segments == approach + (circle,) + tuple(seg.reversed() for seg in reversed(approach))
+
+
+def test_legs_of_any_other_path_are_the_path():
+    """A loop whose last line ends one ulp off its base point, and an open
+    path, are each one leg of all their segments."""
+    loop = build_loops([0.0 + 0j, 1.0 + 0j], 2.0 + 0j)[0]
+    last = loop.segments[-1]
+    moved = Line(last.start, complex(np.nextafter(last.end.real, np.inf), last.end.imag))
+    off = ContinuationPath(loop.segments[:-1] + (moved,), clearance=loop.clearance)
+    assert legs(off) == (off.segments,)
+    open_path = ContinuationPath((Line(2.0, 2.0 + 1j), Line(2.0 + 1j, 3.0 + 1j), Line(3.0 + 1j, 3.0)), clearance=0.5)
+    assert legs(open_path) == (open_path.segments,)
 
 
 def test_build_loops_base_on_pole_rejected():

@@ -1,7 +1,8 @@
 """The same-answers check of continuation changes, ``tools/seed_sweep.py``, and the inverse scaling tool run end to end.
 
 One seed is swept and compared with itself in subprocesses, as the tool is
-run from a checkout: every comparison reads "0 differ", and the verify and
+run from a checkout: every comparison reads "0 differ", the check and
+galois reports of all 40 verify-mixed systems among them, and the verify and
 invert ops record nonzero continuation work counts, the invert ops also
 their variational and plain continuations.  Hand-written sweep files check
 the invert summaries of ``--compare``: ops per pair of iteration counts,
@@ -35,6 +36,9 @@ def test_seed_sweep_compares_a_sweep_with_itself(tmp_path):
     assert len(differ) >= 9
     for line in differ:
         assert re.search(r"(?:^|\s)0 (?:of \d+ ops )?differ$", line), line
+    for kind in ("check", "galois"):
+        assert f"{kind} exit codes: 0 of 40 ops differ" in lines
+        assert f"{kind} report bytes: 0 of 40 ops differ" in lines
     for workload in ("verify-mixed", "invert-near-identity"):
         [terms] = [line for line in lines if line.startswith(f"{workload} terms:")]
         counts = re.fullmatch(rf"{workload} terms: matrix_terms (\d+) -> \1, hop_terms (\d+) -> \2; 0 of \d+ ops differ", terms)

@@ -16,9 +16,10 @@ invert-near-identity each op's work counts, its continuation kernel's
 ``hop_terms`` (the hops those calls advance, summed); for
 invert-near-identity also its ``continuations``, the solver's calls of
 the kernel by kind: ``variational`` (M_j with the Jacobian) and ``plain``
-(M_j alone); for verify-mixed
-also each seed's ``correct`` flag (every verify op passes its check), the
-loop matrices and ``error_estimates`` of every report, the SHA-256 of the
+(M_j alone); for verify-mixed also the exit code and report SHA-256 of
+``check`` and of ``galois`` run on each op's system, each seed's
+``correct`` flag (every verify op passes its check), the loop matrices
+and ``error_estimates`` of every report, the SHA-256 of the
 rest of the report (without the estimates and each pole's
 ``monodromy_error``, their copies), its verdicts (``overall`` and, per pole,
 ``spectrum_match``, ``structure_match``, ``ok`` and ``non_resonant``), its
@@ -27,7 +28,8 @@ error: the largest |M - oracle|_F / tol over its loops, against the
 closed-form monodromy of ``unit.truth["oracle"]`` at the default integration
 tolerance.  ``--compare`` prints the failed verify-mixed ops that differ
 between two sweeps, the seeds whose ``correct`` differs, how many ops' report
-bytes differ and how many differ outside the error estimates, the verify
+bytes differ and how many differ outside the error estimates, how many
+check and galois reports differ in exit code and in bytes, the verify
 ops whose verdicts differ, the largest conjugator residual and realised
 error of each sweep and where they occur, the largest relative change of
 an error estimate and where it occurs, and the largest gaps between their
@@ -144,6 +146,10 @@ def continuation_counts():
         module._integrate_legs = original
 
 
+# The reports run on every verify-mixed system besides verify itself.
+REPORT_KINDS = ("check", "galois")
+
+
 def verify_verdicts(report: dict) -> list:
     """A verify report's verdicts: ``overall``, then per pole its four flags."""
     flags = ("spectrum_match", "structure_match", "ok", "non_resonant")
@@ -185,6 +191,13 @@ def sweep(seeds) -> list:
                     code, error, report = _run(argv, out)
                 [ok] = workloads.check_verify(unit, [workloads.OpResult(code, 0.0, report, error)])
                 parsed = json.loads(report) if report else None
+                system = argv[argv.index("verify") + 1]
+                reports = {}
+                for kind in REPORT_KINDS:
+                    kind_out = f"{out}.{kind}.json"
+                    kind_code, _, kind_report = _run(["--quiet", kind, system, "--json", kind_out], kind_out)
+                    digest = hashlib.sha256(kind_report).hexdigest() if kind_report else None
+                    reports[kind] = {"exit": kind_code, "sha256": digest}
                 records.append(
                     {
                         "workload": "verify-mixed",
@@ -204,6 +217,7 @@ def sweep(seeds) -> list:
                         if parsed and unit.truth["oracle"]
                         else None,
                         **terms,
+                        **reports,
                     }
                 )
             for index, unit in enumerate(workloads.gauge_units(seed, workdir)):
@@ -364,6 +378,20 @@ def compare_continuations(left, right, workload: str):
     print(f"{workload} continuations: {totals}; {differing} of {len(both)} ops differ")
 
 
+def compare_reports(left, right, kind: str) -> int:
+    """Print how many verify-mixed systems' ``kind`` reports differ in exit
+    code and in bytes between two sweeps; return the number whose exit code differs."""
+    a, b = ({(r["seed"], r["unit"]): r[kind] for r in records if kind in r} for records in (left, right))
+    if not (a and b):
+        print(f"{kind} reports: not compared, a sweep file has no {kind} reports")
+        return 0
+    exits = sum(key not in b or r["exit"] != b[key]["exit"] for key, r in a.items())
+    changed = sum(key not in b or r["sha256"] != b[key]["sha256"] for key, r in a.items())
+    print(f"{kind} exit codes: {exits} of {len(a)} ops differ")
+    print(f"{kind} report bytes: {changed} of {len(a)} ops differ")
+    return exits
+
+
 def compare_verdicts(left, right) -> int:
     """Print the verify ops whose verdicts differ and each sweep's largest
     conjugator residual and realised error; return the number of ops whose
@@ -414,7 +442,7 @@ def compare_estimates(left, right):
 
 
 def compare(left, right) -> int:
-    """Print the differences between two sweeps; nonzero when failed ops or verdicts differ."""
+    """Print the differences between two sweeps; nonzero when failed ops, verdicts or check and galois exit codes differ."""
     from fuchsia.linalg import min_cost_assignment
 
     both = (left, right)
@@ -436,6 +464,7 @@ def compare(left, right) -> int:
     else:
         print("report bytes: not compared, a sweep file has no digests")
     compare_estimates(left, right)
+    reports_differ = [compare_reports(left, right, kind) for kind in REPORT_KINDS]
     verdicts_differ = compare_verdicts(left, right)
     flags_a, flags_b = correct(left), correct(right)
     for label, flags in (("left", flags_a), ("right", flags_b)):
@@ -465,7 +494,7 @@ def compare(left, right) -> int:
     for workload in ("verify-mixed", "invert-near-identity"):
         compare_terms(*both, workload)
     compare_continuations(*both, "invert-near-identity")
-    return 1 if differing or verdicts_differ or any(others) else 0
+    return 1 if differing or verdicts_differ or any(others) or any(reports_differ) else 0
 
 
 def main(argv=None) -> int:
