@@ -42,7 +42,6 @@ from .system import (
     galois_generators,
     is_non_resonant,
     levelt_data,
-    validate_system,
 )
 
 EXIT_OK = 0
@@ -240,7 +239,7 @@ def cmd_invert(args) -> CommandOutcome:
         max_iter=args.max_iter,
         integration_tol=args.integration_tol,
     )
-    system_doc = validate_system(instance.poles, solution.residues).to_dict()
+    system_doc = solution.system.to_dict()
     report = {
         "schema": jsonio.REPORT_SCHEMA,
         "kind": "invert",

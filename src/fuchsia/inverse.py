@@ -1,31 +1,32 @@
 """Desk-scale inverse monodromy: residues from target matrices.
 
 Given poles and target monodromy matrices near the identity, seed each
-residue with the first two series terms of the map monodromy -> residues
-(``second_order_seed``: the first term (M_j - I) / (2 pi i), and the second
-in closed form from the Magnus expansion and the loops' approaches),
-enforce the zero residue sum on the last one, and refine by damped
-Gauss-Newton on the map residues -> monodromy.  The seed's error is
-cubic in the targets' distance from the identity, so near-identity solves
-often need one iteration fewer than from the first term alone.
-Monodromy is holomorphic in the residues, so the Jacobian is exact: the
-derivatives of the fundamental solution with respect to every free
-residue entry solve the variational equation, itself a Fuchsian system.
-At a Gauss-Newton point, one continuation per loop of the first block
-column [I; 0] of its transfer gives M_j and the Jacobian together: the
-continuation returns that column of each loop's transfer, M_j on top of
-its scaled derivatives, and all loops of the point run in one batch.  The
-variational system is a structured field (``_VariationalField``): its
-residues are never built, and each Taylor term is one (n, P n) product
-with [B_1 ... B_P] plus the coupling rows.  The loops are cut into hops
-once per solve.  The derivatives ride at 2**-30 scale, so they barely
-move the norms that set each loop's term count.  Steps come from a
-least-squares solve and are halved until the residual decreases.  After
-a full step, the contraction it showed predicts the next one (the
-a-priori estimate of affine-covariant Newton methods, Deuflhard 2004,
-ch. 4): when it predicts that the next full step meets the tolerance,
-that trial is continued on the plain n x n system alone, and again with
-its Jacobian only if it misses, so the iterates are the same either way.
+residue with the first two series terms of the map monodromy -> residues,
+G2 (``second_order_seed``: the first term (M_j - I) / (2 pi i), and the
+second in closed form from the Magnus expansion and the loops'
+approaches), enforce the zero residue sum on the last one, and refine.
+The seed's error is cubic in the targets' distance from the identity:
+G2(F(B)) = B + O(|B|^3), F the residues' monodromy.  So near the identity
+the fixed-point map B <- B + G2(T) - G2(F(B)) contracts by O(|B|^2) per
+step with no Jacobian, and ``solve`` runs it, Anderson-accelerated
+(``_anderson``), on every instance whose targets are all within the
+proximity bound: each step is one plain n x n continuation of every loop
+in one batch, and a near-identity solve takes 4-5 of them.  The loops are
+cut into hops once per solve, and the approach logs of G2 computed once.
+Instances outside the bound, and iterations that stop contracting, are
+refined by damped Gauss-Newton on the map residues -> monodromy
+(``_gauss_newton``).  Monodromy is holomorphic in the residues, so its
+Jacobian is exact: the derivatives of the fundamental solution with
+respect to every free residue entry solve the variational equation,
+itself a Fuchsian system.  At a Gauss-Newton point, one continuation per
+loop of the first block column [I; 0] of its transfer gives M_j and the
+Jacobian together: the continuation returns that column of each loop's
+transfer, M_j on top of its scaled derivatives, and all loops of the point
+run in one batch.  The variational system is a structured field
+(``_VariationalField``): its residues are never built, and each Taylor
+term is one (n, P n) product with [B_1 ... B_P] plus the coupling rows.
+The derivatives ride at 2**-30 scale, so they barely move the norms that
+set each loop's term count.
 """
 
 from dataclasses import dataclass
@@ -147,10 +148,15 @@ def first_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...]
     the identity.  The final residue is minus the sum of the others so the
     seed is always an admissible Fuchsian system.
     """
-    eye = np.eye(instance.dimension, dtype=complex)
-    seeds = [(m - eye) / TWO_PI_I for m in instance.targets[:-1]]
+    return tuple(_first_order_map(instance.targets))
+
+
+def _first_order_map(matrices) -> list[np.ndarray]:
+    """(M_j - I) / (2 pi i) for every matrix but the last, and minus their sum."""
+    eye = np.eye(len(matrices[0]), dtype=complex)
+    seeds = [(m - eye) / TWO_PI_I for m in matrices[:-1]]
     seeds.append(-sum(seeds))
-    return tuple(seeds)
+    return seeds
 
 
 def _approach_logs(instance: InverseProblemInstance) -> np.ndarray:
@@ -177,11 +183,21 @@ def _approach_logs(instance: InverseProblemInstance) -> np.ndarray:
 
 
 def second_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...]:
-    """The first-order seed S corrected by the second-order terms of the map residues -> monodromy.
+    """The first-order seed corrected by the second-order terms of the map residues -> monodromy.
 
-    For j before the last pole, B_j = S_j - pi i S_j^2 - [S_j, W_j] with
-    W_j = sum_{k != j} c_jk S_k, c = ``_approach_logs(instance)``, and the
-    last residue is minus the sum of the others.  Loop j is an approach T,
+    It is ``_second_order_map`` of the targets, with the instance's
+    ``_approach_logs``.
+    """
+    return tuple(_second_order_map(_approach_logs(instance), instance.targets))
+
+
+def _second_order_map(logs: np.ndarray, matrices) -> list[np.ndarray]:
+    """G2: the residues, to second order, whose loops' monodromy matrices are ``matrices``.
+
+    With S = ``_first_order_map(matrices)``, for j before the last pole
+    B_j = S_j - pi i S_j^2 - [S_j, W_j] with W_j = sum_{k != j} c_jk S_k,
+    c = ``logs`` (``_approach_logs``), and the last residue is minus the
+    sum of the others.  Loop j is an approach T,
     a counterclockwise circle C of radius r_j from a_j + r_j e^{i theta_0},
     and T backwards, so M_j = T^-1 C T, and to second order
 
@@ -194,27 +210,37 @@ def second_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...
     of B_k times the integral along the approach.  With
     log M = X - X^2 / 2 + O(X^3) and X = M - I = 2 pi i S_j, this seed's
     error is cubic in the distance of the targets from the identity, where
-    the first-order seed's is quadratic.
+    the first-order seed's is quadratic: G2(F(B)) = B + O(|B|^3), F the
+    monodromy matrices of the residues B.
     """
-    first = np.array(first_order_seed(instance))
-    w = np.einsum("jk,kab->jab", _approach_logs(instance)[:-1], first)
+    first = np.array(_first_order_map(matrices))
+    w = np.einsum("jk,kab->jab", logs[:-1], first)
     s = first[:-1]
     seeds = list(s - TWO_PI_I / 2 * (s @ s) - (s @ w - w @ s))
     seeds.append(-sum(seeds))
-    return tuple(seeds)
+    return seeds
 
 
 @dataclass(frozen=True)
 class InverseSolution:
-    """Result of the Gauss-Newton refinement, with the seed it started from."""
+    """Result of ``solve``: the recovered system, the second-order seed it started from, and how it ended.
 
-    residues: tuple[np.ndarray, ...]
+    ``iterations`` counts the Anderson updates and the Gauss-Newton
+    iterations together; ``final_residual`` is max_j |M_hat_j - M_j|_F of
+    the returned residues.
+    """
+
+    system: FuchsianSystem
     seed: tuple[np.ndarray, ...]
     final_residual: float
     iterations: int
     converged: bool
     non_resonant: bool
     resonance: tuple[PoleResonance, ...]
+
+    @property
+    def residues(self) -> tuple[np.ndarray, ...]:
+        return self.system.residues
 
 
 def _real_stack(matrices) -> np.ndarray:
@@ -332,41 +358,63 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     return computed, parts.transpose(2, 0, 5, 3, 1, 4).reshape(len(results) * 2 * dim * dim, -1)
 
 
-def solve(
-    instance: InverseProblemInstance,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    integration_tol: float = DEFAULT_INTEGRATION_TOL,
-) -> InverseSolution:
-    """Recover residues whose monodromy matches the instance targets.
+def _anderson(instance: InverseProblemInstance, cut, logs: np.ndarray, goal: np.ndarray, tol: float, max_iter: int, integration_tol: float):
+    """Anderson-accelerated fixed-point iteration of x <- x + G2(T) - G2(F(x)), from plain continuations only.
 
-    Starts from ``second_order_seed``, which the solution carries as
-    ``seed``, and iterates damped Gauss-Newton on the stacked real residual
-    until ``max_j |M_hat_j - M_j|_F <= tol`` or ``max_iter`` iterations
-    pass.  The instance's loops are cut into hops once.  The seed and each
-    line-search trial get M_j and the exact Jacobian from one continuation
-    per loop, at ``integration_tol``, of the first block column of the
-    variational system, and an accepted trial's Jacobian gives the next
-    step.  The one exception is the full-step trial after an accepted full
-    step whose contraction C = r_k / r_{k-1}^2 (r the residual metric)
-    gives C r_k^2 <= ``tol``: it is continued on the plain n x n system
-    only, and ends the solve if it decreases the residual and meets
-    ``tol``; otherwise it is continued again with its Jacobian and the
-    line search goes on as usual.
-    Returns the best iterate either way with ``converged`` reporting which
-    case occurred; the resonance status of the returned system is evaluated
-    and included.
+    G2 is ``_second_order_map`` with the instance's approach ``logs``, T
+    the targets, ``goal`` G2(T) packed and the start, and F(x) the
+    monodromy of the residues x, one plain n x n continuation of every
+    loop along ``cut``.  G2(F(B)) = B + O(|B|^3), so
+    the plain map contracts by O(|B|^2) per step with no Jacobian.  Each
+    update is type II over every past difference (Walker & Ni, SIAM J.
+    Numer. Anal. 49 (2011)): with f_i = G2(T) - G2(F(x_i)),
+    x <- x + f - (dX + dF) gamma, gamma the least-squares solution of
+    dF gamma = f, dX and dF the columns x_{i+1} - x_i and f_{i+1} - f_i.
+    Keeping every step leaves no memory constant; ``max_iter`` bounds the
+    updates.  Stops when an iterate's residual metric meets ``tol``, when
+    ``max_iter`` updates are made, or when a continuation's metric does not
+    fall below the best so far.  Returns the best iterate, its metric, the
+    updates made and whether the iteration stalled, the last case.
     """
-    check_tolerance(tol, "residual tolerance")
-    check_tolerance(integration_tol, "integration tolerance")
-    if max_iter < 0:
-        raise ValidationError(f"iteration cap must be non-negative, got {max_iter}")
-    dim = instance.dimension
-    count = len(instance.poles)
-    seed = second_order_seed(instance)
-    cut = _cut_paths(instance.poles, instance.loops)
+    count, dim = len(instance.poles), instance.dimension
+    x, xs, fs = goal, [], []
+    best = None
+    while True:
+        computed = _monodromy_at(instance, cut, _unpack(x, count, dim), integration_tol)
+        metric = _residual_metric(computed, instance.targets)
+        if best is not None and metric >= best[1]:
+            return *best, len(xs), True
+        best = (x, metric)
+        if metric <= tol or len(xs) == max_iter:
+            return x, metric, len(xs), False
+        xs.append(x)
+        fs.append(goal - _pack(_second_order_map(logs, computed)))
+        x = x + fs[-1]
+        if len(xs) > 1:
+            dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+            gamma, *_ = np.linalg.lstsq(df, fs[-1], rcond=None)
+            x = x - (dx + df) @ gamma
 
-    x = _pack(seed)
+
+def _gauss_newton(instance: InverseProblemInstance, cut, x: np.ndarray, tol: float, max_iter: int, integration_tol: float):
+    """Damped Gauss-Newton on the stacked real residual from ``x``, for at most ``max_iter`` iterations.
+
+    Each line-search trial gets M_j and the exact Jacobian from one
+    continuation per loop along ``cut``, at ``integration_tol``, of the
+    first block column of the variational system (``_linearise``), and an
+    accepted trial's Jacobian gives the next step.  Steps come from a
+    least-squares solve and are halved until the residual decreases.  The
+    one exception is the full-step trial after an accepted full step whose
+    contraction C = r_k / r_{k-1}^2 (r the residual metric) gives
+    C r_k^2 <= ``tol`` (the a-priori estimate of affine-covariant Newton
+    methods, Deuflhard 2004, ch. 4): it is continued on the plain n x n
+    system only, and ends the solve if it decreases the residual and meets
+    ``tol``; otherwise it is continued again with its Jacobian and the line
+    search goes on as usual, so the iterates are the same either way.
+    Returns the last accepted iterate, its residual metric and the
+    iterations made.
+    """
+    count, dim = len(instance.poles), instance.dimension
     computed, jacobian = _linearise(instance, cut, _unpack(x, count, dim), integration_tol)
     metric = _residual_metric(computed, instance.targets)
     residual = _residual_vector(computed, instance.targets)
@@ -399,11 +447,15 @@ def solve(
         previous, metric = metric, _residual_metric(computed, instance.targets)
         # A full step contracted as C = metric / previous**2, so the next one should land near C metric**2.
         last = alpha == 1.0 and metric / previous**2 * metric**2 <= tol
+    return x, metric, iterations
 
-    system = validate_system(instance.poles, _unpack(x, count, dim))
+
+def _solution(instance: InverseProblemInstance, seed, x: np.ndarray, metric: float, iterations: int, tol: float) -> InverseSolution:
+    """The ``InverseSolution`` of the iterate ``x``: its validated system and that system's resonance status."""
+    system = validate_system(instance.poles, _unpack(x, len(instance.poles), instance.dimension))
     resonance = is_non_resonant(system)
     return InverseSolution(
-        residues=system.residues,
+        system=system,
         seed=seed,
         final_residual=metric,
         iterations=iterations,
@@ -411,3 +463,42 @@ def solve(
         non_resonant=not any(r.resonant for r in resonance),
         resonance=tuple(resonance),
     )
+
+
+def solve(
+    instance: InverseProblemInstance,
+    tol: float = DEFAULT_RESIDUAL_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    integration_tol: float = DEFAULT_INTEGRATION_TOL,
+) -> InverseSolution:
+    """Recover residues whose monodromy matches the instance targets.
+
+    Starts from ``second_order_seed``, which the solution carries as
+    ``seed``, and iterates until ``max_j |M_hat_j - M_j|_F <= tol`` or
+    ``max_iter`` iterations pass.  The instance's loops are cut into hops
+    once, and its approach logs computed once.  When every target is
+    within ``DEFAULT_PROXIMITY_BOUND`` of the identity, the iteration is
+    ``_anderson``'s, every continuation a plain n x n one at
+    ``integration_tol``.  Instances outside the bound (``allow_far``), and
+    any whose Anderson iteration stalls, go to ``_gauss_newton``, the
+    latter from the best Anderson iterate with the iterations left.
+    ``iterations`` counts Anderson updates and Gauss-Newton iterations.
+    Returns the best iterate either way with ``converged`` reporting which
+    case occurred; the resonance status of the returned system is evaluated
+    and included.
+    """
+    check_tolerance(tol, "residual tolerance")
+    check_tolerance(integration_tol, "integration tolerance")
+    if max_iter < 0:
+        raise ValidationError(f"iteration cap must be non-negative, got {max_iter}")
+    logs = _approach_logs(instance)
+    seed = tuple(_second_order_map(logs, instance.targets))
+    cut = _cut_paths(instance.poles, instance.loops)
+    x, iterations, stalled = _pack(seed), 0, True
+    eye = np.eye(instance.dimension)
+    if max(float(np.linalg.norm(m - eye)) for m in instance.targets) <= DEFAULT_PROXIMITY_BOUND:
+        x, metric, iterations, stalled = _anderson(instance, cut, logs, x, tol, max_iter, integration_tol)
+    if stalled:
+        x, metric, more = _gauss_newton(instance, cut, x, tol, max_iter - iterations, integration_tol)
+        iterations += more
+    return _solution(instance, seed, x, metric, iterations, tol)

@@ -18,7 +18,9 @@ once at the path's deviation point, is at most the tolerance.  There is
 no step size and no controller.  Hops continue the first block column [I_m; 0]
 and compose in that form (``_compose``), so the inverse solver continues
 just n columns of its variational system.  ``_integrate_legs`` alone turns a loop's two
-legs into the first block column of T^-1 C T, all loops in one solve.
+legs into the first block column of T^-1 C T, all loops in one solve.  A
+cut (``_cut_paths``) carries every index of its hops that the kernel reads,
+laid out once, so the inverse solver's many calls on one cut build none.
 
 ``verify_theorem`` compares the monodromy around each pole against the
 exponential generator exp(2 pi i B_j) from one Jordan analysis of each:
@@ -79,27 +81,32 @@ def _taylor_term(field, g, stack, term, sums, k):
     sums += term
 
 
-def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, groups, tol):
-    """Each group's stop term, and each hop's tail there, from the majorant alone.
+def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, cut, tol):
+    """Each path's stop term, and each hop's tail there, from the majorant alone.
 
-    ``_integrate_legs`` calls it once, for every path, at the batch's last
-    deviation point.  The hops' majorant stands at term k with ``bound``
-    m_k, ``partial`` M_{p,k-1} and ``tail`` tau_i; ``groups`` is the first
-    hop of each path, whose bound is sum_i tau_i ``weight``_i.  Past a
+    ``_integrate_legs`` calls it once, for every path of ``cut``, at the
+    batch's last deviation point.  The hops' majorant stands at term k with
+    ``bound`` m_k, ``partial`` M_{p,k-1} and ``tail`` tau_i; a path's hops
+    are its ``cut.spans``, from its ``cut.groups`` entry on, and its bound
+    is sum_i tau_i ``weight``_i over them.  Past a
     path's deviation point r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k),
     so the path's bound meets ``tol`` within log(tol / bound) / log(max_i r_i)
     terms; that many run as one block (another follows should rounding
     leave a path open).
     The block is read one path at a time, so its temporaries are one path
     wide, not as wide as every open hop.  The stop term is the first from k
-    on whose bound meets ``tol``; a non-finite bound raises
-    ``NonFiniteError``.  Returns the stop terms and each hop's tau_i there.
+    on whose bound meets ``tol``.  An infinite tail or a non-finite bound
+    raises ``NonFiniteError``, the tails checked before they meet the
+    weights, so that no infinite tail times a zero weight warns first.
+    Returns the stop terms and each hop's tau_i there.
     """
+    groups = cut.groups
     stops = np.zeros(len(groups), dtype=int)
     tails = np.empty(len(reach))
-    paths = [slice(lo, hi) for lo, hi in zip(groups.tolist(), groups[1:].tolist() + [len(reach)])]
     while not stops.all():
         open_ = stops == 0
+        if np.isinf(tail).any():
+            raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
         composed = np.add.reduceat(tail * weight, groups)
         if not np.isfinite(composed[open_]).all():
             raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
@@ -119,7 +126,7 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, grou
         limit = np.minimum(1.0, (terms + 1) / (terms + total))  # 1 / max(1, (j + S) / (j + 1))
         tail = tail.copy()
         for index in np.flatnonzero(open_).tolist():
-            hops = paths[index]
+            hops = cut.spans[index]
             taus = history[:, hops] * reach[hops] / (limit - reach[hops])
             taus[0] = tail[hops]
             # reduceat adds a path's hops in order, as ``composed`` does; sum would pair them.
@@ -159,45 +166,39 @@ def _hop_bounds(tail, deviation, majorant, head, owner, count):
     return np.exp(np.bincount(owner, scale, count)) * np.bincount(owner, tail * weight, count)
 
 
-def _compose(columns: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """First block columns of the products of the factors of each run.
+def _compose(columns: np.ndarray) -> np.ndarray:
+    """First block columns of the products of the factors of each row.
 
-    ``columns`` (H, N, m) holds each factor's first block column [T; S],
-    T its top m x m block and S the rest, K = N / m - 1 blocks of m x m,
-    and ``runs`` (H,) the sorted run of each factor, first factor first.
-    For transfers [[T, 0], [S, I (x) T]] (every transfer when m = N, every
+    ``columns`` (L, W, N, m) holds each factor's first block column [T; S],
+    T its top m x m block and S the rest, K = N / m - 1 blocks of m x m, in
+    L rows of W factors, first factor first, W a power of two.  For
+    transfers [[T, 0], [S, I (x) T]] (every transfer when m = N, every
     variational transfer of ``inverse``) Phi2 Phi1 has the column
     [T2 T1; S2 T1 + (I (x) T2) S1].  Neighbours are multiplied pairwise,
-    all runs at once, until each run is one factor: (runs, N, m).  Each
-    product is by whole blocks: S2 T1 is one (K m, m) @ (m, m) product,
-    and (I (x) T2) S1 one (m, m) @ (m, K m) product on S1's blocks laid
-    side by side.
+    every row at once, the even factors as strided views, until each row
+    is one factor: (L, N, m).  Each product is by whole blocks: S2 T1 is
+    one (K m, m) @ (m, m) product, and (I (x) T2) S1 one (m, m) @ (m, K m)
+    product on S1's blocks laid side by side.
     """
-    m = columns.shape[2]
-    blocks = (columns.shape[1] - m) // m
-    t, s = columns[:, :m], columns[:, m:]
-    while True:
-        position = np.arange(len(runs)) - np.searchsorted(runs, runs)
-        if not position.any():
-            return np.concatenate([t, s], axis=1)
-        first = np.flatnonzero(position % 2 == 0)
-        pair = first + 1 < len(runs)
-        pair[pair] = runs[first[pair] + 1] == runs[first[pair]]
-        lo = first[pair]
-        t_lo, s_lo, t_hi, s_hi = t[lo], s[lo], t[lo + 1], s[lo + 1]
-        t, s, runs = t[first], s[first], runs[first]
+    rows, m = columns.shape[0], columns.shape[3]
+    blocks = columns.shape[2] // m - 1
+    t, s = columns[:, :, :m], columns[:, :, m:]
+    while t.shape[1] > 1:
+        half = t.shape[1] // 2
+        t_lo, t_hi = t[:, 0::2], t[:, 1::2]
         if blocks:
             # S1's blocks side by side, (m, K m), and back.
-            side = s_lo.reshape(len(lo), blocks, m, m).transpose(0, 2, 1, 3).reshape(len(lo), m, blocks * m)
-            lifted = (t_hi @ side).reshape(len(lo), m, blocks, m).transpose(0, 2, 1, 3).reshape(len(lo), blocks * m, m)
-            s[pair] = s_hi @ t_lo + lifted
-        t[pair] = t_hi @ t_lo
+            side = s[:, 0::2].reshape(rows, half, blocks, m, m).swapaxes(2, 3).reshape(rows, half, m, blocks * m)
+            lifted = (t_hi @ side).reshape(rows, half, m, blocks, m).swapaxes(2, 3).reshape(rows, half, blocks * m, m)
+            s = s[:, 1::2] @ t_lo + lifted
+        t = t_hi @ t_lo
+    return np.concatenate([t[:, 0], s[:, 0]], axis=1)
 
 
 def _integrate_legs(field, cut, m: int, tol: float):
     """Continue the first block column [I_m; 0] along every leg of ``cut``, one hop per batch column.
 
-    ``cut`` is the legs of ``_cut_paths``.  ``field`` is an N x N system
+    ``cut`` is a ``_Cut`` from ``_cut_paths``, read only.  ``field`` is an N x N system
     dY/dz = sum_p R_p / (z - a_p) Y, known only through what it supplies:
     - ``weights``, through ``coefficient_function``, its one call here: the
       B hop starts -> their (B, P) weights 1 / (z_i - a_p);
@@ -242,10 +243,12 @@ def _integrate_legs(field, cut, m: int, tol: float):
     few terms, long before an ordinary ``tol`` is met, so only a loose
     ``tol``, or a short line batched with long loops, shows this.  A
     non-finite majorant or value, or a non-finite bound at the last
-    deviation point, raises ``NonFiniteError``.
+    deviation point, or a loop whose approach transfer T is singular,
+    raises ``NonFiniteError``.
 
     Returns one ``(value, error_estimate)`` per path, in block order: the
-    hops' values are put back in it once, before ``_compose``, and the
+    hops' values are put back in it once, in the cut's layout for
+    ``_compose``, and the
     Frobenius norms of whole columns taken before do not depend on the row
     order.  An open path's value is its one leg, its hops' values composed
     by ``_compose``.  A loop's is
@@ -263,20 +266,13 @@ def _integrate_legs(field, cut, m: int, tol: float):
     are of the top m x m blocks: for m = N the transfers, for ``inverse``'s
     variational field the system's own.
     """
-    legs = [leg for path in cut for leg in path]
-    leg_of = np.repeat(np.arange(len(legs)), [len(leg) - 1 for leg in legs])
-    owner = np.repeat(np.arange(len(cut)), [len(path) for path in cut])[leg_of]
-    heads = np.array([len(path) == 2 and i == 0 for path in cut for i in range(len(path))])[leg_of]
-    points = np.concatenate(legs)
-    inner = np.ones(len(points), dtype=bool)  # every point but a leg's last starts a hop
-    inner[np.cumsum([len(leg) for leg in legs]) - 1] = False
-    weights = coefficient_function(field)(points[inner])
-    g = (points[1:] - points[:-1])[inner[:-1]] * weights.T  # (P, B)
+    owner, heads = cut.owner, cut.heads
+    g = cut.steps * coefficient_function(field)(cut.starts).T  # (P, B); the weights are not kept
     size = np.abs(g)
     reach = size.max(axis=0)
     norms = field.bounds
     total = float(norms.sum())
-    count, paths = len(leg_of), len(cut)
+    count, paths = len(owner), len(cut)
     start = np.zeros((field.dimension, m), dtype=complex)
     start[field.rows] = np.eye(field.dimension, m)
     bound = np.ones(count)  # m_k
@@ -310,8 +306,7 @@ def _integrate_legs(field, cut, m: int, tol: float):
                 weight[hops] *= np.exp(np.bincount(path_of, scale, paths))[path_of]
                 passed |= fresh
         # From the last deviation point, the majorant alone gives every path's stop term.
-        groups = np.flatnonzero(np.diff(owner, prepend=-1))
-        stop, tails = _stop_terms(size, reach, norms, total, k, bound, partial, tau, weight, groups, tol)
+        stop, tails = _stop_terms(size, reach, norms, total, k, bound, partial, tau, weight, cut, tol)
         # The bare recurrence, the hops sorted by stop term, last first, so the hops that leave are a slice.
         hops = np.argsort(-stop[owner], kind="stable")
         ends = stop[owner[hops]]
@@ -326,36 +321,39 @@ def _integrate_legs(field, cut, m: int, tol: float):
             fronts.append(sums[..., first:])
             g, term, sums, stack = (np.ascontiguousarray(a[..., :first]) for a in (g, term, sums, stack))
         front = np.concatenate(fronts[::-1], axis=-1)
-        values = np.empty((count,) + start.shape, dtype=complex)
-        values[hops] = front.transpose(2, 0, 1)
+        if not np.isfinite(front).all():
+            raise NonFiniteError("continuation produced a non-finite solution value")
         deviations = np.empty(count)
         deviations[hops] = np.linalg.norm(front - start[:, :, None], axis=(0, 1)) + tails[hops]
-        if not np.isfinite(values).all():
-            raise NonFiniteError("continuation produced a non-finite solution value")
-    composed = _compose(values[:, field.rows], leg_of)
-    estimates = _hop_bounds(tails, deviations, majorants, heads, owner, len(cut))
-    starts = np.cumsum([0] + [len(path) for path in cut[:-1]])
-    is_loop = np.array([len(path) == 2 for path in cut])
-    loops = starts[is_loop]
-    transfers = composed[starts]
+    # Each leg's hop values in its row of the layout, identity columns after them.
+    layout = np.empty((cut.legs * cut.width,) + start.shape, dtype=complex)
+    layout[cut.pads] = start
+    layout[cut.slots[hops]] = front.transpose(2, 0, 1)
+    composed = _compose(layout[:, field.rows].reshape(cut.legs, cut.width, *start.shape))
+    estimates = _hop_bounds(tails, deviations, majorants, heads, owner, paths)
+    is_loop, loops = cut.is_loop, cut.loops
+    transfers = composed[cut.first_legs]
     approach, turn = composed[loops], composed[loops + 1]
     t, c = approach[:, :m], turn[:, :m]
     if loops.size:
         s_t, s_c = (leg[:, m:].reshape(len(loops), -1, m, m) for leg in (approach, turn))
-        loop = np.linalg.solve(t, c @ t)
+        try:
+            loop = np.linalg.solve(t, c @ t)
+        except np.linalg.LinAlgError:
+            raise NonFiniteError("a loop's approach transfer is singular") from None
         lower = np.linalg.solve(t[:, None], s_c @ t[:, None] + c[:, None] @ s_t - s_t @ loop[:, None])
         transfers[is_loop] = np.concatenate([loop, lower.reshape(len(loops), -1, m)], axis=1)
     # One SVD gives each path's |Y|_2, and for each loop cond(T)'s singular values and |C|_2.
     singular = np.linalg.svd(np.concatenate([transfers[:, :m], t, c]), compute_uv=False)
-    sizes = singular[: len(cut), 0]
+    sizes = singular[:paths, 0]
     if loops.size:
-        singular, turn = np.split(singular[len(cut) :], 2)
-        leg_bounds = _hop_bounds(tails, deviations, majorants, 0.0, leg_of, len(legs))
+        singular, turn = np.split(singular[paths:], 2)
+        leg_bounds = _hop_bounds(tails, deviations, majorants, 0.0, cut.leg_of, cut.legs)
         e_t, e_c = leg_bounds[loops], leg_bounds[loops + 1]
         product = estimates[is_loop]
         conditioned = (singular[:, 0] * e_c + e_t * (turn[:, 0] + e_c + sizes[is_loop] + product)) / singular[:, -1]
         estimates[is_loop] = np.minimum(product, conditioned)
-    rounding = np.bincount(owner, majorants * (1.0 + heads), len(cut))
+    rounding = np.bincount(owner, majorants * (1.0 + heads), paths)
     estimates += np.finfo(float).eps * rounding * np.maximum(1.0, sizes)
     return list(zip(transfers, estimates.tolist()))
 
@@ -371,10 +369,10 @@ def _cut_paths(poles, paths):
     is measured from its nearer end, so the tail is as far from the poles
     as the head.  A path that comes closer to a pole than its stated
     clearance, or whose distance is NaN, raises ``ValidationError``.
-    Returns one tuple of legs per path, each leg the (H + 1,) points of its
-    H hops from ``paths.hops``, which cuts all legs of all paths in one
-    bisection.  The cut depends on the poles alone, so the systems of one
-    Gauss-Newton solve share it.
+    Returns a ``_Cut`` of the legs' (H + 1,) points of their H hops from
+    ``paths.hops``, which cuts all legs of all paths in one bisection.  The
+    cut depends on the poles alone, so the systems of one inverse solve
+    share it.
     """
     chains = [legs(path) for path in paths]
     every_leg = [leg for chain in chains for leg in chain]
@@ -386,8 +384,60 @@ def _cut_paths(poles, paths):
                 f"path passes within {distance:.3e} of a pole, closer than its "
                 f"stated clearance {path.clearance:.3e}"
             )
-    points = iter(hops(every_leg, poles))
-    return tuple(tuple(next(points) for _ in chain) for chain in chains)
+    return _Cut(hops(every_leg, poles), [len(chain) for chain in chains])
+
+
+class _Cut:
+    """Paths cut into hops, with every index of the hops that ``_integrate_legs`` reads, built once.
+
+    ``legs`` is each leg's (H + 1,) hop points, the legs of each path in
+    turn, ``counts`` the number of legs of each path: two for a loop, its
+    approach and circle, one for any other path.  Iterating gives each
+    path's tuple of legs.  Per hop, in leg order: ``leg_of`` its leg,
+    ``owner`` its path, ``heads`` whether it is on a loop's approach,
+    ``starts`` its start z and ``steps`` its h.  Per path: ``groups`` its
+    first hop and ``spans`` the slice of its hops, ``first_legs`` its first
+    leg, ``is_loop``; ``loops`` is the first leg of each loop.  ``_compose``
+    reads the hops' values laid out as ``legs`` rows of ``width`` factors, a
+    power of two: hop i at ``slots[i]``, each row's own hops first, in
+    order, and the identity at the ``pads`` after them, so pairing
+    neighbours row by row makes the products the hops alone make.  Every
+    array is read-only, so one cut serves any number of calls.
+    """
+
+    def __init__(self, legs, counts):
+        rest = iter(legs)
+        self.paths = [tuple(next(rest) for _ in range(count)) for count in counts]
+        lengths = np.array([len(leg) - 1 for leg in legs])
+        self.legs, hops = len(legs), int(lengths.sum())
+        self.leg_of = np.repeat(np.arange(self.legs), lengths)
+        self.owner = np.repeat(np.arange(len(counts)), counts)[self.leg_of]
+        self.heads = np.array([count == 2 and i == 0 for count in counts for i in range(count)])[self.leg_of]
+        points = np.concatenate(legs)
+        inner = np.ones(len(points), dtype=bool)  # every point but a leg's last starts a hop
+        inner[np.cumsum(lengths + 1) - 1] = False
+        self.starts = points[inner]
+        self.steps = (points[1:] - points[:-1])[inner[:-1]]
+        self.groups = np.flatnonzero(np.diff(self.owner, prepend=-1))
+        ends = self.groups[1:].tolist() + [hops]
+        self.spans = [slice(lo, hi) for lo, hi in zip(self.groups.tolist(), ends)]
+        self.first_legs = np.cumsum([0] + counts[:-1])
+        self.is_loop = np.array(counts) == 2
+        self.loops = self.first_legs[self.is_loop]
+        self.width = 1 << (int(lengths.max()) - 1).bit_length()
+        self.slots = self.leg_of * self.width + np.arange(hops) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        filled = np.zeros(self.legs * self.width, dtype=bool)
+        filled[self.slots] = True
+        self.pads = np.flatnonzero(~filled)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __iter__(self):
+        return iter(self.paths)
+
+    def __len__(self):
+        return len(self.paths)
 
 
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):

@@ -468,6 +468,27 @@ class TestInvert:
         assert report["converged"] is True
 
 
+    def test_recovered_system_is_validated_once(self, small_system_path, tmp_path, monkeypatch):
+        """An invert op validates the recovered residues once, in ``solve``,
+        and writes its report from the system ``solve`` built."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return validate_system(*args)
+
+        for module in ("fuchsia.inverse", "fuchsia.cli"):
+            monkeypatch.setattr(f"{module}.validate_system", counted, raising=False)
+        rep_path = tmp_path / "monodromy.json"
+        assert main(["--quiet", "monodromy", small_system_path, "--json", str(rep_path)]) == 0
+        calls.clear()
+        out_path = tmp_path / "invert.json"
+        assert main(["--quiet", "invert", str(rep_path), "--json", str(out_path)]) == 0
+        assert len(calls) == 1
+        report = json.loads(out_path.read_text(encoding="utf-8"))
+        assert report["system"] == validate_system(*calls[0]).to_dict()
+
+
 class TestConvert:
     @pytest.fixture
     def scalar_doc_path(self, tmp_path):

@@ -14,6 +14,7 @@ from fuchsia.inverse import _SENSITIVITY_SCALE
 from fuchsia.monodromy import (
     _cut_paths,
     _integrate_legs,
+    _stop_terms,
     coefficient_function,
     continue_solution,
     monodromy,
@@ -407,6 +408,59 @@ def test_non_finite_on_one_leg_fails_the_batch(monkeypatch):
     monkeypatch.setattr(importlib.import_module("fuchsia.monodromy"), "coefficient_function", lambda field: weights)
     with pytest.raises(NonFiniteError):
         _integrate_legs(stub_field(), stub_cut(), 1, 1e-9)
+
+
+class VanishingField:
+    """A 1x1 field on the pole 0 whose every hop sums to 1 - 1 = 0: its first term cancels the start, and no term follows."""
+
+    dimension = 1
+    rows = slice(None)
+    bounds = np.array([0.1])
+
+    @staticmethod
+    def weights(points):
+        return 1.0 / points[:, None]
+
+    @staticmethod
+    def apply(k, stack, out):
+        out[...] = -1.0 if k == 1 else 0.0
+
+
+def test_singular_approach_transfer_is_a_non_finite_error():
+    """A loop whose approach transfer T is singular cannot be solved into
+    T^-1 C T: the kernel raises ``NonFiniteError`` (exit 3), not numpy's
+    ``LinAlgError``."""
+    cut = _cut_paths([0.0, 1.0], build_loops([0.0, 1.0], 3.0 + 0.0j)[:1])
+    with pytest.raises(NonFiniteError, match="singular"):
+        _integrate_legs(VanishingField(), cut, 1, 1e-9)
+
+
+def test_infinite_tail_fails_before_it_meets_a_zero_weight():
+    """An infinite tail raises ``NonFiniteError`` before it is multiplied by
+    a zero weight, whose NaN would warn first (tier-1 turns the warning
+    into an error)."""
+    cut = stub_cut()
+    hops = len(cut.owner)
+    size = np.full((1, hops), 0.1)
+    tail = np.ones(hops)
+    tail[0] = np.inf
+    with pytest.raises(NonFiniteError):
+        _stop_terms(size, size[0], np.array([0.1]), 0.1, 3, np.ones(hops), np.zeros_like(size), tail, np.zeros(hops), cut, 1e-9)
+
+
+def test_one_cut_serves_many_calls():
+    """A cut continued 3 times, for two systems and two tolerances, gives
+    each call's values and estimates bit for bit as a fresh cut does."""
+    system = five_pole_generic_system()
+    half = validate_system(system.poles, [0.5 * b for b in system.residues])
+    loops = build_loops(system.poles, default_base_point(system.poles))
+    cut = _cut_paths(system.poles, loops)
+    for field, tol in ((system, 1e-9), (half, 1e-9), (system, 1e-12)):
+        reused = _integrate_legs(field, cut, 2, tol)
+        fresh = _integrate_legs(field, _cut_paths(system.poles, loops), 2, tol)
+        for (value, estimate), (again, again_estimate) in zip(reused, fresh, strict=True):
+            assert np.array_equal(value, again)
+            assert estimate == again_estimate
 
 
 def test_evaluator_matches_pointwise_coefficient():

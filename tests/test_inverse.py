@@ -12,13 +12,17 @@ from fuchsia import cli, jsonio
 from fuchsia.errors import ValidationError
 from fuchsia.inverse import (
     _SENSITIVITY_SCALE,
+    DEFAULT_MAX_ITER,
+    DEFAULT_RESIDUAL_TOL,
     InverseProblemInstance,
     _approach_logs,
+    _gauss_newton,
     _linearise,
     _pack,
     _point_system,
     _real_stack,
     _residual_vector,
+    _solution,
     _unpack,
     _VariationalField,
     first_order_seed,
@@ -47,6 +51,37 @@ def four_pole_three_by_three_system():
 def diagonal_targets(entries_per_pole):
     """Exact commuting targets diag(exp(2 pi i d)) from diagonal entries."""
     return [np.diag(np.exp(TWO_PI_I * np.asarray(d))) for d in entries_per_pole]
+
+
+def near_identity_instances(rng):
+    """20 random 3-pole 2x2 systems with residue 2-norms at most 0.05 each, and the instances of their monodromy."""
+    for _ in range(20):
+        poles = sample_poles(rng, 3)
+        free = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
+        residues = free + [-(free[0] + free[1])]
+        scale = rng.uniform(0.0, 0.05) / max(np.linalg.norm(b, 2) for b in residues)
+        system = validate_system(poles, [scale * b for b in residues])
+        yield system, validate_instance(poles, monodromy(system, tol=1e-10).matrices)
+
+
+def gauss_newton(inst):
+    """``solve``'s damped Gauss-Newton alone, from the second-order seed, at the default tolerances."""
+    seed = second_order_seed(inst)
+    cut = _cut_paths(inst.poles, inst.loops)
+    found = _gauss_newton(inst, cut, _pack(seed), DEFAULT_RESIDUAL_TOL, DEFAULT_MAX_ITER, DEFAULT_INTEGRATION_TOL)
+    return _solution(inst, seed, *found, DEFAULT_RESIDUAL_TOL)
+
+
+def continuation_kinds(monkeypatch):
+    """Count the solver's kernel calls by kind, plain (m = N) or variational, in the dict returned."""
+    counts = {"variational": 0, "plain": 0}
+
+    def counting(field, cut, m, tol):
+        counts["plain" if field.dimension == m else "variational"] += 1
+        return _integrate_legs(field, cut, m, tol)
+
+    monkeypatch.setattr("fuchsia.inverse._integrate_legs", counting)
+    return counts
 
 
 def near_identity_pair(rng, p=2, bound=0.04):
@@ -235,16 +270,11 @@ class TestSecondOrderSeed:
 
     def test_near_identity_instances_converge_in_two_iterations(self, rng):
         """20 random 3-pole 2x2 instances with residue 2-norms at most 0.05
-        each converge in at most 2 Gauss-Newton iterations and recover the
-        truth within 1e-6; each solution carries the seed it started from."""
-        for _ in range(20):
-            poles = sample_poles(rng, 3)
-            free = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
-            residues = free + [-(free[0] + free[1])]
-            scale = rng.uniform(0.0, 0.05) / max(np.linalg.norm(b, 2) for b in residues)
-            system = validate_system(poles, [scale * b for b in residues])
-            inst = validate_instance(poles, monodromy(system, tol=1e-10).matrices)
-            sol = solve(inst)
+        each converge in at most 2 iterations of ``_gauss_newton`` alone and
+        recover the truth within 1e-6; each solution carries the seed it
+        started from."""
+        for system, inst in near_identity_instances(rng):
+            sol = gauss_newton(inst)
             assert sol.converged
             assert sol.iterations <= 2
             for recovered, truth in zip(sol.residues, system.residues):
@@ -262,6 +292,68 @@ class TestSecondOrderSeed:
         assert cli.main(["--quiet", "invert", str(path), "--json", str(out)]) == cli.EXIT_OK
         written = json.loads(out.read_text(encoding="utf-8"))["seed"]
         assert written == [jsonio.matrix_to_pairs(s) for s in second_order_seed(inst)]
+
+
+    def test_near_identity_instances_are_solved_from_plain_continuations(self, rng, monkeypatch):
+        """``solve`` continues the same 20 instances plainly only, at most 6
+        times each (the most measured: 5 updates after the seed's
+        continuation), one more continuation than its updates, and recovers
+        the truth within 1e-6 from the second-order seed."""
+        counts = continuation_kinds(monkeypatch)
+        for system, inst in near_identity_instances(rng):
+            counts.update(variational=0, plain=0)
+            sol = solve(inst)
+            assert sol.converged
+            assert counts["variational"] == 0
+            assert counts["plain"] == sol.iterations + 1 <= 6
+            for recovered, truth in zip(sol.residues, system.residues):
+                assert np.max(np.abs(recovered - truth)) <= 1e-6
+            for used, expected in zip(sol.seed, second_order_seed(inst)):
+                assert np.array_equal(used, expected)
+
+    def test_far_instance_runs_gauss_newton(self, monkeypatch):
+        """An instance with a target farther than the proximity bound from
+        the identity, accepted with ``allow_far``, is solved by Gauss-Newton:
+        the same iterations, residues and continuations as ``_gauss_newton``
+        alone, and a variational continuation at its seed."""
+        b = np.array([[0.2, 0.05], [-0.03j, -0.1]])
+        system = validate_system(self.POLES, [b, -0.5 * b, -0.5 * b])
+        inst = validate_instance(self.POLES, monodromy(system, tol=1e-10).matrices, allow_far=True)
+        assert max(np.linalg.norm(m - np.eye(2)) for m in inst.targets) > 0.5
+        counts = continuation_kinds(monkeypatch)
+        alone = gauss_newton(inst)
+        expected = dict(counts)
+        counts.update(variational=0, plain=0)
+        sol = solve(inst)
+        assert counts == expected and counts["variational"] >= 1
+        assert sol.converged and sol.iterations == alone.iterations
+        assert all(np.array_equal(a, b) for a, b in zip(sol.residues, alone.residues))
+        for recovered, truth in zip(sol.residues, system.residues):
+            assert np.max(np.abs(recovered - truth)) <= 1e-6
+
+    def test_stalled_iteration_falls_back_to_gauss_newton(self, monkeypatch):
+        """When the third plain continuation is pushed 1e-3 off, its metric
+        does not fall below the best so far, so Gauss-Newton takes over from
+        the best iterate: it continues variationally, counts its iterations
+        after the two Anderson updates, and converges to the truth."""
+        residues = [self.B0, self.B1, -(self.B0 + self.B1)]
+        inst = validate_instance(self.POLES, monodromy(validate_system(self.POLES, residues), tol=1e-10).matrices)
+        counts = {"variational": 0, "plain": 0}
+
+        def counting(field, cut, m, tol):
+            plain = field.dimension == m
+            counts["plain" if plain else "variational"] += 1
+            results = _integrate_legs(field, cut, m, tol)
+            if plain and counts["plain"] == 3:
+                return [(value + 1e-3, err) for value, err in results]
+            return results
+
+        monkeypatch.setattr("fuchsia.inverse._integrate_legs", counting)
+        sol = solve(inst)
+        assert counts["variational"] >= 1
+        assert sol.converged and sol.iterations > 2
+        for recovered, truth in zip(sol.residues, residues):
+            assert np.max(np.abs(recovered - truth)) <= 1e-6
 
 
 class TestSolve:
@@ -423,12 +515,13 @@ class TestJacobian:
         assert np.array_equal(jacobian, np.stack(columns, axis=1))
 
     def test_last_point_is_continued_without_its_jacobian(self, instance_at_seed, monkeypatch):
-        """A 2-iteration solve continues the seed and the first iterate with
-        their Jacobians and its last point plainly, n x n: 2 variational and
-        1 plain continuation, told apart by m against the field's dimension.
-        When the plain trial is made to miss tol, the trial is continued
-        again with its Jacobian: one plain continuation more than a solve
-        without the prediction, and the same iterations and residues."""
+        """A 2-iteration ``_gauss_newton`` solve continues the seed and the
+        first iterate with their Jacobians and its last point plainly,
+        n x n: 2 variational and 1 plain continuation, told apart by m
+        against the field's dimension.  When the plain trial is made to
+        miss tol, the trial is continued again with its Jacobian: one plain
+        continuation more than a solve without the prediction, and the same
+        iterations and residues."""
         inst = instance_at_seed[0]
         counts = {"variational": 0, "plain": 0}
         miss = False
@@ -443,12 +536,12 @@ class TestJacobian:
             return results
 
         monkeypatch.setattr("fuchsia.inverse._integrate_legs", counting)
-        hit = solve(inst)
+        hit = gauss_newton(inst)
         assert hit.converged and hit.iterations == 2
         assert counts == {"variational": 2, "plain": 1}
         counts.update(variational=0, plain=0)
         miss = True
-        missed = solve(inst)
+        missed = gauss_newton(inst)
         assert counts == {"variational": 3, "plain": 1}
         assert missed.converged and missed.iterations == hit.iterations
         assert all(np.array_equal(a, b) for a, b in zip(missed.residues, hit.residues))

@@ -4,9 +4,10 @@ One seed is swept and compared with itself in subprocesses, as the tool is
 run from a checkout: every comparison reads "0 differ", the check and
 galois reports of all 40 verify-mixed systems among them, and the verify and
 invert ops record nonzero continuation work counts, the invert ops also
-their variational and plain continuations.  Hand-written sweep files check
-the invert summaries of ``--compare``: ops per pair of iteration counts,
-each side's total, and single ops only where counts rose.
+their variational and plain continuations and their gaps to the truth.
+Hand-written sweep files check the invert summaries of ``--compare``: ops
+per pair of iteration counts, each side's total, and single ops only where
+counts rose, or one count where they rose in every op.
 ``tools/inverse_scaling.py`` solves its N = 18 fixture.
 """
 
@@ -46,7 +47,12 @@ def test_seed_sweep_compares_a_sweep_with_itself(tmp_path):
         assert int(counts[1]) > 0 and int(counts[2]) > int(counts[1])
     [continued] = [line for line in lines if line.startswith("invert-near-identity continuations:")]
     counts = re.fullmatch(r"invert-near-identity continuations: variational (\d+) -> \1, plain (\d+) -> \2; 0 of 4 ops differ", continued)
-    assert counts and int(counts[1]) > 0, continued
+    assert counts and int(counts[2]) > 0, continued
+    gaps = [line for line in lines if line.startswith("invert-near-identity largest gap to the truth")]
+    assert len(gaps) == 2, lines
+    for gap in gaps:
+        found = re.fullmatch(r"invert-near-identity largest gap to the truth \((?:left|right)\) over 4 ops: (\S+) at \(0, \d\)", gap)
+        assert found and 0.0 < float(found[1]) <= 1e-6, gap
 
 
 def test_compare_counts_iteration_pairs_and_lists_only_rises(tmp_path):
@@ -121,6 +127,38 @@ def test_compare_totals_continuations_and_names_only_rises(tmp_path):
     ]
 
 
+def test_compare_counts_rises_that_every_op_shows(tmp_path):
+    """Where the iterations and the continuations rose in every op, ``--compare``
+    prints one count line for each, not one line per op."""
+
+    def record(unit, iterations, variational, plain):
+        return {
+            "workload": "invert-near-identity",
+            "seed": 0,
+            "unit": unit,
+            "class": "near-identity/p3/n2",
+            "exit": 0,
+            "error": None,
+            "ok": True,
+            "sha256": f"{unit}-{iterations}",
+            "residues": [[[[0.0, 0.0]]]],
+            "iterations": iterations,
+            "final_residual": 1e-9,
+            "continuations": {"variational": variational, "plain": plain},
+        }
+
+    paths = []
+    for name, runs in (("left", [(2, 2, 1)] * 3), ("right", [(4, 0, 5), (5, 0, 6), (3, 0, 4)])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps([record(unit, *run) for unit, run in enumerate(runs)]))
+    compared = run_sweep("--compare", *map(str, paths))
+    assert compared.returncode == 0, compared.stderr
+    assert [line for line in compared.stdout.splitlines() if "rose" in line] == [
+        "invert-near-identity iterations rose: 3 of 3 ops",
+        "invert-near-identity continuations rose: 3 of 3 ops",
+    ]
+
+
 def test_inverse_scaling_solves_the_smallest_fixture(tmp_path):
     out = tmp_path / "scaling.json"
     ran = subprocess.run(
@@ -134,5 +172,6 @@ def test_inverse_scaling_solves_the_smallest_fixture(tmp_path):
     assert ran.stdout.startswith("N = 18 (3 poles, 2x2): solve ")
     [result] = json.loads(out.read_text())
     assert result["N"] == 18 and result["converged"]
-    assert result["iterations"] == 2
+    assert result["iterations"] == 3
+    assert result["continuations"] == {"variational": 0, "plain": 4}
     assert result["residue_error"] <= 1e-9

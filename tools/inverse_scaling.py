@@ -13,13 +13,17 @@ each free residue is a complex normal matrix scaled to Frobenius norm
 2x2, 4 poles 3x3, 5 poles 3x3 and 6 poles 4x4, whose variational systems
 have N = ((P - 1) n^2 + 1) n = 18, 84, 111 and 324 rows.  For each, the
 tool prints the best ``inverse.solve`` time over ``--repeats`` solves, the
-Gauss-Newton iterations, the final residual and the residue error, the
-largest entrywise gap between the recovered residues and the truth.  BLAS
-is pinned to one thread unless the caller sets its own.
+solver's iterations, its continuations by kind (``variational``, M_j with
+the Jacobian, and ``plain``, M_j alone, counted by wrapping
+``fuchsia.inverse._integrate_legs`` over one more, untimed solve), the final
+residual and the residue error, the largest entrywise gap between the
+recovered residues and the truth.  BLAS is pinned to one thread unless the
+caller sets its own.
 """
 
 import argparse
 import cmath
+import importlib
 import json
 import os
 import sys
@@ -62,6 +66,20 @@ def measure(size: int, repeats: int) -> dict:
         began = time.perf_counter()
         solution = solve(instance)
         times.append(time.perf_counter() - began)
+    # A kernel call continues the variational system when it continues fewer columns than the field has rows.
+    module = importlib.import_module("fuchsia.inverse")
+    original = module._integrate_legs
+    continuations = {"variational": 0, "plain": 0}
+
+    def counted(field, cut, m, tol):
+        continuations["variational" if field.dimension > m else "plain"] += 1
+        return original(field, cut, m, tol)
+
+    module._integrate_legs = counted
+    try:
+        solve(instance)
+    finally:
+        module._integrate_legs = original
     error = max(float(np.max(np.abs(got - want))) for got, want in zip(solution.residues, system.residues))
     return {
         "N": size,
@@ -69,6 +87,7 @@ def measure(size: int, repeats: int) -> dict:
         "dimension": system.dimension,
         "solve_s": min(times),
         "iterations": solution.iterations,
+        "continuations": continuations,
         "converged": solution.converged,
         "final_residual": solution.final_residual,
         "residue_error": error,
@@ -90,6 +109,7 @@ def main(argv=None) -> int:
         print(
             f"N = {size} ({result['poles']} poles, {result['dimension']}x{result['dimension']}): "
             f"solve {result['solve_s']:.4f} s, {result['iterations']} iterations, "
+            f"continuations {result['continuations']['variational']} variational and {result['continuations']['plain']} plain, "
             f"final residual {result['final_residual']:.2e}, residue error {result['residue_error']:.2e}"
         )
     if args.out:

@@ -9,8 +9,9 @@ A sweep makes one pass of the benchmark's verify-mixed, exact-gauge and
 invert-near-identity pools (``perfbench/workloads.py``, imported as it is)
 for each seed, and writes every op's exit code, input class, first error
 line, check verdict and the SHA-256 of its report's bytes; for
-invert-near-identity also the recovered residues, the Gauss-Newton
-``iterations`` and the ``final_residual``; for verify-mixed and
+invert-near-identity also the recovered residues, the solver's
+``iterations``, the ``final_residual`` and the ``truth_gap``, the largest
+entrywise gap between the recovered residues and the truth; for verify-mixed and
 invert-near-identity each op's work counts, its continuation kernel's
 ``matrix_terms`` (calls of ``fuchsia.monodromy._taylor_term``) and
 ``hop_terms`` (the hops those calls advance, summed); for
@@ -37,14 +38,17 @@ loop matrices: entrywise, entrywise over the commuting classes, and between
 matched eigenvalues; then, for exact-gauge and for
 invert-near-identity, the ops whose exit code, error or verdict differ, and
 how many of their reports' bytes differ, and for invert-near-identity the
-largest entrywise gap between the recovered residues, the number of ops
-for each pair of iteration counts (left -> right), each side's total
-iterations, the ops whose iterations rose and the largest relative change
-of the final residual; and, for verify-mixed and invert-near-identity, the
-total matrix and hop terms of each sweep, how many ops' counts differ and
-the ops whose counts rose; and for invert-near-identity each sweep's total
-variational and plain continuations, how many ops' counts differ and the
-ops whose variational or total count rose.  A
+largest entrywise gap between the recovered residues, each side's largest
+gap to the truth, the number of ops for each pair of iteration counts
+(left -> right), each side's total iterations, the ops whose iterations
+rose and the largest relative change of the final residual; and, for
+verify-mixed and invert-near-identity, the total matrix and hop terms of
+each sweep, how many ops' counts differ and the ops whose counts rose; and
+for invert-near-identity each sweep's total variational and plain
+continuations, how many ops' counts differ and the ops whose variational
+or total count rose.  Where the iterations, the terms or the
+continuations rose in every op, as when the solver changes, the rises are
+counted, not named op by op.  A
 change to continuation or
 geometry should leave the failed ops equal, op for op; a change of loop
 convention conjugates the generic matrices, so there only the spectra and
@@ -253,7 +257,7 @@ def sweep(seeds) -> list:
                         "error": error,
                         "ok": ok,
                         "sha256": hashlib.sha256(report).hexdigest() if report else None,
-                        **invert_fields(json.loads(report) if report else None),
+                        **invert_fields(json.loads(report) if report else None, unit.truth["residues"]),
                         **terms,
                         "continuations": continuations,
                     }
@@ -262,14 +266,18 @@ def sweep(seeds) -> list:
     return records
 
 
-def invert_fields(report) -> dict:
-    """An invert report's recovered residues, Gauss-Newton iterations and final residual (None without a report)."""
+def invert_fields(report, truth) -> dict:
+    """An invert report's recovered residues, iterations, final residual and
+    ``truth_gap``, the largest entrywise gap between its residues and the
+    ``truth`` (None without a report)."""
     if report is None:
-        return {"residues": None, "iterations": None, "final_residual": None}
+        return {"residues": None, "iterations": None, "final_residual": None, "truth_gap": None}
+    residues = report["system"]["residues"]
     return {
-        "residues": report["system"]["residues"],
+        "residues": residues,
         "iterations": report["iterations"],
         "final_residual": report["final_residual"],
+        "truth_gap": max(float(np.max(np.abs(np.array(got) @ [1.0, 1j] - want))) for got, want in zip(residues, truth)),
     }
 
 
@@ -312,17 +320,25 @@ def compare_ops(left, right, workload: str) -> int:
         gaps = [(float(np.max(np.abs(np.array(x) - np.array(y)))), key) for x, y, key in pairs]
         gap, where = max(gaps, key=lambda found: found[0])
         print(f"{workload} largest residue gap over {len(pairs)} ops: {gap:.3e}" + (f" at {where[:2]}" if gap else ""))
+    for label, records in (("left", a), ("right", b)):
+        gaps = [(r["truth_gap"], key) for key, r in records.items() if r.get("truth_gap") is not None]
+        if gaps:
+            gap, where = max(gaps, key=lambda found: found[0])
+            print(f"{workload} largest gap to the truth ({label}) over {len(gaps)} ops: {gap:.3e} at {where[:2]}")
     solved = [(r, b[key], key) for key, r in a.items() if r.get("iterations") is not None and b.get(key, {}).get("iterations") is not None]
     if solved:
         steps = Counter((x["iterations"], y["iterations"]) for x, y, _ in solved)
         for (x, y), count in sorted(steps.items()):
             print(f"{workload} iterations {x} -> {y}: {count} ops")
-        for x, y, (seed, unit, _) in solved:
-            if y["iterations"] > x["iterations"]:
-                print(f"{workload} seed {seed} unit {unit} iterations rose: {x['iterations']} -> {y['iterations']}")
+        differing_steps = sum(count for (x, y), count in steps.items() if x != y)
+        rose = [
+            f"{workload} seed {seed} unit {unit} iterations rose: {x['iterations']} -> {y['iterations']}"
+            for x, y, (seed, unit, _) in solved
+            if y["iterations"] > x["iterations"]
+        ]
+        print_rises(rose, len(solved), f"{workload} iterations")
         before, after = (sum(r[side]["iterations"] for r in solved) for side in (0, 1))
         print(f"{workload} iteration total: {before} -> {after}")
-        differing_steps = sum(count for (x, y), count in steps.items() if x != y)
         print(f"{workload} iterations: {differing_steps} of {len(solved)} ops differ")
         changes = [
             (abs(y["final_residual"] - x["final_residual"]) / x["final_residual"] if x["final_residual"] else 0.0, key)
@@ -333,6 +349,15 @@ def compare_ops(left, right, workload: str) -> int:
     elif pairs:
         print(f"{workload} iterations: not compared, a sweep file has no iterations")
     return len(differing)
+
+
+def print_rises(lines, total: int, what: str):
+    """Print the line of each op whose count rose, or, when every one of the ``total`` ops rose, one count line."""
+    if lines and len(lines) == total:
+        print(f"{what} rose: {total} of {total} ops")
+    else:
+        for line in lines:
+            print(line)
 
 
 def compare_terms(left, right, workload: str):
@@ -346,10 +371,12 @@ def compare_terms(left, right, workload: str):
         return
     kinds = ("matrix_terms", "hop_terms")
     differing = sorted(key for key in a.keys() & b.keys() if any(a[key][kind] != b[key][kind] for kind in kinds))
-    for seed, unit in differing:
-        x, y = a[seed, unit], b[seed, unit]
-        if any(y[kind] > x[kind] for kind in kinds):
-            print(f"{workload} seed {seed} unit {unit} terms: " + ", ".join(f"{kind} {x[kind]} -> {y[kind]}" for kind in kinds))
+    rose = [
+        f"{workload} seed {seed} unit {unit} terms: " + ", ".join(f"{kind} {a[seed, unit][kind]} -> {b[seed, unit][kind]}" for kind in kinds)
+        for seed, unit in differing
+        if any(b[seed, unit][kind] > a[seed, unit][kind] for kind in kinds)
+    ]
+    print_rises(rose, len(a.keys() & b.keys()), f"{workload} terms")
     totals = ", ".join(f"{kind} {sum(r[kind] for r in a.values())} -> {sum(r[kind] for r in b.values())}" for kind in kinds)
     print(f"{workload} terms: {totals}; {len(differing)} of {len(a.keys() & b.keys())} ops differ")
 
@@ -368,12 +395,13 @@ def compare_continuations(left, right, workload: str):
         return
     kinds = ("variational", "plain")
     both = sorted(a.keys() & b.keys())
-    for seed, unit in both:
-        x, y = a[seed, unit], b[seed, unit]
-        if y["variational"] > x["variational"] or sum(y.values()) > sum(x.values()):
-            changes = ", ".join(f"{kind} {x[kind]} -> {y[kind]}" for kind in kinds)
-            print(f"{workload} seed {seed} unit {unit} continuations rose: {changes}")
     differing = sum(a[key] != b[key] for key in both)
+    rose = [
+        f"{workload} seed {seed} unit {unit} continuations rose: " + ", ".join(f"{kind} {x[kind]} -> {y[kind]}" for kind in kinds)
+        for (seed, unit), x, y in ((key, a[key], b[key]) for key in both)
+        if y["variational"] > x["variational"] or sum(y.values()) > sum(x.values())
+    ]
+    print_rises(rose, len(both), f"{workload} continuations")
     totals = ", ".join(f"{kind} {sum(c[kind] for c in a.values())} -> {sum(c[kind] for c in b.values())}" for kind in kinds)
     print(f"{workload} continuations: {totals}; {differing} of {len(both)} ops differ")
 
