@@ -4,7 +4,9 @@ Subcommands: check, galois, monodromy, verify, invert, convert.  Every
 command reads JSON documents, prints a short human summary (suppressed by
 --quiet), and optionally writes a canonical JSON report with --json PATH;
 equal inputs always produce byte-identical reports.  Exit codes: 0 success,
-2 invalid input, 3 numerical failure (non-convergence or a failed verdict).
+2 invalid input, 3 numerical failure (non-convergence, a failed verdict, or
+a monodromy error estimate above its integration tolerance; the report is
+still written).
 """
 
 import argparse
@@ -176,17 +178,27 @@ def _monodromy_report(system: FuchsianSystem, rep) -> dict:
     }
 
 
+def _estimate_check(rep, tol: float) -> tuple[int, list[str]]:
+    """EXIT_NUMERIC and a line saying so when an error estimate of ``rep`` exceeds the integration ``tol``, else EXIT_OK."""
+    worst = max(rep.error_estimates)
+    if worst <= tol:
+        return EXIT_OK, []
+    return EXIT_NUMERIC, [f"integration tolerance NOT met: error estimate {worst:.3e} exceeds {tol:g}"]
+
+
 def cmd_monodromy(args) -> CommandOutcome:
     system = _load_system(args.system)
     base = parse_complex_literal(args.base) if args.base else None
     rep = monodromy(system, tol=args.tol, base_point=base)
     report = _monodromy_report(system, rep)
+    code, broken = _estimate_check(rep, args.tol)
     lines = [
         f"monodromy computed at base point {_fmt_complex(rep.base_point)}; "
         f"loop product defect {rep.product_defect:.3e}",
         "error estimates: " + ", ".join(f"{e:.3e}" for e in rep.error_estimates),
+        *broken,
     ]
-    return CommandOutcome(EXIT_OK, report, "\n".join(lines))
+    return CommandOutcome(code, report, "\n".join(lines))
 
 
 def cmd_verify(args) -> CommandOutcome:
@@ -225,8 +237,9 @@ def cmd_verify(args) -> CommandOutcome:
         if result.overall
         else "theorem verification FAILED on a non-resonant pole"
     )
-    code = EXIT_OK if result.overall else EXIT_NUMERIC
-    return CommandOutcome(code, report, "\n".join(lines))
+    code, broken = _estimate_check(result.representation, args.integration_tol)
+    lines += broken
+    return CommandOutcome(code if result.overall else EXIT_NUMERIC, report, "\n".join(lines))
 
 
 def cmd_invert(args) -> CommandOutcome:

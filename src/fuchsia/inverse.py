@@ -1,18 +1,21 @@
 """Desk-scale inverse monodromy: residues from target matrices.
 
 Given poles and target monodromy matrices near the identity, seed each
-residue with the first two series terms of the map monodromy -> residues,
-G2 (``second_order_seed``: the first term (M_j - I) / (2 pi i), and the
-second in closed form from the Magnus expansion and the loops'
-approaches), enforce the zero residue sum on the last one, and refine.
-The seed's error is cubic in the targets' distance from the identity:
-G2(F(B)) = B + O(|B|^3), F the residues' monodromy.  So near the identity
-the fixed-point map B <- B + G2(T) - G2(F(B)) contracts by O(|B|^2) per
-step with no Jacobian, and ``solve`` runs it, Anderson-accelerated
-(``_anderson``), on every instance whose targets are all within the
-proximity bound: each step is one plain n x n continuation of every loop
-in one batch, and a near-identity solve takes 4-5 of them.  The loops are
-cut into hops once per solve, and the approach logs of G2 computed once.
+residue with the map monodromy -> residues to second order in the
+residues' commutators, G2 (``second_order_seed``: the first term
+log(M_j) / (2 pi i), the matrix log taken by Gauss-Legendre quadrature,
+and the commutator term in closed form from the Magnus expansion and the
+loops' approaches), enforce the zero residue sum on the last one, and
+refine.  The seed's error is cubic in the targets' distance from the
+identity, and made of nested commutators only: G2(F(B)) = B + O(|B|^3), F
+the residues' monodromy, and G2(F(B)) = B when the residues commute.  So
+near the identity the fixed-point map B <- B + G2(T) - G2(F(B)) contracts
+by O(|B|^2) per step with no Jacobian, and ``solve`` runs it,
+Anderson-accelerated over the complex residue entries (``_anderson``), on
+every instance whose targets are all within the proximity bound: each step
+is one plain n x n continuation of every loop in one batch, and a
+near-identity solve takes 2-4 of them.  The loops are cut into hops once
+per solve, and the approach logs of G2 computed once.
 Instances outside the bound, and iterations that stop contracting, are
 refined by damped Gauss-Newton on the map residues -> monodromy
 (``_gauss_newton``).  Monodromy is holomorphic in the residues, so its
@@ -29,6 +32,7 @@ The derivatives ride at 2**-30 scale, so they barely move the norms that
 set each loop's term count.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,15 +152,8 @@ def first_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...]
     the identity.  The final residue is minus the sum of the others so the
     seed is always an admissible Fuchsian system.
     """
-    return tuple(_first_order_map(instance.targets))
-
-
-def _first_order_map(matrices) -> list[np.ndarray]:
-    """(M_j - I) / (2 pi i) for every matrix but the last, and minus their sum."""
-    eye = np.eye(len(matrices[0]), dtype=complex)
-    seeds = [(m - eye) / TWO_PI_I for m in matrices[:-1]]
-    seeds.append(-sum(seeds))
-    return seeds
+    eye = np.eye(instance.dimension, dtype=complex)
+    return tuple(_closed((m - eye) / TWO_PI_I for m in instance.targets[:-1]))
 
 
 def _approach_logs(instance: InverseProblemInstance) -> np.ndarray:
@@ -183,42 +180,86 @@ def _approach_logs(instance: InverseProblemInstance) -> np.ndarray:
 
 
 def second_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...]:
-    """The first-order seed corrected by the second-order terms of the map residues -> monodromy.
+    """The residues whose monodromy the targets are, to second order in their commutators.
 
     It is ``_second_order_map`` of the targets, with the instance's
-    ``_approach_logs``.
+    ``_approach_logs``: log(M_j) / (2 pi i) corrected by the commutator
+    terms of the Magnus expansion.  Its error is cubic in the targets'
+    distance from the identity and made of nested commutators only, so
+    commuting residues are recovered to rounding.
     """
     return tuple(_second_order_map(_approach_logs(instance), instance.targets))
 
 
+@functools.cache
+def _gauss_legendre() -> np.ndarray:
+    """The 8-point Gauss-Legendre rule on [0, 1]: its nodes, then its weights, read-only.
+
+    Golub-Welsch (Math. Comp. 23 (1969)): the nodes on [-1, 1] are the
+    eigenvalues of the Jacobi matrix of the Legendre recurrence, whose
+    off-diagonal is k / sqrt(4 k^2 - 1), and each weight is twice the
+    squared first entry of its eigenvector; both are mapped to [0, 1].
+    """
+    k = np.arange(1.0, 8.0)  # 8 nodes: 7 off-diagonal entries
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    rule = np.array([(nodes + 1.0) / 2.0, vectors[0] ** 2])
+    rule.flags.writeable = False
+    return rule
+
+
+def _log_near_identity(x: np.ndarray) -> np.ndarray:
+    """The principal log(I + X) of each matrix X of a (k, n, n) stack with |X|_2 <= 1/2.
+
+    log(I + X) is the integral over [0, 1] of X (I + t X)^-1 dt, and the
+    8-point Gauss-Legendre rule (``_gauss_legendre``) applied to it is the
+    [8/8] Pade approximant of log(I + X) (Higham, SIAM J. Matrix Anal.
+    Appl. 22 (2001)): sum_i w_i (I + t_i X)^-1 X, every node and matrix in
+    one ``solve``.  For |X|_2 <= 1/2 it is within 6e-13 of
+    ``scipy.linalg.logm`` in the 2-norm, plus rounding: by von Neumann's
+    inequality its error is at most the scalar rule's largest error on
+    |x| = 1/2, 5.9e-13 at x = -1/2, however far X is from normal, so a
+    Jordan block or a nilpotent X is no exception.
+    """
+    nodes, weights = _gauss_legendre()
+    shifted = np.eye(x.shape[-1]) + nodes[:, None, None, None] * x
+    return np.tensordot(weights, np.linalg.solve(shifted, x), 1)
+
+
 def _second_order_map(logs: np.ndarray, matrices) -> list[np.ndarray]:
-    """G2: the residues, to second order, whose loops' monodromy matrices are ``matrices``.
+    """G2: the residues, to second order in their commutators, whose loops' monodromy matrices are ``matrices``.
 
-    With S = ``_first_order_map(matrices)``, for j before the last pole
-    B_j = S_j - pi i S_j^2 - [S_j, W_j] with W_j = sum_{k != j} c_jk S_k,
-    c = ``logs`` (``_approach_logs``), and the last residue is minus the
-    sum of the others.  Loop j is an approach T,
-    a counterclockwise circle C of radius r_j from a_j + r_j e^{i theta_0},
-    and T backwards, so M_j = T^-1 C T, and to second order
+    With L_j = log(M_j) / (2 pi i) (``_log_near_identity``) for j before
+    the last pole and L_P = -sum_j L_j, for j before the last pole
+    B_j = L_j - [L_j, W_j] with W_j = sum_k c_jk L_k, c = ``logs``
+    (``_approach_logs``), and the last residue is minus the sum of the
+    others.  Loop j is an approach T, a counterclockwise circle C of radius
+    r_j from a_j + r_j e^{i theta_0}, and T backwards, so M_j = T^-1 C T,
+    and by the Magnus expansion (Blanes, Casas, Oteo & Ros, Phys. Rep. 470
+    (2009))
 
-        log M_j = 2 pi i B_j + 2 pi i sum_k c_jk [B_j, B_k] + O(B^3).
+        log M_j = 2 pi i B_j + 2 pi i sum_k c_jk [B_j, B_k] + (nested commutators of three or more B).
 
     Two terms make up c_jk: the circle's second Magnus term,
     -2 pi i sum_k [B_j, B_k] log(1 + r_j e^{i theta_0} / (a_j - a_k)),
     whose log is minus the integral from the circle's start on to a_j, and
     the conjugation, T^-1 X T = X + [X, T - I] + O(B^3) with T - I the sum
-    of B_k times the integral along the approach.  With
-    log M = X - X^2 / 2 + O(X^3) and X = M - I = 2 pi i S_j, this seed's
-    error is cubic in the distance of the targets from the identity, where
-    the first-order seed's is quadratic: G2(F(B)) = B + O(|B|^3), F the
-    monodromy matrices of the residues B.
+    of B_k times the integral along the approach.  So G2(F(B)) = B + O(|B|^3),
+    F the monodromy matrices of the residues B, and the cubic error is made
+    of nested commutators only: residues that commute give
+    M_j = exp(2 pi i B_j), and G2 returns them to rounding.
     """
-    first = np.array(_first_order_map(matrices))
-    w = np.einsum("jk,kab->jab", logs[:-1], first)
-    s = first[:-1]
-    seeds = list(s - TWO_PI_I / 2 * (s @ s) - (s @ w - w @ s))
-    seeds.append(-sum(seeds))
-    return seeds
+    eye = np.eye(len(matrices[0]))
+    log_m = _log_near_identity(np.array(matrices[:-1]) - eye) / TWO_PI_I
+    w = np.einsum("jk,kab->jab", logs[:-1], _closed(log_m))
+    return _closed(log_m - (log_m @ w - w @ log_m))
+
+
+def _closed(free) -> list[np.ndarray]:
+    """The free residues, every pole's but the last, followed by minus their sum."""
+    residues = list(free)
+    residues.append(-sum(residues))
+    return residues
 
 
 @dataclass(frozen=True)
@@ -226,8 +267,9 @@ class InverseSolution:
     """Result of ``solve``: the recovered system, the second-order seed it started from, and how it ended.
 
     ``iterations`` counts the Anderson updates and the Gauss-Newton
-    iterations together; ``final_residual`` is max_j |M_hat_j - M_j|_F of
-    the returned residues.
+    iterations together, so 0 when the seed itself meets the tolerance, as
+    it does for commuting residues; ``final_residual`` is
+    max_j |M_hat_j - M_j|_F of the returned residues.
     """
 
     system: FuchsianSystem
@@ -255,9 +297,7 @@ def _pack(residues) -> np.ndarray:
 
 def _unpack(x: np.ndarray, count: int, dim: int) -> list[np.ndarray]:
     parts = x.reshape(count - 1, 2, dim, dim)
-    residues = list(parts[:, 0] + 1j * parts[:, 1])
-    residues.append(-sum(residues))
-    return residues
+    return _closed(parts[:, 0] + 1j * parts[:, 1])
 
 
 def _residual_vector(computed, targets) -> np.ndarray:
@@ -358,37 +398,42 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     return computed, parts.transpose(2, 0, 5, 3, 1, 4).reshape(len(results) * 2 * dim * dim, -1)
 
 
-def _anderson(instance: InverseProblemInstance, cut, logs: np.ndarray, goal: np.ndarray, tol: float, max_iter: int, integration_tol: float):
+def _anderson(instance: InverseProblemInstance, cut, logs: np.ndarray, seed, tol: float, max_iter: int, integration_tol: float):
     """Anderson-accelerated fixed-point iteration of x <- x + G2(T) - G2(F(x)), from plain continuations only.
 
     G2 is ``_second_order_map`` with the instance's approach ``logs``, T
-    the targets, ``goal`` G2(T) packed and the start, and F(x) the
-    monodromy of the residues x, one plain n x n continuation of every
-    loop along ``cut``.  G2(F(B)) = B + O(|B|^3), so
-    the plain map contracts by O(|B|^2) per step with no Jacobian.  Each
-    update is type II over every past difference (Walker & Ni, SIAM J.
-    Numer. Anal. 49 (2011)): with f_i = G2(T) - G2(F(x_i)),
-    x <- x + f - (dX + dF) gamma, gamma the least-squares solution of
-    dF gamma = f, dX and dF the columns x_{i+1} - x_i and f_{i+1} - f_i.
-    Keeping every step leaves no memory constant; ``max_iter`` bounds the
-    updates.  Stops when an iterate's residual metric meets ``tol``, when
-    ``max_iter`` updates are made, or when a continuation's metric does not
-    fall below the best so far.  Returns the best iterate, its metric, the
-    updates made and whether the iteration stalled, the last case.
+    the targets, ``seed`` G2(T) and the start, and F(x) the monodromy of
+    the residues x, one plain n x n continuation of every loop along
+    ``cut``.  The unknowns x are the free residues' complex entries, in
+    ``seed`` order.  G2(F(B)) = B + O(|B|^3), so the plain map contracts by
+    O(|B|^2) per step with no Jacobian.  Each update is type II over every
+    past difference (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)): with
+    f_i = G2(T) - G2(F(x_i)), x <- x + f - (dX + dF) gamma, gamma the
+    complex least-squares solution of dF gamma = f, dX and dF the columns
+    x_{i+1} - x_i and f_{i+1} - f_i.  F and G2 are holomorphic, so each
+    secant pair spans a complex direction, where the real stacking of
+    ``_pack`` would span a real one.  Keeping every step leaves no memory
+    constant; ``max_iter`` bounds the updates.  Stops when an iterate's
+    residual metric meets ``tol``, when ``max_iter`` updates are made, or
+    when a continuation's metric does not fall below the best so far.
+    Returns the best iterate's residues, its metric, the updates made and
+    whether the iteration stalled, the last case.
     """
-    count, dim = len(instance.poles), instance.dimension
+    shape = (len(seed) - 1,) + seed[0].shape
+    goal = np.ravel(seed[:-1])
     x, xs, fs = goal, [], []
     best = None
     while True:
-        computed = _monodromy_at(instance, cut, _unpack(x, count, dim), integration_tol)
+        residues = _closed(x.reshape(shape))
+        computed = _monodromy_at(instance, cut, residues, integration_tol)
         metric = _residual_metric(computed, instance.targets)
         if best is not None and metric >= best[1]:
             return *best, len(xs), True
-        best = (x, metric)
+        best = (residues, metric)
         if metric <= tol or len(xs) == max_iter:
-            return x, metric, len(xs), False
+            return residues, metric, len(xs), False
         xs.append(x)
-        fs.append(goal - _pack(_second_order_map(logs, computed)))
+        fs.append(goal - np.ravel(_second_order_map(logs, computed)[:-1]))
         x = x + fs[-1]
         if len(xs) > 1:
             dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
@@ -494,10 +539,11 @@ def solve(
     logs = _approach_logs(instance)
     seed = tuple(_second_order_map(logs, instance.targets))
     cut = _cut_paths(instance.poles, instance.loops)
-    x, iterations, stalled = _pack(seed), 0, True
+    residues, iterations, stalled = seed, 0, True
     eye = np.eye(instance.dimension)
     if max(float(np.linalg.norm(m - eye)) for m in instance.targets) <= DEFAULT_PROXIMITY_BOUND:
-        x, metric, iterations, stalled = _anderson(instance, cut, logs, x, tol, max_iter, integration_tol)
+        residues, metric, iterations, stalled = _anderson(instance, cut, logs, seed, tol, max_iter, integration_tol)
+    x = _pack(residues)
     if stalled:
         x, metric, more = _gauss_newton(instance, cut, x, tol, max_iter - iterations, integration_tol)
         iterations += more

@@ -96,8 +96,8 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, cut,
     The block is read one path at a time, so its temporaries are one path
     wide, not as wide as every open hop.  The stop term is the first from k
     on whose bound meets ``tol``.  An infinite tail or a non-finite bound
-    raises ``NonFiniteError``, the tails checked before they meet the
-    weights, so that no infinite tail times a zero weight warns first.
+    raises ``NonFiniteError``, the tails and the weights checked for inf
+    before they meet, so that no inf times a zero warns first.
     Returns the stop terms and each hop's tau_i there.
     """
     groups = cut.groups
@@ -105,7 +105,7 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, cut,
     tails = np.empty(len(reach))
     while not stops.all():
         open_ = stops == 0
-        if np.isinf(tail).any():
+        if np.isinf(tail).any() or np.isinf(weight).any():
             raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
         composed = np.add.reduceat(tail * weight, groups)
         if not np.isfinite(composed[open_]).all():
@@ -255,8 +255,9 @@ def _integrate_legs(field, cut, m: int, tol: float):
     the first block column of T^-1 C T, from the composed approach [T; S_T]
     and circle [C; S_C]: the top block M = T^-1 C T and, below it, the
     blocks T^-1 (S_C T + C S_T - S_T M), all loops and blocks in one batched
-    solve (empty when m = N).  The estimate is the composed bound of
-    ``_hop_bounds`` with each hop's tail and deviation at its stop term, for a
+    solve, skipped when m = N and no blocks lie below M.  The estimate is
+    the composed bound of ``_hop_bounds`` with each hop's tail and
+    deviation at its stop term, for a
     loop at most cond(T) E_C + |T^-1| (|C| + E_C + |M| + E) E_T with E_T,
     E_C the legs' bounds and E the loop's, plus a rounding model eps W
     max(1, |Y|_2), W the sum over hops (a head hop twice) of the majorant
@@ -336,13 +337,15 @@ def _integrate_legs(field, cut, m: int, tol: float):
     approach, turn = composed[loops], composed[loops + 1]
     t, c = approach[:, :m], turn[:, :m]
     if loops.size:
-        s_t, s_c = (leg[:, m:].reshape(len(loops), -1, m, m) for leg in (approach, turn))
         try:
             loop = np.linalg.solve(t, c @ t)
         except np.linalg.LinAlgError:
             raise NonFiniteError("a loop's approach transfer is singular") from None
-        lower = np.linalg.solve(t[:, None], s_c @ t[:, None] + c[:, None] @ s_t - s_t @ loop[:, None])
-        transfers[is_loop] = np.concatenate([loop, lower.reshape(len(loops), -1, m)], axis=1)
+        if field.dimension > m:
+            s_t, s_c = (leg[:, m:].reshape(len(loops), -1, m, m) for leg in (approach, turn))
+            lower = np.linalg.solve(t[:, None], s_c @ t[:, None] + c[:, None] @ s_t - s_t @ loop[:, None])
+            loop = np.concatenate([loop, lower.reshape(len(loops), -1, m)], axis=1)
+        transfers[is_loop] = loop
     # One SVD gives each path's |Y|_2, and for each loop cond(T)'s singular values and |C|_2.
     singular = np.linalg.svd(np.concatenate([transfers[:, :m], t, c]), compute_uv=False)
     sizes = singular[:paths, 0]

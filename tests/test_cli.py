@@ -372,6 +372,26 @@ class TestMonodromy:
         assert abs(complex(pair[0], pair[1]) - np.exp(2j * np.pi * 0.2)) < 1e-8
 
 
+    def test_estimate_above_tol_exits_3_with_its_report(self, tmp_path, capsys):
+        """Scalar residues +15 at 0 and -15 at 1 get an error estimate above
+        the default 1e-9 (3.6e-8), so ``monodromy`` exits 3, says so, and
+        still writes its report, as does ``verify``, whose verdicts hold;
+        at a looser ``--integration-tol`` verify exits 0."""
+        b = np.array([[15.0]], dtype=complex)
+        path = write_json(tmp_path / "large.json", validate_system([0.0, 1.0], [b, -b]).to_dict())
+        report_path = tmp_path / "m.json"
+        assert main(["monodromy", path, "--json", str(report_path)]) == 3
+        assert "NOT met" in capsys.readouterr().out
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert max(report["error_estimates"]) > 1e-9
+        verify_path = tmp_path / "v.json"
+        assert main(["--quiet", "verify", path, "--json", str(verify_path)]) == 3
+        verified = json.loads(verify_path.read_text(encoding="utf-8"))
+        assert verified["overall"] is True
+        assert verified["monodromy"]["error_estimates"] == report["error_estimates"]
+        assert main(["--quiet", "verify", path, "--integration-tol", "1e-6"]) == 0
+
+
 class TestVerify:
     def test_theorem_holds(self, scalar_system_path, tmp_path, capsys):
         report_path = tmp_path / "v.json"
@@ -428,7 +448,7 @@ class TestInvert:
     def test_unconverged_exits_3(self, small_system_path, tmp_path, capsys):
         rep_path = tmp_path / "monodromy.json"
         main(["--quiet", "monodromy", small_system_path, "--json", str(rep_path)])
-        code = main(["invert", str(rep_path), "--max-iter", "0"])
+        code = main(["invert", str(rep_path), "--max-iter", "0", "--tol", "1e-15"])
         out = capsys.readouterr().out
         assert code == 3
         assert "NOT converged" in out

@@ -448,6 +448,20 @@ def test_infinite_tail_fails_before_it_meets_a_zero_weight():
         _stop_terms(size, size[0], np.array([0.1]), 0.1, 3, np.ones(hops), np.zeros_like(size), tail, np.zeros(hops), cut, 1e-9)
 
 
+def test_infinite_weight_fails_before_it_meets_a_zero_tail():
+    """An infinite weight, from a composed factor F_p that overflowed,
+    raises ``NonFiniteError`` before it is multiplied by a zero tail."""
+    cut = stub_cut()
+    hops = len(cut.owner)
+    size = np.full((1, hops), 0.1)
+    tail = np.ones(hops)
+    tail[0] = 0.0
+    weight = np.ones(hops)
+    weight[0] = np.inf
+    with pytest.raises(NonFiniteError):
+        _stop_terms(size, size[0], np.array([0.1]), 0.1, 3, np.ones(hops), np.zeros_like(size), tail, weight, cut, 1e-9)
+
+
 def test_one_cut_serves_many_calls():
     """A cut continued 3 times, for two systems and two tolerances, gives
     each call's values and estimates bit for bit as a fresh cut does."""

@@ -18,6 +18,7 @@ from fuchsia.inverse import (
     _approach_logs,
     _gauss_newton,
     _linearise,
+    _log_near_identity,
     _pack,
     _point_system,
     _real_stack,
@@ -31,6 +32,7 @@ from fuchsia.inverse import (
     validate_instance,
 )
 from fuchsia.monodromy import DEFAULT_INTEGRATION_TOL, _cut_paths, _integrate_legs, continue_solution, monodromy
+from fuchsia.linalg import matrix_exp
 from fuchsia.paths import default_base_point
 from fuchsia.system import TWO_PI_I, FuchsianSystem, validate_system
 
@@ -219,6 +221,33 @@ class TestSeed:
         assert 3.5 < e1 / e2 < 4.5
 
 
+class TestLogNearIdentity:
+    """``_log_near_identity``, the log that G2 is built on."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([[-0.25, 0.25], [0.0, -0.25]]),  # I + X a Jordan block
+            np.array([[0.0, 0.5], [0.0, 0.0]]),  # X nilpotent
+            np.array([[0.0, 0.3, 0.1j], [0.0, 0.0, 0.3], [0.0, 0.0, 0.0]]),
+            np.diag([-0.5, 0.5j, 0.5]),  # the rule's worst point, -1/2, on the diagonal
+        ],
+        ids=["jordan", "nilpotent", "nilpotent-3", "diagonal"],
+    )
+    def test_exp_of_log_is_the_matrix(self, x):
+        assert np.linalg.norm(x, 2) <= 0.5
+        log = _log_near_identity(x[None].astype(complex))[0]
+        assert np.max(np.abs(matrix_exp(log) - np.eye(len(x)) - x)) <= 1e-12
+
+    def test_exp_of_log_is_the_matrix_on_random_stacks(self, rng):
+        """A stack of 40 random complex matrices, each of 2-norm up to 1/2, half of them upper triangular."""
+        x = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+        x[::2] = np.triu(x[::2])
+        x *= rng.uniform(0.05, 0.5, size=(40, 1, 1)) / np.linalg.norm(x, 2, axis=(1, 2))[:, None, None]
+        logs = _log_near_identity(x)
+        assert np.max(np.abs(matrix_exp(logs) - np.eye(3) - x)) <= 1e-12
+
+
 class TestSecondOrderSeed:
     """The seed ``solve`` starts from: the first-order seed plus the second-order terms of the residues' monodromy."""
 
@@ -294,9 +323,40 @@ class TestSecondOrderSeed:
         assert written == [jsonio.matrix_to_pairs(s) for s in second_order_seed(inst)]
 
 
+    def test_seed_error_is_quartic_where_the_residues_commute_to_first_order(self):
+        """On residues s D_j + s^2 N_j with commuting D_j, every commutator is
+        O(s^3) and every nested one O(s^4).  G2's error is made of nested
+        commutators only, so it falls at least 14x per halving of s (about
+        16x; truncating the log at X - X^2 / 2 leaves a cubic error, 8x)."""
+        d = [np.diag([1.0, -0.5 + 1j]), np.diag([-0.4 + 0.4j, 1.0])]
+        n = [np.array([[0.0, 1.0 - 0.5j], [0.7j, 0.0]]), np.array([[0.3, -0.8], [0.6 + 0.2j, -0.3]])]
+
+        def seed_error(s):
+            free = [s * dj + s * s * nj for dj, nj in zip(d, n)]
+            residues = free + [-sum(free)]
+            system = validate_system(self.POLES, residues)
+            inst = validate_instance(self.POLES, monodromy(system, tol=1e-13).matrices)
+            return max(float(np.linalg.norm(a - b)) for a, b in zip(second_order_seed(inst), residues))
+
+        errors = [seed_error(s) for s in (0.04, 0.02, 0.01)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 14.0, errors
+
+    def test_commuting_instance_is_solved_by_its_seed(self, monkeypatch):
+        """Commuting residues have M_j = exp(2 pi i B_j), which G2 inverts to
+        rounding: ``solve`` converges on the seed's one plain continuation,
+        with 0 iterations."""
+        targets = diagonal_targets([[0.03, -0.02], [0.01, 0.04], [-0.04, -0.02]])
+        inst = validate_instance(self.POLES, targets)
+        counts = continuation_kinds(monkeypatch)
+        sol = solve(inst)
+        assert sol.converged and sol.iterations == 0
+        assert counts == {"variational": 0, "plain": 1}
+        assert all(np.array_equal(a, b) for a, b in zip(sol.residues, sol.seed))
+
     def test_near_identity_instances_are_solved_from_plain_continuations(self, rng, monkeypatch):
-        """``solve`` continues the same 20 instances plainly only, at most 6
-        times each (the most measured: 5 updates after the seed's
+        """``solve`` continues the same 20 instances plainly only, at most 4
+        times each (the most measured: 3 updates after the seed's
         continuation), one more continuation than its updates, and recovers
         the truth within 1e-6 from the second-order seed."""
         counts = continuation_kinds(monkeypatch)
@@ -305,7 +365,7 @@ class TestSecondOrderSeed:
             sol = solve(inst)
             assert sol.converged
             assert counts["variational"] == 0
-            assert counts["plain"] == sol.iterations + 1 <= 6
+            assert counts["plain"] == sol.iterations + 1 <= 4
             for recovered, truth in zip(sol.residues, system.residues):
                 assert np.max(np.abs(recovered - truth)) <= 1e-6
             for used, expected in zip(sol.seed, second_order_seed(inst)):

@@ -4,11 +4,13 @@ One seed is swept and compared with itself in subprocesses, as the tool is
 run from a checkout: every comparison reads "0 differ", the check and
 galois reports of all 40 verify-mixed systems among them, and the verify and
 invert ops record nonzero continuation work counts, the invert ops also
-their variational and plain continuations and their gaps to the truth.
+their variational and plain continuations and their own and their seeds'
+gaps to the truth.
 Hand-written sweep files check the invert summaries of ``--compare``: ops
 per pair of iteration counts, each side's total, and single ops only where
 counts rose, or one count where they rose in every op.
-``tools/inverse_scaling.py`` solves its N = 18 fixture.
+``tools/inverse_scaling.py`` solves its N = 18 fixture, and
+``tools/far_pool.py`` solves a draw that converges fast.
 """
 
 import json
@@ -20,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP = ROOT / "tools" / "seed_sweep.py"
 SCALING = ROOT / "tools" / "inverse_scaling.py"
+FAR_POOL = ROOT / "tools" / "far_pool.py"
 
 
 def run_sweep(*args):
@@ -53,6 +56,11 @@ def test_seed_sweep_compares_a_sweep_with_itself(tmp_path):
     for gap in gaps:
         found = re.fullmatch(r"invert-near-identity largest gap to the truth \((?:left|right)\) over 4 ops: (\S+) at \(0, \d\)", gap)
         assert found and 0.0 < float(found[1]) <= 1e-6, gap
+    seeds = [line for line in lines if line.startswith("invert-near-identity largest seed gap to the truth")]
+    assert len(seeds) == 2, lines
+    for gap in seeds:
+        found = re.fullmatch(r"invert-near-identity largest seed gap to the truth \((?:left|right)\) over 4 ops: (\S+) at \(0, \d\)", gap)
+        assert found and 0.0 < float(found[1]) <= 1e-3, gap
 
 
 def test_compare_counts_iteration_pairs_and_lists_only_rises(tmp_path):
@@ -159,6 +167,16 @@ def test_compare_counts_rises_that_every_op_shows(tmp_path):
     ]
 
 
+def test_far_pool_solves_a_fast_draw():
+    """Draw 0 of the far pool (3 poles, 2x2, scale 0.3) converges by
+    Gauss-Newton with no warning, and the totals line counts it."""
+    ran = subprocess.run([sys.executable, str(FAR_POOL), "--draws", "0"], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert ran.returncode == 0, ran.stderr
+    draw, totals = ran.stdout.splitlines()
+    assert re.fullmatch(r"draw 0 \(P = 3, n = 2\): converged in \d+ iterations \[\S+ s\]", draw), draw
+    assert totals == "1 of 1 converged, 0 warned, 0 raised a non-FuchsiaError"
+
+
 def test_inverse_scaling_solves_the_smallest_fixture(tmp_path):
     out = tmp_path / "scaling.json"
     ran = subprocess.run(
@@ -172,6 +190,6 @@ def test_inverse_scaling_solves_the_smallest_fixture(tmp_path):
     assert ran.stdout.startswith("N = 18 (3 poles, 2x2): solve ")
     [result] = json.loads(out.read_text())
     assert result["N"] == 18 and result["converged"]
-    assert result["iterations"] == 3
-    assert result["continuations"] == {"variational": 0, "plain": 4}
+    assert result["iterations"] == 2
+    assert result["continuations"] == {"variational": 0, "plain": 3}
     assert result["residue_error"] <= 1e-9

@@ -10,8 +10,9 @@ invert-near-identity pools (``perfbench/workloads.py``, imported as it is)
 for each seed, and writes every op's exit code, input class, first error
 line, check verdict and the SHA-256 of its report's bytes; for
 invert-near-identity also the recovered residues, the solver's
-``iterations``, the ``final_residual`` and the ``truth_gap``, the largest
-entrywise gap between the recovered residues and the truth; for verify-mixed and
+``iterations``, the ``final_residual``, the ``truth_gap``, the largest
+entrywise gap between the recovered residues and the truth, and the
+``seed_gap``, the same gap for the report's ``seed``; for verify-mixed and
 invert-near-identity each op's work counts, its continuation kernel's
 ``matrix_terms`` (calls of ``fuchsia.monodromy._taylor_term``) and
 ``hop_terms`` (the hops those calls advance, summed); for
@@ -39,7 +40,7 @@ matched eigenvalues; then, for exact-gauge and for
 invert-near-identity, the ops whose exit code, error or verdict differ, and
 how many of their reports' bytes differ, and for invert-near-identity the
 largest entrywise gap between the recovered residues, each side's largest
-gap to the truth, the number of ops for each pair of iteration counts
+gap to the truth and largest seed gap to the truth, the number of ops for each pair of iteration counts
 (left -> right), each side's total iterations, the ops whose iterations
 rose and the largest relative change of the final residual; and, for
 verify-mixed and invert-near-identity, the total matrix and hop terms of
@@ -267,17 +268,22 @@ def sweep(seeds) -> list:
 
 
 def invert_fields(report, truth) -> dict:
-    """An invert report's recovered residues, iterations, final residual and
+    """An invert report's recovered residues, iterations, final residual,
     ``truth_gap``, the largest entrywise gap between its residues and the
-    ``truth`` (None without a report)."""
+    ``truth``, and ``seed_gap``, the same for its seed (None without a report)."""
     if report is None:
-        return {"residues": None, "iterations": None, "final_residual": None, "truth_gap": None}
+        return {"residues": None, "iterations": None, "final_residual": None, "truth_gap": None, "seed_gap": None}
     residues = report["system"]["residues"]
+
+    def gap(matrices):
+        return max(float(np.max(np.abs(np.array(got) @ [1.0, 1j] - want))) for got, want in zip(matrices, truth))
+
     return {
         "residues": residues,
         "iterations": report["iterations"],
         "final_residual": report["final_residual"],
-        "truth_gap": max(float(np.max(np.abs(np.array(got) @ [1.0, 1j] - want))) for got, want in zip(residues, truth)),
+        "truth_gap": gap(residues),
+        "seed_gap": gap(report["seed"]),
     }
 
 
@@ -320,11 +326,12 @@ def compare_ops(left, right, workload: str) -> int:
         gaps = [(float(np.max(np.abs(np.array(x) - np.array(y)))), key) for x, y, key in pairs]
         gap, where = max(gaps, key=lambda found: found[0])
         print(f"{workload} largest residue gap over {len(pairs)} ops: {gap:.3e}" + (f" at {where[:2]}" if gap else ""))
-    for label, records in (("left", a), ("right", b)):
-        gaps = [(r["truth_gap"], key) for key, r in records.items() if r.get("truth_gap") is not None]
-        if gaps:
-            gap, where = max(gaps, key=lambda found: found[0])
-            print(f"{workload} largest gap to the truth ({label}) over {len(gaps)} ops: {gap:.3e} at {where[:2]}")
+    for field, what in (("truth_gap", "gap to the truth"), ("seed_gap", "seed gap to the truth")):
+        for label, records in (("left", a), ("right", b)):
+            gaps = [(r[field], key) for key, r in records.items() if r.get(field) is not None]
+            if gaps:
+                gap, where = max(gaps, key=lambda found: found[0])
+                print(f"{workload} largest {what} ({label}) over {len(gaps)} ops: {gap:.3e} at {where[:2]}")
     solved = [(r, b[key], key) for key, r in a.items() if r.get("iterations") is not None and b.get(key, {}).get("iterations") is not None]
     if solved:
         steps = Counter((x["iterations"], y["iterations"]) for x, y, _ in solved)
