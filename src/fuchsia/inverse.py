@@ -18,14 +18,15 @@ near-identity solve takes 2-4 of them.  The loops are cut into hops once
 per solve, and the approach logs of G2 computed once.
 Instances outside the bound, and iterations that stop contracting, are
 refined by damped Gauss-Newton on the map residues -> monodromy
-(``_gauss_newton``).  Monodromy is holomorphic in the residues, so its
-Jacobian is exact: the derivatives of the fundamental solution with
-respect to every free residue entry solve the variational equation,
-itself a Fuchsian system.  At a Gauss-Newton point, one continuation per
-loop of the first block column [I; 0] of its transfer gives M_j and the
-Jacobian together: the continuation returns that column of each loop's
-transfer, M_j on top of its scaled derivatives, and all loops of the point
-run in one batch.  The variational system is a structured field
+(``_gauss_newton``), over the same unknowns, the free residues' complex
+entries.  Monodromy is holomorphic in the residues, so its complex
+Jacobian is the whole derivative, and it is exact: the derivatives of the
+fundamental solution with respect to every free residue entry solve the
+variational equation, itself a Fuchsian system.  At a Gauss-Newton
+point, one continuation per loop of the first block column [I; 0] of its
+transfer gives M_j and the Jacobian together: the continuation returns
+that column of each loop's transfer, M_j on top of its scaled
+derivatives, and all loops of the point run in one batch.  The variational system is a structured field
 (``_VariationalField``): its residues are never built, and each Taylor
 term is one (n, P n) product with [B_1 ... B_P] plus the coupling rows.
 The derivatives ride at 2**-30 scale, so they barely move the norms that
@@ -116,10 +117,10 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
     """
     pole_list, mats = _validate_pole_matrices(poles, targets, "target")
     dim = mats[0].shape[0]
-    for j, arr in enumerate(mats):
-        sv = np.linalg.svd(arr, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
-            raise ValidationError(f"target {j} is numerically singular")
+    sv = np.linalg.svd(np.array(mats), compute_uv=False)
+    singular = np.flatnonzero(sv[:, -1] <= 1e-12 * np.maximum(1.0, sv[:, 0]))
+    if singular.size:
+        raise ValidationError(f"target {singular[0]} is numerically singular")
     z0 = default_base_point(pole_list) if base_point is None else complex(base_point)
     loops = build_loops(pole_list, z0)
     order = composition_order(loops)
@@ -130,7 +131,7 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
             f"(limit {DEFAULT_PRODUCT_TOL:g}) in traversal order {order}"
         )
     if not allow_far:
-        worst = max(float(np.linalg.norm(m - np.eye(dim))) for m in mats)
+        worst = _residual_metric(mats, [np.eye(dim)] * len(mats))
         if worst > DEFAULT_PROXIMITY_BOUND:
             raise ValidationError(
                 f"a target is {worst:.3e} from the identity (limit "
@@ -285,26 +286,13 @@ class InverseSolution:
         return self.system.residues
 
 
-def _real_stack(matrices) -> np.ndarray:
-    """Per matrix in turn, every real part and then every imaginary part."""
-    z = np.asarray(matrices, dtype=complex).reshape(len(matrices), 1, -1)
-    return np.concatenate([z.real, z.imag], axis=1).reshape(-1)
-
-
-def _pack(residues) -> np.ndarray:
-    return _real_stack(residues[:-1])
-
-
-def _unpack(x: np.ndarray, count: int, dim: int) -> list[np.ndarray]:
-    parts = x.reshape(count - 1, 2, dim, dim)
-    return _closed(parts[:, 0] + 1j * parts[:, 1])
-
-
-def _residual_vector(computed, targets) -> np.ndarray:
-    return _real_stack([m - t for m, t in zip(computed, targets)])
+def _residues(x: np.ndarray, shape) -> list[np.ndarray]:
+    """The closed residues of the unknowns ``x``: the free residues' complex entries, raveled from ``shape``."""
+    return _closed(x.reshape(shape))
 
 
 def _residual_metric(computed, targets) -> float:
+    """max_j |X_j - Y_j|_F over the pairs of ``computed`` and ``targets``."""
     return max(float(np.linalg.norm(m - t)) for m, t in zip(computed, targets))
 
 
@@ -370,7 +358,7 @@ def _monodromy_at(instance: InverseProblemInstance, cut, residues, tol: float) -
 
 
 def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
-    """Monodromy matrices and the exact Jacobian of the stacked real residual.
+    """Monodromy matrices and their exact complex Jacobian in the free residues' entries.
 
     The variational transfers have the block form [[T0, 0], [dT, I (x) T0]],
     so only their first block column e = [I; 0] is continued, every loop in
@@ -382,20 +370,18 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     and returns each loop's column [M_j; c dM_j/dtheta_1; ...] of its
     transfer in block order (its docstring has the formula),
     c = ``_SENSITIVITY_SCALE``.
-    Monodromy is holomorphic in the residues, so the column of Im theta is
-    the real stacking of 1j * dM_j/dtheta next to the real stacking of
-    dM_j/dtheta for Re theta: the Jacobian is one transpose of the real and
-    imaginary parts of every dM_j/dtheta, in ``_pack`` order.
+    Monodromy is holomorphic in the residues, so dM_j/dtheta is the whole
+    derivative: row (j, e) and column t of the (loops n^2, (P - 1) n^2)
+    Jacobian is entry e of dM_j/dtheta_t, theta_t the t-th entry of the
+    raveled free residues, the order of the unknowns.
     """
     dim = instance.dimension
     results = _integrate_legs(_VariationalField(_point_system(instance, residues)), cut, dim, tol)
     transfers = np.array([column for column, _ in results])  # (loops, N, dim)
     computed = transfers[:, :dim]
-    # d[j, k, t, e] = entry e of dM_j/dtheta for the t-th entry theta of B_k
-    d = transfers[:, dim:].reshape(len(results), len(residues) - 1, dim * dim, dim * dim) / _SENSITIVITY_SCALE
-    # [part of the residual, factor of theta (1 or 1j), j, k, t, e]: Re and Im of factor * dM_j/dtheta
-    parts = np.array([[d.real, -d.imag], [d.imag, d.real]])
-    return computed, parts.transpose(2, 0, 5, 3, 1, 4).reshape(len(results) * 2 * dim * dim, -1)
+    # d[j, t, e] = entry e of dM_j/dtheta_t
+    d = transfers[:, dim:].reshape(len(results), -1, dim * dim) / _SENSITIVITY_SCALE
+    return computed, d.transpose(0, 2, 1).reshape(len(results) * dim * dim, -1)
 
 
 def _anderson(instance: InverseProblemInstance, cut, logs: np.ndarray, seed, tol: float, max_iter: int, integration_tol: float):
@@ -405,26 +391,25 @@ def _anderson(instance: InverseProblemInstance, cut, logs: np.ndarray, seed, tol
     the targets, ``seed`` G2(T) and the start, and F(x) the monodromy of
     the residues x, one plain n x n continuation of every loop along
     ``cut``.  The unknowns x are the free residues' complex entries, in
-    ``seed`` order.  G2(F(B)) = B + O(|B|^3), so the plain map contracts by
-    O(|B|^2) per step with no Jacobian.  Each update is type II over every
+    the order of ``_residues``.  G2(F(B)) = B + O(|B|^3), so the plain map
+    contracts by O(|B|^2) per step with no Jacobian.  Each update is type II over every
     past difference (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)): with
     f_i = G2(T) - G2(F(x_i)), x <- x + f - (dX + dF) gamma, gamma the
     complex least-squares solution of dF gamma = f, dX and dF the columns
     x_{i+1} - x_i and f_{i+1} - f_i.  F and G2 are holomorphic, so each
-    secant pair spans a complex direction, where the real stacking of
-    ``_pack`` would span a real one.  Keeping every step leaves no memory
-    constant; ``max_iter`` bounds the updates.  Stops when an iterate's
+    secant pair spans a complex direction.  Keeping every step leaves no
+    memory constant; ``max_iter`` bounds the updates.  Stops when an iterate's
     residual metric meets ``tol``, when ``max_iter`` updates are made, or
     when a continuation's metric does not fall below the best so far.
     Returns the best iterate's residues, its metric, the updates made and
     whether the iteration stalled, the last case.
     """
-    shape = (len(seed) - 1,) + seed[0].shape
+    shape = np.shape(seed[:-1])
     goal = np.ravel(seed[:-1])
     x, xs, fs = goal, [], []
     best = None
     while True:
-        residues = _closed(x.reshape(shape))
+        residues = _residues(x, shape)
         computed = _monodromy_at(instance, cut, residues, integration_tol)
         metric = _residual_metric(computed, instance.targets)
         if best is not None and metric >= best[1]:
@@ -441,28 +426,32 @@ def _anderson(instance: InverseProblemInstance, cut, logs: np.ndarray, seed, tol
             x = x - (dx + df) @ gamma
 
 
-def _gauss_newton(instance: InverseProblemInstance, cut, x: np.ndarray, tol: float, max_iter: int, integration_tol: float):
-    """Damped Gauss-Newton on the stacked real residual from ``x``, for at most ``max_iter`` iterations.
+def _gauss_newton(instance: InverseProblemInstance, cut, residues, tol: float, max_iter: int, integration_tol: float):
+    """Damped Gauss-Newton on the complex residual from ``residues``, for at most ``max_iter`` iterations.
 
-    Each line-search trial gets M_j and the exact Jacobian from one
-    continuation per loop along ``cut``, at ``integration_tol``, of the
+    The unknowns are the free residues' complex entries, the order of
+    ``_residues``, and the residual is every entry of M_j - T_j, T the
+    targets.  Each line-search trial gets M_j and the exact Jacobian from
+    one continuation per loop along ``cut``, at ``integration_tol``, of the
     first block column of the variational system (``_linearise``), and an
-    accepted trial's Jacobian gives the next step.  Steps come from a
-    least-squares solve and are halved until the residual decreases.  The
-    one exception is the full-step trial after an accepted full step whose
-    contraction C = r_k / r_{k-1}^2 (r the residual metric) gives
-    C r_k^2 <= ``tol`` (the a-priori estimate of affine-covariant Newton
-    methods, Deuflhard 2004, ch. 4): it is continued on the plain n x n
-    system only, and ends the solve if it decreases the residual and meets
-    ``tol``; otherwise it is continued again with its Jacobian and the line
-    search goes on as usual, so the iterates are the same either way.
-    Returns the last accepted iterate, its residual metric and the
-    iterations made.
+    accepted trial's Jacobian gives the next step.  Steps come from one
+    complex least-squares solve, and are halved until the residual's norm
+    decreases.  The one exception is the full-step trial after an accepted
+    full step whose contraction C = r_k / r_{k-1}^2 (r the residual metric)
+    gives C r_k^2 <= ``tol`` (the a-priori estimate of affine-covariant
+    Newton methods, Deuflhard 2004, ch. 4): it is continued on the plain
+    n x n system only, and ends the solve if it decreases the residual and
+    meets ``tol``; otherwise it is continued again with its Jacobian and
+    the line search goes on as usual, so the iterates are the same either
+    way.  Returns the last accepted iterate's residues, its residual metric
+    and the iterations made.
     """
-    count, dim = len(instance.poles), instance.dimension
-    computed, jacobian = _linearise(instance, cut, _unpack(x, count, dim), integration_tol)
-    metric = _residual_metric(computed, instance.targets)
-    residual = _residual_vector(computed, instance.targets)
+    targets = np.array(instance.targets)
+    shape = np.shape(residues[:-1])
+    x = np.ravel(residues[:-1])
+    computed, jacobian = _linearise(instance, cut, residues, integration_tol)
+    metric = _residual_metric(computed, targets)
+    residual = np.ravel(computed - targets)
     iterations = 0
     last = False  # the next full step is predicted to meet tol
 
@@ -474,30 +463,30 @@ def _gauss_newton(instance: InverseProblemInstance, cut, x: np.ndarray, tol: flo
         alpha = 1.0
         while alpha > 1e-6:
             trial_x = x + alpha * step
-            trial = _unpack(trial_x, count, dim)
+            trial = _residues(trial_x, shape)
             if last and alpha == 1.0:
                 computed = _monodromy_at(instance, cut, trial, integration_tol)
-                trial_residual = _residual_vector(computed, instance.targets)
-                if _residual_metric(computed, instance.targets) <= tol and float(np.linalg.norm(trial_residual)) < base_norm:
+                trial_residual = np.ravel(computed - targets)
+                if _residual_metric(computed, targets) <= tol and float(np.linalg.norm(trial_residual)) < base_norm:
                     trial_jacobian = None  # the solve ends here, so no step reads it
                     break
             computed, trial_jacobian = _linearise(instance, cut, trial, integration_tol)
-            trial_residual = _residual_vector(computed, instance.targets)
+            trial_residual = np.ravel(computed - targets)
             if float(np.linalg.norm(trial_residual)) < base_norm:
                 break
             alpha *= 0.5
         else:
             break  # no trial decreased the residual: keep the current iterate
-        x, jacobian, residual = trial_x, trial_jacobian, trial_residual
-        previous, metric = metric, _residual_metric(computed, instance.targets)
+        x, residues, jacobian, residual = trial_x, trial, trial_jacobian, trial_residual
+        previous, metric = metric, _residual_metric(computed, targets)
         # A full step contracted as C = metric / previous**2, so the next one should land near C metric**2.
         last = alpha == 1.0 and metric / previous**2 * metric**2 <= tol
-    return x, metric, iterations
+    return residues, metric, iterations
 
 
-def _solution(instance: InverseProblemInstance, seed, x: np.ndarray, metric: float, iterations: int, tol: float) -> InverseSolution:
-    """The ``InverseSolution`` of the iterate ``x``: its validated system and that system's resonance status."""
-    system = validate_system(instance.poles, _unpack(x, len(instance.poles), instance.dimension))
+def _solution(instance: InverseProblemInstance, seed, residues, metric: float, iterations: int, tol: float) -> InverseSolution:
+    """The ``InverseSolution`` of ``residues``: their validated system and that system's resonance status."""
+    system = validate_system(instance.poles, residues)
     resonance = is_non_resonant(system)
     return InverseSolution(
         system=system,
@@ -526,11 +515,12 @@ def solve(
     ``_anderson``'s, every continuation a plain n x n one at
     ``integration_tol``.  Instances outside the bound (``allow_far``), and
     any whose Anderson iteration stalls, go to ``_gauss_newton``, the
-    latter from the best Anderson iterate with the iterations left.
-    ``iterations`` counts Anderson updates and Gauss-Newton iterations.
-    Returns the best iterate either way with ``converged`` reporting which
-    case occurred; the resonance status of the returned system is evaluated
-    and included.
+    latter from the best Anderson iterate with the iterations left; both
+    iterate on the free residues' complex entries and hand on closed
+    residue lists.  ``iterations`` counts Anderson updates and Gauss-Newton
+    iterations.  Returns the best iterate either way with ``converged``
+    reporting which case occurred; the resonance status of the returned
+    system is evaluated and included.
     """
     check_tolerance(tol, "residual tolerance")
     check_tolerance(integration_tol, "integration tolerance")
@@ -540,11 +530,9 @@ def solve(
     seed = tuple(_second_order_map(logs, instance.targets))
     cut = _cut_paths(instance.poles, instance.loops)
     residues, iterations, stalled = seed, 0, True
-    eye = np.eye(instance.dimension)
-    if max(float(np.linalg.norm(m - eye)) for m in instance.targets) <= DEFAULT_PROXIMITY_BOUND:
+    if _residual_metric(instance.targets, [np.eye(instance.dimension)] * len(instance.targets)) <= DEFAULT_PROXIMITY_BOUND:
         residues, metric, iterations, stalled = _anderson(instance, cut, logs, seed, tol, max_iter, integration_tol)
-    x = _pack(residues)
     if stalled:
-        x, metric, more = _gauss_newton(instance, cut, x, tol, max_iter - iterations, integration_tol)
+        residues, metric, more = _gauss_newton(instance, cut, residues, tol, max_iter - iterations, integration_tol)
         iterations += more
-    return _solution(instance, seed, x, metric, iterations, tol)
+    return _solution(instance, seed, residues, metric, iterations, tol)

@@ -19,12 +19,9 @@ from fuchsia.inverse import (
     _gauss_newton,
     _linearise,
     _log_near_identity,
-    _pack,
     _point_system,
-    _real_stack,
-    _residual_vector,
+    _residues,
     _solution,
-    _unpack,
     _VariationalField,
     first_order_seed,
     second_order_seed,
@@ -70,7 +67,7 @@ def gauss_newton(inst):
     """``solve``'s damped Gauss-Newton alone, from the second-order seed, at the default tolerances."""
     seed = second_order_seed(inst)
     cut = _cut_paths(inst.poles, inst.loops)
-    found = _gauss_newton(inst, cut, _pack(seed), DEFAULT_RESIDUAL_TOL, DEFAULT_MAX_ITER, DEFAULT_INTEGRATION_TOL)
+    found = _gauss_newton(inst, cut, seed, DEFAULT_RESIDUAL_TOL, DEFAULT_MAX_ITER, DEFAULT_INTEGRATION_TOL)
     return _solution(inst, seed, *found, DEFAULT_RESIDUAL_TOL)
 
 
@@ -147,6 +144,8 @@ class TestValidateInstance:
         singular = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="singular"):
             validate_instance([0.0, 1.0], [singular, np.eye(2)])
+        with pytest.raises(ValidationError, match="^target 1 is numerically singular$"):
+            validate_instance([0.0, 1.0, 2.0], [np.eye(2), singular, 0.0 * singular])
 
     @pytest.mark.parametrize(
         "matrices, message",
@@ -499,7 +498,7 @@ class TestJacobian:
         system = validate_system(self.POLES, [b0, b1, -(b0 + b1)])
         inst = validate_instance(self.POLES, monodromy(system, tol=1e-10).matrices)
         seed = first_order_seed(inst)
-        return inst, inst.loops, _cut_paths(inst.poles, inst.loops), _pack(seed)
+        return inst, inst.loops, _cut_paths(inst.poles, inst.loops), seed
 
     @staticmethod
     def plain_monodromy(inst, loops, residues):
@@ -508,33 +507,33 @@ class TestJacobian:
         return [continue_solution(system, loop, DEFAULT_INTEGRATION_TOL)[0] for loop in loops]
 
     def test_matrices_match_plain_continuation(self, instance_at_seed):
-        inst, loops, cut, x = instance_at_seed
-        residues = _unpack(x, len(self.POLES), inst.dimension)
+        inst, loops, cut, residues = instance_at_seed
         computed, _ = _linearise(inst, cut, residues, DEFAULT_INTEGRATION_TOL)
         for m, plain in zip(computed, self.plain_monodromy(inst, loops, residues)):
             assert np.linalg.norm(m - plain) <= 1e-12
 
     def test_matches_central_differences(self, instance_at_seed):
-        """The variational Jacobian agrees with central differences entrywise.
-
-        Over all 16 real parameters, at the first-order seed (not at the solution).
-        """
-        inst, loops, cut, x = instance_at_seed
-        count = len(self.POLES)
-        exact = _linearise(inst, cut, _unpack(x, count, inst.dimension), DEFAULT_INTEGRATION_TOL)[1]
+        """The complex Jacobian agrees with central differences entrywise,
+        at the first-order seed (not at the solution), over all 8 complex
+        unknowns, along the real direction e of each and along i e, where it
+        is i J e: monodromy is holomorphic in the residues."""
+        inst, loops, cut, seed = instance_at_seed
+        exact = _linearise(inst, cut, seed, DEFAULT_INTEGRATION_TOL)[1]
+        shape, x = np.shape(seed[:-1]), np.ravel(seed[:-1])
 
         def residual(point):
-            computed = self.plain_monodromy(inst, loops, _unpack(point, count, inst.dimension))
-            return _residual_vector(computed, inst.targets)
+            computed = self.plain_monodromy(inst, loops, _residues(point, shape))
+            return np.ravel(np.array(computed) - np.array(inst.targets))
 
         h = 1e-5
-        fd = np.stack(
-            [(residual(x + h * e) - residual(x - h * e)) / (2.0 * h) for e in np.eye(x.size)],
-            axis=1,
-        )
-        assert exact.shape == fd.shape == (24, 16)
-        assert np.max(np.abs(fd)) > 1.0
-        assert np.max(np.abs(exact - fd)) <= 1e-6
+        for direction in (1.0, 1j):
+            fd = np.stack(
+                [(residual(x + h * direction * e) - residual(x - h * direction * e)) / (2.0 * h) for e in np.eye(x.size)],
+                axis=1,
+            )
+            assert exact.shape == fd.shape == (12, 8)
+            assert np.max(np.abs(fd)) > 1.0
+            assert np.max(np.abs(direction * exact - fd)) <= 1e-6
 
     def test_one_loop_integration_per_pole_per_point(self, instance_at_seed, monkeypatch):
         """The seed and each accepted trial continue every loop once, no
@@ -558,21 +557,19 @@ class TestJacobian:
         assert len(paths) == (sol.iterations + 1) * len(self.POLES)
         assert len(cuts) == 1
 
-    def test_jacobian_is_the_real_stacking_of_each_derivative(self, instance_at_seed):
-        """The Jacobian, one transpose of the derivatives' real and imaginary
-        parts, equals bit for bit the column-by-column ``_real_stack`` of
-        dM_j/dtheta (Re theta) and 1j dM_j/dtheta (Im theta), in ``_pack`` order."""
-        inst, _, cut, x = instance_at_seed
-        residues = _unpack(x, len(self.POLES), inst.dimension)
+    def test_jacobian_column_is_each_derivative_in_unknowns_order(self, instance_at_seed):
+        """Column t of the Jacobian equals bit for bit the ravel over the
+        loops of dM_j/dtheta_t, theta_t the t-th entry of the raveled free
+        residues, as the continued column of the variational field gives it."""
+        inst, _, cut, residues = instance_at_seed
         _, jacobian = _linearise(inst, cut, residues, DEFAULT_INTEGRATION_TOL)
         field = _VariationalField(_point_system(inst, residues))
         results = _integrate_legs(field, cut, inst.dimension, DEFAULT_INTEGRATION_TOL)
         lower = np.array([column for column, _ in results])[:, inst.dimension :]
-        d = lower.reshape(len(results), -1, inst.dimension, inst.dimension).transpose(1, 0, 2, 3) / _SENSITIVITY_SCALE
-        columns = []
-        for block in np.split(d, len(residues) - 1):
-            columns += [_real_stack(factor * dm) for factor in (1.0, 1j) for dm in block]
-        assert np.array_equal(jacobian, np.stack(columns, axis=1))
+        d = lower.reshape(len(results), -1, inst.dimension, inst.dimension) / _SENSITIVITY_SCALE
+        assert jacobian.shape == (len(results) * inst.dimension**2, np.size(residues[:-1]))
+        for t in range(jacobian.shape[1]):
+            assert np.array_equal(jacobian[:, t], np.ravel(d[:, t]))
 
     def test_last_point_is_continued_without_its_jacobian(self, instance_at_seed, monkeypatch):
         """A 2-iteration ``_gauss_newton`` solve continues the seed and the

@@ -173,7 +173,7 @@ def test_far_pool_solves_a_fast_draw():
     ran = subprocess.run([sys.executable, str(FAR_POOL), "--draws", "0"], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert ran.returncode == 0, ran.stderr
     draw, totals = ran.stdout.splitlines()
-    assert re.fullmatch(r"draw 0 \(P = 3, n = 2\): converged in \d+ iterations \[\S+ s\]", draw), draw
+    assert re.fullmatch(r"draw 0 \(P = 3, n = 2\): converged in 3 iterations \[\S+ s\]", draw), draw
     assert totals == "1 of 1 converged, 0 warned, 0 raised a non-FuchsiaError"
 
 
