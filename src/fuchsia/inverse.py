@@ -34,6 +34,7 @@ set each loop's term count.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +55,19 @@ DEFAULT_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class InverseProblemInstance:
-    """Validated inverse-problem data: poles, targets, base point, and the loops they compose in."""
+    """Validated inverse-problem data: poles, targets, base point, the loops they compose in, and their distance from I.
+
+    ``distance`` is max_j |M_j - I|_F over the targets, which
+    ``validate_instance`` checks against ``DEFAULT_PROXIMITY_BOUND`` and
+    ``solve`` reads to choose its iteration.
+    """
 
     poles: tuple[complex, ...]
     targets: tuple[np.ndarray, ...]
     base_point: complex
     dimension: int
     loops: tuple[ContinuationPath, ...]
+    distance: float
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +120,8 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
     ``DEFAULT_PROXIMITY_BOUND`` of the identity in Frobenius norm, which is
     the regime where the seeds, which truncate a series in M_j - I, are
     trustworthy.  The loops are built here, once, and the instance carries
-    them to ``solve``.
+    them to ``solve``, with the targets' distance from the identity, which
+    is computed here also when ``allow_far`` lets a far target in.
     """
     pole_list, mats = _validate_pole_matrices(poles, targets, "target")
     dim = mats[0].shape[0]
@@ -130,19 +138,19 @@ def validate_instance(poles, targets, base_point=None, allow_far: bool = False) 
             f"targets do not compose to the identity: defect {defect:.3e} "
             f"(limit {DEFAULT_PRODUCT_TOL:g}) in traversal order {order}"
         )
-    if not allow_far:
-        worst = _residual_metric(mats, [np.eye(dim)] * len(mats))
-        if worst > DEFAULT_PROXIMITY_BOUND:
-            raise ValidationError(
-                f"a target is {worst:.3e} from the identity (limit "
-                f"{DEFAULT_PROXIMITY_BOUND:g}); pass allow_far (--allow-far on the command line) to attempt it anyway"
-            )
+    distance = _residual_metric(mats, [np.eye(dim)] * len(mats))
+    if not allow_far and distance > DEFAULT_PROXIMITY_BOUND:
+        raise ValidationError(
+            f"a target is {distance:.3e} from the identity (limit "
+            f"{DEFAULT_PROXIMITY_BOUND:g}); pass allow_far (--allow-far on the command line) to attempt it anyway"
+        )
     return InverseProblemInstance(
         poles=tuple(pole_list),
         targets=tuple(mats),
         base_point=z0,
         dimension=dim,
         loops=tuple(loops),
+        distance=distance,
     )
 
 
@@ -189,7 +197,7 @@ def second_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...
     distance from the identity and made of nested commutators only, so
     commuting residues are recovered to rounding.
     """
-    return tuple(_second_order_map(_approach_logs(instance), instance.targets))
+    return tuple(_closed(_second_order_map(_approach_logs(instance), instance.targets)))
 
 
 @functools.cache
@@ -224,18 +232,20 @@ def _log_near_identity(x: np.ndarray) -> np.ndarray:
     """
     nodes, weights = _gauss_legendre()
     shifted = np.eye(x.shape[-1]) + nodes[:, None, None, None] * x
-    return np.tensordot(weights, np.linalg.solve(shifted, x), 1)
+    # The node sum as np.tensordot(weights, ..., 1) forms it: one (1, 8) @ (8, k n n) product.
+    return np.dot(weights[None], np.linalg.solve(shifted, x).reshape(len(weights), -1)).reshape(x.shape)
 
 
-def _second_order_map(logs: np.ndarray, matrices) -> list[np.ndarray]:
-    """G2: the residues, to second order in their commutators, whose loops' monodromy matrices are ``matrices``.
+def _second_order_map(logs: np.ndarray, matrices) -> np.ndarray:
+    """G2: the free residues, to second order in their commutators, of the loops' monodromy matrices ``matrices``.
 
     With L_j = log(M_j) / (2 pi i) (``_log_near_identity``) for j before
     the last pole and L_P = -sum_j L_j, for j before the last pole
     B_j = L_j - [L_j, W_j] with W_j = sum_k c_jk L_k, c = ``logs``
-    (``_approach_logs``), and the last residue is minus the sum of the
-    others.  Loop j is an approach T, a counterclockwise circle C of radius
-    r_j from a_j + r_j e^{i theta_0}, and T backwards, so M_j = T^-1 C T,
+    (``_approach_logs``), returned as one (P - 1, n, n) stack; the last
+    residue is minus the sum of the others (``_closed``).  Loop j is an
+    approach T, a counterclockwise circle C of radius r_j from
+    a_j + r_j e^{i theta_0}, and T backwards, so M_j = T^-1 C T,
     and by the Magnus expansion (Blanes, Casas, Oteo & Ros, Phys. Rep. 470
     (2009))
 
@@ -250,10 +260,9 @@ def _second_order_map(logs: np.ndarray, matrices) -> list[np.ndarray]:
     of nested commutators only: residues that commute give
     M_j = exp(2 pi i B_j), and G2 returns them to rounding.
     """
-    eye = np.eye(len(matrices[0]))
-    log_m = _log_near_identity(np.array(matrices[:-1]) - eye) / TWO_PI_I
+    log_m = _log_near_identity(np.subtract(matrices[:-1], np.eye(len(matrices[0])))) / TWO_PI_I
     w = np.einsum("jk,kab->jab", logs[:-1], _closed(log_m))
-    return _closed(log_m - (log_m @ w - w @ log_m))
+    return log_m - (log_m @ w - w @ log_m)
 
 
 def _closed(free) -> list[np.ndarray]:
@@ -292,8 +301,14 @@ def _residues(x: np.ndarray, shape) -> list[np.ndarray]:
 
 
 def _residual_metric(computed, targets) -> float:
-    """max_j |X_j - Y_j|_F over the pairs of ``computed`` and ``targets``."""
-    return max(float(np.linalg.norm(m - t)) for m, t in zip(computed, targets))
+    """max_j |X_j - Y_j|_F over the pairs of ``computed`` and ``targets``.
+
+    Each norm is ``np.linalg.norm``'s for one matrix, the square root of
+    re . re + im . im over its entries, so it is bit for bit that norm; the
+    stacked ``axis=(1, 2)`` norm sums in another order.
+    """
+    gaps = np.subtract(computed, targets).reshape(len(targets), -1)
+    return max(math.sqrt(gap.real.dot(gap.real) + gap.imag.dot(gap.imag)) for gap in gaps)
 
 
 # Small enough that the continuation's norms are, to rounding, those of Y;
@@ -346,15 +361,21 @@ class _VariationalField:
 
 
 def _point_system(instance: InverseProblemInstance, residues) -> FuchsianSystem:
-    """The system of a Gauss-Newton point, built directly, not through ``validate_system``: the solver made its residues."""
-    defect = float(np.linalg.norm(sum(residues), 2))
-    return FuchsianSystem(instance.poles, tuple(residues), instance.dimension, defect)
+    """The system of a solver point, Anderson's or Gauss-Newton's, built directly, not through ``validate_system``.
+
+    The solver made the residues with ``_closed``, whose last is minus the
+    sum of the others as ``sum`` adds them, and s + (-s) is exactly 0 in
+    IEEE arithmetic, so their sum is the zero matrix and its defect 0.0.
+    """
+    return FuchsianSystem(instance.poles, tuple(residues), instance.dimension, 0.0)
 
 
 def _monodromy_at(instance: InverseProblemInstance, cut, residues, tol: float) -> np.ndarray:
-    """M_j alone, from one continuation of the point's n x n system along ``cut``, every loop in one batch."""
-    results = _integrate_legs(_point_system(instance, residues), cut, instance.dimension, tol)
-    return np.array([value for value, _ in results])
+    """M_j alone, from one continuation of the point's n x n system along ``cut``, every loop in one batch.
+
+    It reads the continuation's values only, so no error estimate is computed.
+    """
+    return _integrate_legs(_point_system(instance, residues), cut, instance.dimension, tol).values
 
 
 def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
@@ -376,12 +397,11 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     raveled free residues, the order of the unknowns.
     """
     dim = instance.dimension
-    results = _integrate_legs(_VariationalField(_point_system(instance, residues)), cut, dim, tol)
-    transfers = np.array([column for column, _ in results])  # (loops, N, dim)
+    transfers = _integrate_legs(_VariationalField(_point_system(instance, residues)), cut, dim, tol).values  # (loops, N, dim)
     computed = transfers[:, :dim]
     # d[j, t, e] = entry e of dM_j/dtheta_t
-    d = transfers[:, dim:].reshape(len(results), -1, dim * dim) / _SENSITIVITY_SCALE
-    return computed, d.transpose(0, 2, 1).reshape(len(results) * dim * dim, -1)
+    d = transfers[:, dim:].reshape(len(transfers), -1, dim * dim) / _SENSITIVITY_SCALE
+    return computed, d.transpose(0, 2, 1).reshape(len(transfers) * dim * dim, -1)
 
 
 def _anderson(instance: InverseProblemInstance, cut, logs: np.ndarray, seed, tol: float, max_iter: int, integration_tol: float):
@@ -418,12 +438,12 @@ def _anderson(instance: InverseProblemInstance, cut, logs: np.ndarray, seed, tol
         if metric <= tol or len(xs) == max_iter:
             return residues, metric, len(xs), False
         xs.append(x)
-        fs.append(goal - np.ravel(_second_order_map(logs, computed)[:-1]))
+        fs.append(goal - np.ravel(_second_order_map(logs, computed)))
         x = x + fs[-1]
         if len(xs) > 1:
-            dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
-            gamma, *_ = np.linalg.lstsq(df, fs[-1], rcond=None)
-            x = x - (dx + df) @ gamma
+            dx, df = (a[1:] - a[:-1] for a in (np.array(xs), np.array(fs)))  # np.diff's differences, by row
+            gamma, *_ = np.linalg.lstsq(df.T, fs[-1], rcond=None)
+            x = x - (dx + df).T @ gamma
 
 
 def _gauss_newton(instance: InverseProblemInstance, cut, residues, tol: float, max_iter: int, integration_tol: float):
@@ -511,9 +531,10 @@ def solve(
     ``seed``, and iterates until ``max_j |M_hat_j - M_j|_F <= tol`` or
     ``max_iter`` iterations pass.  The instance's loops are cut into hops
     once, and its approach logs computed once.  When every target is
-    within ``DEFAULT_PROXIMITY_BOUND`` of the identity, the iteration is
-    ``_anderson``'s, every continuation a plain n x n one at
-    ``integration_tol``.  Instances outside the bound (``allow_far``), and
+    within ``DEFAULT_PROXIMITY_BOUND`` of the identity (the instance's
+    ``distance``), the iteration is ``_anderson``'s, every continuation a
+    plain n x n one at ``integration_tol``, of which it reads the values
+    alone.  Instances outside the bound (``allow_far``), and
     any whose Anderson iteration stalls, go to ``_gauss_newton``, the
     latter from the best Anderson iterate with the iterations left; both
     iterate on the free residues' complex entries and hand on closed
@@ -527,10 +548,10 @@ def solve(
     if max_iter < 0:
         raise ValidationError(f"iteration cap must be non-negative, got {max_iter}")
     logs = _approach_logs(instance)
-    seed = tuple(_second_order_map(logs, instance.targets))
+    seed = tuple(_closed(_second_order_map(logs, instance.targets)))
     cut = _cut_paths(instance.poles, instance.loops)
     residues, iterations, stalled = seed, 0, True
-    if _residual_metric(instance.targets, [np.eye(instance.dimension)] * len(instance.targets)) <= DEFAULT_PROXIMITY_BOUND:
+    if instance.distance <= DEFAULT_PROXIMITY_BOUND:
         residues, metric, iterations, stalled = _anderson(instance, cut, logs, seed, tol, max_iter, integration_tol)
     if stalled:
         residues, metric, more = _gauss_newton(instance, cut, residues, tol, max_iter - iterations, integration_tol)

@@ -69,7 +69,7 @@ def _square_stack(m, name: str) -> tuple[np.ndarray, bool]:
     stack = arr[None] if single else arr
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
         raise ValidationError(f"{name} must be square and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(stack.real)) or not np.all(np.isfinite(stack.imag)):
+    if not np.isfinite(stack).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return stack, single
 

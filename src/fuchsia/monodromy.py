@@ -21,6 +21,9 @@ just n columns of its variational system.  ``_integrate_legs`` alone turns a loo
 legs into the first block column of T^-1 C T, all loops in one solve.  A
 cut (``_cut_paths``) carries every index of its hops that the kernel reads,
 laid out once, so the inverse solver's many calls on one cut build none.
+Each path's error estimate is computed when it is first read: ``monodromy``
+and ``continue_solution`` read it, and the inverse solver, which reads the
+values alone, never pays for it.
 
 ``verify_theorem`` compares the monodromy around each pole against the
 exponential generator exp(2 pi i B_j) from one Jordan analysis of each:
@@ -29,6 +32,7 @@ reported but excluded from the hypothesis.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,9 +78,9 @@ def coefficient_function(field):
 
 
 def _taylor_term(field, g, stack, term, sums, k):
-    """Advance the hops' recurrence in place to its k-th term y_k, and add it to ``sums``."""
+    """Advance the hops' recurrence in place to its k-th term y_k, and add it to ``sums``; ``g`` is (P, 1, 1, B)."""
     np.subtract(term, stack, out=stack)
-    stack *= g[:, None, None, :]
+    stack *= g
     field.apply(k, stack, term)
     sums += term
 
@@ -87,20 +91,22 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, cut,
     ``_integrate_legs`` calls it once, for every path of ``cut``, at the
     batch's last deviation point.  The hops' majorant stands at term k with
     ``bound`` m_k, ``partial`` M_{p,k-1} and ``tail`` tau_i; a path's hops
-    are its ``cut.spans``, from its ``cut.groups`` entry on, and its bound
-    is sum_i tau_i ``weight``_i over them.  Past a
+    run from its ``cut.groups`` entry to the next, and its bound is
+    sum_i tau_i ``weight``_i over them.  Past a
     path's deviation point r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k),
     so the path's bound meets ``tol`` within log(tol / bound) / log(max_i r_i)
     terms; that many run as one block (another follows should rounding
     leave a path open).
-    The block is read one path at a time, so its temporaries are one path
-    wide, not as wide as every open hop.  The stop term is the first from k
-    on whose bound meets ``tol``.  An infinite tail or a non-finite bound
-    raises ``NonFiniteError``, the tails and the weights checked for inf
-    before they meet, so that no inf times a zero warns first.
+    The block's tails and bounds are read for every path at once, one row
+    per term, and each path's hops are added in order by ``reduceat``.
+    The stop term is the first from k on whose bound meets ``tol``.  An
+    infinite tail or a non-finite bound raises ``NonFiniteError``, the
+    tails and the weights checked for inf before they meet, so that no inf
+    times a zero warns first.  Every hop is past its deviation point, so
+    its tail's denominator stays positive at every later term.
     Returns the stop terms and each hop's tau_i there.
     """
-    groups = cut.groups
+    groups, owner = cut.groups, cut.owner
     stops = np.zeros(len(groups), dtype=int)
     tails = np.empty(len(reach))
     while not stops.all():
@@ -112,33 +118,34 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, cut,
             raise NonFiniteError("continuation bound overflowed: the hops' transfers are too large")
         pending = open_ & (composed > tol)
         ratio = np.maximum.reduceat(reach, groups)[pending] * max(1.0, (k + total) / (k + 1))
-        span = int(np.ceil(np.max(np.log(tol / composed[pending]) / np.log(ratio), initial=0.0)))
+        span = int(np.ceil((np.log(tol / composed[pending]) / np.log(ratio)).max(initial=0.0)))
         terms = np.arange(k, k + span + 1)[:, None]
         scaled = norms / terms  # b_p / j in the row of term j
         history = np.empty((span + 1, len(reach)))  # m_k ... m_{k+span}
         history[0] = bound
-        for j in range(1, span + 1):
+        for factors, row in zip(scaled[1:], history[1:]):
             partial += bound
             partial *= size
-            bound = np.dot(scaled[j], partial, out=history[j])
+            bound = np.dot(factors, partial, out=row)
         if not np.isfinite(history).all():
             raise NonFiniteError("continuation majorant overflowed: the residues are too large")
         limit = np.minimum(1.0, (terms + 1) / (terms + total))  # 1 / max(1, (j + S) / (j + 1))
-        tail = tail.copy()
-        for index in np.flatnonzero(open_).tolist():
-            hops = cut.spans[index]
-            taus = history[:, hops] * reach[hops] / (limit - reach[hops])
-            taus[0] = tail[hops]
-            # reduceat adds a path's hops in order, as ``composed`` does; sum would pair them.
-            met = np.add.reduceat(taus * weight[hops], [0], axis=1)[:, 0] <= tol
-            if met.any():
-                row = int(met.argmax())
-                stops[index] = k + row
-                tails[hops] = taus[row]
-            else:
-                tail[hops] = taus[-1]
+        taus = history * reach / (limit - reach)
+        taus[0] = tail
+        # reduceat adds a path's hops in order, as ``composed`` does; sum would pair them.
+        met = (np.add.reduceat(taus * weight, groups, axis=1) <= tol) & open_
+        rows, now = met.argmax(axis=0), met.any(axis=0)
+        stops[now] = k + rows[now]
+        leaving = now[owner].nonzero()[0]
+        tails[leaving] = taus[rows[owner[leaving]], leaving]
+        tail = np.where((stops == 0)[owner], taus[-1], tail)
         k += span
     return stops, tails
+
+
+def _frobenius(columns: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each (N, m) block of the (N, m, B) ``columns``: ``np.linalg.norm(columns, axis=(0, 1))``'s formula."""
+    return np.sqrt(np.add.reduce((columns.conj() * columns).real, axis=(0, 1)))
 
 
 def _hop_norms(deviation, majorant, head):
@@ -246,9 +253,12 @@ def _integrate_legs(field, cut, m: int, tol: float):
     deviation point, or a loop whose approach transfer T is singular,
     raises ``NonFiniteError``.
 
-    Returns one ``(value, error_estimate)`` per path, in block order: the
-    hops' values are put back in it once, in the cut's layout for
-    ``_compose``, and the
+    Returns a ``_Continuation``: ``values``, every path's value in block
+    order, and ``estimates``, computed from arrays the call made when they
+    are first read, so a caller that reads the values alone, as the inverse
+    solver does, pays for no estimate; iterating it gives the
+    ``(value, error_estimate)`` pairs.  The hops' values are put back in
+    block order once, in the cut's layout for ``_compose``, and the
     Frobenius norms of whole columns taken before do not depend on the row
     order.  An open path's value is its one leg, its hops' values composed
     by ``_compose``.  A loop's is
@@ -270,6 +280,7 @@ def _integrate_legs(field, cut, m: int, tol: float):
     owner, heads = cut.owner, cut.heads
     g = cut.steps * coefficient_function(field)(cut.starts).T  # (P, B); the weights are not kept
     size = np.abs(g)
+    g = g[:, None, None, :]  # over each hop's (N, m) block
     reach = size.max(axis=0)
     norms = field.bounds
     total = float(norms.sum())
@@ -277,7 +288,7 @@ def _integrate_legs(field, cut, m: int, tol: float):
     start = np.zeros((field.dimension, m), dtype=complex)
     start[field.rows] = np.eye(field.dimension, m)
     bound = np.ones(count)  # m_k
-    weight = np.empty(count)  # F_p w_i, fixed at the path's deviation point
+    near = np.empty(count)  # d_i, fixed at the path's deviation point
     term = np.repeat(start[:, :, None], count, axis=2)  # y_k
     sums = term.copy()
     stack = np.zeros((len(g),) + term.shape, dtype=complex)  # U_{p,k}
@@ -300,38 +311,35 @@ def _integrate_legs(field, cut, m: int, tol: float):
             _taylor_term(field, g, stack, term, sums, k)
             fresh = ~passed & (np.bincount(owner, tau, paths) < 1.0)
             if fresh.any():
-                hops = np.flatnonzero(fresh[owner])
-                path_of = owner[hops]
-                near = np.linalg.norm(sums[..., hops] - start[:, :, None], axis=(0, 1)) + tau[hops]
-                scale, weight[hops] = _hop_norms(near, majorants[hops], heads[hops])
-                weight[hops] *= np.exp(np.bincount(path_of, scale, paths))[path_of]
+                hops = fresh[owner]
+                near[hops] = _frobenius(sums[..., hops] - start[:, :, None]) + tau[hops]
                 passed |= fresh
+        # Each hop's weight F_p w_i, from the deviations at its path's deviation point.
+        scale, weight = _hop_norms(near, majorants, heads)
+        weight *= np.exp(np.bincount(owner, scale, paths))[owner]
         # From the last deviation point, the majorant alone gives every path's stop term.
         stop, tails = _stop_terms(size, reach, norms, total, k, bound, partial, tau, weight, cut, tol)
         # The bare recurrence, the hops sorted by stop term, last first, so the hops that leave are a slice.
-        hops = np.argsort(-stop[owner], kind="stable")
+        hops = (-stop[owner]).argsort(kind="stable")
         ends = stop[owner[hops]]
         # C-contiguous, unlike a[..., hops] and a[..., :first]: the terms are written through reshaped views.
-        g, term, sums, stack = (np.take(a, hops, axis=-1) for a in (g, term, sums, stack))
+        g, term, sums, stack = (a.take(hops, axis=-1) for a in (g, term, sums, stack))
         fronts = []
         for end in sorted(set(ends.tolist())):
             while k < end:
                 k += 1
                 _taylor_term(field, g, stack, term, sums, k)
-            first = int(np.searchsorted(-ends, -end))
+            first = int((-ends).searchsorted(-end))
             fronts.append(sums[..., first:])
             g, term, sums, stack = (np.ascontiguousarray(a[..., :first]) for a in (g, term, sums, stack))
         front = np.concatenate(fronts[::-1], axis=-1)
         if not np.isfinite(front).all():
             raise NonFiniteError("continuation produced a non-finite solution value")
-        deviations = np.empty(count)
-        deviations[hops] = np.linalg.norm(front - start[:, :, None], axis=(0, 1)) + tails[hops]
     # Each leg's hop values in its row of the layout, identity columns after them.
     layout = np.empty((cut.legs * cut.width,) + start.shape, dtype=complex)
     layout[cut.pads] = start
     layout[cut.slots[hops]] = front.transpose(2, 0, 1)
     composed = _compose(layout[:, field.rows].reshape(cut.legs, cut.width, *start.shape))
-    estimates = _hop_bounds(tails, deviations, majorants, heads, owner, paths)
     is_loop, loops = cut.is_loop, cut.loops
     transfers = composed[cut.first_legs]
     approach, turn = composed[loops], composed[loops + 1]
@@ -346,19 +354,56 @@ def _integrate_legs(field, cut, m: int, tol: float):
             lower = np.linalg.solve(t[:, None], s_c @ t[:, None] + c[:, None] @ s_t - s_t @ loop[:, None])
             loop = np.concatenate([loop, lower.reshape(len(loops), -1, m)], axis=1)
         transfers[is_loop] = loop
-    # One SVD gives each path's |Y|_2, and for each loop cond(T)'s singular values and |C|_2.
-    singular = np.linalg.svd(np.concatenate([transfers[:, :m], t, c]), compute_uv=False)
-    sizes = singular[:paths, 0]
-    if loops.size:
-        singular, turn = np.split(singular[paths:], 2)
-        leg_bounds = _hop_bounds(tails, deviations, majorants, 0.0, cut.leg_of, cut.legs)
-        e_t, e_c = leg_bounds[loops], leg_bounds[loops + 1]
-        product = estimates[is_loop]
-        conditioned = (singular[:, 0] * e_c + e_t * (turn[:, 0] + e_c + sizes[is_loop] + product)) / singular[:, -1]
-        estimates[is_loop] = np.minimum(product, conditioned)
-    rounding = np.bincount(owner, majorants * (1.0 + heads), paths)
-    estimates += np.finfo(float).eps * rounding * np.maximum(1.0, sizes)
-    return list(zip(transfers, estimates.tolist()))
+
+    def estimate() -> list[float]:
+        """Each path's error estimate, from the arrays this call made."""
+        deviations = np.empty(count)
+        with np.errstate(over="ignore"):
+            deviations[hops] = _frobenius(front - start[:, :, None]) + tails[hops]
+        estimates = _hop_bounds(tails, deviations, majorants, heads, owner, paths)
+        # One SVD gives each path's |Y|_2, and for each loop cond(T)'s singular values and |C|_2.
+        singular = np.linalg.svd(np.concatenate([transfers[:, :m], t, c]), compute_uv=False)
+        sizes = singular[:paths, 0]
+        if loops.size:
+            singular, circle = np.split(singular[paths:], 2)
+            leg_bounds = _hop_bounds(tails, deviations, majorants, 0.0, cut.leg_of, cut.legs)
+            e_t, e_c = leg_bounds[loops], leg_bounds[loops + 1]
+            product = estimates[is_loop]
+            conditioned = (singular[:, 0] * e_c + e_t * (circle[:, 0] + e_c + sizes[is_loop] + product)) / singular[:, -1]
+            estimates[is_loop] = np.minimum(product, conditioned)
+        rounding = np.bincount(owner, majorants * (1.0 + heads), paths)
+        estimates += np.finfo(float).eps * rounding * np.maximum(1.0, sizes)
+        return estimates.tolist()
+
+    return _Continuation(transfers, estimate)
+
+
+class _Continuation:
+    """What ``_integrate_legs`` returns: every path's value, and its error estimate once it is read.
+
+    ``values`` is the (paths, N, m) stack of the values, in block order.
+    ``estimates`` is the list of the estimates, computed on its first read
+    from arrays the call made anyway, and kept; a caller that reads the
+    values alone, as the inverse solver does, never pays for them.
+    Iterating gives each path's (value, estimate) pair, and indexing one.
+    """
+
+    def __init__(self, values: np.ndarray, estimate):
+        self.values = values
+        self._estimate = estimate
+
+    @cached_property
+    def estimates(self) -> list[float]:
+        return self._estimate()
+
+    def __iter__(self):
+        return zip(self.values, self.estimates)
+
+    def __getitem__(self, index):
+        return self.values[index], self.estimates[index]
+
+    def __len__(self):
+        return len(self.values)
 
 
 def _cut_paths(poles, paths):
@@ -399,8 +444,8 @@ class _Cut:
     path's tuple of legs.  Per hop, in leg order: ``leg_of`` its leg,
     ``owner`` its path, ``heads`` whether it is on a loop's approach,
     ``starts`` its start z and ``steps`` its h.  Per path: ``groups`` its
-    first hop and ``spans`` the slice of its hops, ``first_legs`` its first
-    leg, ``is_loop``; ``loops`` is the first leg of each loop.  ``_compose``
+    first hop, ``first_legs`` its first leg, ``is_loop``; ``loops`` is the
+    first leg of each loop.  ``_compose``
     reads the hops' values laid out as ``legs`` rows of ``width`` factors, a
     power of two: hop i at ``slots[i]``, each row's own hops first, in
     order, and the identity at the ``pads`` after them, so pairing
@@ -421,9 +466,7 @@ class _Cut:
         inner[np.cumsum(lengths + 1) - 1] = False
         self.starts = points[inner]
         self.steps = (points[1:] - points[:-1])[inner[:-1]]
-        self.groups = np.flatnonzero(np.diff(self.owner, prepend=-1))
-        ends = self.groups[1:].tolist() + [hops]
-        self.spans = [slice(lo, hi) for lo, hi in zip(self.groups.tolist(), ends)]
+        self.groups = np.searchsorted(self.owner, np.arange(len(counts)))
         self.first_legs = np.cumsum([0] + counts[:-1])
         self.is_loop = np.array(counts) == 2
         self.loops = self.first_legs[self.is_loop]
@@ -503,8 +546,7 @@ def monodromy(
     z0 = default_base_point(system.poles) if base_point is None else complex(base_point)
     loops = build_loops(system.poles, z0)
     results = _integrate_legs(system, _cut_paths(system.poles, loops), system.dimension, tol)
-    matrices = [transfer for transfer, _ in results]
-    estimates = [err for _, err in results]
+    matrices = list(results.values)
     order = composition_order(loops)
     defect = _product_defect(matrices, order)
     for m in matrices:
@@ -512,7 +554,7 @@ def monodromy(
     return MonodromyRepresentation(
         base_point=z0,
         matrices=tuple(matrices),
-        error_estimates=tuple(estimates),
+        error_estimates=tuple(results.estimates),
         loops=tuple(loops),
         composition=tuple(order),
         product_defect=defect,

@@ -15,6 +15,7 @@ end.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -180,7 +181,7 @@ def hops(legs, poles) -> list[np.ndarray]:
             raise ValidationError(
                 "a leg passes through a pole, or too close to one for its length: its hops cannot be halved any further"
             )
-        at = np.flatnonzero(piece & (width * length[owner[:-1]] > HOP_RATIO * distance[:-1]))
+        at = (piece & (width * length[owner[:-1]] > HOP_RATIO * distance[:-1])).nonzero()[0]
         if not at.size:
             break
         # Only the midpoints are new: each is placed once and lands after its piece's start.
@@ -201,9 +202,13 @@ def hops(legs, poles) -> list[np.ndarray]:
     z[last] = [segments[i].end for i in owner[last]]
     # Each segment after the first of its leg starts where the one before ends.
     leading = np.cumsum([0] + [len(leg) for leg in legs[:-1]])
-    keep = ~first | np.isin(owner, leading)
+    leads = np.zeros(len(segments), dtype=bool)
+    leads[leading] = True
+    keep = ~first | leads[owner]
     counts = np.add.reduceat(keep.astype(int), np.searchsorted(owner, leading))
-    return np.split(z[keep], np.cumsum(counts)[:-1])
+    ends = np.cumsum(counts).tolist()
+    points = z[keep]
+    return [points[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 @dataclass(frozen=True)
@@ -248,21 +253,27 @@ class ContinuationPath:
             clearance=self.clearance,
         )
 
+    @cached_property
+    def legs(self) -> tuple[tuple[Segment, ...], ...]:
+        """The legs the path is continued along: (approach, (circle,)) for a loop, else (segments,).
+
+        A loop is a path whose tail is the exact bitwise reverse of its
+        head, segment by segment, around one middle segment, as every loop
+        of ``build_loops`` is; its transfer is T^-1 C T, T the head's and C
+        the middle's.  Any other path, even one ulp off a loop, is one leg.
+        A path is frozen, so its legs are derived once, on the first read.
+        """
+        segments = self.segments
+        half = len(segments) // 2
+        head, tail = segments[:half], segments[half + 1:]
+        if head and tail == tuple(seg.reversed() for seg in reversed(head)):
+            return head, segments[half:half + 1]
+        return (segments,)
+
 
 def legs(path: ContinuationPath) -> tuple[tuple[Segment, ...], ...]:
-    """The legs a path is continued along: (approach, (circle,)) for a loop, else (segments,).
-
-    A loop is a path whose tail is the exact bitwise reverse of its head,
-    segment by segment, around one middle segment, as every loop of
-    ``build_loops`` is; its transfer is T^-1 C T, T the head's and C the
-    middle's.  Any other path, even one ulp off a loop, is one leg.
-    """
-    segments = path.segments
-    half = len(segments) // 2
-    head, tail = segments[:half], segments[half + 1:]
-    if head and tail == tuple(seg.reversed() for seg in reversed(head)):
-        return head, segments[half:half + 1]
-    return (segments,)
+    """The legs a path is continued along, ``ContinuationPath.legs``: the one rule, as a function to map over paths."""
+    return path.legs
 
 
 def path_clearance_audit(path: ContinuationPath, poles) -> float:
@@ -311,16 +322,17 @@ def _comb(poles, z0: complex):
     np.fill_diagonal(gaps, np.inf)
     nearest = gaps.min(axis=1)
     angles = TWO_PI * np.arange(COMB_ANGLES) / COMB_ANGLES
-    rel = (poles[:, None] - points) * np.exp(-1j * angles)[:, None, None]
-    beside = np.where(rel.real > 0.0, np.abs(rel.imag), np.inf).min(axis=2)
-    score = (beside / nearest).min(axis=1)
+    # rel[p, k, c]: pole k from point p, in the frame of candidate c, so every minimum is over whole rows.
+    rel = (poles[:, None] - points[:, None, None]) * np.exp(-1j * angles)
+    beside = np.where(rel.real > 0.0, np.abs(rel.imag), np.inf).min(axis=0)
+    score = (beside / nearest[:, None]).min(axis=0)
     best = int(np.argmax(score))
     if not score[best] > 0.0:
         raise GeometryError("every comb direction runs a tooth through a pole")
     d = cmath.rect(1.0, float(angles[best]))
     along = (points * d.conjugate()).real
     h = float(along[:-1].max()) + COMB_OFFSET
-    radii = np.minimum(RADIUS_FACTOR * nearest, beside[best] / TOOTH_FACTOR)
+    radii = np.minimum(RADIUS_FACTOR * nearest, beside[:, best] / TOOTH_FACTOR)
     return d, radii, points + (h - along) * d
 
 

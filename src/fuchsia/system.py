@@ -51,7 +51,7 @@ class FuchsianSystem:
         """The poles, the (P, n, n) residues, and [B_1 ... B_P] as one (n, P n) matrix."""
         poles = np.array(self.poles, dtype=complex)
         # Stored (n, P, n), so the residues and [B_1 ... B_P] are both views.
-        stacked = np.stack(self.residues, axis=1).astype(complex)
+        stacked = np.array(self.residues, dtype=complex).transpose(1, 0, 2).copy()
         stacked.flags.writeable = False
         return poles, stacked.transpose(1, 0, 2), stacked.reshape(self.dimension, -1)
 
@@ -79,8 +79,12 @@ class FuchsianSystem:
 
     @cached_property
     def bounds(self) -> np.ndarray:
-        """(P,) |B_p|_2, the residues' spectral norms."""
-        return np.linalg.norm(self._partial_fractions[1], 2, axis=(1, 2))
+        """(P,) |B_p|_2, the residues' spectral norms: each largest singular value, in one SVD.
+
+        It is the LAPACK call ``np.linalg.norm(.., 2, axis=(1, 2))`` makes,
+        without the reshaping and reduction around it, so bit for bit its value.
+        """
+        return np.linalg.svd(self._partial_fractions[1], compute_uv=False)[:, 0]
 
     def apply(self, k: int, stack: np.ndarray, out: np.ndarray) -> None:
         """Write sum_p B_p stack[p] / k into ``out``, the k-th term of a Taylor recurrence.
@@ -166,7 +170,7 @@ def validate_system(poles, residues) -> FuchsianSystem:
     above ``DEFAULT_RESIDUE_SUM_TOL``.
     """
     pole_list, mats = _validate_pole_matrices(poles, residues, "residue")
-    defect = float(np.linalg.norm(sum(mats), 2))
+    defect = float(np.linalg.svd(sum(mats), compute_uv=False)[0])  # |sum|_2, as ``bounds`` takes it
     if defect > DEFAULT_RESIDUE_SUM_TOL:
         raise ValidationError(
             f"residues sum to a matrix of norm {defect:.3e} "

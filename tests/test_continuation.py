@@ -477,6 +477,27 @@ def test_one_cut_serves_many_calls():
             assert estimate == again_estimate
 
 
+def test_estimates_are_computed_when_read():
+    """The kernel's result gives the same estimates, bit for bit, whether
+    they are read before its values or after them, as a fresh call's pairs;
+    a second read returns the same list, and iterating it gives the pairs."""
+    system = five_pole_generic_system()
+    loops = build_loops(system.poles, default_base_point(system.poles))
+    cut = _cut_paths(system.poles, loops)
+    fresh = list(_integrate_legs(system, cut, 2, 1e-9))
+    first = _integrate_legs(system, cut, 2, 1e-9)
+    estimates = first.estimates
+    later = _integrate_legs(system, cut, 2, 1e-9)
+    values = later.values
+    assert len(first) == len(later) == len(loops)
+    assert later.estimates == estimates == [estimate for _, estimate in fresh]
+    assert first.estimates is estimates
+    for (value, estimate), again, (pair_value, pair_estimate) in zip(fresh, values, first, strict=True):
+        assert np.array_equal(value, again) and np.array_equal(value, pair_value)
+        assert pair_estimate == estimate
+    assert later[-1][1] == fresh[-1][1]
+
+
 def test_evaluator_matches_pointwise_coefficient():
     """The field's weights with its residues give A(z), and so does ``evaluate``."""
     system = collinear_generic_system()

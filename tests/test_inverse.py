@@ -1,6 +1,7 @@
 """Inverse problem: seed accuracy, instance validation, round-trip recovery."""
 
 import cmath
+import importlib
 import json
 import tracemalloc
 
@@ -16,6 +17,7 @@ from fuchsia.inverse import (
     DEFAULT_RESIDUAL_TOL,
     InverseProblemInstance,
     _approach_logs,
+    _closed,
     _gauss_newton,
     _linearise,
     _log_near_identity,
@@ -193,8 +195,30 @@ class TestValidateInstance:
         with pytest.raises(ValidationError):
             InverseProblemInstance.from_dict({"poles": []})
 
+    def test_instance_carries_its_distance_from_the_identity(self):
+        """The instance carries max_j |M_j - I|_F, also when ``allow_far``
+        lets a far target in, and ``solve`` reads it in place of a second
+        computation."""
+        targets = diagonal_targets([[0.02, -0.03], [-0.02, 0.03]])
+        inst = validate_instance([0.0, 1.0], targets)
+        assert inst.distance == max(float(np.linalg.norm(m - np.eye(2))) for m in inst.targets)
+        m = np.diag([cmath.exp(2j * cmath.pi * 0.3)])
+        far = validate_instance([0.0, 1.0], [m, np.linalg.inv(m)], allow_far=True)
+        assert far.distance == max(float(np.linalg.norm(t - np.eye(1))) for t in far.targets) > 0.5
+
 
 class TestSeed:
+    def test_closed_residues_sum_to_exactly_zero(self, rng):
+        """``_closed`` makes the last residue minus the sum of the others as
+        ``sum`` adds them, and s + (-s) is exactly 0, so ``_point_system``'s
+        defect of 0.0 is the true one."""
+        for _ in range(200):
+            count, dim = rng.integers(1, 6), rng.integers(1, 5)
+            free = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+            residues = _closed(free * 10.0 ** rng.uniform(-8, 2))
+            assert np.array_equal(sum(residues), np.zeros((dim, dim)))
+            assert not np.signbit(sum(residues).real).any()
+
     def test_seed_formula_and_exact_zero_sum(self):
         targets = diagonal_targets([[0.02, -0.01], [0.01, 0.03], [-0.03, -0.02]])
         inst = validate_instance([0.0, 1.0, -1.0j], targets)
@@ -370,6 +394,29 @@ class TestSecondOrderSeed:
             for used, expected in zip(sol.seed, second_order_seed(inst)):
                 assert np.array_equal(used, expected)
 
+    def test_near_identity_solve_computes_no_loop_estimate(self, rng, monkeypatch):
+        """The Anderson solve reads each continuation's values alone, so no
+        loop's error estimate is computed: ``_hop_bounds``, the composed
+        bound, is never called.  ``monodromy`` of the same system reads its
+        estimates and calls it twice, for the loops and for their legs."""
+        module = importlib.import_module("fuchsia.monodromy")
+        calls = []
+        original = module._hop_bounds
+
+        def counting(*args):
+            calls.append(len(args))
+            return original(*args)
+
+        monkeypatch.setattr(module, "_hop_bounds", counting)
+        counts = continuation_kinds(monkeypatch)
+        system, inst = next(near_identity_instances(rng))
+        calls.clear()
+        sol = solve(inst)
+        assert sol.converged and counts["plain"] >= 2 and counts["variational"] == 0
+        assert calls == []
+        monodromy(system)
+        assert len(calls) == 2
+
     def test_far_instance_runs_gauss_newton(self, monkeypatch):
         """An instance with a target farther than the proximity bound from
         the identity, accepted with ``allow_far``, is solved by Gauss-Newton:
@@ -404,7 +451,7 @@ class TestSecondOrderSeed:
             counts["plain" if plain else "variational"] += 1
             results = _integrate_legs(field, cut, m, tol)
             if plain and counts["plain"] == 3:
-                return [(value + 1e-3, err) for value, err in results]
+                results.values = results.values + 1e-3
             return results
 
         monkeypatch.setattr("fuchsia.inverse._integrate_legs", counting)
@@ -589,7 +636,7 @@ class TestJacobian:
             results = _integrate_legs(field, cut, m, tol)
             if plain and miss:
                 # Off by 1e-6: the residual still falls, but tol 1e-8 is missed.
-                return [(value + 1e-6, err) for value, err in results]
+                results.values = results.values + 1e-6
             return results
 
         monkeypatch.setattr("fuchsia.inverse._integrate_legs", counting)

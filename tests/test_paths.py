@@ -325,6 +325,19 @@ def test_legs_of_any_other_path_are_the_path():
     assert legs(open_path) == (open_path.segments,)
 
 
+def test_legs_are_derived_once_per_path():
+    """A path's legs are derived on the first read and kept: every later
+    ``legs`` call returns the same tuple, and the path stays frozen and
+    equal to a fresh copy of itself."""
+    loop = build_loops([0.0 + 0j, 1.0 + 0j], 2.0 + 0j)[0]
+    first = legs(loop)
+    assert legs(loop) is first and loop.legs is first
+    copy = ContinuationPath(loop.segments, clearance=loop.clearance)
+    assert copy == loop and legs(copy) == first
+    with pytest.raises(AttributeError):
+        loop.clearance = 1.0
+
+
 def test_build_loops_base_on_pole_rejected():
     with pytest.raises(GeometryError):
         build_loops([0.0, 1.0], base_point=1.0 + 0j)

@@ -32,6 +32,22 @@ def test_validate_accepts_and_freezes():
         system.residues[0][0, 0] = 99.0
 
 
+def test_bounds_and_defect_are_the_numpy_two_norms_bit_for_bit():
+    """``bounds`` takes each residue's largest singular value from one SVD,
+    the LAPACK call of ``np.linalg.norm(.., 2, axis=(1, 2))``, and
+    ``validate_system``'s defect the same of the residue sum: bit for bit
+    those norms, on random stacks of every size used here."""
+    rng = np.random.default_rng(SEED)
+    for _ in range(200):
+        count, dim = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        free = (rng.normal(size=(count - 1, dim, dim)) + 1j * rng.normal(size=(count - 1, dim, dim))) * 10.0 ** rng.uniform(-6, 1)
+        # A last residue off by a little, so the sum's norm is not exactly 0.
+        residues = list(free) + [rng.normal(size=(dim, dim)) * 1e-14 - free.sum(axis=0)]
+        system = validate_system(range(count), residues)
+        assert np.array_equal(system.bounds, np.linalg.norm(np.array(residues), 2, axis=(1, 2)))
+        assert system.residue_sum_defect == float(np.linalg.norm(sum(residues), 2))
+
+
 def test_validate_needs_two_poles():
     with pytest.raises(ValidationError):
         validate_system([1.0], [np.eye(2)])

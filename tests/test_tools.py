@@ -9,8 +9,9 @@ gaps to the truth.
 Hand-written sweep files check the invert summaries of ``--compare``: ops
 per pair of iteration counts, each side's total, and single ops only where
 counts rose, or one count where they rose in every op.
-``tools/inverse_scaling.py`` solves its N = 18 fixture, and
-``tools/far_pool.py`` solves a draw that converges fast.
+``tools/inverse_scaling.py`` solves its N = 18 fixture,
+``tools/far_pool.py`` solves a draw that converges fast, and
+``tools/call_count.py`` prints the same call counts twice.
 """
 
 import json
@@ -23,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SWEEP = ROOT / "tools" / "seed_sweep.py"
 SCALING = ROOT / "tools" / "inverse_scaling.py"
 FAR_POOL = ROOT / "tools" / "far_pool.py"
+CALL_COUNT = ROOT / "tools" / "call_count.py"
 
 
 def run_sweep(*args):
@@ -193,3 +195,27 @@ def test_inverse_scaling_solves_the_smallest_fixture(tmp_path):
     assert result["iterations"] == 2
     assert result["continuations"] == {"variational": 0, "plain": 3}
     assert result["residue_error"] <= 1e-9
+
+
+def test_call_count_repeats_exactly():
+    """Two runs of ``tools/call_count.py`` on the invert pool of seed 0
+    print the same calls per op, one line per op and a mean line."""
+    runs = [
+        subprocess.run(
+            [sys.executable, str(CALL_COUNT), "--workload", "invert-near-identity", "--seed", "0"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for _ in range(2)
+    ]
+    for ran in runs:
+        assert ran.returncode == 0, ran.stderr
+    assert runs[0].stdout == runs[1].stdout
+    *ops, mean = runs[0].stdout.splitlines()
+    assert len(ops) == 4
+    for index, line in enumerate(ops):
+        counts = re.fullmatch(rf"op {index} near-identity/p3/n2: (\d+) calls \((\d+) Python, (\d+) C\)", line)
+        assert counts and int(counts[1]) == int(counts[2]) + int(counts[3]) > 0, line
+    assert re.fullmatch(r"invert-near-identity seed 0: \d+\.\d calls per op over 4 ops", mean), mean
