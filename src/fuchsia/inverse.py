@@ -22,13 +22,16 @@ refined by damped Gauss-Newton on the map residues -> monodromy
 entries.  Monodromy is holomorphic in the residues, so its complex
 Jacobian is the whole derivative, and it is exact: the derivatives of the
 fundamental solution with respect to every free residue entry solve the
-variational equation, itself a Fuchsian system.  At a Gauss-Newton
-point, one continuation per loop of the first block column [I; 0] of its
-transfer gives M_j and the Jacobian together: the continuation returns
-that column of each loop's transfer, M_j on top of its scaled
-derivatives, and all loops of the point run in one batch.  The variational system is a structured field
-(``_VariationalField``): its residues are never built, and each Taylor
-term is one (n, P n) product with [B_1 ... B_P] plus the coupling rows.
+variational equation, itself a Fuchsian system.  The line search has one
+rule: each trial is one plain n x n continuation of every loop, accepted
+when its residual falls, else the step is halved.  Only the start and the
+accepted points that go on are linearised: at such a point, one
+continuation per loop of the first block column [I; 0] of its transfer
+gives M_j and the Jacobian together, M_j on top of its scaled
+derivatives, and all loops of the point run in one batch.  The
+variational system is a structured field (``_VariationalField``): its
+residues are never built, and each Taylor term is one (n, P n) product
+with [B_1 ... B_P] plus the coupling rows.
 The derivatives ride at 2**-30 scale, so they barely move the norms that
 set each loop's term count.
 """
@@ -451,56 +454,43 @@ def _gauss_newton(instance: InverseProblemInstance, cut, residues, tol: float, m
 
     The unknowns are the free residues' complex entries, the order of
     ``_residues``, and the residual is every entry of M_j - T_j, T the
-    targets.  Each line-search trial gets M_j and the exact Jacobian from
-    one continuation per loop along ``cut``, at ``integration_tol``, of the
-    first block column of the variational system (``_linearise``), and an
-    accepted trial's Jacobian gives the next step.  Steps come from one
-    complex least-squares solve, and are halved until the residual's norm
-    decreases.  The one exception is the full-step trial after an accepted
-    full step whose contraction C = r_k / r_{k-1}^2 (r the residual metric)
-    gives C r_k^2 <= ``tol`` (the a-priori estimate of affine-covariant
-    Newton methods, Deuflhard 2004, ch. 4): it is continued on the plain
-    n x n system only, and ends the solve if it decreases the residual and
-    meets ``tol``; otherwise it is continued again with its Jacobian and
-    the line search goes on as usual, so the iterates are the same either
-    way.  Returns the last accepted iterate's residues, its residual metric
+    targets.  Each step is one complex least-squares solve with the exact
+    Jacobian of the current point.  The line search has one rule: a trial
+    is one plain n x n continuation per loop along ``cut``, at
+    ``integration_tol`` (``_monodromy_at``), accepted when its residual's
+    norm falls below the current one; otherwise the step is halved.  An
+    accepted trial that meets ``tol``, or that makes the ``max_iter``-th
+    iteration, ends the solve; any other is continued once more, with the
+    first block column of its variational system (``_linearise``), and its
+    residual, metric and Jacobian come from that continuation.  So the
+    Jacobian is continued only at the start and at accepted points that go
+    on.  Returns the last accepted iterate's residues, its residual metric
     and the iterations made.
     """
     targets = np.array(instance.targets)
     shape = np.shape(residues[:-1])
-    x = np.ravel(residues[:-1])
     computed, jacobian = _linearise(instance, cut, residues, integration_tol)
     metric = _residual_metric(computed, targets)
-    residual = np.ravel(computed - targets)
     iterations = 0
-    last = False  # the next full step is predicted to meet tol
-
     while metric > tol and iterations < max_iter:
         iterations += 1
+        x = np.ravel(residues[:-1])
+        residual = np.ravel(computed - targets)
         step, *_ = np.linalg.lstsq(jacobian, -residual, rcond=None)
-
         base_norm = float(np.linalg.norm(residual))
         alpha = 1.0
         while alpha > 1e-6:
-            trial_x = x + alpha * step
-            trial = _residues(trial_x, shape)
-            if last and alpha == 1.0:
-                computed = _monodromy_at(instance, cut, trial, integration_tol)
-                trial_residual = np.ravel(computed - targets)
-                if _residual_metric(computed, targets) <= tol and float(np.linalg.norm(trial_residual)) < base_norm:
-                    trial_jacobian = None  # the solve ends here, so no step reads it
-                    break
-            computed, trial_jacobian = _linearise(instance, cut, trial, integration_tol)
-            trial_residual = np.ravel(computed - targets)
-            if float(np.linalg.norm(trial_residual)) < base_norm:
+            trial = _residues(x + alpha * step, shape)
+            computed = _monodromy_at(instance, cut, trial, integration_tol)
+            if float(np.linalg.norm(np.ravel(computed - targets))) < base_norm:
                 break
             alpha *= 0.5
         else:
             break  # no trial decreased the residual: keep the current iterate
-        x, residues, jacobian, residual = trial_x, trial, trial_jacobian, trial_residual
-        previous, metric = metric, _residual_metric(computed, targets)
-        # A full step contracted as C = metric / previous**2, so the next one should land near C metric**2.
-        last = alpha == 1.0 and metric / previous**2 * metric**2 <= tol
+        residues, metric = trial, _residual_metric(computed, targets)
+        if metric > tol and iterations < max_iter:
+            computed, jacobian = _linearise(instance, cut, residues, integration_tol)
+            metric = _residual_metric(computed, targets)
     return residues, metric, iterations
 
 

@@ -22,6 +22,7 @@ from fuchsia.inverse import (
     _linearise,
     _log_near_identity,
     _point_system,
+    _residual_metric,
     _residues,
     _solution,
     _VariationalField,
@@ -437,6 +438,20 @@ class TestSecondOrderSeed:
         for recovered, truth in zip(sol.residues, system.residues):
             assert np.max(np.abs(recovered - truth)) <= 1e-6
 
+    def test_far_instance_halves_a_step(self, monkeypatch):
+        """The far instance's residues scaled by 2.5 make a Gauss-Newton
+        solve that rejects a trial and halves its step: more plain
+        continuations than iterations, each iteration accepting one.  The
+        solve converges, but to residues other than the drawn ones."""
+        b = 2.5 * np.array([[0.2, 0.05], [-0.03j, -0.1]])
+        system = validate_system(self.POLES, [b, -0.5 * b, -0.5 * b])
+        inst = validate_instance(self.POLES, monodromy(system, tol=1e-10).matrices, allow_far=True)
+        counts = continuation_kinds(monkeypatch)
+        sol = solve(inst)
+        assert sol.converged
+        assert counts["plain"] > sol.iterations
+        assert counts["variational"] == sol.iterations
+
     def test_stalled_iteration_falls_back_to_gauss_newton(self, monkeypatch):
         """When the third plain continuation is pushed 1e-3 off, its metric
         does not fall below the best so far, so Gauss-Newton takes over from
@@ -583,8 +598,9 @@ class TestJacobian:
             assert np.max(np.abs(direction * exact - fd)) <= 1e-6
 
     def test_one_loop_integration_per_pole_per_point(self, instance_at_seed, monkeypatch):
-        """The seed and each accepted trial continue every loop once, no
-        more, and the loops are cut into pieces once per solve."""
+        """A near-identity solve, which ``_anderson`` runs, continues every
+        loop once at its seed and once per update, no more, and the loops
+        are cut into pieces once per solve."""
         inst = instance_at_seed[0]
         paths = []
         cuts = []
@@ -618,37 +634,54 @@ class TestJacobian:
         for t in range(jacobian.shape[1]):
             assert np.array_equal(jacobian[:, t], np.ravel(d[:, t]))
 
-    def test_last_point_is_continued_without_its_jacobian(self, instance_at_seed, monkeypatch):
-        """A 2-iteration ``_gauss_newton`` solve continues the seed and the
-        first iterate with their Jacobians and its last point plainly,
-        n x n: 2 variational and 1 plain continuation, told apart by m
-        against the field's dimension.  When the plain trial is made to
-        miss tol, the trial is continued again with its Jacobian: one plain
-        continuation more than a solve without the prediction, and the same
-        iterations and residues."""
+    def test_jacobian_is_continued_only_at_accepted_points(self, instance_at_seed, monkeypatch):
+        """A 2-iteration ``_gauss_newton`` solve judges each trial on a plain
+        n x n continuation and continues a Jacobian at its start and at the
+        accepted first iterate only: 2 variational and 2 plain
+        continuations, told apart by m against the field's dimension.  The
+        second variational continuation is at the residues of the plain
+        trial accepted just before it, bit for bit."""
         inst = instance_at_seed[0]
-        counts = {"variational": 0, "plain": 0}
-        miss = False
+        calls = []
 
-        def counting(field, cut, m, tol):
+        def recording(field, cut, m, tol):
+            plain = field.dimension == m
+            system = field if plain else field._system
+            calls.append(("plain" if plain else "variational", system.residues))
+            return _integrate_legs(field, cut, m, tol)
+
+        monkeypatch.setattr("fuchsia.inverse._integrate_legs", recording)
+        sol = gauss_newton(inst)
+        assert sol.converged and sol.iterations == 2
+        assert [kind for kind, _ in calls] == ["variational", "plain", "variational", "plain"]
+        (_, accepted), (_, linearised) = calls[1:3]
+        assert all(np.array_equal(a, b) for a, b in zip(linearised, accepted))
+
+    def test_line_search_without_a_decrease_keeps_the_start(self, instance_at_seed, monkeypatch):
+        """When every plain trial is pushed 10 off the targets, no trial
+        decreases the residual: the step is halved until alpha falls under
+        1e-6 (20 trials), and ``_gauss_newton`` returns its start residues
+        and their metric after 1 iteration, with no second Jacobian."""
+        inst = instance_at_seed[0]
+        seed = second_order_seed(inst)
+        cut = _cut_paths(inst.poles, inst.loops)
+        start_metric = _residual_metric(_linearise(inst, cut, seed, DEFAULT_INTEGRATION_TOL)[0], inst.targets)
+        counts = {"variational": 0, "plain": 0}
+
+        def pushing(field, cut, m, tol):
             plain = field.dimension == m
             counts["plain" if plain else "variational"] += 1
             results = _integrate_legs(field, cut, m, tol)
-            if plain and miss:
-                # Off by 1e-6: the residual still falls, but tol 1e-8 is missed.
-                results.values = results.values + 1e-6
+            if plain:
+                results.values = results.values + 10.0
             return results
 
-        monkeypatch.setattr("fuchsia.inverse._integrate_legs", counting)
-        hit = gauss_newton(inst)
-        assert hit.converged and hit.iterations == 2
-        assert counts == {"variational": 2, "plain": 1}
-        counts.update(variational=0, plain=0)
-        miss = True
-        missed = gauss_newton(inst)
-        assert counts == {"variational": 3, "plain": 1}
-        assert missed.converged and missed.iterations == hit.iterations
-        assert all(np.array_equal(a, b) for a, b in zip(missed.residues, hit.residues))
+        monkeypatch.setattr("fuchsia.inverse._integrate_legs", pushing)
+        residues, metric, iterations = _gauss_newton(inst, cut, seed, DEFAULT_RESIDUAL_TOL, DEFAULT_MAX_ITER, DEFAULT_INTEGRATION_TOL)
+        assert iterations == 1
+        assert counts == {"variational": 1, "plain": 20}
+        assert metric == start_metric > DEFAULT_RESIDUAL_TOL
+        assert all(np.array_equal(a, b) for a, b in zip(residues, seed))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

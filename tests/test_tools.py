@@ -171,11 +171,12 @@ def test_compare_counts_rises_that_every_op_shows(tmp_path):
 
 def test_far_pool_solves_a_fast_draw():
     """Draw 0 of the far pool (3 poles, 2x2, scale 0.3) converges by
-    Gauss-Newton with no warning, and the totals line counts it."""
+    Gauss-Newton with no warning, its line names the digest of its residues
+    and its continuations by kind, and the totals line counts it."""
     ran = subprocess.run([sys.executable, str(FAR_POOL), "--draws", "0"], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert ran.returncode == 0, ran.stderr
     draw, totals = ran.stdout.splitlines()
-    assert re.fullmatch(r"draw 0 \(P = 3, n = 2\): converged in 3 iterations \[\S+ s\]", draw), draw
+    assert re.fullmatch(r"draw 0 \(P = 3, n = 2\): converged in 3 iterations, residues [0-9a-f]{12}, 3 variational \+ 3 plain continuations \[\S+ s\]", draw), draw
     assert totals == "1 of 1 converged, 0 warned, 0 raised a non-FuchsiaError"
 
 

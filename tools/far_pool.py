@@ -16,15 +16,20 @@ their sum.  The targets are ``monodromy(system, tol=1e-10).matrices``,
 checked by ``validate_instance(..., allow_far=True)``.
 
 Each selected draw is solved by ``inverse.solve`` at its defaults, and the
-tool prints one line per draw: ``converged`` with its iterations,
-``unconverged`` with its final residual, or the class and message of the
-error it raised; any warning the solve emitted is printed after it.  The
-last line gives the totals.  The exit code is 1 when a draw warned or
-raised anything but a ``FuchsiaError``, else 0.  BLAS is pinned to one
-thread unless the caller sets its own.
+tool prints one line per draw: ``converged`` with its iterations and the
+first 12 hex digits of the SHA-256 of its residues' bytes, ``unconverged``
+with its final residual, or the class and message of the error it raised;
+then the solve's continuations by kind, variational and plain, counted by
+``seed_sweep.continuation_counts``, and the draw's time.  Any warning the
+solve emitted is printed after its line.  With the times stripped, the
+lines of two runs compare draw for draw with ``diff``.  The last line gives
+the totals.  The exit code is 1 when a draw warned or raised anything but
+a ``FuchsiaError``, else 0.  BLAS is pinned to one thread unless the
+caller sets its own.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -36,6 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+from seed_sweep import continuation_counts  # noqa: E402
 
 SCALES = (0.02, 0.05, 0.08, 0.15, 0.3)
 DRAWS = 25
@@ -71,7 +77,7 @@ def run_draw(system) -> tuple[str, list[str], bool]:
     from fuchsia.inverse import solve, validate_instance
     from fuchsia.monodromy import monodromy
 
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, continuation_counts() as counts:
         warnings.simplefilter("always")
         try:
             instance = validate_instance(system.poles, monodromy(system, tol=1e-10).matrices, allow_far=True)
@@ -82,11 +88,12 @@ def run_draw(system) -> tuple[str, list[str], bool]:
             outcome, converged = f"UNEXPECTED {type(exc).__name__}: {exc}", False
         else:
             converged = solution.converged
-            outcome = (
-                f"converged in {solution.iterations} iterations"
-                if converged
-                else f"unconverged after {solution.iterations} iterations, residual {solution.final_residual:.3e}"
-            )
+            if converged:
+                digest = hashlib.sha256(np.array(solution.residues).tobytes()).hexdigest()[:12]
+                outcome = f"converged in {solution.iterations} iterations, residues {digest}"
+            else:
+                outcome = f"unconverged after {solution.iterations} iterations, residual {solution.final_residual:.3e}"
+    outcome += f", {counts['variational']} variational + {counts['plain']} plain continuations"
     notes = [f"{w.category.__name__}: {w.message} ({os.path.basename(w.filename)}:{w.lineno})" for w in caught]
     return outcome, notes, converged
 
