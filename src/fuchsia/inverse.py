@@ -46,7 +46,7 @@ from .errors import ValidationError
 from .linalg import check_tolerance
 from .monodromy import DEFAULT_INTEGRATION_TOL, _cut_paths, _integrate_legs, _product_defect
 from .monodromy import continue_solution  # noqa: F401 - perfbench/spans.py traces this name here
-from .paths import LOOP_CONVENTION, ContinuationPath, build_loops, composition_order, default_base_point, legs
+from .paths import LOOP_CONVENTION, ContinuationPath, build_loops, composition_order, default_base_point
 from .system import TWO_PI_I, FuchsianSystem, PoleResonance, _validate_pole_matrices, is_non_resonant, validate_system
 from . import jsonio
 
@@ -171,7 +171,7 @@ def first_order_seed(instance: InverseProblemInstance) -> tuple[np.ndarray, ...]
 def _approach_logs(instance: InverseProblemInstance) -> np.ndarray:
     """(P, P) c_jk, the integral of dz / (z - a_k) along loop j's approach continued straight on to a_j.
 
-    The approach, the first of the loop's ``paths.legs``, and the
+    The approach, the first of the loop's ``ContinuationPath.legs``, and the
     continuation are straight pieces p -> q clear of a_k, on each of which
     the integral is the principal log((q - a_k) / (p - a_k)); all pieces of
     all pairs take one ``np.log``.  c_jj, whose last piece ends on a_j, is 0.
@@ -180,7 +180,7 @@ def _approach_logs(instance: InverseProblemInstance) -> np.ndarray:
     # Loop j's corners z0, ..., circle start, a_j: the starts of its approach's lines and of its circle.
     corners = [
         [seg.start for seg in approach + circle] + [a]
-        for (approach, circle), a in zip(map(legs, instance.loops), instance.poles)
+        for (approach, circle), a in zip((loop.legs for loop in instance.loops), instance.poles)
     ]
     # A loop with fewer lines repeats z0, a piece of log 1 = 0.
     width = max(len(c) for c in corners)

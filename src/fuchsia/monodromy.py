@@ -36,10 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NonFiniteError,
-    ValidationError,
-)
+from .errors import NonFiniteError
 from .linalg import (
     SimilarityResult,
     _conjugators,
@@ -57,9 +54,7 @@ from .paths import (
     composition_order,
     default_base_point,
     hops,
-    legs,
     path_clearance_audit,  # noqa: F401 - perfbench/spans.py traces this name here
-    segment_distances,
 )
 from .system import TWO_PI_I, FuchsianSystem, is_non_resonant
 
@@ -407,32 +402,18 @@ class _Continuation:
 
 
 def _cut_paths(poles, paths):
-    """Audit every path against ``poles`` and cut its legs into hops.
+    """Cut every path's legs into hops against ``poles``.
 
-    A path's legs are those of ``paths.legs``: a pole loop gives its
+    A path's legs are its ``ContinuationPath.legs``: a pole loop gives its
     approach and its circle, whose transfer is T^-1 C T, and any other
-    path the one leg of all its segments.  The audit is one
-    ``paths.segment_distances`` pass over the segments of those legs and
-    every pole: a loop's tail is its head reversed bit for bit, and a line
-    is measured from its nearer end, so the tail is as far from the poles
-    as the head.  A path that comes closer to a pole than its stated
-    clearance, or whose distance is NaN, raises ``ValidationError``.
-    Returns a ``_Cut`` of the legs' (H + 1,) points of their H hops from
-    ``paths.hops``, which cuts all legs of all paths in one bisection.  The
-    cut depends on the poles alone, so the systems of one inverse solve
-    share it.
+    path the one leg of all its segments.  Returns a ``_Cut`` of the legs'
+    (H + 1,) points of their H hops from ``paths.hops``, which cuts all
+    legs of all paths in one bisection and rejects a leg through a pole.
+    The cut depends on the poles alone, so the systems of one inverse
+    solve share it.
     """
-    chains = [legs(path) for path in paths]
-    every_leg = [leg for chain in chains for leg in chain]
-    distances = segment_distances([seg for leg in every_leg for seg in leg], poles).min(axis=1)
-    audited = np.minimum.reduceat(distances, np.cumsum([0] + [sum(map(len, chain)) for chain in chains[:-1]]))
-    for path, distance in zip(paths, audited.tolist()):
-        if not distance >= path.clearance * (1.0 - 1e-9):
-            raise ValidationError(
-                f"path passes within {distance:.3e} of a pole, closer than its "
-                f"stated clearance {path.clearance:.3e}"
-            )
-    return _Cut(hops(every_leg, poles), [len(chain) for chain in chains])
+    chains = [path.legs for path in paths]
+    return _Cut(hops([leg for chain in chains for leg in chain], poles), [len(chain) for chain in chains])
 
 
 class _Cut:
@@ -490,13 +471,14 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     """Transfer matrix of analytic continuation along ``path``.
 
     Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start),
-    as the kernel returns it.  The path is audited against the system's
-    poles and cut into hops, a pole loop continued as head T and middle C
-    only, which the kernel solves into T^-1 C T.  The hops take the terms
-    of the path's stop term, chosen from the majorant so that the composed
-    truncation bound, with deviations fixed at the path's deviation point,
-    is at most ``tol``; the estimate is the composed bound at the stop term
-    plus a rounding model (``_integrate_legs``).
+    as the kernel returns it.  The path is cut into hops against the
+    system's poles, which rejects a leg through a pole, and a pole loop is
+    continued as head T and middle C only, which the kernel solves into
+    T^-1 C T.  The hops take the terms of the path's stop term, chosen from
+    the majorant so that the composed truncation bound, with deviations
+    fixed at the path's deviation point, is at most ``tol``; the estimate
+    is the composed bound at the stop term plus a rounding model
+    (``_integrate_legs``).
     """
     check_tolerance(tol, "integration tolerance")
     [(transfer, err)] = _integrate_legs(system, _cut_paths(system.poles, (path,)), system.dimension, tol)

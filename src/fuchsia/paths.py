@@ -147,9 +147,11 @@ def hops(legs, poles) -> list[np.ndarray]:
     placed from its end, so a hop point resolves eps times its distance to
     the nearer end.  A segment's first and last points are its own
     ``start`` and ``end``, so joins are exact and a circle's last hop ends
-    at its start bit for bit.  With no poles every segment is one hop; a
-    pole on a leg, or within rounding of it for its distance to the nearer
-    end, raises ``ValidationError`` once a piece can no longer be halved.
+    at its start bit for bit.  With no poles every segment is one hop.  This
+    is the one check of how close a leg comes to a pole: a pole on a leg,
+    or within rounding of it for its distance to the nearer end, raises
+    ``ValidationError`` once a piece can no longer be halved, and so does a
+    hop point whose difference from a pole is not finite.
     """
     segments = [seg for leg in legs for seg in leg]
     lines = [isinstance(seg, Line) for seg in segments]
@@ -167,7 +169,11 @@ def hops(legs, poles) -> list[np.ndarray]:
         """The points at t (u = 1 - t) of the segments ``owner``, and their distances to the nearest pole."""
         along = np.where(t > 0.5, tip[owner] - u * step[owner], base[owner] + t * step[owner])
         z = along + radius[owner] * np.exp(1j * (angle[owner] + t * span[owner]))
-        return z, np.abs(z[:, None] - poles).min(axis=1, initial=np.inf)
+        with np.errstate(over="ignore"):
+            offsets = z[:, None] - poles
+        if not np.isfinite(offsets).all():
+            raise ValidationError("a hop point's difference from a pole overflows: the leg is too far from the poles")
+        return z, np.abs(offsets).min(axis=1, initial=np.inf)
 
     owner = np.repeat(np.arange(len(segments)), 2)
     t = np.tile([0.0, 1.0], len(segments))
@@ -213,21 +219,18 @@ def hops(legs, poles) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class ContinuationPath:
-    """Contiguous chain of at least one segment with a claimed pole clearance.
+    """Contiguous chain of at least one segment, joined bit for bit.
 
-    Construction demands bitwise endpoint contiguity; the ``clearance``
-    field records the distance every segment is claimed to keep from every
-    pole, which ``path_clearance_audit`` can verify against a pole set.
+    A path is its segments: how close it comes to a pole is checked where
+    it is continued, by ``hops``, which rejects a leg through a pole, and
+    ``path_clearance_audit`` measures it against any pole set.
     """
 
     segments: tuple[Segment, ...]
-    clearance: float
 
     def __post_init__(self):
         if not self.segments:
             raise ValidationError("a path needs at least one segment")
-        if not (self.clearance > 0.0 and math.isfinite(self.clearance)):
-            raise ValidationError("path clearance must be positive")
         for i in range(len(self.segments) - 1):
             if self.segments[i].end != self.segments[i + 1].start:
                 raise ValidationError(
@@ -248,10 +251,7 @@ class ContinuationPath:
         return sum(seg.length for seg in self.segments)
 
     def reversed(self) -> "ContinuationPath":
-        return ContinuationPath(
-            tuple(seg.reversed() for seg in reversed(self.segments)),
-            clearance=self.clearance,
-        )
+        return ContinuationPath(tuple(seg.reversed() for seg in reversed(self.segments)))
 
     @cached_property
     def legs(self) -> tuple[tuple[Segment, ...], ...]:
@@ -271,13 +271,8 @@ class ContinuationPath:
         return (segments,)
 
 
-def legs(path: ContinuationPath) -> tuple[tuple[Segment, ...], ...]:
-    """The legs a path is continued along, ``ContinuationPath.legs``: the one rule, as a function to map over paths."""
-    return path.legs
-
-
 def path_clearance_audit(path: ContinuationPath, poles) -> float:
-    """Recompute the minimum distance from any path segment to any pole."""
+    """The minimum distance from any segment of ``path`` to any of ``poles``."""
     return float(segment_distances(path.segments, poles).min())
 
 
@@ -346,10 +341,11 @@ def composition_order(loops) -> list[int]:
     the counterclockwise order of their feet along L.  A foot is its pole
     moved along the comb direction d, which leaves Im(. conj d) unchanged,
     so the order is Im(a_j conj d) descending; every loop's circle, its
-    second leg (``legs``), is around a_j, anchored at the angle of d.  The
-    comb keeps those values distinct.  Pinned by product-identity tests.
+    second leg (``ContinuationPath.legs``), is around a_j, anchored at the
+    angle of d.  The comb keeps those values distinct.  Pinned by
+    product-identity tests.
     """
-    circles = [circle for _, (circle,) in map(legs, loops)]
+    circles = [circle for _, (circle,) in (loop.legs for loop in loops)]
     d = cmath.rect(1.0, circles[0].angle_start)
     position = (np.array([circle.center for circle in circles]) * d.conjugate()).imag
     return np.argsort(-position, kind="stable").tolist()
@@ -364,7 +360,7 @@ def build_loops(poles, base_point) -> list[ContinuationPath]:
     pole and zero times around the others.  d, the feet f and the radii r
     are the comb of ``_comb``: the teeth f_j -> a_j are parallel, so no two
     loops cross, and their order along L is ``composition_order``.  Every
-    loop's stated clearance is min(``COMB_OFFSET``, min_k r_k): L lies
+    loop stays min(``COMB_OFFSET``, min_k r_k) from every pole: L lies
     ``COMB_OFFSET`` from every pole, a tooth passes a pole k ahead of it at
     ``TOOTH_FACTOR`` r_k or more and one behind it at 1.5 r_k or more, and
     a circle keeps 1.5 r_k from every other pole k.
@@ -372,7 +368,6 @@ def build_loops(poles, base_point) -> list[ContinuationPath]:
     poles = [complex(a) for a in poles]
     z0 = complex(base_point)
     d, radii, feet = _comb(poles, z0)
-    clearance = min(COMB_OFFSET, float(radii.min()))
     angle = cmath.phase(d)
     *feet, base_foot = feet.tolist()
     loops = []
@@ -381,5 +376,5 @@ def build_loops(poles, base_point) -> list[ContinuationPath]:
         corners = [z0, base_foot, foot, circle.start]
         head = [Line(p, q) for p, q in zip(corners, corners[1:]) if p != q]
         segments = head + [circle] + [seg.reversed() for seg in reversed(head)]
-        loops.append(ContinuationPath(tuple(segments), clearance=clearance))
+        loops.append(ContinuationPath(tuple(segments)))
     return loops

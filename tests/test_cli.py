@@ -354,7 +354,7 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("base", ["1e16", "1e100"])
     def test_far_base_point_is_computed(self, scalar_system_path, tmp_path, base):
-        """From the base point 1e16 or 1e100 the loops keep their clearance,
+        """From the base point 1e16 or 1e100 the loops keep their distance from the poles,
         and their hops near the poles are placed from the nearer end of each
         leg, so the report holds the closed form exp(+-2 pi i 0.2)."""
         report_path = tmp_path / "m.json"

@@ -27,7 +27,6 @@ from fuchsia.paths import (
     composition_order,
     default_base_point,
     hops,
-    legs,
     path_clearance_audit,
     segment_distances,
 )
@@ -209,18 +208,18 @@ def test_path_requires_contiguity():
     a = Line(0.0, 1.0)
     b = Line(1.0 + 1e-15j, 2.0)
     with pytest.raises(ValidationError):
-        ContinuationPath((a, b), clearance=0.1)
+        ContinuationPath((a, b))
 
 
 def test_empty_path_needs_anchor():
     with pytest.raises(ValidationError, match="at least one segment"):
-        ContinuationPath((), clearance=1.0)
+        ContinuationPath(())
 
 
 def test_path_reversal_round_trip():
     a = Line(0.0, 1.0)
     b = Arc(2.0, 1.0, math.pi, math.pi + TWO_PI)
-    path = ContinuationPath((a, Line(a.end, b.start), b), clearance=0.05)
+    path = ContinuationPath((a, Line(a.end, b.start), b))
     back = path.reversed()
     assert back.start == path.end
     assert back.end == path.start
@@ -255,10 +254,11 @@ def test_loop_radii_scale():
 
 def test_pole_loop_closed_and_clear():
     poles = [0.0 + 0j, 1.0 + 0j]
-    loop = build_loops(poles, 2.0 + 0j)[0]
+    loops = build_loops(poles, 2.0 + 0j)
+    loop = loops[0]
     assert loop.end == loop.start == 2.0 + 0j
     audited = path_clearance_audit(loop, poles)
-    assert audited >= loop.clearance * (1.0 - 1e-12)
+    assert audited >= min(COMB_OFFSET, min(circle_radii(loops))) * (1.0 - 1e-12)
     assert audited > 0.0
 
 
@@ -306,7 +306,7 @@ def test_legs_of_a_loop_are_its_approach_and_circle(poles):
     circle around its own pole; the rest of the loop is the lines reversed."""
     z0 = default_base_point(poles)
     for loop, a in zip(build_loops(poles, z0), poles):
-        approach, (circle,) = legs(loop)
+        approach, (circle,) = loop.legs
         assert approach and all(isinstance(seg, Line) for seg in approach)
         assert approach[0].start == z0 and approach[-1].end == circle.start
         assert isinstance(circle, Arc) and circle.center == a
@@ -319,23 +319,23 @@ def test_legs_of_any_other_path_are_the_path():
     loop = build_loops([0.0 + 0j, 1.0 + 0j], 2.0 + 0j)[0]
     last = loop.segments[-1]
     moved = Line(last.start, complex(np.nextafter(last.end.real, np.inf), last.end.imag))
-    off = ContinuationPath(loop.segments[:-1] + (moved,), clearance=loop.clearance)
-    assert legs(off) == (off.segments,)
-    open_path = ContinuationPath((Line(2.0, 2.0 + 1j), Line(2.0 + 1j, 3.0 + 1j), Line(3.0 + 1j, 3.0)), clearance=0.5)
-    assert legs(open_path) == (open_path.segments,)
+    off = ContinuationPath(loop.segments[:-1] + (moved,))
+    assert off.legs == (off.segments,)
+    open_path = ContinuationPath((Line(2.0, 2.0 + 1j), Line(2.0 + 1j, 3.0 + 1j), Line(3.0 + 1j, 3.0)))
+    assert open_path.legs == (open_path.segments,)
 
 
 def test_legs_are_derived_once_per_path():
     """A path's legs are derived on the first read and kept: every later
-    ``legs`` call returns the same tuple, and the path stays frozen and
-    equal to a fresh copy of itself."""
+    read returns the same tuple, and the path stays frozen and equal to a
+    fresh copy of itself."""
     loop = build_loops([0.0 + 0j, 1.0 + 0j], 2.0 + 0j)[0]
-    first = legs(loop)
-    assert legs(loop) is first and loop.legs is first
-    copy = ContinuationPath(loop.segments, clearance=loop.clearance)
-    assert copy == loop and legs(copy) == first
+    first = loop.legs
+    assert loop.legs is first
+    copy = ContinuationPath(loop.segments)
+    assert copy == loop and copy.legs == first
     with pytest.raises(AttributeError):
-        loop.clearance = 1.0
+        loop.segments = loop.segments[::-1]
 
 
 def test_build_loops_base_on_pole_rejected():
@@ -453,7 +453,7 @@ def test_composition_order_deterministic(rng):
 def test_loops_stay_outside_foreign_circles():
     """Every loop keeps 1.5 r_q from every other pole q, or COMB_OFFSET
     where that is less, so it never enters another loop's circle, and it
-    keeps its stated clearance from every pole."""
+    keeps min(COMB_OFFSET, min_k r_k) from every pole."""
     layouts = [
         [-1.0 + 0j, 0.0 + 0j, 1.0 + 0j],
         [0.0 + 0j, 1.2 + 0.5j, -0.8 + 0.7j, 0.3 - 1.1j],
@@ -464,7 +464,7 @@ def test_loops_stay_outside_foreign_circles():
         loops = build_loops(poles, default_base_point(poles))
         radii = circle_radii(loops)
         for j, loop in enumerate(loops):
-            assert path_clearance_audit(loop, poles) >= loop.clearance * (1.0 - 1e-12)
+            assert path_clearance_audit(loop, poles) >= min(COMB_OFFSET, min(radii)) * (1.0 - 1e-12)
             for q, a in enumerate(poles):
                 if q == j:
                     continue

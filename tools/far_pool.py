@@ -17,7 +17,9 @@ checked by ``validate_instance(..., allow_far=True)``.
 
 Each selected draw is solved by ``inverse.solve`` at its defaults, and the
 tool prints one line per draw: ``converged`` with its iterations and the
-first 12 hex digits of the SHA-256 of its residues' bytes, ``unconverged``
+first 12 hex digits of the SHA-256 of its residues' bytes and their
+largest entrywise gap to the drawn residues, which tells the drawn
+solution from another one with the same monodromy, ``unconverged``
 with its final residual, or the class and message of the error it raised;
 then the solve's continuations by kind, variational and plain, counted by
 ``seed_sweep.continuation_counts``, and the draw's time.  Any warning the
@@ -89,8 +91,10 @@ def run_draw(system) -> tuple[str, list[str], bool]:
         else:
             converged = solution.converged
             if converged:
-                digest = hashlib.sha256(np.array(solution.residues).tobytes()).hexdigest()[:12]
-                outcome = f"converged in {solution.iterations} iterations, residues {digest}"
+                found = np.array(solution.residues)
+                digest = hashlib.sha256(found.tobytes()).hexdigest()[:12]
+                gap = np.max(np.abs(found - np.array(system.residues)))
+                outcome = f"converged in {solution.iterations} iterations, residues {digest}, largest gap {gap:.3g} to the drawn"
             else:
                 outcome = f"unconverged after {solution.iterations} iterations, residual {solution.final_residual:.3e}"
     outcome += f", {counts['variational']} variational + {counts['plain']} plain continuations"
