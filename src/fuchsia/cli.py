@@ -274,8 +274,7 @@ def cmd_invert(args) -> CommandOutcome:
         f"recovered system is {'non-resonant' if solution.non_resonant else 'RESONANT'}",
     ]
     if args.system_out:
-        with open(args.system_out, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.canonical_json(system_doc) + "\n")
+        jsonio.write_json(args.system_out, jsonio.canonical_json(system_doc))
         lines.append(f"recovered system written to {args.system_out}")
     code = EXIT_OK if solution.converged else EXIT_NUMERIC
     return CommandOutcome(code, report, "\n".join(lines))
@@ -434,8 +433,11 @@ def main(argv=None) -> int:
     if not args.quiet and human:
         print(human)
     if args.json and outcome.report is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            jsonio.write_json(args.json, text)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     return outcome.exit_code
 
 

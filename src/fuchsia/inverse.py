@@ -378,7 +378,7 @@ def _monodromy_at(instance: InverseProblemInstance, cut, residues, tol: float) -
 
     It reads the continuation's values only, so no error estimate is computed.
     """
-    return _integrate_legs(_point_system(instance, residues), cut, instance.dimension, tol).values
+    return _integrate_legs(_point_system(instance, residues), cut, instance.dimension, tol)[0]
 
 
 def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
@@ -400,7 +400,7 @@ def _linearise(instance: InverseProblemInstance, cut, residues, tol: float):
     raveled free residues, the order of the unknowns.
     """
     dim = instance.dimension
-    transfers = _integrate_legs(_VariationalField(_point_system(instance, residues)), cut, dim, tol).values  # (loops, N, dim)
+    transfers = _integrate_legs(_VariationalField(_point_system(instance, residues)), cut, dim, tol)[0]  # (loops, N, dim)
     computed = transfers[:, :dim]
     # d[j, t, e] = entry e of dM_j/dtheta_t
     d = transfers[:, dim:].reshape(len(transfers), -1, dim * dim) / _SENSITIVITY_SCALE

@@ -22,8 +22,9 @@ INVERSE_SCHEMA = "fuchsia-inverse/1"
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValidationError("non-finite float cannot be serialized")
-    if x.is_integer() and abs(x) < 1e16:
-        # Keep integral floats compact and sign-normalized (0.0 == -0.0).
+    if x.is_integer() and abs(x) < 1e17:
+        # Keep integral floats compact and sign-normalized (0.0 == -0.0).  Below 1e17, '.17g' would
+        # drop the '.0' and the value would reload as an int; from 1e17 on it writes an exponent.
         if x == 0.0:
             return "0.0"
         return f"{x:.1f}"
@@ -170,3 +171,12 @@ def load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top-level JSON value must be an object")
     return data
+
+
+def write_json(path: str, text: str) -> None:
+    """Write the canonical JSON ``text`` and a newline to ``path``; a path that cannot be written is invalid input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc

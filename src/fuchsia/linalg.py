@@ -50,7 +50,7 @@ _GAP_FACTOR = 4.0
 _EXPLAIN_FACTOR = 10.0
 
 
-def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
+def as_square_matrix(m, name: str) -> np.ndarray:
     """Validate and return ``m`` as a square complex ndarray (a copy)."""
     stack, single = _square_stack(m, name)
     if not single:

@@ -10,8 +10,9 @@ legs are the approach and the circle.  ``paths.hops`` cuts every leg into
 hops z -> z + h with |h| at most half the distance from z to every pole,
 and all hops of all loops are the columns of one batch.  A hop sums its
 Taylor series by a recurrence with one product with the residues per
-term; a scalar majorant bounds what the terms left out can add, and
-decides each path's term count before the last matrix terms run, in one
+term; a scalar majorant (``_majorant``, its one recurrence and tail
+formula) bounds what the terms left out can add, and decides each path's
+term count before the last matrix terms run, in one
 search per call: the stop term is the first, from the batch's last
 deviation point on, whose composed bound, with each hop's deviation fixed
 once at the path's deviation point, is at most the tolerance.  There is
@@ -19,11 +20,12 @@ no step size and no controller.  Hops continue the first block column [I_m; 0]
 and compose in that form (``_compose``), so the inverse solver continues
 just n columns of its variational system.  ``_integrate_legs`` alone turns a loop's two
 legs into the first block column of T^-1 C T, all loops in one solve.  A
-cut (``_cut_paths``) carries every index of its hops that the kernel reads,
-laid out once, so the inverse solver's many calls on one cut build none.
-Each path's error estimate is computed when it is first read: ``monodromy``
-and ``continue_solution`` read it, and the inverse solver, which reads the
-values alone, never pays for it.
+cut (``_cut_paths``) holds every index of its hops that the kernel reads
+and nothing else, laid out once, so the inverse solver's many calls on one
+cut build none.  The kernel returns the values and a function that
+computes the error estimates: ``monodromy`` and ``continue_solution`` call
+it once, and the inverse solver, which reads the values alone, never pays
+for it.
 
 ``verify_theorem`` compares the monodromy around each pole against the
 exponential generator exp(2 pi i B_j) from one Jordan analysis of each:
@@ -32,7 +34,6 @@ reported but excluded from the hypothesis.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,30 @@ def _taylor_term(field, g, stack, term, sums, k):
     sums += term
 
 
+def _majorant(bound, partial, size, norms, reach, total, k, count):
+    """The hops' next ``count`` majorant terms m_{k+1} ... m_{k+count}, and each term's tail.
+
+    The majorant stands at term k with ``bound`` m_k and ``partial``
+    M_{p,k-1}, which it advances in place, one row per term:
+    M_{p,j-1} = |g_p| (m_{j-1} + M_{p,j-2}) from the (P, B) ``size`` |g_p|,
+    and m_j = sum_p b_p M_{p,j-1} / j from the (P,) ``norms`` b_p.  The tail
+    of term j is tau = m_j r / (1 - r), r = G max(1, (j + S) / (j + 1)) with
+    ``reach`` G = max_p |g_p| and ``total`` S = sum_p b_p, and inf where
+    r >= 1.  A non-finite term raises ``NonFiniteError``.  Returns the
+    (count, B) terms and tails.
+    """
+    terms = np.arange(k + 1, k + count + 1)[:, None]
+    history = np.empty((count, len(reach)))
+    for factors, row in zip(norms / terms, history):  # b_p / j in the row of term j
+        partial += bound
+        partial *= size
+        bound = np.dot(factors, partial, out=row)
+    if not np.isfinite(history).all():
+        raise NonFiniteError("continuation majorant overflowed: the residues are too large")
+    gap = np.minimum(1.0, (terms + 1) / (terms + total)) - reach  # 1 / max(1, (j + S) / (j + 1)) - G
+    return history, np.divide(history * reach, gap, out=np.full(history.shape, np.inf), where=gap > 0.0)
+
+
 def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, cut, tol):
     """Each path's stop term, and each hop's tail there, from the majorant alone.
 
@@ -90,15 +115,15 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, cut,
     sum_i tau_i ``weight``_i over them.  Past a
     path's deviation point r_i < 1 falls and tau_i(k + 1) <= r_i(k) tau_i(k),
     so the path's bound meets ``tol`` within log(tol / bound) / log(max_i r_i)
-    terms; that many run as one block (another follows should rounding
-    leave a path open).
+    terms; that many run as one block of ``_majorant`` (another follows
+    should rounding leave a path open), with the current tail in front.
     The block's tails and bounds are read for every path at once, one row
     per term, and each path's hops are added in order by ``reduceat``.
     The stop term is the first from k on whose bound meets ``tol``.  An
     infinite tail or a non-finite bound raises ``NonFiniteError``, the
     tails and the weights checked for inf before they meet, so that no inf
     times a zero warns first.  Every hop is past its deviation point, so
-    its tail's denominator stays positive at every later term.
+    its tail stays finite at every later term.
     Returns the stop terms and each hop's tau_i there.
     """
     groups, owner = cut.groups, cut.owner
@@ -114,19 +139,8 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, cut,
         pending = open_ & (composed > tol)
         ratio = np.maximum.reduceat(reach, groups)[pending] * max(1.0, (k + total) / (k + 1))
         span = int(np.ceil((np.log(tol / composed[pending]) / np.log(ratio)).max(initial=0.0)))
-        terms = np.arange(k, k + span + 1)[:, None]
-        scaled = norms / terms  # b_p / j in the row of term j
-        history = np.empty((span + 1, len(reach)))  # m_k ... m_{k+span}
-        history[0] = bound
-        for factors, row in zip(scaled[1:], history[1:]):
-            partial += bound
-            partial *= size
-            bound = np.dot(factors, partial, out=row)
-        if not np.isfinite(history).all():
-            raise NonFiniteError("continuation majorant overflowed: the residues are too large")
-        limit = np.minimum(1.0, (terms + 1) / (terms + total))  # 1 / max(1, (j + S) / (j + 1))
-        taus = history * reach / (limit - reach)
-        taus[0] = tail
+        block, block_tails = _majorant(bound, partial, size, norms, reach, total, k, span)
+        taus = np.concatenate([tail[None], block_tails])  # tau_i at terms k ... k + span
         # reduceat adds a path's hops in order, as ``composed`` does; sum would pair them.
         met = (np.add.reduceat(taus * weight, groups, axis=1) <= tol) & open_
         rows, now = met.argmax(axis=0), met.any(axis=0)
@@ -134,6 +148,7 @@ def _stop_terms(size, reach, norms, total, k, bound, partial, tail, weight, cut,
         leaving = now[owner].nonzero()[0]
         tails[leaving] = taus[rows[owner[leaving]], leaving]
         tail = np.where((stops == 0)[owner], taus[-1], tail)
+        bound = block[-1] if span else bound
         k += span
     return stops, tails
 
@@ -248,11 +263,11 @@ def _integrate_legs(field, cut, m: int, tol: float):
     deviation point, or a loop whose approach transfer T is singular,
     raises ``NonFiniteError``.
 
-    Returns a ``_Continuation``: ``values``, every path's value in block
-    order, and ``estimates``, computed from arrays the call made when they
-    are first read, so a caller that reads the values alone, as the inverse
-    solver does, pays for no estimate; iterating it gives the
-    ``(value, error_estimate)`` pairs.  The hops' values are put back in
+    Returns ``(values, estimate)``: ``values`` is the (paths, N, m) stack
+    of every path's value, in block order, and ``estimate()`` computes the
+    list of their error estimates from arrays this call made, so a caller
+    that reads the values alone, as the inverse solver does, pays for no
+    estimate.  The hops' values are put back in
     block order once, in the cut's layout for ``_compose``, and the
     Frobenius norms of whole columns taken before do not depend on the row
     order.  An open path's value is its one leg, its hops' values composed
@@ -279,7 +294,7 @@ def _integrate_legs(field, cut, m: int, tol: float):
     reach = size.max(axis=0)
     norms = field.bounds
     total = float(norms.sum())
-    count, paths = len(owner), len(cut)
+    count, paths = len(owner), len(cut.groups)
     start = np.zeros((field.dimension, m), dtype=complex)
     start[field.rows] = np.eye(field.dimension, m)
     bound = np.ones(count)  # m_k
@@ -295,14 +310,8 @@ def _integrate_legs(field, cut, m: int, tol: float):
         majorants = np.exp(-(norms @ np.log1p(-size)))  # prod_p (1 - |g_p|)^-b_p = sum_k m_k bounds |Phi^-1|
         # Matrix and majorant terms together, until every path has passed its deviation point.
         while not passed.all():
-            partial += bound
-            partial *= size
-            bound = (norms / (k + 1)) @ partial
-            if not np.isfinite(bound).all():
-                raise NonFiniteError("continuation majorant overflowed: the residues are too large")
+            [bound], [tau] = _majorant(bound, partial, size, norms, reach, total, k, 1)
             k += 1
-            gap = min(1.0, (k + 1) / (k + total)) - reach  # 1 / max(1, (k + S) / (k + 1)) - G: tau is inf unless > 0
-            tau = np.divide(bound * reach, gap, out=np.full(count, np.inf), where=gap > 0.0)
             _taylor_term(field, g, stack, term, sums, k)
             fresh = ~passed & (np.bincount(owner, tau, paths) < 1.0)
             if fresh.any():
@@ -370,35 +379,7 @@ def _integrate_legs(field, cut, m: int, tol: float):
         estimates += np.finfo(float).eps * rounding * np.maximum(1.0, sizes)
         return estimates.tolist()
 
-    return _Continuation(transfers, estimate)
-
-
-class _Continuation:
-    """What ``_integrate_legs`` returns: every path's value, and its error estimate once it is read.
-
-    ``values`` is the (paths, N, m) stack of the values, in block order.
-    ``estimates`` is the list of the estimates, computed on its first read
-    from arrays the call made anyway, and kept; a caller that reads the
-    values alone, as the inverse solver does, never pays for them.
-    Iterating gives each path's (value, estimate) pair, and indexing one.
-    """
-
-    def __init__(self, values: np.ndarray, estimate):
-        self.values = values
-        self._estimate = estimate
-
-    @cached_property
-    def estimates(self) -> list[float]:
-        return self._estimate()
-
-    def __iter__(self):
-        return zip(self.values, self.estimates)
-
-    def __getitem__(self, index):
-        return self.values[index], self.estimates[index]
-
-    def __len__(self):
-        return len(self.values)
+    return transfers, estimate
 
 
 def _cut_paths(poles, paths):
@@ -419,10 +400,11 @@ def _cut_paths(poles, paths):
 class _Cut:
     """Paths cut into hops, with every index of the hops that ``_integrate_legs`` reads, built once.
 
-    ``legs`` is each leg's (H + 1,) hop points, the legs of each path in
-    turn, ``counts`` the number of legs of each path: two for a loop, its
-    approach and circle, one for any other path.  Iterating gives each
-    path's tuple of legs.  Per hop, in leg order: ``leg_of`` its leg,
+    It is built from each leg's (H + 1,) hop points, the legs of each path
+    in turn, and ``counts``, the number of legs of each path: two for a
+    loop, its approach and circle, one for any other path.  It keeps only
+    what the kernel reads, not the points: ``legs`` is the number of legs,
+    and ``len(groups)`` the number of paths.  Per hop, in leg order: ``leg_of`` its leg,
     ``owner`` its path, ``heads`` whether it is on a loop's approach,
     ``starts`` its start z and ``steps`` its h.  Per path: ``groups`` its
     first hop, ``first_legs`` its first leg, ``is_loop``; ``loops`` is the
@@ -435,8 +417,6 @@ class _Cut:
     """
 
     def __init__(self, legs, counts):
-        rest = iter(legs)
-        self.paths = [tuple(next(rest) for _ in range(count)) for count in counts]
         lengths = np.array([len(leg) - 1 for leg in legs])
         self.legs, hops = len(legs), int(lengths.sum())
         self.leg_of = np.repeat(np.arange(self.legs), lengths)
@@ -460,18 +440,12 @@ class _Cut:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __len__(self):
-        return len(self.paths)
-
 
 def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float = DEFAULT_INTEGRATION_TOL):
     """Transfer matrix of analytic continuation along ``path``.
 
-    Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start),
-    as the kernel returns it.  The path is cut into hops against the
+    Returns ``(transfer, error_estimate)`` with Y(end) = transfer @ Y(start):
+    the kernel's one value, and its one estimate, computed once.  The path is cut into hops against the
     system's poles, which rejects a leg through a pole, and a pole loop is
     continued as head T and middle C only, which the kernel solves into
     T^-1 C T.  The hops take the terms of the path's stop term, chosen from
@@ -481,7 +455,8 @@ def continue_solution(system: FuchsianSystem, path: ContinuationPath, tol: float
     (``_integrate_legs``).
     """
     check_tolerance(tol, "integration tolerance")
-    [(transfer, err)] = _integrate_legs(system, _cut_paths(system.poles, (path,)), system.dimension, tol)
+    [transfer], estimate = _integrate_legs(system, _cut_paths(system.poles, (path,)), system.dimension, tol)
+    [err] = estimate()
     return transfer, err
 
 
@@ -527,8 +502,8 @@ def monodromy(
     check_tolerance(tol, "integration tolerance")
     z0 = default_base_point(system.poles) if base_point is None else complex(base_point)
     loops = build_loops(system.poles, z0)
-    results = _integrate_legs(system, _cut_paths(system.poles, loops), system.dimension, tol)
-    matrices = list(results.values)
+    values, estimate = _integrate_legs(system, _cut_paths(system.poles, loops), system.dimension, tol)
+    matrices = list(values)
     order = composition_order(loops)
     defect = _product_defect(matrices, order)
     for m in matrices:
@@ -536,7 +511,7 @@ def monodromy(
     return MonodromyRepresentation(
         base_point=z0,
         matrices=tuple(matrices),
-        error_estimates=tuple(results.estimates),
+        error_estimates=tuple(estimate()),
         loops=tuple(loops),
         composition=tuple(order),
         product_defect=defect,

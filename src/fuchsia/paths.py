@@ -136,9 +136,11 @@ def hops(legs, poles) -> list[np.ndarray]:
     z_i to z_{i+1}.  Every segment is halved, a line at its midpoint and an
     arc at its middle angle, while a piece is longer than ``HOP_RATIO``
     times the distance from its start to the nearest pole; each level of
-    halving is one numpy pass over the pieces of all legs, and it places
-    and measures only the midpoints it inserts, so every point is placed
-    once, by one formula, whichever level inserts it.  So every hop
+    halving is one numpy pass over the pieces the level before made, in all
+    legs, so every piece is tested once, and it places and measures only
+    the midpoints it inserts, so every point is placed once, by one formula,
+    whichever level inserts it.  One sort puts each segment's points in
+    order at the end.  So every hop
     z -> z + h has |h| <= |z - a| / 2 for every pole a, and the piece it
     stands for lies in the pole-free disk around z of half the distance to
     the nearest pole, so the chord gives the piece's transfer.  A full circle
@@ -179,29 +181,29 @@ def hops(legs, poles) -> list[np.ndarray]:
     t = np.tile([0.0, 1.0], len(segments))
     u = 1.0 - t
     z, distance = place(owner, t, u)
+    # The pieces the last level made, as the indices of their first and last points; the others are final.
+    lo, hi = np.arange(0, t.size, 2), np.arange(1, t.size, 2)
     while poles.size:
         # A piece's width in the parameter of the end nearer its start; a halving that rounded onto an end left a 0.
-        width = np.where(t[:-1] > 0.5, u[:-1] - u[1:], t[1:] - t[:-1])
-        piece = owner[1:] == owner[:-1]
-        if (piece & (width <= 0.0)).any():
+        width = np.where(t[lo] > 0.5, u[lo] - u[hi], t[hi] - t[lo])
+        if (width <= 0.0).any():
             raise ValidationError(
                 "a leg passes through a pole, or too close to one for its length: its hops cannot be halved any further"
             )
-        at = (piece & (width * length[owner[:-1]] > HOP_RATIO * distance[:-1])).nonzero()[0]
-        if not at.size:
+        split = width * length[owner[lo]] > HOP_RATIO * distance[lo]
+        lo, hi = lo[split], hi[split]
+        if not lo.size:
             break
-        # Only the midpoints are new: each is placed once and lands after its piece's start.
-        mid_t, mid_u = (t[at] + t[at + 1]) / 2.0, (u[at] + u[at + 1]) / 2.0
-        mid = (owner[at], mid_t, mid_u) + place(owner[at], mid_t, mid_u)
-        slots = at + np.arange(1, at.size + 1)
-        old = np.ones(t.size + at.size, dtype=bool)
-        old[slots] = False
-        merged = []
-        for kept, added in zip((owner, t, u, z, distance), mid):
-            both = np.empty(old.size, dtype=kept.dtype)
-            both[old], both[slots] = kept, added
-            merged.append(both)
-        owner, t, u, z, distance = merged
+        # Only the midpoints are new: each is placed once, appended after the points so far.
+        mid_t, mid_u = (t[lo] + t[hi]) / 2.0, (u[lo] + u[hi]) / 2.0
+        mid = (owner[lo], mid_t, mid_u) + place(owner[lo], mid_t, mid_u)
+        at = np.arange(t.size, t.size + lo.size)
+        owner, t, u, z, distance = (np.concatenate(pair) for pair in zip((owner, t, u, z, distance), mid))
+        lo, hi = np.concatenate([lo, at]), np.concatenate([at, hi])
+    # Each segment's points in order along it.  The key is exact: t is exact in a segment's near half, and u in
+    # its far half, each a dyadic fraction, the mean of two on the same side of 1/2 from the ends 0 and 1.
+    order = np.lexsort((np.where(t > 0.5, -u, t), t > 0.5, owner))
+    owner, t, u, z = owner[order], t[order], u[order], z[order]
     first = t == 0.0
     last = u == 0.0
     z[first] = [segments[i].start for i in owner[first]]

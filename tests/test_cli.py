@@ -414,6 +414,25 @@ class TestVerify:
         assert "FAILED" in out
 
 
+@pytest.mark.parametrize("command", ["check", "invert"])
+def test_unwritable_output_is_input_error(command, small_system_path, tmp_path, capsys):
+    """A ``--json`` path that is a directory, and a ``--system-out`` path in a
+    directory that does not exist, cannot be written: exit 2 with one ``error:``
+    line that names the path, and no traceback."""
+    if command == "check":
+        target = str(tmp_path)
+        argv = ["check", small_system_path, "--json", target]
+    else:
+        report = str(tmp_path / "monodromy.json")
+        assert main(["--quiet", "monodromy", small_system_path, "--json", report]) == 0
+        target = str(tmp_path / "absent" / "recovered.json")
+        argv = ["invert", report, "--system-out", target]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write") and target in err[0]
+
+
 class TestInvert:
     def test_pipeline_from_monodromy_report(self, small_system_path, tmp_path, capsys):
         """monodromy --json output feeds invert directly and closes the loop."""

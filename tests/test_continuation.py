@@ -14,6 +14,7 @@ from fuchsia.inverse import _SENSITIVITY_SCALE
 from fuchsia.monodromy import (
     _cut_paths,
     _integrate_legs,
+    _majorant,
     _stop_terms,
     coefficient_function,
     continue_solution,
@@ -24,9 +25,10 @@ from fuchsia.system import FuchsianSystem, validate_system
 
 
 def continue_paths(system, paths, columns, tol):
-    """The kernel's value and estimate for each of ``paths``, cut against the
-    system's poles, continuing the first ``columns`` columns of the identity."""
-    return _integrate_legs(system, _cut_paths(system.poles, paths), columns, tol)
+    """The kernel's (value, estimate) pair for each of ``paths``, cut against
+    the system's poles, continuing the first ``columns`` columns of the identity."""
+    values, estimate = _integrate_legs(system, _cut_paths(system.poles, paths), columns, tol)
+    return list(zip(values, estimate(), strict=True))
 
 
 def scalar_two_pole(b: complex):
@@ -233,7 +235,7 @@ def test_block_start_continues_to_transfer_times_start(columns):
     loop = build_loops(system.poles, 2.0 + 0.0j)[0]
     assert [type(seg) for seg in loop.segments[: len(loop.segments) // 2]] == [Line] * 3
     open_path = ContinuationPath(loop.segments[: len(loop.segments) // 2 + 1])
-    assert [len(legs) for legs in _cut_paths(system.poles, (loop, open_path))] == [2, 1]
+    assert _cut_paths(system.poles, (loop, open_path)).is_loop.tolist() == [True, False]
     for path in (loop, open_path):
         [(transfer, _)] = continue_paths(system, (path,), system.dimension, 1e-11)
         [(column, _)] = continue_paths(system, (path,), columns, 1e-11)
@@ -280,7 +282,7 @@ def test_batch_equals_each_path_alone(columns):
     assert {type(seg) for loop in loops for seg in loop.segments} == {Line, Arc}
     short = ContinuationPath((Line(5.0 + 0.0j, 5.0 + 0.1j),))
     paths = loops + [short]
-    assert [len(legs) for legs in _cut_paths(system.poles, paths)] == [2] * len(loops) + [1]
+    assert _cut_paths(system.poles, paths).is_loop.tolist() == [True] * len(loops) + [False]
     batch = continue_paths(system, paths, columns, 1e-9)
     for path, (transfer, estimate) in zip(paths, batch, strict=True):
         [(alone, alone_estimate)] = continue_paths(system, (path,), columns, 1e-9)
@@ -469,6 +471,38 @@ def test_infinite_weight_fails_before_it_meets_a_zero_tail():
         _stop_terms(size, size[0], np.array([0.1]), 0.1, 3, np.ones(hops), np.zeros_like(size), tail, weight, cut, 1e-9)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_majorant_matches_its_recurrence(seed):
+    """``_majorant`` gives the terms m_{k+1} ... m_{k+count} of
+    M_{p,j} = |g_p| (m_j + M_{p,j-1}), m_{j+1} = sum_p b_p M_{p,j} / (j + 1),
+    as plain Python evaluates them, to rounding, with M advanced in place,
+    and each term's tail tau = m_j r / (1 - r), r = G max(1, (j + S) / (j + 1)):
+    finite on a calm hop and inf on one whose r stays at 1 or above."""
+    rng = np.random.default_rng(seed)
+    poles, hops = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+    size = rng.uniform(0.0, 0.9, (poles, hops))
+    size[:, 0] *= 0.05
+    size[0, -1] = 0.99
+    norms = rng.uniform(1.2, 2.0, poles)
+    bound, partial = rng.uniform(0.1, 2.0, hops), rng.uniform(0.0, 1.0, (poles, hops))
+    k, count = int(rng.integers(0, 5)), 6
+    reach, total = size.max(axis=0), float(norms.sum())
+    m, big = bound.tolist(), partial.tolist()
+    want_terms, want_tails = [], []
+    for j in range(k + 1, k + count + 1):
+        big = [[size[p, i] * (m[i] + big[p][i]) for i in range(hops)] for p in range(poles)]
+        m = [sum(norms[p] * big[p][i] for p in range(poles)) / j for i in range(hops)]
+        r = [reach[i] * max(1.0, (j + total) / (j + 1)) for i in range(hops)]
+        want_terms.append(m)
+        want_tails.append([m[i] * r[i] / (1.0 - r[i]) if r[i] < 1.0 else math.inf for i in range(hops)])
+    terms, tails = _majorant(bound, partial, size, norms, reach, total, k, count)
+    assert terms.shape == tails.shape == (count, hops)
+    assert terms == pytest.approx(np.array(want_terms), rel=1e-13)
+    assert partial == pytest.approx(np.array(big), rel=1e-13)
+    assert tails == pytest.approx(np.array(want_tails), rel=1e-10)
+    assert np.isfinite(tails[:, 0]).all() and np.isinf(tails[:, -1]).all()
+
+
 def test_one_cut_serves_many_calls():
     """A cut continued 3 times, for two systems and two tolerances, gives
     each call's values and estimates bit for bit as a fresh cut does."""
@@ -477,32 +511,26 @@ def test_one_cut_serves_many_calls():
     loops = build_loops(system.poles, default_base_point(system.poles))
     cut = _cut_paths(system.poles, loops)
     for field, tol in ((system, 1e-9), (half, 1e-9), (system, 1e-12)):
-        reused = _integrate_legs(field, cut, 2, tol)
-        fresh = _integrate_legs(field, _cut_paths(system.poles, loops), 2, tol)
-        for (value, estimate), (again, again_estimate) in zip(reused, fresh, strict=True):
-            assert np.array_equal(value, again)
-            assert estimate == again_estimate
+        values, estimate = _integrate_legs(field, cut, 2, tol)
+        again, again_estimate = _integrate_legs(field, _cut_paths(system.poles, loops), 2, tol)
+        assert np.array_equal(values, again)
+        assert estimate() == again_estimate()
 
 
 def test_estimates_are_computed_when_read():
-    """The kernel's result gives the same estimates, bit for bit, whether
-    they are read before its values or after them, as a fresh call's pairs;
-    a second read returns the same list, and iterating it gives the pairs."""
+    """The kernel returns its values and an ``estimate`` function: two calls
+    of it, one before and one after the values are read, give the list of
+    estimates of a fresh kernel call bit for bit, one per path."""
     system = five_pole_generic_system()
     loops = build_loops(system.poles, default_base_point(system.poles))
     cut = _cut_paths(system.poles, loops)
-    fresh = list(_integrate_legs(system, cut, 2, 1e-9))
-    first = _integrate_legs(system, cut, 2, 1e-9)
-    estimates = first.estimates
-    later = _integrate_legs(system, cut, 2, 1e-9)
-    values = later.values
-    assert len(first) == len(later) == len(loops)
-    assert later.estimates == estimates == [estimate for _, estimate in fresh]
-    assert first.estimates is estimates
-    for (value, estimate), again, (pair_value, pair_estimate) in zip(fresh, values, first, strict=True):
-        assert np.array_equal(value, again) and np.array_equal(value, pair_value)
-        assert pair_estimate == estimate
-    assert later[-1][1] == fresh[-1][1]
+    values, estimate = _integrate_legs(system, cut, 2, 1e-9)
+    first = estimate()
+    again, fresh = _integrate_legs(system, cut, 2, 1e-9)
+    assert np.array_equal(values, again)
+    assert first == estimate() == fresh()
+    assert len(first) == len(values) == len(loops)
+    assert all(type(value) is float for value in first)
 
 
 def test_evaluator_matches_pointwise_coefficient():

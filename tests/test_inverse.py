@@ -464,10 +464,10 @@ class TestSecondOrderSeed:
         def counting(field, cut, m, tol):
             plain = field.dimension == m
             counts["plain" if plain else "variational"] += 1
-            results = _integrate_legs(field, cut, m, tol)
+            values, estimate = _integrate_legs(field, cut, m, tol)
             if plain and counts["plain"] == 3:
-                results.values = results.values + 1e-3
-            return results
+                values = values + 1e-3
+            return values, estimate
 
         monkeypatch.setattr("fuchsia.inverse._integrate_legs", counting)
         sol = solve(inst)
@@ -606,7 +606,7 @@ class TestJacobian:
         cuts = []
 
         def counting(system, cut, m, tol):
-            paths.extend(cut)
+            paths.append(len(cut.groups))
             return _integrate_legs(system, cut, m, tol)
 
         def cutting(poles, loops):
@@ -617,7 +617,7 @@ class TestJacobian:
         monkeypatch.setattr("fuchsia.inverse._cut_paths", cutting)
         sol = solve(inst)
         assert sol.converged
-        assert len(paths) == (sol.iterations + 1) * len(self.POLES)
+        assert sum(paths) == (sol.iterations + 1) * len(self.POLES)
         assert len(cuts) == 1
 
     def test_jacobian_column_is_each_derivative_in_unknowns_order(self, instance_at_seed):
@@ -627,10 +627,10 @@ class TestJacobian:
         inst, _, cut, residues = instance_at_seed
         _, jacobian = _linearise(inst, cut, residues, DEFAULT_INTEGRATION_TOL)
         field = _VariationalField(_point_system(inst, residues))
-        results = _integrate_legs(field, cut, inst.dimension, DEFAULT_INTEGRATION_TOL)
-        lower = np.array([column for column, _ in results])[:, inst.dimension :]
-        d = lower.reshape(len(results), -1, inst.dimension, inst.dimension) / _SENSITIVITY_SCALE
-        assert jacobian.shape == (len(results) * inst.dimension**2, np.size(residues[:-1]))
+        columns, _ = _integrate_legs(field, cut, inst.dimension, DEFAULT_INTEGRATION_TOL)
+        lower = columns[:, inst.dimension :]
+        d = lower.reshape(len(columns), -1, inst.dimension, inst.dimension) / _SENSITIVITY_SCALE
+        assert jacobian.shape == (len(columns) * inst.dimension**2, np.size(residues[:-1]))
         for t in range(jacobian.shape[1]):
             assert np.array_equal(jacobian[:, t], np.ravel(d[:, t]))
 
@@ -671,10 +671,10 @@ class TestJacobian:
         def pushing(field, cut, m, tol):
             plain = field.dimension == m
             counts["plain" if plain else "variational"] += 1
-            results = _integrate_legs(field, cut, m, tol)
+            values, estimate = _integrate_legs(field, cut, m, tol)
             if plain:
-                results.values = results.values + 10.0
-            return results
+                values = values + 10.0
+            return values, estimate
 
         monkeypatch.setattr("fuchsia.inverse._integrate_legs", pushing)
         residues, metric, iterations = _gauss_newton(inst, cut, seed, DEFAULT_RESIDUAL_TOL, DEFAULT_MAX_ITER, DEFAULT_INTEGRATION_TOL)

@@ -62,10 +62,10 @@ class TestCanonicalJson:
 
 
 def _reference_float(x: float) -> str:
-    """The float rule of the reference encoder: 17 significant digits, integral floats below 1e16 compact."""
+    """The float rule of the reference encoder: 17 significant digits, integral floats below 1e17 compact."""
     if not math.isfinite(x):
         raise ValidationError("non-finite float cannot be serialized")
-    if x == int(x) and abs(x) < 1e16:
+    if x == int(x) and abs(x) < 1e17:
         if x == 0.0:
             return "0.0"
         return f"{x:.1f}"
@@ -181,6 +181,15 @@ def _reference_json(obj):
     parts = []
     _isinstance_emit(obj, parts)
     return "".join(parts)
+
+
+def test_every_float_reloads_as_a_float():
+    """Every float of ``_FLOATS`` is written so that ``json.loads`` reads back a float of equal value,
+    the integral ones from 1e16 up to 1e17, which keep their ``.0``, included."""
+    for x in _FLOATS:
+        again = json.loads(canonical_json(x))
+        assert type(again) is float and again == x
+    assert canonical_json(1e16) == "10000000000000000.0"
 
 
 def test_canonical_json_equals_the_isinstance_reference():
